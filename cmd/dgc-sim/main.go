@@ -19,7 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -29,25 +29,34 @@ import (
 	"dgc/internal/admin"
 )
 
-func main() {
-	var (
-		scenario  = flag.String("scenario", "figure3", "topology to run")
-		procs     = flag.Int("procs", 4, "processes (ring/acyclic/random)")
-		chain     = flag.Int("chain", 2, "objects per process (ring)")
-		seed      = flag.Int64("seed", 1, "seed (random topology and faults)")
-		rounds    = flag.Int("rounds", 0, "max GC rounds (0 = 3*procs+10)")
-		loss      = flag.Float64("loss", 0, "GC message loss rate")
-		dup       = flag.Float64("dup", 0, "GC message duplication rate")
-		reorder   = flag.Float64("reorder", 0, "GC message reorder rate")
-		broadcast = flag.Bool("broadcast", false, "broadcast scion deletion on cycle found")
-		verbose   = flag.Bool("v", false, "print per-node stats at the end")
-		traceN    = flag.Int("trace", 0, "print the last N collector events")
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/dgc on this address during the run")
-		metricsJSON = flag.Bool("metrics-json", false, "dump the full metric set as one JSON object per round")
-		pprofMode   = flag.String("pprof", "auto", "serve /debug/pprof on the metrics address: on, off, or auto (loopback only)")
+// run executes one simulation with the given command-line arguments, writing
+// the report to out (diagnostics go to stderr) and returning the exit code.
+// Everything written to out is a pure function of args, which is what the
+// golden test pins.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("dgc-sim", flag.ContinueOnError)
+	var (
+		scenario  = fs.String("scenario", "figure3", "topology to run")
+		procs     = fs.Int("procs", 4, "processes (ring/acyclic/random)")
+		chain     = fs.Int("chain", 2, "objects per process (ring)")
+		seed      = fs.Int64("seed", 1, "seed (random topology and faults)")
+		rounds    = fs.Int("rounds", 0, "max GC rounds (0 = 3*procs+10)")
+		loss      = fs.Float64("loss", 0, "GC message loss rate")
+		dup       = fs.Float64("dup", 0, "GC message duplication rate")
+		reorder   = fs.Float64("reorder", 0, "GC message reorder rate")
+		broadcast = fs.Bool("broadcast", false, "broadcast scion deletion on cycle found")
+		verbose   = fs.Bool("v", false, "print per-node stats at the end")
+		traceN    = fs.Int("trace", 0, "print the last N collector events")
+
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/dgc on this address during the run")
+		metricsJSON = fs.Bool("metrics-json", false, "dump the full metric set as one JSON object per round")
+		pprofMode   = fs.String("pprof", "auto", "serve /debug/pprof on the metrics address: on, off, or auto (loopback only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var topo *dgc.Topology
 	switch *scenario {
@@ -66,7 +75,8 @@ func main() {
 			Procs: *procs, ObjsPerProc: 6, OutDegree: 1.8, RemoteFrac: 0.4, RootFrac: 0.1,
 		})
 	default:
-		log.Fatalf("unknown scenario %q", *scenario)
+		fmt.Fprintf(os.Stderr, "dgc-sim: unknown scenario %q\n", *scenario)
+		return 2
 	}
 
 	cfg := dgc.Config{Metrics: dgc.NewMetricsSet()}
@@ -82,7 +92,8 @@ func main() {
 	}
 	c := dgc.NewCluster(*seed, cfg)
 	if _, err := c.Materialize(topo, cfg); err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, "dgc-sim:", err)
+		return 1
 	}
 	if *loss > 0 || *dup > 0 || *reorder > 0 {
 		c.Net.SetFaults(dgc.Faults{
@@ -94,7 +105,8 @@ func main() {
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			log.Fatalf("metrics listen %s: %v", *metricsAddr, err)
+			fmt.Fprintf(os.Stderr, "dgc-sim: metrics listen %s: %v\n", *metricsAddr, err)
+			return 1
 		}
 		defer ln.Close()
 		srv := admin.NewServer(cfg.Metrics)
@@ -105,11 +117,11 @@ func main() {
 			srv.AddNode(n)
 		}
 		go func() { _ = http.Serve(ln, srv.Handler()) }()
-		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
+		fmt.Fprintf(out, "metrics on http://%s/metrics\n", ln.Addr())
 	}
 
 	live := c.GlobalLive()
-	fmt.Printf("scenario %s: %d objects (%d reachable from roots), %d scions, %d stubs\n",
+	fmt.Fprintf(out, "scenario %s: %d objects (%d reachable from roots), %d scions, %d stubs\n",
 		topo.Name, c.TotalObjects(), len(live), c.TotalScions(), c.TotalStubs())
 
 	maxRounds := *rounds
@@ -121,14 +133,15 @@ func main() {
 		before := c.TotalObjects()
 		c.GCRound()
 		round++
-		fmt.Printf("round %2d: objects %d -> %d, scions %d, stubs %d\n",
+		fmt.Fprintf(out, "round %2d: objects %d -> %d, scions %d, stubs %d\n",
 			round, before, c.TotalObjects(), c.TotalScions(), c.TotalStubs())
 		if *metricsJSON {
 			blob, err := json.Marshal(cfg.Metrics.Dump())
 			if err != nil {
-				log.Fatal(err)
+				fmt.Fprintln(os.Stderr, "dgc-sim:", err)
+				return 1
 			}
-			fmt.Printf("metrics %s\n", blob)
+			fmt.Fprintf(out, "metrics %s\n", blob)
 		}
 		if c.TotalObjects() == len(live) && c.TotalObjects() == before && round > 2 {
 			break
@@ -136,14 +149,15 @@ func main() {
 	}
 
 	if v := c.LiveViolations(live); len(v) != 0 {
-		log.Fatalf("SAFETY VIOLATION: live objects reclaimed: %v", v)
+		fmt.Fprintf(os.Stderr, "dgc-sim: SAFETY VIOLATION: live objects reclaimed: %v\n", v)
+		return 1
 	}
 	leaked := c.TotalObjects() - len(live)
-	fmt.Printf("\nfinal: %d objects (%d expected live, %d leaked) after %d rounds\n",
+	fmt.Fprintf(out, "\nfinal: %d objects (%d expected live, %d leaked) after %d rounds\n",
 		c.TotalObjects(), len(live), leaked, round)
 
 	if *verbose {
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "node\tswept\tdetections\tcycles\taborted\tCDMs sent\tstub sets")
 		for _, n := range c.Nodes() {
 			s := n.Stats()
@@ -154,12 +168,13 @@ func main() {
 		w.Flush()
 	}
 	if events != nil {
-		fmt.Println("\ncollector events (most recent last):")
+		fmt.Fprintln(out, "\ncollector events (most recent last):")
 		for _, e := range events.Snapshot() {
-			fmt.Println("  " + e.String())
+			fmt.Fprintln(out, "  "+e.String())
 		}
 	}
 	if leaked > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
