@@ -133,8 +133,7 @@ func BenchmarkSummarize(b *testing.B) {
 func BenchmarkGCRound(b *testing.B) {
 	// One full collection round (LGC, summarize, detect on every node) on a
 	// live multi-node ring with per-round garbage churn, so every phase does
-	// real work each iteration. The cluster's worker pool parallelizes the
-	// node-independent phases.
+	// real work each iteration.
 	for _, procs := range []int{8, 32} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			cfg := node.Config{}
@@ -142,8 +141,8 @@ func BenchmarkGCRound(b *testing.B) {
 			if _, err := c.Materialize(workload.LiveRing(procs, 2), cfg); err != nil {
 				b.Fatal(err)
 			}
-			// Bulk out each node's heap so per-node phase work dominates
-			// scheduling overhead.
+			// Bulk out each node's heap so collector work, not harness
+			// bookkeeping, dominates the round.
 			for _, n := range c.Nodes() {
 				n.With(func(m dgc.Mutator) {
 					var prev dgc.ObjID

@@ -70,7 +70,6 @@ func main() {
 	run("lease", runLease)
 	run("disruption", runDisruption)
 	run("summarize", runSummarize)
-	run("gcround", runGCRound)
 	run("detect", runDetect)
 	run("wire", runWire)
 
@@ -327,52 +326,6 @@ func runSummarize(quick bool) error {
 	})
 }
 
-// runGCRound measures one settled cluster GC round across the procs ×
-// workers matrix, landing the numbers in BENCH_gcround.json.
-func runGCRound(quick bool) error {
-	procs := []int{8, 32}
-	rounds := 5
-	if quick {
-		procs = []int{8}
-		rounds = 2
-	}
-	warnNumCPU("gcround")
-	rows, err := experiments.GCRoundScale(procs, rounds)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "processes\tworkers\tGC round")
-	for _, r := range rows {
-		workers := fmt.Sprintf("%d", r.Workers)
-		if r.Workers == 0 {
-			workers = fmt.Sprintf("NumCPU(%d)", runtime.NumCPU())
-		}
-		fmt.Fprintf(w, "%d\t%s\t%v\n", r.Procs, workers, r.Round.Round(time.Microsecond))
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return writeJSON("BENCH_gcround.json", map[string]any{
-		"benchmark":  "one settled cluster GC round, live ring + 2000-object chains + churn (best of rounds), procs x workers matrix",
-		"cpu":        "Intel Xeon @ 2.10GHz",
-		"num_cpu":    runtime.NumCPU(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"rows":       rows,
-	})
-}
-
-// warnNumCPU flags scaling measurements recorded on a machine too narrow to
-// show parallel speedup: on fewer than 4 cores the worker-pool cells of the
-// matrix time-slice one another and the recorded curve is flat or worse.
-// The numbers are still recorded (honestly, with num_cpu alongside) — they
-// are just not evidence about scaling.
-func warnNumCPU(exp string) {
-	if n := runtime.NumCPU(); n < 4 {
-		fmt.Printf("WARNING: %s: runtime.NumCPU()=%d (<4), GOMAXPROCS=%d; worker-pool cells measure scheduling overhead, not parallel speedup. Re-record on a >=8-core machine for the scaling claim.\n", exp, n, runtime.GOMAXPROCS(0))
-	}
-}
-
 // runDetect measures the detection-round and CDM-hop hot paths against the
 // recorded pre-interning baseline, landing the numbers in BENCH_detect.json.
 func runDetect(quick bool) error {
@@ -384,7 +337,6 @@ func runDetect(quick bool) error {
 		reps, hopIters = 3, 1000
 		cands = []int{16, 64}
 	}
-	warnNumCPU("detect")
 	rows, err := experiments.DetectRoundScale(procs, reps)
 	if err != nil {
 		return err

@@ -66,7 +66,9 @@ type (
 	Config = node.Config
 	// DetectorConfig tunes the cycle detector inside Config.Detector.
 	DetectorConfig = core.Config
-	// Node is one process: heap, collectors, detector and RPC.
+	// Node is one process: heap, collectors, detector and RPC. Built with
+	// NewNode it is stepped — inputs run on the caller's goroutine and the
+	// clock advances on Tick; built with NewLiveRuntime it is started.
 	Node = node.Node
 	// Mutator is the application's heap view inside With/method/reply
 	// callbacks.
@@ -79,16 +81,16 @@ type (
 	Method = node.Method
 	// Stats are a node's activity counters.
 	Stats = node.Stats
-	// Machine is the pure protocol core a driver schedules (see DESIGN.md §8).
+	// Machine is the pure protocol core a Node drives (see DESIGN.md §8).
 	Machine = node.Machine
-	// LiveRuntime is the wall-clock driver: a mailbox goroutine per node
+	// LiveRuntime is a started Node (the same type): a mailbox goroutine
 	// with periodic daemon tickers, for real deployments.
 	LiveRuntime = node.LiveRuntime
 	// RuntimeConfig tunes a LiveRuntime's tick and daemon intervals.
 	RuntimeConfig = node.RuntimeConfig
 )
 
-// ErrRuntimeClosed is returned by LiveRuntime entry points after Close.
+// ErrRuntimeClosed is returned by a LiveRuntime's entry points after Close.
 var ErrRuntimeClosed = node.ErrRuntimeClosed
 
 // Bool returns a pointer to v, for Config's tri-state fields
@@ -148,9 +150,9 @@ func NewCluster(seed int64, cfg Config, names ...NodeID) *Cluster {
 	return cluster.New(seed, cfg, names...)
 }
 
-// NewNode assembles a standalone node over any transport endpoint — use
-// ListenTCP for a real-socket deployment. The node installs itself as the
-// endpoint's handler.
+// NewNode assembles a standalone stepped node over any transport endpoint —
+// use ListenTCP for a real-socket deployment. The node installs itself as
+// the endpoint's handler.
 func NewNode(id NodeID, ep transport.Endpoint, cfg Config) *Node {
 	return node.New(id, ep, cfg)
 }

@@ -29,8 +29,6 @@ type ClusterSpec struct {
 	StateDir string
 	Defaults NodeSettings
 	Nodes    []ClusterNode
-	// Warnings collects accepted-but-ignored settings from parsing.
-	Warnings []string
 }
 
 // ClusterNode is one node entry in a ClusterSpec.
@@ -391,7 +389,7 @@ func assembleSpec(cluster map[string]string, nodes []map[string]string) (*Cluste
 		delete(cluster, "state_dir")
 	}
 	var err error
-	spec.Defaults, spec.Warnings, err = settingsFrom(cluster, "cluster")
+	spec.Defaults, err = settingsFrom(cluster, "cluster")
 	if err != nil {
 		return nil, err
 	}
@@ -409,22 +407,19 @@ func assembleSpec(cluster map[string]string, nodes []map[string]string) (*Cluste
 			cn.Admin = v
 			delete(nm, "admin")
 		}
-		var warns []string
-		cn.NodeSettings, warns, err = settingsFrom(nm, "node "+cn.ID)
+		cn.NodeSettings, err = settingsFrom(nm, "node "+cn.ID)
 		if err != nil {
 			return nil, err
 		}
-		spec.Warnings = append(spec.Warnings, warns...)
 		spec.Nodes = append(spec.Nodes, cn)
 	}
 	return spec, nil
 }
 
 // settingsFrom converts a flat key/value map into NodeSettings. Unknown keys
-// are errors; recognized-but-reserved keys (workers) become warnings.
-func settingsFrom(m map[string]string, where string) (NodeSettings, []string, error) {
+// are errors.
+func settingsFrom(m map[string]string, where string) (NodeSettings, error) {
 	var s NodeSettings
-	var warns []string
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -484,18 +479,14 @@ func settingsFrom(m map[string]string, where string) (NodeSettings, []string, er
 			if n, err = strconv.ParseInt(v, 10, 64); err == nil {
 				s.FaultSeed = &n
 			}
-		case "workers":
-			// Reserved: per-node worker pools apply to the sharded simulator,
-			// not the live mailbox runtime. Accepted so specs stay portable.
-			warns = append(warns, fmt.Sprintf("%s: 'workers' is reserved and ignored for live clusters", where))
 		default:
-			return s, warns, fmt.Errorf("%s: unknown setting %q", where, k)
+			return s, fmt.Errorf("%s: unknown setting %q", where, k)
 		}
 		if err != nil {
-			return s, warns, fmt.Errorf("%s: %s: %v", where, k, err)
+			return s, fmt.Errorf("%s: %s: %v", where, k, err)
 		}
 	}
-	return s, warns, nil
+	return s, nil
 }
 
 func parseU64(v string) (*uint64, error) {

@@ -1,7 +1,6 @@
 package admin
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -23,7 +22,6 @@ nodes:
     detect_every: 0        # only forced detections
     batch_detect: false
   - id: C
-    workers: 4
 `
 
 func TestParseClusterSpecYAML(t *testing.T) {
@@ -39,9 +37,6 @@ func TestParseClusterSpecYAML(t *testing.T) {
 	}
 	if spec.Nodes[0].ID != "A" || spec.Nodes[0].Listen != "127.0.0.1:7001" || spec.Nodes[0].Admin != "127.0.0.1:9001" {
 		t.Errorf("node A = %+v", spec.Nodes[0])
-	}
-	if len(spec.Warnings) != 1 || !strings.Contains(spec.Warnings[0], "workers") {
-		t.Errorf("warnings = %v, want one about workers", spec.Warnings)
 	}
 
 	specs, err := spec.Resolve()
@@ -108,6 +103,7 @@ func TestParseClusterSpecJSON(t *testing.T) {
 func TestParseClusterSpecErrors(t *testing.T) {
 	cases := map[string]string{
 		"unknown key":    "cluster:\n  wibble: 3\nnodes:\n  - id: A\n",
+		"workers key":    "nodes:\n  - id: A\n    workers: 4\n",
 		"bad duration":   "cluster:\n  tick: fast\nnodes:\n  - id: A\n",
 		"stray content":  "tick: 50ms\n",
 		"field before -": "nodes:\n  id: A\n",

@@ -41,9 +41,6 @@ func cmdUp(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	for _, w := range spec.Warnings {
-		fmt.Fprintf(stderr, "dgcctl up: warning: %s\n", w)
-	}
 	cl, err := startCluster(spec, *adminToken, stdout, stderr)
 	if err != nil {
 		return fail(stderr, err)

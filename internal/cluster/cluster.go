@@ -2,17 +2,17 @@
 // network: the simulation backbone for integration tests, experiments and
 // examples.
 //
-// The cluster owns the schedule: Tick drives every node's daemons in a fixed
-// order and Settle pumps the network to quiescence, so a run is a pure
-// function of (topology, configuration, seed).
+// The cluster owns the schedule: every node is a stepped node.Node (no
+// goroutine, no clock of its own) that the cluster drives in canonical order
+// on the caller's goroutine — Tick advances the virtual clock, GCRound runs
+// the collectors, Settle pumps the network to quiescence — so a run, journal
+// included, is a pure function of (topology, configuration, seed) on any
+// GOMAXPROCS.
 package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dgc/internal/heap"
 	"dgc/internal/ids"
@@ -28,11 +28,6 @@ type Cluster struct {
 	Net   *transport.Network
 	nodes map[ids.NodeID]*node.Node
 	order []ids.NodeID
-
-	// workers bounds the worker pool of the parallel GC phases
-	// (0 = runtime.NumCPU). Set via SetWorkers; 1 forces sequential
-	// execution, which parallel runs are bit-identical to.
-	workers int
 }
 
 // New creates a cluster of nodes with the given shared configuration. The
@@ -108,93 +103,25 @@ func (c *Cluster) Tick(rounds int) {
 	}
 }
 
-// SetWorkers bounds the worker pool used by the parallel GC phases.
-// 0 restores the default (runtime.NumCPU); 1 forces sequential execution.
-// Negative counts are rejected with a panic — they have no meaning, and
-// silently clamping them used to mask caller bugs. Parallel runs are
-// bit-identical to sequential ones — see runPhase.
-func (c *Cluster) SetWorkers(k int) {
-	if k < 0 {
-		panic(fmt.Sprintf("cluster: SetWorkers(%d): worker count must be >= 0", k))
-	}
-	c.workers = k
-}
-
-// runPhase applies fn to every node. The phases of a GC round are
-// node-independent — each call touches only its own node's state and sends
-// messages, and no message is delivered until the next Settle — so fn runs
-// on a pool of w workers that claim nodes off a shared cursor, each node
-// owned end to end by one goroutine. Determinism is preserved by the
-// fabric's phase mode: every endpoint captures its own sends (stamped with
-// per-edge sequence numbers) without touching shared fabric state, and
-// EndPhase merges them in canonical sender order through fault injection and
-// the queue, so the queue contents and the fault-randomness stream are
-// bit-identical to running the phase sequentially.
-func (c *Cluster) runPhase(fn func(n *node.Node) error) {
-	w := c.workers
-	if w == 0 {
-		w = runtime.NumCPU()
-	}
-	if w > len(c.order) {
-		w = len(c.order)
-	}
-	if w <= 1 || len(c.order) <= 1 {
-		for _, id := range c.order {
-			if err := fn(c.nodes[id]); err != nil {
-				panic(fmt.Sprintf("cluster: %s: %v", id, err))
-			}
-		}
-		return
-	}
-	c.Net.BeginPhase()
-	errs := make([]error, len(c.order))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(c.order) {
-					return
-				}
-				errs[i] = fn(c.nodes[c.order[i]])
-			}
-		}()
-	}
-	wg.Wait()
-	c.Net.EndPhase()
-	for i, err := range errs {
-		if err != nil {
-			panic(fmt.Sprintf("cluster: %s: %v", c.order[i], err))
-		}
-	}
-}
-
-// GCRound runs one explicit, fully-settled collection round on every node:
-// local collections (emitting NewSetStubs), then summarization and detection
-// fused into one parallel pass. Summarization emits no messages, so running
-// a node's detection immediately after its own summarization — while other
-// nodes are still summarizing — changes no message order and no outcome, and
-// keeps each node under a single worker end to end instead of paying a
-// cluster-wide barrier between the two. Used by tests that drive the
-// collectors manually instead of through Tick. Each phase runs on the
-// parallel worker pool (see runPhase); results are identical to the
-// sequential schedule.
+// GCRound runs one explicit, fully-settled collection round: every node's
+// local collection (emitting NewSetStubs), settle, then every node's
+// summarization and detection, settle — nodes stepped one after another in
+// canonical order, so the fabric's queue and fault-randomness stream evolve
+// identically on every run. Summarization emits no messages, so a node may
+// detect straight after summarizing without waiting for the others. Used by
+// tests that drive the collectors manually instead of through Tick.
 func (c *Cluster) GCRound() {
-	c.runPhase(func(n *node.Node) error {
-		n.RunLGC()
-		return nil
-	})
+	for _, id := range c.order {
+		c.nodes[id].RunLGC()
+	}
 	c.Settle()
-	c.runPhase(func(n *node.Node) error {
+	for _, id := range c.order {
+		n := c.nodes[id]
 		if err := n.Summarize(); err != nil {
-			return fmt.Errorf("summarize: %w", err)
+			panic(fmt.Sprintf("cluster: %s: summarize: %v", id, err))
 		}
 		n.RunDetection()
-		return nil
-	})
+	}
 	c.Settle()
 }
 

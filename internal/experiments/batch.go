@@ -78,7 +78,6 @@ func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error
 			for _, mode := range BatchModes {
 				cfg := batchModeConfig(mode)
 				c := cluster.New(1, cfg)
-				c.SetWorkers(1) // sequential: measure traffic, not the pool
 				if _, err := c.Materialize(topo, cfg); err != nil {
 					return nil, err
 				}

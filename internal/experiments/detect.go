@@ -38,7 +38,6 @@ func DetectRoundScale(procSizes []int, reps int) ([]DetectRow, error) {
 		for r := 0; r < reps; r++ {
 			cfg := node.Config{}
 			c := cluster.New(1, cfg)
-			c.SetWorkers(1) // sequential: measure the hot path, not the pool
 			if _, err := c.Materialize(workload.Ring(procs, 2), cfg); err != nil {
 				return nil, err
 			}

@@ -5,13 +5,10 @@ import (
 	"math/rand"
 	"time"
 
-	"dgc/internal/cluster"
 	"dgc/internal/heap"
 	"dgc/internal/ids"
-	"dgc/internal/node"
 	"dgc/internal/refs"
 	"dgc/internal/snapshot"
-	"dgc/internal/workload"
 )
 
 // BuildSummarizeHeap constructs the summarization stress graph shared by
@@ -124,80 +121,4 @@ func SummarizeBaseline() []SummarizeRow {
 		{Objects: 100000, Scions: 64, Duration: ms(5120)},
 		{Objects: 100000, Scions: 512, Duration: ms(34400)},
 	}
-}
-
-// GCRoundRow is one cell of the cluster GC-round scaling measurement.
-type GCRoundRow struct {
-	Procs   int           `json:"procs"`
-	Workers int           `json:"workers"`
-	Round   time.Duration `json:"round_ns"`
-}
-
-// GCRoundScale measures the wall-clock cost of one fully-settled GC round
-// on an n-process live ring with per-node local churn, across a worker-pool
-// matrix from the sequential schedule (workers=1) through fixed pool sizes
-// to the full pool (workers=0): the scaling curve of the node-parallel
-// phases. Pool sizes above the process count are skipped — runPhase clamps
-// the pool to the node count, so those cells would duplicate the full-pool
-// row.
-func GCRoundScale(procs []int, rounds int) ([]GCRoundRow, error) {
-	if rounds < 1 {
-		rounds = 1
-	}
-	var rows []GCRoundRow
-	for _, p := range procs {
-		for _, workers := range []int{1, 2, 4, 8, 0} {
-			if workers > p {
-				continue
-			}
-			c := cluster.New(11, node.Config{})
-			c.SetWorkers(workers)
-			if _, err := c.Materialize(workload.LiveRing(p, 2), node.Config{}); err != nil {
-				return nil, err
-			}
-			// Bulk each node with a rooted local chain so per-node phases
-			// have real work to overlap.
-			for _, n := range c.Nodes() {
-				n.With(func(m node.Mutator) {
-					prev := m.Alloc(nil)
-					if err := m.Root(prev); err != nil {
-						panic(err)
-					}
-					for i := 1; i < 2000; i++ {
-						o := m.Alloc(nil)
-						if err := m.Link(prev, o); err != nil {
-							panic(err)
-						}
-						prev = o
-					}
-				})
-			}
-			c.GCRound() // warm-up
-			best := time.Duration(0)
-			for r := 0; r < rounds; r++ {
-				// Churn: a short unrooted garbage chain per node, so every
-				// round's LGC and summarization do fresh work.
-				for _, n := range c.Nodes() {
-					n.With(func(m node.Mutator) {
-						prev := m.Alloc(nil)
-						for i := 0; i < 50; i++ {
-							o := m.Alloc(nil)
-							if err := m.Link(prev, o); err != nil {
-								panic(err)
-							}
-							prev = o
-						}
-					})
-				}
-				start := time.Now()
-				c.GCRound()
-				d := time.Since(start)
-				if best == 0 || d < best {
-					best = d
-				}
-			}
-			rows = append(rows, GCRoundRow{Procs: p, Workers: workers, Round: best})
-		}
-	}
-	return rows, nil
 }

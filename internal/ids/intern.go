@@ -14,9 +14,9 @@ const internChunkSize = 1024
 
 // InternShards is the number of independent shards an Interner assigns ids
 // from. A power of two, so the shard of an id is a mask and the local slot a
-// shift. 16 shards keep first-sight assignment contention negligible up to
-// the worker-pool sizes the cluster runs (id assignment from different
-// shards shares no lock and no cache line).
+// shift. 16 shards keep first-sight assignment contention negligible for the
+// node loops that share one process-global table (id assignment from
+// different shards shares no lock and no cache line).
 const (
 	InternShards     = 16
 	internShardMask  = InternShards - 1
@@ -120,13 +120,14 @@ func (t *Interner) Intern(r RefID) int32 {
 		s.spine.Store(&grown)
 		spine = grown
 	}
-	// Fill the slot before publishing the id: the sync.Map store (and the
-	// caller's own synchronization when it hands entries to other
-	// goroutines) orders this write before any Ref(id) read.
+	// Publish in dependency order: the slot, then the length that makes
+	// Ref accept the id, and only then the index entry through which other
+	// goroutines' fast path can obtain the id. (Index first let a concurrent
+	// Intern of the same r return an id Ref still rejected.)
 	spine[int(local)/internChunkSize][int(local)%internChunkSize] = r
 	id := local*InternShards + si
-	s.idx.Store(r, id)
 	s.n.Store(local + 1)
+	s.idx.Store(r, id)
 	return id
 }
 

@@ -2,6 +2,7 @@ package ids
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,6 +144,49 @@ func TestInternerConcurrentStress(t *testing.T) {
 	}
 	if b := tb.Bound(); b < int32(refs) || b > int32(refs)*InternShards {
 		t.Fatalf("Bound = %d out of range [%d, %d]", b, refs, refs*InternShards)
+	}
+}
+
+// TestInternerPublishOrder hammers the first-sight race the live benchmark
+// found: several goroutines intern the SAME stream of fresh references in the
+// same order, so the followers reach each reference just as the leader is
+// assigning it, and resolve every id they are handed straight back through
+// Ref. An id obtainable from Intern must already be acceptable to Ref; when
+// the index entry was published before the shard length, Ref panicked with
+// "Ref of unassigned intern id". Needs real parallelism to bite, so the test
+// raises GOMAXPROCS to at least 2 for its duration.
+func TestInternerPublishOrder(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	const (
+		workers = 8
+		refs    = 20000
+		rounds  = 4
+	)
+	for round := 0; round < rounds; round++ {
+		tb := NewInterner()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("round %d: %v", round, r)
+					}
+				}()
+				for i := 0; i < refs; i++ {
+					r := testRef(i)
+					if back := tb.Ref(tb.Intern(r)); back != r {
+						t.Errorf("round %d: Ref(Intern(%v)) = %v", round, r, back)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -60,21 +60,6 @@ func (m *Machine) TableDump() TableDump {
 	return d
 }
 
-// TableDump captures the node's current reference tables.
-func (n *Node) TableDump() TableDump {
-	var d TableDump
-	n.step("TableDump", func(m *Machine) { d = m.TableDump() })
-	return d
-}
-
-// TableDump captures the runtime's current reference tables (zero value
-// after Close).
-func (r *LiveRuntime) TableDump() TableDump {
-	var d TableDump
-	_ = r.do("TableDump", func(m *Machine) { d = m.TableDump() })
-	return d
-}
-
 // ForceDetectResult reports one operator-forced detection attempt.
 type ForceDetectResult struct {
 	Origin  string `json:"origin"`
@@ -130,23 +115,4 @@ func (m *Machine) ForceDetect(candidate ids.RefID) (ForceDetectResult, error) {
 	m.flushCDMBatch()
 	m.syncGauges()
 	return res, nil
-}
-
-// ForceDetect starts a detection at the given scion immediately.
-func (n *Node) ForceDetect(candidate ids.RefID) (ForceDetectResult, error) {
-	var res ForceDetectResult
-	var err error
-	n.step("ForceDetect", func(m *Machine) { res, err = m.ForceDetect(candidate) })
-	return res, err
-}
-
-// ForceDetect starts a detection at the given scion immediately
-// (ErrRuntimeClosed after Close).
-func (r *LiveRuntime) ForceDetect(candidate ids.RefID) (ForceDetectResult, error) {
-	var res ForceDetectResult
-	var err error
-	if derr := r.do("ForceDetect", func(m *Machine) { res, err = m.ForceDetect(candidate) }); derr != nil {
-		return res, derr
-	}
-	return res, err
 }

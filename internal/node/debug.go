@@ -38,7 +38,7 @@ type DebugSnapshot struct {
 	// trace.Log is configured).
 	TraceEventsDropped uint64 `json:"trace_events_dropped,omitempty"`
 
-	// Mailbox reports the LiveRuntime event queue; nil under other drivers.
+	// Mailbox reports a started node's event queue; nil for a stepped one.
 	Mailbox *MailboxStats `json:"mailbox,omitempty"`
 }
 
@@ -60,7 +60,7 @@ type AccumulatorInfo struct {
 	AgeMS   int64  `json:"age_ms"`  // since the accumulator was created
 }
 
-// MailboxStats reports a LiveRuntime's bounded event queue.
+// MailboxStats reports a started node's bounded event queue.
 type MailboxStats struct {
 	Depth    int    `json:"depth"`
 	Capacity int    `json:"capacity"`
@@ -125,26 +125,6 @@ func (m *Machine) DebugSnapshot() DebugSnapshot {
 	})
 	if m.cfg.Trace != nil {
 		snap.TraceEventsDropped = m.cfg.Trace.Dropped()
-	}
-	return snap
-}
-
-// DebugSnapshot captures the node's current diagnostic view.
-func (n *Node) DebugSnapshot() DebugSnapshot {
-	var snap DebugSnapshot
-	n.step("DebugSnapshot", func(m *Machine) { snap = m.DebugSnapshot() })
-	return snap
-}
-
-// DebugSnapshot captures the runtime's current diagnostic view, including
-// mailbox statistics (zero value after Close).
-func (r *LiveRuntime) DebugSnapshot() DebugSnapshot {
-	var snap DebugSnapshot
-	_ = r.do("DebugSnapshot", func(m *Machine) { snap = m.DebugSnapshot() })
-	snap.Mailbox = &MailboxStats{
-		Depth:    len(r.mailbox),
-		Capacity: r.rcfg.Mailbox,
-		Dropped:  r.mach.met.MailboxDropped.Value(),
 	}
 	return snap
 }

@@ -13,9 +13,9 @@ import (
 	"dgc/internal/wire"
 )
 
-// Collector daemons: machine inputs invoked periodically by a driver
-// (Node.Tick under the simulator's schedule, LiveRuntime's wall-clock
-// tickers) or explicitly by tests.
+// Collector daemons: machine inputs invoked periodically by the driver
+// (Node.Tick when stepped, under the simulator's schedule; the loop's
+// wall-clock tickers when started) or explicitly by tests.
 
 // Tick advances the logical clock by one, expires timed-out calls and runs
 // the periodic daemons configured in Config. The order within a tick is
@@ -35,8 +35,8 @@ func (m *Machine) Tick() {
 }
 
 // AdvanceClock moves logical time forward by one tick and expires pending
-// calls whose deadline passed. Drivers with wall-clock daemon scheduling
-// (LiveRuntime) use it instead of Tick, which additionally runs the
+// calls whose deadline passed. A started node, whose daemons run off
+// wall-clock tickers, uses it instead of Tick, which additionally runs the
 // Config-scheduled daemons.
 func (m *Machine) AdvanceClock() {
 	m.clock++

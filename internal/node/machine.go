@@ -27,13 +27,9 @@ import (
 // list (outbound messages) that the driver drains with TakeEffects and
 // transmits however it likes.
 //
-// A Machine is NOT safe for concurrent use: a driver serializes inputs.
-// Two drivers are provided:
-//
-//   - Node: a mutex shell preserving the historical blocking API, used by
-//     the deterministic cluster simulator (and valid over any transport);
-//   - LiveRuntime: a mailbox goroutine with wall-clock daemon tickers and
-//     backpressure-aware sends, for real deployments over TCP.
+// A Machine is NOT safe for concurrent use: its driver, Node, serializes
+// inputs — on a mailbox goroutine when started, under a mutex on the
+// caller's goroutine when stepped.
 type Machine struct {
 	id       ids.NodeID
 	cfg      Config
@@ -113,12 +109,12 @@ type Machine struct {
 	lastSummarize time.Time
 
 	// out accumulates the outbound-message effects of the current input.
-	// Drivers drain it with TakeEffects after every input they feed in.
+	// The driver drains it with TakeEffects after every input it feeds in.
 	out []transport.Envelope
 
 	// cbGoid holds the id of the goroutine currently executing a
 	// user-provided callback (Method handler, ReplyFunc, With body), zero
-	// otherwise. Drivers read it from other goroutines to turn callback
+	// otherwise. The driver reads it from other goroutines to turn callback
 	// re-entrance into a panic instead of a deadlock; hence atomic.
 	cbGoid atomic.Uint64
 }
@@ -402,9 +398,10 @@ func (m *Machine) detectionDone(det core.DetectionID, outcome string) {
 
 // TakeEffects returns the outbound messages accumulated since the last
 // call, transferring ownership to the caller (the machine starts a fresh
-// buffer). Drivers call it after every input and transmit the result; the
-// order of the slice is the order the protocol produced the sends in, which
-// deterministic drivers must preserve.
+// buffer). The driver calls it after every input and transmits the result;
+// the order of the slice is the order the protocol produced the sends in,
+// which the driver must preserve (simulated runs are reproducible only if it
+// does).
 func (m *Machine) TakeEffects() []transport.Envelope {
 	out := m.out
 	m.out = nil
@@ -420,10 +417,10 @@ func (m *Machine) send(to ids.NodeID, msg wire.Message) {
 
 // callback invokes a user-provided callback (Method handler, ReplyFunc,
 // AcquireRemote continuation, With body). While it runs, the machine
-// records the executing goroutine so driver entry points can detect
-// re-entrance — a callback calling back into the public Node/LiveRuntime
-// API, which would deadlock on the driver's lock or mailbox — and panic
-// with a diagnostic instead.
+// records the executing goroutine so the driver's way in can detect
+// re-entrance — a callback calling back into the public Node API, which
+// would deadlock on the driver's mutex or mailbox — and panic with a
+// diagnostic instead.
 func (m *Machine) callback(fn func()) {
 	prev := m.cbGoid.Load()
 	m.cbGoid.Store(goid())

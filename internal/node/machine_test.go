@@ -1,10 +1,13 @@
 package node
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"dgc/internal/ids"
+	"dgc/internal/transport"
 	"dgc/internal/wire"
 )
 
@@ -72,83 +75,110 @@ func TestMachineHandleMessageEffects(t *testing.T) {
 }
 
 // The re-entrancy guard turns what used to be a silent deadlock — a Method
-// handler, ReplyFunc or With body calling back into a public driver entry
-// point — into an immediate panic with a diagnostic.
+// handler, ReplyFunc or With body calling back into a public entry point —
+// into an immediate panic with a diagnostic. It has one call site (enter)
+// serving both schedulers, so every case runs against both constructors.
 
 func mustPanicReentered(t *testing.T, fn func()) {
 	t.Helper()
+	if msg := reentryPanic(fn); !strings.Contains(msg, "re-entered") {
+		t.Fatalf("panic = %q, want re-entry diagnostic", msg)
+	}
+}
+
+// reentryPanic runs fn and returns the message it panicked with ("" when it
+// returned normally). Callbacks use it in place, because on a started node a
+// panic escaping a Method or ReplyFunc would unwind the loop goroutine.
+func reentryPanic(fn func()) (msg string) {
 	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("re-entrant call did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "re-entered") {
-			t.Fatalf("panic = %v, want re-entry diagnostic", r)
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
 	}()
 	fn()
+	return ""
 }
 
-func TestReentryGuardWithBlock(t *testing.T) {
-	n := New("A", nil, Config{})
-	mustPanicReentered(t, func() {
-		n.With(func(Mutator) { n.NumObjects() })
-	})
-}
-
-func TestReentryGuardMethodHandler(t *testing.T) {
-	tn := newTestNet(t, Config{}, "A", "B")
-	a, b := tn.n("A"), tn.n("B")
-	caller := allocRooted(t, a)
-	target := allocRooted(t, b)
-	b.RegisterMethod("bad", func(Mutator, ids.ObjID, []ids.GlobalRef) []ids.GlobalRef {
-		b.Tick() // illegal: public entry point from inside the machine
-		return nil
-	})
-	tn.grant("A", caller, "B", target)
-	if err := a.Invoke(ids.GlobalRef{Node: "B", Obj: target}, "bad", nil, nil); err != nil {
-		t.Fatal(err)
+func TestReentryGuard(t *testing.T) {
+	schedulers := map[string]func(t *testing.T, id ids.NodeID, ep transport.Endpoint) *Node{
+		"stepped": func(_ *testing.T, id ids.NodeID, ep transport.Endpoint) *Node {
+			return New(id, ep, Config{})
+		},
+		"started": func(t *testing.T, id ids.NodeID, ep transport.Endpoint) *Node {
+			n := NewLiveRuntime(id, ep, Config{}, RuntimeConfig{Tick: time.Hour})
+			t.Cleanup(func() { n.Close() })
+			return n
+		},
 	}
-	mustPanicReentered(t, func() { tn.settle() })
-}
-
-func TestReentryGuardReplyFunc(t *testing.T) {
-	tn := newTestNet(t, Config{}, "A", "B")
-	a, b := tn.n("A"), tn.n("B")
-	caller := allocRooted(t, a)
-	target := allocRooted(t, b)
-	tn.grant("A", caller, "B", target)
-	err := a.Invoke(ids.GlobalRef{Node: "B", Obj: target}, "noop", nil,
-		func(Mutator, Reply) { a.Stats() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanicReentered(t, func() { tn.settle() })
-}
-
-func TestGuardAllowsMutatorInvoke(t *testing.T) {
-	// The sanctioned path — Mutator.Invoke from callback context — must not
-	// trip the guard.
-	tn := newTestNet(t, Config{}, "A", "B")
-	a, b := tn.n("A"), tn.n("B")
-	caller := allocRooted(t, a)
-	target := allocRooted(t, b)
-	tn.grant("A", caller, "B", target)
-	got := false
-	err := a.Invoke(ids.GlobalRef{Node: "B", Obj: target}, "noop", nil,
-		func(m Mutator, r Reply) {
-			if !r.OK {
-				t.Errorf("first call failed: %s", r.Err)
+	// Each case returns what the offending call panicked with, observed from
+	// inside the callback that made it.
+	cases := []struct {
+		name      string
+		reentered bool
+		run       func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) string
+	}{
+		{"With block", true, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
+			a.With(func(Mutator) { msg = reentryPanic(func() { a.NumObjects() }) })
+			return msg
+		}},
+		{"Method handler", true, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
+			b.RegisterMethod("bad", func(Mutator, ids.ObjID, []ids.GlobalRef) []ids.GlobalRef {
+				msg = reentryPanic(b.Tick) // illegal: public entry point from inside the machine
+				return nil
+			})
+			if err := a.Invoke(target, "bad", nil, nil); err != nil {
+				t.Fatal(err)
 			}
-			_ = m.Invoke(ids.GlobalRef{Node: "B", Obj: target}, "noop", nil,
-				func(_ Mutator, r2 Reply) { got = r2.OK })
-		})
-	if err != nil {
-		t.Fatal(err)
+			tn.settle()
+			return msg
+		}},
+		{"ReplyFunc", true, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
+			err := a.Invoke(target, "noop", nil,
+				func(Mutator, Reply) { msg = reentryPanic(func() { a.Stats() }) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn.settle()
+			return msg
+		}},
+		// The sanctioned path — Mutator.Invoke from callback context — must
+		// not trip the guard.
+		{"Mutator.Invoke", false, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
+			got := false
+			err := a.Invoke(target, "noop", nil, func(m Mutator, r Reply) {
+				if !r.OK {
+					t.Errorf("first call failed: %s", r.Err)
+				}
+				msg = reentryPanic(func() {
+					_ = m.Invoke(target, "noop", nil, func(_ Mutator, r2 Reply) { got = r2.OK })
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn.settle()
+			if !got {
+				t.Error("chained Mutator.Invoke did not complete")
+			}
+			return msg
+		}},
 	}
-	tn.settle()
-	if !got {
-		t.Fatal("chained Mutator.Invoke did not complete")
+	for sched, mk := range schedulers {
+		for _, tc := range cases {
+			t.Run(sched+"/"+tc.name, func(t *testing.T) {
+				tn := newTestNetOf(t, mk, "A", "B")
+				a, b := tn.n("A"), tn.n("B")
+				caller, callee := allocRooted(t, a), allocRooted(t, b)
+				tn.grant("A", caller, "B", callee)
+				msg := tc.run(t, tn, a, b, ids.GlobalRef{Node: "B", Obj: callee})
+				if got := strings.Contains(msg, "re-entered"); got != tc.reentered {
+					t.Fatalf("callback panic = %q, want re-entry diagnostic: %v", msg, tc.reentered)
+				}
+				// The node survives a tripped guard on either scheduler.
+				if a.NumObjects() != 1 || b.NumObjects() != 1 {
+					t.Fatalf("objects after guard = %d/%d, want 1/1", a.NumObjects(), b.NumObjects())
+				}
+			})
+		}
 	}
 }

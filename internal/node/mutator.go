@@ -8,7 +8,7 @@ import (
 // are only handed out inside the machine (via With, method handlers and
 // reply callbacks), where inputs are already serialized by the driver, so
 // their operations need no further locking. Code holding a Mutator must
-// not call public Node or LiveRuntime methods — use the Mutator's own
+// not call public Node methods — use the Mutator's own
 // operations (the re-entrancy guard panics on violations).
 //
 // The distributed-GC invariants enforced here mirror the paper's remoting

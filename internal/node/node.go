@@ -11,31 +11,27 @@
 //     mutates machine state and accumulates explicit effects (outbound
 //     messages) instead of touching a transport. Machines are driven
 //     single-threaded and are trivially testable without any network.
-//   - Node (this file) is the mutex driver: it serializes inputs from any
-//     goroutine, drains the machine's effects and transmits them after the
-//     lock is released. The deterministic cluster simulator drives Nodes in
-//     its canonical schedule; because effects are transmitted in exactly
-//     the order the machine produced them, schedules, fabric counters and
-//     the fault-RNG stream are bit-identical to the historical big-lock
-//     implementation.
-//   - LiveRuntime (runtime.go) is the wall-clock driver: a mailbox
-//     goroutine per node with bounded queueing and periodic daemon tickers,
-//     for real deployments.
+//   - Node (driver.go) is the driver: it gives one input at a time exclusive
+//     ownership of the machine and puts the effects on the transport, in the
+//     order the machine produced them, once the input is done. A started
+//     node (NewLiveRuntime; LiveRuntime is the same type) runs its inputs on
+//     a mailbox goroutine with wall-clock daemon tickers, for real
+//     deployments. A stepped node (New) runs them on the caller's goroutine
+//     and advances its clock only on Tick; the deterministic cluster
+//     simulator steps every node in its canonical schedule, which makes a
+//     simulated run a pure function of its seed.
+//
+// This file holds what both share with their callers: Config, Stats and the
+// callback types.
 package node
 
 import (
-	"sync"
-
 	"dgc/internal/core"
-	"dgc/internal/heap"
 	"dgc/internal/ids"
-	"dgc/internal/lgc"
 	"dgc/internal/membership"
 	"dgc/internal/obs"
 	"dgc/internal/snapshot"
 	"dgc/internal/trace"
-	"dgc/internal/transport"
-	"dgc/internal/wire"
 )
 
 // Config tunes one node.
@@ -159,271 +155,12 @@ type Reply struct {
 
 // ReplyFunc consumes an invocation result. It is called inside the machine;
 // implementations may use the Mutator passed alongside but must not call
-// public Node (or LiveRuntime) methods — the re-entrancy guard panics on
-// violations, which would otherwise deadlock.
+// public Node methods — the re-entrancy guard panics on violations, which
+// would otherwise deadlock.
 type ReplyFunc func(m Mutator, r Reply)
 
 // Method implements a remotely invocable method. It runs inside the machine
 // and receives a Mutator for heap access, the invoked object and the
 // imported argument references. Returned references are exported back to
-// the caller. Like ReplyFunc, it must not re-enter public driver methods.
+// the caller. Like ReplyFunc, it must not re-enter public Node methods.
 type Method func(m Mutator, self ids.ObjID, args []ids.GlobalRef) []ids.GlobalRef
-
-// Node is the mutex driver over a Machine: one process of the distributed
-// system with a blocking, goroutine-safe API. Inputs serialize on one
-// mutex; the machine's outbound-message effects are transmitted on the
-// caller's goroutine after the lock is released, so the transport is never
-// entered under the lock.
-type Node struct {
-	mu   sync.Mutex
-	mach *Machine
-	ep   transport.Endpoint
-}
-
-// New assembles a node over the given endpoint and installs its message
-// handler. The endpoint must not deliver messages before New returns.
-func New(id ids.NodeID, ep transport.Endpoint, cfg Config) *Node {
-	n := &Node{mach: NewMachine(id, cfg), ep: ep}
-	if ep != nil {
-		ep.SetHandler(n.HandleMessage)
-	}
-	return n
-}
-
-// Machine exposes the underlying protocol machine. The caller must not use
-// it concurrently with the node's own entry points; it is meant for
-// drivers and tests that take over scheduling entirely.
-func (n *Node) Machine() *Machine { return n.mach }
-
-// step runs one machine input under the node lock and transmits the
-// resulting effects after the lock is released.
-func (n *Node) step(entry string, fn func(m *Machine)) {
-	n.mach.guardReentry(entry)
-	n.mu.Lock()
-	fn(n.mach)
-	outs := n.mach.TakeEffects()
-	n.mu.Unlock()
-	n.transmit(outs)
-}
-
-// transmit performs the machine's effect sends, in order, bracketing
-// multi-message bursts with transport staging when available (the TCP
-// endpoint ships them as one batch frame per peer). Send errors are
-// deliberately ignored: every protocol layer above tolerates message loss.
-func (n *Node) transmit(outs []transport.Envelope) {
-	if len(outs) == 0 || n.ep == nil {
-		return
-	}
-	if st, ok := n.ep.(transport.Stager); ok && len(outs) > 1 {
-		st.BeginStage()
-		defer st.FlushStage()
-	}
-	for _, o := range outs {
-		_ = n.ep.Send(o.To, o.Msg)
-	}
-}
-
-// HandleMessage is the transport delivery entry point: it feeds the message
-// to the machine and returns the machine's response sends for the transport
-// to transmit (the effect contract of transport.Handler).
-func (n *Node) HandleMessage(from ids.NodeID, msg wire.Message) []transport.Envelope {
-	n.mach.guardReentry("HandleMessage")
-	n.mu.Lock()
-	n.mach.HandleMessage(from, msg)
-	outs := n.mach.TakeEffects()
-	n.mu.Unlock()
-	return outs
-}
-
-// ID returns the node identifier.
-func (n *Node) ID() ids.NodeID { return n.mach.ID() }
-
-// Journal returns the node's event journal (nil when tracing is not
-// configured). The journal is concurrent-safe; no lock is needed.
-func (n *Node) Journal() *trace.Log { return n.mach.Journal() }
-
-// Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats {
-	var s Stats
-	n.step("Stats", func(m *Machine) { s = m.Stats() })
-	return s
-}
-
-// NumObjects returns the current heap size.
-func (n *Node) NumObjects() int {
-	var v int
-	n.step("NumObjects", func(m *Machine) { v = m.NumObjects() })
-	return v
-}
-
-// NumScions returns the number of incoming-reference scions.
-func (n *Node) NumScions() int {
-	var v int
-	n.step("NumScions", func(m *Machine) { v = m.NumScions() })
-	return v
-}
-
-// NumStubs returns the number of outgoing-reference stubs.
-func (n *Node) NumStubs() int {
-	var v int
-	n.step("NumStubs", func(m *Machine) { v = m.NumStubs() })
-	return v
-}
-
-// CloneHeap returns a deep copy of the node's heap, for ground-truth
-// analysis by harnesses and tests.
-func (n *Node) CloneHeap() *heap.Heap {
-	var h *heap.Heap
-	n.step("CloneHeap", func(m *Machine) { h = m.CloneHeap() })
-	return h
-}
-
-// ScionRefs returns the node's current scions as reference identifiers, in
-// canonical order.
-func (n *Node) ScionRefs() []ids.RefID {
-	var out []ids.RefID
-	n.step("ScionRefs", func(m *Machine) { out = m.ScionRefs() })
-	return out
-}
-
-// RegisterMethod installs (or replaces) a remotely invocable method.
-func (n *Node) RegisterMethod(name string, fn Method) {
-	n.step("RegisterMethod", func(m *Machine) { m.RegisterMethod(name, fn) })
-}
-
-// With runs fn under the node lock with a Mutator: the scenario-building and
-// method-handler entry point for direct heap manipulation.
-func (n *Node) With(fn func(m Mutator)) {
-	n.step("With", func(m *Machine) { m.With(fn) })
-}
-
-// EnsureScionFor records an incoming reference from holder to the local
-// object obj: the owner half of a reference grant (harness bootstrap; the
-// protocol path is CreateScion/Ack).
-func (n *Node) EnsureScionFor(holder ids.NodeID, obj ids.ObjID) error {
-	var err error
-	n.step("EnsureScionFor", func(m *Machine) { err = m.EnsureScionFor(holder, obj) })
-	return err
-}
-
-// HoldRemote makes the local object from hold the remote reference target,
-// materializing the stub: the holder half of a reference grant. The caller
-// must have arranged the owner's scion first (EnsureScionFor), preserving
-// scion-before-stub.
-func (n *Node) HoldRemote(from ids.ObjID, target ids.GlobalRef) error {
-	var err error
-	n.step("HoldRemote", func(m *Machine) { err = m.HoldRemote(from, target) })
-	return err
-}
-
-// Tick advances the node's logical clock by one, expires timed-out calls
-// and runs the periodic daemons configured in Config.
-func (n *Node) Tick() {
-	n.step("Tick", func(m *Machine) { m.Tick() })
-}
-
-// Clock returns the node's logical time.
-func (n *Node) Clock() uint64 {
-	var v uint64
-	n.step("Clock", func(m *Machine) { v = m.Clock() })
-	return v
-}
-
-// RunLGC performs one local collection and emits NewSetStubs messages.
-func (n *Node) RunLGC() lgc.Result {
-	var res lgc.Result
-	n.step("RunLGC", func(m *Machine) { res = m.RunLGC() })
-	return res
-}
-
-// Summarize takes a snapshot of the object graph and rebuilds the node's
-// summarized graph description (§3 "Graph Summarization").
-func (n *Node) Summarize() error {
-	var err error
-	n.step("Summarize", func(m *Machine) { err = m.Summarize() })
-	return err
-}
-
-// RunDetection nominates cycle candidates from the current summary and
-// starts detections, up to Config.MaxDetectionsPerRound. It returns the
-// number started.
-func (n *Node) RunDetection() int {
-	var started int
-	n.step("RunDetection", func(m *Machine) { started = m.RunDetection() })
-	return started
-}
-
-// Summary returns the node's current summarized snapshot (nil before the
-// first summarization). The summary is immutable; callers may read it
-// without holding the node lock.
-func (n *Node) Summary() *snapshot.Summary {
-	var s *snapshot.Summary
-	n.step("Summary", func(m *Machine) { s = m.summary })
-	return s
-}
-
-// Invoke performs an asynchronous remote invocation of method on target,
-// exporting args to the callee. cb (optional) receives the reply inside the
-// machine. Invoke returns an error only for immediately detectable misuse;
-// transport failures surface as a failed or expired reply.
-func (n *Node) Invoke(target ids.GlobalRef, method string, args []ids.GlobalRef, cb ReplyFunc) error {
-	var err error
-	n.step("Invoke", func(m *Machine) { err = m.Invoke(target, method, args, cb) })
-	return err
-}
-
-// AcquireRemote bootstraps possession of a remote reference: it runs the
-// CreateScion protocol with the owner on this node's behalf and, once
-// acknowledged, materializes a stub and invokes cb. See Machine.AcquireRemote.
-func (n *Node) AcquireRemote(ref ids.GlobalRef, cb func(m Mutator, ok bool)) error {
-	var err error
-	n.step("AcquireRemote", func(m *Machine) { err = m.AcquireRemote(ref, cb) })
-	return err
-}
-
-// Members returns the node's membership directory in canonical order (nil
-// when Config.Membership is nil).
-func (n *Node) Members() []membership.Member {
-	var out []membership.Member
-	n.step("Members", func(m *Machine) { out = m.Members() })
-	return out
-}
-
-// AddMember seeds a peer into the membership directory as joining.
-func (n *Node) AddMember(node ids.NodeID, addr string) error {
-	var err error
-	n.step("AddMember", func(m *Machine) { err = m.AddMember(node, addr) })
-	return err
-}
-
-// BeginDrain starts this node's voluntary departure: its exported references
-// are handed to their owners and the node gossips itself draining, then dead.
-func (n *Node) BeginDrain() error {
-	var err error
-	n.step("BeginDrain", func(m *Machine) { err = m.BeginDrain() })
-	return err
-}
-
-// Save serializes the node's durable collector state.
-func (n *Node) Save() ([]byte, error) {
-	var data []byte
-	var err error
-	n.step("Save", func(m *Machine) { data, err = m.Save() })
-	return data, err
-}
-
-// Restore reconstructs a node from state produced by Save, attaching it to
-// the given endpoint with the given configuration. The node resumes as if
-// it had merely been slow: peers' reference-listing state remains valid,
-// in-flight detections involving it abort safely and restart later.
-func Restore(ep transport.Endpoint, cfg Config, data []byte) (*Node, error) {
-	mach, err := RestoreMachine(cfg, data)
-	if err != nil {
-		return nil, err
-	}
-	n := &Node{mach: mach, ep: ep}
-	if ep != nil {
-		ep.SetHandler(n.HandleMessage)
-	}
-	return n, nil
-}

@@ -16,15 +16,36 @@ type testNet struct {
 	nodes map[ids.NodeID]*Node
 }
 
+// newTestNet builds stepped nodes, the scheduler nearly every test wants.
 func newTestNet(t *testing.T, cfg Config, names ...ids.NodeID) *testNet {
+	mk := func(_ *testing.T, id ids.NodeID, ep transport.Endpoint) *Node { return New(id, ep, cfg) }
+	return newTestNetOf(t, mk, names...)
+}
+
+func newTestNetOf(t *testing.T, mk func(*testing.T, ids.NodeID, transport.Endpoint) *Node, names ...ids.NodeID) *testNet {
 	tn := &testNet{t: t, net: transport.NewNetwork(1), nodes: map[ids.NodeID]*Node{}}
 	for _, name := range names {
-		tn.nodes[name] = New(name, tn.net.Endpoint(name), cfg)
+		tn.nodes[name] = mk(t, name, tn.net.Endpoint(name))
 	}
 	return tn
 }
 
-func (tn *testNet) settle() { tn.net.Drain(0) }
+// settle pumps the network to quiescence. A started node consumes its
+// deliveries on its own loop, so after each drain every node is asked a
+// question — answered only once everything queued before it has been
+// consumed and its effects flushed — until a whole pass leaves nothing in
+// flight. For stepped nodes the first pass already does.
+func (tn *testNet) settle() {
+	for {
+		tn.net.Drain(0)
+		for _, n := range tn.nodes {
+			n.Clock()
+		}
+		if tn.net.Pending() == 0 {
+			return
+		}
+	}
+}
 
 func (tn *testNet) n(id ids.NodeID) *Node { return tn.nodes[id] }
 

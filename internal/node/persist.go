@@ -79,8 +79,8 @@ func (m *Machine) Save() ([]byte, error) {
 // RestoreMachine reconstructs a protocol machine from state produced by
 // Save. The machine resumes as if its process had merely been slow: peers'
 // reference-listing state remains valid, in-flight detections involving it
-// abort safely and restart later. Wrap the result in a driver (Restore for
-// a Node shell, RestoreLiveRuntime for the wall-clock runtime).
+// abort safely and restart later. Restore and RestoreLiveRuntime wrap the
+// result in a stepped or a started Node.
 func RestoreMachine(cfg Config, data []byte) (*Machine, error) {
 	r := &pReader{data: data}
 	if string(r.bytes(len(persistMagic))) != persistMagic {

@@ -3,9 +3,7 @@ package transport
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dgc/internal/ids"
 	"dgc/internal/obs"
@@ -45,15 +43,6 @@ type envelope struct {
 	msg      wire.Message
 }
 
-// phaseEnv is one send captured during a phase: the envelope plus its
-// per-edge (sender→receiver) sequence number. The stamps make the FIFO
-// contract explicit — EndPhase verifies each edge's stamps are strictly
-// increasing while it merges.
-type phaseEnv struct {
-	env envelope
-	seq uint64
-}
-
 // Network is the deterministic in-memory fabric. Messages are queued on
 // Send and delivered when the owner pumps with Step or Drain; handlers run
 // inline in the pumping goroutine and may Send further messages.
@@ -63,11 +52,6 @@ type Network struct {
 	queue     []envelope
 	faults    Faults
 	rng       *rand.Rand
-
-	// inPhase, when set, diverts endpoint sends into the endpoints' own
-	// outboxes instead of the shared queue. See BeginPhase. Checked
-	// lock-free on every Send so the flag costs nothing outside phases.
-	inPhase atomic.Bool
 
 	// Stats, guarded by mu.
 	sent      map[wire.Kind]uint64
@@ -206,80 +190,13 @@ func cloneCounts(m map[wire.Kind]uint64) map[wire.Kind]uint64 {
 	return out
 }
 
-// BeginPhase switches the fabric into phase mode: until EndPhase, each
-// endpoint captures its own sends locally, stamped with per-edge
-// (sender→receiver) sequence numbers, instead of entering the shared queue —
-// so sends from different nodes never serialize against each other. Phase
-// mode is how the cluster keeps concurrent senders deterministic: fault
-// randomness and queue order are decided at EndPhase by a canonical merge,
-// not by goroutine scheduling. Messages are never delivered while a phase is
-// open (delivery only happens in Step/Drain, which the owner calls between
-// phases).
-//
-// The caller must ensure every phase send has returned before calling
-// EndPhase (the cluster's worker-pool barrier does); sends racing the
-// transition are a misuse.
-func (n *Network) BeginPhase() {
-	if !n.inPhase.CompareAndSwap(false, true) {
-		panic("transport: BeginPhase while a phase is open")
-	}
-}
-
-// EndPhase closes the phase and merges every endpoint's captured sends into
-// the queue: senders in canonical (sorted node id) order, each sender's
-// sends in production order — which is exactly per-edge sequence order, an
-// invariant EndPhase verifies against the stamps. Each send runs through the
-// normal path — accounting, fault injection, enqueue — so the queue contents
-// and the fault-randomness stream are bit-identical to running the senders
-// sequentially in canonical order.
-func (n *Network) EndPhase() {
-	if !n.inPhase.CompareAndSwap(true, false) {
-		panic("transport: EndPhase without BeginPhase")
-	}
-	n.mu.Lock()
-	eps := make([]*InprocEndpoint, 0, len(n.endpoints))
-	for _, ep := range n.endpoints {
-		eps = append(eps, ep)
-	}
-	n.mu.Unlock()
-	sort.Slice(eps, func(i, j int) bool { return eps[i].self < eps[j].self })
-
-	for _, ep := range eps {
-		ep.outMu.Lock()
-		outbox := ep.outbox
-		ep.outbox = nil
-		ep.outMu.Unlock()
-		if len(outbox) == 0 {
-			continue
-		}
-		n.mu.Lock()
-		lastSeq := make(map[ids.NodeID]uint64, 4)
-		for _, pe := range outbox {
-			if last, dup := lastSeq[pe.env.to]; dup && pe.seq <= last {
-				n.mu.Unlock()
-				panic(fmt.Sprintf("transport: per-edge FIFO violation %s->%s (seq %d after %d)",
-					pe.env.from, pe.env.to, pe.seq, last))
-			}
-			lastSeq[pe.env.to] = pe.seq
-			n.sendLocked(pe.env.from, pe.env.to, pe.env.msg)
-		}
-		n.mu.Unlock()
-	}
-}
-
+// send runs one message through accounting, fault injection and the queue.
 func (n *Network) send(from, to ids.NodeID, msg wire.Message) error {
 	if msg == nil {
 		return fmt.Errorf("transport: nil message")
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.sendLocked(from, to, msg)
-	return nil
-}
-
-// sendLocked runs one send through accounting, fault injection and the
-// queue. Caller holds mu.
-func (n *Network) sendLocked(from, to ids.NodeID, msg wire.Message) {
 	n.sent[msg.Kind()]++
 	size := uint64(wire.EncodedSize(msg))
 	n.bytes += size
@@ -294,7 +211,7 @@ func (n *Network) sendLocked(from, to ids.NodeID, msg wire.Message) {
 			if n.met != nil {
 				n.met.MsgsDropped.Inc()
 			}
-			return // silently lost, as on a real network
+			return nil // silently lost, as on a real network
 		}
 		copies := 1
 		if n.faults.DupRate > 0 && n.rng.Float64() < n.faults.DupRate {
@@ -303,9 +220,10 @@ func (n *Network) sendLocked(from, to ids.NodeID, msg wire.Message) {
 		for i := 0; i < copies; i++ {
 			n.enqueue(envelope{from: from, to: to, msg: msg})
 		}
-		return
+		return nil
 	}
 	n.enqueue(envelope{from: from, to: to, msg: msg})
+	return nil
 }
 
 // enqueue appends or, under the reorder fault, inserts at a random position.
@@ -328,14 +246,6 @@ type InprocEndpoint struct {
 
 	mu sync.Mutex
 	h  Handler
-
-	// outMu guards the phase outbox and per-edge sequence counters. During
-	// a phase only this node's own worker sends through the endpoint, so
-	// the lock is uncontended — the point of phase mode is that senders on
-	// different nodes share no state at all.
-	outMu   sync.Mutex
-	outbox  []phaseEnv
-	edgeSeq map[ids.NodeID]uint64
 }
 
 var _ Endpoint = (*InprocEndpoint)(nil)
@@ -343,26 +253,8 @@ var _ Endpoint = (*InprocEndpoint)(nil)
 // Self implements Endpoint.
 func (e *InprocEndpoint) Self() ids.NodeID { return e.self }
 
-// Send implements Endpoint. While the fabric is in phase mode the send is
-// captured in this endpoint's outbox with the next sequence number for the
-// (self, to) edge; otherwise it goes straight to the shared queue.
+// Send implements Endpoint: the message goes straight to the shared queue.
 func (e *InprocEndpoint) Send(to ids.NodeID, msg wire.Message) error {
-	if e.net.inPhase.Load() {
-		if msg == nil {
-			return fmt.Errorf("transport: nil message")
-		}
-		e.outMu.Lock()
-		if e.edgeSeq == nil {
-			e.edgeSeq = make(map[ids.NodeID]uint64)
-		}
-		e.edgeSeq[to]++
-		e.outbox = append(e.outbox, phaseEnv{
-			env: envelope{from: e.self, to: to, msg: msg},
-			seq: e.edgeSeq[to],
-		})
-		e.outMu.Unlock()
-		return nil
-	}
 	return e.net.send(e.self, to, msg)
 }
 

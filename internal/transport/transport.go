@@ -46,11 +46,11 @@ type Handler func(from ids.NodeID, msg wire.Message) []Envelope
 // Stager is implemented by transports that can coalesce a burst of sends:
 // between BeginStage and the matching FlushStage, messages are collected and
 // shipped together (the TCP endpoint packs them into batch frames, one per
-// peer). Layers that produce send bursts (a node's GC tick, a batched
-// delivery) type-assert their transport against Stager and bracket the burst
-// when it is available. The in-process fabric does not implement Stager: its
-// deterministic parallel mode is the Network's BeginPhase/EndPhase per-edge
-// sequencing, driven by the cluster, not by individual nodes.
+// peer). It is the only burst mechanism: a layer that produces send bursts
+// (a node flushing the effects of one input) type-asserts its transport
+// against Stager and brackets the burst when it is available. The in-process
+// fabric does not implement it — a Send there is an append to the shared
+// queue, with nothing to coalesce.
 type Stager interface {
 	BeginStage()
 	FlushStage()
