@@ -439,7 +439,7 @@ func BenchmarkCDMCodec(b *testing.B) {
 
 func BenchmarkDetectRound(b *testing.B) {
 	// The detection rounds that drain a garbage ring: the CDM fan-out and
-	// accumulator merging dominate, exercising the interned algebra end to
+	// accumulator merging dominate, exercising the dense algebra end to
 	// end (dgc-bench -exp detect reports the same path against the recorded
 	// map-algebra baseline).
 	for _, procs := range []int{8, 32} {

@@ -327,7 +327,7 @@ func runSummarize(quick bool) error {
 }
 
 // runDetect measures the detection-round and CDM-hop hot paths against the
-// recorded pre-interning baseline, landing the numbers in BENCH_detect.json.
+// recorded map-algebra baseline, landing the numbers in BENCH_detect.json.
 func runDetect(quick bool) error {
 	procs := []int{8, 32}
 	reps, hopIters := 60, 20000
@@ -347,7 +347,7 @@ func runDetect(quick bool) error {
 		before[b.Procs] = b
 	}
 	w := tw()
-	fmt.Fprintln(w, "processes\tmap algebra (recorded)\tinterned algebra\tspeedup\tallocs before\tallocs after")
+	fmt.Fprintln(w, "processes\tmap algebra (recorded)\tdense algebra\tspeedup\tallocs before\tallocs after")
 	var speedup32 float64
 	for _, r := range rows {
 		b := before[r.Procs]
@@ -408,7 +408,7 @@ func runDetect(quick bool) error {
 		"num_cpu":              runtime.NumCPU(),
 		"gomaxprocs":           runtime.GOMAXPROCS(0),
 		"before_map_algebra":   baseline,
-		"after_interned":       rows,
+		"after_dense":          rows,
 		"before_hop":           hopBase,
 		"after_hop":            hops,
 		"speedup_32procs":      speedup32,

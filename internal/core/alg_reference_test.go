@@ -1,13 +1,15 @@
 package core
 
 // algReference is the retired map[ids.RefID]Entry implementation of the CDM
-// algebra, kept verbatim as the executable specification for the interned
-// dense representation in algebra.go (the same pattern as
-// summarizeReference for PR 1's summarization engine). The property tests
-// below drive both implementations through identical operation sequences
-// drawn from the random corpus and require identical observable behaviour:
-// return values, match results, canonical listings, String renderings and
-// Fingerprint values. The wire-level byte-identity check lives in
+// algebra, kept as the executable specification for the dense
+// node-index-keyed representation in algebra.go (the same pattern as
+// summarizeReference for the summarization engine). The property tests below
+// drive both implementations through identical operation sequences drawn
+// from the random corpus and require identical observable behaviour: return
+// values, match results, canonical listings and String renderings — over
+// node-name universes first seen in lexical, reverse-lexical and shuffled
+// order, so an observable order derived from table index order instead of
+// name order fails. The wire-level byte-identity check lives in
 // internal/wire (wire_test.go), which core cannot import.
 
 import (
@@ -153,47 +155,6 @@ func (a algReference) Merge(b algReference) (changed, conflict bool) {
 	return changed, conflict
 }
 
-func (a algReference) Fingerprint() uint64 {
-	const (
-		refOffset64 = 14695981039346656037
-		refPrime64  = 1099511628211
-	)
-	var acc uint64
-	for r, e := range a.Entries {
-		h := uint64(refOffset64)
-		mix := func(s string) {
-			for i := 0; i < len(s); i++ {
-				h ^= uint64(s[i])
-				h *= refPrime64
-			}
-			h ^= 0xFF
-			h *= refPrime64
-		}
-		mixU := func(v uint64) {
-			for i := 0; i < 8; i++ {
-				h ^= v & 0xFF
-				h *= refPrime64
-				v >>= 8
-			}
-		}
-		mix(string(r.Src))
-		mix(string(r.Dst.Node))
-		mixU(uint64(r.Dst.Obj))
-		var bits uint64
-		if e.InSource {
-			bits |= 1
-		}
-		if e.InTarget {
-			bits |= 2
-		}
-		mixU(bits)
-		mixU(e.SrcIC)
-		mixU(e.TgtIC)
-		acc ^= h
-	}
-	return acc
-}
-
 func (a algReference) String() string {
 	var b strings.Builder
 	b.WriteString("{{")
@@ -235,16 +196,70 @@ func newAlgPair() *algPair {
 	return &algPair{a: NewAlg(), r: newAlgReference()}
 }
 
-// randomRef draws from the same small universe as randomAlg so collisions
-// (re-adds, conflicting counters, overlapping merges) are common.
-func randomRef(rng *rand.Rand) ids.RefID {
-	return ids.RefID{
-		Src: ids.NodeID([]string{"P1", "P2", "P3"}[rng.Intn(3)]),
-		Dst: ids.GlobalRef{
-			Node: ids.NodeID([]string{"P4", "P5"}[rng.Intn(2)]),
-			Obj:  ids.ObjID(rng.Intn(6)),
-		},
+// universe is the node names random references are drawn from: sources from
+// the first three, destinations from the last three (one name is both), six
+// object ids — small, so collisions (re-adds, conflicting counters,
+// overlapping merges) are common.
+type universe [5]ids.NodeID
+
+// universes returns three name sets whose first sight by the process-global
+// node table is forced, here, in lexical, reverse-lexical and shuffled order:
+// index order agrees with name order in the first only.
+func universes() map[string]universe {
+	out := map[string]universe{}
+	for order, perm := range map[string][5]int{
+		"lexical":  {0, 1, 2, 3, 4},
+		"reversed": {4, 3, 2, 1, 0},
+		"shuffled": {2, 4, 0, 3, 1},
+	} {
+		var u universe
+		for i := range u {
+			u[i] = ids.NodeID(fmt.Sprintf("%s-P%d", order, i+1))
+		}
+		for _, i := range perm {
+			nodeTab.Intern(u[i])
+		}
+		out[order] = u
 	}
+	return out
+}
+
+func forEachUniverse(t *testing.T, fn func(t *testing.T, u universe)) {
+	for order, u := range universes() {
+		t.Run(order, func(t *testing.T) { fn(t, u) })
+	}
+}
+
+func (u universe) randomRef(rng *rand.Rand) ids.RefID {
+	return ids.RefID{
+		Src: u[rng.Intn(3)],
+		Dst: ids.GlobalRef{Node: u[2+rng.Intn(3)], Obj: ids.ObjID(rng.Intn(6))},
+	}
+}
+
+func (u universe) randomAlg(rng *rand.Rand) Alg {
+	a := NewAlg()
+	n := rng.Intn(12)
+	for i := 0; i < n; i++ {
+		r := u.randomRef(rng)
+		if rng.Intn(2) == 0 {
+			a.AddSource(r, uint64(rng.Intn(4)))
+		}
+		if rng.Intn(2) == 0 {
+			a.AddTarget(r, uint64(rng.Intn(4)))
+		}
+	}
+	return a
+}
+
+// referenceOf mirrors a into the map implementation.
+func referenceOf(a Alg) algReference {
+	r := newAlgReference()
+	a.Each(func(ref ids.RefID, e Entry) bool {
+		r.Entries[ref] = e
+		return true
+	})
+	return r
 }
 
 func (p *algPair) check(t *testing.T, op string) {
@@ -267,8 +282,22 @@ func (p *algPair) check(t *testing.T, op string) {
 	if cf, ab := p.a.MatchStatus(); cf != ma.CycleFound || ab != ma.Abort {
 		t.Fatalf("%s: MatchStatus = (%v, %v), Match says (%v, %v)", op, cf, ab, ma.CycleFound, ma.Abort)
 	}
-	if got, want := p.a.Fingerprint(), p.r.Fingerprint(); got != want {
-		t.Fatalf("%s: Fingerprint = %#x, reference %#x", op, got, want)
+	// EachCanonical: exactly the reference's entries, in RefID.Less order.
+	var prev *ids.RefID
+	seen := 0
+	p.a.EachCanonical(func(ref ids.RefID, e Entry) bool {
+		if want, ok := p.r.Entries[ref]; !ok || e != want {
+			t.Fatalf("%s: EachCanonical yielded (%v, %+v), reference (%+v, %v)", op, ref, e, want, ok)
+		}
+		if prev != nil && !prev.Less(ref) {
+			t.Fatalf("%s: EachCanonical yielded %v before %v", op, *prev, ref)
+		}
+		prev = &ref
+		seen++
+		return true
+	})
+	if seen != p.r.Len() {
+		t.Fatalf("%s: EachCanonical yielded %d entries, reference holds %d", op, seen, p.r.Len())
 	}
 	if got, want := p.a.String(), p.r.String(); got != want {
 		t.Fatalf("%s: String = %q, reference %q", op, got, want)
@@ -293,9 +322,13 @@ func refIDsKey(refs []ids.RefID) string {
 
 // TestAlgMatchesReferenceProperty drives random operation sequences —
 // AddSource, AddTarget, Set, Delete, Clone, Merge with a random other
-// algebra — through the interned and the map implementation and requires
+// algebra — through the dense and the map implementation and requires
 // identical observable behaviour at every step.
 func TestAlgMatchesReferenceProperty(t *testing.T) {
+	forEachUniverse(t, testAlgMatchesReference)
+}
+
+func testAlgMatchesReference(t *testing.T, u universe) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := newAlgPair()
@@ -304,7 +337,7 @@ func TestAlgMatchesReferenceProperty(t *testing.T) {
 			var op string
 			switch rng.Intn(7) {
 			case 0, 1:
-				ref, ic := randomRef(rng), uint64(rng.Intn(4))
+				ref, ic := u.randomRef(rng), uint64(rng.Intn(4))
 				op = fmt.Sprintf("AddSource(%v, %d)", ref, ic)
 				c1, x1 := p.a.AddSource(ref, ic)
 				c2, x2 := p.r.AddSource(ref, ic)
@@ -313,7 +346,7 @@ func TestAlgMatchesReferenceProperty(t *testing.T) {
 					return false
 				}
 			case 2, 3:
-				ref, ic := randomRef(rng), uint64(rng.Intn(4))
+				ref, ic := u.randomRef(rng), uint64(rng.Intn(4))
 				op = fmt.Sprintf("AddTarget(%v, %d)", ref, ic)
 				c1, x1 := p.a.AddTarget(ref, ic)
 				c2, x2 := p.r.AddTarget(ref, ic)
@@ -322,7 +355,7 @@ func TestAlgMatchesReferenceProperty(t *testing.T) {
 					return false
 				}
 			case 4:
-				ref := randomRef(rng)
+				ref := u.randomRef(rng)
 				e := Entry{
 					InSource: rng.Intn(2) == 0, SrcIC: uint64(rng.Intn(4)),
 					InTarget: rng.Intn(2) == 0, TgtIC: uint64(rng.Intn(4)),
@@ -331,7 +364,7 @@ func TestAlgMatchesReferenceProperty(t *testing.T) {
 				p.a.Set(ref, e)
 				p.r.Entries[ref] = e
 			case 5:
-				ref := randomRef(rng)
+				ref := u.randomRef(rng)
 				op = fmt.Sprintf("Delete(%v)", ref)
 				p.a.Delete(ref)
 				delete(p.r.Entries, ref)
@@ -341,7 +374,7 @@ func TestAlgMatchesReferenceProperty(t *testing.T) {
 				ob := NewAlg()
 				or := newAlgReference()
 				for j := 0; j < ops; j++ {
-					ref, ic := randomRef(rng), uint64(rng.Intn(4))
+					ref, ic := u.randomRef(rng), uint64(rng.Intn(4))
 					if rng.Intn(2) == 0 {
 						ob.AddSource(ref, ic)
 						or.AddSource(ref, ic)
@@ -363,14 +396,11 @@ func TestAlgMatchesReferenceProperty(t *testing.T) {
 			// Clone independence: mutating a clone never leaks back.
 			if rng.Intn(4) == 0 {
 				ca, cr := p.a.Clone(), p.r.Clone()
-				ref := randomRef(rng)
+				ref := u.randomRef(rng)
 				ca.AddTarget(ref, 9)
 				cr.AddTarget(ref, 9)
 				p.check(t, op+" [post-clone]")
-				if ca.Fingerprint() != cr.Fingerprint() {
-					t.Logf("%s: clone fingerprints diverged", op)
-					return false
-				}
+				(&algPair{a: ca, r: cr}).check(t, op+" [the clone]")
 			}
 		}
 		// Equal agreement: against itself, a clone and a rebuilt copy.
@@ -385,83 +415,84 @@ func TestAlgMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// TestAlgMatchesReferenceOnCorpus replays the randomAlg corpus (the same
-// generator the fingerprint property tests use) through both
+// TestAlgMatchesReferenceOnCorpus replays the randomAlg corpus through both
 // implementations.
 func TestAlgMatchesReferenceOnCorpus(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomAlg(rng)
-		r := newAlgReference()
-		a.Each(func(ref ids.RefID, e Entry) bool {
-			r.Entries[ref] = e
-			return true
-		})
-		p := &algPair{a: a, r: r}
-		p.check(t, fmt.Sprintf("corpus seed %d", seed))
-	}
+	forEachUniverse(t, func(t *testing.T, u universe) {
+		for seed := int64(0); seed < 200; seed++ {
+			a := u.randomAlg(rand.New(rand.NewSource(seed)))
+			p := &algPair{a: a, r: referenceOf(a)}
+			p.check(t, fmt.Sprintf("corpus seed %d", seed))
+		}
+	})
 }
 
-// TestMergeInternedMatchesMerge: merging a flattened (id, Entry) stream must
-// behave exactly like building an algebra from it and merging that — for any
-// order of the stream, including injected duplicates (last occurrence wins).
-func TestMergeInternedMatchesMerge(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		a := randomAlg(rng)
-		b := randomAlg(rng)
-
-		type pair struct {
-			id int32
-			e  Entry
-		}
-		var pairs []pair
-		b.EachCanonicalInterned(func(id int32, r ids.RefID, e Entry) bool {
-			if InternRef(r) != id {
-				t.Fatalf("seed %d: EachCanonicalInterned id %d != InternRef %d", seed, id, InternRef(r))
+// TestBuildAlgMatchesSet: the bulk constructor must behave exactly like
+// repeated Set — for any order of the stream, including injected duplicates
+// (last occurrence wins).
+func TestBuildAlgMatchesSet(t *testing.T) {
+	forEachUniverse(t, func(t *testing.T, u universe) {
+		for seed := int64(0); seed < 200; seed++ {
+			rng := rand.New(rand.NewSource(1000 + seed))
+			type pair struct {
+				ref ids.RefID
+				e   Entry
 			}
-			pairs = append(pairs, pair{id: id, e: e})
-			return true
-		})
-		// Yield order must not matter for distinct references: shuffle.
-		rng.Shuffle(len(pairs), func(i, j int) {
-			pairs[i], pairs[j] = pairs[j], pairs[i]
-		})
-		// Then prepend a stale duplicate of one reference: the original,
-		// yielded later, must win.
-		if len(pairs) > 1 {
-			stale := pairs[rng.Intn(len(pairs))]
-			stale.e.SrcIC += 7
-			pairs = append([]pair{stale}, pairs...)
+			var pairs []pair
+			u.randomAlg(rng).EachCanonical(func(r ids.RefID, e Entry) bool {
+				pairs = append(pairs, pair{r, e})
+				return true
+			})
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			if len(pairs) > 1 {
+				stale := pairs[rng.Intn(len(pairs))]
+				stale.e.SrcIC += 7
+				pairs = append([]pair{stale}, pairs...)
+			}
+			viaSet := NewAlg()
+			for _, p := range pairs {
+				viaSet.Set(p.ref, p.e)
+			}
+			built := BuildAlg(len(pairs), func(i int) (ids.RefID, Entry) { return pairs[i].ref, pairs[i].e })
+			if !built.Equal(viaSet) {
+				t.Fatalf("seed %d: BuildAlg differs from repeated Set:\n%v\n%v", seed, built, viaSet)
+			}
 		}
+	})
+}
 
-		viaMerge := a.Clone()
-		viaInterned := a.Clone()
-		c1, f1 := viaMerge.Merge(b)
-		c2, f2 := viaInterned.MergeInterned(len(pairs), func(i int) (int32, Entry) {
-			return pairs[i].id, pairs[i].e
-		})
-		if c2 != c1 || f2 != f1 {
-			t.Fatalf("seed %d: MergeInterned = (%v,%v), Merge = (%v,%v)", seed, c2, f2, c1, f1)
+// TestUnknownNodeReadsAddNoName: Get and Delete on a reference naming a node
+// the table has never seen report "absent" and leave the table alone.
+func TestUnknownNodeReadsAddNoName(t *testing.T) {
+	a := NewAlg()
+	known := ids.RefID{Src: "known-A", Dst: ids.GlobalRef{Node: "known-B", Obj: 1}}
+	a.AddSource(known, 1)
+	before := len(NodeNames())
+	for _, r := range []ids.RefID{
+		{Src: "never-seen-1", Dst: known.Dst},
+		{Src: known.Src, Dst: ids.GlobalRef{Node: "never-seen-2", Obj: 1}},
+	} {
+		if _, ok := a.Get(r); ok {
+			t.Fatalf("Get(%v) reported present", r)
 		}
-		if !viaInterned.Equal(viaMerge) {
-			t.Fatalf("seed %d: MergeInterned result differs:\n%v\n%v", seed, viaInterned, viaMerge)
-		}
+		a.Delete(r)
+	}
+	if a.Len() != 1 || len(NodeNames()) != before {
+		t.Fatalf("reads changed state: Len = %d, node names %d -> %d", a.Len(), before, len(NodeNames()))
 	}
 }
 
 // TestAlgEqualDisagreements: Equal must reject the same near-misses as the
 // reference (size, missing key, differing entry).
 func TestAlgEqualDisagreements(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		a := randomAlg(rng)
-		b := randomAlg(rng)
-		ra, rb := newAlgReference(), newAlgReference()
-		a.Each(func(ref ids.RefID, e Entry) bool { ra.Entries[ref] = e; return true })
-		b.Each(func(ref ids.RefID, e Entry) bool { rb.Entries[ref] = e; return true })
-		if a.Equal(b) != ra.Equal(rb) {
-			t.Fatalf("trial %d: Equal = %v, reference %v\na=%v\nb=%v", trial, a.Equal(b), ra.Equal(rb), a, b)
+	forEachUniverse(t, func(t *testing.T, u universe) {
+		rng := rand.New(rand.NewSource(42))
+		for trial := 0; trial < 200; trial++ {
+			a, b := u.randomAlg(rng), u.randomAlg(rng)
+			ra, rb := referenceOf(a), referenceOf(b)
+			if a.Equal(b) != ra.Equal(rb) {
+				t.Fatalf("trial %d: Equal = %v, reference %v\na=%v\nb=%v", trial, a.Equal(b), ra.Equal(rb), a, b)
+			}
 		}
-	}
+	})
 }

@@ -17,13 +17,15 @@
 // counters agree; a counter disagreement proves a mutator invocation raced
 // the detection and aborts it (§3.2).
 //
-// Representation: entries are keyed by a process-local interned reference id
-// (see ids.Interner) and kept in a slice sorted by that id. Derivation
+// Representation: a reference is two node names and an object id. Node names
+// are interned in a process-global table (ids.NodeTable, one slot per name),
+// and an entry is keyed by the integer triple (source node index, destination
+// node index, object id), kept in a slice sorted by that key. Derivation
 // clones are a single slice copy, matching is a linear scan, and merging two
-// algebras is a linear merge-join — the string-keyed map this replaces made
-// every CDM hop rehash and copy each reference. The map implementation is
-// retained as algReference in the package tests and the two are verified
-// equivalent (including wire bytes) by property tests.
+// algebras is a linear merge-join; nothing is stored per reference outside
+// the algebras that hold it. A string-keyed map implementation is retained
+// as algReference in the package tests and the two are verified equivalent
+// (including wire bytes) by property tests.
 package core
 
 import (
@@ -31,7 +33,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dgc/internal/ids"
 )
@@ -44,51 +45,111 @@ type Entry struct {
 	TgtIC    uint64 // stub-side invocation counter (valid when InTarget)
 }
 
-// Presence bits of algEntry.bits.
+// Layout of algEntry.word: the source node's table index, the destination
+// node's, and the two presence bits. Indices are below ids.MaxNodes (31 bits).
 const (
 	bitSource = 1 << 0
 	bitTarget = 1 << 1
+	bitsMask  = bitSource | bitTarget
+
+	dstShift = 2
+	srcShift = 33
+	nodeMask = ids.MaxNodes - 1
 )
 
-// algEntry is the dense in-memory form of one algebra entry: the interned
-// reference id, packed presence bits and both invocation counters. Counters
-// are kept even when the matching bit is clear, mirroring the map
-// representation where a full Entry value sat under each key.
+// algEntry is the dense in-memory form of one algebra entry, 32 bytes: the
+// key — both node indices in word's upper 62 bits, then obj — the presence
+// bits in word's low two, and both invocation counters. Counters are kept
+// even when the matching bit is clear, mirroring the map representation
+// where a full Entry value sat under each key.
 type algEntry struct {
-	ref   int32
-	bits  uint8
+	word  uint64
+	obj   ids.ObjID
 	srcIC uint64
 	tgtIC uint64
 }
 
+func (e algEntry) bits() uint64 { return e.word & bitsMask }
+
+// nodes is the node part of the key: word with the presence bits cleared.
+func (e algEntry) nodes() uint64 { return e.word &^ bitsMask }
+
+// cmpKey orders e's key against (nodes, obj).
+func (e algEntry) cmpKey(nodes uint64, obj ids.ObjID) int {
+	switch en := e.nodes(); {
+	case en < nodes:
+		return -1
+	case en > nodes:
+		return 1
+	case e.obj < obj:
+		return -1
+	case e.obj > obj:
+		return 1
+	}
+	return 0
+}
+
+func cmpEntries(x, y algEntry) int { return x.cmpKey(y.nodes(), y.obj) }
+
 func (e algEntry) entry() Entry {
 	return Entry{
-		InSource: e.bits&bitSource != 0,
+		InSource: e.word&bitSource != 0,
 		SrcIC:    e.srcIC,
-		InTarget: e.bits&bitTarget != 0,
+		InTarget: e.word&bitTarget != 0,
 		TgtIC:    e.tgtIC,
 	}
 }
 
-func packEntry(ref int32, e Entry) algEntry {
-	var bits uint8
+func packEntry(nodes uint64, obj ids.ObjID, e Entry) algEntry {
 	if e.InSource {
-		bits |= bitSource
+		nodes |= bitSource
 	}
 	if e.InTarget {
-		bits |= bitTarget
+		nodes |= bitTarget
 	}
-	return algEntry{ref: ref, bits: bits, srcIC: e.SrcIC, tgtIC: e.TgtIC}
+	return algEntry{word: nodes, obj: obj, srcIC: e.SrcIC, tgtIC: e.TgtIC}
 }
 
-// refTab interns every RefID that enters a CDM algebra in this process.
-// Interned ids are process-local (never on the wire) and grow with the set
-// of distinct references seen, which the reference-listing tables bound.
-var refTab = ids.NewInterner()
+// nodeTab interns every node name that enters a CDM algebra in this process.
+// It is shared by every node loop of the process (in-process clusters hand
+// each other's algebras around unflattened), so keys are process-global.
+var nodeTab = ids.NewNodeTable()
 
-// InternRef exposes the algebra's interning table: the stable dense id for
-// r in this process. Intended for diagnostics and tests.
-func InternRef(r ids.RefID) int32 { return refTab.Intern(r) }
+// NodeNames returns, in sorted order, the node names the algebra's table
+// holds — everything the package retains outside live algebras. For
+// diagnostics and the bounded-state property test.
+func NodeNames() []ids.NodeID { return nodeTab.Snapshot().Names() }
+
+// nodesWord packs two node indices into the node part of a key word; srcOf
+// and dstOf unpack them.
+func nodesWord(src, dst uint32) uint64 { return uint64(src)<<srcShift | uint64(dst)<<dstShift }
+func srcOf(word uint64) uint32         { return uint32(word >> srcShift) }
+func dstOf(word uint64) uint32         { return uint32(word>>dstShift) & nodeMask }
+
+// internNodes returns the node part of ref's key, adding unseen names to the
+// table.
+func internNodes(ref ids.RefID) uint64 {
+	return nodesWord(nodeTab.Intern(ref.Src), nodeTab.Intern(ref.Dst.Node))
+}
+
+// lookupNodes is internNodes for read paths: a reference naming a node the
+// table has never seen is in no algebra, and asking must not add the name.
+func lookupNodes(ref ids.RefID) (uint64, bool) {
+	src, ok := nodeTab.Lookup(ref.Src)
+	if !ok {
+		return 0, false
+	}
+	dst, ok := nodeTab.Lookup(ref.Dst.Node)
+	return nodesWord(src, dst), ok
+}
+
+// refOf rebuilds e's reference from a table snapshot.
+func refOf(s *ids.NodeSnapshot, e algEntry) ids.RefID {
+	return ids.RefID{
+		Src: s.Name(srcOf(e.word)),
+		Dst: ids.GlobalRef{Node: s.Name(dstOf(e.word)), Obj: e.obj},
+	}
+}
 
 // Alg is the CDM algebra: a mapping from references to entries. The zero
 // value is not usable; construct with NewAlg. Alg values are mutated by Add*
@@ -98,9 +159,8 @@ type Alg struct {
 	s *algState
 }
 
-// algState holds the entries sorted by interned reference id. Alg is a
-// value-with-pointer so the historical value-receiver mutation API keeps
-// working.
+// algState holds the entries sorted by key. Alg is a value-with-pointer so
+// the historical value-receiver mutation API keeps working.
 type algState struct {
 	entries []algEntry
 }
@@ -110,25 +170,19 @@ func NewAlg() Alg {
 	return Alg{s: &algState{}}
 }
 
-// NewAlgSized returns an empty algebra with capacity for n entries — the
-// CDM-decode constructor, which knows the entry count up front.
-func NewAlgSized(n int) Alg {
-	return Alg{s: &algState{entries: make([]algEntry, 0, n)}}
-}
-
-// find returns the index of ref in the sorted entry slice, or the insertion
-// point with ok=false.
-func (s *algState) find(ref int32) (int, bool) {
+// find returns the index of the key (nodes, obj) in the sorted entry slice,
+// or the insertion point with ok=false.
+func (s *algState) find(nodes uint64, obj ids.ObjID) (int, bool) {
 	lo, hi := 0, len(s.entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.entries[mid].ref < ref {
+		if s.entries[mid].cmpKey(nodes, obj) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(s.entries) && s.entries[lo].ref == ref
+	return lo, lo < len(s.entries) && s.entries[lo].cmpKey(nodes, obj) == 0
 }
 
 // insertAt splices e into the sorted slice at index i.
@@ -177,36 +231,36 @@ func (a Alg) Clone() Alg {
 // CDM-Graph with an interleaved invocation, which is exactly the race the
 // algorithm must abort on.
 func (a Alg) AddSource(ref ids.RefID, ic uint64) (changed, conflict bool) {
-	id := refTab.Intern(ref)
-	i, ok := a.s.find(id)
+	nodes := internNodes(ref)
+	i, ok := a.s.find(nodes, ref.Dst.Obj)
 	if ok {
 		e := &a.s.entries[i]
-		if e.bits&bitSource != 0 {
+		if e.word&bitSource != 0 {
 			return false, e.srcIC != ic
 		}
-		e.bits |= bitSource
+		e.word |= bitSource
 		e.srcIC = ic
 		return true, false
 	}
-	a.s.insertAt(i, algEntry{ref: id, bits: bitSource, srcIC: ic})
+	a.s.insertAt(i, algEntry{word: nodes | bitSource, obj: ref.Dst.Obj, srcIC: ic})
 	return true, false
 }
 
 // AddTarget inserts ref into the target set with the given stub-side
 // invocation counter. Semantics mirror AddSource.
 func (a Alg) AddTarget(ref ids.RefID, ic uint64) (changed, conflict bool) {
-	id := refTab.Intern(ref)
-	i, ok := a.s.find(id)
+	nodes := internNodes(ref)
+	i, ok := a.s.find(nodes, ref.Dst.Obj)
 	if ok {
 		e := &a.s.entries[i]
-		if e.bits&bitTarget != 0 {
+		if e.word&bitTarget != 0 {
 			return false, e.tgtIC != ic
 		}
-		e.bits |= bitTarget
+		e.word |= bitTarget
 		e.tgtIC = ic
 		return true, false
 	}
-	a.s.insertAt(i, algEntry{ref: id, bits: bitTarget, tgtIC: ic})
+	a.s.insertAt(i, algEntry{word: nodes | bitTarget, obj: ref.Dst.Obj, tgtIC: ic})
 	return true, false
 }
 
@@ -215,11 +269,11 @@ func (a Alg) Get(ref ids.RefID) (Entry, bool) {
 	if a.s == nil {
 		return Entry{}, false
 	}
-	id, ok := refTab.Lookup(ref)
+	nodes, ok := lookupNodes(ref)
 	if !ok {
 		return Entry{}, false
 	}
-	i, ok := a.s.find(id)
+	i, ok := a.s.find(nodes, ref.Dst.Obj)
 	if !ok {
 		return Entry{}, false
 	}
@@ -230,13 +284,13 @@ func (a Alg) Get(ref ids.RefID) (Entry, bool) {
 // constructor aid (CDM decode) and test hook; protocol code grows algebras
 // through AddSource/AddTarget.
 func (a Alg) Set(ref ids.RefID, e Entry) {
-	id := refTab.Intern(ref)
-	i, ok := a.s.find(id)
+	nodes := internNodes(ref)
+	i, ok := a.s.find(nodes, ref.Dst.Obj)
 	if ok {
-		a.s.entries[i] = packEntry(id, e)
+		a.s.entries[i] = packEntry(nodes, ref.Dst.Obj, e)
 		return
 	}
-	a.s.insertAt(i, packEntry(id, e))
+	a.s.insertAt(i, packEntry(nodes, ref.Dst.Obj, e))
 }
 
 // Delete removes ref's entry, if present.
@@ -244,11 +298,11 @@ func (a Alg) Delete(ref ids.RefID) {
 	if a.s == nil {
 		return
 	}
-	id, ok := refTab.Lookup(ref)
+	nodes, ok := lookupNodes(ref)
 	if !ok {
 		return
 	}
-	i, ok := a.s.find(id)
+	i, ok := a.s.find(nodes, ref.Dst.Obj)
 	if !ok {
 		return
 	}
@@ -256,203 +310,77 @@ func (a Alg) Delete(ref ids.RefID) {
 }
 
 // Each calls fn for every entry until fn returns false. Iteration order is
-// unspecified (it is the interning order, not the canonical reference
-// order); callers needing determinism sort, as with the map this replaces.
+// unspecified (it follows the order this process first saw the node names,
+// not the canonical reference order); callers needing determinism use
+// EachCanonical.
 func (a Alg) Each(fn func(ids.RefID, Entry) bool) {
-	if a.s == nil {
-		return
-	}
-	for _, e := range a.s.entries {
-		if !fn(refTab.Ref(e.ref), e.entry()) {
+	names := nodeTab.Snapshot()
+	for _, e := range a.entries() {
+		if !fn(refOf(names, e), e.entry()) {
 			return
 		}
 	}
 }
 
-// canonRanks maps every interned reference id to its rank in the canonical
-// (RefID.Less) order over all references interned so far. Restricting the
-// ranks to any subset of references preserves their canonical relative order,
-// so sorting algebra entries by rank is an integer sort that yields exactly
-// the string order — the wire flattener's hot path.
-//
-// The cache is published through an atomic pointer, so readers never lock.
-// Coverage is checked per interner shard: the cache records the per-shard id
-// counts it was built from, and a caller's snapshot exceeding any of them
-// proves new ids exist (shard counters are monotone, and a caller always
-// observes the counts covering its own entries' ids). A per-shard check is
-// required — comparing only the summed total could, under concurrent
-// assignment, balance a stale low read of one shard against a fresh high
-// read of another and wrongly validate a stale table.
-//
-// Rebuilds are incremental: only ids assigned since the cached generation
-// are sorted (O(new log new)) and merged with the previous canonical order
-// (O(n)), instead of re-sorting the whole table. With sharded interleaved
-// id spaces the ranks slice has holes at unassigned ids; they are never
-// read, because every queried id comes from an algebra entry.
-type rankCache struct {
-	ranks  []int32                 // id -> canonical rank, holes unassigned
-	sorted []int32                 // assigned ids in canonical order
-	lens   [ids.InternShards]int32 // per-shard id counts at build time
-}
-
-var (
-	canonMu  sync.Mutex
-	canonPtr atomic.Pointer[rankCache]
-)
-
-// covers reports whether a cache built at lens still covers a current
-// shard-count snapshot.
-func (c *rankCache) covers(cur [ids.InternShards]int32) bool {
-	for s, n := range cur {
-		if n > c.lens[s] {
-			return false
-		}
-	}
-	return true
-}
-
-func canonRanks() []int32 {
-	cur := refTab.ShardLens()
-	if c := canonPtr.Load(); c != nil && c.covers(cur) {
-		return c.ranks
-	}
-	canonMu.Lock()
-	defer canonMu.Unlock()
-	cur = refTab.ShardLens()
-	prev := canonPtr.Load()
-	if prev != nil && prev.covers(cur) {
-		return prev.ranks
-	}
-	var prevSorted []int32
-	var prevLens [ids.InternShards]int32
-	if prev != nil {
-		prevSorted, prevLens = prev.sorted, prev.lens
-	}
-	fresh := make([]int32, 0, 64)
-	for s := 0; s < ids.InternShards; s++ {
-		for local := prevLens[s]; local < cur[s]; local++ {
-			fresh = append(fresh, local*ids.InternShards+int32(s))
-		}
-	}
-	less := func(x, y int32) int {
-		rx, ry := refTab.Ref(x), refTab.Ref(y)
-		if rx.Less(ry) {
-			return -1
-		}
-		if ry.Less(rx) {
-			return 1
-		}
-		return 0
-	}
-	slices.SortFunc(fresh, less)
-	sorted := make([]int32, 0, len(prevSorted)+len(fresh))
-	i, j := 0, 0
-	for i < len(prevSorted) && j < len(fresh) {
-		if less(prevSorted[i], fresh[j]) < 0 {
-			sorted = append(sorted, prevSorted[i])
-			i++
-		} else {
-			sorted = append(sorted, fresh[j])
-			j++
-		}
-	}
-	sorted = append(sorted, prevSorted[i:]...)
-	sorted = append(sorted, fresh[j:]...)
-	ranks := make([]int32, ids.InternBound(cur))
-	for rank, id := range sorted {
-		ranks[id] = int32(rank)
-	}
-	c := &rankCache{ranks: ranks, sorted: sorted, lens: cur}
-	canonPtr.Store(c)
-	return ranks
-}
-
-// EachCanonical calls fn for every entry in canonical reference order (the
-// order ids.SortRefIDs produces) until fn returns false. Unlike sorting the
-// output of Each, the iteration order is decided by comparing cached integer
-// ranks, never by re-comparing reference strings.
-func (a Alg) EachCanonical(fn func(ids.RefID, Entry) bool) {
-	a.EachCanonicalInterned(func(_ int32, r ids.RefID, e Entry) bool {
-		return fn(r, e)
-	})
-}
-
-// EachCanonicalInterned is EachCanonical with the entry's interned id also
-// supplied, for callers that cache ids alongside flattened entries (the wire
-// layer keeps them next to CDM entries so in-process deliveries rebuild
-// algebras without re-hashing references).
-// canonScratch pools the sort scratch of EachCanonicalInterned: the sorted
-// view is only needed for the duration of one iteration, so the detection
-// fan-out path allocates nothing for ordering.
+// canonScratch pools the sort scratch of EachCanonical: the sorted view is
+// only needed for the duration of one iteration, so the detection fan-out
+// path allocates nothing for ordering.
 var canonScratch = sync.Pool{New: func() any { return new([]algEntry) }}
 
-func (a Alg) EachCanonicalInterned(fn func(id int32, r ids.RefID, e Entry) bool) {
+// EachCanonical calls fn for every entry in canonical reference order (the
+// order ids.SortRefIDs produces) until fn returns false. The order is
+// decided without comparing reference strings: a scratch copy of the entries
+// has each node index replaced by the name's rank in the node table's sorted
+// order, and (rank of source, rank of destination, object) is then an integer
+// sort that yields exactly RefID.Less order — whatever order the process
+// happened to first see the names in.
+func (a Alg) EachCanonical(fn func(ids.RefID, Entry) bool) {
 	es := a.entries()
-	switch len(es) {
-	case 0:
-		return
-	case 1:
-		fn(es[0].ref, refTab.Ref(es[0].ref), es[0].entry())
+	if len(es) == 0 {
 		return
 	}
-	ranks := canonRanks()
+	names := nodeTab.Snapshot()
+	if len(es) == 1 {
+		fn(refOf(names, es[0]), es[0].entry())
+		return
+	}
 	sp := canonScratch.Get().(*[]algEntry)
 	defer canonScratch.Put(sp)
 	tmp := append((*sp)[:0], es...)
 	*sp = tmp
-	slices.SortFunc(tmp, func(x, y algEntry) int {
-		return int(ranks[x.ref]) - int(ranks[y.ref])
-	})
+	for i := range tmp {
+		w := tmp[i].word
+		tmp[i].word = nodesWord(names.Rank(srcOf(w)), names.Rank(dstOf(w))) | w&bitsMask
+	}
+	slices.SortFunc(tmp, cmpEntries)
 	for _, e := range tmp {
-		if !fn(e.ref, refTab.Ref(e.ref), e.entry()) {
+		r := ids.RefID{
+			Src: names.ByRank(srcOf(e.word)),
+			Dst: ids.GlobalRef{Node: names.ByRank(dstOf(e.word)), Obj: e.obj},
+		}
+		if !fn(r, e.entry()) {
 			return
 		}
 	}
 }
 
 // BuildAlg constructs an algebra from the n entries produced by at(0..n-1).
-// It is the bulk form of repeated Set — entries are interned and appended,
-// then sorted once by interned id (an integer sort) — and the constructor of
-// choice for CDM decode, where the per-entry sorted insertion of Set turned
-// message rebuild quadratic. When at yields the same reference more than
-// once, the last occurrence wins, matching Set semantics.
+// It is the bulk form of repeated Set — entries are keyed and appended, then
+// sorted once by key (an integer sort) — and the constructor of choice for
+// CDM decode, where the per-entry sorted insertion of Set turned message
+// rebuild quadratic. When at yields the same reference more than once, the
+// last occurrence wins, matching Set semantics.
 func BuildAlg(n int, at func(int) (ids.RefID, Entry)) Alg {
 	entries := make([]algEntry, 0, n)
 	for i := 0; i < n; i++ {
 		r, e := at(i)
-		entries = append(entries, packEntry(refTab.Intern(r), e))
+		entries = append(entries, packEntry(internNodes(r), r.Dst.Obj, e))
 	}
-	slices.SortStableFunc(entries, func(x, y algEntry) int {
-		return int(x.ref) - int(y.ref)
-	})
+	slices.SortStableFunc(entries, cmpEntries)
 	out := entries[:0]
 	for i := range entries {
-		if i+1 < len(entries) && entries[i+1].ref == entries[i].ref {
+		if i+1 < len(entries) && cmpEntries(entries[i+1], entries[i]) == 0 {
 			continue // a later duplicate overrides this one
-		}
-		out = append(out, entries[i])
-	}
-	return Alg{s: &algState{entries: out}}
-}
-
-// BuildAlgInterned is BuildAlg for entries whose references are already
-// interned: at yields the interned id directly, so construction performs no
-// reference hashing at all. ids must come from this process's interning table
-// (InternRef / EachCanonicalInterned) — feeding a peer's ids corrupts the
-// algebra, which is why interned ids never travel on the wire.
-func BuildAlgInterned(n int, at func(int) (int32, Entry)) Alg {
-	entries := make([]algEntry, 0, n)
-	for i := 0; i < n; i++ {
-		id, e := at(i)
-		entries = append(entries, packEntry(id, e))
-	}
-	slices.SortStableFunc(entries, func(x, y algEntry) int {
-		return int(x.ref) - int(y.ref)
-	})
-	out := entries[:0]
-	for i := range entries {
-		if i+1 < len(entries) && entries[i+1].ref == entries[i].ref {
-			continue
 		}
 		out = append(out, entries[i])
 	}
@@ -489,22 +417,20 @@ func (a Alg) Len() int { return len(a.entries()) }
 // When a cycle is found, these are precisely the scions of the garbage
 // cycle.
 func (a Alg) SourceRefs() []ids.RefID {
-	var out []ids.RefID
-	for _, e := range a.entries() {
-		if e.bits&bitSource != 0 {
-			out = append(out, refTab.Ref(e.ref))
-		}
-	}
-	ids.SortRefIDs(out)
-	return out
+	return a.sideRefs(bitSource)
 }
 
 // TargetRefs returns the references in the target set, in canonical order.
 func (a Alg) TargetRefs() []ids.RefID {
+	return a.sideRefs(bitTarget)
+}
+
+func (a Alg) sideRefs(bit uint64) []ids.RefID {
 	var out []ids.RefID
+	names := nodeTab.Snapshot()
 	for _, e := range a.entries() {
-		if e.bits&bitTarget != 0 {
-			out = append(out, refTab.Ref(e.ref))
+		if e.word&bit != 0 {
+			out = append(out, refOf(names, e))
 		}
 	}
 	ids.SortRefIDs(out)
@@ -549,21 +475,22 @@ type MatchResult struct {
 // paths that only need the verdict use MatchStatus, which allocates nothing.
 func (a Alg) Match() MatchResult {
 	var res MatchResult
+	names := nodeTab.Snapshot()
 	for _, e := range a.entries() {
-		switch e.bits {
+		switch e.bits() {
 		case bitSource | bitTarget:
 			if e.srcIC != e.tgtIC {
 				res.Abort = true
 				// Prefer the smallest aborting ref for determinism.
-				r := refTab.Ref(e.ref)
+				r := refOf(names, e)
 				if res.AbortRef == (ids.RefID{}) || r.Less(res.AbortRef) {
 					res.AbortRef = r
 				}
 			}
 		case bitSource:
-			res.Unresolved = append(res.Unresolved, refTab.Ref(e.ref))
+			res.Unresolved = append(res.Unresolved, refOf(names, e))
 		case bitTarget:
-			res.Frontier = append(res.Frontier, refTab.Ref(e.ref))
+			res.Frontier = append(res.Frontier, refOf(names, e))
 		}
 	}
 	ids.SortRefIDs(res.Unresolved)
@@ -578,7 +505,7 @@ func (a Alg) Match() MatchResult {
 func (a Alg) MatchStatus() (cycleFound, abort bool) {
 	unresolved := false
 	for _, e := range a.entries() {
-		switch e.bits {
+		switch e.bits() {
 		case bitSource | bitTarget:
 			if e.srcIC != e.tgtIC {
 				abort = true
@@ -601,60 +528,24 @@ func (a Alg) MatchStatus() (cycleFound, abort bool) {
 // counter equality holds. Nodes keep the merged algebra as droppable cache
 // state — losing it costs repeated work, never correctness.
 //
-// Both operands are sorted by interned id, so the union is a linear
-// merge-join. A first detection pass avoids allocating when b adds nothing —
-// the common case for re-delivered CDMs, which the node layer dedupes on
-// changed=false.
+// Both operands are sorted by key, so the union is a linear merge-join. A
+// first detection pass avoids allocating when b adds nothing — the common
+// case for re-delivered CDMs, which the node layer dedupes on changed=false.
 func (a Alg) Merge(b Alg) (changed, conflict bool) {
-	return a.mergeEntries(b.entries())
-}
-
-// MergeInterned unions n pre-interned entries, yielded by at(0..n-1) as
-// (interned id, Entry) pairs in any order, into a. It is Merge without the
-// intermediate algebra: the receive path merges a flattened in-process CDM
-// straight into its accumulator, ordering the operand in a pooled scratch
-// buffer. Semantics (changed/conflict, last-duplicate-wins) match building
-// an algebra from the same pairs and merging it.
-func (a Alg) MergeInterned(n int, at func(int) (int32, Entry)) (changed, conflict bool) {
-	if n == 0 {
-		return false, false
-	}
-	sp := canonScratch.Get().(*[]algEntry)
-	defer canonScratch.Put(sp)
-	tmp := (*sp)[:0]
-	for i := 0; i < n; i++ {
-		id, e := at(i)
-		tmp = append(tmp, packEntry(id, e))
-	}
-	*sp = tmp
-	slices.SortStableFunc(tmp, func(x, y algEntry) int {
-		return int(x.ref) - int(y.ref)
-	})
-	be := tmp[:0]
-	for i := range tmp {
-		if i+1 < len(tmp) && tmp[i+1].ref == tmp[i].ref {
-			continue
-		}
-		be = append(be, tmp[i])
-	}
-	return a.mergeEntries(be)
-}
-
-func (a Alg) mergeEntries(be []algEntry) (changed, conflict bool) {
-	ae := a.entries()
+	ae, be := a.entries(), b.entries()
 	if len(be) == 0 {
 		return false, false
 	}
 	// Detection pass: does b add any entry or presence bit?
 	i, j := 0, 0
 	for i < len(ae) && j < len(be) && !changed {
-		switch {
-		case ae[i].ref < be[j].ref:
+		switch c := cmpEntries(ae[i], be[j]); {
+		case c < 0:
 			i++
-		case ae[i].ref > be[j].ref:
+		case c > 0:
 			changed = true
 		default:
-			if be[j].bits&^ae[i].bits != 0 {
+			if be[j].bits()&^ae[i].bits() != 0 {
 				changed = true
 			}
 			i++
@@ -668,16 +559,11 @@ func (a Alg) mergeEntries(be []algEntry) (changed, conflict bool) {
 		// Pure subset: only counter consistency can differ.
 		i, j = 0, 0
 		for i < len(ae) && j < len(be) {
-			switch {
-			case ae[i].ref < be[j].ref:
-				i++
-			default:
-				if mergeConflict(ae[i], be[j]) {
-					conflict = true
-				}
-				i++
+			if cmpEntries(ae[i], be[j]) == 0 {
+				conflict = conflict || mergeConflict(ae[i], be[j])
 				j++
 			}
+			i++
 		}
 		return false, conflict
 	}
@@ -685,33 +571,33 @@ func (a Alg) mergeEntries(be []algEntry) (changed, conflict bool) {
 	out := make([]algEntry, 0, len(ae)+len(be))
 	i, j = 0, 0
 	for i < len(ae) && j < len(be) {
-		switch {
-		case ae[i].ref < be[j].ref:
+		switch c := cmpEntries(ae[i], be[j]); {
+		case c < 0:
 			out = append(out, ae[i])
 			i++
-		case ae[i].ref > be[j].ref:
+		case c > 0:
 			out = append(out, be[j])
 			j++
 		default:
 			m := ae[i]
 			eb := be[j]
-			if eb.bits&bitSource != 0 {
-				if m.bits&bitSource != 0 {
+			if eb.word&bitSource != 0 {
+				if m.word&bitSource != 0 {
 					if m.srcIC != eb.srcIC {
 						conflict = true
 					}
 				} else {
-					m.bits |= bitSource
+					m.word |= bitSource
 					m.srcIC = eb.srcIC
 				}
 			}
-			if eb.bits&bitTarget != 0 {
-				if m.bits&bitTarget != 0 {
+			if eb.word&bitTarget != 0 {
+				if m.word&bitTarget != 0 {
 					if m.tgtIC != eb.tgtIC {
 						conflict = true
 					}
 				} else {
-					m.bits |= bitTarget
+					m.word |= bitTarget
 					m.tgtIC = eb.tgtIC
 				}
 			}
@@ -729,109 +615,9 @@ func (a Alg) mergeEntries(be []algEntry) (changed, conflict bool) {
 // mergeConflict reports whether two observations of the same reference carry
 // different counters on a side present in both.
 func mergeConflict(ea, eb algEntry) bool {
-	both := ea.bits & eb.bits
+	both := ea.word & eb.word
 	return (both&bitSource != 0 && ea.srcIC != eb.srcIC) ||
 		(both&bitTarget != 0 && ea.tgtIC != eb.tgtIC)
-}
-
-const (
-	offset64 = 14695981039346656037
-	prime64  = 1099511628211
-)
-
-// fpChunkSize is the slot count of one fingerprint-prefix cache chunk.
-const fpChunkSize = 1024
-
-type fpChunk [fpChunkSize]atomic.Uint64
-
-// fpSpine caches, per interned reference id, the FNV-1a state after mixing
-// the reference's strings — the expensive, entry-independent part of the
-// per-entry hash. Slots are plain atomics in copy-on-write chunked storage:
-// readers take no lock at all (the former RWMutex was read-locked once per
-// entry per Fingerprint, a measurable serialization point under parallel
-// detection). A zero slot means "not computed yet"; the prefix is a pure
-// function of the reference, so racing fillers store the same value and a
-// genuine zero-valued hash merely recomputes. fpGrowMu serializes spine
-// growth only.
-var (
-	fpGrowMu sync.Mutex
-	fpSpine  atomic.Pointer[[]*fpChunk]
-)
-
-func init() {
-	fpSpine.Store(&[]*fpChunk{})
-}
-
-func fpMix(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	h ^= 0xFF
-	h *= prime64
-	return h
-}
-
-func fpMixU(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xFF
-		h *= prime64
-		v >>= 8
-	}
-	return h
-}
-
-func fpRefPrefix(id int32) uint64 {
-	ci, si := int(id)/fpChunkSize, int(id)%fpChunkSize
-	spine := *fpSpine.Load()
-	if ci >= len(spine) {
-		fpGrowMu.Lock()
-		spine = *fpSpine.Load()
-		for ci >= len(spine) {
-			grown := make([]*fpChunk, len(spine), len(spine)+1)
-			copy(grown, spine)
-			grown = append(grown, new(fpChunk))
-			fpSpine.Store(&grown)
-			spine = grown
-		}
-		fpGrowMu.Unlock()
-	}
-	slot := &spine[ci][si]
-	if h := slot.Load(); h != 0 {
-		return h
-	}
-	r := refTab.Ref(id)
-	h := fpMix(uint64(offset64), string(r.Src))
-	h = fpMix(h, string(r.Dst.Node))
-	h = fpMixU(h, uint64(r.Dst.Obj))
-	slot.Store(h)
-	return h
-}
-
-// Fingerprint returns an order-independent 64-bit hash of the algebra's
-// entries. Receivers use it (together with the detection id and arrival
-// reference) to deduplicate CDMs that arrive through different paths with
-// identical content; dropping such duplicates is always safe because CDM
-// processing is deterministic. The string-dependent hash prefix is cached
-// per interned reference, so repeat fingerprints never re-hash strings.
-func (a Alg) Fingerprint() uint64 {
-	// XOR of per-entry FNV-1a hashes: commutative, so no sorting needed.
-	var acc uint64
-	for _, e := range a.entries() {
-		h := fpRefPrefix(e.ref)
-		var bits uint64
-		if e.bits&bitSource != 0 {
-			bits |= 1
-		}
-		if e.bits&bitTarget != 0 {
-			bits |= 2
-		}
-		h = fpMixU(h, bits)
-		h = fpMixU(h, e.srcIC)
-		h = fpMixU(h, e.tgtIC)
-		acc ^= h
-	}
-	return acc
 }
 
 // String renders the algebra in the paper's notation, e.g.

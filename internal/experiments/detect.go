@@ -141,7 +141,7 @@ func CDMHopScale(sizes []int, iters int) ([]HopRow, error) {
 
 // DetectBaseline returns the recorded detection-round measurements of the
 // retired string-map algebra and per-message allocating codec (the
-// implementation before the interned dense representation), captured with the
+// implementation before the dense integer-keyed representation), captured with the
 // same DetectRoundScale harness on this repo's reference machine. Kept
 // hardcoded so speedup tables survive the old implementation's removal.
 func DetectBaseline() []DetectRow {

@@ -137,6 +137,7 @@ func (h *Heap) Delete(id ids.ObjID) {
 	}
 	delete(h.objects, id)
 	delete(h.roots, id)
+	delete(h.marked, id) // the mark scratch holds live objects only
 	h.gen++
 }
 

@@ -70,6 +70,11 @@ func (m Mark) Contains(id ids.ObjID) bool {
 // Len returns the number of marked objects.
 func (m Mark) Len() int { return m.count }
 
+// MarkScratchLen returns the number of entries the shared marking scratch
+// holds: at most one per live object, since Delete drops a swept object's
+// entry. For diagnostics and the bounded-state property tests.
+func (h *Heap) MarkScratchLen() int { return len(h.marked) }
+
 // MarkReachable computes the set of objects transitively reachable from the
 // given seeds following intra-process references only, as an epoch Mark over
 // reusable scratch (no per-call allocation once the scratch is warm). Seeds

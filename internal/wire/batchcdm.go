@@ -15,10 +15,9 @@ type BatchSection struct {
 	Det   core.DetectionID
 	Trace uint64
 	// Entries is the flattened algebra in canonical reference order
-	// (FlattenAlg's contract). Decoded sections always carry entries with
-	// interned ids resolved once per distinct reference via the batch
-	// dictionary; in-process sections carry src instead and leave Entries
-	// nil until a codec needs them.
+	// (FlattenAlg's contract). Decoded sections always carry entries;
+	// in-process sections carry src instead and leave Entries nil until a
+	// codec needs them.
 	Entries []CDMEntry
 
 	// src is the unflattened algebra for in-process deliveries, with the
@@ -33,29 +32,14 @@ func NewBatchSection(det core.DetectionID, trace uint64, alg core.Alg) BatchSect
 	return BatchSection{Det: det, Trace: trace, src: alg}
 }
 
-// interned reports whether the section's entries carry cached interned ids.
-func (s *BatchSection) interned() bool {
-	return len(s.Entries) > 0 && s.Entries[0].iid != 0
-}
-
 // MergeAlgInto merges the section's algebra into a, with core.Alg.Merge's
 // semantics. In-process sections merge the sender's dense algebra directly;
-// decoded sections merge off the dictionary-interned entries, so no
-// reference is hashed more than once per message regardless of how many
-// sections repeat it.
+// decoded sections rebuild an algebra first.
 func (s *BatchSection) MergeAlgInto(a core.Alg) (changed, conflict bool) {
 	if s.src != (core.Alg{}) {
 		return a.Merge(s.src)
 	}
-	if s.interned() {
-		return a.MergeInterned(len(s.Entries), func(i int) (int32, core.Entry) {
-			e := s.Entries[i]
-			return e.iid - 1, core.Entry{
-				InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC,
-			}
-		})
-	}
-	return a.Merge(s.Alg())
+	return a.Merge(algFromEntries(s.Entries))
 }
 
 // Alg reconstructs the algebra carried by the section.
@@ -63,20 +47,7 @@ func (s *BatchSection) Alg() core.Alg {
 	if s.src != (core.Alg{}) {
 		return s.src.Clone()
 	}
-	if s.interned() {
-		return core.BuildAlgInterned(len(s.Entries), func(i int) (int32, core.Entry) {
-			e := s.Entries[i]
-			return e.iid - 1, core.Entry{
-				InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC,
-			}
-		})
-	}
-	return core.BuildAlg(len(s.Entries), func(i int) (ids.RefID, core.Entry) {
-		e := s.Entries[i]
-		return e.Ref, core.Entry{
-			InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC,
-		}
-	})
+	return algFromEntries(s.Entries)
 }
 
 // BatchCDM is a multi-candidate cycle detection message: every detection
@@ -234,9 +205,6 @@ func (m *BatchCDM) encodedSize() int {
 // dictionary reference used, section entries strictly ascending by index,
 // at least one section, at least one entry per section, no duplicate
 // detection ids — so any accepted input re-encodes byte-identically.
-// Dictionary references are interned once each; every entry of every
-// section then carries its interned id for MergeInterned on the receive
-// path.
 func decodeBatchCDM(r *reader) *BatchCDM {
 	m := &BatchCDM{Along: r.refID()}
 	hops := r.uint()
@@ -247,7 +215,6 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 	m.Return = r.bool()
 	nd := r.count()
 	dict := make([]ids.RefID, 0, min(nd, 1024))
-	iids := make([]int32, 0, min(nd, 1024))
 	for i := 0; i < nd && r.err == nil; i++ {
 		ref := r.refID()
 		if r.err != nil {
@@ -258,7 +225,6 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 			break
 		}
 		dict = append(dict, ref)
-		iids = append(iids, core.InternRef(ref)+1)
 	}
 	if r.err != nil {
 		return m
@@ -296,7 +262,6 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 			used[idx] = true
 			s.Entries = append(s.Entries, CDMEntry{
 				Ref:      dict[idx],
-				iid:      iids[idx],
 				InSource: r.bool(),
 				SrcIC:    r.uint(),
 				InTarget: r.bool(),

@@ -73,8 +73,8 @@ func TestBatchCDMRoundTrip(t *testing.T) {
 }
 
 func TestBatchSectionMergePathsAgree(t *testing.T) {
-	// The three merge paths — in-process dense algebra, decoded interned
-	// entries, and plain rebuilt entries — must produce identical unions.
+	// The two merge paths — in-process dense algebra and rebuilt decoded
+	// entries — must produce identical unions.
 	m := testBatch(false)
 	data := Encode(m)
 	dec, err := Decode(data)

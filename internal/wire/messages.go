@@ -187,14 +187,17 @@ type CDMEntry struct {
 	SrcIC    uint64
 	InTarget bool
 	TgtIC    uint64
+}
 
-	// iid is the process-local interned id of Ref, biased by one (0 means
-	// unknown). Never encoded — interned ids are meaningless to peers — so
-	// it is zero on decoded and literal-constructed entries and set only by
-	// FlattenAlg, which fills whole entry lists uniformly. It lets
-	// in-process deliveries rebuild or merge the algebra without re-hashing
-	// any reference.
-	iid int32
+func (e CDMEntry) entry() core.Entry {
+	return core.Entry{InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC}
+}
+
+// algFromEntries rebuilds an algebra from flattened entries.
+func algFromEntries(entries []CDMEntry) core.Alg {
+	return core.BuildAlg(len(entries), func(i int) (ids.RefID, core.Entry) {
+		return entries[i].Ref, entries[i].entry()
+	})
 }
 
 // CDM is a cycle detection message: the detection identity, the reference it
@@ -211,7 +214,7 @@ type CDM struct {
 
 	// src is the algebra the message was flattened from. Never encoded: it
 	// exists so in-process deliveries (the in-memory fabric passes message
-	// pointers) can merge the already-id-sorted dense entries directly,
+	// pointers) can merge the already-key-sorted dense entries directly,
 	// skipping the flatten→re-sort round-trip. Receivers treat it as
 	// immutable — Merge never mutates its operand and the detector clones
 	// before deriving — which is what makes sharing one algebra across the
@@ -302,17 +305,13 @@ func decodeCDM(r *reader) *CDM {
 }
 
 // FlattenAlg flattens an algebra into wire entries in canonical reference
-// order, with each entry carrying its process-local interned id. The
-// canonical order is computed from the algebra's cached integer ranks, so
-// flattening never compares reference strings. The returned slice is treated
-// as immutable: the detector's fan-out shares one flattening across the CDMs
-// sent to every eligible peer.
+// order (core.Alg.EachCanonical: an integer sort, no string comparisons). The
+// returned slice is treated as immutable.
 func FlattenAlg(alg core.Alg) []CDMEntry {
 	entries := make([]CDMEntry, 0, alg.Len())
-	alg.EachCanonicalInterned(func(id int32, r ids.RefID, e core.Entry) bool {
+	alg.EachCanonical(func(r ids.RefID, e core.Entry) bool {
 		entries = append(entries, CDMEntry{
 			Ref: r, InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC,
-			iid: id + 1,
 		})
 		return true
 	})
@@ -322,13 +321,7 @@ func FlattenAlg(alg core.Alg) []CDMEntry {
 // NewCDM builds a CDM message from an algebra, flattening entries in
 // canonical reference order.
 func NewCDM(det core.DetectionID, along ids.RefID, alg core.Alg, hops int) *CDM {
-	return NewCDMFromFlat(det, along, alg, FlattenAlg(alg), hops)
-}
-
-// NewCDMFromFlat builds a CDM around an algebra and its already-flattened
-// entry list (FlattenAlg's output), sharing both.
-func NewCDMFromFlat(det core.DetectionID, along ids.RefID, alg core.Alg, entries []CDMEntry, hops int) *CDM {
-	return &CDM{Det: det, Along: along, Hops: uint32(hops), Entries: entries, src: alg}
+	return &CDM{Det: det, Along: along, Hops: uint32(hops), Entries: FlattenAlg(alg), src: alg}
 }
 
 // NewCDMFromAlg builds a lazily-flattened CDM: the message carries only the
@@ -340,53 +333,25 @@ func NewCDMFromAlg(det core.DetectionID, along ids.RefID, alg core.Alg, hops int
 	return &CDM{Det: det, Along: along, Hops: uint32(hops), Trace: trace, src: alg}
 }
 
-// interned reports whether the message's entries carry cached interned ids
-// (entry lists are uniform: all from FlattenAlg or all without ids).
-func (m *CDM) interned() bool {
-	return len(m.Entries) > 0 && m.Entries[0].iid != 0
-}
-
 // MergeAlgInto merges the carried algebra into a, with Merge's semantics.
 // Messages built in this process merge the sender's algebra directly (its
-// entries are already dense and id-sorted — no hashing, no sorting); decoded
-// messages with cached interned ids merge off the flattened entries; plain
-// decoded messages rebuild an algebra first.
+// entries are already dense and key-sorted — no hashing, no sorting); decoded
+// messages rebuild an algebra first.
 func (m *CDM) MergeAlgInto(a core.Alg) (changed, conflict bool) {
 	if m.src != (core.Alg{}) {
 		return a.Merge(m.src)
 	}
-	if m.interned() {
-		return a.MergeInterned(len(m.Entries), func(i int) (int32, core.Entry) {
-			e := m.Entries[i]
-			return e.iid - 1, core.Entry{
-				InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC,
-			}
-		})
-	}
-	return a.Merge(m.Alg())
+	return a.Merge(algFromEntries(m.Entries))
 }
 
 // Alg reconstructs the algebra carried by the message. Messages built in
 // this process clone the carried algebra (one copy, no hashing or sorting);
-// decoded messages intern each reference and rebuild.
+// decoded messages look up each reference's node names and rebuild.
 func (m *CDM) Alg() core.Alg {
 	if m.src != (core.Alg{}) {
 		return m.src.Clone()
 	}
-	if m.interned() {
-		return core.BuildAlgInterned(len(m.Entries), func(i int) (int32, core.Entry) {
-			e := m.Entries[i]
-			return e.iid - 1, core.Entry{
-				InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC,
-			}
-		})
-	}
-	return core.BuildAlg(len(m.Entries), func(i int) (ids.RefID, core.Entry) {
-		e := m.Entries[i]
-		return e.Ref, core.Entry{
-			InSource: e.InSource, SrcIC: e.SrcIC, InTarget: e.InTarget, TgtIC: e.TgtIC,
-		}
-	})
+	return algFromEntries(m.Entries)
 }
 
 // DeleteScion tells the destination that the scion for Ref belongs to a

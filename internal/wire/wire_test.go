@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -155,12 +156,43 @@ func TestBatchRejectsNesting(t *testing.T) {
 	}
 }
 
+// nodeUniverses returns three five-name sets and forces this process's first
+// sight of each set's names — which fixes their node-table indices — in
+// lexical, reverse-lexical and shuffled order. Index order agrees with name
+// order in the first only, so wire output derived from index order instead
+// of name order fails on the other two.
+func nodeUniverses() map[string][5]ids.NodeID {
+	out := map[string][5]ids.NodeID{}
+	for order, perm := range map[string][5]int{
+		"lexical":  {0, 1, 2, 3, 4},
+		"reversed": {4, 3, 2, 1, 0},
+		"shuffled": {2, 4, 0, 3, 1},
+	} {
+		var u [5]ids.NodeID
+		for i := range u {
+			u[i] = ids.NodeID(fmt.Sprintf("%s-P%d", order, i+1))
+		}
+		first := core.NewAlg()
+		for _, i := range perm {
+			first.AddSource(ids.RefID{Src: u[i], Dst: ids.GlobalRef{Node: u[i]}}, 0)
+		}
+		out[order] = u
+	}
+	return out
+}
+
 // TestNewCDMBytesMatchReference builds the wire CDM two ways — through the
-// interned algebra's NewCDM and by hand from a parallel map (the retired
+// dense algebra's NewCDM and by hand from a parallel map (the retired
 // representation) — and requires byte-identical encodings. Together with
-// core's algReference property tests this pins the interned algebra's wire
-// output to the old implementation's.
+// core's algReference property tests this pins the algebra's wire output to
+// the map implementation's.
 func TestNewCDMBytesMatchReference(t *testing.T) {
+	for order, u := range nodeUniverses() {
+		t.Run(order, func(t *testing.T) { testNewCDMBytesMatchReference(t, u) })
+	}
+}
+
+func testNewCDMBytesMatchReference(t *testing.T, u [5]ids.NodeID) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		alg := core.NewAlg()
@@ -168,8 +200,8 @@ func TestNewCDMBytesMatchReference(t *testing.T) {
 		n := rng.Intn(12)
 		for i := 0; i < n; i++ {
 			r := ids.RefID{
-				Src: ids.NodeID([]string{"P1", "P2", "P3"}[rng.Intn(3)]),
-				Dst: ids.GlobalRef{Node: ids.NodeID([]string{"P4", "P5"}[rng.Intn(2)]), Obj: ids.ObjID(rng.Intn(6))},
+				Src: u[rng.Intn(3)],
+				Dst: ids.GlobalRef{Node: u[2+rng.Intn(3)], Obj: ids.ObjID(rng.Intn(6))},
 			}
 			if rng.Intn(2) == 0 {
 				alg.AddSource(r, uint64(rng.Intn(4)))
@@ -182,7 +214,7 @@ func TestNewCDMBytesMatchReference(t *testing.T) {
 			}
 		}
 		det := core.DetectionID{Origin: "P2", Seq: uint64(seed)}
-		along := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P1", Obj: 1}}
+		along := ids.RefID{Src: u[4], Dst: ids.GlobalRef{Node: u[0], Obj: 1}}
 		tr := core.TraceIDFor(det)
 		eager := NewCDM(det, along, alg, 3)
 		eager.Trace = tr
@@ -218,6 +250,21 @@ func TestNewCDMBytesMatchReference(t *testing.T) {
 		}
 		if !lazy.Alg().Equal(alg) {
 			t.Fatalf("seed %d: lazy Alg() mismatch", seed)
+		}
+
+		// The batched form assigns dictionary indices by a merge walk that
+		// relies on canonical section order; a decode that accepts the bytes
+		// and yields the same algebra proves the walk held.
+		if alg.Len() == 0 {
+			continue // the decoder rejects empty sections by design
+		}
+		batch := NewBatchCDM(along, 3, false, []BatchSection{NewBatchSection(det, tr, alg)})
+		dec, err := Decode(Encode(batch))
+		if err != nil {
+			t.Fatalf("seed %d: batch decode: %v", seed, err)
+		}
+		if !dec.(*BatchCDM).Sections[0].Alg().Equal(alg) {
+			t.Fatalf("seed %d: batch section Alg() mismatch", seed)
 		}
 	}
 }
