@@ -1,10 +1,8 @@
 package admin
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -15,10 +13,9 @@ import (
 	"dgc/internal/snapshot"
 )
 
-// ClusterSpec is the declarative input to `dgcctl up`: cluster-wide collector
-// settings plus one entry per node, each able to override any cluster
-// setting. It is decoded from a YAML subset (or JSON) by ParseClusterSpec and
-// turned into runnable NodeSpecs by Resolve.
+// ClusterSpec is the declarative input to `dgcctl up`: a cluster header plus
+// one entry per node. It is decoded from a YAML subset by ParseClusterSpec,
+// which resolves every node's settings, and checked as a whole by Resolve.
 type ClusterSpec struct {
 	Name string
 	// DemoRing seeds the canonical 3+-node demo topology: "none" (default),
@@ -27,232 +24,137 @@ type ClusterSpec struct {
 	DemoRing string
 	// StateDir, when set, gives every node a state file <dir>/<id>.state.
 	StateDir string
-	Defaults NodeSettings
 	Nodes    []ClusterNode
 }
 
-// ClusterNode is one node entry in a ClusterSpec.
+// ClusterNode is one node entry in a ClusterSpec: where its admin API listens
+// (default 127.0.0.1:0) and the NodeSpec its settings resolved to — built-in
+// defaults, overlaid by the cluster section, overlaid by the node's own keys.
 type ClusterNode struct {
-	ID     string
-	Listen string // transport listen address (default 127.0.0.1:0)
-	Admin  string // admin API listen address (default 127.0.0.1:0)
-	NodeSettings
+	Admin string
+	NodeSpec
 }
 
-// NodeSettings are the per-node tunables of a cluster spec. Pointer fields
-// distinguish "unset" (inherit the cluster default, then the built-in
-// default) from an explicit zero (e.g. detect_every: 0 disables the
-// detection daemon so only forced detections run).
-type NodeSettings struct {
-	Tick            *time.Duration
-	LGCEvery        *uint64
-	SnapshotEvery   *uint64
-	DetectEvery     *uint64
-	CandidateAge    *uint64
-	CallTimeout     *uint64
-	BatchDetect     *bool
-	AggregateDetect *bool
-	// Membership gates the elastic cluster directory (default on for live
-	// clusters); the tick-denominated tuning knobs below inherit the
-	// membership package defaults when unset.
-	Membership      *bool
-	GossipEvery     *uint64
-	SuspectAfter    *uint64
-	DeadAfter       *uint64
-	LeaseTicks      *uint64
-	BroadcastDelete *bool
-	Backpressure    *bool
-	CreditWindow    *int
-	Mailbox         *int
-	SeedObjects     *int
-	Codec           *string
-	SnapshotDir     *string
-	StateFile       *string
-	FaultSeed       *int64
+// nodeDraft is what the settings table writes into: the NodeSpec under
+// construction plus the values that only combine once every key has been
+// applied (daemon intervals are multiples of tick; batching and membership
+// are switches over several fields).
+type nodeDraft struct {
+	NodeSpec
+	lgcEvery, snapshotEvery, detectEvery uint64
+	batch, membership                    bool
+	memb                                 membership.Config
 }
 
-// merge returns s with any unset field filled from base.
-func (s NodeSettings) merge(base NodeSettings) NodeSettings {
-	if s.Tick == nil {
-		s.Tick = base.Tick
-	}
-	if s.LGCEvery == nil {
-		s.LGCEvery = base.LGCEvery
-	}
-	if s.SnapshotEvery == nil {
-		s.SnapshotEvery = base.SnapshotEvery
-	}
-	if s.DetectEvery == nil {
-		s.DetectEvery = base.DetectEvery
-	}
-	if s.CandidateAge == nil {
-		s.CandidateAge = base.CandidateAge
-	}
-	if s.CallTimeout == nil {
-		s.CallTimeout = base.CallTimeout
-	}
-	if s.BatchDetect == nil {
-		s.BatchDetect = base.BatchDetect
-	}
-	if s.AggregateDetect == nil {
-		s.AggregateDetect = base.AggregateDetect
-	}
-	if s.Membership == nil {
-		s.Membership = base.Membership
-	}
-	if s.GossipEvery == nil {
-		s.GossipEvery = base.GossipEvery
-	}
-	if s.SuspectAfter == nil {
-		s.SuspectAfter = base.SuspectAfter
-	}
-	if s.DeadAfter == nil {
-		s.DeadAfter = base.DeadAfter
-	}
-	if s.LeaseTicks == nil {
-		s.LeaseTicks = base.LeaseTicks
-	}
-	if s.BroadcastDelete == nil {
-		s.BroadcastDelete = base.BroadcastDelete
-	}
-	if s.Backpressure == nil {
-		s.Backpressure = base.Backpressure
-	}
-	if s.CreditWindow == nil {
-		s.CreditWindow = base.CreditWindow
-	}
-	if s.Mailbox == nil {
-		s.Mailbox = base.Mailbox
-	}
-	if s.SeedObjects == nil {
-		s.SeedObjects = base.SeedObjects
-	}
-	if s.Codec == nil {
-		s.Codec = base.Codec
-	}
-	if s.SnapshotDir == nil {
-		s.SnapshotDir = base.SnapshotDir
-	}
-	if s.StateFile == nil {
-		s.StateFile = base.StateFile
-	}
-	if s.FaultSeed == nil {
-		s.FaultSeed = base.FaultSeed
-	}
-	return s
+// defaultDraft holds the built-in dgc-node defaults. Batched detection and
+// the membership directory default ON for declarative clusters —
+// `batch_detect: false` and `membership: false` are the escape hatches; the
+// membership horizons left at zero take the membership package defaults.
+func defaultDraft() nodeDraft {
+	d := nodeDraft{lgcEvery: 2, snapshotEvery: 4, detectEvery: 4, batch: true, membership: true}
+	d.Runtime.Tick = 250 * time.Millisecond
+	d.Config.CandidateMinAge = 4
+	d.Config.CallTimeoutTicks = 40
+	return d
 }
 
-// Resolve turns the spec into one NodeSpec per entry, applying cluster
-// defaults and the built-in dgc-node defaults (tick 250ms, lgc_every 2,
-// snapshot_every 4, detect_every 4, candidate_age 4, call_timeout 40).
-// Batched detection defaults ON for declarative clusters — `batch_detect:
-// false` is the escape hatch. Peer maps are left empty: live clusters wire
-// them after the ephemeral ports are known (Supervisor.AddPeer).
-func (c *ClusterSpec) Resolve() ([]NodeSpec, error) {
-	if len(c.Nodes) == 0 {
-		return nil, fmt.Errorf("cluster spec has no nodes")
+// set builds a table entry: parse the value, store it where field points.
+func set[T any](parse func(string) (T, error), field func(*nodeDraft) *T) func(*nodeDraft, string) error {
+	return func(d *nodeDraft, v string) error {
+		x, err := parse(v)
+		if err == nil {
+			*field(d) = x
+		}
+		return err
 	}
-	switch c.DemoRing {
-	case "", "none", "rooted", "garbage":
-	default:
-		return nil, fmt.Errorf("demo_ring %q: want none, rooted or garbage", c.DemoRing)
-	}
-	seen := make(map[string]bool, len(c.Nodes))
-	specs := make([]NodeSpec, 0, len(c.Nodes))
-	for _, cn := range c.Nodes {
-		if cn.ID == "" {
-			return nil, fmt.Errorf("cluster node without id")
-		}
-		if seen[cn.ID] {
-			return nil, fmt.Errorf("duplicate node id %q", cn.ID)
-		}
-		seen[cn.ID] = true
-		st := cn.NodeSettings.merge(c.Defaults)
-
-		tick := 250 * time.Millisecond
-		if st.Tick != nil {
-			tick = *st.Tick
-		}
-		if tick <= 0 {
-			return nil, fmt.Errorf("node %s: tick must be positive", cn.ID)
-		}
-		every := func(p *uint64, def uint64) uint64 {
-			if p != nil {
-				return *p
-			}
-			return def
-		}
-		spec := NodeSpec{
-			ID:     ids.NodeID(cn.ID),
-			Listen: cn.Listen,
-			Peers:  map[ids.NodeID]string{},
-		}
-		spec.Config.CandidateMinAge = every(st.CandidateAge, 4)
-		spec.Config.CallTimeoutTicks = every(st.CallTimeout, 40)
-		spec.Config.BatchDetection = node.Bool(st.BatchDetect == nil || *st.BatchDetect)
-		if st.AggregateDetect != nil && *st.AggregateDetect {
-			spec.Config.AggregateDetection = true
-			spec.Config.BatchDetection = node.Bool(true)
-		}
-		if st.Membership == nil || *st.Membership {
-			spec.Config.Membership = &membership.Config{
-				GossipEvery:  every(st.GossipEvery, 0),
-				SuspectAfter: every(st.SuspectAfter, 0),
-				DeadAfter:    every(st.DeadAfter, 0),
-				LeaseTicks:   every(st.LeaseTicks, 0),
-			}
-		}
-		if st.BroadcastDelete != nil {
-			spec.Config.Detector.BroadcastDelete = *st.BroadcastDelete
-		}
-		if st.Codec != nil {
-			switch *st.Codec {
-			case "", "binary":
-				spec.Config.Codec = snapshot.BinaryCodec{}
-			case "reflect":
-				spec.Config.Codec = snapshot.ReflectCodec{}
-			default:
-				return nil, fmt.Errorf("node %s: unknown codec %q", cn.ID, *st.Codec)
-			}
-		}
-		if st.SnapshotDir != nil {
-			spec.Config.SnapshotDir = *st.SnapshotDir
-			if spec.Config.Codec == nil {
-				spec.Config.Codec = snapshot.BinaryCodec{}
-			}
-		}
-		spec.Runtime.Tick = tick
-		spec.Runtime.LGCInterval = time.Duration(every(st.LGCEvery, 2)) * tick
-		spec.Runtime.SnapshotInterval = time.Duration(every(st.SnapshotEvery, 4)) * tick
-		spec.Runtime.DetectInterval = time.Duration(every(st.DetectEvery, 4)) * tick
-		if st.Backpressure != nil {
-			spec.Runtime.Backpressure = *st.Backpressure
-		}
-		if st.CreditWindow != nil {
-			spec.Runtime.CreditWindow = *st.CreditWindow
-		}
-		if st.Mailbox != nil {
-			spec.Runtime.Mailbox = *st.Mailbox
-		}
-		if st.SeedObjects != nil {
-			spec.SeedObjects = *st.SeedObjects
-		}
-		if st.StateFile != nil {
-			spec.StateFile = *st.StateFile
-		} else if c.StateDir != "" {
-			spec.StateFile = filepath.Join(c.StateDir, cn.ID+".state")
-		}
-		if st.FaultSeed != nil {
-			spec.FaultSeed = *st.FaultSeed
-		}
-		specs = append(specs, spec)
-	}
-	return specs, nil
 }
 
-// ParseClusterSpec decodes a cluster spec from YAML-subset or JSON text
-// (JSON when the first non-space byte is '{'). The YAML subset covers
-// exactly what cluster files need — two top-level sections:
+func parseU64(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) }
+func parseI64(v string) (int64, error)  { return strconv.ParseInt(v, 10, 64) }
+func parseStr(v string) (string, error) { return v, nil }
+
+func parseCodec(v string) (snapshot.Codec, error) {
+	switch v {
+	case "", "binary":
+		return snapshot.BinaryCodec{}, nil
+	case "reflect":
+		return snapshot.ReflectCodec{}, nil
+	}
+	return nil, fmt.Errorf("unknown codec %q", v)
+}
+
+// settings is the whole per-node vocabulary of a cluster spec: every key that
+// may appear in the cluster section (as a default) or under a node (as an
+// override), with how its value is parsed and where it lands. An explicit
+// zero is a value like any other (detect_every: 0 disables the detection
+// daemon so only forced detections run). A key not listed here is an error.
+var settings = map[string]func(*nodeDraft, string) error{
+	"tick":             set(time.ParseDuration, func(d *nodeDraft) *time.Duration { return &d.Runtime.Tick }),
+	"lgc_every":        set(parseU64, func(d *nodeDraft) *uint64 { return &d.lgcEvery }),
+	"snapshot_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.snapshotEvery }),
+	"detect_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.detectEvery }),
+	"candidate_age":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
+	"call_timeout":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
+	"batch_detect":     set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.batch }),
+	"aggregate_detect": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.AggregateDetection }),
+	"broadcast_delete": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.Detector.BroadcastDelete }),
+	"membership":       set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.membership }),
+	"gossip_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.GossipEvery }),
+	"suspect_after":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.SuspectAfter }),
+	"dead_after":       set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.DeadAfter }),
+	"lease_ticks":      set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.LeaseTicks }),
+	"mailbox":          set(strconv.Atoi, func(d *nodeDraft) *int { return &d.Runtime.Mailbox }),
+	"seed_objects":     set(strconv.Atoi, func(d *nodeDraft) *int { return &d.SeedObjects }),
+	"codec":            set(parseCodec, func(d *nodeDraft) *snapshot.Codec { return &d.Config.Codec }),
+	"snapshot_dir":     set(parseStr, func(d *nodeDraft) *string { return &d.Config.SnapshotDir }),
+	"state_file":       set(parseStr, func(d *nodeDraft) *string { return &d.StateFile }),
+	"fault_seed":       set(parseI64, func(d *nodeDraft) *int64 { return &d.FaultSeed }),
+}
+
+// setting is one `key: value` line of a spec.
+type setting struct {
+	key, val string
+	line     int
+}
+
+// apply runs lines through the settings table, in file order (a repeated key:
+// the last one wins).
+func (d *nodeDraft) apply(lines []setting) error {
+	for _, s := range lines {
+		put, ok := settings[s.key]
+		if !ok {
+			return fmt.Errorf("line %d: unknown setting %q", s.line, s.key)
+		}
+		if err := put(d, s.val); err != nil {
+			return fmt.Errorf("line %d: %s: %v", s.line, s.key, err)
+		}
+	}
+	return nil
+}
+
+// finish combines the applied settings into the runnable NodeSpec. Peer maps
+// are left to Resolve and, for live clusters, to Supervisor.AddPeer once the
+// ephemeral ports are known.
+func (d nodeDraft) finish() (NodeSpec, error) {
+	tick := d.Runtime.Tick
+	if tick <= 0 {
+		return NodeSpec{}, fmt.Errorf("node %s: tick must be positive", d.ID)
+	}
+	d.Runtime.LGCInterval = time.Duration(d.lgcEvery) * tick
+	d.Runtime.SnapshotInterval = time.Duration(d.snapshotEvery) * tick
+	d.Runtime.DetectInterval = time.Duration(d.detectEvery) * tick
+	d.Config.BatchDetection = node.Bool(d.batch || d.Config.AggregateDetection)
+	if d.membership {
+		d.Config.Membership = &d.memb
+	}
+	if d.Config.SnapshotDir != "" && d.Config.Codec == nil {
+		d.Config.Codec = snapshot.BinaryCodec{}
+	}
+	return d.NodeSpec, nil
+}
+
+// ParseClusterSpec decodes a cluster spec from YAML-subset text. The subset
+// covers exactly what cluster files need — two top-level sections:
 //
 //	# comments and blank lines are ignored
 //	cluster:
@@ -269,145 +171,96 @@ func (c *ClusterSpec) Resolve() ([]NodeSpec, error) {
 //	    detect_every: 0        # per-node override
 //
 // No nesting beyond these two levels, no flow syntax, no anchors. Scalars
-// only; quotes around values are stripped.
+// only; quotes around values are stripped. The cluster section takes name,
+// demo_ring, state_dir and any key of the settings table; a node takes id,
+// listen, admin and any key of the settings table.
 func ParseClusterSpec(text []byte) (*ClusterSpec, error) {
-	trimmed := strings.TrimSpace(string(text))
-	if strings.HasPrefix(trimmed, "{") {
-		return parseJSONSpec([]byte(trimmed))
-	}
-	cluster := map[string]string{}
-	var nodes []map[string]string
+	var cluster []setting
+	var nodes [][]setting
 	section := ""
 	var nodeIndent int
-	for ln, raw := range strings.Split(string(text), "\n") {
-		line := raw
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		if strings.TrimSpace(line) == "" {
+	for i, line := range strings.Split(string(text), "\n") {
+		ln := i + 1
+		line, _, _ = strings.Cut(line, "#")
+		body := strings.TrimSpace(line)
+		if body == "" {
 			continue
 		}
 		indent := len(line) - len(strings.TrimLeft(line, " \t"))
-		body := strings.TrimSpace(line)
 		if indent == 0 {
-			switch {
-			case body == "cluster:":
-				section = "cluster"
-			case body == "nodes:":
-				section = "nodes"
-			default:
-				return nil, fmt.Errorf("line %d: expected 'cluster:' or 'nodes:', got %q", ln+1, body)
+			if body != "cluster:" && body != "nodes:" {
+				return nil, fmt.Errorf("line %d: expected 'cluster:' or 'nodes:', got %q", ln, body)
 			}
+			section = body
 			continue
 		}
-		switch section {
-		case "cluster":
-			k, v, err := splitKV(body, ln+1)
-			if err != nil {
-				return nil, err
-			}
-			cluster[k] = v
-		case "nodes":
+		if section == "" {
+			return nil, fmt.Errorf("line %d: content before 'cluster:'/'nodes:' section", ln)
+		}
+		if section == "nodes:" {
 			if strings.HasPrefix(body, "- ") || body == "-" {
-				nodes = append(nodes, map[string]string{})
+				nodes = append(nodes, nil)
 				nodeIndent = indent
-				body = strings.TrimSpace(strings.TrimPrefix(body, "-"))
-				if body == "" {
+				if body = strings.TrimSpace(body[1:]); body == "" {
 					continue
 				}
 			} else if len(nodes) == 0 || indent <= nodeIndent {
-				return nil, fmt.Errorf("line %d: node fields must follow a '- ' item", ln+1)
-			}
-			k, v, err := splitKV(body, ln+1)
-			if err != nil {
-				return nil, err
-			}
-			nodes[len(nodes)-1][k] = v
-		default:
-			return nil, fmt.Errorf("line %d: content before 'cluster:'/'nodes:' section", ln+1)
-		}
-	}
-	return assembleSpec(cluster, nodes)
-}
-
-func splitKV(body string, line int) (string, string, error) {
-	k, v, ok := strings.Cut(body, ":")
-	if !ok {
-		return "", "", fmt.Errorf("line %d: expected key: value, got %q", line, body)
-	}
-	v = strings.TrimSpace(v)
-	v = strings.Trim(v, `"'`)
-	return strings.TrimSpace(k), v, nil
-}
-
-// parseJSONSpec accepts the same shape as the YAML subset, as JSON:
-// {"cluster": {...}, "nodes": [{...}, ...]}. Values may be JSON numbers,
-// bools or strings; all are normalized to strings for the shared converter.
-func parseJSONSpec(text []byte) (*ClusterSpec, error) {
-	var doc struct {
-		Cluster map[string]any   `json:"cluster"`
-		Nodes   []map[string]any `json:"nodes"`
-	}
-	if err := json.Unmarshal(text, &doc); err != nil {
-		return nil, fmt.Errorf("bad JSON cluster spec: %w", err)
-	}
-	norm := func(m map[string]any) map[string]string {
-		out := make(map[string]string, len(m))
-		for k, v := range m {
-			switch t := v.(type) {
-			case string:
-				out[k] = t
-			case bool:
-				out[k] = strconv.FormatBool(t)
-			case float64:
-				out[k] = strconv.FormatFloat(t, 'f', -1, 64)
-			default:
-				out[k] = fmt.Sprint(v)
+				return nil, fmt.Errorf("line %d: node fields must follow a '- ' item", ln)
 			}
 		}
-		return out
+		k, v, ok := strings.Cut(body, ":")
+		if !ok {
+			return nil, fmt.Errorf("line %d: expected key: value, got %q", ln, body)
+		}
+		s := setting{strings.TrimSpace(k), strings.Trim(strings.TrimSpace(v), `"'`), ln}
+		if section == "cluster:" {
+			cluster = append(cluster, s)
+		} else {
+			nodes[len(nodes)-1] = append(nodes[len(nodes)-1], s)
+		}
 	}
-	nodes := make([]map[string]string, 0, len(doc.Nodes))
-	for _, n := range doc.Nodes {
-		nodes = append(nodes, norm(n))
-	}
-	return assembleSpec(norm(doc.Cluster), nodes)
-}
 
-func assembleSpec(cluster map[string]string, nodes []map[string]string) (*ClusterSpec, error) {
 	spec := &ClusterSpec{}
-	if v, ok := cluster["name"]; ok {
-		spec.Name = v
-		delete(cluster, "name")
+	base := defaultDraft()
+	shared := cluster[:0]
+	for _, s := range cluster {
+		switch s.key {
+		case "name":
+			spec.Name = s.val
+		case "demo_ring":
+			spec.DemoRing = s.val
+		case "state_dir":
+			spec.StateDir = s.val
+		default:
+			shared = append(shared, s)
+		}
 	}
-	if v, ok := cluster["demo_ring"]; ok {
-		spec.DemoRing = v
-		delete(cluster, "demo_ring")
-	}
-	if v, ok := cluster["state_dir"]; ok {
-		spec.StateDir = v
-		delete(cluster, "state_dir")
-	}
-	var err error
-	spec.Defaults, err = settingsFrom(cluster, "cluster")
-	if err != nil {
+	if err := base.apply(shared); err != nil {
 		return nil, err
 	}
-	for _, nm := range nodes {
+	for _, lines := range nodes {
 		cn := ClusterNode{}
-		if v, ok := nm["id"]; ok {
-			cn.ID = v
-			delete(nm, "id")
+		d := base
+		own := lines[:0]
+		for _, s := range lines {
+			switch s.key {
+			case "id":
+				d.ID = ids.NodeID(s.val)
+			case "listen":
+				d.Listen = s.val
+			case "admin":
+				cn.Admin = s.val
+			default:
+				own = append(own, s)
+			}
 		}
-		if v, ok := nm["listen"]; ok {
-			cn.Listen = v
-			delete(nm, "listen")
+		if d.StateFile == "" && spec.StateDir != "" {
+			d.StateFile = filepath.Join(spec.StateDir, string(d.ID)+".state")
 		}
-		if v, ok := nm["admin"]; ok {
-			cn.Admin = v
-			delete(nm, "admin")
+		err := d.apply(own)
+		if err == nil {
+			cn.NodeSpec, err = d.finish()
 		}
-		cn.NodeSettings, err = settingsFrom(nm, "node "+cn.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -416,99 +269,31 @@ func assembleSpec(cluster map[string]string, nodes []map[string]string) (*Cluste
 	return spec, nil
 }
 
-// settingsFrom converts a flat key/value map into NodeSettings. Unknown keys
-// are errors.
-func settingsFrom(m map[string]string, where string) (NodeSettings, error) {
-	var s NodeSettings
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Resolve checks the spec as a whole — at least one node, unique non-empty
+// ids, a known demo ring — and returns one runnable NodeSpec per entry, each
+// with an empty peer map of its own.
+func (c *ClusterSpec) Resolve() ([]NodeSpec, error) {
+	if len(c.Nodes) == 0 {
+		return nil, fmt.Errorf("cluster spec has no nodes")
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := m[k]
-		var err error
-		switch k {
-		case "tick":
-			var d time.Duration
-			if d, err = time.ParseDuration(v); err == nil {
-				s.Tick = &d
-			}
-		case "lgc_every":
-			s.LGCEvery, err = parseU64(v)
-		case "snapshot_every":
-			s.SnapshotEvery, err = parseU64(v)
-		case "detect_every":
-			s.DetectEvery, err = parseU64(v)
-		case "candidate_age":
-			s.CandidateAge, err = parseU64(v)
-		case "call_timeout":
-			s.CallTimeout, err = parseU64(v)
-		case "batch_detect":
-			s.BatchDetect, err = parseBool(v)
-		case "aggregate_detect":
-			s.AggregateDetect, err = parseBool(v)
-		case "membership":
-			s.Membership, err = parseBool(v)
-		case "gossip_every":
-			s.GossipEvery, err = parseU64(v)
-		case "suspect_after":
-			s.SuspectAfter, err = parseU64(v)
-		case "dead_after":
-			s.DeadAfter, err = parseU64(v)
-		case "lease_ticks":
-			s.LeaseTicks, err = parseU64(v)
-		case "broadcast_delete":
-			s.BroadcastDelete, err = parseBool(v)
-		case "backpressure":
-			s.Backpressure, err = parseBool(v)
-		case "credit_window":
-			s.CreditWindow, err = parseInt(v)
-		case "mailbox":
-			s.Mailbox, err = parseInt(v)
-		case "seed_objects":
-			s.SeedObjects, err = parseInt(v)
-		case "codec":
-			s.Codec = &v
-		case "snapshot_dir":
-			s.SnapshotDir = &v
-		case "state_file":
-			s.StateFile = &v
-		case "fault_seed":
-			var n int64
-			if n, err = strconv.ParseInt(v, 10, 64); err == nil {
-				s.FaultSeed = &n
-			}
-		default:
-			return s, fmt.Errorf("%s: unknown setting %q", where, k)
+	switch c.DemoRing {
+	case "", "none", "rooted", "garbage":
+	default:
+		return nil, fmt.Errorf("demo_ring %q: want none, rooted or garbage", c.DemoRing)
+	}
+	seen := make(map[ids.NodeID]bool, len(c.Nodes))
+	specs := make([]NodeSpec, 0, len(c.Nodes))
+	for _, cn := range c.Nodes {
+		if cn.ID == "" {
+			return nil, fmt.Errorf("cluster node without id")
 		}
-		if err != nil {
-			return s, fmt.Errorf("%s: %s: %v", where, k, err)
+		if seen[cn.ID] {
+			return nil, fmt.Errorf("duplicate node id %q", cn.ID)
 		}
+		seen[cn.ID] = true
+		ns := cn.NodeSpec
+		ns.Peers = map[ids.NodeID]string{}
+		specs = append(specs, ns)
 	}
-	return s, nil
-}
-
-func parseU64(v string) (*uint64, error) {
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return nil, err
-	}
-	return &n, nil
-}
-
-func parseInt(v string) (*int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return nil, err
-	}
-	return &n, nil
-}
-
-func parseBool(v string) (*bool, error) {
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return nil, err
-	}
-	return &b, nil
+	return specs, nil
 }

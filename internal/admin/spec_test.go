@@ -1,8 +1,15 @@
 package admin
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"dgc/internal/ids"
+	"dgc/internal/membership"
+	"dgc/internal/node"
 )
 
 const sampleYAML = `
@@ -13,7 +20,7 @@ cluster:
   detect_every: 4
   state_dir: /tmp/dgc-states
   demo_ring: garbage
-  backpressure: true
+  mailbox: 64
 nodes:
   - id: A
     listen: 127.0.0.1:7001
@@ -53,8 +60,8 @@ func TestParseClusterSpecYAML(t *testing.T) {
 	if b.Runtime.DetectInterval != 0 {
 		t.Errorf("B detect interval = %v, want 0 (override)", b.Runtime.DetectInterval)
 	}
-	if !a.Runtime.Backpressure || !b.Runtime.Backpressure {
-		t.Error("backpressure default did not propagate")
+	if a.Runtime.Mailbox != 64 || b.Runtime.Mailbox != 64 {
+		t.Errorf("mailbox default did not propagate: A %d, B %d", a.Runtime.Mailbox, b.Runtime.Mailbox)
 	}
 	// Batched detection defaults ON for declarative clusters; the per-node
 	// escape hatch turns it off.
@@ -76,27 +83,56 @@ func TestParseClusterSpecYAML(t *testing.T) {
 	}
 }
 
-func TestParseClusterSpecJSON(t *testing.T) {
-	jsonSpec := `{
-	  "cluster": {"tick": "25ms", "batch_detect": false, "seed_objects": 2},
-	  "nodes": [{"id": "X"}, {"id": "Y", "seed_objects": 0}]
-	}`
-	spec, err := ParseClusterSpec([]byte(jsonSpec))
-	if err != nil {
-		t.Fatal(err)
+// TestExampleSpecsResolve pins what the committed example files mean: the
+// NodeSpecs below are what they resolved to before the settings table
+// replaced the four-pass pipeline, written out by hand.
+func TestExampleSpecsResolve(t *testing.T) {
+	want := func(id string, detectEvery time.Duration, memb membership.Config) NodeSpec {
+		ns := NodeSpec{ID: ids.NodeID(id), Peers: map[ids.NodeID]string{}}
+		ns.Config.CandidateMinAge = 2
+		ns.Config.CallTimeoutTicks = 40
+		ns.Config.BatchDetection = node.Bool(true)
+		ns.Config.Membership = &memb
+		ns.Runtime = node.RuntimeConfig{
+			Tick:             50 * time.Millisecond,
+			LGCInterval:      100 * time.Millisecond,
+			SnapshotInterval: 200 * time.Millisecond,
+			DetectInterval:   detectEvery * 50 * time.Millisecond,
+		}
+		return ns
 	}
-	specs, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if specs[0].Runtime.Tick != 25*time.Millisecond {
-		t.Errorf("X tick = %v", specs[0].Runtime.Tick)
-	}
-	if specs[0].Config.BatchDetection == nil || *specs[0].Config.BatchDetection {
-		t.Error("X batch detection should be off (cluster default false)")
-	}
-	if specs[0].SeedObjects != 2 || specs[1].SeedObjects != 0 {
-		t.Errorf("seed objects = %d/%d, want 2/0", specs[0].SeedObjects, specs[1].SeedObjects)
+	for file, mk := range map[string]func(id string) NodeSpec{
+		"cluster.yaml": func(id string) NodeSpec { return want(id, 4, membership.Config{}) },
+		"cluster-members.yaml": func(id string) NodeSpec {
+			return want(id, 100000, membership.Config{SuspectAfter: 8, DeadAfter: 8, LeaseTicks: 60})
+		},
+	} {
+		text, err := os.ReadFile(filepath.Join("..", "..", "examples", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseClusterSpec(text)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if spec.DemoRing != "garbage" || spec.Name != "" || spec.StateDir != "" {
+			t.Errorf("%s: cluster header = %q %q %q", file, spec.Name, spec.DemoRing, spec.StateDir)
+		}
+		got, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if len(got) != 3 {
+			t.Fatalf("%s: %d nodes, want 3", file, len(got))
+		}
+		for i, id := range []string{"A", "B", "C"} {
+			if !reflect.DeepEqual(got[i], mk(id)) {
+				t.Errorf("%s node %s:\n got %+v\nwant %+v", file, id, got[i], mk(id))
+			}
+			if spec.Nodes[i].Admin != "" {
+				t.Errorf("%s node %s: admin %q", file, id, spec.Nodes[i].Admin)
+			}
+		}
 	}
 }
 
@@ -104,6 +140,8 @@ func TestParseClusterSpecErrors(t *testing.T) {
 	cases := map[string]string{
 		"unknown key":    "cluster:\n  wibble: 3\nnodes:\n  - id: A\n",
 		"workers key":    "nodes:\n  - id: A\n    workers: 4\n",
+		"backpressure":   "cluster:\n  backpressure: true\nnodes:\n  - id: A\n",
+		"credit window":  "nodes:\n  - id: A\n    credit_window: 4\n",
 		"bad duration":   "cluster:\n  tick: fast\nnodes:\n  - id: A\n",
 		"stray content":  "tick: 50ms\n",
 		"field before -": "nodes:\n  id: A\n",

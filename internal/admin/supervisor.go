@@ -299,12 +299,19 @@ func (s *Supervisor) Restart() error {
 
 // RestoreState replaces the node's collector state in place: the current
 // runtime closes, a new one starts from data on the same endpoint. The
-// transport stays up throughout.
+// transport stays up throughout. Undecodable data is refused with the
+// current runtime still serving.
 func (s *Supervisor) RestoreState(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
 		return ErrNodeDown
+	}
+	// Decode before closing anything: once the runtime is closed there is no
+	// way back to it, and a node with no runtime on a bound endpoint can be
+	// neither killed nor restarted.
+	if _, err := node.RestoreMachine(s.spec.Config, data); err != nil {
+		return fmt.Errorf("admin: restore %s: %w", s.spec.ID, err)
 	}
 	if s.rt != nil {
 		rt := s.rt

@@ -135,6 +135,46 @@ func TestSupervisorRestoreState(t *testing.T) {
 	}
 }
 
+// TestRestoreStateRejectsCorruptAndKeepsServing: one bad restore (truncated
+// upload, wrong file) must not cost a healthy node — it keeps its runtime,
+// its heap and its endpoint, and the kill/restart lifecycle still works.
+func TestRestoreStateRejectsCorruptAndKeepsServing(t *testing.T) {
+	sup, err := StartNode(NodeSpec{ID: "P1", SeedObjects: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	good, err := sup.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"not a state file": []byte("definitely not collector state"),
+		"truncated":        good[:len(good)/2],
+		"empty":            nil,
+	} {
+		if err := sup.RestoreState(data); err == nil {
+			t.Fatalf("%s: RestoreState accepted corrupt data", name)
+		}
+		if sup.State() != "running" {
+			t.Fatalf("%s: state = %q after a refused restore, want running", name, sup.State())
+		}
+		if got := sup.DebugSnapshot().Objects; got != 3 {
+			t.Fatalf("%s: objects = %d after a refused restore, want 3", name, got)
+		}
+	}
+	addr := sup.Addr()
+	if err := sup.Kill(0); err != nil {
+		t.Fatalf("kill after refused restores: %v", err)
+	}
+	if err := sup.Restart(); err != nil {
+		t.Fatalf("restart after refused restores: %v", err)
+	}
+	if sup.Addr() != addr || sup.DebugSnapshot().Objects != 3 {
+		t.Errorf("after restart: addr %s (want %s), %d objects (want 3)", sup.Addr(), addr, sup.DebugSnapshot().Objects)
+	}
+}
+
 func mustRef(t *testing.T, s string) ids.RefID {
 	t.Helper()
 	r, err := ParseRefID(s)

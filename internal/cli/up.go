@@ -23,7 +23,7 @@ func cmdUp(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// own flag set without the shared -e/-endpoints-file resolution pair.
 	fs := flag.NewFlagSet("dgcctl up", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	specFile := fs.String("f", "", "cluster spec file, YAML subset or JSON (required)")
+	specFile := fs.String("f", "", "cluster spec file, YAML subset (required)")
 	endpointsOut := fs.String("endpoints-file", "dgcctl.endpoints", "write 'name addr' admin endpoints here for other dgcctl commands")
 	adminToken := fs.String("admin-token", os.Getenv("DGC_ADMIN_TOKEN"), "require this bearer token on every admin API (default $DGC_ADMIN_TOKEN; empty = open)")
 	if err := fs.Parse(args); err != nil {

@@ -3,7 +3,6 @@ package node
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dgc/internal/heap"
@@ -39,19 +38,6 @@ type RuntimeConfig struct {
 	// read loop instead could deadlock a cycle of full nodes); local API
 	// calls always block until queued. Default 1024.
 	Mailbox int
-
-	// Backpressure enables credit-based flow control on the outbound path:
-	// at most CreditWindow messages may be in flight per destination edge
-	// beyond what the peer has acknowledged consuming. Excess messages park
-	// on the sender (counted by dgc_credit_stalls_total / dgc_credit_pending)
-	// until a grant opens the window, so a slow peer throttles its producers
-	// instead of having its mailbox shed load. Enable it cluster-wide: a
-	// backpressured sender needs its peers to announce grants back.
-	Backpressure bool
-
-	// CreditWindow is the per-edge in-flight message budget when
-	// Backpressure is on. Default 256.
-	CreditWindow int
 }
 
 func (c RuntimeConfig) withDefaults() RuntimeConfig {
@@ -60,9 +46,6 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 	}
 	if c.Mailbox <= 0 {
 		c.Mailbox = 1024
-	}
-	if c.CreditWindow <= 0 {
-		c.CreditWindow = 256
 	}
 	return c
 }
@@ -121,40 +104,10 @@ type Node struct {
 	closeMu   sync.RWMutex
 	closed    bool
 	closeOnce sync.Once
-
-	// consumedByPeer counts inbound messages per source edge when
-	// backpressure is on — accepted AND dropped both, since a message shed
-	// on overflow still left the peer's window (never refunding it would
-	// leak window capacity until the edge wedged shut). Keys are ids.NodeID,
-	// values *atomic.Uint64; written from the transport's delivery
-	// goroutine, read by the loop's grant announcements.
-	consumedByPeer sync.Map
-
-	// credits is the sender-side window state per destination edge; owned
-	// by the loop goroutine (backpressure is a started-only setting).
-	credits map[ids.NodeID]*creditEdge
 }
 
 // LiveRuntime is the name a started Node goes by in the public API.
 type LiveRuntime = Node
-
-// creditEdge tracks one destination's flow-control window on the sender
-// side: cumulative messages admitted to the transport, the peer's latest
-// cumulative consumed grant, and messages parked while the window is shut.
-type creditEdge struct {
-	sent    uint64
-	acked   uint64
-	pending []wire.Message
-}
-
-// inflight is the window occupancy, saturating at 0 while an over-claiming
-// grant (acked transiently above sent inside applyCredit) is being drained.
-func (e *creditEdge) inflight() uint64 {
-	if e.acked >= e.sent {
-		return 0
-	}
-	return e.sent - e.acked
-}
 
 // New assembles a stepped node over the given endpoint and installs its
 // message handler. The endpoint must not deliver messages before New returns.
@@ -229,28 +182,8 @@ func (n *Node) handleMessage(from ids.NodeID, msg wire.Message) []transport.Enve
 		// The journal is a lock-protected sink and cfg is immutable, so
 		// emitting from the transport's delivery goroutine is safe.
 		n.mach.emit(trace.KindMailboxDrop, "from=%s kind=%s", from, msg.Kind())
-		// A shed message still spends the peer's window: count it consumed
-		// right here (it will never reach the loop), or the edge's window
-		// capacity would leak away drop by drop until it wedged shut.
-		n.creditConsumed(from, msg)
 	}
 	return nil
-}
-
-// creditConsumed advances the inbound consumed counter for the edge a
-// message arrived on. Called by the loop as it processes each inbound
-// message — credits replenish on consumption, so the sender's window covers
-// both the transport AND this node's mailbox backlog — and by handleMessage
-// for messages shed on overflow. Credit traffic itself is exempt.
-func (n *Node) creditConsumed(from ids.NodeID, msg wire.Message) {
-	if !n.rcfg.Backpressure || msg.Kind() == wire.KindCredit {
-		return
-	}
-	v, ok := n.consumedByPeer.Load(from)
-	if !ok {
-		v, _ = n.consumedByPeer.LoadOrStore(from, new(atomic.Uint64))
-	}
-	v.(*atomic.Uint64).Add(1)
 }
 
 // enter is the one way in: it runs fn as a single machine input and returns
@@ -341,7 +274,6 @@ func (n *Node) loop() {
 		case <-tick.C:
 			n.mach.AdvanceClock()
 			n.flush()
-			n.announceCredits()
 		case <-lgcC:
 			n.mach.RunLGC()
 			n.flush()
@@ -378,18 +310,12 @@ func (n *Node) newDaemonTicker(d time.Duration) <-chan time.Time {
 }
 
 // consume feeds one event to the machine and transmits its effects before
-// signalling completion. Credit grants are a driver-level concern and are
-// intercepted before the machine sees them.
+// signalling completion.
 func (n *Node) consume(ev rtEvent) {
 	n.mach.met.MailboxDepth.Set(int64(len(n.mailbox)))
 	switch {
 	case ev.msg != nil:
-		if c, ok := ev.msg.(*wire.Credit); ok {
-			n.applyCredit(ev.from, c)
-			break
-		}
 		n.mach.HandleMessage(ev.from, ev.msg)
-		n.creditConsumed(ev.from, ev.msg)
 	case ev.fn != nil:
 		ev.fn(n.mach)
 	}
@@ -423,9 +349,8 @@ func (n *Node) effects() []transport.Envelope {
 // send is the one way out: it transmits effects in the order given, staging
 // a multi-message burst so the TCP endpoint ships it as one batch frame per
 // peer. Send errors are deliberately ignored: every protocol layer above
-// tolerates message loss. Under backpressure, messages to an exhausted edge
-// park in per-edge FIFO queues instead of entering the transport;
-// applyCredit drains them when the peer grants window back.
+// tolerates message loss, and nothing is parked for a slow peer — overload is
+// shed at the receiver's mailbox (handleMessage).
 func (n *Node) send(outs []transport.Envelope) {
 	if len(outs) == 0 || n.ep == nil {
 		return
@@ -434,91 +359,9 @@ func (n *Node) send(outs []transport.Envelope) {
 		st.BeginStage()
 		defer st.FlushStage()
 	}
-	if !n.rcfg.Backpressure {
-		for _, o := range outs {
-			_ = n.ep.Send(o.To, o.Msg)
-		}
-		return
-	}
 	for _, o := range outs {
-		e := n.creditEdgeFor(o.To)
-		// FIFO per edge: once anything is parked, everything after it parks
-		// too, or the peer would see reordered protocol traffic.
-		if len(e.pending) > 0 || e.inflight() >= uint64(n.rcfg.CreditWindow) {
-			e.pending = append(e.pending, o.Msg)
-			n.mach.met.CreditStalls.Inc()
-			n.mach.emit(trace.KindCreditStall, "to=%s kind=%s pending=%d",
-				o.To, o.Msg.Kind(), len(e.pending))
-			continue
-		}
-		e.sent++
 		_ = n.ep.Send(o.To, o.Msg)
 	}
-	n.updateCreditPending()
-}
-
-// creditEdgeFor returns (allocating on first use) the window state for one
-// destination. Loop goroutine only.
-func (n *Node) creditEdgeFor(to ids.NodeID) *creditEdge {
-	e := n.credits[to]
-	if e == nil {
-		if n.credits == nil {
-			n.credits = make(map[ids.NodeID]*creditEdge)
-		}
-		e = &creditEdge{}
-		n.credits[to] = e
-	}
-	return e
-}
-
-// applyCredit merges an inbound grant into the edge's window and drains as
-// many parked messages as the new window admits. Grants carry cumulative
-// consumed counts and merge by maximum, so duplicated, reordered or lost
-// Credit messages never corrupt the window — the next grant restates it.
-func (n *Node) applyCredit(from ids.NodeID, c *wire.Credit) {
-	e := n.creditEdgeFor(from)
-	if c.Consumed <= e.acked {
-		return
-	}
-	e.acked = c.Consumed
-	k := 0
-	for ; k < len(e.pending) && e.inflight() < uint64(n.rcfg.CreditWindow); k++ {
-		e.sent++
-		_ = n.ep.Send(from, e.pending[k])
-	}
-	if k > 0 {
-		e.pending = append(e.pending[:0], e.pending[k:]...)
-		n.updateCreditPending()
-	}
-	if e.acked > e.sent {
-		// A peer cannot have consumed more than we sent; clamp (after the
-		// drain, so the window it opened is fully used) rather than carry an
-		// over-claim around as permanent extra window. Reachable when a peer
-		// restarts with stale counts or misattributes an edge.
-		e.acked = e.sent
-	}
-}
-
-// announceCredits re-broadcasts every inbound edge's cumulative consumed
-// count. Ticking unconditionally — not only on change — is the loss
-// recovery: a dropped grant merely delays the window one tick.
-func (n *Node) announceCredits() {
-	if !n.rcfg.Backpressure || n.ep == nil {
-		return
-	}
-	n.consumedByPeer.Range(func(k, v any) bool {
-		_ = n.ep.Send(k.(ids.NodeID), &wire.Credit{Consumed: v.(*atomic.Uint64).Load()})
-		n.mach.met.CreditGrants.Inc()
-		return true
-	})
-}
-
-func (n *Node) updateCreditPending() {
-	total := 0
-	for _, e := range n.credits {
-		total += len(e.pending)
-	}
-	n.mach.met.CreditPending.Set(int64(total))
 }
 
 // Close detaches the node from its endpoint and, when started, stops the

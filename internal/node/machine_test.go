@@ -72,6 +72,13 @@ func TestMachineHandleMessageEffects(t *testing.T) {
 	if m.NumScions() != 1 {
 		t.Fatalf("scions = %d", m.NumScions())
 	}
+
+	// A kind the machine has no handler for — wire.Credit, still decodable
+	// though nothing sends it — is ignored: no effect, no state change.
+	m.HandleMessage("A", &wire.Credit{Consumed: 3})
+	if outs := m.TakeEffects(); len(outs) != 0 || m.NumScions() != 1 {
+		t.Fatalf("a Credit produced %d effects and left %d scions", len(outs), m.NumScions())
+	}
 }
 
 // The re-entrancy guard turns what used to be a silent deadlock — a Method

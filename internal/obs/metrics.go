@@ -82,12 +82,6 @@ type NodeMetrics struct {
 	MailboxCapacity *Gauge
 	MailboxDropped  *Counter
 
-	// LiveRuntime credit backpressure (static zero when
-	// RuntimeConfig.Backpressure is off).
-	CreditStalls  *Counter
-	CreditPending *Gauge
-	CreditGrants  *Counter
-
 	// Cluster membership and lease-guarded reclamation (static zero when
 	// Config.Membership is nil).
 	MembersAlive       *Gauge
@@ -148,10 +142,6 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		MailboxDepth:    reg.Gauge("dgc_mailbox_depth", "Runtime mailbox occupancy at last consume."),
 		MailboxCapacity: reg.Gauge("dgc_mailbox_capacity", "Runtime mailbox capacity."),
 		MailboxDropped:  reg.Counter("dgc_mailbox_dropped_total", "Inbound transport deliveries dropped on mailbox overflow."),
-
-		CreditStalls:  reg.Counter("dgc_credit_stalls_total", "Outbound messages parked because a peer's credit window was exhausted."),
-		CreditPending: reg.Gauge("dgc_credit_pending", "Outbound messages currently parked awaiting credit."),
-		CreditGrants:  reg.Counter("dgc_credit_grants_total", "Credit grants announced to peers."),
 
 		MembersAlive:       reg.Gauge("dgc_member_alive", "Directory members currently joining, alive or draining."),
 		MembersSuspect:     reg.Gauge("dgc_member_suspect", "Directory members currently suspected by the failure detector."),

@@ -172,7 +172,6 @@ func TestNodeMetricsRegistersAll(t *testing.T) {
 		"dgc_calls_failed_total", "dgc_heap_objects", "dgc_scions", "dgc_stubs",
 		"dgc_detections_inflight", "dgc_pending_calls", "dgc_mailbox_depth",
 		"dgc_mailbox_capacity", "dgc_mailbox_dropped_total",
-		"dgc_credit_stalls_total", "dgc_credit_pending", "dgc_credit_grants_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+name+" ") {
 			t.Errorf("missing family %s", name)

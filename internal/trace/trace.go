@@ -59,9 +59,6 @@ const (
 	// KindDetectionEnd records a detection reaching a terminal outcome at a
 	// node (cycle-found, aborted, race-dropped), closing its causal trace.
 	KindDetectionEnd
-	// KindCreditStall records an outbound message parking because the
-	// destination edge's credit window is exhausted.
-	KindCreditStall
 	// KindMailboxDrop records an inbound message shed on mailbox overflow.
 	KindMailboxDrop
 	// KindFault records an operator fault-injection action (kill, restart,
@@ -103,7 +100,6 @@ var kindNames = map[Kind]string{
 	KindPartialReturn:  "partial-return",
 	KindRelaunch:       "relaunch",
 	KindDetectionEnd:   "detection-end",
-	KindCreditStall:    "credit-stall",
 	KindMailboxDrop:    "mailbox-drop",
 	KindFault:          "fault",
 	KindMemberJoin:     "member-join",

@@ -29,6 +29,7 @@ func FuzzDecode(f *testing.F) {
 		&HughesThreshold{Threshold: 42},
 		&BacktraceRequest{TraceID: 1, Origin: "P1", From: "P3", Obj: 4, Visited: []ids.RefID{r1}},
 		&BacktraceReply{TraceID: 1, From: "P2", Obj: 4, RootFound: true},
+		&Credit{Consumed: 300},
 		&Batch{Msgs: []Message{
 			&HughesThreshold{Threshold: 42},
 			&CDM{Det: core.DetectionID{Origin: "P2", Seq: 9}, Along: r1, Hops: 2,

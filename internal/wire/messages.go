@@ -487,13 +487,11 @@ func decodeBacktraceReply(r *reader) *BacktraceReply {
 	}
 }
 
-// Credit is a flow-control grant from a message consumer back to a producer:
-// the cumulative count of messages the sender of the Credit has consumed on
-// that edge since the consumer started. The count is cumulative and the
-// receiver keeps only the maximum seen, so lost, duplicated or reordered
-// grants are all harmless — every grant simply re-announces the latest
-// consumed position. Credit messages are exempt from flow control themselves.
-// See node.RuntimeConfig.Backpressure.
+// Credit carries one cumulative counter and nothing reads it: it was the
+// grant of a sender-side flow-control window that has been removed (overload
+// is shed at the receiver's mailbox, DESIGN.md §10). The kind stays decodable
+// — the wire numbering is positional, and benchmark/probes.go uses it as the
+// smallest ping payload — and a node that receives one ignores it.
 type Credit struct {
 	Consumed uint64
 }
