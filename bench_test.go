@@ -440,8 +440,7 @@ func BenchmarkCDMCodec(b *testing.B) {
 func BenchmarkDetectRound(b *testing.B) {
 	// The detection rounds that drain a garbage ring: the CDM fan-out and
 	// accumulator merging dominate, exercising the dense algebra end to
-	// end (dgc-bench -exp detect reports the same path against the recorded
-	// map-algebra baseline).
+	// end.
 	for _, procs := range []int{8, 32} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()

@@ -3,24 +3,27 @@
 //
 // Usage:
 //
-//	dgc-bench [-exp all|table1|serialization|scale|compare|quiescent|loss|ablation|race] [-quick]
+//	dgc-bench [-exp all|table1|serialization|scale|compare|quiescent|loss|ablation|race|lease|disruption|batch]
+//	          [-quick] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Absolute numbers differ from the paper (simulated substrate vs the
 // authors' Pentium 4 Rotor testbed); the SHAPES are the reproduction
 // target: DGC overhead per call within a modest band, naive-vs-binary
 // serialization two orders of magnitude apart, stubs adding sub-linear
 // cost, detection cost linear in cycle length, Hughes paying continuously,
-// back-tracing state growing with cycles.
+// back-tracing state growing with cycles. Per-layer timings (summarize, CDM
+// hop, wire codec) are `go test -bench` benchmarks in bench_test.go, not
+// experiments here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -28,80 +31,101 @@ import (
 	"dgc/internal/workload"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run")
-	quick := flag.Bool("quick", false, "smaller parameters for a fast run")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// exps lists the experiments in the order -exp all runs them.
+var exps = []struct {
+	name string
+	fn   func(w io.Writer, quick bool) error
+}{
+	{"table1", runTable1},
+	{"serialization", runSerialization},
+	{"scale", runScale},
+	{"compare", runCompare},
+	{"quiescent", runQuiescent},
+	{"loss", runLoss},
+	{"ablation", runAblation},
+	{"race", runRace},
+	{"lease", runLease},
+	{"disruption", runDisruption},
+	{"batch", runBatch},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run executes the experiments selected by args, writing their tables to
+// out (diagnostics go to stderr) and returning the exit code: 2 for a usage
+// error, such as an -exp that names no experiment, and 1 for a failed run.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("dgc-bench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run")
+	quick := fs.Bool("quick", false, "smaller parameters for a fast run")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	names := make([]string, len(exps))
+	known := *exp == "all"
+	for i, e := range exps {
+		names[i] = e.name
+		known = known || e.name == *exp
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "dgc-bench: unknown experiment %q (valid: all, %s)\n", *exp, strings.Join(names, ", "))
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			fmt.Fprintln(os.Stderr, "dgc-bench: cpuprofile:", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			fmt.Fprintln(os.Stderr, "dgc-bench: cpuprofile:", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	run := func(name string, fn func(quick bool) error) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		fmt.Printf("==== %s ====\n", name)
+		fmt.Fprintf(out, "==== %s ====\n", e.name)
 		start := time.Now()
-		if err := fn(*quick); err != nil {
-			log.Fatalf("%s: %v", name, err)
+		if err := e.fn(out, *quick); err != nil {
+			fmt.Fprintf(os.Stderr, "dgc-bench: %s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "(%s in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("table1", runTable1)
-	run("serialization", runSerialization)
-	run("scale", runScale)
-	run("compare", runCompare)
-	run("quiescent", runQuiescent)
-	run("loss", runLoss)
-	run("ablation", runAblation)
-	run("race", runRace)
-	run("lease", runLease)
-	run("disruption", runDisruption)
-	run("summarize", runSummarize)
-	run("detect", runDetect)
-	run("wire", runWire)
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			log.Fatalf("memprofile: %v", err)
+			fmt.Fprintln(os.Stderr, "dgc-bench: memprofile:", err)
+			return 1
 		}
-		defer f.Close()
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatalf("memprofile: %v", err)
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dgc-bench: memprofile:", err)
+			return 1
 		}
 	}
+	return 0
 }
 
-// writeJSON lands a result table in a BENCH_*.json file next to the working
-// directory, so runs leave a machine-readable record.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func tw() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func tw(out io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 }
 
 // runTable1 reproduces Table 1: RMI in original Rotor and DGC-extended.
-func runTable1(quick bool) error {
+func runTable1(out io.Writer, quick bool) error {
 	counts := []int{10, 100, 500, 1000}
 	if quick {
 		counts = []int{10, 100}
@@ -110,7 +134,7 @@ func runTable1(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "# RMI calls\tplain\twith DGC\tvariation")
 	fmt.Fprintln(w, "(paper: 10 calls 1933ms/2072ms +7.19%; 100 12417/14731 +18.64%; 500 58754/70931 +20.73%; 1000 118890/140191 +17.92%)\t\t\t")
 	for _, r := range rows {
@@ -121,7 +145,7 @@ func runTable1(quick bool) error {
 }
 
 // runSerialization reproduces the §4 snapshot-serialization measurements.
-func runSerialization(quick bool) error {
+func runSerialization(out io.Writer, quick bool) error {
 	objects, reps := 10000, 3
 	if quick {
 		objects, reps = 2000, 1
@@ -130,7 +154,7 @@ func runSerialization(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "codec\tobjects\tstubs\tduration\tbytes")
 	fmt.Fprintln(w, "(paper: Rotor 10000 objs 26037ms, +10000 stubs 45125ms (+73%); production .NET ~100x faster, 250-350ms)\t\t\t\t")
 	for _, r := range rows {
@@ -144,7 +168,7 @@ func runSerialization(quick bool) error {
 }
 
 // runScale sweeps detection cost against cycle length (Figure 3 generalized).
-func runScale(quick bool) error {
+func runScale(out io.Writer, quick bool) error {
 	sizes := []int{2, 4, 8, 16, 32, 64}
 	if quick {
 		sizes = []int{2, 4, 8}
@@ -153,7 +177,7 @@ func runScale(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "processes\tCDMs sent\tprotocol bytes\trounds to empty\twall")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\n", r.Procs, r.CDMsSent, r.CDMBytes, r.RoundsToEmpty, r.Wall.Round(time.Microsecond))
@@ -162,12 +186,12 @@ func runScale(quick bool) error {
 }
 
 // runCompare races the DCDA against the Hughes and back-tracing baselines.
-func runCompare(quick bool) error {
+func runCompare(out io.Writer, quick bool) error {
 	topos := []*workload.Topology{workload.Figure3(), workload.Figure4(), workload.Ring(8, 2)}
 	if quick {
 		topos = topos[:1]
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "topology\tcollector\tprotocol messages\trounds\tcollected")
 	for _, topo := range topos {
 		rows, err := experiments.CompareCollectors(topo, 60)
@@ -182,7 +206,7 @@ func runCompare(quick bool) error {
 }
 
 // runQuiescent measures the permanent cost on a fully live world.
-func runQuiescent(quick bool) error {
+func runQuiescent(out io.Writer, quick bool) error {
 	rounds := 20
 	if quick {
 		rounds = 8
@@ -191,7 +215,7 @@ func runQuiescent(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "collector\tmessages over rounds\tper round")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%.1f\n", r.Collector, r.Messages, float64(r.Messages)/float64(r.Rounds))
@@ -200,7 +224,7 @@ func runQuiescent(quick bool) error {
 }
 
 // runLoss sweeps GC-message loss rates.
-func runLoss(quick bool) error {
+func runLoss(out io.Writer, quick bool) error {
 	rates := []float64{0, 0.1, 0.3, 0.5}
 	procs, maxRounds := 4, 400
 	if quick {
@@ -211,7 +235,7 @@ func runLoss(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "GC loss rate\trounds to reclaim\tcollected")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%.0f%%\t%d\t%v\n", r.LossRate*100, r.Rounds, r.Collected)
@@ -220,7 +244,7 @@ func runLoss(quick bool) error {
 }
 
 // runAblation compares cycle-found delete modes.
-func runAblation(quick bool) error {
+func runAblation(out io.Writer, quick bool) error {
 	sizes := []int{4, 8, 16}
 	if quick {
 		sizes = []int{4, 8}
@@ -229,7 +253,7 @@ func runAblation(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "processes\tmode\trounds to empty")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%d\t%s\t%d\n", r.Procs, r.Mode, r.RoundsToEmpty)
@@ -240,7 +264,7 @@ func runAblation(quick bool) error {
 // runLease demonstrates why the paper's collector is "a safe DGC (not a
 // lease-based one)": leased reference listing reclaims LIVE objects when a
 // holder goes quiet past its lease.
-func runLease(quick bool) error {
+func runLease(out io.Writer, quick bool) error {
 	silences := []uint64{1, 2, 4, 8, 16}
 	if quick {
 		silences = []uint64{1, 8}
@@ -249,7 +273,7 @@ func runLease(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "silence rounds\tlease=4: live object lost\tref-listing: live object lost\trenewal msgs")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%d\t%v\t%v\t%d\n", r.SilenceRounds, r.LeaseReclaimed, r.PlainReclaimed, r.LeaseRenewalMsg)
@@ -259,7 +283,7 @@ func runLease(quick bool) error {
 
 // runDisruption measures snapshot pauses per codec against invocation
 // latency (§4's "phases critical to applications performance").
-func runDisruption(quick bool) error {
+func runDisruption(out io.Writer, quick bool) error {
 	objects, invokes := 10000, 100
 	if quick {
 		objects, invokes = 3000, 30
@@ -268,7 +292,7 @@ func runDisruption(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "codec\theap objects\tsnapshot pause\tmean invoke latency")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%v\t%v\n", r.Codec, r.HeapObjects,
@@ -277,200 +301,30 @@ func runDisruption(quick bool) error {
 	return w.Flush()
 }
 
-// runSummarize sweeps graph summarization over the heap-size × scion
-// matrix and lands the numbers in BENCH_summarize.json.
-func runSummarize(quick bool) error {
-	objects := []int{1000, 10000, 100000}
-	scions := []int{4, 64, 512}
-	reps := 3
-	if quick {
-		objects = []int{1000, 10000}
-		reps = 1
-	}
-	rows, err := experiments.SummarizeScale(objects, scions, reps)
-	if err != nil {
-		return err
-	}
-	baseline := experiments.SummarizeBaseline()
-	before := make(map[[2]int]time.Duration, len(baseline))
-	for _, b := range baseline {
-		before[[2]int{b.Objects, b.Scions}] = b.Duration
-	}
-	w := tw()
-	fmt.Fprintln(w, "objects\tscions\tper-scion BFS (recorded)\tsingle-pass\tspeedup")
-	var speedup10kx512 float64
-	for _, r := range rows {
-		b := before[[2]int{r.Objects, r.Scions}]
-		sp := "-"
-		if b > 0 && r.Duration > 0 {
-			ratio := float64(b) / float64(r.Duration)
-			sp = fmt.Sprintf("%.1fx", ratio)
-			if r.Objects == 10000 && r.Scions == 512 {
-				speedup10kx512 = ratio
-			}
-		}
-		fmt.Fprintf(w, "%d\t%d\t%v\t%v\t%s\n",
-			r.Objects, r.Scions, b.Round(time.Microsecond), r.Duration.Round(time.Microsecond), sp)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return writeJSON("BENCH_summarize.json", map[string]any{
-		"benchmark":            "graph summarization, BuildSummarizeHeap matrix (best of reps)",
-		"cpu":                  "Intel Xeon @ 2.10GHz",
-		"num_cpu":              runtime.NumCPU(),
-		"gomaxprocs":           runtime.GOMAXPROCS(0),
-		"before_per_scion_bfs": baseline,
-		"after_single_pass":    rows,
-		"speedup_10000x512":    speedup10kx512,
-	})
-}
-
-// runDetect measures the detection-round and CDM-hop hot paths against the
-// recorded map-algebra baseline, landing the numbers in BENCH_detect.json.
-func runDetect(quick bool) error {
-	procs := []int{8, 32}
-	reps, hopIters := 60, 20000
+// runBatch sweeps detection traffic against the candidate count, with and
+// without hierarchical aggregation, on the shared-trunk ring and the web of
+// overlapping cycles.
+func runBatch(out io.Writer, quick bool) error {
 	cands := []int{16, 64, 256}
 	if quick {
-		procs = []int{8}
-		reps, hopIters = 3, 1000
 		cands = []int{16, 64}
 	}
-	rows, err := experiments.DetectRoundScale(procs, reps)
+	rows, err := experiments.DetectBatchSweep(cands, 6, 200)
 	if err != nil {
 		return err
 	}
-	baseline := experiments.DetectBaseline()
-	before := make(map[int]experiments.DetectRow, len(baseline))
-	for _, b := range baseline {
-		before[b.Procs] = b
-	}
-	w := tw()
-	fmt.Fprintln(w, "processes\tmap algebra (recorded)\tdense algebra\tspeedup\tallocs before\tallocs after")
-	var speedup32 float64
-	for _, r := range rows {
-		b := before[r.Procs]
-		sp := "-"
-		if b.Wall > 0 && r.Wall > 0 {
-			ratio := float64(b.Wall) / float64(r.Wall)
-			sp = fmt.Sprintf("%.1fx", ratio)
-			if r.Procs == 32 {
-				speedup32 = ratio
-			}
-		}
-		fmt.Fprintf(w, "%d\t%v\t%v\t%s\t%d\t%d\n",
-			r.Procs, b.Wall.Round(time.Microsecond), r.Wall.Round(time.Microsecond), sp, b.Allocs, r.Allocs)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	hops, err := experiments.CDMHopScale([]int{16, 64, 256}, hopIters)
-	if err != nil {
-		return err
-	}
-	hopBase := experiments.CDMHopBaseline()
-	hb := make(map[int]experiments.HopRow, len(hopBase))
-	for _, b := range hopBase {
-		hb[b.Entries] = b
-	}
-	w = tw()
-	fmt.Fprintln(w, "algebra entries\tper hop before\tper hop after\tspeedup\tallocs/hop before\tallocs/hop after")
-	for _, r := range hops {
-		b := hb[r.Entries]
-		sp := "-"
-		if b.PerHop > 0 && r.PerHop > 0 {
-			sp = fmt.Sprintf("%.1fx", float64(b.PerHop)/float64(r.PerHop))
-		}
-		fmt.Fprintf(w, "%d\t%v\t%v\t%s\t%.1f\t%.1f\n",
-			r.Entries, b.PerHop.Round(time.Nanosecond), r.PerHop.Round(time.Nanosecond), sp, b.AllocsPer, r.AllocsPer)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	sweep, err := experiments.DetectBatchSweep(cands, 6, 200)
-	if err != nil {
-		return err
-	}
-	w = tw()
+	w := tw(out)
 	fmt.Fprintln(w, "workload\tcandidates\tmode\tCDM msgs\tbatch CDMs\tsections\tderived\trounds\tcollected")
-	for _, r := range sweep {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
 			r.Workload, r.Candidates, r.Mode, r.CDMMsgs, r.BatchCDMs, r.Sections, r.Derived, r.Rounds, r.Collected)
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return writeJSON("BENCH_detect.json", map[string]any{
-		"benchmark":            "DCDA detection rounds on a garbage ring (best of reps) + single CDM hop derivation + batched-detection candidate sweep",
-		"cpu":                  "Intel Xeon @ 2.10GHz",
-		"num_cpu":              runtime.NumCPU(),
-		"gomaxprocs":           runtime.GOMAXPROCS(0),
-		"before_map_algebra":   baseline,
-		"after_dense":          rows,
-		"before_hop":           hopBase,
-		"after_hop":            hops,
-		"speedup_32procs":      speedup32,
-		"hop_alloc_reductions": hopAllocReductions(hopBase, hops),
-		"candidates":           sweep,
-	})
-}
-
-func hopAllocReductions(before, after []experiments.HopRow) map[string]float64 {
-	ba := make(map[int]float64, len(before))
-	for _, b := range before {
-		ba[b.Entries] = b.AllocsPer
-	}
-	out := make(map[string]float64, len(after))
-	for _, r := range after {
-		if r.AllocsPer > 0 {
-			out[fmt.Sprintf("%d", r.Entries)] = ba[r.Entries] / r.AllocsPer
-		}
-	}
-	return out
-}
-
-// runWire measures the pooled CDM codec against the recorded per-message
-// allocating baseline, landing the numbers in BENCH_wire.json.
-func runWire(quick bool) error {
-	iters := 50000
-	if quick {
-		iters = 2000
-	}
-	rows, err := experiments.WireCodecScale([]int{16, 64, 256}, iters)
-	if err != nil {
-		return err
-	}
-	baseline := experiments.WireBaseline()
-	before := make(map[int]experiments.WireRow, len(baseline))
-	for _, b := range baseline {
-		before[b.Entries] = b
-	}
-	w := tw()
-	fmt.Fprintln(w, "entries\tencode before\tencode after\tdecode before\tdecode after\tdec allocs before\tdec allocs after")
-	for _, r := range rows {
-		b := before[r.Entries]
-		fmt.Fprintf(w, "%d\t%v\t%v\t%v\t%v\t%.0f\t%.1f\n",
-			r.Entries, b.EncodeNs, r.EncodeNs, b.DecodeNs, r.DecodeNs, b.DecAllocs, r.DecAllocs)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return writeJSON("BENCH_wire.json", map[string]any{
-		"benchmark":       "CDM wire codec, pooled encode buffers + interned decode NodeIDs",
-		"cpu":             "Intel Xeon @ 2.10GHz",
-		"num_cpu":         runtime.NumCPU(),
-		"gomaxprocs":      runtime.GOMAXPROCS(0),
-		"before":          baseline,
-		"after":           rows,
-		"iters_per_point": iters,
-	})
+	return w.Flush()
 }
 
 // runRace quantifies Figure 5: mutator races abort detections, never
 // producing false positives.
-func runRace(quick bool) error {
+func runRace(out io.Writer, quick bool) error {
 	mus := []int{0, 1, 2}
 	rounds := 8
 	if quick {
@@ -481,7 +335,7 @@ func runRace(quick bool) error {
 	if err != nil {
 		return err
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "migrations/round\tdetections\taborted\tcycles found\tfalse positives")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\n", r.MigrationsPerRound, r.Detections, r.Aborted, r.CyclesFound, r.FalsePositives)

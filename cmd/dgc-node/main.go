@@ -8,7 +8,7 @@
 //	dgc-node -id P1 -listen :7001 -peers P2=host2:7002,P3=host3:7003
 //	         [-tick 250ms] [-lgc-every 2] [-snapshot-every 4] [-detect-every 4]
 //	         [-snapshot-dir DIR] [-codec binary|reflect] [-seed-objects N]
-//	         [-state-file FILE] [-metrics-addr :9090] [-batch-detect=false]
+//	         [-state-file FILE] [-metrics-addr :9090]
 //
 // With -metrics-addr the daemon serves the full admin control plane:
 // Prometheus text at /metrics, versioned JSON diagnostics at /debug/dgc, and
@@ -16,13 +16,11 @@
 // snapshot/restore, fault injection) that the dgcctl CLI drives.
 //
 // The -*-every flags are multiples of the tick period (e.g. -tick 250ms
-// -lgc-every 2 runs the local collector every 500ms). Batched detection
-// traffic is on by default; -batch-detect=false restores the unbatched
-// reference behavior. On the first SIGINT/SIGTERM the daemon shuts down
-// gracefully — collector state is flushed to -state-file (from which a
-// restart resumes: heap, stub/scion tables with invocation counters,
-// sequence numbers) and the transport closes cleanly. A second signal forces
-// immediate exit.
+// -lgc-every 2 runs the local collector every 500ms). On the first
+// SIGINT/SIGTERM the daemon shuts down gracefully — collector state is
+// flushed to -state-file (from which a restart resumes: heap, stub/scion
+// tables with invocation counters, sequence numbers) and the transport
+// closes cleanly. A second signal forces immediate exit.
 package main
 
 import (
@@ -56,9 +54,8 @@ func main() {
 		seedObjects   = flag.Int("seed-objects", 0, "allocate N rooted demo objects at startup")
 		statsEvery    = flag.Int("stats-every", 10, "print stats every N ticks (0 = never)")
 		broadcastDel  = flag.Bool("broadcast-delete", false, "broadcast scion deletion on cycle found")
-		batchDetect   = flag.Bool("batch-detect", true, "batch multi-candidate detection traffic into BatchCDMs (-batch-detect=false for the unbatched reference path)")
 		membershipOn  = flag.Bool("membership", true, "gossip membership directory with lease-guarded dead-node reclamation (-membership=false for a static cluster)")
-		aggDetect     = flag.Bool("aggregate-detect", false, "hierarchical aggregation: partial matches return to the detection origin (implies -batch-detect)")
+		aggDetect     = flag.Bool("aggregate-detect", false, "hierarchical aggregation: partial matches return to the detection origin")
 		callTimeoutTk = flag.Uint64("call-timeout", 40, "RPC timeout in ticks")
 		stateFile     = flag.String("state-file", "", "persist collector state here: loaded at startup if present, saved on shutdown")
 		metricsAddr   = flag.String("metrics-addr", "", "serve the admin API (Prometheus /metrics, /debug/dgc, /api/v1) on this address")
@@ -93,7 +90,6 @@ func main() {
 		SnapshotDir:      *snapshotDir,
 	}
 	spec.Config.Detector.BroadcastDelete = *broadcastDel
-	spec.Config.BatchDetection = dgc.Bool(*batchDetect || *aggDetect)
 	spec.Config.AggregateDetection = *aggDetect
 	if *membershipOn {
 		spec.Config.Membership = &dgc.MembershipConfig{}

@@ -14,10 +14,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestGoldenFingerprints pins the simulator's determinism contract
 // (PROPERTIES.md §6): the whole report — fabric-driven round counts, per-node
 // stats and the event journal — is a pure function of the command line, on
-// any GOMAXPROCS. The golden files were recorded under the sequential
-// schedule (GOMAXPROCS=1) before the node drivers were unified; a diff here
-// means the simulated schedule changed, which needs a deliberate re-baseline
-// (rerun with -update and review the diff), never a casual one.
+// any GOMAXPROCS. The golden files were re-recorded once, when per-edge
+// batching became the only detection path (PROPERTIES.md property D lists
+// what stayed identical); a diff here means the simulated schedule changed,
+// which needs a deliberate re-baseline (rerun with -update and review the
+// diff), never a casual one.
 func TestGoldenFingerprints(t *testing.T) {
 	scenarios := []struct {
 		name string

@@ -93,10 +93,6 @@ type (
 // ErrRuntimeClosed is returned by a LiveRuntime's entry points after Close.
 var ErrRuntimeClosed = node.ErrRuntimeClosed
 
-// Bool returns a pointer to v, for Config's tri-state fields
-// (e.g. BatchDetection, where nil means the default, on).
-func Bool(v bool) *bool { return node.Bool(v) }
-
 // Cluster membership types: configure Config.Membership to enable the
 // elastic gossip directory with lease-guarded dead-node reclamation
 // (see internal/membership and DESIGN.md §14).

@@ -9,7 +9,6 @@ import (
 
 	"dgc/internal/ids"
 	"dgc/internal/membership"
-	"dgc/internal/node"
 	"dgc/internal/snapshot"
 )
 
@@ -37,21 +36,21 @@ type ClusterNode struct {
 
 // nodeDraft is what the settings table writes into: the NodeSpec under
 // construction plus the values that only combine once every key has been
-// applied (daemon intervals are multiples of tick; batching and membership
-// are switches over several fields).
+// applied (daemon intervals are multiples of tick; membership is a switch
+// over several fields).
 type nodeDraft struct {
 	NodeSpec
 	lgcEvery, snapshotEvery, detectEvery uint64
-	batch, membership                    bool
+	membership                           bool
 	memb                                 membership.Config
 }
 
-// defaultDraft holds the built-in dgc-node defaults. Batched detection and
-// the membership directory default ON for declarative clusters —
-// `batch_detect: false` and `membership: false` are the escape hatches; the
-// membership horizons left at zero take the membership package defaults.
+// defaultDraft holds the built-in dgc-node defaults. The membership
+// directory defaults ON for declarative clusters — `membership: false` is
+// the escape hatch; the membership horizons left at zero take the membership
+// package defaults.
 func defaultDraft() nodeDraft {
-	d := nodeDraft{lgcEvery: 2, snapshotEvery: 4, detectEvery: 4, batch: true, membership: true}
+	d := nodeDraft{lgcEvery: 2, snapshotEvery: 4, detectEvery: 4, membership: true}
 	d.Runtime.Tick = 250 * time.Millisecond
 	d.Config.CandidateMinAge = 4
 	d.Config.CallTimeoutTicks = 40
@@ -95,7 +94,6 @@ var settings = map[string]func(*nodeDraft, string) error{
 	"detect_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.detectEvery }),
 	"candidate_age":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
 	"call_timeout":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
-	"batch_detect":     set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.batch }),
 	"aggregate_detect": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.AggregateDetection }),
 	"broadcast_delete": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.Detector.BroadcastDelete }),
 	"membership":       set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.membership }),
@@ -143,7 +141,6 @@ func (d nodeDraft) finish() (NodeSpec, error) {
 	d.Runtime.LGCInterval = time.Duration(d.lgcEvery) * tick
 	d.Runtime.SnapshotInterval = time.Duration(d.snapshotEvery) * tick
 	d.Runtime.DetectInterval = time.Duration(d.detectEvery) * tick
-	d.Config.BatchDetection = node.Bool(d.batch || d.Config.AggregateDetection)
 	if d.membership {
 		d.Config.Membership = &d.memb
 	}
@@ -160,7 +157,6 @@ func (d nodeDraft) finish() (NodeSpec, error) {
 //	cluster:
 //	  tick: 50ms
 //	  detect_every: 4
-//	  batch_detect: true
 //	  demo_ring: garbage
 //	  state_dir: /tmp/dgc
 //	nodes:

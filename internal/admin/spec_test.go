@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,7 +28,6 @@ nodes:
     admin: 127.0.0.1:9001
   - id: B
     detect_every: 0        # only forced detections
-    batch_detect: false
   - id: C
 `
 
@@ -63,14 +63,6 @@ func TestParseClusterSpecYAML(t *testing.T) {
 	if a.Runtime.Mailbox != 64 || b.Runtime.Mailbox != 64 {
 		t.Errorf("mailbox default did not propagate: A %d, B %d", a.Runtime.Mailbox, b.Runtime.Mailbox)
 	}
-	// Batched detection defaults ON for declarative clusters; the per-node
-	// escape hatch turns it off.
-	if a.Config.BatchDetection == nil || !*a.Config.BatchDetection {
-		t.Error("A batch detection should default on")
-	}
-	if b.Config.BatchDetection == nil || *b.Config.BatchDetection {
-		t.Error("B batch detection should honor the escape hatch")
-	}
 	if a.StateFile != "/tmp/dgc-states/A.state" {
 		t.Errorf("A state file = %q", a.StateFile)
 	}
@@ -91,7 +83,6 @@ func TestExampleSpecsResolve(t *testing.T) {
 		ns := NodeSpec{ID: ids.NodeID(id), Peers: map[ids.NodeID]string{}}
 		ns.Config.CandidateMinAge = 2
 		ns.Config.CallTimeoutTicks = 40
-		ns.Config.BatchDetection = node.Bool(true)
 		ns.Config.Membership = &memb
 		ns.Runtime = node.RuntimeConfig{
 			Tick:             50 * time.Millisecond,
@@ -150,6 +141,11 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		if _, err := ParseClusterSpec([]byte(text)); err == nil {
 			t.Errorf("%s: accepted %q", name, text)
 		}
+	}
+	// A removed key is an unknown key like any other, named with its line.
+	_, err := ParseClusterSpec([]byte("nodes:\n  - id: A\n    batch_detect: false\n"))
+	if err == nil || !strings.Contains(err.Error(), `line 3: unknown setting "batch_detect"`) {
+		t.Errorf("batch_detect: error %v, want line 3: unknown setting", err)
 	}
 	// Structural errors surface at Resolve.
 	for name, text := range map[string]string{

@@ -43,17 +43,10 @@ func New(seed int64, cfg node.Config, names ...ids.NodeID) *Cluster {
 	return c
 }
 
-// Add creates one more node with its own configuration. The simulator pins
-// batched detection OFF unless the scenario opts in explicitly: the
-// unbatched path is the property-test reference and what the byte-identical
-// simulation fingerprints were recorded against, so the library-level
-// default flip must not leak in here.
+// Add creates one more node with its own configuration.
 func (c *Cluster) Add(id ids.NodeID, cfg node.Config) *node.Node {
 	if _, dup := c.nodes[id]; dup {
 		panic(fmt.Sprintf("cluster: duplicate node %s", id))
-	}
-	if cfg.BatchDetection == nil {
-		cfg.BatchDetection = node.Bool(false)
 	}
 	n := node.New(id, c.Net.Endpoint(id), cfg)
 	c.nodes[id] = n

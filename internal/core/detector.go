@@ -42,9 +42,11 @@ func TraceIDFor(det DetectionID) uint64 {
 type Config struct {
 	// BroadcastDelete, when set, makes a cycle-finding node send DeleteScion
 	// notifications for the source-set scions owned by other processes,
-	// short-cutting the acyclic collector's cascade. When unset (the
-	// paper's behaviour), only the finder's own scions are deleted and the
-	// cascade unravels the rest.
+	// short-cutting the acyclic collector's cascade (read in cycleFound).
+	// When unset (the paper's behaviour), only the finder's own scions are
+	// deleted and the cascade unravels the rest. Kept as an ablation
+	// (dgc-bench -exp ablation) until the live benchmark decides between
+	// the two unravels (ROADMAP item 1(b)).
 	BroadcastDelete bool
 	// MaxAlgebraSize aborts detections whose CDM grows beyond this many
 	// references; 0 means unlimited. A deployment safety valve, not needed
@@ -58,19 +60,12 @@ type Config struct {
 	// EagerAbort enables the optimization of §3.2: before forwarding a
 	// derivation, the process analyzes the counters in the algebra it is
 	// about to send and aborts locally on a mismatch instead of letting
-	// the next hop discover it. "However, that is not required to
-	// maintain safety" — off by default, benchmarked as an ablation.
+	// the next hop discover it (read in expand). "However, that is not
+	// required to maintain safety" — off by default: it moves no traffic
+	// on the live benchmark, and it relocates Figure 5's abort from the
+	// receiver's arrival guard to the sender. Kept as the paper's ablation
+	// (EXPERIMENTS.md, eager_test.go).
 	EagerAbort bool
-	// EagerComplete is EagerAbort's dual: before forwarding, the process
-	// also checks whether the derivation it is about to send already
-	// reduces to {{} -> {}} and declares the cycle locally instead of
-	// paying one more fan-out hop for the next node to reach the same
-	// verdict on the same algebra. The matching rule is location-
-	// independent — every source scion matched by a consistently-countered
-	// stub — so the declaration is exactly the one the receiver would have
-	// made. Enabled by the node's batched detection mode, where it
-	// collapses the terminal fan-out of wide cycles.
-	EagerComplete bool
 }
 
 // DefaultMaxHops is the CDM hop budget used when Config.MaxHops is zero. A
@@ -389,13 +384,13 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 		// branch would loop forever denouncing the same dependency.
 		return Outcome{Kind: OutcomeBranchEnded}
 	}
-	if d.cfg.EagerComplete {
-		// The derivation already closes: declare here instead of forwarding
-		// it along every eligible stub for the receivers to conclude the
-		// same thing from the same algebra.
-		if found, _ := derived.MatchStatus(); found {
-			return d.cycleFound(det, derived)
-		}
+	// The derivation already closes: declare here instead of forwarding it
+	// along every eligible stub for the receivers to conclude the same thing
+	// from the same algebra. Matching is location-independent (§3.2: every
+	// source scion matched by a consistently-countered stub), so this is
+	// exactly the verdict the next hop would have reached.
+	if found, _ := derived.MatchStatus(); found {
+		return d.cycleFound(det, derived)
 	}
 	if d.cfg.MaxAlgebraSize > 0 && derived.Len() > d.cfg.MaxAlgebraSize {
 		return Outcome{Kind: OutcomeBranchEnded}

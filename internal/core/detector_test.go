@@ -208,12 +208,14 @@ func TestFig3DetectionFindsCycle(t *testing.T) {
 			t.Errorf("unexpected garbage scion %v", g)
 		}
 	}
-	// The finder is P2 (the origin): it must have deleted its own scion.
-	if len(f.deleted) != 1 || f.deleted[0] != f.refF {
-		t.Fatalf("deleted = %v, want [%v]", f.deleted, f.refF)
+	// The finder is P1, the last process of the ring: its derivation already
+	// closes, so it declares the cycle instead of sending the CDM home to
+	// P2, and deletes its own scion.
+	if len(f.deleted) != 1 || f.deleted[0] != f.refD {
+		t.Fatalf("deleted = %v, want [%v]", f.deleted, f.refD)
 	}
-	if f.proc("P2").tb.Scion("P1", f.objF) != nil {
-		t.Fatal("scion for F still in table")
+	if f.proc("P1").tb.Scion("P3", f.refD.Dst.Obj) != nil {
+		t.Fatal("scion for D still in table")
 	}
 	// Other processes keep their scions; the acyclic DGC cascade reclaims
 	// them (not simulated at this level).
@@ -222,20 +224,21 @@ func TestFig3DetectionFindsCycle(t *testing.T) {
 	}
 }
 
-func TestFig3CDMHopCountIsCycleLength(t *testing.T) {
+func TestFig3CDMHopCount(t *testing.T) {
 	f := buildFig3(t, Config{})
 	f.start(f.refF)
 	processed := f.pump()
-	// One CDM per process in the 4-process ring: P4, P3, P1, P2.
-	if processed != 4 {
-		t.Fatalf("CDMs processed = %d, want 4", processed)
+	// One CDM per process downstream of the origin in the 4-process ring:
+	// P4, P3, P1. P1's derivation closes the cycle, so no CDM returns to P2.
+	if processed != 3 {
+		t.Fatalf("CDMs processed = %d, want 3", processed)
 	}
 	total := uint64(0)
 	for _, p := range f.procs {
 		total += p.det.Stats.CDMsSent
 	}
-	if total != 4 {
-		t.Fatalf("CDMs sent = %d, want 4", total)
+	if total != 3 {
+		t.Fatalf("CDMs sent = %d, want 3", total)
 	}
 }
 

@@ -2,47 +2,31 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"dgc/internal/cluster"
 	"dgc/internal/node"
 	"dgc/internal/workload"
 )
 
-// BatchRow is one cell of the batched-detection sweep: a full collection of
-// one workload at one candidate count under one detection mode, reporting
-// the transport-level CDM traffic (the number batching reduces) next to the
-// per-detection derivation count (which batching must NOT change much — the
-// same protocol work happens, repackaged).
+// BatchRow is one cell of the candidate sweep: a full collection of one
+// workload at one candidate count under one detection mode, reporting the
+// transport-level CDM traffic next to the per-detection derivation count
+// (one per detection per edge: what per-detection framing would have sent).
 type BatchRow struct {
-	Workload   string        `json:"workload"`
-	Candidates int           `json:"candidates"`
-	Mode       string        `json:"mode"`
-	CDMMsgs    uint64        `json:"cdm_msgs_sent"` // transport messages (CDM + BatchCDM)
-	BatchCDMs  uint64        `json:"batch_cdms"`
-	Sections   uint64        `json:"batch_sections"`
-	Derived    uint64        `json:"cdms_derived"` // detector derivations
-	Rounds     int           `json:"rounds"`
-	Wall       time.Duration `json:"wall_ns"`
-	Collected  bool          `json:"collected"`
+	Workload   string
+	Candidates int
+	Mode       string
+	CDMMsgs    uint64 // transport messages (CDM + BatchCDM)
+	BatchCDMs  uint64
+	Sections   uint64
+	Derived    uint64 // detector derivations
+	Rounds     int
+	Collected  bool
 }
 
-// BatchModes are the detection modes the sweep compares.
-var BatchModes = []string{"unbatched", "batched", "batched+agg"}
-
-func batchModeConfig(mode string) node.Config {
-	var cfg node.Config
-	switch mode {
-	case "batched":
-		cfg.BatchDetection = node.Bool(true)
-	case "batched+agg":
-		cfg.BatchDetection = node.Bool(true)
-		cfg.AggregateDetection = true
-	default:
-		cfg.BatchDetection = node.Bool(false)
-	}
-	return cfg
-}
+// BatchModes are the detection modes the sweep compares: the detector, and
+// the detector with hierarchical aggregation (node.Config.AggregateDetection).
+var BatchModes = []string{"batched", "batched+agg"}
 
 // batchTopology builds the sweep workload for one family and candidate
 // count. "ring" is the shared-trunk ring: cands cycles threaded through one
@@ -64,9 +48,9 @@ func batchTopology(family string, cands, procs int) (*workload.Topology, error) 
 }
 
 // DetectBatchSweep runs the candidate-count × mode matrix over the ring and
-// webgraph families: the measurement behind the claim that batching makes
-// detection traffic sublinear in the candidate count when many candidates
-// share outgoing references.
+// webgraph families: detection traffic is sublinear in the candidate count
+// when many candidates share outgoing references, and only aggregation
+// collects the dense web.
 func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error) {
 	var rows []BatchRow
 	for _, family := range []string{"ring", "webgraph"} {
@@ -76,12 +60,11 @@ func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error
 				return nil, err
 			}
 			for _, mode := range BatchModes {
-				cfg := batchModeConfig(mode)
+				cfg := node.Config{AggregateDetection: mode == "batched+agg"}
 				c := cluster.New(1, cfg)
 				if _, err := c.Materialize(topo, cfg); err != nil {
 					return nil, err
 				}
-				start := time.Now()
 				rounds, stalled, prev := 0, 0, -1
 				for c.TotalObjects() > 0 && rounds < maxRounds && stalled < 5 {
 					c.GCRound()
@@ -97,7 +80,6 @@ func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error
 					Candidates: cands,
 					Mode:       mode,
 					Rounds:     rounds,
-					Wall:       time.Since(start),
 					Collected:  c.TotalObjects() == 0,
 				}
 				for _, s := range c.Stats() {

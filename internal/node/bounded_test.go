@@ -31,7 +31,7 @@ func TestRetainedStateFollowsLiveGraph(t *testing.T) {
 	)
 	names := []ids.NodeID{"bounded-A", "bounded-B", "bounded-C"}
 	namesBefore := slices.Clone(core.NodeNames())
-	tn := newTestNet(t, Config{BatchDetection: Bool(false)}, names...)
+	tn := newTestNet(t, Config{}, names...)
 
 	gcRound := func() {
 		for _, id := range names {

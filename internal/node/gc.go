@@ -207,7 +207,7 @@ func (m *Machine) RunDetection() int {
 			m.trackDetection(det, tid)
 			m.emitT(trace.KindDetectionStart, tid, "det=%s/%d candidate=%s", det.Origin, det.Seq, c)
 		case core.OutcomeCycleFound:
-			// EagerComplete only: the first derivation already closed.
+			// The first derivation already closed.
 			m.met.CyclesFound.Inc()
 			m.emitT(trace.KindCycleFound, tid, "det=%s/%d scions=%d",
 				det.Origin, det.Seq, len(out.GarbageScions))
@@ -227,38 +227,14 @@ func (m *Machine) Summary() *snapshot.Summary { return m.summary }
 // the detector, which only runs inside the machine.
 type detectorActions Machine
 
-// SendCDMs implements core.Actions. The derivation is shared, unflattened,
-// by every outgoing message of the fan-out: in-process receivers merge it
-// directly and the codec flattens lazily if a message reaches a real socket.
-// The detection's trace id rides every message of the fan-out.
+// SendCDMs implements core.Actions: it parks the fan-out per edge, and
+// flushCDMBatch groups every detection exiting via the same reference into
+// one message (and strips edges through dead members there). The derivation
+// is shared, unflattened, by every outgoing message of the fan-out:
+// in-process receivers merge it directly and the codec flattens lazily if a
+// message reaches a real socket.
 func (a *detectorActions) SendCDMs(det core.DetectionID, traceID uint64, alongs []ids.RefID, alg core.Alg, hops int) {
-	m := (*Machine)(a)
-	if m.batch != nil {
-		// Batched mode: park the fan-out per edge; flushCDMBatch groups
-		// every detection exiting via the same reference into one message
-		// (and strips edges through dead members there).
-		m.batch.add(det, traceID, alongs, alg, hops)
-		return
-	}
-	if m.memb != nil {
-		live := make([]ids.RefID, 0, len(alongs))
-		for _, along := range alongs {
-			if !m.memberDeadEdge(along) {
-				live = append(live, along)
-			}
-		}
-		if len(live) == 0 && len(alongs) > 0 {
-			m.abortDetectionMemberDead(det, traceID)
-			return
-		}
-		alongs = live
-	}
-	m.stats.CDMMsgsSent += uint64(len(alongs))
-	for _, along := range alongs {
-		m.emitT(trace.KindCDMSent, traceID, "det=%s/%d to=%s along=%s hops=%d",
-			det.Origin, det.Seq, along.Dst.Node, along, hops)
-		m.send(along.Dst.Node, wire.NewCDMFromAlg(det, along, alg, hops, traceID))
-	}
+	(*Machine)(a).batch.add(det, traceID, alongs, alg, hops)
 }
 
 // DeleteOwnScion implements core.Actions: the detector proved the scion

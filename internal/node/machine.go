@@ -71,11 +71,10 @@ type Machine struct {
 	cdmAcc     map[core.DetectionID]*detAcc
 	cdmAborted map[core.DetectionID]struct{}
 
-	// batch, when non-nil, buffers the current input's CDM traffic per
-	// outgoing edge (BatchDetection/AggregateDetection modes); the
-	// detector's SendCDMs callback appends to it instead of emitting
-	// per-detection messages. Bracketed by beginCDMBatch/flushCDMBatch
-	// around every input that can produce detection traffic.
+	// batch buffers the current input's CDM traffic per outgoing edge; the
+	// detector's SendCDMs callback appends to it. Non-nil only between
+	// beginCDMBatch and flushCDMBatch, which bracket every input that can
+	// produce detection traffic.
 	batch *cdmBatcher
 
 	// memb/leases are the elastic-membership state: the gossip directory and
@@ -140,9 +139,7 @@ type detAcc struct {
 // round or one delivered CDM/BatchCDM), grouped per outgoing edge with one
 // section per detection, plus aggregation-mode partial returns grouped per
 // origin. Flushing emits one message per edge (a plain CDM for single
-// sections, a BatchCDM otherwise) in canonical edge order. Only active
-// under BatchDetection/AggregateDetection; nil otherwise, so the default
-// send path is untouched.
+// sections, a BatchCDM otherwise) in canonical edge order.
 type cdmBatcher struct {
 	edges map[ids.RefID]*edgeBatch
 	order []ids.RefID // edge insertion order; sorted canonically at flush
@@ -266,14 +263,6 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		m.leases = refs.NewHolderLeases(m.table, mc.LeaseTicks)
 		m.membGossiped = make(map[ids.NodeID]uint64)
 	}
-	if m.cfg.batchDetectionOn() {
-		// Batched mode implies eager completion: a sender-side verdict on the
-		// derived algebra collapses the terminal fan-out the receivers would
-		// otherwise each evaluate (the matching rule is location-independent,
-		// so the verdict is identical wherever it is computed).
-		m.cfg.Detector.EagerComplete = true
-		cfg.Detector.EagerComplete = true
-	}
 	m.detector = core.NewDetector(id, cfg.Detector, (*detectorActions)(m))
 	registerBuiltins(m)
 	return m
@@ -311,23 +300,15 @@ func (m *Machine) oldestInflightAge(now time.Time) time.Duration {
 	return oldest
 }
 
-// beginCDMBatch arms per-edge CDM buffering for the current input when a
-// batching mode is enabled; flushCDMBatch drains it. No-ops otherwise, so
-// the default path emits exactly the historical message sequence.
-func (m *Machine) beginCDMBatch() {
-	if m.cfg.batchDetectionOn() || m.cfg.AggregateDetection {
-		m.batch = newCDMBatcher()
-	}
-}
+// beginCDMBatch arms per-edge CDM buffering for the current input;
+// flushCDMBatch drains it.
+func (m *Machine) beginCDMBatch() { m.batch = newCDMBatcher() }
 
 // flushCDMBatch emits the buffered traffic: per edge in canonical order,
 // one plain CDM for a single section or one BatchCDM for several; then the
 // aggregation-mode partial returns, one BatchCDM per origin.
 func (m *Machine) flushCDMBatch() {
 	b := m.batch
-	if b == nil {
-		return
-	}
 	m.batch = nil
 	m.filterDeadEdges(b)
 	ids.SortRefIDs(b.order)

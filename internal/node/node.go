@@ -44,24 +44,21 @@ type Config struct {
 	// MaxDetectionsPerRound bounds detections started per RunDetection
 	// call; 0 means all eligible candidates.
 	MaxDetectionsPerRound int
-	// BatchDetection groups the CDM traffic of one machine input per
-	// outgoing edge: every detection whose derivation exits via the same
-	// reference travels as one section of one wire.BatchCDM instead of one
-	// CDM each, and receivers split/drop/forward sub-batches per edge the
-	// same way. It also enables the detector's eager-complete check (a
-	// closing derivation is declared locally instead of fanning out one
-	// more hop). ON by default (nil means on, now that the batched path has
-	// soaked in the live binaries); set to Bool(false) for the unbatched
-	// path, which remains the property-test reference and keeps simulation
-	// fingerprints byte-identical (the cluster simulator pins it off).
-	BatchDetection *bool
-	// AggregateDetection enables hierarchical match aggregation on top of
-	// batching: a node whose processing of a detection ends without
-	// forwarding returns its accumulated partial match to the detection's
-	// origin, which merges the fragments and re-launches only the
-	// unresolved residue. Implies the same opt-in caveats as
-	// BatchDetection.
+	// AggregateDetection enables hierarchical match aggregation: a node
+	// whose processing of a detection ends without forwarding returns its
+	// accumulated partial match to the detection's origin, which merges
+	// the fragments and re-launches only the unresolved residue (read in
+	// Machine.processCDMSection). Off by default because the live
+	// benchmark prices it at +16-27% detection traffic for no latency gain
+	// (EXPERIMENTS.md "Aggregation on the live cluster"); it stays because
+	// it is the only mode that collects the dense webgraph-64 workload.
 	AggregateDetection bool
+	// BatchDetection is unread: per-edge batching is the only detection
+	// path.
+	//
+	// Deprecated: kept, with Bool, only because the frozen benchmark/
+	// module sets it; both go when benchmark/ is next unfrozen.
+	BatchDetection *bool
 	// LGCEvery / SnapshotEvery / DetectEvery run the respective daemon
 	// every N ticks (0 disables; drive manually).
 	LGCEvery      uint64
@@ -98,13 +95,10 @@ type Config struct {
 	Metrics *obs.Set
 }
 
-// Bool returns a pointer to v, for the tri-state Config fields.
+// Bool returns a pointer to v.
+//
+// Deprecated: see Config.BatchDetection.
 func Bool(v bool) *bool { return &v }
-
-// batchDetectionOn resolves the BatchDetection tri-state: nil means on.
-func (c *Config) batchDetectionOn() bool {
-	return c.BatchDetection == nil || *c.BatchDetection
-}
 
 // Stats counts node activity.
 type Stats struct {
@@ -130,9 +124,9 @@ type Stats struct {
 	CDMsRaceDropped  uint64 // CDM deliveries conflicting with the merged view
 	// CDMMsgsSent counts actual detection-traffic messages handed to the
 	// transport: each CDM is one, each BatchCDM is one regardless of its
-	// section count. Equals Detector.CDMsSent when batching is off; the
-	// batched-vs-unbatched traffic comparison in BENCH_detect.json reads
-	// this field.
+	// section count, so it is at most Detector.CDMsSent (one per detection
+	// per edge, what per-detection framing would send). The candidate sweep
+	// (dgc-bench -exp batch) reads both.
 	CDMMsgsSent uint64
 	// BatchCDMsSent / BatchSectionsSent count multi-section messages and
 	// the sections they carried (forward direction only, returns excluded).

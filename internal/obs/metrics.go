@@ -44,8 +44,8 @@ type NodeMetrics struct {
 	DetectionLatency  *Histogram
 	CDMHops           *Histogram
 
-	// Batched detection and hierarchical aggregation (static zero when
-	// Config.BatchDetection / AggregateDetection are off).
+	// Multi-section detection messages, and hierarchical aggregation (the
+	// last two stay zero unless Config.AggregateDetection is set).
 	BatchCDMsSent       *Counter
 	BatchSections       *Histogram
 	PartialReturns      *Counter

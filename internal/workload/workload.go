@@ -219,10 +219,10 @@ func AcyclicChain(procs int) *Topology {
 // process, and a fan object on the last process closes all K cycles with
 // remote back-references to the fan-in objects. Nothing is rooted.
 //
-// This is the batched-detection stress shape: every one of the K detections
+// This is the per-edge batching stress shape: every one of the K detections
 // started at the first process exits through the SAME outgoing reference
-// (hub -> trunk), so unbatched detection ships K CDMs per trunk hop while
-// batched mode ships one BatchCDM with K sections.
+// (hub -> trunk), so each trunk hop ships one BatchCDM with K sections where
+// per-detection framing would ship K CDMs.
 func SharedTrunk(k, procs int) *Topology {
 	if k < 1 {
 		k = 1
