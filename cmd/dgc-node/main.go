@@ -1,7 +1,7 @@
 // dgc-node runs one process of the distributed system as a TCP daemon: an
 // object heap with its local collector, reference-listing acyclic DGC and
 // distributed cycle detector, driven by the wall-clock LiveRuntime (a
-// mailbox goroutine with periodic daemon tickers — no manual tick loop).
+// mailbox goroutine whose one ticker says Tick — no manual tick loop).
 //
 // Usage:
 //
@@ -15,8 +15,9 @@
 // the /api/v1 operator API (status, tables, forced detection with trace ids,
 // snapshot/restore, fault injection) that the dgcctl CLI drives.
 //
-// The -*-every flags are multiples of the tick period (e.g. -tick 250ms
-// -lgc-every 2 runs the local collector every 500ms). On the first
+// The -*-every flags count ticks (e.g. -tick 250ms -lgc-every 2 runs the
+// local collector on every second tick, 500ms apart); daemons due on the
+// same tick run in order: local GC, summarize, detect. On the first
 // SIGINT/SIGTERM the daemon shuts down gracefully — collector state is
 // flushed to -state-file (from which a restart resumes: heap, stub/scion
 // tables with invocation counters, sequence numbers) and the transport
@@ -86,6 +87,9 @@ func main() {
 
 	spec.Config = dgc.Config{
 		CandidateMinAge:  *candidateAge,
+		LGCEvery:         *lgcEvery,
+		SnapshotEvery:    *snapEvery,
+		DetectEvery:      *detectEvery,
 		CallTimeoutTicks: *callTimeoutTk,
 		SnapshotDir:      *snapshotDir,
 	}
@@ -107,14 +111,7 @@ func main() {
 		spec.Config.Codec = dgc.BinaryCodec{}
 	}
 
-	// Daemon intervals are tick multiples; the runtime schedules them on
-	// wall-clock tickers.
-	spec.Runtime = dgc.RuntimeConfig{
-		Tick:             *tick,
-		LGCInterval:      time.Duration(*lgcEvery) * *tick,
-		SnapshotInterval: time.Duration(*snapEvery) * *tick,
-		DetectInterval:   time.Duration(*detectEvery) * *tick,
-	}
+	spec.Runtime = dgc.RuntimeConfig{Tick: *tick}
 
 	hadState := false
 	if *stateFile != "" {

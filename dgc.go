@@ -84,9 +84,9 @@ type (
 	// Machine is the pure protocol core a Node drives (see DESIGN.md §8).
 	Machine = node.Machine
 	// LiveRuntime is a started Node (the same type): a mailbox goroutine
-	// with periodic daemon tickers, for real deployments.
+	// that says Tick off one wall-clock ticker, for real deployments.
 	LiveRuntime = node.LiveRuntime
-	// RuntimeConfig tunes a LiveRuntime's tick and daemon intervals.
+	// RuntimeConfig tunes a LiveRuntime's tick period and mailbox.
 	RuntimeConfig = node.RuntimeConfig
 )
 
@@ -163,7 +163,7 @@ func RestoreNode(ep transport.Endpoint, cfg Config, state []byte) (*Node, error)
 }
 
 // NewLiveRuntime assembles a wall-clock node over the endpoint and starts
-// its event loop and daemon tickers: the engine of a real deployment
+// its event loop and clock: the engine of a real deployment
 // (cmd/dgc-node, examples/tcpcluster). Close stops it; the caller closes
 // the endpoint separately.
 func NewLiveRuntime(id NodeID, ep transport.Endpoint, cfg Config, rcfg RuntimeConfig) *LiveRuntime {
@@ -251,13 +251,11 @@ func MetricsHandler(set *MetricsSet, debug func() any) http.Handler {
 }
 
 // GCTraffic returns the message kinds belonging to the garbage collector's
-// own protocol (NewSetStubs, CDM, DeleteScion). Use it as Faults.Affects to
-// inject faults into collector traffic only — the paper's loss-tolerance
-// claim is about these messages; application RPCs have their own delivery
-// semantics.
-func GCTraffic() []wire.Kind {
-	return []wire.Kind{wire.KindNewSetStubs, wire.KindCDM, wire.KindDeleteScion}
-}
+// own protocol (NewSetStubs, CDM, BatchCDM, DeleteScion). Use it as
+// Faults.Affects to inject faults into collector traffic only — the paper's
+// loss-tolerance claim is about these messages; application RPCs have their
+// own delivery semantics.
+func GCTraffic() []wire.Kind { return wire.CollectorKinds() }
 
 // Workload constructors (see internal/workload for details).
 var (

@@ -2,8 +2,9 @@
 // entirely through the remote-invocation API — no simulation harness and no
 // manual GC driving.
 //
-// Each node runs a LiveRuntime: a mailbox goroutine with wall-clock tickers
-// for the local collector, graph summarization and cycle detection. The
+// Each node runs a LiveRuntime: a mailbox goroutine whose one wall-clock
+// ticker runs the local collector, graph summarization and cycle detection
+// on the ticks Config names. The
 // program creates a three-process distributed cycle through RPC alone
 // (acquire, alloc-child, store), verifies reference listing keeps it alive,
 // drops the root, and simply waits while the periodic daemons detect and
@@ -58,16 +59,14 @@ func main() {
 			}
 		}
 	}
-	cfg := dgc.Config{CallTimeoutTicks: 200, CandidateMinAge: 2, Metrics: metrics}
+	cfg := dgc.Config{
+		CallTimeoutTicks: 200, CandidateMinAge: 2, Metrics: metrics,
+		LGCEvery: 2, SnapshotEvery: 4, DetectEvery: 4, // in 25 ms ticks
+	}
 	// One journal spans the cluster (like the metric set): /api/v1/events on
 	// the admin listener then streams every node's detection lifecycle.
 	cfg.Trace = dgc.NewTraceLog(8192)
-	rcfg := dgc.RuntimeConfig{
-		Tick:             25 * time.Millisecond,
-		LGCInterval:      50 * time.Millisecond,
-		SnapshotInterval: 100 * time.Millisecond,
-		DetectInterval:   100 * time.Millisecond,
-	}
+	rcfg := dgc.RuntimeConfig{Tick: 25 * time.Millisecond}
 	nodes := make(map[dgc.NodeID]*dgc.LiveRuntime, 3)
 	for _, n := range names {
 		nodes[n] = dgc.NewLiveRuntime(n, eps[n], cfg, rcfg)

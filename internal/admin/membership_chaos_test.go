@@ -28,17 +28,15 @@ func startMemberTrio(t *testing.T) []*Supervisor {
 	}
 	sups := make([]*Supervisor, 0, len(names))
 	for _, n := range names {
-		cfg := node.Config{CallTimeoutTicks: 400, CandidateMinAge: 2}
+		cfg := node.Config{
+			CallTimeoutTicks: 400, CandidateMinAge: 2,
+			LGCEvery: 2, SnapshotEvery: 4, DetectEvery: 4,
+		}
 		cfg.Membership = mc
 		sup, err := StartNode(NodeSpec{
-			ID:     n,
-			Config: cfg,
-			Runtime: node.RuntimeConfig{
-				Tick:             5 * time.Millisecond,
-				LGCInterval:      10 * time.Millisecond,
-				SnapshotInterval: 20 * time.Millisecond,
-				DetectInterval:   20 * time.Millisecond,
-			},
+			ID:      n,
+			Config:  cfg,
+			Runtime: node.RuntimeConfig{Tick: 5 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -796,13 +795,4 @@ func ParseRefID(s string) (ids.RefID, error) {
 		Src: ids.NodeID(src),
 		Dst: ids.GlobalRef{Node: ids.NodeID(nodeStr), Obj: ids.ObjID(obj)},
 	}, nil
-}
-
-// NodeIDs returns the server's hosted node ids, sorted.
-func (s *Server) NodeIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]string(nil), s.order...)
-	sort.Strings(out)
-	return out
 }

@@ -36,13 +36,11 @@ type ClusterNode struct {
 
 // nodeDraft is what the settings table writes into: the NodeSpec under
 // construction plus the values that only combine once every key has been
-// applied (daemon intervals are multiples of tick; membership is a switch
-// over several fields).
+// applied (membership is a switch over several fields).
 type nodeDraft struct {
 	NodeSpec
-	lgcEvery, snapshotEvery, detectEvery uint64
-	membership                           bool
-	memb                                 membership.Config
+	membership bool
+	memb       membership.Config
 }
 
 // defaultDraft holds the built-in dgc-node defaults. The membership
@@ -50,8 +48,11 @@ type nodeDraft struct {
 // the escape hatch; the membership horizons left at zero take the membership
 // package defaults.
 func defaultDraft() nodeDraft {
-	d := nodeDraft{lgcEvery: 2, snapshotEvery: 4, detectEvery: 4, membership: true}
+	d := nodeDraft{membership: true}
 	d.Runtime.Tick = 250 * time.Millisecond
+	d.Config.LGCEvery = 2
+	d.Config.SnapshotEvery = 4
+	d.Config.DetectEvery = 4
 	d.Config.CandidateMinAge = 4
 	d.Config.CallTimeoutTicks = 40
 	return d
@@ -89,9 +90,9 @@ func parseCodec(v string) (snapshot.Codec, error) {
 // daemon so only forced detections run). A key not listed here is an error.
 var settings = map[string]func(*nodeDraft, string) error{
 	"tick":             set(time.ParseDuration, func(d *nodeDraft) *time.Duration { return &d.Runtime.Tick }),
-	"lgc_every":        set(parseU64, func(d *nodeDraft) *uint64 { return &d.lgcEvery }),
-	"snapshot_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.snapshotEvery }),
-	"detect_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.detectEvery }),
+	"lgc_every":        set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.LGCEvery }),
+	"snapshot_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.SnapshotEvery }),
+	"detect_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.DetectEvery }),
 	"candidate_age":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
 	"call_timeout":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
 	"aggregate_detect": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.AggregateDetection }),
@@ -134,13 +135,9 @@ func (d *nodeDraft) apply(lines []setting) error {
 // are left to Resolve and, for live clusters, to Supervisor.AddPeer once the
 // ephemeral ports are known.
 func (d nodeDraft) finish() (NodeSpec, error) {
-	tick := d.Runtime.Tick
-	if tick <= 0 {
+	if d.Runtime.Tick <= 0 {
 		return NodeSpec{}, fmt.Errorf("node %s: tick must be positive", d.ID)
 	}
-	d.Runtime.LGCInterval = time.Duration(d.lgcEvery) * tick
-	d.Runtime.SnapshotInterval = time.Duration(d.snapshotEvery) * tick
-	d.Runtime.DetectInterval = time.Duration(d.detectEvery) * tick
 	if d.membership {
 		d.Config.Membership = &d.memb
 	}

@@ -54,11 +54,11 @@ func TestParseClusterSpecYAML(t *testing.T) {
 	if a.Runtime.Tick != 50*time.Millisecond {
 		t.Errorf("A tick = %v", a.Runtime.Tick)
 	}
-	if a.Runtime.DetectInterval != 200*time.Millisecond {
-		t.Errorf("A detect interval = %v, want 200ms", a.Runtime.DetectInterval)
+	if a.Config.DetectEvery != 4 {
+		t.Errorf("A detect every = %d, want 4", a.Config.DetectEvery)
 	}
-	if b.Runtime.DetectInterval != 0 {
-		t.Errorf("B detect interval = %v, want 0 (override)", b.Runtime.DetectInterval)
+	if b.Config.DetectEvery != 0 {
+		t.Errorf("B detect every = %d, want 0 (override)", b.Config.DetectEvery)
 	}
 	if a.Runtime.Mailbox != 64 || b.Runtime.Mailbox != 64 {
 		t.Errorf("mailbox default did not propagate: A %d, B %d", a.Runtime.Mailbox, b.Runtime.Mailbox)
@@ -70,8 +70,8 @@ func TestParseClusterSpecYAML(t *testing.T) {
 	if a.Config.CandidateMinAge != 4 || a.Config.CallTimeoutTicks != 40 {
 		t.Errorf("A config defaults = %+v", a.Config)
 	}
-	if a.Runtime.LGCInterval != 100*time.Millisecond {
-		t.Errorf("A lgc interval = %v, want 100ms (2 ticks)", a.Runtime.LGCInterval)
+	if a.Config.LGCEvery != 2 || a.Config.SnapshotEvery != 4 {
+		t.Errorf("A lgc/snapshot every = %d/%d, want the 2/4 defaults", a.Config.LGCEvery, a.Config.SnapshotEvery)
 	}
 }
 
@@ -79,17 +79,15 @@ func TestParseClusterSpecYAML(t *testing.T) {
 // NodeSpecs below are what they resolved to before the settings table
 // replaced the four-pass pipeline, written out by hand.
 func TestExampleSpecsResolve(t *testing.T) {
-	want := func(id string, detectEvery time.Duration, memb membership.Config) NodeSpec {
+	want := func(id string, detectEvery uint64, memb membership.Config) NodeSpec {
 		ns := NodeSpec{ID: ids.NodeID(id), Peers: map[ids.NodeID]string{}}
 		ns.Config.CandidateMinAge = 2
 		ns.Config.CallTimeoutTicks = 40
+		ns.Config.LGCEvery = 2
+		ns.Config.SnapshotEvery = 4
+		ns.Config.DetectEvery = detectEvery
 		ns.Config.Membership = &memb
-		ns.Runtime = node.RuntimeConfig{
-			Tick:             50 * time.Millisecond,
-			LGCInterval:      100 * time.Millisecond,
-			SnapshotInterval: 200 * time.Millisecond,
-			DetectInterval:   detectEvery * 50 * time.Millisecond,
-		}
+		ns.Runtime = node.RuntimeConfig{Tick: 50 * time.Millisecond}
 		return ns
 	}
 	for file, mk := range map[string]func(id string) NodeSpec{

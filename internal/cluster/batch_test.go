@@ -218,9 +218,7 @@ func TestBatchedDetectionLossTolerance(t *testing.T) {
 	if _, err := c.Materialize(workload.SharedTrunk(6, 3), cfg); err != nil {
 		t.Fatal(err)
 	}
-	c.Net.SetFaults(transport.Faults{LossRate: 0.3, Affects: []wire.Kind{
-		wire.KindNewSetStubs, wire.KindCDM, wire.KindBatchCDM, wire.KindDeleteScion,
-	}})
+	c.Net.SetFaults(transport.Faults{LossRate: 0.3, Affects: wire.CollectorKinds()})
 	for round := 0; round < 80; round++ {
 		c.GCRound()
 		if c.TotalObjects() == 0 {

@@ -41,27 +41,3 @@ func TestDenseSCCTrafficBounded(t *testing.T) {
 		t.Fatalf("CDM traffic regressed: %d messages for a %d-object SCC", cdms, total)
 	}
 }
-
-// TestBoundedDetectionsStillComplete verifies candidate rotation: with one
-// detection per node per round, every garbage structure is still
-// eventually reclaimed (a fixed candidate prefix would starve blocked
-// candidates).
-func TestBoundedDetectionsStillComplete(t *testing.T) {
-	cfg := node.Config{MaxDetectionsPerRound: 1}
-	c := New(3, cfg)
-	topo := workload.RandomGraph(11, workload.RandomConfig{
-		Procs: 4, ObjsPerProc: 8, OutDegree: 1.8, RemoteFrac: 0.5, RootFrac: 0.1,
-	})
-	if _, err := c.Materialize(topo, cfg); err != nil {
-		t.Fatal(err)
-	}
-	live := c.GlobalLive()
-	rounds := c.CollectFully(60)
-	if got := c.TotalObjects(); got != len(live) {
-		t.Fatalf("bounded detections incomplete after %d rounds: %d objects, want %d",
-			rounds, got, len(live))
-	}
-	if v := c.LiveViolations(live); len(v) != 0 {
-		t.Fatalf("safety violation: %v", v)
-	}
-}

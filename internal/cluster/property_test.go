@@ -15,7 +15,7 @@ import (
 // gcTraffic are the message kinds whose loss the PAPER claims to tolerate
 // ("our algorithm ... tolerates message loss"): the collector's own
 // protocol. Invocation traffic is the application's problem.
-var gcTraffic = []wire.Kind{wire.KindNewSetStubs, wire.KindCDM, wire.KindDeleteScion}
+var gcTraffic = wire.CollectorKinds()
 
 func TestLossToleranceRingStillCollected(t *testing.T) {
 	// 30% of GC messages are lost; detection is retried every round, so the

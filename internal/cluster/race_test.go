@@ -86,6 +86,23 @@ func (rig *raceRig) dropOldRoot(t *testing.T) {
 	})
 }
 
+// assertAbortedAtP1 fails the test unless the in-flight detection ended as
+// a counter-mismatch abort at P1, with no cycle declared anywhere.
+func (rig *raceRig) assertAbortedAtP1(t *testing.T) {
+	t.Helper()
+	for id, s := range rig.c.Stats() {
+		if s.Detector.CyclesFound != 0 {
+			t.Fatalf("false cycle detection at %s: live ring declared garbage", id)
+		}
+	}
+	if got := rig.c.Node("P1").Stats().Detector.Aborted; got != 1 {
+		t.Fatalf("P1 aborted = %d, want 1 (counter mismatch in its derivation)", got)
+	}
+	if got := rig.c.Node("P2").Stats().Detector.Aborted; got != 0 {
+		t.Fatalf("P2 aborted = %d, want 0 (the doomed CDM is never sent)", got)
+	}
+}
+
 // assertRingAlive fails the test if any ring object has been reclaimed.
 func (rig *raceRig) assertRingAlive(t *testing.T) {
 	t.Helper()
@@ -105,7 +122,10 @@ func (rig *raceRig) assertRingAlive(t *testing.T) {
 // TestFigure5RaceArrivalGuard reproduces the paper's §3.2 race: the root
 // migrates (via reference copying through the mutator) while a detection is
 // in flight; P1 re-summarizes after the migration, P2 does not. The stale
-// CDM must be aborted by the invocation-counter arrival guard.
+// detection must be aborted on the invocation counters: P1's derivation puts
+// its bumped stub counter next to the scion counter P2 recorded at the start,
+// so P1 itself aborts — one hop before P2's arrival guard would have refused
+// the same CDM (that guard on its own: core's TestRaceArrivalGuardAborts).
 func TestFigure5RaceArrivalGuard(t *testing.T) {
 	rig := buildRaceRig(t)
 	c := rig.c
@@ -140,17 +160,11 @@ func TestFigure5RaceArrivalGuard(t *testing.T) {
 	}
 
 	// Let everything settle: CDM reaches P1 (whose new summary no longer
-	// shows local reachability) and is forwarded to P2 with the bumped
-	// stub counter; P2's stale scion counter mismatches: abort.
+	// shows local reachability), whose derivation pairs the bumped stub
+	// counter with the stale source counter: abort, nothing forwarded.
 	c.Settle()
 
-	p2stats := c.Node("P2").Stats()
-	if p2stats.Detector.CyclesFound != 0 {
-		t.Fatal("false cycle detection: live ring declared garbage")
-	}
-	if p2stats.Detector.Aborted == 0 {
-		t.Fatal("detection was not aborted by the IC guard")
-	}
+	rig.assertAbortedAtP1(t)
 	rig.assertRingAlive(t)
 
 	// And the ring survives any number of further honest GC rounds, now
@@ -167,8 +181,9 @@ func TestFigure5RaceArrivalGuard(t *testing.T) {
 }
 
 // TestFigure5RaceMatchAbort is the variant where BOTH P1 and P2 re-summarize
-// after the migration: the arrival guard passes but algebra matching sees
-// the old counter in the source set and aborts.
+// after the migration: P2's arrival guard would pass, but algebra matching
+// sees the old counter in the source set and aborts — at P1, the first
+// process to hold both counters.
 func TestFigure5RaceMatchAbort(t *testing.T) {
 	rig := buildRaceRig(t)
 	c := rig.c
@@ -200,13 +215,7 @@ func TestFigure5RaceMatchAbort(t *testing.T) {
 	}
 	c.Settle()
 
-	p2stats := c.Node("P2").Stats()
-	if p2stats.Detector.CyclesFound != 0 {
-		t.Fatal("false cycle detection")
-	}
-	if p2stats.Detector.Aborted == 0 {
-		t.Fatal("no abort recorded")
-	}
+	rig.assertAbortedAtP1(t)
 	rig.assertRingAlive(t)
 }
 

@@ -53,25 +53,14 @@ type Config struct {
 	// for termination (the algebra grows monotonically within a finite
 	// reference set).
 	MaxAlgebraSize int
-	// MaxHops drops CDMs that have been forwarded more than this many
-	// times; 0 uses DefaultMaxHops. Dropping a CDM is always safe; the hop
-	// budget bounds worst-case traffic on pathological graphs.
-	MaxHops int
-	// EagerAbort enables the optimization of §3.2: before forwarding a
-	// derivation, the process analyzes the counters in the algebra it is
-	// about to send and aborts locally on a mismatch instead of letting
-	// the next hop discover it (read in expand). "However, that is not
-	// required to maintain safety" — off by default: it moves no traffic
-	// on the live benchmark, and it relocates Figure 5's abort from the
-	// receiver's arrival guard to the sender. Kept as the paper's ablation
-	// (EXPERIMENTS.md, eager_test.go).
-	EagerAbort bool
 }
 
-// DefaultMaxHops is the CDM hop budget used when Config.MaxHops is zero. A
-// detection needs at most O(|closure|) strictly-growing hops, so 256 covers
-// any realistic cycle while bounding adversarial topologies.
-const DefaultMaxHops = 256
+// MaxHops is the CDM hop budget: a CDM that has been forwarded this many
+// times is not forwarded again. Dropping a CDM is always safe; a detection
+// needs at most O(|closure|) strictly-growing hops, so 256 covers any
+// realistic cycle while bounding worst-case traffic on adversarial
+// topologies.
+const MaxHops = 256
 
 // Actions is the detector's outbound interface, implemented by the node: it
 // decouples the algorithm from transport and tables.
@@ -324,11 +313,7 @@ func (d *Detector) HandleDeleteScion(ref ids.RefID) {
 // that keeps breeding); the merged form converges to the closure in
 // O(closure) growth steps and lets receivers deduplicate identical CDMs.
 func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.ScionSummary, alg Alg, hops int, trace uint64) Outcome {
-	maxHops := d.cfg.MaxHops
-	if maxHops <= 0 {
-		maxHops = DefaultMaxHops
-	}
-	if hops >= maxHops {
+	if hops >= MaxHops {
 		return Outcome{Kind: OutcomeBranchEnded}
 	}
 
@@ -369,12 +354,16 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 		d.Stats.Aborted++
 		return Outcome{Kind: OutcomeAborted}
 	}
-	if d.cfg.EagerAbort {
-		// §3.2 optimization: analyze unmatched counters before sending.
-		if _, abort := derived.MatchStatus(); abort {
-			d.Stats.Aborted++
-			return Outcome{Kind: OutcomeAborted}
-		}
+	// Matching is location-independent (§3.2: every source scion matched by a
+	// consistently-countered stub), so both verdicts on the derivation are
+	// exactly what the next hop would reach from the same algebra: a counter
+	// mismatch aborts here instead of one message later (the paper's "can be
+	// optimized if P1 analyzes unmatched counters"), and a closing match is
+	// declared below instead of being forwarded along every eligible stub.
+	found, abort := derived.MatchStatus()
+	if abort {
+		d.Stats.Aborted++
+		return Outcome{Kind: OutcomeAborted}
 	}
 	if len(eligible) == 0 {
 		return Outcome{Kind: OutcomeBranchEnded}
@@ -384,12 +373,7 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 		// branch would loop forever denouncing the same dependency.
 		return Outcome{Kind: OutcomeBranchEnded}
 	}
-	// The derivation already closes: declare here instead of forwarding it
-	// along every eligible stub for the receivers to conclude the same thing
-	// from the same algebra. Matching is location-independent (§3.2: every
-	// source scion matched by a consistently-countered stub), so this is
-	// exactly the verdict the next hop would have reached.
-	if found, _ := derived.MatchStatus(); found {
+	if found {
 		return d.cycleFound(det, derived)
 	}
 	if d.cfg.MaxAlgebraSize > 0 && derived.Len() > d.cfg.MaxAlgebraSize {

@@ -328,15 +328,8 @@ func TestFig3BroadcastDeleteClearsAllScions(t *testing.T) {
 
 func TestRaceArrivalGuardAborts(t *testing.T) {
 	// Fig 5 shape: an invocation crosses P1->F@P2 after P2's snapshot; P1
-	// re-summarizes afterwards, P2 does not. The CDM's stub-side counter
-	// (x+1) disagrees with P2's scion-side snapshot counter (x) on arrival.
+	// re-summarizes afterwards, P2 does not.
 	f := buildFig3(t, Config{})
-	out := f.start(f.refF) // detection in flight with old counters
-	if out.Kind != OutcomeForwarded {
-		t.Fatalf("start = %+v", out)
-	}
-
-	// Mutator invokes through P1->F@P2: both ends bump their counters.
 	if _, err := f.proc("P1").tb.BumpStubIC(f.refF.Dst); err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +340,21 @@ func TestRaceArrivalGuardAborts(t *testing.T) {
 	// now stating..."). P2 keeps its stale summary.
 	f.summarize("P1", 2)
 
+	// A detection starting at P1 (candidate D) crosses F on its first hop,
+	// before any process has put F's scion in the source set: no sender can
+	// see the disagreement, so it is the receiver's arrival guard that
+	// compares the CDM's stub-side counter (x+1) with P2's scion-side
+	// snapshot counter (x). (The same race met by a detection already in
+	// flight from F is caught a hop earlier, at P1: eager_test.go.)
+	if out := f.start(f.refD); out.Kind != OutcomeForwarded {
+		t.Fatalf("start = %+v", out)
+	}
 	f.pump()
 	if len(f.found) != 0 || len(f.deleted) != 0 {
 		t.Fatal("race produced a false cycle detection")
+	}
+	if f.proc("P1").det.Stats.Aborted != 0 {
+		t.Fatalf("P1 aborted = %d, want 0 (nothing to compare yet)", f.proc("P1").det.Stats.Aborted)
 	}
 	if f.proc("P2").det.Stats.Aborted != 1 {
 		t.Fatalf("P2 aborted = %d, want 1", f.proc("P2").det.Stats.Aborted)
@@ -359,7 +364,8 @@ func TestRaceArrivalGuardAborts(t *testing.T) {
 func TestRaceMatchAborts(t *testing.T) {
 	// Variant: BOTH ends re-summarize after the invocation, but the
 	// detection started from the pre-invocation summary. The source entry
-	// for F carries the old counter; matching at P2 sees x vs x+1.
+	// for F carries the old counter; matching sees x vs x+1 at P1, the
+	// first process whose derivation holds both.
 	f := buildFig3(t, Config{})
 	out := f.start(f.refF)
 	if out.Kind != OutcomeForwarded {
@@ -378,9 +384,11 @@ func TestRaceMatchAborts(t *testing.T) {
 	if len(f.found) != 0 || len(f.deleted) != 0 {
 		t.Fatal("race produced a false cycle detection")
 	}
-	aborted := f.proc("P2").det.Stats.Aborted
-	if aborted != 1 {
-		t.Fatalf("P2 aborted = %d, want 1", aborted)
+	if got := f.proc("P1").det.Stats.Aborted; got != 1 {
+		t.Fatalf("P1 aborted = %d, want 1", got)
+	}
+	if got := f.proc("P2").det.Stats.Aborted; got != 0 {
+		t.Fatalf("P2 aborted = %d, want 0 (CDM never sent)", got)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 
 // TestEagerAbortStopsBeforeForwarding reproduces the §3.2 optimization: in
 // the arrival-guard race (P1 re-summarized after an invocation, P2 did
-// not), eager mode aborts at P1 — before the final hop — instead of
+// not), the detector aborts at P1 — before the final hop — instead of
 // shipping the doomed CDM to P2.
 func TestEagerAbortStopsBeforeForwarding(t *testing.T) {
-	f := buildFig3(t, Config{EagerAbort: true})
+	f := buildFig3(t, Config{})
 	out := f.start(f.refF)
 	if out.Kind != OutcomeForwarded {
 		t.Fatalf("start = %+v", out)
@@ -40,32 +40,10 @@ func TestEagerAbortStopsBeforeForwarding(t *testing.T) {
 	}
 }
 
-// TestEagerAbortOffForwardsToFinalHop pins the default behaviour: without
-// the optimization the mismatch is discovered on arrival at P2 (one extra
-// message), exactly as in the paper's main description.
-func TestEagerAbortOffForwardsToFinalHop(t *testing.T) {
-	f := buildFig3(t, Config{})
-	f.start(f.refF)
-	if _, err := f.proc("P1").tb.BumpStubIC(f.refF.Dst); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.proc("P2").tb.BumpScionIC("P1", f.objF); err != nil {
-		t.Fatal(err)
-	}
-	f.summarize("P1", 2)
-	f.pump()
-	if got := f.proc("P1").det.Stats.CDMsSent; got != 1 {
-		t.Fatalf("P1 sent %d CDMs, want 1", got)
-	}
-	if got := f.proc("P2").det.Stats.Aborted; got != 1 {
-		t.Fatalf("P2 aborted = %d, want 1", got)
-	}
-}
-
-// TestEagerAbortDoesNotDisturbCleanDetection ensures the optimization is
+// TestEagerAbortDoesNotDisturbCleanDetection ensures the sender-side check is
 // inert when counters are consistent.
 func TestEagerAbortDoesNotDisturbCleanDetection(t *testing.T) {
-	f := buildFig3(t, Config{EagerAbort: true})
+	f := buildFig3(t, Config{})
 	f.start(f.refF)
 	f.pump()
 	if len(f.found) != 1 || len(f.found[0].GarbageScions) != 4 {

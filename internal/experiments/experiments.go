@@ -412,6 +412,17 @@ type CompareRow struct {
 	Collected bool
 }
 
+// collectorMessages is the number of collector-protocol messages the
+// cluster's fabric has carried.
+func collectorMessages(c *cluster.Cluster) uint64 {
+	sent, _, _ := c.Net.Counts()
+	var n uint64
+	for _, k := range wire.CollectorKinds() {
+		n += sent[k]
+	}
+	return n
+}
+
 // CompareCollectors runs the DCDA and both baselines on the same topology
 // until reclamation (or the round limit) and reports message costs.
 func CompareCollectors(topo *workload.Topology, maxRounds int) ([]CompareRow, error) {
@@ -429,12 +440,10 @@ func CompareCollectors(topo *workload.Topology, maxRounds int) ([]CompareRow, er
 			c.GCRound()
 			rounds++
 		}
-		sent, _, _ := c.Net.Counts()
-		msgs := sent[wire.KindCDM] + sent[wire.KindNewSetStubs] + sent[wire.KindDeleteScion]
 		rows = append(rows, CompareRow{
 			Collector: "dcda",
 			Topology:  topo.Name,
-			Messages:  msgs,
+			Messages:  collectorMessages(c),
 			Rounds:    rounds,
 			Collected: c.TotalObjects() == 0,
 		})
@@ -501,11 +510,10 @@ func QuiescentCost(topo *workload.Topology, rounds int) ([]CompareRow, error) {
 		for i := 0; i < rounds; i++ {
 			c.GCRound()
 		}
-		sent, _, _ := c.Net.Counts()
 		rows = append(rows, CompareRow{
 			Collector: "dcda",
 			Topology:  topo.Name,
-			Messages:  sent[wire.KindCDM] + sent[wire.KindNewSetStubs] + sent[wire.KindDeleteScion],
+			Messages:  collectorMessages(c),
 			Rounds:    rounds,
 			Collected: true,
 		})
@@ -561,7 +569,6 @@ type LossRow struct {
 // LossSweep measures rounds-to-reclaim for a ring under increasing GC
 // message loss.
 func LossSweep(rates []float64, procs, maxRounds int) ([]LossRow, error) {
-	gcKinds := []wire.Kind{wire.KindNewSetStubs, wire.KindCDM, wire.KindDeleteScion}
 	rows := make([]LossRow, 0, len(rates))
 	for _, rate := range rates {
 		cfg := node.Config{}
@@ -569,7 +576,7 @@ func LossSweep(rates []float64, procs, maxRounds int) ([]LossRow, error) {
 		if _, err := c.Materialize(workload.Ring(procs, 1), cfg); err != nil {
 			return nil, err
 		}
-		c.Net.SetFaults(transport.Faults{LossRate: rate, Affects: gcKinds})
+		c.Net.SetFaults(transport.Faults{LossRate: rate, Affects: wire.CollectorKinds()})
 		rounds := 0
 		for c.TotalObjects() > 0 && rounds < maxRounds {
 			c.GCRound()

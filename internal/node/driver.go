@@ -18,21 +18,22 @@ import (
 // ErrRuntimeClosed is returned by a started node's entry points after Close.
 var ErrRuntimeClosed = errors.New("node: runtime closed")
 
-// RuntimeConfig tunes the started scheduler. All intervals are real time;
-// the machine's logical-tick daemon fields (Config.LGCEvery, SnapshotEvery,
-// DetectEvery) are ignored by a started node — daemons run on these tickers
-// instead.
+// RuntimeConfig tunes the started scheduler. The daemon schedule is not
+// here: a started node runs Machine.Tick every Tick of real time, and
+// Config.LGCEvery / SnapshotEvery / DetectEvery say which ticks run what,
+// exactly as on a stepped node.
 type RuntimeConfig struct {
-	// Tick is the logical-clock advance period (drives call expiry and
-	// candidate aging). Default 100ms.
+	// Tick is the period of the node's one clock: each tick advances logical
+	// time (call expiry, candidate aging, membership) and runs the daemons
+	// due on it. Default 100ms.
 	Tick time.Duration
-	// LGCInterval runs the local collector periodically (0 disables).
-	LGCInterval time.Duration
-	// SnapshotInterval runs graph summarization periodically (0 disables).
-	SnapshotInterval time.Duration
-	// DetectInterval nominates candidates and starts detections
-	// periodically (0 disables).
-	DetectInterval time.Duration
+	// LGCInterval, SnapshotInterval and DetectInterval are the daemon periods
+	// as real time, rounded to whole ticks by everyTicks.
+	//
+	// Deprecated: set Config.LGCEvery / SnapshotEvery / DetectEvery. Kept
+	// only because the frozen benchmark/ module sets them; they go when
+	// benchmark/ is next unfrozen.
+	LGCInterval, SnapshotInterval, DetectInterval time.Duration
 	// Mailbox bounds the event queue. Inbound transport messages beyond it
 	// are dropped (the protocol tolerates loss — blocking the transport's
 	// read loop instead could deadlock a cycle of full nodes); local API
@@ -50,6 +51,16 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 	return c
 }
 
+// everyTicks resolves one daemon's period in ticks: every when it is set,
+// otherwise the deprecated wall-clock interval rounded to whole ticks (at
+// least one, so a non-zero interval never disables its daemon).
+func everyTicks(every uint64, interval, tick time.Duration) uint64 {
+	if every != 0 || interval <= 0 {
+		return every
+	}
+	return max(1, uint64((interval+tick/2)/tick))
+}
+
 // rtEvent is one mailbox entry: an inbound message (msg != nil) or a local
 // call (fn != nil, done closed after the effects are on the wire).
 type rtEvent struct {
@@ -63,19 +74,20 @@ type rtEvent struct {
 // with a blocking, goroutine-safe API. It has one way in — enter, which
 // gives one input at a time exclusive ownership of the machine — and one way
 // out — send, which puts the machine's effects on the transport. Two
-// schedulers decide who runs an input, and nothing else differs between
-// them:
+// schedulers decide which goroutine runs an input and who says Tick, and
+// nothing else differs between them — the daemon schedule is Machine.Tick
+// on both:
 //
 //   - started (NewLiveRuntime, RestoreLiveRuntime): a goroutine owns the
 //     machine outright and consumes a bounded mailbox of inputs — transport
-//     deliveries, local calls, wall-clock daemon ticks — flushing the
-//     effects of each before taking the next. The engine behind
-//     cmd/dgc-node, dgcctl up and examples/tcpcluster.
-//   - stepped (New, Restore): no goroutine and no clock. An input runs on
-//     its caller's goroutine under the node's mutex, and logical time
-//     advances only when the caller says Tick. The deterministic simulator
-//     (internal/cluster) steps every node in canonical order, which is what
-//     makes a simulated run a pure function of its seed.
+//     deliveries and local calls — plus one wall-clock ticker that says
+//     Tick, flushing the effects of each before taking the next. The engine
+//     behind cmd/dgc-node, dgcctl up and examples/tcpcluster.
+//   - stepped (New, Restore): no goroutine and no wall clock. An input runs
+//     on its caller's goroutine under the node's mutex, and the caller says
+//     Tick. The deterministic simulator (internal/cluster) steps every node
+//     in canonical order, which is what makes a simulated run a pure
+//     function of its seed.
 //
 // Either way the transport is never entered while an input owns the machine:
 // the loop sends between inputs, a stepped caller after releasing the mutex.
@@ -92,10 +104,6 @@ type Node struct {
 	mailbox chan rtEvent
 	quit    chan struct{}
 	wg      sync.WaitGroup
-
-	// daemonTickers holds the periodic daemon tickers; owned by the loop
-	// goroutine (created on entry, stopped on exit).
-	daemonTickers []*time.Ticker
 
 	// closeMu serializes local-call enqueues against Close: enqueues hold
 	// the read side across the mailbox send, so once Close holds the write
@@ -128,7 +136,7 @@ func Restore(ep transport.Endpoint, cfg Config, data []byte) (*Node, error) {
 }
 
 // NewLiveRuntime assembles a started node over the endpoint: its event loop
-// and daemon tickers run until Close. The caller retains ownership of the
+// and clock run until Close. The caller retains ownership of the
 // endpoint and closes it separately.
 func NewLiveRuntime(id ids.NodeID, ep transport.Endpoint, cfg Config, rcfg RuntimeConfig) *LiveRuntime {
 	return newNode(NewMachine(id, cfg), ep, &rcfg)
@@ -151,6 +159,10 @@ func newNode(mach *Machine, ep transport.Endpoint, rcfg *RuntimeConfig) *Node {
 	n := &Node{mach: mach, ep: ep}
 	if rcfg != nil {
 		n.rcfg = rcfg.withDefaults()
+		c, r := &mach.cfg, n.rcfg
+		c.LGCEvery = everyTicks(c.LGCEvery, r.LGCInterval, r.Tick)
+		c.SnapshotEvery = everyTicks(c.SnapshotEvery, r.SnapshotInterval, r.Tick)
+		c.DetectEvery = everyTicks(c.DetectEvery, r.DetectInterval, r.Tick)
 		n.mailbox = make(chan rtEvent, n.rcfg.Mailbox)
 		n.quit = make(chan struct{})
 		mach.met.MailboxCapacity.Set(int64(n.rcfg.Mailbox))
@@ -252,37 +264,72 @@ func callErr(n *Node, entry string, fn func(m *Machine) error) error {
 	return err
 }
 
+// maxKeptPeriod bounds the schedule period whose wall-clock phase the loop
+// keeps: regaining phase costs up to one period of ticks, which a short
+// period is worth and a parked daemon's (detect_every: 100000) is not.
+const maxKeptPeriod = 16
+
+// schedulePeriod is the number of ticks after which cfg's daemon schedule
+// repeats, the least common multiple of the enabled daemons' periods; 1,
+// which keeps no phase, when that exceeds maxKeptPeriod.
+func schedulePeriod(cfg Config) uint64 {
+next:
+	for p := uint64(1); p <= maxKeptPeriod; p++ {
+		for _, every := range [...]uint64{cfg.LGCEvery, cfg.SnapshotEvery, cfg.DetectEvery} {
+			if every != 0 && p%every != 0 {
+				continue next
+			}
+		}
+		return p
+	}
+	return 1
+}
+
 // loop is the started scheduler: the single goroutine that owns the machine.
 func (n *Node) loop() {
 	defer n.wg.Done()
 
+	// start is read before the ticker exists, so the k-th tick is never
+	// stamped earlier than start + k·Tick.
+	start, base := time.Now(), n.mach.clock
 	tick := time.NewTicker(n.rcfg.Tick)
 	defer tick.Stop()
-	lgcC := n.newDaemonTicker(n.rcfg.LGCInterval)
-	snapC := n.newDaemonTicker(n.rcfg.SnapshotInterval)
-	detC := n.newDaemonTicker(n.rcfg.DetectInterval)
-	defer func() {
-		for _, t := range n.daemonTickers {
-			t.Stop()
+	period := schedulePeriod(n.mach.cfg)
+
+	// serve runs the wall tick stamped at as the machine's next tick, if it
+	// is in phase. The ticker drops ticks while the loop is busy, and the
+	// clock never runs ahead to make them up: failure detection counts
+	// served ticks, so a node that was stalled does not conclude that its
+	// peers were silent. But every dropped tick would also move this node's
+	// daemon schedule one Tick against the wall, and against the peers
+	// started with it, and members of a cluster that summarize out of step
+	// lose a detection period per garbage ring (EXPERIMENTS.md "Schedule on
+	// the live cluster"). So after a drop the loop lets ticks pass, fewer
+	// than one schedule period of them, until the clock is whole periods
+	// behind the wall.
+	serve := func(at time.Time) {
+		k := uint64(at.Sub(start) / n.rcfg.Tick)
+		if next := n.mach.clock - base + 1; k%period != next%period {
+			return
 		}
-	}()
+		n.mach.Tick()
+		n.flush()
+	}
 
 	for {
+		// A due tick is served before the mailbox's next input. Left to one
+		// select, a CDM that arrived at the deadline would meet the tick's
+		// new summary or the previous one by a coin toss.
+		select {
+		case at := <-tick.C:
+			serve(at)
+		default:
+		}
 		select {
 		case ev := <-n.mailbox:
 			n.consume(ev)
-		case <-tick.C:
-			n.mach.AdvanceClock()
-			n.flush()
-		case <-lgcC:
-			n.mach.RunLGC()
-			n.flush()
-		case <-snapC:
-			_ = n.mach.Summarize()
-			n.flush()
-		case <-detC:
-			n.mach.RunDetection()
-			n.flush()
+		case at := <-tick.C:
+			serve(at)
 		case <-n.quit:
 			// Drain events that committed before Close flipped closed, so
 			// every blocked enter() caller unblocks, then exit.
@@ -296,17 +343,6 @@ func (n *Node) loop() {
 			}
 		}
 	}
-}
-
-// newDaemonTicker starts a ticker for interval d and returns its channel,
-// or a nil channel (never ready) when the daemon is disabled.
-func (n *Node) newDaemonTicker(d time.Duration) <-chan time.Time {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTicker(d)
-	n.daemonTickers = append(n.daemonTickers, t)
-	return t.C
 }
 
 // consume feeds one event to the machine and transmits its effects before
@@ -451,9 +487,8 @@ func (n *Node) HoldRemote(from ids.ObjID, target ids.GlobalRef) error {
 }
 
 // Tick advances the node's logical clock by one, expires timed-out calls
-// and runs the periodic daemons configured in Config: the stepped
-// scheduler's clock. (A started node advances its own clock every
-// RuntimeConfig.Tick and runs its daemons off wall-clock tickers.)
+// and runs the daemons Config schedules on the new tick. A stepped node's
+// caller says Tick; a started node's loop does, every RuntimeConfig.Tick.
 func (n *Node) Tick() { _ = n.do("Tick", (*Machine).Tick) }
 
 // Clock returns the node's logical time.
@@ -468,8 +503,7 @@ func (n *Node) RunLGC() lgc.Result { return call(n, "RunLGC", (*Machine).RunLGC)
 func (n *Node) Summarize() error { return callErr(n, "Summarize", (*Machine).Summarize) }
 
 // RunDetection nominates cycle candidates from the current summary and
-// starts detections, up to Config.MaxDetectionsPerRound. It returns the
-// number started.
+// starts detections. It returns the number started.
 func (n *Node) RunDetection() int { return call(n, "RunDetection", (*Machine).RunDetection) }
 
 // Summary returns the node's current summarized snapshot (nil before the

@@ -13,32 +13,15 @@ import (
 	"dgc/internal/wire"
 )
 
-// Collector daemons: machine inputs invoked periodically by the driver
-// (Node.Tick when stepped, under the simulator's schedule; the loop's
-// wall-clock tickers when started) or explicitly by tests.
+// Collector daemons: machine inputs run by Tick on the schedule Config gives
+// (whoever says Tick: the simulator when stepped, the loop's ticker when
+// started) or explicitly by tests and harnesses.
 
 // Tick advances the logical clock by one, expires timed-out calls and runs
 // the periodic daemons configured in Config. The order within a tick is
 // LGC, then snapshot/summarize, then detection — matching the data flow
 // (detection consumes summaries, summaries consume post-LGC tables).
 func (m *Machine) Tick() {
-	m.AdvanceClock()
-	if m.cfg.LGCEvery > 0 && m.clock%m.cfg.LGCEvery == 0 {
-		m.RunLGC()
-	}
-	if m.cfg.SnapshotEvery > 0 && m.clock%m.cfg.SnapshotEvery == 0 {
-		_ = m.Summarize()
-	}
-	if m.cfg.DetectEvery > 0 && m.clock%m.cfg.DetectEvery == 0 {
-		m.RunDetection()
-	}
-}
-
-// AdvanceClock moves logical time forward by one tick and expires pending
-// calls whose deadline passed. A started node, whose daemons run off
-// wall-clock tickers, uses it instead of Tick, which additionally runs the
-// Config-scheduled daemons.
-func (m *Machine) AdvanceClock() {
 	m.clock++
 	m.expireCalls()
 	m.membTick()
@@ -52,6 +35,15 @@ func (m *Machine) AdvanceClock() {
 			}
 		}
 		m.met.DetectionsInflight.Set(int64(len(m.inflight)))
+	}
+	if m.cfg.LGCEvery > 0 && m.clock%m.cfg.LGCEvery == 0 {
+		m.RunLGC()
+	}
+	if m.cfg.SnapshotEvery > 0 && m.clock%m.cfg.SnapshotEvery == 0 {
+		_ = m.Summarize()
+	}
+	if m.cfg.DetectEvery > 0 && m.clock%m.cfg.DetectEvery == 0 {
+		m.RunDetection()
 	}
 }
 
@@ -133,7 +125,7 @@ func (m *Machine) Summarize() error {
 		if m.cfg.SnapshotDir != "" {
 			path := filepath.Join(m.cfg.SnapshotDir,
 				fmt.Sprintf("%s-%06d.%s.snap", m.id, m.snapVersion, m.cfg.Codec.Name()))
-			if err := snapshot.WriteFile(m.cfg.Codec, m.heap, path); err != nil {
+			if err := snapshot.WriteFile(path, data); err != nil {
 				return err
 			}
 		}
@@ -156,8 +148,7 @@ func (m *Machine) Summarize() error {
 }
 
 // RunDetection nominates cycle candidates from the current summary and
-// starts detections, up to Config.MaxDetectionsPerRound. It returns the
-// number started.
+// starts detections. It returns the number started.
 func (m *Machine) RunDetection() int {
 	if m.summary == nil {
 		return 0
@@ -178,21 +169,6 @@ func (m *Machine) RunDetection() int {
 			}
 		}
 		cands = live
-	}
-	if m.cfg.MaxDetectionsPerRound > 0 && len(cands) > m.cfg.MaxDetectionsPerRound {
-		// Rotate through the candidate list across rounds so a bounded
-		// budget still eventually tries every candidate (completeness: a
-		// detection started at a dependency-blocked scion fails until its
-		// upstream is reclaimed, so no fixed prefix may monopolize the
-		// budget).
-		k := m.cfg.MaxDetectionsPerRound
-		off := int(m.detectCursor) % len(cands)
-		rotated := make([]ids.RefID, 0, k)
-		for i := 0; i < k; i++ {
-			rotated = append(rotated, cands[(off+i)%len(cands)])
-		}
-		m.detectCursor += uint64(k)
-		cands = rotated
 	}
 	started := 0
 	m.beginCDMBatch()

@@ -41,9 +41,8 @@ type Machine struct {
 	selector *core.Selector
 	summary  *snapshot.Summary
 
-	clock        uint64
-	snapVersion  uint64
-	detectCursor uint64 // round-robin offset for bounded detection rounds
+	clock       uint64
+	snapVersion uint64
 
 	// sumHeapGen/sumTableGen record the heap and table mutation epochs at
 	// the last summary rebuild; while both still match, Summarize is a

@@ -18,9 +18,6 @@ import (
 // static-directory behaviour — and its byte-identical fingerprints — are
 // untouched.
 
-// MembershipEnabled reports whether the elastic directory is active.
-func (m *Machine) MembershipEnabled() bool { return m.memb != nil }
-
 // Members returns the directory in canonical order (nil when membership is
 // disabled).
 func (m *Machine) Members() []membership.Member {

@@ -26,7 +26,7 @@ func membCfg() Config {
 // accumulated envelope is delivered to its destination machine.
 func exchange(ms map[ids.NodeID]*Machine) {
 	for _, m := range ms {
-		m.AdvanceClock()
+		m.Tick()
 	}
 	for id, m := range ms {
 		for _, env := range m.TakeEffects() {
@@ -62,7 +62,7 @@ func TestMachineMembershipDeadPeerReclaimsScions(t *testing.T) {
 	// must survive until BOTH the directory says dead AND the lease lapsed.
 	sawSuspect := false
 	for i := 0; i < 40 && m.MemberState("B") != membership.Dead; i++ {
-		m.AdvanceClock()
+		m.Tick()
 		m.TakeEffects()
 		if m.MemberState("B") == membership.Suspect {
 			sawSuspect = true
@@ -78,7 +78,7 @@ func TestMachineMembershipDeadPeerReclaimsScions(t *testing.T) {
 		t.Fatal("B never declared dead under silence")
 	}
 	for i := 0; i < 20 && m.NumScions() > 0; i++ {
-		m.AdvanceClock()
+		m.Tick()
 		m.TakeEffects()
 	}
 	if m.NumScions() != 0 {

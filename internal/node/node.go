@@ -15,11 +15,11 @@
 //     ownership of the machine and puts the effects on the transport, in the
 //     order the machine produced them, once the input is done. A started
 //     node (NewLiveRuntime; LiveRuntime is the same type) runs its inputs on
-//     a mailbox goroutine with wall-clock daemon tickers, for real
+//     a mailbox goroutine and says Tick off one wall-clock ticker, for real
 //     deployments. A stepped node (New) runs them on the caller's goroutine
-//     and advances its clock only on Tick; the deterministic cluster
-//     simulator steps every node in its canonical schedule, which makes a
-//     simulated run a pure function of its seed.
+//     and its caller says Tick; the deterministic cluster simulator steps
+//     every node in its canonical schedule, which makes a simulated run a
+//     pure function of its seed.
 //
 // This file holds what both share with their callers: Config, Stats and the
 // callback types.
@@ -41,9 +41,6 @@ type Config struct {
 	// CandidateMinAge is the quiescence threshold (in logical ticks) before
 	// a scion becomes a cycle candidate.
 	CandidateMinAge uint64
-	// MaxDetectionsPerRound bounds detections started per RunDetection
-	// call; 0 means all eligible candidates.
-	MaxDetectionsPerRound int
 	// AggregateDetection enables hierarchical match aggregation: a node
 	// whose processing of a detection ends without forwarding returns its
 	// accumulated partial match to the detection's origin, which merges
@@ -60,7 +57,8 @@ type Config struct {
 	// module sets it; both go when benchmark/ is next unfrozen.
 	BatchDetection *bool
 	// LGCEvery / SnapshotEvery / DetectEvery run the respective daemon
-	// every N ticks (0 disables; drive manually).
+	// every N ticks, on either driver (0 disables; drive manually). Daemons
+	// due on the same tick run in data-flow order: LGC, summarize, detect.
 	LGCEvery      uint64
 	SnapshotEvery uint64
 	DetectEvery   uint64

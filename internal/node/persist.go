@@ -45,7 +45,7 @@ func (m *Machine) Save() ([]byte, error) {
 	buf = putPStr(buf, string(m.id))
 	buf = binary.AppendUvarint(buf, m.clock)
 	buf = binary.AppendUvarint(buf, m.snapVersion)
-	buf = binary.AppendUvarint(buf, m.detectCursor)
+	buf = binary.AppendUvarint(buf, 0) // reserved: format 1 kept a detection-round cursor here
 
 	buf = binary.AppendUvarint(buf, uint64(len(heapBlob)))
 	buf = append(buf, heapBlob...)
@@ -89,7 +89,7 @@ func RestoreMachine(cfg Config, data []byte) (*Machine, error) {
 	id := ids.NodeID(r.str())
 	clock := r.uvarint()
 	snapVersion := r.uvarint()
-	detectCursor := r.uvarint()
+	_ = r.uvarint() // reserved
 
 	heapLen := r.uvarint()
 	if heapLen > uint64(len(data)) {
@@ -110,7 +110,6 @@ func RestoreMachine(cfg Config, data []byte) (*Machine, error) {
 	m := NewMachine(id, cfg)
 	m.clock = clock
 	m.snapVersion = snapVersion
-	m.detectCursor = detectCursor
 	m.heap = h
 	m.lgc = lgc.New(m.heap, m.table)
 

@@ -2,10 +2,12 @@ package node
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"dgc/internal/ids"
+	"dgc/internal/trace"
 	"dgc/internal/transport"
 )
 
@@ -61,12 +63,8 @@ func TestLiveRuntimeLocalLifecycle(t *testing.T) {
 }
 
 func TestLiveRuntimeDaemonTickers(t *testing.T) {
-	r := NewLiveRuntime("A", nil, Config{}, RuntimeConfig{
-		Tick:             time.Millisecond,
-		LGCInterval:      2 * time.Millisecond,
-		SnapshotInterval: 2 * time.Millisecond,
-		DetectInterval:   2 * time.Millisecond,
-	})
+	r := NewLiveRuntime("A", nil, Config{LGCEvery: 2, SnapshotEvery: 2, DetectEvery: 2},
+		RuntimeConfig{Tick: time.Millisecond})
 	defer r.Close()
 	waitUntil(t, 2*time.Second, "periodic daemons", func() bool {
 		s := r.Stats()
@@ -74,6 +72,167 @@ func TestLiveRuntimeDaemonTickers(t *testing.T) {
 	})
 	if r.Summary() == nil {
 		t.Fatal("no summary after periodic summarization")
+	}
+}
+
+// TestStartedDaemonsRunInDataFlowOrder: daemons due on the same tick run as
+// one input, LGC then summarize then detect, so a started node's journal
+// never shows a detection ahead of the summary of its own tick (one select
+// over three free-running tickers ordered them by coin toss).
+func TestStartedDaemonsRunInDataFlowOrder(t *testing.T) {
+	journal := trace.New(1<<12).Only(trace.KindLGC, trace.KindSummarize, trace.KindDetectionStart)
+	r := NewLiveRuntime("A", nil,
+		Config{LGCEvery: 2, SnapshotEvery: 2, DetectEvery: 2, Trace: journal},
+		RuntimeConfig{Tick: time.Millisecond})
+	defer r.Close()
+	// One standing candidate: an object held only by a scion from B, with a
+	// stub back to B, so every detection round starts a detection.
+	var obj ids.ObjID
+	if err := r.With(func(m Mutator) { obj = m.Alloc(nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnsureScionFor("B", obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.HoldRemote(obj, ids.GlobalRef{Node: "B", Obj: 1}); err != nil {
+		t.Fatal(err)
+	}
+	from := r.Clock()
+	waitUntil(t, 10*time.Second, "200 ticks", func() bool { return r.Clock() >= from+200 })
+	r.Close()
+
+	events := journal.Snapshot()
+	if events[0].Kind == trace.KindDropped {
+		t.Fatalf("journal overflowed: %s", events[0])
+	}
+	// What each kind may directly follow; the first event is tick 2's LGC.
+	follows := map[trace.Kind][]trace.Kind{
+		trace.KindLGC:            {trace.KindSummarize, trace.KindDetectionStart},
+		trace.KindSummarize:      {trace.KindLGC},
+		trace.KindDetectionStart: {trace.KindSummarize},
+	}
+	starts := 0
+	for i, e := range events {
+		if e.Kind == trace.KindDetectionStart {
+			starts++
+		}
+		if i == 0 {
+			if e.Kind != trace.KindLGC {
+				t.Fatalf("first daemon event is %s, want lgc", e)
+			}
+			continue
+		}
+		if prev := events[i-1]; !slices.Contains(follows[e.Kind], prev.Kind) {
+			t.Fatalf("event %d out of data-flow order:\n%s\n%s", i, prev, e)
+		}
+	}
+	if starts < 50 {
+		t.Fatalf("only %d detections started in 200 ticks; the order check is vacuous", starts)
+	}
+}
+
+func TestEveryTicks(t *testing.T) {
+	const tick = 10 * time.Millisecond
+	for _, c := range []struct {
+		every    uint64
+		interval time.Duration
+		want     uint64
+	}{
+		{0, 20 * time.Millisecond, 2},
+		{0, 0, 0},
+		{0, 4 * time.Millisecond, 1}, // never rounds a daemon off
+		{0, 26 * time.Millisecond, 3},
+		{5, 20 * time.Millisecond, 5}, // an explicit Config.*Every wins
+		{5, 0, 5},
+	} {
+		if got := everyTicks(c.every, c.interval, tick); got != c.want {
+			t.Errorf("everyTicks(%d, %v, %v) = %d, want %d", c.every, c.interval, tick, got, c.want)
+		}
+	}
+}
+
+func TestSchedulePeriod(t *testing.T) {
+	for _, c := range []struct {
+		lgc, snap, det, want uint64
+	}{
+		{2, 4, 4, 4},
+		{0, 0, 0, 1},
+		{2, 3, 0, 6},
+		{2, 4, 100000, 1}, // a parked daemon: no phase worth a pause that long
+		{5, 7, 0, 1},      // 35 ticks: likewise
+	} {
+		if got := schedulePeriod(Config{LGCEvery: c.lgc, SnapshotEvery: c.snap, DetectEvery: c.det}); got != c.want {
+			t.Errorf("schedulePeriod(%d, %d, %d) = %d, want %d", c.lgc, c.snap, c.det, got, c.want)
+		}
+	}
+}
+
+// TestStartedNodeKeepsSchedulePhase: a stall long enough for the ticker to
+// drop ticks costs the node those ticks, but not its place on the wall clock:
+// the daemons come back on the grid they were on, which is the grid of the
+// peers started with it.
+func TestStartedNodeKeepsSchedulePhase(t *testing.T) {
+	const tick = 10 * time.Millisecond
+	const period = 4 * tick
+	journal := trace.New(1 << 10).Only(trace.KindLGC)
+	r := NewLiveRuntime("A", nil, Config{LGCEvery: 4, Trace: journal}, RuntimeConfig{Tick: tick})
+	defer r.Close()
+	runs := func(n uint64) func() bool {
+		return func() bool { return r.Stats().LGCRuns >= n }
+	}
+	waitUntil(t, 10*time.Second, "collections before the stall", runs(3))
+	// Two and a half ticks inside one input: the ticker buffers one tick and
+	// drops at least one.
+	stalled := time.Now()
+	if err := r.With(func(Mutator) { time.Sleep(5 * tick / 2) }); err != nil {
+		t.Fatal(err)
+	}
+	resumed := time.Now().Add(period) // the buffered tick, served late, is not judged
+	waitUntil(t, 10*time.Second, "collections after the stall", runs(r.Stats().LGCRuns+4))
+	r.Close()
+
+	events := journal.Snapshot()
+	after := 0
+	for _, e := range events {
+		if e.At.After(stalled) && e.At.Before(resumed) {
+			continue
+		}
+		if e.At.After(resumed) {
+			after++
+		}
+		off := e.At.Sub(events[0].At) % period
+		if off > period/2 {
+			off -= period
+		}
+		if off.Abs() > tick/2 {
+			t.Fatalf("collection %s is %v off the %v grid of the first one", e, off, period)
+		}
+	}
+	if after < 2 {
+		t.Fatalf("only %d collections judged after the stall", after)
+	}
+}
+
+// TestSteppedAndStartedShareOneSchedule: the same Config gives the same
+// daemon runs per clock tick whoever says Tick.
+func TestSteppedAndStartedShareOneSchedule(t *testing.T) {
+	cfg := Config{LGCEvery: 2, SnapshotEvery: 3, DetectEvery: 3}
+	started := NewLiveRuntime("A", nil, cfg, RuntimeConfig{Tick: time.Millisecond})
+	defer started.Close()
+	waitUntil(t, 10*time.Second, "60 ticks", func() bool { return started.Clock() >= 60 })
+	got := started.Stats() // one input: clock and counters are of the same tick
+
+	stepped := New("A", nil, cfg)
+	for stepped.Clock() < got.Clock {
+		stepped.Tick()
+	}
+	want := stepped.Stats()
+	if got.LGCRuns != want.LGCRuns || got.Summarizations != want.Summarizations {
+		t.Fatalf("at clock %d: started ran lgc=%d summarize=%d, stepped lgc=%d summarize=%d",
+			got.Clock, got.LGCRuns, got.Summarizations, want.LGCRuns, want.Summarizations)
+	}
+	if want.LGCRuns != got.Clock/2 || want.Summarizations != got.Clock/3 {
+		t.Fatalf("at clock %d: lgc=%d summarize=%d, want clock/2 and clock/3", got.Clock, want.LGCRuns, want.Summarizations)
 	}
 }
 

@@ -6,12 +6,26 @@ import (
 	"strings"
 	"testing"
 
+	"dgc/internal/heap"
 	"dgc/internal/snapshot"
 )
 
+// countingCodec counts Encode calls: serialization is the cost §4 measures,
+// so a summarization must pay it once however many places the bytes go.
+type countingCodec struct {
+	snapshot.BinaryCodec
+	encodes *int
+}
+
+func (c countingCodec) Encode(h *heap.Heap) ([]byte, error) {
+	*c.encodes++
+	return c.BinaryCodec.Encode(h)
+}
+
 func TestSnapshotDirWritesSerializedSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	tn := newTestNet(t, Config{Codec: snapshot.BinaryCodec{}, SnapshotDir: dir}, "A")
+	encodes := 0
+	tn := newTestNet(t, Config{Codec: countingCodec{encodes: &encodes}, SnapshotDir: dir}, "A")
 	a := tn.n("A")
 	obj := allocRooted(t, a)
 	_ = obj
@@ -43,6 +57,9 @@ func TestSnapshotDirWritesSerializedSnapshots(t *testing.T) {
 	}
 	if len(entries) != 2 {
 		t.Fatalf("snapshot files = %d, want 2", len(entries))
+	}
+	if encodes != 2 {
+		t.Fatalf("Encode calls = %d for 2 snapshot files, want 1 each", encodes)
 	}
 	for _, e := range entries {
 		if !strings.HasPrefix(e.Name(), "A-") || !strings.HasSuffix(e.Name(), ".binary.snap") {

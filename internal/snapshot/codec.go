@@ -23,15 +23,18 @@ type Codec interface {
 	Decode(data []byte) (*heap.Heap, error)
 }
 
-// WriteFile serializes the heap with the codec and writes it to path —
-// the paper's "each process stores a snapshot of its internal object graph
-// on disk" (§2.2).
-func WriteFile(c Codec, h *heap.Heap, path string) error {
-	data, err := c.Encode(h)
-	if err != nil {
-		return fmt.Errorf("snapshot: encode with %s: %w", c.Name(), err)
+// WriteFile stores an encoded snapshot at path — the paper's "each process
+// stores a snapshot of its internal object graph on disk" (§2.2) — through a
+// temporary file renamed into place, so a reader never sees a torn snapshot.
+// Not fsynced: nothing restores from these files.
+func WriteFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err != nil {
+		_ = os.Remove(tmp) // best effort; the write error is what the caller needs
 		return fmt.Errorf("snapshot: write %s: %w", path, err)
 	}
 	return nil

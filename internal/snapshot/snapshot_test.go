@@ -240,7 +240,11 @@ func TestWriteReadFile(t *testing.T) {
 	h, _, _ := buildSampleHeap(t)
 	for _, c := range codecs() {
 		path := filepath.Join(dir, "snap."+c.Name())
-		if err := WriteFile(c, h, path); err != nil {
+		data, err := c.Encode(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFile(path, data); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadFile(c, path)

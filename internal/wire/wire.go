@@ -36,6 +36,16 @@ const (
 	KindLeaseHandoff
 )
 
+// CollectorKinds returns the kinds that make up the garbage collector's own
+// protocol: reference listing (NewSetStubs) and cycle detection (CDM,
+// BatchCDM, DeleteScion). These are the messages whose loss, duplication and
+// reordering the paper claims to tolerate, so fault injectors target them,
+// and the ones an experiment counts as collector cost. TestEveryKindIsClassified
+// fails when a new kind is in neither this list nor one of the others.
+func CollectorKinds() []Kind {
+	return []Kind{KindNewSetStubs, KindCDM, KindDeleteScion, KindBatchCDM}
+}
+
 // String returns the protocol name of the kind.
 func (k Kind) String() string {
 	switch k {

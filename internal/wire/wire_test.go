@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -344,5 +345,46 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(200).String() != "Kind(200)" {
 		t.Errorf("unknown kind string = %q", Kind(200).String())
+	}
+}
+
+// TestEveryKindIsClassified fails when a kind is added without deciding
+// whose traffic it is: the fault injectors and the experiments' message
+// counts are built from CollectorKinds, and a kind missing from it is
+// silently never dropped, duplicated, reordered or counted (KindBatchCDM was,
+// for one PR).
+func TestEveryKindIsClassified(t *testing.T) {
+	class := map[Kind]string{
+		KindInvokeRequest:    "mutator",
+		KindInvokeReply:      "mutator",
+		KindCreateScion:      "mutator",
+		KindCreateScionAck:   "mutator",
+		KindNewSetStubs:      "collector",
+		KindCDM:              "collector",
+		KindDeleteScion:      "collector",
+		KindBatchCDM:         "collector",
+		KindHughesStamp:      "baseline",
+		KindHughesThreshold:  "baseline",
+		KindBacktraceRequest: "baseline",
+		KindBacktraceReply:   "baseline",
+		KindGossip:           "membership",
+		KindLeaseHandoff:     "membership",
+		KindBatch:            "framing",
+		KindCredit:           "framing",
+	}
+	collector := make(map[Kind]bool)
+	for _, k := range CollectorKinds() {
+		collector[k] = true
+	}
+	// Walk the enum until String stops knowing the value, so a kind appended
+	// after KindLeaseHandoff is seen too.
+	for k := Kind(1); !strings.HasPrefix(k.String(), "Kind("); k++ {
+		c, ok := class[k]
+		if !ok {
+			t.Errorf("%s is not classified: add it here, and to CollectorKinds if it is collector traffic", k)
+		}
+		if (c == "collector") != collector[k] {
+			t.Errorf("%s is classified %q but CollectorKinds has it = %v", k, c, collector[k])
+		}
 	}
 }

@@ -253,16 +253,6 @@ func SharedTrunk(k, procs int) *Topology {
 
 func trunkEntry(i int) string { return fmt.Sprintf("a%d", i) }
 
-// SharedTrunkEntries returns the names of the K fan-in objects of
-// SharedTrunk(k, ...): the detection candidates.
-func SharedTrunkEntries(k int) []string {
-	out := make([]string, k)
-	for i := range out {
-		out[i] = trunkEntry(i)
-	}
-	return out
-}
-
 // WebGraph builds a seeded web of overlapping distributed garbage cycles:
 // `cycles` rings of random length threaded across `procs` processes, plus
 // `chords` extra references between randomly-chosen cycle objects. Nothing

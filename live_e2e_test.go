@@ -58,13 +58,11 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 		eps[n].SetMetrics(dgc.NewTransportMetrics(metrics.Node(string(n))))
 	}
 
-	cfg := dgc.Config{CallTimeoutTicks: 400, CandidateMinAge: 2, Metrics: metrics}
-	rcfg := dgc.RuntimeConfig{
-		Tick:             10 * time.Millisecond,
-		LGCInterval:      20 * time.Millisecond,
-		SnapshotInterval: 40 * time.Millisecond,
-		DetectInterval:   40 * time.Millisecond,
+	cfg := dgc.Config{
+		CallTimeoutTicks: 400, CandidateMinAge: 2, Metrics: metrics,
+		LGCEvery: 2, SnapshotEvery: 4, DetectEvery: 4,
 	}
+	rcfg := dgc.RuntimeConfig{Tick: 10 * time.Millisecond}
 	nodes := make(map[dgc.NodeID]*dgc.LiveRuntime, 3)
 	for _, n := range names {
 		nodes[n] = dgc.NewLiveRuntime(n, eps[n], cfg, rcfg)

@@ -39,6 +39,9 @@ func memberTrio(t *testing.T) (map[dgc.NodeID]*dgc.LiveRuntime, map[dgc.NodeID]*
 	cfg := dgc.Config{
 		CallTimeoutTicks: 400,
 		CandidateMinAge:  2,
+		LGCEvery:         2,
+		SnapshotEvery:    4,
+		DetectEvery:      4,
 		Membership: &dgc.MembershipConfig{
 			GossipEvery:  2,
 			SuspectAfter: 10,
@@ -47,12 +50,7 @@ func memberTrio(t *testing.T) (map[dgc.NodeID]*dgc.LiveRuntime, map[dgc.NodeID]*
 			DrainLinger:  4,
 		},
 	}
-	rcfg := dgc.RuntimeConfig{
-		Tick:             10 * time.Millisecond,
-		LGCInterval:      20 * time.Millisecond,
-		SnapshotInterval: 40 * time.Millisecond,
-		DetectInterval:   40 * time.Millisecond,
-	}
+	rcfg := dgc.RuntimeConfig{Tick: 10 * time.Millisecond}
 	nodes := make(map[dgc.NodeID]*dgc.LiveRuntime, 3)
 	for _, n := range names {
 		nodes[n] = dgc.NewLiveRuntime(n, eps[n], cfg, rcfg)

@@ -32,14 +32,11 @@ func TestLiveOverloadShedsAndStillCollects(t *testing.T) {
 			}
 		}
 	}
-	cfg := dgc.Config{CallTimeoutTicks: 400, CandidateMinAge: 2}
-	rcfg := dgc.RuntimeConfig{
-		Tick:             10 * time.Millisecond,
-		LGCInterval:      20 * time.Millisecond,
-		SnapshotInterval: 40 * time.Millisecond,
-		DetectInterval:   40 * time.Millisecond,
-		Mailbox:          8,
+	cfg := dgc.Config{
+		CallTimeoutTicks: 400, CandidateMinAge: 2,
+		LGCEvery: 2, SnapshotEvery: 4, DetectEvery: 4,
 	}
+	rcfg := dgc.RuntimeConfig{Tick: 10 * time.Millisecond, Mailbox: 8}
 	nodes := make(map[dgc.NodeID]*dgc.LiveRuntime, 3)
 	for _, n := range names {
 		nodes[n] = dgc.NewLiveRuntime(n, eps[n], cfg, rcfg)
