@@ -36,8 +36,16 @@ func (m *Machine) Tick() {
 		}
 		m.met.DetectionsInflight.Set(int64(len(m.inflight)))
 	}
-	if m.cfg.LGCEvery > 0 && m.clock%m.cfg.LGCEvery == 0 {
+	// A collection tick is one the schedule names or one an overflowing stub
+	// set asked for (handleNewSetStubs); either way it opens a new interval
+	// for the one off-schedule collection.
+	due := m.sweepDue
+	m.sweepDue, m.sweptOffSchedule = false, false
+	switch {
+	case m.cfg.LGCEvery > 0 && m.clock%m.cfg.LGCEvery == 0:
 		m.RunLGC()
+	case due: // only ever set with LGCEvery > 0
+		m.collect(true)
 	}
 	if m.cfg.SnapshotEvery > 0 && m.clock%m.cfg.SnapshotEvery == 0 {
 		_ = m.Summarize()
@@ -63,24 +71,32 @@ func (m *Machine) expireCalls() {
 	}
 }
 
-// RunLGC performs one local collection and emits NewSetStubs messages.
-func (m *Machine) RunLGC() lgc.Result {
+// RunLGC performs one local collection and restates every peer's stub set.
+func (m *Machine) RunLGC() lgc.Result { return m.collect(false) }
+
+// collect performs one local collection and emits NewSetStubs messages: to
+// every known peer when scheduled or explicit, only to peers whose set
+// changed when offSchedule (a stub set deleted scions; see
+// handleNewSetStubs).
+func (m *Machine) collect(offSchedule bool) lgc.Result {
 	start := time.Now()
 	// Remember every current peer before the collection can delete their
 	// last stub, so they still receive the (empty) stub set that lets them
 	// reclaim scions.
-	for _, s := range m.table.Stubs() {
-		m.acyclic.NotePeer(s.Target.Node)
-	}
+	m.acyclic.NotePeers()
 	res := m.lgc.Collect(m.pinnedRefs()...)
 	m.stats.LGCRuns++
 	m.stats.ObjectsSwept += uint64(res.Swept)
 	m.met.LGCRuns.Inc()
 	m.met.ObjectsSwept.Add(uint64(res.Swept))
-	m.emit(trace.KindLGC, "swept=%d live=%d stubs-deleted=%d", res.Swept, res.Live, res.StubsDeleted)
 
 	// "This new set of stubs is then sent to remote processes" (§1).
-	for _, ts := range m.acyclic.GenerateTargeted() {
+	generate, trigger := m.acyclic.GenerateTargeted, ""
+	if offSchedule {
+		generate, trigger = m.acyclic.GenerateChanged, " trigger=stub-set"
+	}
+	m.emit(trace.KindLGC, "swept=%d live=%d stubs-deleted=%d%s", res.Swept, res.Live, res.StubsDeleted, trigger)
+	for _, ts := range generate() {
 		m.stats.StubSetsSent++
 		m.met.StubSetsSent.Inc()
 		m.send(ts.To, &wire.NewSetStubs{Set: ts.Msg})
@@ -125,6 +141,10 @@ func (m *Machine) Summarize() error {
 		if m.cfg.SnapshotDir != "" {
 			path := filepath.Join(m.cfg.SnapshotDir,
 				fmt.Sprintf("%s-%06d.%s.snap", m.id, m.snapVersion, m.cfg.Codec.Name()))
+			// Temp file + rename but unsynced, so a crash can leave the name
+			// on a short file. Right only while nothing restores from snapshot
+			// files (they are §4's measured cost, not state); anything that
+			// starts to — ROADMAP item 2 — must sync before the rename.
 			if err := snapshot.WriteFile(path, data); err != nil {
 				return err
 			}

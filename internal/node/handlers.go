@@ -281,8 +281,15 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 }
 
 // handleNewSetStubs applies a reference-listing stub set: scions from the
-// sender not listed are deleted and the objects they protected become
-// eligible for the next local collection.
+// sender not listed are deleted. On a machine that schedules its own LGC the
+// objects they protected are collected in this same input: a stub set is the
+// product of the peer's finished collection, so nothing more is coming and
+// waiting for the next LGC tick only adds a period per hop. The bound is in
+// logical time — one such collection between two ticks; a further
+// scion-deleting set in the interval makes the next tick a collection tick
+// instead. Scions deleted for any other reason (cycle found, DeleteScion,
+// leases) wait for the schedule: a found cycle's deletions arrive spread over
+// a tick, and sweeping early splits the burst (DESIGN.md §8).
 func (m *Machine) handleNewSetStubs(msg *wire.NewSetStubs) {
 	deleted := m.acyclic.ApplyStubSet(msg.Set)
 	m.stats.StubSetsApplied++
@@ -296,5 +303,14 @@ func (m *Machine) handleNewSetStubs(msg *wire.NewSetStubs) {
 		ref := sc.RefID(m.id)
 		m.selector.Forget(ref)
 		m.emit(trace.KindScionDeleted, "ref=%s reason=stub-set", ref)
+	}
+	switch {
+	case m.cfg.LGCEvery == 0:
+		// Explicit rounds only (internal/cluster, dgc-sim): the harness collects.
+	case m.sweptOffSchedule:
+		m.sweepDue = true
+	default:
+		m.sweptOffSchedule = true
+		m.collect(true)
 	}
 }

@@ -44,6 +44,14 @@ type Machine struct {
 	clock       uint64
 	snapVersion uint64
 
+	// sweptOffSchedule is set once a stub set's collection has run since the
+	// last Tick, and sweepDue when a further scion-deleting stub set arrived
+	// after it, which makes the next Tick a collection tick. Both are counted
+	// in ticks, never wall time, and neither is persisted: a restored machine
+	// waits for its schedule.
+	sweptOffSchedule bool
+	sweepDue         bool
+
 	// sumHeapGen/sumTableGen record the heap and table mutation epochs at
 	// the last summary rebuild; while both still match, Summarize is a
 	// cache hit and skips re-encoding and re-summarizing.

@@ -118,7 +118,7 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 
 		ScionsCreated:     reg.Counter("dgc_scions_created_total", "Incoming-reference scions created."),
 		ScionsDropped:     reg.Counter("dgc_scions_dropped_total", "Scions deleted by reference-listing stub-set application."),
-		LGCRuns:           reg.Counter("dgc_lgc_runs_total", "Local garbage collections run."),
+		LGCRuns:           reg.Counter("dgc_lgc_runs_total", "Local garbage collections run: scheduled, explicit and the ones a scion-deleting stub set causes."),
 		ObjectsSwept:      reg.Counter("dgc_lgc_objects_swept_total", "Objects reclaimed by local collections."),
 		StubSetsSent:      reg.Counter("dgc_stub_sets_sent_total", "NewSetStubs messages sent after local collections."),
 		StubSetsApplied:   reg.Counter("dgc_stub_sets_applied_total", "NewSetStubs messages applied from peers."),

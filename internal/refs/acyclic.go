@@ -1,7 +1,8 @@
 package refs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dgc/internal/ids"
 )
@@ -49,6 +50,11 @@ type AcyclicDGC struct {
 	// (empty) set that lets the peer drop its remaining scions. The value
 	// counts consecutive empty sets sent.
 	knownPeers map[ids.NodeID]int
+	// lastSent fingerprints the set last sent to each destination, so an
+	// off-schedule collection (GenerateChanged) can leave an unchanged set
+	// unsaid. Updated by every send; not persisted — a restored process has
+	// no entry and restates.
+	lastSent map[ids.NodeID]uint64
 }
 
 // NewAcyclicDGC returns the acyclic collector state bound to a table.
@@ -58,17 +64,19 @@ func NewAcyclicDGC(table *Table) *AcyclicDGC {
 		outSeq:     make(map[ids.NodeID]uint64),
 		inSeq:      make(map[ids.NodeID]uint64),
 		knownPeers: make(map[ids.NodeID]int),
+		lastSent:   make(map[ids.NodeID]uint64),
 	}
 }
 
-// NotePeer records that the process currently holds (or held) stubs to the
-// given node, guaranteeing the peer a stub-set message in the next
-// generation round even if every such stub disappears before it. Callers
-// must invoke this for each stub's target node BEFORE a local collection
-// deletes stubs, otherwise a peer whose last stub dies in the collection
-// never learns about it and its scions leak.
-func (a *AcyclicDGC) NotePeer(n ids.NodeID) {
-	a.knownPeers[n] = 0
+// NotePeers records every node the process currently holds stubs to,
+// guaranteeing each a stub-set message in the next generation round even if
+// every such stub disappears before it. Callers must invoke this BEFORE a
+// local collection deletes stubs, otherwise a peer whose last stub dies in
+// the collection never learns about it and its scions leak.
+func (a *AcyclicDGC) NotePeers() {
+	for ref := range a.table.stubs {
+		a.knownPeers[ref.Node] = 0
+	}
 }
 
 // TargetedStubSet pairs a NewSetStubs message with its destination.
@@ -79,13 +87,24 @@ type TargetedStubSet struct {
 
 // GenerateTargeted builds one NewSetStubs message per peer process from the
 // current stub table. It must be called after a local collection has
-// recomputed the stub table (see lgc). Peers that previously received a
-// non-empty set and now have no stubs receive an explicit empty set exactly
-// once, so their scions from this process can be reclaimed.
-func (a *AcyclicDGC) GenerateTargeted() []TargetedStubSet {
+// recomputed the stub table (see lgc). A peer that has no stubs left here is
+// sent an explicit empty set so its scions from this process can be
+// reclaimed — in every round from then on by default, EmptySetRepeats times
+// when that is set: the repetition is what lets scion reclamation survive
+// the loss of an empty set.
+func (a *AcyclicDGC) GenerateTargeted() []TargetedStubSet { return a.generate(false) }
+
+// GenerateChanged is GenerateTargeted for a collection that runs between two
+// scheduled ones: a peer whose set equals the one last sent to it gets no
+// message, and for that peer neither the sequence number nor the empty-set
+// repeat count moves. Loss tolerance stays with the scheduled rounds, which
+// restate every set whether it changed or not.
+func (a *AcyclicDGC) GenerateChanged() []TargetedStubSet { return a.generate(true) }
+
+func (a *AcyclicDGC) generate(changedOnly bool) []TargetedStubSet {
 	byNode := make(map[ids.NodeID][]ids.ObjID)
-	for _, s := range a.table.Stubs() {
-		byNode[s.Target.Node] = append(byNode[s.Target.Node], s.Target.Obj)
+	for ref := range a.table.stubs {
+		byNode[ref.Node] = append(byNode[ref.Node], ref.Obj)
 	}
 	for n := range byNode {
 		a.knownPeers[n] = 0
@@ -99,7 +118,12 @@ func (a *AcyclicDGC) GenerateTargeted() []TargetedStubSet {
 	out := make([]TargetedStubSet, 0, len(nodes))
 	for _, n := range nodes {
 		objs := byNode[n]
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+		slices.Sort(objs)
+		fp := fingerprint(objs)
+		if last, sent := a.lastSent[n]; changedOnly && sent && last == fp {
+			continue
+		}
+		a.lastSent[n] = fp
 		a.outSeq[n]++
 		out = append(out, TargetedStubSet{
 			To:  n,
@@ -109,10 +133,22 @@ func (a *AcyclicDGC) GenerateTargeted() []TargetedStubSet {
 			a.knownPeers[n]++
 			if a.EmptySetRepeats > 0 && a.knownPeers[n] >= a.EmptySetRepeats {
 				delete(a.knownPeers, n)
+				delete(a.lastSent, n)
 			}
 		}
 	}
 	return out
+}
+
+// fingerprint hashes a sorted object list (FNV-1a over whole words). Two
+// different sets colliding would make GenerateChanged skip a changed set;
+// the next scheduled round states it regardless.
+func fingerprint(objs []ids.ObjID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, o := range objs {
+		h = (h ^ uint64(o)) * 1099511628211
+	}
+	return h
 }
 
 // ApplyStubSet processes a received NewSetStubs message: every scion from
@@ -130,15 +166,16 @@ func (a *AcyclicDGC) ApplyStubSet(msg StubSetMsg) []Scion {
 		listed[o] = struct{}{}
 	}
 	var deleted []Scion
-	for _, s := range a.table.Scions() {
-		if s.Src != msg.From {
+	for k, s := range a.table.scions {
+		if k.Src != msg.From {
 			continue
 		}
-		if _, ok := listed[s.Obj]; !ok {
-			a.table.DeleteScion(s.Src, s.Obj)
+		if _, ok := listed[k.Obj]; !ok {
 			deleted = append(deleted, *s)
+			a.table.DeleteScion(k.Src, k.Obj)
 		}
 	}
+	slices.SortFunc(deleted, func(x, y Scion) int { return cmp.Compare(x.Obj, y.Obj) })
 	return deleted
 }
 

@@ -77,7 +77,7 @@ func TestNotePeerForcesEmptySetAfterSilentStubDeath(t *testing.T) {
 	tb := NewTable("P1")
 	tb.EnsureStub(gref("P2", 6))
 	a := NewAcyclicDGC(tb)
-	a.NotePeer("P2")
+	a.NotePeers()
 	tb.DeleteStub(gref("P2", 6)) // dies before any GenerateTargeted
 	out := a.GenerateTargeted()
 	if len(out) != 1 || out[0].To != "P2" || len(out[0].Msg.Objs) != 0 {
@@ -210,5 +210,48 @@ func TestApplyStubSetNeverDeletesListed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// GenerateChanged says only what the peer has not been told: a skipped set
+// moves neither the sequence number nor the empty-set repeat count, and the
+// next GenerateTargeted restates everything regardless.
+func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
+	tb := NewTable("P1")
+	tb.EnsureStub(gref("P2", 6))
+	tb.EnsureStub(gref("P3", 1))
+	a := NewAcyclicDGC(tb)
+	a.EmptySetRepeats = 2
+	if out := a.GenerateChanged(); len(out) != 2 {
+		t.Fatalf("never-sent sets = %+v, want both stated", out)
+	}
+	if out := a.GenerateChanged(); len(out) != 0 {
+		t.Fatalf("unchanged sets = %+v, want none", out)
+	}
+	tb.DeleteStub(gref("P3", 1))
+	out := a.GenerateChanged()
+	if len(out) != 1 || out[0].To != "P3" || len(out[0].Msg.Objs) != 0 || out[0].Msg.Seq != 2 {
+		t.Fatalf("after P3's last stub died = %+v, want one empty set, seq 2", out)
+	}
+	if out := a.GenerateChanged(); len(out) != 0 {
+		t.Fatalf("unchanged empty set = %+v, want none", out)
+	}
+	if a.outSeq["P2"] != 1 || a.outSeq["P3"] != 2 || a.knownPeers["P3"] != 1 {
+		t.Fatalf("skipped sets moved state: outSeq=%v repeats=%v", a.outSeq, a.knownPeers)
+	}
+	// A scheduled round restates both; P3's second empty set is its last.
+	out = a.GenerateTargeted()
+	if len(out) != 2 || out[0].Msg.Seq != 2 || out[1].Msg.Seq != 3 {
+		t.Fatalf("scheduled round = %+v, want P2 seq 2 and P3 seq 3", out)
+	}
+	if _, known := a.knownPeers["P3"]; known {
+		t.Fatal("P3 still known after EmptySetRepeats empty sets")
+	}
+	// Fingerprints are not persisted: a restored process restates.
+	outSeq, inSeq := a.SeqState()
+	b := NewAcyclicDGC(tb)
+	b.RestoreSeqState(outSeq, inSeq)
+	if out := b.GenerateChanged(); len(out) != 2 || out[0].Msg.Seq != 3 {
+		t.Fatalf("restored process = %+v, want both peers restated, P2 at seq 3", out)
 	}
 }
