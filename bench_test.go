@@ -539,8 +539,8 @@ func BenchmarkCDMHopJournaled(b *testing.B) {
 	// layer performs per handled CDM: the cdm-handled emission and the
 	// cdm-sent emission for the forwarded message, against a journal at the
 	// daemons' default capacity with no subscribers (the steady state — the
-	// fan-out loop is empty and the cost is seq++, the ring store, and the
-	// Sprintf of the detail line). The bar matches PR 4's instrumentation:
+	// fan-out loop is empty and the cost is seq++, packing the arguments into
+	// a record, and the ring store). The bar matches PR 4's instrumentation:
 	// within noise of the uninstrumented hop.
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {

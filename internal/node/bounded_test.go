@@ -33,26 +33,6 @@ func TestRetainedStateFollowsLiveGraph(t *testing.T) {
 	namesBefore := slices.Clone(core.NodeNames())
 	tn := newTestNet(t, Config{}, names...)
 
-	gcRound := func() {
-		for _, id := range names {
-			tn.n(id).RunLGC()
-		}
-		tn.settle()
-		for _, id := range names {
-			if err := tn.n(id).Summarize(); err != nil {
-				t.Fatal(err)
-			}
-			tn.n(id).RunDetection()
-		}
-		tn.settle()
-	}
-	objects := func() int {
-		total := 0
-		for _, id := range names {
-			total += tn.n(id).NumObjects() + tn.n(id).NumScions() + tn.n(id).NumStubs()
-		}
-		return total
-	}
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -73,12 +53,7 @@ func TestRetainedStateFollowsLiveGraph(t *testing.T) {
 				tn.grant(id, objs[i], names[next], objs[next])
 			}
 		}
-		for round := 0; objects() != 0; round++ {
-			if round == maxRounds {
-				t.Fatalf("after %d rings: %d objects+scions+stubs left after %d GC rounds", done+batch, objects(), maxRounds)
-			}
-			gcRound()
-		}
+		gcRounds(t, tn, names, maxRounds)
 		for _, id := range names {
 			h := tn.n(id).mach.heap
 			if got := h.MarkScratchLen(); got > h.Len()+slack {

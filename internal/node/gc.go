@@ -26,7 +26,7 @@ func (m *Machine) Tick() {
 	m.expireCalls()
 	m.membTick()
 	// Periodically age out tracked detections that never reached a terminal
-	// outcome here (e.g. the origin of a detection that ended elsewhere).
+	// outcome here (an aggregating origin whose detection ended elsewhere).
 	if m.clock%64 == 0 && len(m.inflight) > 0 {
 		cutoff := time.Now().Add(-inflightMaxAge)
 		for det, inf := range m.inflight {

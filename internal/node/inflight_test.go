@@ -1,0 +1,137 @@
+package node
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"dgc/internal/ids"
+	"dgc/internal/obs"
+	"dgc/internal/trace"
+)
+
+// gcRounds runs explicit collection rounds — every node's LGC, then its
+// summary and detection, each step settled — until the cluster holds no
+// objects, scions or stubs.
+func gcRounds(t *testing.T, tn *testNet, names []ids.NodeID, maxRounds int) {
+	t.Helper()
+	left := func() int {
+		total := 0
+		for _, id := range names {
+			total += tn.n(id).NumObjects() + tn.n(id).NumScions() + tn.n(id).NumStubs()
+		}
+		return total
+	}
+	for round := 0; left() != 0; round++ {
+		if round == maxRounds {
+			t.Fatalf("%d objects+scions+stubs left after %d GC rounds", left(), maxRounds)
+		}
+		for _, id := range names {
+			tn.n(id).RunLGC()
+		}
+		tn.settle()
+		for _, id := range names {
+			if err := tn.n(id).Summarize(); err != nil {
+				t.Fatal(err)
+			}
+			tn.n(id).RunDetection()
+		}
+		tn.settle()
+	}
+}
+
+// TestInflightHoldsOnlyWhatIsInFlight: a stepped 3-node cluster detects and
+// reclaims 200 garbage rings. Every node launches one detection per ring and
+// each closes at its ring's last process, so at quiescence no node tracks
+// any detection (the table used to keep every launched and every forwarded
+// one, 400 per node here, until its cap flushed it), while the journal's
+// detection-end events and the latency samples are the ones the table always
+// produced: one per detection, 600, as at the parent commit.
+func TestInflightHoldsOnlyWhatIsInFlight(t *testing.T) {
+	const rings, batch = 200, 20
+	names := []ids.NodeID{"inflight-A", "inflight-B", "inflight-C"}
+	journal := trace.New(1 << 16)
+	tn := newTestNet(t, Config{Metrics: obs.NewSet(), Trace: journal}, names...)
+	for done := 0; done < rings; done += batch {
+		for r := 0; r < batch; r++ {
+			var objs [3]ids.ObjID
+			for i, id := range names {
+				objs[i] = alloc(tn.n(id))
+			}
+			for i, id := range names {
+				next := (i + 1) % len(names)
+				tn.grant(id, objs[i], names[next], objs[next])
+			}
+		}
+		gcRounds(t, tn, names, 12)
+	}
+
+	var samples uint64
+	for _, id := range names {
+		met := tn.n(id).mach.Metrics()
+		if got := met.DetectionsInflight.Value(); got != 0 {
+			t.Errorf("%s: dgc_detections_inflight = %d at quiescence", id, got)
+		}
+		if got := tn.n(id).DebugSnapshot().InflightDetections; len(got) != 0 {
+			t.Errorf("%s: %d inflight detections at quiescence, first %+v", id, len(got), got[0])
+		}
+		samples += met.DetectionLatency.Count()
+	}
+	const detections = rings * 3
+	outcomes, ended := map[string]int{}, map[uint64]bool{}
+	for _, e := range journal.OfKind(trace.KindDetectionEnd) {
+		outcomes[e.Detail[strings.LastIndex(e.Detail, "outcome=")+len("outcome="):]]++
+		ended[e.Trace] = true
+	}
+	if journal.Dropped() != 0 {
+		t.Fatalf("journal evicted %d events; enlarge it", journal.Dropped())
+	}
+	if outcomes["cycle-found"] != detections || len(outcomes) != 1 || len(ended) != detections {
+		t.Errorf("detection-end outcomes = %v over %d detections, want cycle-found: %d, once each",
+			outcomes, len(ended), detections)
+	}
+	if samples != detections {
+		t.Errorf("dgc_detection_latency_seconds_count = %d cluster-wide, want %d", samples, detections)
+	}
+}
+
+// TestAggregatingOriginObservesLaunchToVerdict: under AggregateDetection the
+// origin keeps its detection from launch, so a verdict reached back at the
+// origin is timed from the launch. Two 2-cycles share A's object, so each
+// detection launched at A closes at A; the delay between launching and
+// delivering is in every one of A's samples.
+func TestAggregatingOriginObservesLaunchToVerdict(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	names := []ids.NodeID{"agg-A", "agg-B", "agg-C"}
+	tn := newTestNet(t, Config{AggregateDetection: true, Metrics: obs.NewSet()}, names...)
+	var objs [3]ids.ObjID
+	for i, id := range names {
+		objs[i] = alloc(tn.n(id))
+	}
+	for _, peer := range []int{1, 2} {
+		tn.grant(names[0], objs[0], names[peer], objs[peer])
+		tn.grant(names[peer], objs[peer], names[0], objs[0])
+	}
+	for _, id := range names {
+		tn.n(id).RunLGC()
+	}
+	tn.settle()
+	for _, id := range names {
+		if err := tn.n(id).Summarize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := tn.n(names[0])
+	if a.RunDetection() == 0 {
+		t.Fatal("no detection launched at the origin")
+	}
+	time.Sleep(delay)
+	tn.settle()
+	lat := a.mach.Metrics().DetectionLatency
+	if lat.Count() == 0 {
+		t.Fatal("no verdict observed at the origin")
+	}
+	if mean := time.Duration(lat.Sum() / float64(lat.Count()) * float64(time.Second)); mean < delay {
+		t.Errorf("origin latency mean %v < launch-to-delivery delay %v: not timed from launch", mean, delay)
+	}
+}

@@ -102,11 +102,12 @@ type Machine struct {
 	// protocol decisions, keeping the machine's behaviour deterministic.
 	met *obs.NodeMetrics
 
-	// inflight tracks detections currently known to this node for causal
-	// tracing and the per-detection latency histogram: keyed by detection,
-	// carrying the trace id and the wall-clock time of first sight here.
-	// Droppable cache (bounded by inflightCap, aged out on clock advances):
-	// losing an entry only loses a latency sample.
+	// inflight tracks the detections that can still end at this node, for
+	// causal tracing and the per-detection latency histogram: keyed by
+	// detection, carrying the trace id and the wall-clock time of first sight
+	// here (trackDetection says which, and for how long). Droppable cache
+	// (bounded by inflightCap, aged out on clock advances): losing an entry
+	// only loses a latency sample.
 	inflight map[core.DetectionID]detInflight
 
 	// lastLGC/lastSummarize timestamp the most recent daemon runs, for the
@@ -154,6 +155,10 @@ type cdmBatcher struct {
 	rets     map[ids.NodeID][]wire.BatchSection
 	retOrder []ids.NodeID
 	retHops  int
+
+	// passing lists the detections trackDetection started tracking in this
+	// input that cannot end here later; the flush stops tracking them.
+	passing []core.DetectionID
 }
 
 // outSection is one buffered (detection, algebra) pair bound for an edge.
@@ -225,7 +230,7 @@ type detInflight struct {
 const inflightCap = 1 << 12
 
 // inflightMaxAge ages out tracked detections that never reached a terminal
-// outcome at this node (e.g. the origin of a detection that ended
+// outcome at this node (an aggregating origin whose detection ended
 // elsewhere). Swept on clock advances.
 const inflightMaxAge = 2 * time.Minute
 
@@ -353,10 +358,21 @@ func (m *Machine) flushCDMBatch() {
 			origin, len(b.rets[origin]), b.retHops)
 		m.send(origin, wire.NewBatchCDM(ids.RefID{}, b.retHops, true, b.rets[origin]))
 	}
+	if len(b.passing) > 0 {
+		for _, det := range b.passing {
+			delete(m.inflight, det)
+		}
+		m.met.DetectionsInflight.Set(int64(len(m.inflight)))
+	}
 }
 
 // trackDetection records a detection for causal tracing, stamping its first
-// sight at this node.
+// sight at this node. The entry outlives the current input only where the
+// detection can still end later: at its origin under AggregateDetection,
+// which partial returns come back to. Anywhere else the detection ends in
+// this input or leaves it forwarded or dropped (a ring closes at its last
+// process), so the batch flush drops the entry, and a later delivery tracks
+// it afresh (§3.2: no state about detections in course).
 func (m *Machine) trackDetection(det core.DetectionID, trace uint64) {
 	if _, ok := m.inflight[det]; ok {
 		return
@@ -365,7 +381,11 @@ func (m *Machine) trackDetection(det core.DetectionID, trace uint64) {
 		m.inflight = make(map[core.DetectionID]detInflight)
 	}
 	m.inflight[det] = detInflight{trace: trace, first: time.Now()}
-	m.met.DetectionsInflight.Set(int64(len(m.inflight)))
+	if det.Origin == m.id && m.cfg.AggregateDetection {
+		m.met.DetectionsInflight.Set(int64(len(m.inflight)))
+		return
+	}
+	m.batch.passing = append(m.batch.passing, det)
 }
 
 // detectionDone observes the detection's latency at this node (first sight

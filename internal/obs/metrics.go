@@ -108,7 +108,7 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		CDMsDeduped:       reg.Counter("dgc_cdms_deduped_total", "CDM deliveries that added no new information to the accumulated view."),
 		CDMsRaceDropped:   reg.Counter("dgc_cdms_race_dropped_total", "CDM deliveries conflicting with the accumulated per-detection view."),
 		ScionsFreed:       reg.Counter("dgc_scions_freed_total", "Scions deleted because a detection proved them part of a garbage cycle."),
-		DetectionLatency:  reg.Histogram("dgc_detection_latency_seconds", "Seconds from first sight of a detection at this node to its terminal outcome here (cycle found or abort).", DetectionLatencyBuckets),
+		DetectionLatency:  reg.Histogram("dgc_detection_latency_seconds", "Seconds from a detection's arrival at this node (its launch, at an aggregating origin) to its terminal outcome here (cycle found or abort).", DetectionLatencyBuckets),
 		CDMHops:           reg.Histogram("dgc_cdm_hops", "Forwarding depth carried by delivered CDMs.", HopBuckets),
 
 		BatchCDMsSent:       reg.Counter("dgc_batch_cdms_sent_total", "Multi-candidate BatchCDM messages sent to peers."),
@@ -135,8 +135,8 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		HeapObjects:          reg.Gauge("dgc_heap_objects", "Objects currently on the heap."),
 		Scions:               reg.Gauge("dgc_scions", "Incoming-reference scions currently recorded."),
 		Stubs:                reg.Gauge("dgc_stubs", "Outgoing-reference stubs currently recorded."),
-		DetectionsInflight:   reg.Gauge("dgc_detections_inflight", "Detections currently tracked at this node (traced, not yet terminal)."),
-		DetectionInflightAge: reg.Gauge("dgc_detection_inflight_age_seconds", "Age in whole seconds of the oldest detection still inflight at this node (0 when none)."),
+		DetectionsInflight:   reg.Gauge("dgc_detections_inflight", "Detections that can still end at this node after the current input: an aggregating origin's own, between launch and verdict."),
+		DetectionInflightAge: reg.Gauge("dgc_detection_inflight_age_seconds", "Age in whole seconds of the oldest detection counted by dgc_detections_inflight (0 when none)."),
 		PendingCalls:         reg.Gauge("dgc_pending_calls", "Remote invocations awaiting replies."),
 
 		MailboxDepth:    reg.Gauge("dgc_mailbox_depth", "Runtime mailbox occupancy at last consume."),

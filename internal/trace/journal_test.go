@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"dgc/internal/ids"
 )
 
 // TestSeqMonotoneUnderConcurrentWriters runs many writers against one log
@@ -41,6 +44,55 @@ func TestSeqMonotoneUnderConcurrentWriters(t *testing.T) {
 	}
 	if last := events[len(events)-1].Seq; last != writers*per {
 		t.Fatalf("last seq = %d, want %d", last, writers*per)
+	}
+}
+
+// TestReadersRenderWhileWritersGrowTables renders on readers' goroutines,
+// outside the log's lock, while writers grow the string and shape tables
+// past their bounds and evict fallback texts (under -race in CI): every
+// detail read must be the one its writer emitted.
+func TestReadersRenderWhileWritersGrowTables(t *testing.T) {
+	l := New(128)
+	const writers, per = 4, 600
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				l.Emit(ids.NodeID(fmt.Sprintf("w%d", g)), KindCustom, "name=%s i=%d", fmt.Sprintf("n%d-%d", g, i), i)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				events, _ := l.Since(0)
+				for _, e := range events {
+					var g, i, j int
+					if _, err := fmt.Sscanf(e.Detail, "name=n%d-%d i=%d", &g, &i, &j); err != nil ||
+						i != j || e.Node != ids.NodeID(fmt.Sprintf("w%d", g)) {
+						t.Errorf("seq %d: node %q detail %q", e.Seq, e.Node, e.Detail)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if l.Total() != writers*per {
+		t.Fatalf("Total = %d, want %d", l.Total(), writers*per)
 	}
 }
 

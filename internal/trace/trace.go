@@ -16,6 +16,11 @@
 //   - a fan-out hub: subscribers receive events on buffered channels with
 //     non-blocking delivery — a slow consumer is evicted (its channel
 //     closed) rather than ever blocking the emitting hot path.
+//
+// The ring holds fixed-size, pointer-free records, not text: an event's
+// arguments are kept as integers and indices into a bounded per-log string
+// table, and Detail is rendered from its format when the event is read
+// (record.go). What a log retains is therefore a function of its capacity.
 package trace
 
 import (
@@ -205,25 +210,19 @@ type JournalStats struct {
 // value is unusable; create with New.
 type Log struct {
 	mu      sync.Mutex
-	buf     []Event // circular once full: oldest at head, not index 0
-	head    int     // index of the oldest retained event when len(buf) == cap
+	buf     []record // circular once full: oldest at head, not index 0
+	head    int      // index of the oldest retained event when len(buf) == cap
 	cap     int
 	seq     uint64
 	dropped uint64        // events evicted by the ring bound
 	filter  map[Kind]bool // nil = all kinds
 
+	tab     tables
+	strIdx  map[string]uint16
+	formats map[string]*format
+
 	subs      []*Subscription
 	evictions uint64 // subscriptions evicted for falling behind
-}
-
-// forEachLocked visits the retained events oldest first (caller holds l.mu).
-func (l *Log) forEachLocked(fn func(Event)) {
-	for _, e := range l.buf[l.head:] {
-		fn(e)
-	}
-	for _, e := range l.buf[:l.head] {
-		fn(e)
-	}
 }
 
 // New returns a log retaining the most recent capacity events (minimum 16).
@@ -231,7 +230,42 @@ func New(capacity int) *Log {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Log{cap: capacity}
+	return &Log{
+		cap:     capacity,
+		tab:     tables{shapes: []shape{{}}}, // index 0 is fallbackShape
+		strIdx:  make(map[string]uint16),
+		formats: make(map[string]*format),
+	}
+}
+
+// firstSeqLocked is the sequence number of the oldest retained event.
+func (l *Log) firstSeqLocked() uint64 { return l.seq - uint64(len(l.buf)) + 1 }
+
+// readLocked copies the retained records with sequence numbers above after
+// (and of kind, when kind is non-zero), oldest first, together with what
+// rendering them needs, so the caller can render after releasing l.mu.
+func (l *Log) readLocked(after uint64, kind Kind) view {
+	v := view{tab: tables{strs: l.tab.strs, shapes: l.tab.shapes}}
+	n, first := len(l.buf), l.firstSeqLocked()
+	skip := 0
+	if after >= first {
+		skip = int(min(after-first+1, uint64(n)))
+	}
+	if kind == 0 {
+		v.recs = make([]seqRecord, 0, n-skip)
+	}
+	for i := skip; i < n; i++ {
+		r := &l.buf[(l.head+i)%n]
+		if kind != 0 && r.kind != kind {
+			continue
+		}
+		seq := first + uint64(i)
+		if r.shape == fallbackShape {
+			v.tab.texts = append(v.tab.texts, l.tab.text(seq))
+		}
+		v.recs = append(v.recs, seqRecord{seq: seq, rec: *r})
+	}
+	return v
 }
 
 // Only restricts the log to the given kinds (replacing any earlier filter);
@@ -264,24 +298,43 @@ func (l *Log) EmitTraced(node ids.NodeID, kind Kind, traceID uint64, format stri
 		return
 	}
 	l.seq++
-	e := Event{Seq: l.seq, Node: node, Kind: kind, Trace: traceID, At: time.Now(),
-		Detail: fmt.Sprintf(format, args...)}
+	r := record{at: time.Now().UnixNano(), trace: traceID, kind: kind}
+	if !l.pack(&r, node, format, args) {
+		r.shape = fallbackShape
+		l.tab.texts = append(l.tab.texts, text{seq: l.seq, node: node, detail: fmt.Sprintf(format, args...)})
+	}
 	// O(1) ring store: overwrite the oldest slot in place — never a
 	// whole-buffer shift, which would put an O(capacity) memmove on the
-	// protocol hot path once the journal fills.
+	// protocol hot path once the journal fills. Until then the ring grows by
+	// doubling and stops at exactly its capacity.
 	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, e)
+		if len(l.buf) == cap(l.buf) {
+			grown := make([]record, len(l.buf), min(max(2*cap(l.buf), 64), l.cap))
+			copy(grown, l.buf)
+			l.buf = grown
+		}
+		l.buf = append(l.buf, r)
 	} else {
-		l.buf[l.head] = e
+		if l.buf[l.head].shape == fallbackShape {
+			// The oldest text is the evicted record's. Zeroing it frees the
+			// strings now; the slot goes when append next reallocates.
+			l.tab.texts[0] = text{}
+			l.tab.texts = l.tab.texts[1:]
+		}
+		l.buf[l.head] = r
 		l.head++
 		if l.head == l.cap {
 			l.head = 0
 		}
 		l.dropped++
 	}
+	if len(l.subs) == 0 {
+		return
+	}
 	// Fan out without ever blocking: a full subscriber buffer means the
 	// consumer fell a whole buffer behind — evict it (close the channel) and
 	// let it resume via Since, rather than stall the protocol hot path.
+	e, _ := l.tab.event(l.seq, &r, nil)
 	for i := 0; i < len(l.subs); {
 		s := l.subs[i]
 		select {
@@ -334,20 +387,16 @@ func (l *Log) Subscribe(buffer int) *Subscription {
 // retained history.
 func (l *Log) Since(after uint64) (events []Event, missed uint64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.buf) > 0 {
-		if first := l.buf[l.head].Seq; after+1 < first {
+		if first := l.firstSeqLocked(); after+1 < first {
 			missed = first - 1 - after
 		}
 	} else if after < l.seq {
 		missed = l.seq - after
 	}
-	l.forEachLocked(func(e Event) {
-		if e.Seq > after {
-			events = append(events, e)
-		}
-	})
-	return events, missed
+	v := l.readLocked(after, 0)
+	l.mu.Unlock()
+	return v.events(nil), missed
 }
 
 // Dropped returns the number of events evicted by the ring bound since the
@@ -396,24 +445,20 @@ func (l *Log) Stats() JournalStats {
 // stating how many are missing.
 func (l *Log) Snapshot() []Event {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.buf)+1)
-	if l.dropped > 0 {
-		out = append(out, Event{Kind: KindDropped, Detail: fmt.Sprintf("%d earlier events evicted", l.dropped)})
+	dropped := l.dropped
+	v := l.readLocked(0, 0)
+	l.mu.Unlock()
+	out := make([]Event, 0, len(v.recs)+1)
+	if dropped > 0 {
+		out = append(out, Event{Kind: KindDropped, Detail: fmt.Sprintf("%d earlier events evicted", dropped)})
 	}
-	l.forEachLocked(func(e Event) { out = append(out, e) })
-	return out
+	return v.events(out)
 }
 
 // OfKind returns the retained events of one kind, oldest first.
 func (l *Log) OfKind(kind Kind) []Event {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	l.forEachLocked(func(e Event) {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	})
-	return out
+	v := l.readLocked(0, kind)
+	l.mu.Unlock()
+	return v.events(nil)
 }
