@@ -417,8 +417,9 @@ func BenchmarkCDMCodec(b *testing.B) {
 		alg.AddSource(r, uint64(i))
 		alg.AddTarget(r, uint64(i))
 	}
-	msg := wire.NewCDM(core.DetectionID{Origin: "P1", Seq: 9},
-		ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}}, alg, 7)
+	det := core.DetectionID{Origin: "P1", Seq: 9}
+	msg := wire.NewCDMFromAlg(det, ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}},
+		alg, 7, core.TraceIDFor(det))
 	data := wire.Encode(msg)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
@@ -432,6 +433,18 @@ func BenchmarkCDMCodec(b *testing.B) {
 			if _, err := wire.Decode(data); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	// The receiver's whole job, comparable across codec layouts whichever
+	// step builds the algebra.
+	b.Run("decode+merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := wire.Decode(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.(*wire.CDM).MergeAlgInto(core.NewAlg())
 		}
 	})
 	b.ReportMetric(float64(len(data)), "bytes/CDM")

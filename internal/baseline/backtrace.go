@@ -1,9 +1,6 @@
 package baseline
 
-import (
-	"dgc/internal/ids"
-	"dgc/internal/wire"
-)
+import "dgc/internal/ids"
 
 // Backtracer implements distributed back-tracing in the style of Maheshwari
 // & Liskov [11], the second related-work baseline.
@@ -16,16 +13,14 @@ import (
 // garbage and its scions are deleted (the acyclic collector then unravels
 // the objects).
 //
-// The walk is a chain of remote procedure calls mirrored by the
-// BacktraceRequest/BacktraceReply wire messages; the visited set carried
+// The walk is a chain of remote procedure calls; the visited set carried
 // along is the per-detection state the paper criticizes ("requires
 // processes to keep state about detections on course"), here materialized
 // in the trace itself. The simulation executes the recursion synchronously
 // and counts one request and one reply per inter-process hop.
 type Backtracer struct {
-	World   *World
-	traceID uint64
-	Stats   BacktraceStats
+	World *World
+	Stats BacktraceStats
 }
 
 // BacktraceStats counts baseline activity.
@@ -47,7 +42,6 @@ func NewBacktracer(w *World) *Backtracer {
 // TraceSuspect back-traces from the given object and reports whether any
 // local root was found behind it. The object must belong to node.
 func (b *Backtracer) TraceSuspect(node ids.NodeID, obj ids.ObjID) (rootFound bool, err error) {
-	b.traceID++
 	b.Stats.Traces++
 	visited := make(map[ids.RefID]struct{})
 	found, err := b.traceAt(node, obj, visited)
@@ -81,22 +75,14 @@ func (b *Backtracer) traceAt(node ids.NodeID, obj ids.ObjID, visited map[ids.Ref
 		}
 		visited[ref] = struct{}{}
 
-		// Cross-process hop: ask the holder process. We materialize the
-		// request/reply pair for message accounting, then execute the
-		// remote step in-process.
-		req := wire.BacktraceRequest{
-			TraceID: b.traceID,
-			Origin:  node,
-			From:    node,
-			Obj:     sc.Obj,
-			Visited: visitedList(visited),
-		}
+		// Cross-process hop: ask the holder process, counting the
+		// request/reply pair, and execute the remote step in-process.
 		b.Stats.Messages++ // request
 		holderProc, err := b.World.proc(sc.Src)
 		if err != nil {
 			return false, err
 		}
-		target := ids.GlobalRef{Node: node, Obj: req.Obj}
+		target := ids.GlobalRef{Node: node, Obj: sc.Obj}
 		found := false
 		for holder := range holderProc.Heap.HoldersOf(target) {
 			ok, err := b.traceAt(sc.Src, holder, visited)
@@ -114,15 +100,6 @@ func (b *Backtracer) traceAt(node ids.NodeID, obj ids.ObjID, visited map[ids.Ref
 		}
 	}
 	return false, nil
-}
-
-func visitedList(visited map[ids.RefID]struct{}) []ids.RefID {
-	out := make([]ids.RefID, 0, len(visited))
-	for r := range visited {
-		out = append(out, r)
-	}
-	ids.SortRefIDs(out)
-	return out
 }
 
 // Round performs one collection round: back-trace every suspect (scion

@@ -3,7 +3,6 @@ package baseline
 import (
 	"dgc/internal/ids"
 	"dgc/internal/refs"
-	"dgc/internal/wire"
 )
 
 // Hughes implements a timestamp-propagation complete DGC in the style of
@@ -13,7 +12,8 @@ import (
 // propagates timestamps forward: a stub reachable from a local root carries
 // the current global round number; a stub reachable from a scion carries
 // that scion's timestamp; stubs take the maximum. Stub timestamps are sent
-// to the matching scions (HughesStamp messages), which keep their maximum.
+// to the matching scions (one stamp message per destination and stamp
+// value), which keep their maximum.
 // Live structures therefore keep receiving fresh timestamps, while garbage
 // — cyclic or not — has its timestamps frozen at the time it died.
 //
@@ -23,7 +23,7 @@ import (
 // component that makes Hughes-style collectors non-scalable and
 // fault-intolerant (the paper cites [5]); here a central coordinator
 // gathers one report per process and broadcasts the threshold each round
-// (2N HughesThreshold-equivalent messages), which is the cost the
+// (2N threshold messages), which is the cost the
 // comparison benchmarks expose: CONTINUOUS global work proportional to the
 // whole distributed graph, even when nothing is garbage, versus the DCDA's
 // work proportional to candidate cycles only.
@@ -77,11 +77,12 @@ func (h *Hughes) Round() {
 	h.round++
 	h.Stats.Rounds++
 
-	// Phase 1: forward propagation within each process, producing one
-	// HughesStamp message per (destination, stamp value) group.
+	// Phase 1: forward propagation within each process, producing one stamp
+	// message per (destination, stamp value) group.
 	type delivery struct {
-		to  ids.NodeID
-		msg wire.HughesStamp
+		from, to ids.NodeID
+		stamp    uint64
+		objs     []ids.ObjID
 	}
 	var deliveries []delivery
 	for _, id := range h.World.Order {
@@ -120,10 +121,7 @@ func (h *Hughes) Round() {
 		}
 		for to, byStamp := range grouped {
 			for stamp, objs := range byStamp {
-				deliveries = append(deliveries, delivery{
-					to:  to,
-					msg: wire.HughesStamp{From: id, Stamp: stamp, Objs: objs},
-				})
+				deliveries = append(deliveries, delivery{from: id, to: to, stamp: stamp, objs: objs})
 			}
 		}
 	}
@@ -133,13 +131,13 @@ func (h *Hughes) Round() {
 		if p == nil {
 			continue
 		}
-		for _, obj := range d.msg.Objs {
-			key := refs.ScionKey{Src: d.msg.From, Obj: obj}
-			if p.Table.Scion(d.msg.From, obj) == nil {
+		for _, obj := range d.objs {
+			key := refs.ScionKey{Src: d.from, Obj: obj}
+			if p.Table.Scion(d.from, obj) == nil {
 				continue
 			}
-			if d.msg.Stamp > h.stamps[d.to][key] {
-				h.stamps[d.to][key] = d.msg.Stamp
+			if d.stamp > h.stamps[d.to][key] {
+				h.stamps[d.to][key] = d.stamp
 			}
 		}
 	}

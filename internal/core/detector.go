@@ -48,11 +48,6 @@ type Config struct {
 	// (dgc-bench -exp ablation) until the live benchmark decides between
 	// the two unravels (ROADMAP item 1(b)).
 	BroadcastDelete bool
-	// MaxAlgebraSize aborts detections whose CDM grows beyond this many
-	// references; 0 means unlimited. A deployment safety valve, not needed
-	// for termination (the algebra grows monotonically within a finite
-	// reference set).
-	MaxAlgebraSize int
 }
 
 // MaxHops is the CDM hop budget: a CDM that has been forwarded this many
@@ -375,9 +370,6 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 	}
 	if found {
 		return d.cycleFound(det, derived)
-	}
-	if d.cfg.MaxAlgebraSize > 0 && derived.Len() > d.cfg.MaxAlgebraSize {
-		return Outcome{Kind: OutcomeBranchEnded}
 	}
 	alongs := make([]ids.RefID, len(eligible))
 	for i, tgt := range eligible {

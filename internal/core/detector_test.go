@@ -570,15 +570,6 @@ func TestFig4LiveViaRightCycleRoot(t *testing.T) {
 
 // ---- misc detector behaviour -------------------------------------------
 
-func TestMaxAlgebraSizeValve(t *testing.T) {
-	f := buildFig3(t, Config{MaxAlgebraSize: 2})
-	f.start(f.refF)
-	f.pump()
-	if len(f.found) != 0 {
-		t.Fatal("valve should have stopped the detection before completion")
-	}
-}
-
 func TestDetectionIDsIncrease(t *testing.T) {
 	f := buildFig3(t, Config{})
 	p2 := f.proc("P2")

@@ -265,7 +265,6 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 	}
 	m.met = obs.NewNodeMetrics(cfg.Metrics.Node(string(id)))
 	m.acyclic = refs.NewAcyclicDGC(m.table)
-	m.acyclic.EmptySetRepeats = cfg.EmptySetRepeats
 	m.lgc = lgc.New(m.heap, m.table)
 	m.selector = core.NewSelector(cfg.CandidateMinAge)
 	if cfg.Membership != nil {

@@ -65,10 +65,6 @@ type Config struct {
 	// CallTimeoutTicks expires pending invocations after this many ticks,
 	// releasing their pinned references; 0 means never expire.
 	CallTimeoutTicks uint64
-	// EmptySetRepeats bounds consecutive empty NewSetStubs messages to a
-	// former peer; 0 (default) repeats forever, which is what makes scion
-	// reclamation tolerate message loss. See refs.AcyclicDGC.
-	EmptySetRepeats int
 	// Codec, when non-nil, serializes each snapshot before summarization
 	// (the paper's disk snapshot); bytes are accounted in Stats. When
 	// SnapshotDir is also set, the snapshot is written there.

@@ -33,13 +33,6 @@ type StubSetMsg struct {
 // protocol for one process.
 type AcyclicDGC struct {
 	table *Table
-	// EmptySetRepeats bounds how many consecutive EMPTY stub sets are sent
-	// to a peer that no longer has any stubs here before the peer is
-	// forgotten. Zero (the default) repeats forever: an empty set is tiny,
-	// and repeating it is what makes scion reclamation tolerate message
-	// loss — a single lost empty set would otherwise leak the peer's
-	// scions permanently.
-	EmptySetRepeats int
 
 	// outSeq is the next sequence number per destination node.
 	outSeq map[ids.NodeID]uint64
@@ -47,9 +40,11 @@ type AcyclicDGC struct {
 	inSeq map[ids.NodeID]uint64
 	// knownPeers remembers every node we have ever sent a stub set to, so
 	// that a process whose last stub to a peer disappears still sends the
-	// (empty) set that lets the peer drop its remaining scions. The value
-	// counts consecutive empty sets sent.
-	knownPeers map[ids.NodeID]int
+	// (empty) set that lets the peer drop its remaining scions — in every
+	// scheduled round from then on: an empty set is tiny, and repeating it is
+	// what makes scion reclamation tolerate message loss, where a single lost
+	// empty set would otherwise leak the peer's scions permanently.
+	knownPeers map[ids.NodeID]struct{}
 	// lastSent fingerprints the set last sent to each destination, so an
 	// off-schedule collection (GenerateChanged) can leave an unchanged set
 	// unsaid. Updated by every send; not persisted — a restored process has
@@ -63,7 +58,7 @@ func NewAcyclicDGC(table *Table) *AcyclicDGC {
 		table:      table,
 		outSeq:     make(map[ids.NodeID]uint64),
 		inSeq:      make(map[ids.NodeID]uint64),
-		knownPeers: make(map[ids.NodeID]int),
+		knownPeers: make(map[ids.NodeID]struct{}),
 		lastSent:   make(map[ids.NodeID]uint64),
 	}
 }
@@ -75,7 +70,7 @@ func NewAcyclicDGC(table *Table) *AcyclicDGC {
 // the collection never learns about it and its scions leak.
 func (a *AcyclicDGC) NotePeers() {
 	for ref := range a.table.stubs {
-		a.knownPeers[ref.Node] = 0
+		a.knownPeers[ref.Node] = struct{}{}
 	}
 }
 
@@ -89,16 +84,14 @@ type TargetedStubSet struct {
 // current stub table. It must be called after a local collection has
 // recomputed the stub table (see lgc). A peer that has no stubs left here is
 // sent an explicit empty set so its scions from this process can be
-// reclaimed — in every round from then on by default, EmptySetRepeats times
-// when that is set: the repetition is what lets scion reclamation survive
-// the loss of an empty set.
+// reclaimed, in every round from then on: the repetition is what lets scion
+// reclamation survive the loss of an empty set.
 func (a *AcyclicDGC) GenerateTargeted() []TargetedStubSet { return a.generate(false) }
 
 // GenerateChanged is GenerateTargeted for a collection that runs between two
 // scheduled ones: a peer whose set equals the one last sent to it gets no
-// message, and for that peer neither the sequence number nor the empty-set
-// repeat count moves. Loss tolerance stays with the scheduled rounds, which
-// restate every set whether it changed or not.
+// message and its sequence number does not move. Loss tolerance stays with
+// the scheduled rounds, which restate every set whether it changed or not.
 func (a *AcyclicDGC) GenerateChanged() []TargetedStubSet { return a.generate(true) }
 
 func (a *AcyclicDGC) generate(changedOnly bool) []TargetedStubSet {
@@ -107,7 +100,7 @@ func (a *AcyclicDGC) generate(changedOnly bool) []TargetedStubSet {
 		byNode[ref.Node] = append(byNode[ref.Node], ref.Obj)
 	}
 	for n := range byNode {
-		a.knownPeers[n] = 0
+		a.knownPeers[n] = struct{}{}
 	}
 	nodes := make([]ids.NodeID, 0, len(a.knownPeers))
 	for n := range a.knownPeers {
@@ -129,13 +122,6 @@ func (a *AcyclicDGC) generate(changedOnly bool) []TargetedStubSet {
 			To:  n,
 			Msg: StubSetMsg{From: a.table.Node(), Seq: a.outSeq[n], Objs: objs},
 		})
-		if len(objs) == 0 {
-			a.knownPeers[n]++
-			if a.EmptySetRepeats > 0 && a.knownPeers[n] >= a.EmptySetRepeats {
-				delete(a.knownPeers, n)
-				delete(a.lastSent, n)
-			}
-		}
 	}
 	return out
 }
@@ -214,7 +200,7 @@ func (a *AcyclicDGC) SeqState() (out, in []SeqEntry) {
 func (a *AcyclicDGC) RestoreSeqState(out, in []SeqEntry) {
 	for _, e := range out {
 		a.outSeq[e.Node] = e.Seq
-		a.knownPeers[e.Node] = 0
+		a.knownPeers[e.Node] = struct{}{}
 	}
 	for _, e := range in {
 		a.inSeq[e.Node] = e.Seq

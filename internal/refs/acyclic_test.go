@@ -30,8 +30,7 @@ func TestGenerateTargetedGroupsByNode(t *testing.T) {
 }
 
 func TestGenerateTargetedRepeatsEmptySetsByDefault(t *testing.T) {
-	// Default (EmptySetRepeats == 0): empty sets repeat forever so scion
-	// reclamation survives message loss.
+	// Empty sets repeat forever so scion reclamation survives message loss.
 	tb := NewTable("P1")
 	tb.EnsureStub(gref("P2", 6))
 	a := NewAcyclicDGC(tb)
@@ -42,32 +41,6 @@ func TestGenerateTargetedRepeatsEmptySetsByDefault(t *testing.T) {
 		if len(out) != 1 || out[0].To != "P2" || len(out[0].Msg.Objs) != 0 {
 			t.Fatalf("round %d: %+v, want a repeated empty set", round, out)
 		}
-	}
-}
-
-func TestGenerateTargetedSendsEmptySetOnceAfterLastStubGone(t *testing.T) {
-	tb := NewTable("P1")
-	tb.EnsureStub(gref("P2", 6))
-	a := NewAcyclicDGC(tb)
-	a.EmptySetRepeats = 1
-	if got := a.GenerateTargeted(); len(got) != 1 || len(got[0].Msg.Objs) != 1 {
-		t.Fatalf("round 1 = %+v", got)
-	}
-	tb.DeleteStub(gref("P2", 6))
-	// P2 must receive exactly one empty set so it can delete scions.
-	out := a.GenerateTargeted()
-	if len(out) != 1 || out[0].To != "P2" || len(out[0].Msg.Objs) != 0 || out[0].Msg.Seq != 2 {
-		t.Fatalf("round 2 = %+v", out)
-	}
-	// Afterwards, no more messages to P2.
-	if out := a.GenerateTargeted(); len(out) != 0 {
-		t.Fatalf("round 3 = %+v, want none", out)
-	}
-	// A stub reappearing resumes messaging with a higher sequence number.
-	tb.EnsureStub(gref("P2", 9))
-	out = a.GenerateTargeted()
-	if len(out) != 1 || out[0].Msg.Seq != 3 {
-		t.Fatalf("round 4 = %+v", out)
 	}
 }
 
@@ -214,14 +187,13 @@ func TestApplyStubSetNeverDeletesListed(t *testing.T) {
 }
 
 // GenerateChanged says only what the peer has not been told: a skipped set
-// moves neither the sequence number nor the empty-set repeat count, and the
-// next GenerateTargeted restates everything regardless.
+// does not move the sequence number, and the next GenerateTargeted restates
+// everything regardless.
 func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
 	tb := NewTable("P1")
 	tb.EnsureStub(gref("P2", 6))
 	tb.EnsureStub(gref("P3", 1))
 	a := NewAcyclicDGC(tb)
-	a.EmptySetRepeats = 2
 	if out := a.GenerateChanged(); len(out) != 2 {
 		t.Fatalf("never-sent sets = %+v, want both stated", out)
 	}
@@ -236,16 +208,13 @@ func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
 	if out := a.GenerateChanged(); len(out) != 0 {
 		t.Fatalf("unchanged empty set = %+v, want none", out)
 	}
-	if a.outSeq["P2"] != 1 || a.outSeq["P3"] != 2 || a.knownPeers["P3"] != 1 {
-		t.Fatalf("skipped sets moved state: outSeq=%v repeats=%v", a.outSeq, a.knownPeers)
+	if a.outSeq["P2"] != 1 || a.outSeq["P3"] != 2 {
+		t.Fatalf("skipped sets moved state: outSeq=%v", a.outSeq)
 	}
-	// A scheduled round restates both; P3's second empty set is its last.
+	// A scheduled round restates both.
 	out = a.GenerateTargeted()
 	if len(out) != 2 || out[0].Msg.Seq != 2 || out[1].Msg.Seq != 3 {
 		t.Fatalf("scheduled round = %+v, want P2 seq 2 and P3 seq 3", out)
-	}
-	if _, known := a.knownPeers["P3"]; known {
-		t.Fatal("P3 still known after EmptySetRepeats empty sets")
 	}
 	// Fingerprints are not persisted: a restored process restates.
 	outSeq, inSeq := a.SeqState()

@@ -8,9 +8,13 @@ import (
 	"dgc/internal/wire"
 )
 
+// ping is the transport tests' payload: a kind with a production sender,
+// carrying a sequence number that pingSeq reads back.
 func ping(seq uint64) wire.Message {
-	return &wire.HughesThreshold{Threshold: seq}
+	return &wire.CreateScionAck{ExportID: seq, From: "A", OK: true}
 }
+
+func pingSeq(m wire.Message) uint64 { return m.(*wire.CreateScionAck).ExportID }
 
 func TestInprocDelivery(t *testing.T) {
 	net := NewNetwork(1)
@@ -20,7 +24,7 @@ func TestInprocDelivery(t *testing.T) {
 	var from []ids.NodeID
 	b.SetHandler(func(f ids.NodeID, m wire.Message) []Envelope {
 		from = append(from, f)
-		got = append(got, m.(*wire.HughesThreshold).Threshold)
+		got = append(got, pingSeq(m))
 		return nil
 	})
 	for i := uint64(1); i <= 3; i++ {
@@ -66,10 +70,10 @@ func TestInprocHandlerMaySend(t *testing.T) {
 	_, _ = a, b
 	var final uint64
 	b.SetHandler(func(_ ids.NodeID, m wire.Message) []Envelope {
-		return []Envelope{{To: "C", Msg: ping(m.(*wire.HughesThreshold).Threshold + 1)}}
+		return []Envelope{{To: "C", Msg: ping(pingSeq(m) + 1)}}
 	})
 	c.SetHandler(func(_ ids.NodeID, m wire.Message) []Envelope {
-		final = m.(*wire.HughesThreshold).Threshold
+		final = pingSeq(m)
 		return nil
 	})
 	if err := net.Endpoint("A").Send("B", ping(10)); err != nil {
@@ -93,11 +97,11 @@ func TestInprocDropWithoutHandler(t *testing.T) {
 	}
 	net.Drain(0)
 	_, delivered, dropped := net.Counts()
-	if delivered[wire.KindHughesThreshold] != 0 {
+	if delivered[wire.KindCreateScionAck] != 0 {
 		t.Fatal("message delivered to handler-less endpoint")
 	}
-	if dropped[wire.KindHughesThreshold] != 2 {
-		t.Fatalf("dropped = %d, want 2", dropped[wire.KindHughesThreshold])
+	if dropped[wire.KindCreateScionAck] != 2 {
+		t.Fatalf("dropped = %d, want 2", dropped[wire.KindCreateScionAck])
 	}
 }
 
@@ -117,7 +121,7 @@ func TestInprocLoss(t *testing.T) {
 		t.Fatalf("delivered %d with LossRate 1.0", count)
 	}
 	sent, _, dropped := net.Counts()
-	if sent[wire.KindHughesThreshold] != 10 || dropped[wire.KindHughesThreshold] != 10 {
+	if sent[wire.KindCreateScionAck] != 10 || dropped[wire.KindCreateScionAck] != 10 {
 		t.Fatalf("sent=%v dropped=%v", sent, dropped)
 	}
 }
@@ -145,7 +149,7 @@ func TestInprocReorderIsPermutation(t *testing.T) {
 	a, b := net.Endpoint("A"), net.Endpoint("B")
 	var got []uint64
 	b.SetHandler(func(_ ids.NodeID, m wire.Message) []Envelope {
-		got = append(got, m.(*wire.HughesThreshold).Threshold)
+		got = append(got, pingSeq(m))
 		return nil
 	})
 	const n = 50
@@ -201,7 +205,7 @@ func TestInprocDeterministicWithSeed(t *testing.T) {
 		a, b := net.Endpoint("A"), net.Endpoint("B")
 		var got []uint64
 		b.SetHandler(func(_ ids.NodeID, m wire.Message) []Envelope {
-			got = append(got, m.(*wire.HughesThreshold).Threshold)
+			got = append(got, pingSeq(m))
 			return nil
 		})
 		for i := 0; i < 30; i++ {

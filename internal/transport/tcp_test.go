@@ -76,11 +76,11 @@ func newTCPPair(t *testing.T) (*TCPEndpoint, *TCPEndpoint, *collector, *collecto
 
 func TestTCPRoundTrip(t *testing.T) {
 	a, b, ca, cb := newTCPPair(t)
-	if err := a.Send("B", &wire.HughesThreshold{Threshold: 42}); err != nil {
+	if err := a.Send("B", ping(42)); err != nil {
 		t.Fatal(err)
 	}
 	msgs := cb.waitFor(t, 1, 2*time.Second)
-	if got := msgs[0].(*wire.HughesThreshold).Threshold; got != 42 {
+	if got := pingSeq(msgs[0]); got != 42 {
 		t.Fatalf("payload = %d", got)
 	}
 	cb.mu.Lock()
@@ -90,11 +90,11 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("from = %s", from)
 	}
 	// And the reverse direction.
-	if err := b.Send("A", &wire.HughesThreshold{Threshold: 7}); err != nil {
+	if err := b.Send("A", ping(7)); err != nil {
 		t.Fatal(err)
 	}
 	back := ca.waitFor(t, 1, 2*time.Second)
-	if got := back[0].(*wire.HughesThreshold).Threshold; got != 7 {
+	if got := pingSeq(back[0]); got != 7 {
 		t.Fatalf("payload = %d", got)
 	}
 }
@@ -103,13 +103,13 @@ func TestTCPOrderedDelivery(t *testing.T) {
 	a, _, _, cb := newTCPPair(t)
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := a.Send("B", &wire.HughesThreshold{Threshold: uint64(i)}); err != nil {
+		if err := a.Send("B", ping(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	msgs := cb.waitFor(t, n, 5*time.Second)
 	for i, m := range msgs {
-		if m.(*wire.HughesThreshold).Threshold != uint64(i) {
+		if pingSeq(m) != uint64(i) {
 			t.Fatalf("out of order at %d", i)
 		}
 	}
@@ -117,26 +117,26 @@ func TestTCPOrderedDelivery(t *testing.T) {
 
 func TestTCPComplexMessage(t *testing.T) {
 	a, _, _, cb := newTCPPair(t)
-	cdm := &wire.CDM{
-		Det:   core.DetectionID{Origin: "A", Seq: 5},
-		Along: ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: 4}},
-		Entries: []wire.CDMEntry{
-			{Ref: ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: 4}}, InSource: true, SrcIC: 3, InTarget: true, TgtIC: 3},
-		},
-	}
+	along := ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: 4}}
+	alg := core.NewAlg()
+	alg.AddSource(along, 3)
+	alg.AddTarget(along, 3)
+	cdm := wire.NewCDMFromAlg(core.DetectionID{Origin: "A", Seq: 5}, along, alg, 0, 0)
 	if err := a.Send("B", cdm); err != nil {
 		t.Fatal(err)
 	}
 	msgs := cb.waitFor(t, 1, 2*time.Second)
 	got := msgs[0].(*wire.CDM)
-	if got.Det != cdm.Det || len(got.Entries) != 1 || got.Entries[0] != cdm.Entries[0] {
-		t.Fatalf("CDM mismatch: %+v", got)
+	back := core.NewAlg()
+	got.MergeAlgInto(back)
+	if got.Det != cdm.Det || !back.Equal(alg) {
+		t.Fatalf("CDM mismatch: %+v carries %v, want %v", got, back, alg)
 	}
 }
 
 func TestTCPUnknownPeer(t *testing.T) {
 	a, _, _, _ := newTCPPair(t)
-	if err := a.Send("Z", &wire.HughesThreshold{}); err == nil {
+	if err := a.Send("Z", ping(0)); err == nil {
 		t.Fatal("send to unknown peer succeeded")
 	}
 }
@@ -149,7 +149,7 @@ func TestTCPSendAfterClose(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("B", &wire.HughesThreshold{}); err == nil {
+	if err := a.Send("B", ping(0)); err == nil {
 		t.Fatal("send after close succeeded")
 	}
 	// Double close is a no-op.
@@ -171,7 +171,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	a.AddPeer("B", b1.Addr())
 	c1 := newCollector()
 	b1.SetHandler(c1.handler)
-	if err := a.Send("B", &wire.HughesThreshold{Threshold: 1}); err != nil {
+	if err := a.Send("B", ping(1)); err != nil {
 		t.Fatal(err)
 	}
 	c1.waitFor(t, 1, 2*time.Second)
@@ -194,7 +194,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// through the fresh connection.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_ = a.Send("B", &wire.HughesThreshold{Threshold: 2})
+		_ = a.Send("B", ping(2))
 		c2.mu.Lock()
 		n := len(c2.msgs)
 		c2.mu.Unlock()
@@ -207,7 +207,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	msgs := c2.waitFor(t, 1, 2*time.Second)
-	if msgs[0].(*wire.HughesThreshold).Threshold != 2 {
+	if pingSeq(msgs[0]) != 2 {
 		t.Fatal("wrong payload after reconnect")
 	}
 }
@@ -221,7 +221,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := a.Send("B", &wire.HughesThreshold{Threshold: uint64(i)}); err != nil {
+				if err := a.Send("B", ping(uint64(i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -237,7 +237,7 @@ func TestTCPStagedBatchDelivery(t *testing.T) {
 	a.BeginStage()
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := a.Send("B", &wire.HughesThreshold{Threshold: uint64(i)}); err != nil {
+		if err := a.Send("B", ping(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestTCPStagedBatchDelivery(t *testing.T) {
 	a.FlushStage()
 	msgs := cb.waitFor(t, n, 5*time.Second)
 	for i, m := range msgs {
-		if m.(*wire.HughesThreshold).Threshold != uint64(i) {
+		if pingSeq(m) != uint64(i) {
 			t.Fatalf("out of order at %d: %v", i, m)
 		}
 	}
@@ -262,7 +262,7 @@ func TestTCPStagedNesting(t *testing.T) {
 	a, _, _, cb := newTCPPair(t)
 	a.BeginStage()
 	a.BeginStage()
-	if err := a.Send("B", &wire.HughesThreshold{Threshold: 1}); err != nil {
+	if err := a.Send("B", ping(1)); err != nil {
 		t.Fatal(err)
 	}
 	a.FlushStage() // inner: must NOT ship yet
@@ -299,23 +299,23 @@ func TestTCPStagedMixedPeers(t *testing.T) {
 
 	a.BeginStage()
 	for i := 0; i < 5; i++ {
-		if err := a.Send("B", &wire.HughesThreshold{Threshold: uint64(i)}); err != nil {
+		if err := a.Send("B", ping(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Send("C", &wire.HughesThreshold{Threshold: uint64(100 + i)}); err != nil {
+		if err := a.Send("C", ping(uint64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a.FlushStage() // ships to both peers, sorted destination order
 	got := cb.waitFor(t, 5, 5*time.Second)
 	for i, m := range got {
-		if m.(*wire.HughesThreshold).Threshold != uint64(i) {
+		if pingSeq(m) != uint64(i) {
 			t.Fatalf("B out of order at %d", i)
 		}
 	}
 	gotC := cc.waitFor(t, 5, 5*time.Second)
 	for i, m := range gotC {
-		if m.(*wire.HughesThreshold).Threshold != uint64(100+i) {
+		if pingSeq(m) != uint64(100+i) {
 			t.Fatalf("C out of order at %d", i)
 		}
 	}
@@ -336,12 +336,12 @@ func TestTCPDialBackoffFailsFast(t *testing.T) {
 	ln.Close()
 	a.AddPeer("B", dead)
 
-	if err := a.Send("B", &wire.HughesThreshold{}); err == nil {
+	if err := a.Send("B", ping(0)); err == nil {
 		t.Fatal("send to dead peer succeeded")
 	}
 	// Within the quarantine window, sends must fail fast without dialing.
 	start := time.Now()
-	if err := a.Send("B", &wire.HughesThreshold{}); err == nil {
+	if err := a.Send("B", ping(0)); err == nil {
 		t.Fatal("send during backoff succeeded")
 	}
 	if d := time.Since(start); d > 50*time.Millisecond {
@@ -356,7 +356,7 @@ func TestTCPDialBackoffFailsFast(t *testing.T) {
 	cb := newCollector()
 	b.SetHandler(cb.handler)
 	a.AddPeer("B", b.Addr())
-	if err := a.Send("B", &wire.HughesThreshold{Threshold: 9}); err != nil {
+	if err := a.Send("B", ping(9)); err != nil {
 		t.Fatal(err)
 	}
 	cb.waitFor(t, 1, 2*time.Second)
@@ -381,7 +381,7 @@ func TestTCPCloseJoinsReadLoops(t *testing.T) {
 			b.SetHandler(cb.handler)
 			return a, b, ca, cb
 		}(t)
-		if err := a.Send("B", &wire.HughesThreshold{Threshold: 1}); err != nil {
+		if err := a.Send("B", ping(1)); err != nil {
 			t.Fatal(err)
 		}
 		cb.waitFor(t, 1, 2*time.Second)
@@ -414,12 +414,9 @@ func TestTCPCDMTracePropagation(t *testing.T) {
 	if tr == 0 {
 		t.Fatal("TraceIDFor returned zero")
 	}
-	msg := &wire.CDM{
-		Det: det, Along: ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: 4}}, Hops: 2, Trace: tr,
-		Entries: []wire.CDMEntry{
-			{Ref: ids.RefID{Src: "B", Dst: ids.GlobalRef{Node: "A", Obj: 1}}, InSource: true, SrcIC: 1},
-		},
-	}
+	alg := core.NewAlg()
+	alg.AddSource(ids.RefID{Src: "B", Dst: ids.GlobalRef{Node: "A", Obj: 1}}, 1)
+	msg := wire.NewCDMFromAlg(det, ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: 4}}, alg, 2, tr)
 	if err := a.Send("B", msg); err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +444,7 @@ func TestTCPMetrics(t *testing.T) {
 	b.SetMetrics(obs.NewTransportMetrics(breg))
 	const n = 5
 	for i := 0; i < n; i++ {
-		if err := a.Send("B", &wire.HughesThreshold{Threshold: uint64(i)}); err != nil {
+		if err := a.Send("B", ping(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,41 +14,18 @@ import (
 type BatchSection struct {
 	Det   core.DetectionID
 	Trace uint64
-	// Entries is the flattened algebra in canonical reference order
-	// (FlattenAlg's contract). Decoded sections always carry entries;
-	// in-process sections carry src instead and leave Entries nil until a
-	// codec needs them.
-	Entries []CDMEntry
-
-	// src is the unflattened algebra for in-process deliveries, with the
-	// same sharing contract as CDM.src: receivers treat it as immutable.
-	// Zero on decoded sections.
-	src core.Alg
+	alg   core.Alg // with CDM.alg's sharing contract
 }
 
-// NewBatchSection builds a lazily-flattened section around an algebra
-// (shared, not copied — the algebra must not be mutated afterwards).
+// NewBatchSection builds a section around an algebra (shared, not copied —
+// the algebra must not be mutated afterwards).
 func NewBatchSection(det core.DetectionID, trace uint64, alg core.Alg) BatchSection {
-	return BatchSection{Det: det, Trace: trace, src: alg}
+	return BatchSection{Det: det, Trace: trace, alg: alg}
 }
 
-// MergeAlgInto merges the section's algebra into a, with core.Alg.Merge's
-// semantics. In-process sections merge the sender's dense algebra directly;
-// decoded sections rebuild an algebra first.
-func (s *BatchSection) MergeAlgInto(a core.Alg) (changed, conflict bool) {
-	if s.src != (core.Alg{}) {
-		return a.Merge(s.src)
-	}
-	return a.Merge(algFromEntries(s.Entries))
-}
-
-// Alg reconstructs the algebra carried by the section.
-func (s *BatchSection) Alg() core.Alg {
-	if s.src != (core.Alg{}) {
-		return s.src.Clone()
-	}
-	return algFromEntries(s.Entries)
-}
+// MergeAlgInto merges the section's algebra into a, exactly as
+// CDM.MergeAlgInto.
+func (s *BatchSection) MergeAlgInto(a core.Alg) (changed, conflict bool) { return a.Merge(s.alg) }
 
 // BatchCDM is a multi-candidate cycle detection message: every detection
 // whose derivation exits a node via the same outgoing reference travels as
@@ -76,8 +53,8 @@ type BatchCDM struct {
 	Sections []BatchSection
 }
 
-// NewBatchCDM builds a batched detection message from lazily-flattened
-// sections (NewBatchSection).
+// NewBatchCDM builds a batched detection message from sections
+// (NewBatchSection).
 func NewBatchCDM(along ids.RefID, hops int, ret bool, sections []BatchSection) *BatchCDM {
 	return &BatchCDM{Along: along, Hops: uint32(hops), Return: ret, Sections: sections}
 }
@@ -85,13 +62,11 @@ func NewBatchCDM(along ids.RefID, hops int, ret bool, sections []BatchSection) *
 // Kind implements Message.
 func (*BatchCDM) Kind() Kind { return KindBatchCDM }
 
-// batchEntry is one flattened section entry referencing the dictionary.
+// batchEntry is one section entry as encoded: its dictionary index and
+// its presence bits and counters.
 type batchEntry struct {
-	idx      uint32
-	inSource bool
-	srcIC    uint64
-	inTarget bool
-	tgtIC    uint64
+	idx uint32
+	e   core.Entry
 }
 
 // batchFlat is the shared-dictionary wire form of a batch: the canonical
@@ -101,28 +76,18 @@ type batchFlat struct {
 	secs [][]batchEntry
 }
 
-// flatten computes the shared-dictionary form. Section entry lists are in
-// canonical reference order (FlattenAlg for in-process sections, enforced by
-// the decoder for decoded ones), so dictionary indices are assigned with a
-// single merge walk per section and no hashing. Not cached: encoding only
-// happens at a real socket, where the walk is noise next to the write.
+// flatten computes the shared-dictionary form. Each section is walked in
+// canonical reference order (core.Alg.EachCanonical), the dictionary's own
+// order, so indices are assigned with a single merge walk per section and no
+// hashing. Not cached: encoding only happens at a real socket, where the walk
+// is noise next to the write.
 func (m *BatchCDM) flatten() batchFlat {
-	lists := make([][]CDMEntry, len(m.Sections))
-	total := 0
+	var all []ids.RefID
 	for i := range m.Sections {
-		s := &m.Sections[i]
-		if s.Entries != nil || s.src == (core.Alg{}) {
-			lists[i] = s.Entries
-		} else {
-			lists[i] = FlattenAlg(s.src)
-		}
-		total += len(lists[i])
-	}
-	all := make([]ids.RefID, 0, total)
-	for _, l := range lists {
-		for i := range l {
-			all = append(all, l[i].Ref)
-		}
+		m.Sections[i].alg.Each(func(r ids.RefID, _ core.Entry) bool {
+			all = append(all, r)
+			return true
+		})
 	}
 	ids.SortRefIDs(all)
 	dict := make([]ids.RefID, 0, len(all))
@@ -131,20 +96,18 @@ func (m *BatchCDM) flatten() batchFlat {
 			dict = append(dict, r)
 		}
 	}
-	secs := make([][]batchEntry, len(lists))
-	for i, l := range lists {
-		es := make([]batchEntry, len(l))
+	secs := make([][]batchEntry, len(m.Sections))
+	for i := range m.Sections {
+		alg := m.Sections[i].alg
+		es := make([]batchEntry, 0, alg.Len())
 		j := 0
-		for k := range l {
-			e := &l[k]
-			for j < len(dict) && dict[j] != e.Ref {
+		alg.EachCanonical(func(r ids.RefID, e core.Entry) bool {
+			for dict[j] != r {
 				j++
 			}
-			es[k] = batchEntry{
-				idx: uint32(j), inSource: e.InSource, srcIC: e.SrcIC,
-				inTarget: e.InTarget, tgtIC: e.TgtIC,
-			}
-		}
+			es = append(es, batchEntry{idx: uint32(j), e: e})
+			return true
+		})
 		secs[i] = es
 	}
 	return batchFlat{dict: dict, secs: secs}
@@ -168,11 +131,7 @@ func (m *BatchCDM) encode(buf []byte) []byte {
 		es := f.secs[i]
 		buf = putUint(buf, uint64(len(es)))
 		for _, e := range es {
-			buf = putUint(buf, uint64(e.idx))
-			buf = putBool(buf, e.inSource)
-			buf = putUint(buf, e.srcIC)
-			buf = putBool(buf, e.inTarget)
-			buf = putUint(buf, e.tgtIC)
+			buf = putEntry(putUint(buf, uint64(e.idx)), e.e)
 		}
 	}
 	return buf
@@ -194,7 +153,7 @@ func (m *BatchCDM) encodedSize() int {
 		es := f.secs[i]
 		n += uvarintSize(uint64(len(es)))
 		for _, e := range es {
-			n += uvarintSize(uint64(e.idx)) + 2 + uvarintSize(e.srcIC) + uvarintSize(e.tgtIC)
+			n += uvarintSize(uint64(e.idx)) + entrySize(e.e)
 		}
 	}
 	return n
@@ -240,35 +199,27 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 			Det:   core.DetectionID{Origin: r.node(), Seq: r.uint()},
 			Trace: r.uint(),
 		}
-		ne := r.count()
-		if ne == 0 && r.err == nil {
-			r.fail("batch section with zero entries")
-		}
 		prev := -1
-		for j := 0; j < ne && r.err == nil; j++ {
+		s.alg = readAlg(r, func(int) ids.RefID {
 			idx := r.uint()
-			if r.err != nil {
-				break
-			}
-			if idx >= uint64(len(dict)) {
+			switch {
+			case r.err != nil:
+				return ids.RefID{}
+			case idx >= uint64(len(dict)):
 				r.fail("entry ref index %d out of dictionary range %d", idx, len(dict))
-				break
-			}
-			if int(idx) <= prev {
+				return ids.RefID{}
+			case int(idx) <= prev:
 				r.fail("section entries not in canonical order")
-				break
 			}
 			prev = int(idx)
 			used[idx] = true
-			s.Entries = append(s.Entries, CDMEntry{
-				Ref:      dict[idx],
-				InSource: r.bool(),
-				SrcIC:    r.uint(),
-				InTarget: r.bool(),
-				TgtIC:    r.uint(),
-			})
-		}
+			return dict[idx]
+		})
 		if r.err != nil {
+			break
+		}
+		if s.alg.Len() == 0 {
+			r.fail("batch section with zero entries")
 			break
 		}
 		if _, dup := seen[s.Det]; dup {

@@ -61,7 +61,7 @@ func TestBatchCDMRoundTrip(t *testing.T) {
 			if ds.Det != ws.Det || ds.Trace != ws.Trace {
 				t.Fatalf("section %d identity mismatch", i)
 			}
-			if !ds.Alg().Equal(ws.Alg()) {
+			if !carried(ds).Equal(carried(ws)) {
 				t.Fatalf("section %d algebra mismatch", i)
 			}
 		}
@@ -73,8 +73,8 @@ func TestBatchCDMRoundTrip(t *testing.T) {
 }
 
 func TestBatchSectionMergePathsAgree(t *testing.T) {
-	// The two merge paths — in-process dense algebra and rebuilt decoded
-	// entries — must produce identical unions.
+	// A section merged in this process and the same section decoded off the
+	// wire must produce identical unions.
 	m := testBatch(false)
 	data := Encode(m)
 	dec, err := Decode(data)

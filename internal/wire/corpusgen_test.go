@@ -8,11 +8,11 @@ import (
 	"dgc/internal/ids"
 )
 
-// TestGenerateBatchCorpus regenerates the checked-in BatchCDM fuzz corpus
-// (valid batches plus the malformed framings the decoder must reject without
-// panicking). Skipped unless WIRE_GEN_CORPUS is set; the written files are
-// committed under testdata/fuzz/FuzzDecode.
-func TestGenerateBatchCorpus(t *testing.T) {
+// TestGenerateCorpus regenerates the checked-in detection-message fuzz corpus
+// (valid batches plus the malformed BatchCDM framings and CDM entry orders the
+// decoder must reject without panicking). Skipped unless WIRE_GEN_CORPUS is
+// set; the written files are committed under testdata/fuzz/FuzzDecode.
+func TestGenerateCorpus(t *testing.T) {
 	if os.Getenv("WIRE_GEN_CORPUS") == "" {
 		t.Skip("set WIRE_GEN_CORPUS=1 to regenerate")
 	}
@@ -27,6 +27,10 @@ func TestGenerateBatchCorpus(t *testing.T) {
 			section("P1", 7, 0).section("P1", 7, 0).buf,
 		"batchcdm-unsorted-dict": newRawBatch(rs[0], 1, false, []ids.RefID{rs[1], rs[0]}).
 			sections(1).section("P1", 1, 0, 1).buf,
+	}
+	_, bad := nonCanonicalCDMs()
+	for name, data := range bad {
+		entries[name] = data
 	}
 	for name, data := range entries {
 		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"

@@ -16,28 +16,35 @@ func FuzzDecode(f *testing.F) {
 	// Seed with one encoding of every message kind.
 	g1 := ids.GlobalRef{Node: "P2", Obj: 6}
 	r1 := ids.RefID{Src: "P1", Dst: g1}
+	r2 := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P3", Obj: 1}}
+	r3 := ids.RefID{Src: "P2", Dst: ids.GlobalRef{Node: "P1", Obj: 4}}
+	det := core.DetectionID{Origin: "P2", Seq: 9}
 	seeds := []Message{
 		&InvokeRequest{CallID: 3, From: "P1", Target: g1, Method: "store", Args: []ids.GlobalRef{g1}, StubIC: 7},
 		&InvokeReply{CallID: 3, From: "P2", Target: g1, OK: true, Returns: []ids.GlobalRef{g1}},
 		&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Obj: 6},
 		&CreateScionAck{ExportID: 5, From: "P2", OK: true},
 		&NewSetStubs{Set: refs.StubSetMsg{From: "P1", Seq: 12, Objs: []ids.ObjID{1, 5}}},
-		&CDM{Det: core.DetectionID{Origin: "P2", Seq: 9}, Along: r1, Hops: 2,
-			Entries: []CDMEntry{{Ref: r1, InSource: true, SrcIC: 2, InTarget: true, TgtIC: 2}}},
-		&DeleteScion{Det: core.DetectionID{Origin: "P2", Seq: 9}, Ref: r1},
-		&HughesStamp{From: "P1", Stamp: 77, Objs: []ids.ObjID{2}},
-		&HughesThreshold{Threshold: 42},
-		&BacktraceRequest{TraceID: 1, Origin: "P1", From: "P3", Obj: 4, Visited: []ids.RefID{r1}},
-		&BacktraceReply{TraceID: 1, From: "P2", Obj: 4, RootFound: true},
+		NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{
+			r1: {InSource: true, SrcIC: 2, InTarget: true, TgtIC: 2},
+		}), 2, 0),
+		NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{
+			r1: {InSource: true, SrcIC: 2},
+			r2: {InTarget: true, TgtIC: 1},
+			r3: {InSource: true, InTarget: true},
+		}), 3, core.TraceIDFor(det)),
+		&DeleteScion{Det: det, Ref: r1},
 		&Credit{Consumed: 300},
 		&Batch{Msgs: []Message{
-			&HughesThreshold{Threshold: 42},
-			&CDM{Det: core.DetectionID{Origin: "P2", Seq: 9}, Along: r1, Hops: 2,
-				Entries: []CDMEntry{{Ref: r1, InSource: true, SrcIC: 2}}},
+			&CreateScionAck{ExportID: 42, From: "P1", OK: true},
+			NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{r1: {InSource: true, SrcIC: 2}}), 2, 0),
 		}},
 		&Batch{},
+		&Batch{Msgs: []Message{testBatch(false)}},
 		testBatch(false),
 		testBatch(true),
+		&Gossip{Members: []MemberRecord{{Node: "P1", Addr: "h:1", Incarnation: 3, State: 2}}},
+		&LeaseHandoff{Holder: "P3", Objs: []ids.ObjID{2, 7}},
 	}
 	for _, m := range seeds {
 		f.Add(Encode(m))

@@ -1,7 +1,7 @@
 // Package wire defines every message exchanged between processes — remote
 // invocation, reference-listing (CreateScion / NewSetStubs), cycle detection
-// (CDM / DeleteScion) and the baseline collectors' traffic — together with a
-// compact, self-describing binary encoding used by the TCP transport.
+// (CDM / BatchCDM / DeleteScion) and membership — together with a compact,
+// self-describing binary encoding used by the TCP transport.
 //
 // The in-process transport passes Message values directly; encoding is only
 // exercised on real sockets and in its own tests, keeping the deterministic
@@ -16,24 +16,23 @@ import (
 // Kind discriminates message types on the wire.
 type Kind uint8
 
-// Message kinds. The numeric values are part of the wire format.
+// Message kinds. The numeric values are part of the wire format and each is
+// pinned explicitly: a kind that leaves the protocol leaves a gap (8–11 were
+// the baseline collectors' messages, which no node sent) instead of shifting
+// its successors, so no frame needs a version. TestKindNumbers holds the table.
 const (
-	KindInvokeRequest Kind = iota + 1
-	KindInvokeReply
-	KindCreateScion
-	KindCreateScionAck
-	KindNewSetStubs
-	KindCDM
-	KindDeleteScion
-	KindHughesStamp
-	KindHughesThreshold
-	KindBacktraceRequest
-	KindBacktraceReply
-	KindBatch
-	KindCredit
-	KindBatchCDM
-	KindGossip
-	KindLeaseHandoff
+	KindInvokeRequest  Kind = 1
+	KindInvokeReply    Kind = 2
+	KindCreateScion    Kind = 3
+	KindCreateScionAck Kind = 4
+	KindNewSetStubs    Kind = 5
+	KindCDM            Kind = 6
+	KindDeleteScion    Kind = 7
+	KindBatch          Kind = 12
+	KindCredit         Kind = 13
+	KindBatchCDM       Kind = 14
+	KindGossip         Kind = 15
+	KindLeaseHandoff   Kind = 16
 )
 
 // CollectorKinds returns the kinds that make up the garbage collector's own
@@ -63,14 +62,6 @@ func (k Kind) String() string {
 		return "CDM"
 	case KindDeleteScion:
 		return "DeleteScion"
-	case KindHughesStamp:
-		return "HughesStamp"
-	case KindHughesThreshold:
-		return "HughesThreshold"
-	case KindBacktraceRequest:
-		return "BacktraceRequest"
-	case KindBacktraceReply:
-		return "BacktraceReply"
 	case KindBatch:
 		return "Batch"
 	case KindCredit:
@@ -174,14 +165,6 @@ func Decode(data []byte) (Message, error) {
 		m = decodeCDM(r)
 	case KindDeleteScion:
 		m = decodeDeleteScion(r)
-	case KindHughesStamp:
-		m = decodeHughesStamp(r)
-	case KindHughesThreshold:
-		m = decodeHughesThreshold(r)
-	case KindBacktraceRequest:
-		m = decodeBacktraceRequest(r)
-	case KindBacktraceReply:
-		m = decodeBacktraceReply(r)
 	case KindBatch:
 		m = decodeBatch(r)
 	case KindCredit:
