@@ -301,9 +301,8 @@ func runDisruption(out io.Writer, quick bool) error {
 	return w.Flush()
 }
 
-// runBatch sweeps detection traffic against the candidate count, with and
-// without hierarchical aggregation, on the shared-trunk ring and the web of
-// overlapping cycles.
+// runBatch sweeps detection traffic against the candidate count on the
+// shared-trunk ring and the web of overlapping cycles.
 func runBatch(out io.Writer, quick bool) error {
 	cands := []int{16, 64, 256}
 	if quick {
@@ -314,10 +313,10 @@ func runBatch(out io.Writer, quick bool) error {
 		return err
 	}
 	w := tw(out)
-	fmt.Fprintln(w, "workload\tcandidates\tmode\tCDM msgs\tbatch CDMs\tsections\tderived\trounds\tcollected")
+	fmt.Fprintln(w, "workload\tcandidates\tCDM msgs\tbatch CDMs\tsections\tderived\trounds\tcollected")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			r.Workload, r.Candidates, r.Mode, r.CDMMsgs, r.BatchCDMs, r.Sections, r.Derived, r.Rounds, r.Collected)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%v\n",
+			r.Workload, r.Candidates, r.CDMMsgs, r.BatchCDMs, r.Sections, r.Derived, r.Rounds, r.Collected)
 	}
 	return w.Flush()
 }

@@ -56,7 +56,6 @@ func main() {
 		statsEvery    = flag.Int("stats-every", 10, "print stats every N ticks (0 = never)")
 		broadcastDel  = flag.Bool("broadcast-delete", false, "broadcast scion deletion on cycle found")
 		membershipOn  = flag.Bool("membership", true, "gossip membership directory with lease-guarded dead-node reclamation (-membership=false for a static cluster)")
-		aggDetect     = flag.Bool("aggregate-detect", false, "hierarchical aggregation: partial matches return to the detection origin")
 		callTimeoutTk = flag.Uint64("call-timeout", 40, "RPC timeout in ticks")
 		stateFile     = flag.String("state-file", "", "persist collector state here: loaded at startup if present, saved on shutdown")
 		metricsAddr   = flag.String("metrics-addr", "", "serve the admin API (Prometheus /metrics, /debug/dgc, /api/v1) on this address")
@@ -94,7 +93,6 @@ func main() {
 		SnapshotDir:      *snapshotDir,
 	}
 	spec.Config.Detector.BroadcastDelete = *broadcastDel
-	spec.Config.AggregateDetection = *aggDetect
 	if *membershipOn {
 		spec.Config.Membership = &dgc.MembershipConfig{}
 	}

@@ -95,7 +95,6 @@ var settings = map[string]func(*nodeDraft, string) error{
 	"detect_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.DetectEvery }),
 	"candidate_age":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
 	"call_timeout":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
-	"aggregate_detect": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.AggregateDetection }),
 	"broadcast_delete": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.Detector.BroadcastDelete }),
 	"membership":       set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.membership }),
 	"gossip_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.GossipEvery }),

@@ -141,9 +141,11 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		}
 	}
 	// A removed key is an unknown key like any other, named with its line.
-	_, err := ParseClusterSpec([]byte("nodes:\n  - id: A\n    batch_detect: false\n"))
-	if err == nil || !strings.Contains(err.Error(), `line 3: unknown setting "batch_detect"`) {
-		t.Errorf("batch_detect: error %v, want line 3: unknown setting", err)
+	for _, key := range []string{"batch_detect", "aggregate_detect"} {
+		_, err := ParseClusterSpec([]byte("nodes:\n  - id: A\n    " + key + ": true\n"))
+		if err == nil || !strings.Contains(err.Error(), `line 3: unknown setting "`+key+`"`) {
+			t.Errorf("%s: error %v, want line 3: unknown setting", key, err)
+		}
 	}
 	// Structural errors surface at Resolve.
 	for name, text := range map[string]string{

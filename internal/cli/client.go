@@ -200,15 +200,6 @@ func (c *Client) Status() (*admin.StatusReply, error) {
 	return &reply, nil
 }
 
-// Detections fetches /api/v1/detections.
-func (c *Client) Detections() (*admin.DetectionsReply, error) {
-	var reply admin.DetectionsReply
-	if err := c.get("/api/v1/detections", &reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
-}
-
 // TablesReply mirrors the /api/v1/tables payload.
 type TablesReply struct {
 	SchemaVersion int `json:"schema_version"`

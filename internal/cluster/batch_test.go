@@ -13,16 +13,10 @@ import (
 	"dgc/internal/workload"
 )
 
-// modeConfig returns the node configuration for one detection mode: the
-// detector ("batched") or the detector with hierarchical aggregation.
-func modeConfig(mode string) node.Config {
-	return node.Config{AggregateDetection: mode == "aggregate"}
-}
-
-// modeOutcome is the observable result of collecting one topology under one
-// detection mode: what survived, per node in canonical order, and the
-// cluster-wide traffic counters.
-type modeOutcome struct {
+// outcome is the observable result of collecting one topology: what
+// survived, per node in canonical order, and the cluster-wide traffic
+// counters.
+type outcome struct {
 	rounds   int
 	perNode  []nodeSurvivors
 	msgs     uint64 // transport-level CDM+BatchCDM messages
@@ -83,19 +77,18 @@ func sortSurvivors(s *nodeSurvivors) {
 	sort.Strings(s.Stubs)
 }
 
-// runMode collects topo under one detection mode and returns what survived,
-// next to the ground truth computed before the first round.
-func runMode(t *testing.T, seed int64, topo *workload.Topology, mode string, maxRounds int) (out modeOutcome, want []nodeSurvivors) {
+// collect collects topo fully and returns what survived, next to the ground
+// truth computed before the first round.
+func collect(t *testing.T, seed int64, topo *workload.Topology, maxRounds int) (out outcome, want []nodeSurvivors) {
 	t.Helper()
-	cfg := modeConfig(mode)
-	c := New(seed, cfg)
-	if _, err := c.Materialize(topo, cfg); err != nil {
+	c := New(seed, node.Config{})
+	if _, err := c.Materialize(topo, node.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	live, want := groundTruth(c)
 	out.rounds = c.CollectFully(maxRounds)
 	if v := c.LiveViolations(live); len(v) != 0 {
-		t.Fatalf("%s/%s: SAFETY violation: reclaimed live %v", topo.Name, mode, v)
+		t.Fatalf("%s: SAFETY violation: reclaimed live %v", topo.Name, v)
 	}
 	for _, n := range c.Nodes() {
 		got := nodeSurvivors{ID: n.ID()}
@@ -124,10 +117,15 @@ func runMode(t *testing.T, seed int64, topo *workload.Topology, mode string, max
 
 // TestDetectionCollectsExactlyGarbage is the detector's property test,
 // judged against ground truth: on seeded ring, shared-trunk, web and random
-// graphs, with aggregation off and on, what survives full collection is
-// exactly what an omniscient collector would keep — per node, the globally
-// reachable objects and the scions and stubs backing a live cross-node
-// reference, nothing more (completeness) and nothing less (safety).
+// graphs, what survives full collection is exactly what an omniscient
+// collector would keep — per node, the globally reachable objects and the
+// scions and stubs backing a live cross-node reference, nothing more
+// (completeness) and nothing less (safety). The last two webs are dense
+// overlapping-cycle graphs — the second is dgc-bench -exp batch's
+// webgraph-64 — on which branches are cut for carrying no new information
+// while the closure is still split across them: they collect only because
+// the cut branches return their partial views to the origin, which merges
+// them.
 func TestDetectionCollectsExactlyGarbage(t *testing.T) {
 	topos := []*workload.Topology{
 		workload.Ring(5, 2),
@@ -135,6 +133,8 @@ func TestDetectionCollectsExactlyGarbage(t *testing.T) {
 		workload.WebGraph(11, 4, 3, 4),
 		workload.WebGraph(13, 5, 4, 6),
 		workload.WebGraph(17, 5, 4, 6),
+		workload.WebGraph(11, 5, 6, 8),
+		workload.WebGraph(81, 6, 16, 16),
 	}
 	for _, seed := range []int64{101, 102, 104, 105, 106, 108} {
 		topos = append(topos, workload.RandomGraph(seed, workload.RandomConfig{
@@ -145,41 +145,14 @@ func TestDetectionCollectsExactlyGarbage(t *testing.T) {
 		topo := topo
 		t.Run(topo.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, mode := range []string{"batched", "aggregate"} {
-				out, want := runMode(t, 42, topo, mode, 120)
-				for i, got := range out.perNode {
-					if !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("%s: node %s survivors\n got %+v\nwant %+v", mode, got.ID, got, want[i])
-					}
+			out, want := collect(t, 42, topo, 120)
+			for i, got := range out.perNode {
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("node %s survivors\n got %+v\nwant %+v", got.ID, got, want[i])
 				}
 			}
 		})
 	}
-}
-
-// TestAggregationCollectsDenseWeb: on a dense overlapping-cycle web where
-// per-node expansion stalls (without aggregation the detector leaves objects
-// behind on this graph), hierarchical aggregation must still fully collect —
-// the origin merges the partial fragments every branch returns and
-// re-launches only the unresolved residue — and must never reclaim a live
-// object doing so (checked inside runMode).
-func TestAggregationCollectsDenseWeb(t *testing.T) {
-	topo := workload.WebGraph(11, 5, 6, 8)
-	out, want := runMode(t, 42, topo, "aggregate", 120)
-	if got, live := sumObjects(out.perNode), sumObjects(want); got != live {
-		t.Errorf("aggregate: %d objects remain, want %d live", got, live)
-	}
-	if out.msgs == 0 {
-		t.Error("no detection traffic recorded")
-	}
-}
-
-func sumObjects(perNode []nodeSurvivors) int {
-	n := 0
-	for _, s := range perNode {
-		n += len(s.Objects)
-	}
-	return n
 }
 
 // TestSharedTrunkBatchingReducesMessages is the traffic claim behind
@@ -189,33 +162,28 @@ func sumObjects(perNode []nodeSurvivors) int {
 // Detector.CDMsSent), and the run must actually ship multi-section
 // BatchCDMs.
 func TestSharedTrunkBatchingReducesMessages(t *testing.T) {
-	topo := workload.SharedTrunk(16, 4)
-	for _, mode := range []string{"batched", "aggregate"} {
-		out, _ := runMode(t, 7, topo, mode, 40)
-		if out.cycles == 0 {
-			t.Fatalf("%s: found no cycles", mode)
-		}
-		if out.batch == 0 {
-			t.Fatalf("%s: no BatchCDMs sent on a shared-trunk workload", mode)
-		}
-		if out.sections <= out.batch {
-			t.Fatalf("%s: batches carry no extra sections (%d sections / %d batches)",
-				mode, out.sections, out.batch)
-		}
-		if out.msgs >= out.derived {
-			t.Fatalf("%s: %d CDM messages for %d per-detection derivations", mode, out.msgs, out.derived)
-		}
-		t.Logf("%s: msgs %d vs %d derivations (batches=%d sections=%d)",
-			mode, out.msgs, out.derived, out.batch, out.sections)
+	out, _ := collect(t, 7, workload.SharedTrunk(16, 4), 40)
+	if out.cycles == 0 {
+		t.Fatal("found no cycles")
 	}
+	if out.batch == 0 {
+		t.Fatal("no BatchCDMs sent on a shared-trunk workload")
+	}
+	if out.sections <= out.batch {
+		t.Fatalf("batches carry no extra sections (%d sections / %d batches)", out.sections, out.batch)
+	}
+	if out.msgs >= out.derived {
+		t.Fatalf("%d CDM messages for %d per-detection derivations", out.msgs, out.derived)
+	}
+	t.Logf("msgs %d vs %d derivations (batches=%d sections=%d)",
+		out.msgs, out.derived, out.batch, out.sections)
 }
 
 // TestBatchedDetectionLossTolerance: BatchCDM loss must degrade batched
 // detection into retries, never into unsafety or permanent leaks.
 func TestBatchedDetectionLossTolerance(t *testing.T) {
-	cfg := modeConfig("batched")
-	c := New(54321, cfg)
-	if _, err := c.Materialize(workload.SharedTrunk(6, 3), cfg); err != nil {
+	c := New(54321, node.Config{})
+	if _, err := c.Materialize(workload.SharedTrunk(6, 3), node.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	c.Net.SetFaults(transport.Faults{LossRate: 0.3, Affects: wire.CollectorKinds()})

@@ -46,7 +46,7 @@ type Config struct {
 	// When unset (the paper's behaviour), only the finder's own scions are
 	// deleted and the cascade unravels the rest. Kept as an ablation
 	// (dgc-bench -exp ablation) until the live benchmark decides between
-	// the two unravels (ROADMAP item 1(b)).
+	// the two unravels (ROADMAP item 4(b)).
 	BroadcastDelete bool
 }
 
@@ -91,8 +91,8 @@ const (
 	// OutcomeForwarded: one or more derivations were sent (safety rule 4).
 	OutcomeForwarded
 	// OutcomeBranchEnded: nothing forwarded — every outgoing stub was
-	// locally reachable, carried no new information, or the algebra size
-	// valve tripped.
+	// locally reachable, the derivation carried no new information
+	// (Outcome.NoNewInfo), or the hop budget was spent.
 	OutcomeBranchEnded
 )
 
@@ -126,6 +126,11 @@ type Outcome struct {
 	// Callers that accumulate per-detection state merge it back so later
 	// expansions recognize already-shipped information.
 	Derived *Alg
+	// NoNewInfo marks an OutcomeBranchEnded cut by the no-new-information
+	// check (§3.1 step 15): the branch stopped on a view already shipped from
+	// here, so the closure may be split across branches that never meet. It
+	// is the one cut after which a node sends the origin a partial return.
+	NoNewInfo bool
 }
 
 // Stats counts detector activity on one node.
@@ -222,8 +227,8 @@ func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.R
 	return d.expand(sum, det, sc, alg, hops, trace)
 }
 
-// HandleReturn processes a partial-match result returned to this node — the
-// detection's origin — under the hierarchical aggregation mode. alg is the
+// HandleReturn processes a partial return sent to this node — the
+// detection's origin — by a node whose branch was cut. alg is the
 // origin's accumulated union of every returned fragment (the caller merged
 // the arriving section in already). Evaluating it here is the same operation
 // an intermediate node performs on its own accumulator: a counter mismatch
@@ -366,7 +371,7 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 	if derived.Equal(alg) {
 		// §3.1 step 15: the derivation holds no new information — the
 		// branch would loop forever denouncing the same dependency.
-		return Outcome{Kind: OutcomeBranchEnded}
+		return Outcome{Kind: OutcomeBranchEnded, NoNewInfo: true}
 	}
 	if found {
 		return d.cycleFound(det, derived)

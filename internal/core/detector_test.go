@@ -266,6 +266,45 @@ func TestFig3LiveCycleStopsAtLocalReach(t *testing.T) {
 	}
 }
 
+// TestNoNewInfoMarksOnlyThatCut: Outcome.NoNewInfo, the cut after which a
+// node returns its view to the origin, marks the §3.1 step 15 end — P4
+// handed back its own derivation — and not the end at a locally reachable
+// stub (P1 on a live Figure 3 ring).
+func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
+	f := buildFig3(t, Config{})
+	f.start(f.refF)
+	env, p4 := f.queue[0], f.proc("P4")
+	out := p4.det.HandleCDM(p4.sum, env.det, env.along, env.alg, env.hops, env.trace)
+	if out.Kind != OutcomeForwarded || out.NoNewInfo {
+		t.Fatalf("first delivery at P4 = %+v, want forwarded", out)
+	}
+	out = p4.det.HandleCDM(p4.sum, env.det, env.along, *out.Derived, env.hops, env.trace)
+	if out.Kind != OutcomeBranchEnded || !out.NoNewInfo {
+		t.Fatalf("P4's own derivation delivered back = %+v, want the no-new-information cut", out)
+	}
+
+	live := buildFig3(t, Config{})
+	mustNoErr(t, live.proc("P1").h.AddRoot(2 /* C */))
+	live.summarizeAll(2)
+	live.start(live.refF)
+	reached := false
+	for len(live.queue) > 0 {
+		env := live.queue[0]
+		live.queue = live.queue[1:]
+		p := live.proc(env.along.Dst.Node)
+		out := p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops, env.trace)
+		if env.along.Dst.Node == "P1" {
+			reached = true
+			if out.Kind != OutcomeBranchEnded || out.NoNewInfo {
+				t.Fatalf("P1 behind a locally reachable stub = %+v, want a plain branch end", out)
+			}
+		}
+	}
+	if !reached {
+		t.Fatal("the live ring's detection never reached P1")
+	}
+}
+
 func TestFig3LocallyReachableCandidateRefused(t *testing.T) {
 	f := buildFig3(t, Config{})
 	// Root F itself at P2.

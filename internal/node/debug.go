@@ -26,12 +26,12 @@ type DebugSnapshot struct {
 	LastSummarize string `json:"last_summarize,omitempty"`
 
 	// InflightDetections lists the detections currently tracked for causal
-	// tracing, in (origin, seq) order.
+	// tracing, in (origin, seq) order. Tracking lasts one input, so a
+	// snapshot taken between inputs finds it empty.
 	InflightDetections []InflightDetection `json:"inflight_detections"`
 
 	// Accumulators lists the per-detection CDM accumulators with their ages,
-	// in (origin, seq) order: the "which detection is stuck" view behind the
-	// dgc_detection_inflight_age_seconds gauge.
+	// in (origin, seq) order: the "which detection is stuck" view.
 	Accumulators []AccumulatorInfo `json:"accumulators"`
 
 	// TraceEventsDropped is the trace ring's eviction count (0 when no

@@ -25,17 +25,6 @@ func (m *Machine) Tick() {
 	m.clock++
 	m.expireCalls()
 	m.membTick()
-	// Periodically age out tracked detections that never reached a terminal
-	// outcome here (an aggregating origin whose detection ended elsewhere).
-	if m.clock%64 == 0 && len(m.inflight) > 0 {
-		cutoff := time.Now().Add(-inflightMaxAge)
-		for det, inf := range m.inflight {
-			if inf.first.Before(cutoff) {
-				delete(m.inflight, det)
-			}
-		}
-		m.met.DetectionsInflight.Set(int64(len(m.inflight)))
-	}
 	// A collection tick is one the schedule names or one an overflowing stub
 	// set asked for (handleNewSetStubs); either way it opens a new interval
 	// for the one off-schedule collection.

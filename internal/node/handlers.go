@@ -155,7 +155,7 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 	// along: information that arrived via one scion must also flow out
 	// through the stubs reachable from the others, or converging paths
 	// would starve each other of the closure they jointly build.
-	terminal, forwarded := false, false
+	terminal, forwarded, cut := false, false, false
 	for _, a := range acc.alongsSorted {
 		out := m.detector.HandleCDM(m.summary, det, a, acc.alg, hops, traceID)
 		switch out.Kind {
@@ -168,6 +168,8 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 		case core.OutcomeForwarded:
 			forwarded = true
 			m.met.CDMsSent.Add(uint64(out.Forwarded))
+		case core.OutcomeBranchEnded:
+			cut = cut || out.NoNewInfo
 		}
 		if m.cfg.Trace != nil {
 			m.emitT(trace.KindCDMHandled, traceID, "det=%s/%d along=%s outcome=%s entries=%d",
@@ -199,11 +201,15 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 		}
 	}
 
-	// Hierarchical aggregation: a branch that died here without a verdict
-	// is a partial match. Return the accumulated view to the origin (once
-	// per accumulator version) so the coordinator can merge fragments from
-	// every branch and re-launch only what remains unresolved.
-	if m.cfg.AggregateDetection && !terminal && !forwarded &&
+	// Partial return: a branch cut here for carrying no new information,
+	// with no along reaching a verdict or forwarding, may hold a fragment of
+	// a closure split across branches that never meet. Return the
+	// accumulated view to the origin (once per accumulator version) so it
+	// can merge the fragments of every branch and re-launch only what
+	// remains unresolved. A section that was only dropped (safety rule 1) or
+	// cut at locally reachable stubs carries nothing the origin can use and
+	// returns nothing.
+	if cut && !terminal && !forwarded &&
 		det.Origin != m.id && acc.ver > acc.retVer && acc.alg.Len() > 0 {
 		acc.retVer = acc.ver
 		m.emitT(trace.KindPartialReturn, traceID, "det=%s/%d to=%s entries=%d hops=%d",
@@ -212,10 +218,10 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 	}
 }
 
-// handleReturnSection merges one aggregation-mode partial result into the
-// origin's accumulated view and evaluates it: a conflict aborts the
-// detection, a source-empty reduction proves the cycle, anything else
-// re-launches the unresolved residue through the origin's own scions.
+// handleReturnSection merges one partial return into the origin's
+// accumulated view and evaluates it: a conflict aborts the detection, a
+// source-empty reduction proves the cycle, anything else re-launches the
+// unresolved residue through the origin's own scions.
 func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 	det := s.Det
 	if det.Origin != m.id {

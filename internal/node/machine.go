@@ -102,12 +102,10 @@ type Machine struct {
 	// protocol decisions, keeping the machine's behaviour deterministic.
 	met *obs.NodeMetrics
 
-	// inflight tracks the detections that can still end at this node, for
-	// causal tracing and the per-detection latency histogram: keyed by
-	// detection, carrying the trace id and the wall-clock time of first sight
-	// here (trackDetection says which, and for how long). Droppable cache
-	// (bounded by inflightCap, aged out on clock advances): losing an entry
-	// only loses a latency sample.
+	// inflight tracks the detections the current input touches, for causal
+	// tracing and the per-detection latency histogram: keyed by detection,
+	// carrying the trace id and the wall-clock time of first sight here. It
+	// is per-input state (trackDetection): empty between inputs.
 	inflight map[core.DetectionID]detInflight
 
 	// lastLGC/lastSummarize timestamp the most recent daemon runs, for the
@@ -137,17 +135,17 @@ type detAcc struct {
 	// per-detection age report. Wall clock: diagnostic only, never read by
 	// the protocol.
 	first time.Time
-	// ver counts changes to alg; retVer is ver at the last aggregation-mode
-	// partial return, so an unchanged accumulator never returns twice.
+	// ver counts changes to alg; retVer is ver at the last partial return,
+	// so an unchanged accumulator never returns twice.
 	ver    uint64
 	retVer uint64
 }
 
 // cdmBatcher buffers the CDM traffic of one machine input (a detection
 // round or one delivered CDM/BatchCDM), grouped per outgoing edge with one
-// section per detection, plus aggregation-mode partial returns grouped per
-// origin. Flushing emits one message per edge (a plain CDM for single
-// sections, a BatchCDM otherwise) in canonical edge order.
+// section per detection, plus partial returns grouped per origin. Flushing
+// emits one message per edge (a plain CDM for single sections, a BatchCDM
+// otherwise) in canonical edge order.
 type cdmBatcher struct {
 	edges map[ids.RefID]*edgeBatch
 	order []ids.RefID // edge insertion order; sorted canonically at flush
@@ -155,10 +153,6 @@ type cdmBatcher struct {
 	rets     map[ids.NodeID][]wire.BatchSection
 	retOrder []ids.NodeID
 	retHops  int
-
-	// passing lists the detections trackDetection started tracking in this
-	// input that cannot end here later; the flush stops tracking them.
-	passing []core.DetectionID
 }
 
 // outSection is one buffered (detection, algebra) pair bound for an edge.
@@ -225,15 +219,6 @@ type detInflight struct {
 	first time.Time
 }
 
-// inflightCap bounds the inflight-detection table; overflowing flushes it,
-// which only loses latency samples and debug visibility, never correctness.
-const inflightCap = 1 << 12
-
-// inflightMaxAge ages out tracked detections that never reached a terminal
-// outcome at this node (an aggregating origin whose detection ended
-// elsewhere). Swept on clock advances.
-const inflightMaxAge = 2 * time.Minute
-
 type pendingCall struct {
 	target   ids.GlobalRef
 	pinned   []ids.GlobalRef
@@ -294,21 +279,6 @@ func (m *Machine) syncGauges() {
 	m.met.Scions.Set(int64(m.table.NumScions()))
 	m.met.Stubs.Set(int64(m.table.NumStubs()))
 	m.met.PendingCalls.Set(int64(len(m.pendingCalls)))
-	m.met.DetectionsInflight.Set(int64(len(m.inflight)))
-	m.met.DetectionInflightAge.Set(int64(m.oldestInflightAge(time.Now()).Seconds()))
-}
-
-// oldestInflightAge returns the age of the longest-tracked inflight
-// detection (zero when none): the "stuck batch" signal behind the
-// dgc_detection_inflight_age_seconds gauge.
-func (m *Machine) oldestInflightAge(now time.Time) time.Duration {
-	var oldest time.Duration
-	for _, inf := range m.inflight {
-		if age := now.Sub(inf.first); age > oldest {
-			oldest = age
-		}
-	}
-	return oldest
 }
 
 // beginCDMBatch arms per-edge CDM buffering for the current input;
@@ -317,7 +287,7 @@ func (m *Machine) beginCDMBatch() { m.batch = newCDMBatcher() }
 
 // flushCDMBatch emits the buffered traffic: per edge in canonical order,
 // one plain CDM for a single section or one BatchCDM for several; then the
-// aggregation-mode partial returns, one BatchCDM per origin.
+// partial returns, one BatchCDM per origin.
 func (m *Machine) flushCDMBatch() {
 	b := m.batch
 	m.batch = nil
@@ -357,34 +327,20 @@ func (m *Machine) flushCDMBatch() {
 			origin, len(b.rets[origin]), b.retHops)
 		m.send(origin, wire.NewBatchCDM(ids.RefID{}, b.retHops, true, b.rets[origin]))
 	}
-	if len(b.passing) > 0 {
-		for _, det := range b.passing {
-			delete(m.inflight, det)
-		}
-		m.met.DetectionsInflight.Set(int64(len(m.inflight)))
-	}
+	// Every detection still tracked was first seen in this input, and none
+	// outlives it (trackDetection).
+	clear(m.inflight)
 }
 
 // trackDetection records a detection for causal tracing, stamping its first
-// sight at this node. The entry outlives the current input only where the
-// detection can still end later: at its origin under AggregateDetection,
-// which partial returns come back to. Anywhere else the detection ends in
-// this input or leaves it forwarded or dropped (a ring closes at its last
-// process), so the batch flush drops the entry, and a later delivery tracks
-// it afresh (§3.2: no state about detections in course).
+// sight at this node. No entry outlives the current input: the detection
+// ends in it or leaves it forwarded, returned or dropped (a ring closes at
+// its last process), so the batch flush drops the entry, and a later
+// delivery tracks it afresh (§3.2: no state about detections in course).
 func (m *Machine) trackDetection(det core.DetectionID, trace uint64) {
-	if _, ok := m.inflight[det]; ok {
-		return
+	if _, ok := m.inflight[det]; !ok {
+		m.inflight[det] = detInflight{trace: trace, first: time.Now()}
 	}
-	if len(m.inflight) >= inflightCap {
-		m.inflight = make(map[core.DetectionID]detInflight)
-	}
-	m.inflight[det] = detInflight{trace: trace, first: time.Now()}
-	if det.Origin == m.id && m.cfg.AggregateDetection {
-		m.met.DetectionsInflight.Set(int64(len(m.inflight)))
-		return
-	}
-	m.batch.passing = append(m.batch.passing, det)
 }
 
 // detectionDone observes the detection's latency at this node (first sight
@@ -400,7 +356,6 @@ func (m *Machine) detectionDone(det core.DetectionID, outcome string) {
 	m.emitT(trace.KindDetectionEnd, inf.trace, "det=%s/%d outcome=%s", det.Origin, det.Seq, outcome)
 	m.met.DetectionLatency.Observe(time.Since(inf.first).Seconds())
 	delete(m.inflight, det)
-	m.met.DetectionsInflight.Set(int64(len(m.inflight)))
 }
 
 // TakeEffects returns the outbound messages accumulated since the last

@@ -41,15 +41,6 @@ type Config struct {
 	// CandidateMinAge is the quiescence threshold (in logical ticks) before
 	// a scion becomes a cycle candidate.
 	CandidateMinAge uint64
-	// AggregateDetection enables hierarchical match aggregation: a node
-	// whose processing of a detection ends without forwarding returns its
-	// accumulated partial match to the detection's origin, which merges
-	// the fragments and re-launches only the unresolved residue (read in
-	// Machine.processCDMSection). Off by default because the live
-	// benchmark prices it at +16-27% detection traffic for no latency gain
-	// (EXPERIMENTS.md "Aggregation on the live cluster"); it stays because
-	// it is the only mode that collects the dense webgraph-64 workload.
-	AggregateDetection bool
 	// BatchDetection is unread: per-edge batching is the only detection
 	// path.
 	//
@@ -126,9 +117,9 @@ type Stats struct {
 	// the sections they carried (forward direction only, returns excluded).
 	BatchCDMsSent     uint64
 	BatchSectionsSent uint64
-	// PartialReturns counts aggregation-mode partial results merged at this
-	// node as the detection origin; DetectionRelaunches counts the residue
-	// re-expansions those merges triggered.
+	// PartialReturns counts partial returns (a cut branch's accumulated
+	// view) merged at this node as the detection origin; DetectionRelaunches
+	// counts the residue re-expansions those merges triggered.
 	PartialReturns      uint64
 	DetectionRelaunches uint64
 	Detector            core.Stats

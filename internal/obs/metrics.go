@@ -44,8 +44,8 @@ type NodeMetrics struct {
 	DetectionLatency  *Histogram
 	CDMHops           *Histogram
 
-	// Multi-section detection messages, and hierarchical aggregation (the
-	// last two stay zero unless Config.AggregateDetection is set).
+	// Multi-section detection messages, and the partial returns a cut branch
+	// sends its detection's origin with the relaunches they trigger there.
 	BatchCDMsSent       *Counter
 	BatchSections       *Histogram
 	PartialReturns      *Counter
@@ -70,12 +70,10 @@ type NodeMetrics struct {
 	CallsFailed    *Counter
 
 	// Instantaneous state.
-	HeapObjects          *Gauge
-	Scions               *Gauge
-	Stubs                *Gauge
-	DetectionsInflight   *Gauge
-	DetectionInflightAge *Gauge
-	PendingCalls         *Gauge
+	HeapObjects  *Gauge
+	Scions       *Gauge
+	Stubs        *Gauge
+	PendingCalls *Gauge
 
 	// LiveRuntime mailbox (static zero under the simulator's Node driver).
 	MailboxDepth    *Gauge
@@ -108,13 +106,13 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		CDMsDeduped:       reg.Counter("dgc_cdms_deduped_total", "CDM deliveries that added no new information to the accumulated view."),
 		CDMsRaceDropped:   reg.Counter("dgc_cdms_race_dropped_total", "CDM deliveries conflicting with the accumulated per-detection view."),
 		ScionsFreed:       reg.Counter("dgc_scions_freed_total", "Scions deleted because a detection proved them part of a garbage cycle."),
-		DetectionLatency:  reg.Histogram("dgc_detection_latency_seconds", "Seconds from a detection's arrival at this node (its launch, at an aggregating origin) to its terminal outcome here (cycle found or abort).", DetectionLatencyBuckets),
+		DetectionLatency:  reg.Histogram("dgc_detection_latency_seconds", "Seconds from a detection's arrival at this node to its terminal outcome here (cycle found or abort), within the one input that handles it.", DetectionLatencyBuckets),
 		CDMHops:           reg.Histogram("dgc_cdm_hops", "Forwarding depth carried by delivered CDMs.", HopBuckets),
 
 		BatchCDMsSent:       reg.Counter("dgc_batch_cdms_sent_total", "Multi-candidate BatchCDM messages sent to peers."),
 		BatchSections:       reg.Histogram("dgc_batch_cdm_sections", "Detection sections carried per BatchCDM sent.", BatchSectionBuckets),
-		PartialReturns:      reg.Counter("dgc_partial_returns_total", "Aggregation-mode partial match results returned to detection origins."),
-		DetectionRelaunches: reg.Counter("dgc_detection_relaunches_total", "Detections re-launched by their origin after merging partial returns."),
+		PartialReturns:      reg.Counter("dgc_partial_returns_total", "Partial returns received at this node as a detection's origin: the accumulated view of a branch cut without a verdict."),
+		DetectionRelaunches: reg.Counter("dgc_detection_relaunches_total", "Unresolved residues this node re-launched as a detection's origin after merging a partial return."),
 
 		ScionsCreated:     reg.Counter("dgc_scions_created_total", "Incoming-reference scions created."),
 		ScionsDropped:     reg.Counter("dgc_scions_dropped_total", "Scions deleted by reference-listing stub-set application."),
@@ -132,12 +130,10 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		RepliesHandled: reg.Counter("dgc_replies_handled_total", "Invocation replies received."),
 		CallsFailed:    reg.Counter("dgc_calls_failed_total", "Invocations that failed or expired."),
 
-		HeapObjects:          reg.Gauge("dgc_heap_objects", "Objects currently on the heap."),
-		Scions:               reg.Gauge("dgc_scions", "Incoming-reference scions currently recorded."),
-		Stubs:                reg.Gauge("dgc_stubs", "Outgoing-reference stubs currently recorded."),
-		DetectionsInflight:   reg.Gauge("dgc_detections_inflight", "Detections that can still end at this node after the current input: an aggregating origin's own, between launch and verdict."),
-		DetectionInflightAge: reg.Gauge("dgc_detection_inflight_age_seconds", "Age in whole seconds of the oldest detection counted by dgc_detections_inflight (0 when none)."),
-		PendingCalls:         reg.Gauge("dgc_pending_calls", "Remote invocations awaiting replies."),
+		HeapObjects:  reg.Gauge("dgc_heap_objects", "Objects currently on the heap."),
+		Scions:       reg.Gauge("dgc_scions", "Incoming-reference scions currently recorded."),
+		Stubs:        reg.Gauge("dgc_stubs", "Outgoing-reference stubs currently recorded."),
+		PendingCalls: reg.Gauge("dgc_pending_calls", "Remote invocations awaiting replies."),
 
 		MailboxDepth:    reg.Gauge("dgc_mailbox_depth", "Runtime mailbox occupancy at last consume."),
 		MailboxCapacity: reg.Gauge("dgc_mailbox_capacity", "Runtime mailbox capacity."),

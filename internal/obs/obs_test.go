@@ -170,7 +170,7 @@ func TestNodeMetricsRegistersAll(t *testing.T) {
 		"dgc_lgc_duration_seconds", "dgc_summarize_duration_seconds",
 		"dgc_invokes_sent_total", "dgc_invokes_handled_total", "dgc_replies_handled_total",
 		"dgc_calls_failed_total", "dgc_heap_objects", "dgc_scions", "dgc_stubs",
-		"dgc_detections_inflight", "dgc_pending_calls", "dgc_mailbox_depth",
+		"dgc_pending_calls", "dgc_mailbox_depth",
 		"dgc_mailbox_capacity", "dgc_mailbox_dropped_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+name+" ") {

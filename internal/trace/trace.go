@@ -55,7 +55,7 @@ const (
 	KindCDMSent
 	// KindBatchCDM records a multi-section BatchCDM sent or received.
 	KindBatchCDM
-	// KindPartialReturn records an aggregation-mode partial result returned
+	// KindPartialReturn records a cut branch's accumulated view returned
 	// toward the detection's origin.
 	KindPartialReturn
 	// KindRelaunch records the origin re-launching a detection's unresolved

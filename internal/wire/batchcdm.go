@@ -35,9 +35,9 @@ func (s *BatchSection) MergeAlgInto(a core.Alg) (changed, conflict bool) { retur
 // dictionary index, so overlapping closures (the whole point of batching)
 // pay for each reference string once per message, not once per section.
 //
-// With Return set the message is a hierarchical-aggregation partial result
-// traveling back to each section's detection origin (the coordinator);
-// Along is meaningless and zero in that case.
+// With Return set the message carries partial returns: the accumulated
+// views of branches cut at the sender, traveling back to each section's
+// detection origin; Along is meaningless and zero in that case.
 type BatchCDM struct {
 	// Along is the reference every section travels along (along.Dst.Node is
 	// the receiver), exactly as CDM.Along. Zero for Return messages.
@@ -45,8 +45,7 @@ type BatchCDM struct {
 	// Hops is the forwarding depth shared by the batch (sections split from
 	// one delivery share one depth).
 	Hops uint32
-	// Return marks a partial-match result returning to the detections'
-	// origin under the hierarchical aggregation mode.
+	// Return marks partial returns bound for the detections' origin.
 	Return bool
 	// Sections holds one entry per detection. Never empty on the wire: the
 	// decoder rejects zero-section batches.

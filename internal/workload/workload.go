@@ -258,8 +258,11 @@ func trunkEntry(i int) string { return fmt.Sprintf("a%d", i) }
 // `chords` extra references between randomly-chosen cycle objects. Nothing
 // is rooted, so everything is garbage, but the chords make cycles share
 // objects and edges — many detections traverse the same references, which
-// is where batching and hierarchical aggregation pay off. All randomness
-// comes from seed.
+// is where batching pays off. On dense webs every branch of a detection is
+// cut for carrying no new information while the closure is still split
+// across branches; the web collects only because cut branches return their
+// views to the origin, which merges them (dgc-bench -exp batch's
+// webgraph-256 still stalls; PROPERTIES.md, Known holes). All randomness comes from seed.
 func WebGraph(seed int64, procs, cycles, chords int) *Topology {
 	rng := rand.New(rand.NewSource(seed))
 	if procs < 2 {
