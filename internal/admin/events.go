@@ -237,25 +237,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // syncJournalMetrics refreshes the per-node dgc_trace_* gauges from each
-// hosted journal's stats. Called at scrape time, so the journal needs no
-// dependency on the metrics package and the series never lag.
+// hosted journal. Called at scrape time, so the journal needs no dependency
+// on the metrics package and the series never lag.
 func (s *Server) syncJournalMetrics() {
 	for _, h := range s.handles() {
 		j, ok := h.(Journaler)
 		if !ok || j.Journal() == nil {
 			continue
 		}
-		st := j.Journal().Stats()
+		journal := j.Journal()
 		reg := s.set.Node(string(h.ID()))
 		reg.Gauge("dgc_trace_events_emitted",
-			"Events sequenced into the node's trace journal.").Set(int64(st.Emitted))
+			"Events sequenced into the node's trace journal.").Set(int64(journal.Total()))
 		reg.Gauge("dgc_trace_events_ring_dropped",
-			"Journal events evicted by the ring bound.").Set(int64(st.RingDropped))
-		reg.Gauge("dgc_trace_subscribers",
-			"Live journal subscriptions (event stream consumers).").Set(int64(st.Subscribers))
-		reg.Gauge("dgc_trace_subscriber_evictions",
-			"Journal subscriptions evicted for falling behind.").Set(int64(st.SubscriberEvictions))
-		reg.Gauge("dgc_trace_subscriber_max_lag",
-			"Deepest live subscriber backlog in buffered events.").Set(int64(st.MaxLag))
+			"Journal events evicted by the ring bound.").Set(int64(journal.Dropped()))
 	}
 }

@@ -24,7 +24,7 @@ import (
 // SchemaVersion is the version of every JSON payload the admin API serves
 // (including /debug/dgc). It increments whenever a field changes meaning or
 // disappears; additions are backward compatible and do not bump it.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Handle is the per-node surface the admin server operates on. Both drivers
 // satisfy it (*node.Node, *node.LiveRuntime), as does *Supervisor — which
@@ -198,7 +198,6 @@ type DetectionStats struct {
 	Aborted     uint64 `json:"aborted"`
 	CDMsSent    uint64 `json:"cdms_sent"`
 	ScionsFreed uint64 `json:"scions_freed"`
-	Inflight    int    `json:"inflight"`
 }
 
 // StatusReply is the /api/v1/status payload.
@@ -228,7 +227,6 @@ func statusOf(h Handle) NodeStatus {
 		Aborted:     stats.Detector.Aborted,
 		CDMsSent:    stats.Detector.CDMsSent,
 		ScionsFreed: stats.Detector.ScionsFreed,
-		Inflight:    len(snap.InflightDetections),
 	}
 	st.Mailbox = snap.Mailbox
 	if fc, ok := h.(FaultController); ok {
@@ -246,12 +244,6 @@ func statusOf(h Handle) NodeStatus {
 type DebugReply struct {
 	SchemaVersion int                           `json:"schema_version"`
 	Nodes         map[string]node.DebugSnapshot `json:"nodes"`
-}
-
-// DetectionsReply is the /api/v1/detections payload.
-type DetectionsReply struct {
-	SchemaVersion int                                 `json:"schema_version"`
-	Nodes         map[string][]node.InflightDetection `json:"nodes"`
 }
 
 // DetectReply is the /api/v1/detect payload. With a scion, Result carries the
@@ -331,7 +323,6 @@ func memberInfos(ms []membership.Member) []MemberInfo {
 //	GET  /debug/dgc           versioned per-node debug snapshots
 //	GET  /api/v1/status       cluster status: build, per-node state/counters
 //	GET  /api/v1/tables       one node's scion/stub tables (?node=)
-//	GET  /api/v1/detections   in-flight detections with trace ids
 //	GET  /api/v1/members      per-node membership directory views
 //	GET  /api/v1/events       journal event stream, NDJSON (?since=&kind=&trace=&follow=)
 //	POST /api/v1/join         seed a new member {node, addr} into every hosted node
@@ -380,13 +371,6 @@ func (s *Server) Handler() http.Handler {
 			SchemaVersion int `json:"schema_version"`
 			node.TableDump
 		}{SchemaVersion, h.TableDump()})
-	})
-	mux.HandleFunc("/api/v1/detections", func(w http.ResponseWriter, r *http.Request) {
-		reply := DetectionsReply{SchemaVersion: SchemaVersion, Nodes: make(map[string][]node.InflightDetection)}
-		for _, h := range s.handles() {
-			reply.Nodes[string(h.ID())] = h.DebugSnapshot().InflightDetections
-		}
-		writeJSON(w, http.StatusOK, reply)
 	})
 	mux.HandleFunc("/api/v1/detect", s.post(func(w http.ResponseWriter, r *http.Request) {
 		h, err := s.pick(r)

@@ -49,20 +49,15 @@ func goldenServer() *Server {
 		snap: node.DebugSnapshot{
 			Node: "P1", Clock: 42, Objects: 3, Scions: 1, Stubs: 2,
 			SummaryVersion: 7,
-			InflightDetections: []node.InflightDetection{{
-				Origin: "P1", Seq: 5, TraceID: "00000000deadbeef",
-				FirstSeen: "2026-01-02T03:04:05Z", AgeMS: 1500,
-			}},
-			Accumulators: []node.AccumulatorInfo{},
+			Accumulators:   []node.AccumulatorInfo{},
 		},
 	})
 	s.AddNode(&fakeHandle{
 		id: "P2",
 		snap: node.DebugSnapshot{
 			Node: "P2", Clock: 40, Objects: 1, Scions: 2, Stubs: 0,
-			InflightDetections: []node.InflightDetection{},
-			Accumulators:       []node.AccumulatorInfo{},
-			Mailbox:            &node.MailboxStats{Depth: 1, Capacity: 1024, Dropped: 3},
+			Accumulators: []node.AccumulatorInfo{},
+			Mailbox:      &node.MailboxStats{Depth: 1, Capacity: 1024, Dropped: 3},
 		},
 	})
 	return s
@@ -137,9 +132,6 @@ func TestStatusEndpoint(t *testing.T) {
 	p1 := reply.Nodes["P1"]
 	if p1.Clock != 42 || p1.Objects != 3 || p1.State != "running" {
 		t.Errorf("P1 status = %+v", p1)
-	}
-	if p1.Detections.Inflight != 1 {
-		t.Errorf("P1 inflight = %d, want 1", p1.Detections.Inflight)
 	}
 	if mb := reply.Nodes["P2"].Mailbox; mb == nil || mb.Dropped != 3 {
 		t.Errorf("P2 mailbox = %+v", mb)

@@ -3,6 +3,7 @@ package admin
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -172,6 +173,98 @@ func TestRestoreStateRejectsCorruptAndKeepsServing(t *testing.T) {
 	}
 	if sup.Addr() != addr || sup.DebugSnapshot().Objects != 3 {
 		t.Errorf("after restart: addr %s (want %s), %d objects (want 3)", sup.Addr(), addr, sup.DebugSnapshot().Objects)
+	}
+}
+
+// statsFamilies names the metric family each node.Stats counter reads.
+var statsFamilies = map[string]string{
+	"InvokesSent":          "dgc_invokes_sent_total",
+	"InvokesHandled":       "dgc_invokes_handled_total",
+	"RepliesHandled":       "dgc_replies_handled_total",
+	"CallsFailed":          "dgc_calls_failed_total",
+	"ScionsCreated":        "dgc_scions_created_total",
+	"ScionsDropped":        "dgc_scions_dropped_total",
+	"LGCRuns":              "dgc_lgc_runs_total",
+	"ObjectsSwept":         "dgc_lgc_objects_swept_total",
+	"Summarizations":       "dgc_summarizations_total",
+	"SummaryCacheHits":     "dgc_summary_cache_hits_total",
+	"StubSetsSent":         "dgc_stub_sets_sent_total",
+	"StubSetsApplied":      "dgc_stub_sets_applied_total",
+	"CDMsDeduped":          "dgc_cdms_deduped_total",
+	"CDMsRaceDropped":      "dgc_cdms_race_dropped_total",
+	"BatchCDMsSent":        "dgc_batch_cdms_sent_total",
+	"BatchSectionsSent":    "dgc_batch_cdm_sections_sum",
+	"PartialReturns":       "dgc_partial_returns_total",
+	"DetectionRelaunches":  "dgc_detection_relaunches_total",
+	"Detector.Started":     "dgc_detections_started_total",
+	"Detector.CDMsSent":    "dgc_cdms_sent_total",
+	"Detector.CDMsHandled": "dgc_cdms_handled_total",
+	"Detector.Dropped":     "dgc_cdms_dropped_total",
+	"Detector.Aborted":     "dgc_detections_aborted_total",
+	"Detector.CyclesFound": "dgc_cycles_found_total",
+	"Detector.ScionsFreed": "dgc_scions_freed_total",
+}
+
+// TestStatsAreTheRegistryAcrossRestart: Stats is a read of the node's metric
+// registry, which the supervisor keeps across Kill/Restart, so every counter
+// equals its family's sample and continues through the restart — three
+// collections sweeping one object each read 3, not the 1 since the restore.
+func TestStatsAreTheRegistryAcrossRestart(t *testing.T) {
+	sup, err := StartNode(NodeSpec{ID: "P1", SeedObjects: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	collect := func() {
+		t.Helper()
+		if err := sup.Runtime().With(func(m node.Mutator) { m.Alloc(nil) }); err != nil {
+			t.Fatal(err)
+		}
+		if res := sup.RunLGC(); res.Swept != 1 {
+			t.Fatalf("swept %d, want the one unrooted object", res.Swept)
+		}
+	}
+	collect()
+	collect()
+	if err := sup.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	collect()
+
+	s := sup.Stats()
+	if s.LGCRuns != 3 || s.ObjectsSwept != 3 {
+		t.Errorf("LGCRuns %d, ObjectsSwept %d after the restart; want 3 and 3", s.LGCRuns, s.ObjectsSwept)
+	}
+	dump := sup.Metrics().Dump()
+	check := func(path string, got uint64) {
+		family, ok := statsFamilies[path]
+		if !ok {
+			t.Errorf("Stats.%s names no family", path)
+			return
+		}
+		want, ok := dump[family+`{node="P1"}`]
+		if !ok {
+			t.Errorf("Stats.%s: no %s sample", path, family)
+		} else if float64(got) != want {
+			t.Errorf("Stats.%s = %d, %s = %v", path, got, family, want)
+		}
+	}
+	notCounts := map[string]bool{"Clock": true, "ExportsPending": true, "SnapshotBytes": true}
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch {
+		case notCounts[name]:
+		case f.Kind() == reflect.Struct:
+			for j := 0; j < f.NumField(); j++ {
+				check(name+"."+f.Type().Field(j).Name, f.Field(j).Uint())
+			}
+		default:
+			check(name, f.Uint())
+		}
 	}
 }
 

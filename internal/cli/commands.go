@@ -48,7 +48,7 @@ func cmdStatus(args []string, stdout, stderr io.Writer) int {
 func printStatus(w io.Writer, f *fleet) {
 	fmt.Fprintf(w, "build %s (%s, %s)\n", f.build.Version, f.build.Commit, f.build.Go)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NODE\tSTATE\tADDR\tCLOCK\tOBJECTS\tSCIONS\tSTUBS\tSWEPT\tDETECTIONS\tCYCLES\tINFLIGHT\tFAULTS")
+	fmt.Fprintln(tw, "NODE\tSTATE\tADDR\tCLOCK\tOBJECTS\tSCIONS\tSTUBS\tSWEPT\tDETECTIONS\tCYCLES\tFAULTS")
 	for _, id := range f.nodeIDs() {
 		st := f.status[id]
 		faults := "-"
@@ -67,10 +67,9 @@ func printStatus(w io.Writer, f *fleet) {
 			}
 			faults = strings.Join(parts, ",")
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			st.Node, st.State, st.Addr, st.Clock, st.Objects, st.Scions, st.Stubs,
-			st.ObjectsSwept, st.Detections.Started, st.Detections.CyclesFound,
-			st.Detections.Inflight, faults)
+			st.ObjectsSwept, st.Detections.Started, st.Detections.CyclesFound, faults)
 	}
 	tw.Flush()
 }

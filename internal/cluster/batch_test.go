@@ -105,8 +105,9 @@ func collect(t *testing.T, seed int64, topo *workload.Topology, maxRounds int) (
 		sortSurvivors(&got)
 		out.perNode = append(out.perNode, got)
 	}
+	sent, _, _ := c.Net.Counts()
+	out.msgs = sent[wire.KindCDM] + sent[wire.KindBatchCDM]
 	for _, s := range c.Stats() {
-		out.msgs += s.CDMMsgsSent
 		out.derived += s.Detector.CDMsSent
 		out.batch += s.BatchCDMsSent
 		out.sections += s.BatchSectionsSent

@@ -117,7 +117,8 @@ func (k OutcomeKind) String() string {
 // Outcome reports the processing of one CDM delivery or detection start.
 type Outcome struct {
 	Kind OutcomeKind
-	// Forwarded counts CDM derivations sent.
+	// Forwarded counts CDM derivations sent, whatever the Kind (a return
+	// can relaunch through one scion and reach a verdict through the next).
 	Forwarded int
 	// GarbageScions holds, for OutcomeCycleFound, every scion of the
 	// detected cycle (the full source set).
@@ -133,27 +134,17 @@ type Outcome struct {
 	NoNewInfo bool
 }
 
-// Stats counts detector activity on one node.
-type Stats struct {
-	Started     uint64
-	CDMsSent    uint64
-	CDMsHandled uint64
-	Dropped     uint64
-	Aborted     uint64
-	CyclesFound uint64
-	ScionsFreed uint64
-}
-
 // Detector runs the DCDA for one process. It is driven entirely by the
 // owning node (which serializes calls) and touches only summarized
 // snapshots — never the live heap — so it needs no synchronization with the
 // mutator (§3.2 "there is no contention between the mutator and the DCDA").
+// It counts nothing: every call returns an Outcome, and the node records
+// those in its metric registry.
 type Detector struct {
 	self    ids.NodeID
 	cfg     Config
 	actions Actions
 	seq     uint64
-	Stats   Stats
 }
 
 // NewDetector returns a detector for the given node.
@@ -175,14 +166,12 @@ func (d *Detector) StartDetection(sum *snapshot.Summary, candidate ids.RefID) (D
 	det := DetectionID{Origin: d.self, Seq: d.seq}
 	sc := sum.Scion(candidate)
 	if sc == nil {
-		d.Stats.Dropped++
 		return det, Outcome{Kind: OutcomeDropped}
 	}
 	if sc.LocalReach {
 		// Locally reachable objects are live by definition; never trace.
 		return det, Outcome{Kind: OutcomeBranchEnded}
 	}
-	d.Stats.Started++
 	out := d.expand(sum, det, sc, NewAlg(), 0, TraceIDFor(det))
 	return det, out
 }
@@ -192,15 +181,12 @@ func (d *Detector) StartDetection(sum *snapshot.Summary, candidate ids.RefID) (D
 // snapshot; hops is the forwarding depth and trace the causal trace id
 // carried by the message (propagated unchanged into any forwarded CDMs).
 func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.RefID, alg Alg, hops int, trace uint64) Outcome {
-	d.Stats.CDMsHandled++
-
 	// Safety rules 1/2 (§2.2): the reference must have a scion in the
 	// current summary. A CDM for a scion created after the last
 	// summarization, or already deleted, is simply discarded ("these CDM
 	// are simply discarded and those detections terminated", §3.2).
 	sc := sum.Scion(along)
 	if sc == nil {
-		d.Stats.Dropped++
 		return Outcome{Kind: OutcomeDropped}
 	}
 
@@ -208,14 +194,12 @@ func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.R
 	// counter for `along`; our scion-side counter must agree, otherwise an
 	// invocation crossed this reference between the two snapshots.
 	if e, ok := alg.Get(along); ok && e.InTarget && e.TgtIC != sc.IC {
-		d.Stats.Aborted++
 		return Outcome{Kind: OutcomeAborted}
 	}
 
 	// CDM matching at delivery (§3 steps 6, 13, 19, 25...).
 	cycleFound, abort := alg.MatchStatus()
 	if abort {
-		d.Stats.Aborted++
 		return Outcome{Kind: OutcomeAborted}
 	}
 	if cycleFound {
@@ -241,7 +225,6 @@ func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.R
 func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg, hops int, trace uint64) Outcome {
 	cycleFound, abort := alg.MatchStatus()
 	if abort {
-		d.Stats.Aborted++
 		return Outcome{Kind: OutcomeAborted}
 	}
 	if cycleFound {
@@ -260,6 +243,8 @@ func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg,
 		out := d.expand(sum, det, sc, cur, hops, trace)
 		switch out.Kind {
 		case OutcomeCycleFound, OutcomeAborted:
+			// Relaunches through earlier scions already went out.
+			out.Forwarded += agg.Forwarded
 			return out
 		case OutcomeForwarded:
 			agg.Kind = OutcomeForwarded
@@ -276,12 +261,10 @@ func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg,
 // cycleFound deletes this node's scions named in the CDM source set and,
 // optionally, notifies the owners of the remaining ones.
 func (d *Detector) cycleFound(det DetectionID, alg Alg) Outcome {
-	d.Stats.CyclesFound++
 	garbage := alg.SourceRefs()
 	for _, ref := range garbage {
 		if ref.Dst.Node == d.self {
 			d.actions.DeleteOwnScion(ref)
-			d.Stats.ScionsFreed++
 		} else if d.cfg.BroadcastDelete {
 			d.actions.SendDeleteScion(det, ref)
 		}
@@ -296,7 +279,6 @@ func (d *Detector) HandleDeleteScion(ref ids.RefID) {
 		return
 	}
 	d.actions.DeleteOwnScion(ref)
-	d.Stats.ScionsFreed++
 }
 
 // expand implements the forwarding step: from the scion sc (either the
@@ -351,7 +333,6 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 	}
 	if conflict {
 		// Same reference observed with two different counters: race.
-		d.Stats.Aborted++
 		return Outcome{Kind: OutcomeAborted}
 	}
 	// Matching is location-independent (§3.2: every source scion matched by a
@@ -362,7 +343,6 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 	// declared below instead of being forwarded along every eligible stub.
 	found, abort := derived.MatchStatus()
 	if abort {
-		d.Stats.Aborted++
 		return Outcome{Kind: OutcomeAborted}
 	}
 	if len(eligible) == 0 {
@@ -381,6 +361,5 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 		alongs[i] = ids.RefID{Src: d.self, Dst: tgt}
 	}
 	d.actions.SendCDMs(det, trace, alongs, derived, hops+1)
-	d.Stats.CDMsSent += uint64(len(eligible))
 	return Outcome{Kind: OutcomeForwarded, Forwarded: len(eligible), Derived: &derived}
 }

@@ -19,6 +19,12 @@ type simProc struct {
 	tb  *refs.Table
 	det *Detector
 	sum *snapshot.Summary
+
+	// The detector counts nothing; the fixture records what it did: sent
+	// counts the CDMs its SendCDMs calls handed over, outcomes the kinds
+	// its starts and deliveries returned.
+	sent     int
+	outcomes map[OutcomeKind]int
 }
 
 type cdmEnv struct {
@@ -44,6 +50,7 @@ type simActions struct {
 }
 
 func (a simActions) SendCDMs(det DetectionID, trace uint64, alongs []ids.RefID, alg Alg, hops int) {
+	a.s.procs[a.self].sent += len(alongs)
 	for _, along := range alongs {
 		a.s.queue = append(a.s.queue, cdmEnv{det: det, along: along, alg: alg.Clone(), hops: hops, trace: trace})
 	}
@@ -65,7 +72,7 @@ func (a simActions) SendDeleteScion(det DetectionID, ref ids.RefID) {
 func newSim(t *testing.T, cfg Config, names ...ids.NodeID) *sim {
 	s := &sim{t: t, cfg: cfg, procs: make(map[ids.NodeID]*simProc)}
 	for _, n := range names {
-		p := &simProc{h: heap.New(n), tb: refs.NewTable(n)}
+		p := &simProc{h: heap.New(n), tb: refs.NewTable(n), outcomes: make(map[OutcomeKind]int)}
 		p.det = NewDetector(n, cfg, simActions{s: s, self: n})
 		s.procs[n] = p
 	}
@@ -92,14 +99,7 @@ func (s *sim) pump() int {
 	for len(s.queue) > 0 {
 		env := s.queue[0]
 		s.queue = s.queue[1:]
-		p := s.procs[env.along.Dst.Node]
-		if p == nil {
-			s.t.Fatalf("CDM to unknown node %s", env.along.Dst.Node)
-		}
-		out := p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops, env.trace)
-		if out.Kind == OutcomeCycleFound {
-			s.found = append(s.found, out)
-		}
+		s.deliver(env)
 		processed++
 		if processed > 10000 {
 			s.t.Fatal("pump did not terminate: CDM loop")
@@ -108,10 +108,25 @@ func (s *sim) pump() int {
 	return processed
 }
 
+// deliver hands one CDM to the node owning its along scion, recording the
+// outcome.
+func (s *sim) deliver(env cdmEnv) Outcome {
+	p := s.procs[env.along.Dst.Node]
+	if p == nil {
+		s.t.Fatalf("CDM to unknown node %s", env.along.Dst.Node)
+	}
+	return s.record(p, p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops, env.trace))
+}
+
 // start initiates a detection at the node owning candidate's scion.
 func (s *sim) start(candidate ids.RefID) Outcome {
 	p := s.procs[candidate.Dst.Node]
 	_, out := p.det.StartDetection(p.sum, candidate)
+	return s.record(p, out)
+}
+
+func (s *sim) record(p *simProc, out Outcome) Outcome {
+	p.outcomes[out.Kind]++
 	if out.Kind == OutcomeCycleFound {
 		s.found = append(s.found, out)
 	}
@@ -233,9 +248,9 @@ func TestFig3CDMHopCount(t *testing.T) {
 	if processed != 3 {
 		t.Fatalf("CDMs processed = %d, want 3", processed)
 	}
-	total := uint64(0)
+	total := 0
 	for _, p := range f.procs {
-		total += p.det.Stats.CDMsSent
+		total += p.sent
 	}
 	if total != 3 {
 		t.Fatalf("CDMs sent = %d, want 3", total)
@@ -261,7 +276,7 @@ func TestFig3LiveCycleStopsAtLocalReach(t *testing.T) {
 		t.Fatal("live cycle scion deleted")
 	}
 	// The branch must have ended at P1 where Local.Reach(F stub) is true.
-	if f.proc("P1").det.Stats.CDMsSent != 0 {
+	if f.proc("P1").sent != 0 {
 		t.Fatal("P1 forwarded past a locally reachable stub")
 	}
 }
@@ -334,14 +349,17 @@ func TestCDMToUnknownScionDropped(t *testing.T) {
 	p2 := f.proc("P2")
 	alg := NewAlg()
 	alg.AddTarget(ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}}, 0)
-	out := p2.det.HandleCDM(p2.sum, DetectionID{Origin: "P9", Seq: 1},
-		ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}}, alg, 0,
-		TraceIDFor(DetectionID{Origin: "P9", Seq: 1}))
+	det := DetectionID{Origin: "P9", Seq: 1}
+	out := f.deliver(cdmEnv{det: det, along: ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}},
+		alg: alg, trace: TraceIDFor(det)})
 	if out.Kind != OutcomeDropped {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if p2.det.Stats.Dropped != 1 {
-		t.Fatalf("Dropped stat = %d", p2.det.Stats.Dropped)
+	if got := p2.outcomes[OutcomeDropped]; got != 1 {
+		t.Fatalf("dropped outcomes = %d", got)
+	}
+	if len(f.queue) != 0 {
+		t.Fatalf("a dropped CDM sent %d more", len(f.queue))
 	}
 }
 
@@ -392,11 +410,11 @@ func TestRaceArrivalGuardAborts(t *testing.T) {
 	if len(f.found) != 0 || len(f.deleted) != 0 {
 		t.Fatal("race produced a false cycle detection")
 	}
-	if f.proc("P1").det.Stats.Aborted != 0 {
-		t.Fatalf("P1 aborted = %d, want 0 (nothing to compare yet)", f.proc("P1").det.Stats.Aborted)
+	if got := f.proc("P1").outcomes[OutcomeAborted]; got != 0 {
+		t.Fatalf("P1 aborted = %d, want 0 (nothing to compare yet)", got)
 	}
-	if f.proc("P2").det.Stats.Aborted != 1 {
-		t.Fatalf("P2 aborted = %d, want 1", f.proc("P2").det.Stats.Aborted)
+	if got := f.proc("P2").outcomes[OutcomeAborted]; got != 1 {
+		t.Fatalf("P2 aborted = %d, want 1", got)
 	}
 }
 
@@ -423,10 +441,10 @@ func TestRaceMatchAborts(t *testing.T) {
 	if len(f.found) != 0 || len(f.deleted) != 0 {
 		t.Fatal("race produced a false cycle detection")
 	}
-	if got := f.proc("P1").det.Stats.Aborted; got != 1 {
+	if got := f.proc("P1").outcomes[OutcomeAborted]; got != 1 {
 		t.Fatalf("P1 aborted = %d, want 1", got)
 	}
-	if got := f.proc("P2").det.Stats.Aborted; got != 0 {
+	if got := f.proc("P2").outcomes[OutcomeAborted]; got != 0 {
 		t.Fatalf("P2 aborted = %d, want 0 (CDM never sent)", got)
 	}
 }

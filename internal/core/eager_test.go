@@ -28,14 +28,14 @@ func TestEagerAbortStopsBeforeForwarding(t *testing.T) {
 		t.Fatal("race produced a false detection")
 	}
 	// The abort happens at P1 (the sender), not P2.
-	if got := f.proc("P1").det.Stats.Aborted; got != 1 {
+	if got := f.proc("P1").outcomes[OutcomeAborted]; got != 1 {
 		t.Fatalf("P1 aborted = %d, want 1 (eager)", got)
 	}
-	if got := f.proc("P2").det.Stats.Aborted; got != 0 {
+	if got := f.proc("P2").outcomes[OutcomeAborted]; got != 0 {
 		t.Fatalf("P2 aborted = %d, want 0 (CDM never sent)", got)
 	}
 	// One hop saved: P1 sent nothing.
-	if got := f.proc("P1").det.Stats.CDMsSent; got != 0 {
+	if got := f.proc("P1").sent; got != 0 {
 		t.Fatalf("P1 sent %d CDMs, want 0", got)
 	}
 }

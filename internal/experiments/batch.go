@@ -5,6 +5,7 @@ import (
 
 	"dgc/internal/cluster"
 	"dgc/internal/node"
+	"dgc/internal/wire"
 	"dgc/internal/workload"
 )
 
@@ -74,8 +75,9 @@ func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error
 				Rounds:     rounds,
 				Collected:  c.TotalObjects() == 0,
 			}
+			sent, _, _ := c.Net.Counts()
+			row.CDMMsgs = sent[wire.KindCDM] + sent[wire.KindBatchCDM]
 			for _, s := range c.Stats() {
-				row.CDMMsgs += s.CDMMsgsSent
 				row.BatchCDMs += s.BatchCDMsSent
 				row.Sections += s.BatchSectionsSent
 				row.Derived += s.Detector.CDMsSent

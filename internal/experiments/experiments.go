@@ -381,8 +381,6 @@ func DetectionScale(procSizes []int, chain int) ([]ScaleRow, error) {
 		for _, s := range c.Stats() {
 			cdms += s.Detector.CDMsSent
 		}
-		sent, _, _ := c.Net.Counts()
-		_ = sent
 		rows = append(rows, ScaleRow{
 			Procs:          procs,
 			ObjectsPerProc: chain,

@@ -503,21 +503,6 @@ func (t *Tracker) TakeAddrUpdates() []Member {
 	return out
 }
 
-// Counts tallies the directory by state, for the member gauges.
-func (t *Tracker) Counts() (alive, suspect, dead int) {
-	for _, m := range t.members {
-		switch m.State {
-		case Alive, Joining, Draining:
-			alive++
-		case Suspect:
-			suspect++
-		case Dead:
-			dead++
-		}
-	}
-	return
-}
-
 func (t *Tracker) canonical() []ids.NodeID {
 	out := make([]ids.NodeID, 0, len(t.members))
 	for id := range t.members {

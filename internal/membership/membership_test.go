@@ -320,8 +320,9 @@ func TestSnapshotCanonicalOrderAndCounts(t *testing.T) {
 	if len(snap) != 3 || snap[0].Node != "P1" || snap[1].Node != "P2" || snap[2].Node != "P3" {
 		t.Fatalf("Snapshot = %+v", snap)
 	}
-	alive, suspect, dead := tr.Counts()
-	if alive != 3 || suspect != 0 || dead != 0 {
-		t.Fatalf("Counts = %d %d %d", alive, suspect, dead)
+	for _, m := range snap {
+		if m.State == Suspect || m.State == Dead {
+			t.Fatalf("%s is %v, want every member joining or alive", m.Node, m.State)
+		}
 	}
 }

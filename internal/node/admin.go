@@ -5,7 +5,6 @@ import (
 
 	"dgc/internal/core"
 	"dgc/internal/ids"
-	"dgc/internal/trace"
 )
 
 // Operator-plane entry points: the typed payloads and forced-action inputs
@@ -88,7 +87,9 @@ func (m *Machine) ForceDetect(candidate ids.RefID) (ForceDetectResult, error) {
 		return ForceDetectResult{}, err
 	}
 	m.beginCDMBatch()
-	det, out := m.detector.StartDetection(m.summary, candidate)
+	det, out := m.launch(candidate, true)
+	m.flushCDMBatch()
+	m.syncGauges()
 	res := ForceDetectResult{
 		Origin:    string(det.Origin),
 		Seq:       det.Seq,
@@ -96,23 +97,8 @@ func (m *Machine) ForceDetect(candidate ids.RefID) (ForceDetectResult, error) {
 		Outcome:   out.Kind.String(),
 		Forwarded: out.Forwarded,
 	}
-	tid := core.TraceIDFor(det)
-	switch out.Kind {
-	case core.OutcomeForwarded:
-		m.met.DetectionsStarted.Inc()
-		m.met.CDMsSent.Add(uint64(out.Forwarded))
-		m.trackDetection(det, tid)
-		m.emitT(trace.KindDetectionStart, tid, "det=%s/%d candidate=%s forced", det.Origin, det.Seq, candidate)
-	case core.OutcomeCycleFound:
-		m.met.CyclesFound.Inc()
-		for _, ref := range out.GarbageScions {
-			res.GarbageScions = append(res.GarbageScions, ref.String())
-		}
-		m.emitT(trace.KindCycleFound, tid, "det=%s/%d scions=%d forced",
-			det.Origin, det.Seq, len(out.GarbageScions))
-		m.emitT(trace.KindDetectionEnd, tid, "det=%s/%d outcome=%s", det.Origin, det.Seq, out.Kind)
+	for _, ref := range out.GarbageScions {
+		res.GarbageScions = append(res.GarbageScions, ref.String())
 	}
-	m.flushCDMBatch()
-	m.syncGauges()
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -25,11 +24,6 @@ type DebugSnapshot struct {
 	LastLGC       string `json:"last_lgc,omitempty"`
 	LastSummarize string `json:"last_summarize,omitempty"`
 
-	// InflightDetections lists the detections currently tracked for causal
-	// tracing, in (origin, seq) order. Tracking lasts one input, so a
-	// snapshot taken between inputs finds it empty.
-	InflightDetections []InflightDetection `json:"inflight_detections"`
-
 	// Accumulators lists the per-detection CDM accumulators with their ages,
 	// in (origin, seq) order: the "which detection is stuck" view.
 	Accumulators []AccumulatorInfo `json:"accumulators"`
@@ -40,15 +34,6 @@ type DebugSnapshot struct {
 
 	// Mailbox reports a started node's event queue; nil for a stepped one.
 	Mailbox *MailboxStats `json:"mailbox,omitempty"`
-}
-
-// InflightDetection is one tracked detection in a DebugSnapshot.
-type InflightDetection struct {
-	Origin    string `json:"origin"`
-	Seq       uint64 `json:"seq"`
-	TraceID   string `json:"trace_id"` // %016x of the causal trace id
-	FirstSeen string `json:"first_seen"`
-	AgeMS     int64  `json:"age_ms"`
 }
 
 // AccumulatorInfo is one per-detection CDM accumulator in a DebugSnapshot.
@@ -89,23 +74,6 @@ func (m *Machine) DebugSnapshot() DebugSnapshot {
 	if !m.lastSummarize.IsZero() {
 		snap.LastSummarize = m.lastSummarize.Format(time.RFC3339Nano)
 	}
-	snap.InflightDetections = make([]InflightDetection, 0, len(m.inflight))
-	for det, inf := range m.inflight {
-		snap.InflightDetections = append(snap.InflightDetections, InflightDetection{
-			Origin:    string(det.Origin),
-			Seq:       det.Seq,
-			TraceID:   fmt.Sprintf("%016x", inf.trace),
-			FirstSeen: inf.first.Format(time.RFC3339Nano),
-			AgeMS:     now.Sub(inf.first).Milliseconds(),
-		})
-	}
-	sort.Slice(snap.InflightDetections, func(i, j int) bool {
-		a, b := snap.InflightDetections[i], snap.InflightDetections[j]
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
 	snap.Accumulators = make([]AccumulatorInfo, 0, len(m.cdmAcc))
 	for det, acc := range m.cdmAcc {
 		snap.Accumulators = append(snap.Accumulators, AccumulatorInfo{

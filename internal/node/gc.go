@@ -51,7 +51,6 @@ func (m *Machine) expireCalls() {
 			for _, r := range pc.pinned {
 				m.unpin(r)
 			}
-			m.stats.CallsFailed++
 			m.met.CallsFailed.Inc()
 			if pc.cb != nil {
 				m.callback(func() { pc.cb(Mutator{n: m}, Reply{OK: false, Err: "call timed out"}) })
@@ -74,8 +73,6 @@ func (m *Machine) collect(offSchedule bool) lgc.Result {
 	// reclaim scions.
 	m.acyclic.NotePeers()
 	res := m.lgc.Collect(m.pinnedRefs()...)
-	m.stats.LGCRuns++
-	m.stats.ObjectsSwept += uint64(res.Swept)
 	m.met.LGCRuns.Inc()
 	m.met.ObjectsSwept.Add(uint64(res.Swept))
 
@@ -86,7 +83,6 @@ func (m *Machine) collect(offSchedule bool) lgc.Result {
 	}
 	m.emit(trace.KindLGC, "swept=%d live=%d stubs-deleted=%d%s", res.Swept, res.Live, res.StubsDeleted, trigger)
 	for _, ts := range generate() {
-		m.stats.StubSetsSent++
 		m.met.StubSetsSent.Inc()
 		m.send(ts.To, &wire.NewSetStubs{Set: ts.Msg})
 	}
@@ -108,8 +104,6 @@ func (m *Machine) Summarize() error {
 	// the same summary is the loss-retry mechanism, and must not be
 	// suppressed by dedup state surviving a (cheap) summarization round.
 	if m.summary != nil && m.heap.Gen() == m.sumHeapGen && m.table.Gen() == m.sumTableGen {
-		m.stats.Summarizations++
-		m.stats.SummaryCacheHits++
 		m.met.Summarizations.Inc()
 		m.met.SummaryCacheHits.Inc()
 		m.lastSummarize = time.Now()
@@ -126,7 +120,7 @@ func (m *Machine) Summarize() error {
 		if err != nil {
 			return m.errf("snapshot encode: %v", err)
 		}
-		m.stats.SnapshotBytes += uint64(len(data))
+		m.snapshotBytes += uint64(len(data))
 		if m.cfg.SnapshotDir != "" {
 			path := filepath.Join(m.cfg.SnapshotDir,
 				fmt.Sprintf("%s-%06d.%s.snap", m.id, m.snapVersion, m.cfg.Codec.Name()))
@@ -140,7 +134,6 @@ func (m *Machine) Summarize() error {
 		}
 	}
 	m.summary = snapshot.Summarize(m.heap, m.table, m.snapVersion)
-	m.stats.Summarizations++
 	m.met.Summarizations.Inc()
 	m.lastSummarize = start
 	m.met.SummarizeDuration.Observe(time.Since(start).Seconds())
@@ -182,26 +175,41 @@ func (m *Machine) RunDetection() int {
 	started := 0
 	m.beginCDMBatch()
 	for _, c := range cands {
-		det, out := m.detector.StartDetection(m.summary, c)
-		tid := core.TraceIDFor(det)
-		switch out.Kind {
-		case core.OutcomeForwarded:
+		if _, out := m.launch(c, false); out.Kind == core.OutcomeForwarded {
 			started++
-			m.met.DetectionsStarted.Inc()
-			m.met.CDMsSent.Add(uint64(out.Forwarded))
-			m.trackDetection(det, tid)
-			m.emitT(trace.KindDetectionStart, tid, "det=%s/%d candidate=%s", det.Origin, det.Seq, c)
-		case core.OutcomeCycleFound:
-			// The first derivation already closed.
-			m.met.CyclesFound.Inc()
-			m.emitT(trace.KindCycleFound, tid, "det=%s/%d scions=%d",
-				det.Origin, det.Seq, len(out.GarbageScions))
-			m.emitT(trace.KindDetectionEnd, tid, "det=%s/%d outcome=%s", det.Origin, det.Seq, out.Kind)
 		}
 	}
 	m.flushCDMBatch()
 	m.syncGauges()
 	return started
+}
+
+// launch starts a detection at candidate and records its outcome, the one
+// place a launch is counted: a detection is started once it makes a first
+// hop. forced marks an operator-forced launch in the journal. The caller
+// brackets it with beginCDMBatch/flushCDMBatch.
+func (m *Machine) launch(candidate ids.RefID, forced bool) (core.DetectionID, core.Outcome) {
+	det, out := m.detector.StartDetection(m.summary, candidate)
+	tid := core.TraceIDFor(det)
+	startFmt, foundFmt := "det=%s/%d candidate=%s", "det=%s/%d scions=%d"
+	if forced {
+		startFmt, foundFmt = startFmt+" forced", foundFmt+" forced"
+	}
+	m.met.CDMsSent.Add(uint64(out.Forwarded))
+	switch out.Kind {
+	case core.OutcomeForwarded:
+		m.met.DetectionsStarted.Inc()
+		m.trackDetection(det, tid)
+		m.emitT(trace.KindDetectionStart, tid, startFmt, det.Origin, det.Seq, candidate)
+	case core.OutcomeCycleFound:
+		// The first derivation already closed.
+		m.met.CyclesFound.Inc()
+		m.emitT(trace.KindCycleFound, tid, foundFmt, det.Origin, det.Seq, len(out.GarbageScions))
+		m.emitT(trace.KindDetectionEnd, tid, "det=%s/%d outcome=%s", det.Origin, det.Seq, out.Kind)
+	case core.OutcomeAborted:
+		m.met.DetectionsAborted.Inc()
+	}
+	return det, out
 }
 
 // Summary returns the machine's current summarized snapshot (nil before

@@ -111,7 +111,6 @@ func (m *Machine) accumulatorFor(det core.DetectionID) *detAcc {
 // view: the accumulator is discarded, further deliveries of the detection
 // are dropped, and the latency measurement closes.
 func (m *Machine) raceDropDetection(det core.DetectionID) {
-	m.stats.CDMsRaceDropped++
 	m.met.CDMsRaceDropped.Inc()
 	delete(m.cdmAcc, det)
 	m.cdmAborted[det] = struct{}{}
@@ -125,7 +124,6 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 	m.met.CDMsHandled.Inc()
 	m.met.CDMHops.Observe(float64(hops))
 	if _, aborted := m.cdmAborted[det]; aborted {
-		m.stats.CDMsRaceDropped++
 		m.met.CDMsRaceDropped.Inc()
 		return
 	}
@@ -146,7 +144,6 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 		ids.SortRefIDs(acc.alongsSorted)
 	}
 	if !changed && knownAlong {
-		m.stats.CDMsDeduped++
 		m.met.CDMsDeduped.Inc()
 		return
 	}
@@ -158,6 +155,7 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 	terminal, forwarded, cut := false, false, false
 	for _, a := range acc.alongsSorted {
 		out := m.detector.HandleCDM(m.summary, det, a, acc.alg, hops, traceID)
+		m.met.CDMsSent.Add(uint64(out.Forwarded))
 		switch out.Kind {
 		case core.OutcomeDropped:
 			m.met.CDMsDropped.Inc()
@@ -167,7 +165,6 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 			m.met.CyclesFound.Inc()
 		case core.OutcomeForwarded:
 			forwarded = true
-			m.met.CDMsSent.Add(uint64(out.Forwarded))
 		case core.OutcomeBranchEnded:
 			cut = cut || out.NoNewInfo
 		}
@@ -227,10 +224,8 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 	if det.Origin != m.id {
 		return // misrouted; returns only mean something at the coordinator
 	}
-	m.stats.PartialReturns++
 	m.met.PartialReturns.Inc()
 	if _, aborted := m.cdmAborted[det]; aborted {
-		m.stats.CDMsRaceDropped++
 		m.met.CDMsRaceDropped.Inc()
 		return
 	}
@@ -245,21 +240,19 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 		return
 	}
 	if !changed {
-		m.stats.CDMsDeduped++
 		m.met.CDMsDeduped.Inc()
 		return
 	}
 	acc.ver++
 	out := m.detector.HandleReturn(m.summary, det, acc.alg, hops, s.Trace)
+	m.met.CDMsSent.Add(uint64(out.Forwarded))
 	switch out.Kind {
 	case core.OutcomeAborted:
 		m.met.DetectionsAborted.Inc()
 	case core.OutcomeCycleFound:
 		m.met.CyclesFound.Inc()
 	case core.OutcomeForwarded:
-		m.stats.DetectionRelaunches++
 		m.met.DetectionRelaunches.Inc()
-		m.met.CDMsSent.Add(uint64(out.Forwarded))
 		m.emitT(trace.KindRelaunch, s.Trace, "det=%s/%d forwarded=%d entries=%d",
 			det.Origin, det.Seq, out.Forwarded, acc.alg.Len())
 	}
@@ -298,12 +291,10 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 // a tick, and sweeping early splits the burst (DESIGN.md §8).
 func (m *Machine) handleNewSetStubs(msg *wire.NewSetStubs) {
 	deleted := m.acyclic.ApplyStubSet(msg.Set)
-	m.stats.StubSetsApplied++
 	m.met.StubSetsApplied.Inc()
 	if len(deleted) == 0 {
 		return
 	}
-	m.stats.ScionsDropped += uint64(len(deleted))
 	m.met.ScionsDropped.Add(uint64(len(deleted)))
 	for _, sc := range deleted {
 		ref := sc.RefID(m.id)

@@ -68,8 +68,8 @@ func TestInflightHoldsOnlyWhatIsInFlight(t *testing.T) {
 	var samples uint64
 	for _, id := range names {
 		met := tn.n(id).mach.Metrics()
-		if got := tn.n(id).DebugSnapshot().InflightDetections; len(got) != 0 {
-			t.Errorf("%s: %d inflight detections at quiescence, first %+v", id, len(got), got[0])
+		if got := len(tn.n(id).mach.inflight); got != 0 {
+			t.Errorf("%s: %d detections still tracked at quiescence", id, got)
 		}
 		samples += met.DetectionLatency.Count()
 	}

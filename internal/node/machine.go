@@ -94,13 +94,16 @@ type Machine struct {
 	leases       *refs.HolderLeases
 	membGossiped map[ids.NodeID]uint64
 
-	stats Stats
-
 	// met is the node's observability instrument block (a private registry
-	// when Config.Metrics is nil, so no instrumentation site needs a guard).
-	// Metric observations may read the wall clock but never feed back into
+	// when Config.Metrics is nil, so no instrumentation site needs a guard)
+	// and the only record of what the node did: Stats reads it. Metric
+	// observations may read the wall clock but never feed back into
 	// protocol decisions, keeping the machine's behaviour deterministic.
 	met *obs.NodeMetrics
+
+	// snapshotBytes counts encoded snapshot bytes (Config.Codec), the one
+	// counter with no metric family.
+	snapshotBytes uint64
 
 	// inflight tracks the detections the current input touches, for causal
 	// tracing and the per-detection latency histogram: keyed by detection,
@@ -297,7 +300,6 @@ func (m *Machine) flushCDMBatch() {
 		eb := b.edges[edge]
 		if len(eb.secs) == 1 {
 			s := eb.secs[0]
-			m.stats.CDMMsgsSent++
 			m.emitT(trace.KindCDMSent, s.trace, "det=%s/%d to=%s along=%s hops=%d",
 				s.det.Origin, s.det.Seq, edge.Dst.Node, edge, s.hops)
 			m.send(edge.Dst.Node, wire.NewCDMFromAlg(s.det, edge, s.alg, s.hops, s.trace))
@@ -313,16 +315,12 @@ func (m *Machine) flushCDMBatch() {
 			m.emitT(trace.KindCDMSent, s.trace, "det=%s/%d to=%s along=%s hops=%d batched",
 				s.det.Origin, s.det.Seq, edge.Dst.Node, edge, s.hops)
 		}
-		m.stats.CDMMsgsSent++
-		m.stats.BatchCDMsSent++
-		m.stats.BatchSectionsSent += uint64(len(secs))
 		m.met.BatchCDMsSent.Inc()
 		m.met.BatchSections.Observe(float64(len(secs)))
 		m.emit(trace.KindBatchCDM, "to=%s sections=%d hops=%d sent", edge.Dst.Node, len(secs), hops)
 		m.send(edge.Dst.Node, wire.NewBatchCDM(edge, hops, false, secs))
 	}
 	for _, origin := range b.retOrder {
-		m.stats.CDMMsgsSent++
 		m.emit(trace.KindBatchCDM, "to=%s sections=%d hops=%d return sent",
 			origin, len(b.rets[origin]), b.retHops)
 		m.send(origin, wire.NewBatchCDM(ids.RefID{}, b.retHops, true, b.rets[origin]))
@@ -402,13 +400,42 @@ func (m *Machine) guardReentry(entry string) {
 	}
 }
 
-// Stats returns a copy of the machine's counters.
+// Stats reads the machine's counters off its metric registry, so they agree
+// with /metrics and continue across a restore into the same registry.
 func (m *Machine) Stats() Stats {
-	s := m.stats
-	s.Clock = m.clock
-	s.Detector = m.detector.Stats
-	s.ExportsPending = uint64(len(m.pendingExports))
-	return s
+	met := m.met
+	return Stats{
+		Clock:               m.clock,
+		InvokesSent:         met.InvokesSent.Value(),
+		InvokesHandled:      met.InvokesHandled.Value(),
+		RepliesHandled:      met.RepliesHandled.Value(),
+		CallsFailed:         met.CallsFailed.Value(),
+		ExportsPending:      uint64(len(m.pendingExports)),
+		ScionsCreated:       met.ScionsCreated.Value(),
+		ScionsDropped:       met.ScionsDropped.Value(),
+		LGCRuns:             met.LGCRuns.Value(),
+		ObjectsSwept:        met.ObjectsSwept.Value(),
+		Summarizations:      met.Summarizations.Value(),
+		SummaryCacheHits:    met.SummaryCacheHits.Value(),
+		SnapshotBytes:       m.snapshotBytes,
+		StubSetsSent:        met.StubSetsSent.Value(),
+		StubSetsApplied:     met.StubSetsApplied.Value(),
+		CDMsDeduped:         met.CDMsDeduped.Value(),
+		CDMsRaceDropped:     met.CDMsRaceDropped.Value(),
+		BatchCDMsSent:       met.BatchCDMsSent.Value(),
+		BatchSectionsSent:   uint64(met.BatchSections.Sum()),
+		PartialReturns:      met.PartialReturns.Value(),
+		DetectionRelaunches: met.DetectionRelaunches.Value(),
+		Detector: DetectorStats{
+			Started:     met.DetectionsStarted.Value(),
+			CDMsSent:    met.CDMsSent.Value(),
+			CDMsHandled: met.CDMsHandled.Value(),
+			Dropped:     met.CDMsDropped.Value(),
+			Aborted:     met.DetectionsAborted.Value(),
+			CyclesFound: met.CyclesFound.Value(),
+			ScionsFreed: met.ScionsFreed.Value(),
+		},
+	}
 }
 
 // Clock returns the machine's logical time.
@@ -455,7 +482,6 @@ func (m *Machine) EnsureScionFor(holder ids.NodeID, obj ids.ObjID) error {
 		return m.errf("EnsureScionFor: no object %d", obj)
 	}
 	if _, created := m.table.EnsureScion(holder, obj); created {
-		m.stats.ScionsCreated++
 		m.met.ScionsCreated.Inc()
 	}
 	m.selector.Touch(ids.RefID{Src: holder, Dst: ids.GlobalRef{Node: m.id, Obj: obj}}, m.clock)

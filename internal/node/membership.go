@@ -98,7 +98,6 @@ func (m *Machine) BeginDrain() error {
 	for _, o := range owners {
 		objs := byOwner[o]
 		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		m.met.LeaseHandoffs.Inc()
 		m.emit(trace.KindLeaseHandoff, "to=%s objs=%d sent", o, len(objs))
 		m.send(o, &wire.LeaseHandoff{Holder: m.id, Objs: objs})
 	}
@@ -135,20 +134,15 @@ func (m *Machine) membTick() {
 		if peer, ok := m.memb.NextGossipPeer(); ok {
 			m.sendGossip(peer, false)
 		}
-		m.syncMemberGauges()
 	}
 }
 
 // processMemberTransitions journals and reacts to directory state changes:
-// metrics, custodial release when a drained holder's departure is final, and
-// lease re-grant when a dead holder returns with a higher incarnation.
+// custodial release when a drained holder's departure is final, and lease
+// re-grant when a dead holder returns with a higher incarnation.
 func (m *Machine) processMemberTransitions(trs []membership.Transition) {
-	if len(trs) == 0 {
-		return
-	}
 	for _, tr := range trs {
 		mem := tr.Member
-		m.met.MemberTransitions.Inc()
 		switch mem.State {
 		case membership.Joining:
 			m.emit(trace.KindMemberJoin, "node=%s inc=%d", mem.Node, mem.Incarnation)
@@ -168,17 +162,15 @@ func (m *Machine) processMemberTransitions(trs []membership.Transition) {
 			}
 		}
 	}
-	m.syncMemberGauges()
 }
 
 // reclaimScions finalizes scions deleted by lease expiry or custodial
-// release: selector cleanup, journal, metrics. The table deletion already
+// release: selector cleanup and journal. The table deletion already
 // happened inside HolderLeases through the normal DeleteScion path.
 func (m *Machine) reclaimScions(scs []refs.Scion, holder ids.NodeID, reason string) {
 	for _, sc := range scs {
 		ref := ids.RefID{Src: sc.Src, Dst: ids.GlobalRef{Node: m.id, Obj: sc.Obj}}
 		m.selector.Forget(ref)
-		m.met.LeaseReclaimed.Inc()
 		m.emit(trace.KindLeaseReclaim, "ref=%s holder=%s reason=%s", ref, holder, reason)
 		m.emit(trace.KindScionDeleted, "ref=%s reason=%s", ref, reason)
 	}
@@ -212,7 +204,6 @@ func (m *Machine) sendGossip(to ids.NodeID, ack bool) {
 		}
 	}
 	m.membGossiped[to] = m.memb.Version()
-	m.met.GossipSent.Inc()
 	m.send(to, &wire.Gossip{Ack: ack, Members: recs})
 }
 
@@ -222,7 +213,6 @@ func (m *Machine) handleGossip(from ids.NodeID, g *wire.Gossip) {
 	if m.memb == nil {
 		return
 	}
-	m.met.GossipReceived.Inc()
 	recs := make([]membership.Member, 0, len(g.Members))
 	for _, r := range g.Members {
 		recs = append(recs, membership.Member{
@@ -254,7 +244,6 @@ func (m *Machine) handleLeaseHandoff(msg *wire.LeaseHandoff) {
 		m.leases.Pin(msg.Holder, obj)
 		pinned++
 	}
-	m.met.LeaseHandoffs.Inc()
 	m.emit(trace.KindLeaseHandoff, "holder=%s objs=%d pinned=%d received", msg.Holder, len(msg.Objs), pinned)
 }
 
@@ -269,7 +258,6 @@ func (m *Machine) memberDeadEdge(ref ids.RefID) bool {
 // follow loop keys on (relaunch after the holder's scions are reclaimed
 // skips the dead edge entirely).
 func (m *Machine) abortDetectionMemberDead(det core.DetectionID, traceID uint64) {
-	m.met.MemberDetectAborts.Inc()
 	if _, ok := m.inflight[det]; ok {
 		m.detectionDone(det, "member-dead")
 		return
@@ -321,16 +309,4 @@ func (m *Machine) filterDeadEdges(b *cdmBatcher) {
 		retOrder = append(retOrder, origin)
 	}
 	b.retOrder = retOrder
-}
-
-// syncMemberGauges refreshes the membership and lease gauges.
-func (m *Machine) syncMemberGauges() {
-	if m.memb == nil {
-		return
-	}
-	alive, suspect, dead := m.memb.Counts()
-	m.met.MembersAlive.Set(int64(alive))
-	m.met.MembersSuspect.Set(int64(suspect))
-	m.met.MembersDead.Set(int64(dead))
-	m.met.LeaseActiveHolders.Set(int64(m.leases.Holders()))
 }

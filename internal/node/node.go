@@ -57,8 +57,9 @@ type Config struct {
 	// releasing their pinned references; 0 means never expire.
 	CallTimeoutTicks uint64
 	// Codec, when non-nil, serializes each snapshot before summarization
-	// (the paper's disk snapshot); bytes are accounted in Stats. When
-	// SnapshotDir is also set, the snapshot is written there.
+	// (the paper's disk snapshot); the bytes are counted in
+	// Stats.SnapshotBytes, which no metric family mirrors. When SnapshotDir
+	// is also set, the snapshot is written there.
 	Codec       snapshot.Codec
 	SnapshotDir string
 	// DisableDGC turns off all stub/scion bookkeeping on the invocation
@@ -85,44 +86,58 @@ type Config struct {
 // Deprecated: see Config.BatchDetection.
 func Bool(v bool) *bool { return &v }
 
-// Stats counts node activity.
+// Stats is a read of the node's metric registry (Machine.Stats): every
+// counter but SnapshotBytes is the value of the family its comment names, so
+// Stats, dgcctl status and /metrics give one answer, and a node restored
+// into the same registry (a supervisor restart) continues its counts.
+// Clock and ExportsPending are machine state, not counts.
 type Stats struct {
 	Clock          uint64
-	InvokesSent    uint64
-	InvokesHandled uint64
-	RepliesHandled uint64
-	CallsFailed    uint64
+	InvokesSent    uint64 // dgc_invokes_sent_total
+	InvokesHandled uint64 // dgc_invokes_handled_total
+	RepliesHandled uint64 // dgc_replies_handled_total
+	CallsFailed    uint64 // dgc_calls_failed_total
 	ExportsPending uint64
-	ScionsCreated  uint64
-	ScionsDropped  uint64 // deleted by NewSetStubs application
-	LGCRuns        uint64
-	ObjectsSwept   uint64
-	Summarizations uint64
-	// SummaryCacheHits counts Summarize calls satisfied by the
-	// mutation-epoch cache (heap and tables unchanged since the last
-	// rebuild, so the existing summary is still exact).
+	ScionsCreated  uint64 // dgc_scions_created_total
+	ScionsDropped  uint64 // dgc_scions_dropped_total: deleted by NewSetStubs application
+	LGCRuns        uint64 // dgc_lgc_runs_total
+	ObjectsSwept   uint64 // dgc_lgc_objects_swept_total
+	Summarizations uint64 // dgc_summarizations_total
+	// SummaryCacheHits (dgc_summary_cache_hits_total) counts Summarize calls
+	// satisfied by the mutation-epoch cache (heap and tables unchanged since
+	// the last rebuild, so the existing summary is still exact).
 	SummaryCacheHits uint64
-	SnapshotBytes    uint64
-	StubSetsSent     uint64
-	StubSetsApplied  uint64
-	CDMsDeduped      uint64 // CDM deliveries that added no new information
-	CDMsRaceDropped  uint64 // CDM deliveries conflicting with the merged view
-	// CDMMsgsSent counts actual detection-traffic messages handed to the
-	// transport: each CDM is one, each BatchCDM is one regardless of its
-	// section count, so it is at most Detector.CDMsSent (one per detection
-	// per edge, what per-detection framing would send). The candidate sweep
-	// (dgc-bench -exp batch) reads both.
-	CDMMsgsSent uint64
-	// BatchCDMsSent / BatchSectionsSent count multi-section messages and
-	// the sections they carried (forward direction only, returns excluded).
+	// SnapshotBytes counts the bytes Config.Codec encoded. It has no family
+	// and restarts from zero with the machine.
+	SnapshotBytes   uint64
+	StubSetsSent    uint64 // dgc_stub_sets_sent_total
+	StubSetsApplied uint64 // dgc_stub_sets_applied_total
+	CDMsDeduped     uint64 // dgc_cdms_deduped_total: deliveries that added no new information
+	CDMsRaceDropped uint64 // dgc_cdms_race_dropped_total: deliveries conflicting with the merged view
+	// BatchCDMsSent (dgc_batch_cdms_sent_total) and BatchSectionsSent (the
+	// sum of dgc_batch_cdm_sections) count multi-section messages and the
+	// sections they carried (forward direction only, returns excluded).
 	BatchCDMsSent     uint64
 	BatchSectionsSent uint64
-	// PartialReturns counts partial returns (a cut branch's accumulated
-	// view) merged at this node as the detection origin; DetectionRelaunches
-	// counts the residue re-expansions those merges triggered.
+	// PartialReturns (dgc_partial_returns_total) counts partial returns (a
+	// cut branch's accumulated view) merged at this node as the detection
+	// origin; DetectionRelaunches (dgc_detection_relaunches_total) counts the
+	// residue re-expansions those merges triggered.
 	PartialReturns      uint64
 	DetectionRelaunches uint64
-	Detector            core.Stats
+	Detector            DetectorStats
+}
+
+// DetectorStats counts the outcomes the node's cycle detector returned.
+type DetectorStats struct {
+	// Started counts detections launched here that made a first hop.
+	Started     uint64 // dgc_detections_started_total
+	CDMsSent    uint64 // dgc_cdms_sent_total: one per detection per edge
+	CDMsHandled uint64 // dgc_cdms_handled_total: one per delivered CDM or section
+	Dropped     uint64 // dgc_cdms_dropped_total
+	Aborted     uint64 // dgc_detections_aborted_total
+	CyclesFound uint64 // dgc_cycles_found_total
+	ScionsFreed uint64 // dgc_scions_freed_total
 }
 
 // Reply is the caller-side result of a remote invocation.

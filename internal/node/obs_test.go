@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dgc/internal/ids"
 	"dgc/internal/obs"
 	"dgc/internal/wire"
 )
@@ -115,6 +116,31 @@ func TestMachineMetricsDaemons(t *testing.T) {
 	}
 }
 
+// TestForceDetectWithoutFirstHopNotStarted: a forced detection whose
+// candidate's object holds no remote reference ends without a first hop, so
+// it never started — in Stats as in dgc_detections_started_total, which
+// Stats reads.
+func TestForceDetectWithoutFirstHopNotStarted(t *testing.T) {
+	set := obs.NewSet()
+	m := NewMachine("A", Config{Metrics: set})
+	var obj ids.ObjID
+	m.With(func(mu Mutator) { obj = mu.Alloc(nil) })
+	if err := m.EnsureScionFor("B", obj); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.ForceDetect(ids.RefID{Src: "B", Dst: ids.GlobalRef{Node: "A", Obj: obj}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != "branch-ended" || res.Forwarded != 0 {
+		t.Fatalf("forced detection = %+v, want a branch end with nothing sent", res)
+	}
+	family := set.Dump()[`dgc_detections_started_total{node="A"}`]
+	if got := m.Stats().Detector.Started; float64(got) != family || got != 0 {
+		t.Fatalf("Stats().Detector.Started = %d, dgc_detections_started_total = %v; want both 0", got, family)
+	}
+}
+
 // TestMachineDebugSnapshot checks the structural /debug/dgc view at the
 // machine level (no runtime: no mailbox block).
 func TestMachineDebugSnapshot(t *testing.T) {
@@ -136,8 +162,5 @@ func TestMachineDebugSnapshot(t *testing.T) {
 	}
 	if ds.Mailbox != nil {
 		t.Fatal("machine-level snapshot must not invent mailbox stats")
-	}
-	if len(ds.InflightDetections) != 0 {
-		t.Fatalf("unexpected inflight detections: %+v", ds.InflightDetections)
 	}
 }

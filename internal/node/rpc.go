@@ -66,7 +66,6 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 			for _, r := range pinned {
 				m.unpin(r)
 			}
-			m.stats.CallsFailed++
 			m.met.CallsFailed.Inc()
 			if cb != nil {
 				m.callback(func() { cb(Mutator{n: m}, Reply{OK: false, Err: "export failed: " + errMsg}) })
@@ -84,7 +83,6 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 			pc.deadline = m.clock + m.cfg.CallTimeoutTicks
 		}
 		m.pendingCalls[callID] = pc
-		m.stats.InvokesSent++
 		m.met.InvokesSent.Inc()
 		m.send(target.Node, &wire.InvokeRequest{
 			CallID: callID,
@@ -125,7 +123,6 @@ func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func
 			// We own the object: a brand-new reference, not a copy. Create
 			// the scion directly.
 			if _, created := m.table.EnsureScion(holder, r.Obj); created {
-				m.stats.ScionsCreated++
 				m.met.ScionsCreated.Inc()
 			}
 			m.selector.Touch(ids.RefID{Src: holder, Dst: r}, m.clock)
@@ -198,7 +195,6 @@ func (m *Machine) AcquireRemote(ref ids.GlobalRef, cb func(mut Mutator, ok bool)
 
 // handleInvokeRequest executes an incoming invocation.
 func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
-	m.stats.InvokesHandled++
 	m.met.InvokesHandled.Inc()
 	m.emit(trace.KindInvoke, "from=%s target=%d method=%s args=%d",
 		msg.From, msg.Target.Obj, msg.Method, len(msg.Args))
@@ -210,7 +206,6 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 		// invocation bumps its counter (§3.2).
 		sc, created := m.table.EnsureScion(msg.From, msg.Target.Obj)
 		if created {
-			m.stats.ScionsCreated++
 			m.met.ScionsCreated.Inc()
 		}
 		sc.IC++
@@ -296,7 +291,6 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 		return // expired or duplicate: returned refs self-heal via NewSetStubs
 	}
 	delete(m.pendingCalls, msg.CallID)
-	m.stats.RepliesHandled++
 	m.met.RepliesHandled.Inc()
 
 	if !m.cfg.DisableDGC {
@@ -324,7 +318,6 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 		m.unpin(r)
 	}
 	if !msg.OK {
-		m.stats.CallsFailed++
 		m.met.CallsFailed.Inc()
 	}
 	if pc.cb != nil {
@@ -339,7 +332,6 @@ func (m *Machine) handleCreateScion(msg *wire.CreateScion) {
 		ack.Err = "no such object"
 	} else {
 		if _, created := m.table.EnsureScion(msg.Holder, msg.Obj); created {
-			m.stats.ScionsCreated++
 			m.met.ScionsCreated.Inc()
 		}
 		m.selector.Touch(ids.RefID{Src: msg.Holder, Dst: ids.GlobalRef{Node: m.id, Obj: msg.Obj}}, m.clock)

@@ -79,19 +79,6 @@ type NodeMetrics struct {
 	MailboxDepth    *Gauge
 	MailboxCapacity *Gauge
 	MailboxDropped  *Counter
-
-	// Cluster membership and lease-guarded reclamation (static zero when
-	// Config.Membership is nil).
-	MembersAlive       *Gauge
-	MembersSuspect     *Gauge
-	MembersDead        *Gauge
-	MemberTransitions  *Counter
-	GossipSent         *Counter
-	GossipReceived     *Counter
-	MemberDetectAborts *Counter
-	LeaseActiveHolders *Gauge
-	LeaseReclaimed     *Counter
-	LeaseHandoffs      *Counter
 }
 
 // NewNodeMetrics registers (or rebinds) the node instrument block on reg.
@@ -138,17 +125,6 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		MailboxDepth:    reg.Gauge("dgc_mailbox_depth", "Runtime mailbox occupancy at last consume."),
 		MailboxCapacity: reg.Gauge("dgc_mailbox_capacity", "Runtime mailbox capacity."),
 		MailboxDropped:  reg.Counter("dgc_mailbox_dropped_total", "Inbound transport deliveries dropped on mailbox overflow."),
-
-		MembersAlive:       reg.Gauge("dgc_member_alive", "Directory members currently joining, alive or draining."),
-		MembersSuspect:     reg.Gauge("dgc_member_suspect", "Directory members currently suspected by the failure detector."),
-		MembersDead:        reg.Gauge("dgc_member_dead", "Directory members declared dead or departed."),
-		MemberTransitions:  reg.Counter("dgc_member_transitions_total", "Membership state transitions recorded in the directory."),
-		GossipSent:         reg.Counter("dgc_member_gossip_sent_total", "Membership gossip messages sent (piggybacked and anti-entropy)."),
-		GossipReceived:     reg.Counter("dgc_member_gossip_received_total", "Membership gossip messages merged from peers."),
-		MemberDetectAborts: reg.Counter("dgc_member_detection_aborts_total", "Detections aborted because every remaining edge routed through a dead member."),
-		LeaseActiveHolders: reg.Gauge("dgc_lease_active", "Remote holders whose scions are currently lease-guarded."),
-		LeaseReclaimed:     reg.Counter("dgc_lease_reclaimed_total", "Scions reclaimed because their holder was declared dead past its lease."),
-		LeaseHandoffs:      reg.Counter("dgc_lease_handoffs_total", "Lease-handoff messages applied, taking a draining holder's scions into custody."),
 	}
 }
 

@@ -119,9 +119,6 @@ func (h *HolderLeases) Regrant(holder ids.NodeID, incarnation, now uint64) bool 
 	return true
 }
 
-// Holders returns how many distinct holders currently carry a lease.
-func (h *HolderLeases) Holders() int { return len(h.renewed) }
-
 // Pin takes the scion (src, obj) into custody: a drain handoff transferred
 // responsibility for it to this owner, so lease expiry must not touch it.
 func (h *HolderLeases) Pin(src ids.NodeID, obj ids.ObjID) {

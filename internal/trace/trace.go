@@ -190,22 +190,6 @@ func (s *Subscription) Close() {
 	s.log.closeSubLocked(s, false)
 }
 
-// JournalStats is a point-in-time report of a Log's journal mechanics, the
-// source of the dgc_trace_* metrics.
-type JournalStats struct {
-	// Emitted is the number of events ever sequenced (Total).
-	Emitted uint64
-	// RingDropped is the number of events evicted by the ring bound.
-	RingDropped uint64
-	// Subscribers is the number of live subscriptions.
-	Subscribers int
-	// SubscriberEvictions counts subscriptions evicted for falling behind.
-	SubscriberEvictions uint64
-	// MaxLag is the deepest live subscriber backlog (buffered, undelivered
-	// events) at the time of the call.
-	MaxLag int
-}
-
 // Log is a bounded ring of events shared by any number of nodes. The zero
 // value is unusable; create with New.
 type Log struct {
@@ -221,8 +205,7 @@ type Log struct {
 	strIdx  map[string]uint16
 	formats map[string]*format
 
-	subs      []*Subscription
-	evictions uint64 // subscriptions evicted for falling behind
+	subs []*Subscription
 }
 
 // New returns a log retaining the most recent capacity events (minimum 16).
@@ -341,7 +324,6 @@ func (l *Log) EmitTraced(node ids.NodeID, kind Kind, traceID uint64, format stri
 		case s.ch <- e:
 			i++
 		default:
-			l.evictions++
 			l.closeSubLocked(s, true)
 			// closeSubLocked swapped the tail into position i; revisit it.
 		}
@@ -420,24 +402,6 @@ func (l *Log) Total() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
-}
-
-// Stats reports the journal's mechanics for the dgc_trace_* metrics.
-func (l *Log) Stats() JournalStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := JournalStats{
-		Emitted:             l.seq,
-		RingDropped:         l.dropped,
-		Subscribers:         len(l.subs),
-		SubscriberEvictions: l.evictions,
-	}
-	for _, s := range l.subs {
-		if lag := len(s.ch); lag > st.MaxLag {
-			st.MaxLag = lag
-		}
-	}
-	return st
 }
 
 // Snapshot returns the retained events, oldest first. When the ring has
