@@ -9,8 +9,9 @@
 package heap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dgc/internal/ids"
 )
@@ -24,8 +25,8 @@ type Object struct {
 }
 
 // clone returns a deep copy of the object (used by snapshots).
-func (o *Object) clone() *Object {
-	c := &Object{ID: o.ID}
+func (o *Object) clone() Object {
+	c := Object{ID: o.ID}
 	if len(o.Locals) > 0 {
 		c.Locals = append([]ids.ObjID(nil), o.Locals...)
 	}
@@ -38,13 +39,30 @@ func (o *Object) clone() *Object {
 	return c
 }
 
+// entry is the heap's record of one object: the object itself plus the
+// collector's per-object state. Kept out of Object so that the object's
+// fields (which ReflectCodec serializes one by one) are exactly the
+// application's.
+type entry struct {
+	Object
+	mark uint64 // epoch of the last traversal that reached the object
+	slot int32  // position in Heap.order
+}
+
 // Heap is the object store of one process. Heap is not safe for concurrent
 // use; the owning node serializes access.
 type Heap struct {
 	node    ids.NodeID
 	nextID  ids.ObjID
-	objects map[ids.ObjID]*Object
+	objects map[ids.ObjID]*entry
 	roots   map[ids.ObjID]struct{}
+
+	// order holds every object in ascending id order, so no ordered pass
+	// sorts: Alloc appends (ids are allocated ascending), Restore sorts
+	// once. Delete leaves a nil tombstone at the object's slot; dead counts
+	// them, and the next ordered pass compacts them away.
+	order []*entry
+	dead  int
 
 	// gen is the mutation epoch: it advances on every structural change
 	// (allocation, deletion, reference or root edit, payload replacement).
@@ -52,12 +70,11 @@ type Heap struct {
 	// detect that a heap is unchanged since they last read it.
 	gen uint64
 
-	// Traversal scratch, reused across ReachableFrom/MarkReachable calls so
-	// mark and summarize rounds stop allocating queues and visited maps per
-	// call. Guarded by the same single-goroutine discipline as the heap.
-	queueBuf []ids.ObjID
-	marked   map[ids.ObjID]uint64
-	markGen  uint64
+	// Traversal state: markGen is the epoch of the newest traversal, stamped
+	// into each reached entry's mark, and queue is the BFS queue of slots,
+	// reused across calls so marking allocates nothing once warm.
+	markGen uint64
+	queue   []int32
 }
 
 // New returns an empty heap owned by the given node.
@@ -65,16 +82,18 @@ func New(node ids.NodeID) *Heap {
 	return &Heap{
 		node:    node,
 		nextID:  1,
-		objects: make(map[ids.ObjID]*Object),
+		objects: make(map[ids.ObjID]*entry),
 		roots:   make(map[ids.ObjID]struct{}),
 	}
 }
 
-// Restore reconstructs a heap from snapshot data: a list of objects (which
-// are adopted, not copied), the root set and the next object id to allocate.
-// Used by snapshot codecs when decoding.
+// Restore reconstructs a heap from snapshot data: a list of objects in any
+// order (their reference and payload slices are adopted, not copied), the
+// root set and the next object id to allocate. Used by snapshot codecs when
+// decoding.
 func Restore(node ids.NodeID, objects []*Object, roots []ids.ObjID, nextID ids.ObjID) (*Heap, error) {
 	h := New(node)
+	h.order = make([]*entry, 0, len(objects))
 	for _, o := range objects {
 		if o == nil {
 			return nil, fmt.Errorf("heap %s: Restore: nil object", node)
@@ -85,7 +104,13 @@ func Restore(node ids.NodeID, objects []*Object, roots []ids.ObjID, nextID ids.O
 		if o.ID >= nextID {
 			return nil, fmt.Errorf("heap %s: Restore: object %d >= nextID %d", node, o.ID, nextID)
 		}
-		h.objects[o.ID] = o
+		e := &entry{Object: *o}
+		h.objects[o.ID] = e
+		h.order = append(h.order, e)
+	}
+	slices.SortFunc(h.order, func(a, b *entry) int { return cmp.Compare(a.ID, b.ID) })
+	for i, e := range h.order {
+		e.slot = int32(i)
 	}
 	for _, r := range roots {
 		if err := h.AddRoot(r); err != nil {
@@ -112,16 +137,23 @@ func (h *Heap) NextID() ids.ObjID { return h.nextID }
 func (h *Heap) Len() int { return len(h.objects) }
 
 // Alloc allocates a fresh object with the given payload and returns it.
+// Ids ascend, so the object goes at the end of the ordered store.
 func (h *Heap) Alloc(payload []byte) *Object {
-	o := &Object{ID: h.nextID, Payload: payload}
+	e := &entry{Object: Object{ID: h.nextID, Payload: payload}, slot: int32(len(h.order))}
 	h.nextID++
-	h.objects[o.ID] = o
+	h.objects[e.ID] = e
+	h.order = append(h.order, e)
 	h.gen++
-	return o
+	return &e.Object
 }
 
 // Get returns the object with the given id, or nil if it does not exist.
-func (h *Heap) Get(id ids.ObjID) *Object { return h.objects[id] }
+func (h *Heap) Get(id ids.ObjID) *Object {
+	if e := h.objects[id]; e != nil {
+		return &e.Object
+	}
+	return nil
+}
 
 // Contains reports whether an object with the given id exists.
 func (h *Heap) Contains(id ids.ObjID) bool {
@@ -130,15 +162,58 @@ func (h *Heap) Contains(id ids.ObjID) bool {
 }
 
 // Delete removes the object with the given id from the heap. Deleting a
-// missing object is a no-op. Used by the local garbage collector's sweep.
+// missing object is a no-op. The object's slot becomes a tombstone; once
+// tombstones outnumber live objects the store is compacted at once, so the
+// ordered store stays within twice the live population even when no ordered
+// pass runs.
 func (h *Heap) Delete(id ids.ObjID) {
-	if _, ok := h.objects[id]; !ok {
+	e := h.objects[id]
+	if e == nil {
 		return
 	}
 	delete(h.objects, id)
 	delete(h.roots, id)
-	delete(h.marked, id) // the mark scratch holds live objects only
+	h.order[e.slot] = nil
+	h.dead++
 	h.gen++
+	if h.dead > len(h.objects) {
+		h.compact()
+	}
+}
+
+// compact closes the tombstones in the ordered store, renumbering slots.
+func (h *Heap) compact() {
+	if h.dead == 0 {
+		return
+	}
+	n := 0
+	for _, e := range h.order {
+		if e != nil {
+			e.slot = int32(n)
+			h.order[n] = e
+			n++
+		}
+	}
+	h.setLen(n)
+}
+
+// setLen truncates the ordered store to its first n slots, dropping the
+// tail's pointers so swept objects are not kept alive, and moves to a
+// smaller backing array once the old one is mostly empty.
+func (h *Heap) setLen(n int) {
+	clear(h.order[n:])
+	h.order = h.order[:n]
+	h.dead = 0
+	if cap(h.order) > 4*n+64 {
+		h.order = slices.Clone(h.order)
+	}
+}
+
+// ordered returns the ordered store without tombstones: position equals
+// slot. Valid until the heap's next structural change.
+func (h *Heap) ordered() []*entry {
+	h.compact()
+	return h.order
 }
 
 // AddRoot marks the object as a member of the process-local root set.
@@ -173,7 +248,7 @@ func (h *Heap) Roots() []ids.ObjID {
 	for id := range h.roots {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -257,18 +332,19 @@ func (h *Heap) SetPayload(id ids.ObjID, payload []byte) error {
 
 // IDs returns all object identifiers in ascending order.
 func (h *Heap) IDs() []ids.ObjID {
-	out := make([]ids.ObjID, 0, len(h.objects))
-	for id := range h.objects {
-		out = append(out, id)
+	order := h.ordered()
+	out := make([]ids.ObjID, len(order))
+	for i, e := range order {
+		out[i] = e.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// ForEach calls fn for every object in ascending id order.
+// ForEach calls fn for every object in ascending id order. fn must not
+// allocate or delete objects.
 func (h *Heap) ForEach(fn func(*Object)) {
-	for _, id := range h.IDs() {
-		fn(h.objects[id])
+	for _, e := range h.ordered() {
+		fn(&e.Object)
 	}
 }
 
@@ -276,15 +352,19 @@ func (h *Heap) ForEach(fn func(*Object)) {
 // shares nothing with the original, so the mutator may continue to run while
 // the snapshot is summarized or serialized.
 func (h *Heap) Clone() *Heap {
+	order := h.ordered()
 	c := &Heap{
 		node:    h.node,
 		nextID:  h.nextID,
 		gen:     h.gen,
-		objects: make(map[ids.ObjID]*Object, len(h.objects)),
+		objects: make(map[ids.ObjID]*entry, len(order)),
 		roots:   make(map[ids.ObjID]struct{}, len(h.roots)),
+		order:   make([]*entry, len(order)),
 	}
-	for id, o := range h.objects {
-		c.objects[id] = o.clone()
+	for i, e := range order {
+		ce := &entry{Object: e.clone(), slot: int32(i)}
+		c.objects[ce.ID] = ce
+		c.order[i] = ce
 	}
 	for id := range h.roots {
 		c.roots[id] = struct{}{}

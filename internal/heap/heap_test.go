@@ -1,7 +1,9 @@
 package heap
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -220,17 +222,6 @@ func TestHoldersOf(t *testing.T) {
 	}
 }
 
-func TestEdgeCount(t *testing.T) {
-	h := New("P1")
-	a, b := h.Alloc(nil), h.Alloc(nil)
-	mustRef(t, h, a.ID, b.ID)
-	mustRemote(t, h, b.ID, ids.GlobalRef{Node: "P2", Obj: 1})
-	l, r := h.EdgeCount()
-	if l != 1 || r != 1 {
-		t.Fatalf("EdgeCount = %d, %d, want 1, 1", l, r)
-	}
-}
-
 func TestCloneIsDeepAndIndependent(t *testing.T) {
 	h := New("P1")
 	a, b := h.Alloc([]byte("payload")), h.Alloc(nil)
@@ -400,5 +391,126 @@ func TestMarkScratchFollowsLiveObjects(t *testing.T) {
 	}
 	if h.Len() != permanent {
 		t.Fatalf("heap holds %d objects, want %d", h.Len(), permanent)
+	}
+}
+
+// checkOrderedStore asserts the ordered store's invariants: every record sits
+// at its slot, tombstones never outnumber live objects, and the live records
+// are in strictly ascending id order and are exactly the key set. With full
+// set it also checks the ordered passes, which compact the tombstones away:
+// IDs equals the sorted key set and ForEach visits exactly those objects.
+func checkOrderedStore(t *testing.T, h *Heap, step string, full bool) {
+	t.Helper()
+	dead := 0
+	var stored []ids.ObjID
+	for i, e := range h.order {
+		switch {
+		case e == nil:
+			dead++
+		case int(e.slot) != i:
+			t.Fatalf("%s: object %d at position %d records slot %d", step, e.ID, i, e.slot)
+		case h.objects[e.ID] != e:
+			t.Fatalf("%s: ordered store holds object %d, the map does not", step, e.ID)
+		default:
+			stored = append(stored, e.ID)
+		}
+	}
+	if dead != h.dead || dead > len(h.objects) {
+		t.Fatalf("%s: %d tombstones, counter says %d, %d live", step, dead, h.dead, len(h.objects))
+	}
+	for i := 1; i < len(stored); i++ {
+		if stored[i-1] >= stored[i] {
+			t.Fatalf("%s: ordered store not strictly ascending: %v", step, stored)
+		}
+	}
+	keys := make([]ids.ObjID, 0, len(h.objects))
+	for id := range h.objects {
+		keys = append(keys, id)
+	}
+	slices.Sort(keys)
+	if !slices.Equal(stored, keys) {
+		t.Fatalf("%s: ordered store = %v, key set = %v", step, stored, keys)
+	}
+	if !full {
+		return
+	}
+	if got := h.IDs(); !slices.Equal(got, keys) {
+		t.Fatalf("%s: IDs = %v, key set = %v", step, got, keys)
+	}
+	i := 0
+	h.ForEach(func(o *Object) {
+		if i >= len(keys) || o.ID != keys[i] || o != h.Get(o.ID) {
+			t.Fatalf("%s: ForEach visit %d is object %d (%p), want %v", step, i, o.ID, o, keys)
+		}
+		i++
+	})
+	if i != len(keys) {
+		t.Fatalf("%s: ForEach visited %d objects, want %d", step, i, len(keys))
+	}
+	if h.dead != 0 || len(h.order) != len(keys) {
+		t.Fatalf("%s: an ordered pass left %d tombstones", step, h.dead)
+	}
+}
+
+// TestOrderedStoreProperty runs random sequences of Alloc, Delete, Sweep,
+// Restore and Clone (with local refs added between them, so sweeps and
+// deletes leave dangling refs) and checks the ordered store after each step;
+// the ordered passes are checked after a random quarter of the steps, so
+// tombstones also live across steps.
+func TestOrderedStoreProperty(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := New("P1")
+		pick := func() ids.ObjID { return ids.ObjID(1 + rng.Intn(int(h.NextID()))) }
+		for step := 0; step < 200; step++ {
+			var name string
+			switch op := rng.Intn(10); {
+			case op < 4:
+				name = "Alloc"
+				for n := rng.Intn(5); n >= 0; n-- {
+					o := h.Alloc(nil)
+					if h.Len() > 1 {
+						_ = h.AddLocalRef(pick(), o.ID) // may miss a deleted id
+					}
+					if rng.Intn(6) == 0 {
+						_ = h.AddRoot(o.ID)
+					}
+				}
+			case op < 7:
+				name = "Delete"
+				for n := rng.Intn(6); n >= 0; n-- {
+					h.Delete(pick())
+				}
+			case op < 8:
+				name = "Sweep"
+				seeds := append(h.Roots(), pick(), pick())
+				want := h.ReachableFrom(seeds...)
+				m := h.MarkReachable(seeds...)
+				before := h.Len()
+				if swept := h.Sweep(m); h.Len() != len(want) || swept != before-len(want) {
+					t.Fatalf("seed %d step %d: Sweep swept %d and kept %d of %d, want %d kept",
+						seed, step, swept, h.Len(), before, len(want))
+				}
+				for id := range want {
+					if !h.Contains(id) || !m.Contains(id) {
+						t.Fatalf("seed %d step %d: Sweep lost marked object %d", seed, step, id)
+					}
+				}
+			case op < 9:
+				name = "Restore"
+				var objs []*Object
+				h.ForEach(func(o *Object) { c := o.clone(); objs = append(objs, &c) })
+				rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+				r, err := Restore(h.Node(), objs, h.Roots(), h.NextID())
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				h = r
+			default:
+				name = "Clone"
+				h = h.Clone()
+			}
+			checkOrderedStore(t, h, fmt.Sprintf("seed %d step %d (%s)", seed, step, name), rng.Intn(4) == 0)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package heap
 
 import (
+	"slices"
+
 	"dgc/internal/ids"
 )
 
@@ -15,10 +17,12 @@ import (
 // structure: it is not updated by later mutations.
 type Index struct {
 	h   *Heap
-	ids []ids.ObjID         // ascending; slice position is the dense index
-	pos map[ids.ObjID]int32 // reverse of ids
+	ids []ids.ObjID // ascending; slice position is the dense index
 
-	adj [][]int32 // local out-edges by dense index; dangling refs dropped
+	// Local out-edges, dangling refs dropped: object v's successors are
+	// edges[off[v]:off[v+1]].
+	off   []int32
+	edges []int32
 
 	targets []ids.GlobalRef         // distinct remote targets, canonical order
 	tpos    map[ids.GlobalRef]int32 // reverse of targets
@@ -26,23 +30,25 @@ type Index struct {
 }
 
 // BuildIndex constructs the dense view of the heap's current structure in
-// O(V + E).
+// O(V + E). The ordered store is compacted first, so an object's slot is its
+// dense index and no position table is needed.
 func (h *Heap) BuildIndex() *Index {
-	n := len(h.objects)
+	order := h.ordered()
+	n := len(order)
 	ix := &Index{
 		h:   h,
-		ids: h.IDs(),
-		pos: make(map[ids.ObjID]int32, n),
-	}
-	for i, id := range ix.ids {
-		ix.pos[id] = int32(i)
+		ids: make([]ids.ObjID, n),
+		off: make([]int32, n+1),
 	}
 
 	// Remote target numbering, canonical order so downstream lists come out
 	// sorted without a per-list sort.
 	seen := make(map[ids.GlobalRef]struct{})
-	for _, id := range ix.ids {
-		for _, r := range h.objects[id].Remotes {
+	nedges := 0
+	for i, e := range order {
+		ix.ids[i] = e.ID
+		nedges += len(e.Locals)
+		for _, r := range e.Remotes {
 			seen[r] = struct{}{}
 		}
 	}
@@ -56,31 +62,20 @@ func (h *Heap) BuildIndex() *Index {
 		ix.tpos[r] = int32(i)
 	}
 
-	ix.adj = make([][]int32, n)
+	ix.edges = make([]int32, 0, nedges)
 	ix.holders = make([][]int32, len(ix.targets))
-	for i, id := range ix.ids {
-		o := h.objects[id]
-		if len(o.Locals) > 0 {
-			edges := make([]int32, 0, len(o.Locals))
-			for _, l := range o.Locals {
-				if p, ok := ix.pos[l]; ok { // dangling refs fold away
-					edges = append(edges, p)
-				}
+	for i, e := range order {
+		for _, l := range e.Locals {
+			if t := h.objects[l]; t != nil { // dangling refs fold away
+				ix.edges = append(ix.edges, t.slot)
 			}
-			ix.adj[i] = edges
 		}
+		ix.off[i+1] = int32(len(ix.edges))
 		// Reverse holder table, deduplicated per object (an object holding
 		// the same remote ref twice is one holder).
-		for ri, r := range o.Remotes {
-			t := ix.tpos[r]
-			dup := false
-			for _, prev := range o.Remotes[:ri] {
-				if prev == r {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+		for ri, r := range e.Remotes {
+			if !slices.Contains(e.Remotes[:ri], r) {
+				t := ix.tpos[r]
 				ix.holders[t] = append(ix.holders[t], int32(i))
 			}
 		}
@@ -91,10 +86,15 @@ func (h *Heap) BuildIndex() *Index {
 // Len returns the number of indexed objects.
 func (ix *Index) Len() int { return len(ix.ids) }
 
-// Pos returns the dense index of an object id.
+// out returns the local successors of dense index v.
+func (ix *Index) out(v int32) []int32 { return ix.edges[ix.off[v]:ix.off[v+1]] }
+
+// Pos returns the dense index of an object id, by binary search over the
+// indexed ids, so it answers for the heap as it was at the build whatever
+// has changed since.
 func (ix *Index) Pos(id ids.ObjID) (int32, bool) {
-	p, ok := ix.pos[id]
-	return p, ok
+	p, ok := slices.BinarySearch(ix.ids, id)
+	return int32(p), ok
 }
 
 // Targets returns the distinct remote targets held anywhere in the heap, in
@@ -122,13 +122,13 @@ func (ix *Index) RootFlags() []bool {
 	reach := make([]bool, len(ix.ids))
 	queue := make([]int32, 0, len(ix.ids))
 	for id := range ix.h.roots {
-		if p, ok := ix.pos[id]; ok && !reach[p] {
+		if p, ok := ix.Pos(id); ok && !reach[p] {
 			reach[p] = true
 			queue = append(queue, p)
 		}
 	}
 	for head := 0; head < len(queue); head++ {
-		for _, e := range ix.adj[queue[head]] {
+		for _, e := range ix.out(queue[head]) {
 			if !reach[e] {
 				reach[e] = true
 				queue = append(queue, e)
@@ -145,7 +145,7 @@ func (ix *Index) RootFlags() []bool {
 // comp[u] > comp[v]: ascending component id is a reverse-topological order
 // of the condensation.
 func (ix *Index) SCC() (comp []int32, ncomp int32) {
-	n := len(ix.adj)
+	n := len(ix.ids)
 	comp = make([]int32, n)
 	index := make([]int32, n)
 	low := make([]int32, n)
@@ -178,8 +178,8 @@ func (ix *Index) SCC() (comp []int32, ncomp int32) {
 		push(int32(root))
 		for len(call) > 0 {
 			f := &call[len(call)-1]
-			if f.ei < len(ix.adj[f.v]) {
-				w := ix.adj[f.v][f.ei]
+			if out := ix.out(f.v); f.ei < len(out) {
+				w := out[f.ei]
 				f.ei++
 				if index[w] == -1 {
 					push(w)
@@ -224,9 +224,9 @@ func (ix *Index) Condense(comp []int32, ncomp int32) [][]int32 {
 	for i := range lastSeen {
 		lastSeen[i] = -1
 	}
-	for v := range ix.adj {
+	for v := range ix.ids {
 		cv := comp[v]
-		for _, w := range ix.adj[v] {
+		for _, w := range ix.out(int32(v)) {
 			cw := comp[w]
 			if cw == cv || lastSeen[cw] == cv {
 				continue

@@ -173,8 +173,8 @@ func TestIndexSCCAndCondensationOrder(t *testing.T) {
 		t.Fatal("chain target merged into the cycle component")
 	}
 	// Completion order: every condensation edge u->v has comp[u] > comp[v].
-	for v := range ix.adj {
-		for _, w := range ix.adj[v] {
+	for v := range ix.ids {
+		for _, w := range ix.out(int32(v)) {
 			if comp[v] != comp[w] && comp[v] <= comp[w] {
 				t.Fatalf("edge %d->%d violates reverse-topological component ids", v, w)
 			}
@@ -201,4 +201,33 @@ func TestIndexRootFlags(t *testing.T) {
 		}
 	}
 	_ = o
+}
+
+// TestIndexPosAfterMutation: an Index describes the heap at its build. Its
+// positions come from the store's slots, which later deletes and compaction
+// renumber; Pos must keep answering for the build.
+func TestIndexPosAfterMutation(t *testing.T) {
+	h, o := buildIndexedHeap(t)
+	h.Delete(o[0]) // a tombstone before the build: slots are compacted first
+	ix := h.BuildIndex()
+	for i, id := range o[1:] {
+		if p, ok := ix.Pos(id); !ok || int(p) != i {
+			t.Fatalf("Pos(%d) = %d, %v before mutation, want %d", id, p, ok, i)
+		}
+	}
+	h.Delete(o[1])
+	h.Delete(o[2])
+	h.compact()
+	fresh := h.Alloc(nil).ID
+	for i, id := range o[1:] {
+		if p, ok := ix.Pos(id); !ok || int(p) != i {
+			t.Fatalf("Pos(%d) = %d, %v after mutation, want %d", id, p, ok, i)
+		}
+	}
+	if _, ok := ix.Pos(o[0]); ok {
+		t.Fatal("Pos found an object deleted before the build")
+	}
+	if _, ok := ix.Pos(fresh); ok {
+		t.Fatal("Pos found an object allocated after the build")
+	}
 }

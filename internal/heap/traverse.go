@@ -4,84 +4,109 @@ import (
 	"dgc/internal/ids"
 )
 
-// nextMarkGen advances the epoch of the shared marking scratch and returns
-// it. Allocates the scratch map lazily; an epoch is never zero, so stale
-// entries from earlier traversals can never satisfy a Contains check.
-func (h *Heap) nextMarkGen() uint64 {
-	if h.marked == nil {
-		h.marked = make(map[ids.ObjID]uint64, len(h.objects))
-	}
-	h.markGen++
-	return h.markGen
-}
-
-// traverse breadth-first marks every object reachable from seeds in the
-// shared epoch scratch, returning the epoch and the visited objects in BFS
-// order. The returned slice aliases the reusable queue buffer: it is valid
-// only until the next traversal. The queue is drained with an index cursor
-// (the former queue = queue[1:] head-slicing retained the backing array
-// while still growing a fresh one per call).
-func (h *Heap) traverse(seeds []ids.ObjID) (gen uint64, visited []ids.ObjID) {
-	gen = h.nextMarkGen()
-	queue := h.queueBuf[:0]
+// traverse breadth-first marks every object reachable from seeds with epoch
+// gen, skipping objects already carrying it, and returns the slots it newly
+// marked in BFS order. The returned slice aliases the reusable queue: it is
+// valid only until the next traversal. The queue holds slots, not pointers,
+// so it never keeps a swept object alive.
+func (h *Heap) traverse(gen uint64, seeds []ids.ObjID) []int32 {
+	queue := h.queue[:0]
 	for _, s := range seeds {
-		if h.Contains(s) && h.marked[s] != gen {
-			h.marked[s] = gen
-			queue = append(queue, s)
+		if e := h.objects[s]; e != nil && e.mark != gen {
+			e.mark = gen
+			queue = append(queue, e.slot)
 		}
 	}
 	for head := 0; head < len(queue); head++ {
-		o := h.objects[queue[head]]
-		for _, next := range o.Locals {
-			if !h.Contains(next) {
-				continue // dangling local ref to an already-swept object
-			}
-			if h.marked[next] != gen {
-				h.marked[next] = gen
-				queue = append(queue, next)
+		for _, next := range h.order[queue[head]].Locals {
+			// A nil entry is a dangling local ref to an already-swept object.
+			if e := h.objects[next]; e != nil && e.mark != gen {
+				e.mark = gen
+				queue = append(queue, e.slot)
 			}
 		}
 	}
-	h.queueBuf = queue
-	return gen, queue
+	h.queue = queue
+	return queue
 }
 
 // Mark is an epoch-stamped reachability marking over a heap, produced by
-// MarkReachable. A Mark is a view into shared scratch: it stays valid only
-// until the heap's next marking traversal (MarkReachable, ReachableFrom or
-// ReachableFromRoots), which recycles the epoch structure. Collectors that
-// need one set at a time (the LGC mark phase) use Marks to avoid allocating
-// a fresh map per collection; callers that retain sets use ReachableFrom.
+// MarkReachable: every reached object's record carries the Mark's epoch. A
+// Mark stays valid only until the heap's next marking traversal
+// (MarkReachable, ReachableFrom or ReachableFromRoots) starts a newer epoch.
+// Collectors that need one set at a time (the LGC mark phase) use Marks to
+// avoid allocating a set per collection; callers that retain sets use
+// ReachableFrom.
 type Mark struct {
 	h     *Heap
 	gen   uint64
 	count int
 }
 
-// Contains reports whether the object was reachable when the mark was taken.
-// Must not be called after a newer marking traversal on the same heap.
-func (m Mark) Contains(id ids.ObjID) bool {
+// check panics if a newer traversal has invalidated the mark.
+func (m Mark) check() {
 	if m.h.markGen != m.gen {
 		panic("heap: Mark used after a newer traversal invalidated it")
 	}
-	return m.h.marked[id] == m.gen
+}
+
+// Contains reports whether the object was reachable when the mark was taken.
+// Must not be called after a newer marking traversal on the same heap.
+func (m Mark) Contains(id ids.ObjID) bool {
+	m.check()
+	e := m.h.objects[id]
+	return e != nil && e.mark == m.gen
 }
 
 // Len returns the number of marked objects.
 func (m Mark) Len() int { return m.count }
 
-// MarkScratchLen returns the number of entries the shared marking scratch
-// holds: at most one per live object, since Delete drops a swept object's
-// entry. For diagnostics and the bounded-state property tests.
-func (h *Heap) MarkScratchLen() int { return len(h.marked) }
+// Extend marks, in the same epoch, everything reachable from further seeds
+// that the mark does not already hold: MarkReachable(a...) followed by
+// Extend(b...) marks exactly what MarkReachable(a..., b...) would.
+func (m *Mark) Extend(seeds ...ids.ObjID) {
+	m.check()
+	m.count += len(m.h.traverse(m.gen, seeds))
+}
+
+// MarkScratchLen returns the number of slots the ordered store holds, live
+// objects plus tombstones not yet compacted: the per-object collector state
+// the heap retains. Delete keeps it within twice the live objects, and Sweep
+// and every ordered pass bring it back to exactly the live objects. For
+// diagnostics and the bounded-state property tests.
+func (h *Heap) MarkScratchLen() int { return len(h.order) }
 
 // MarkReachable computes the set of objects transitively reachable from the
-// given seeds following intra-process references only, as an epoch Mark over
-// reusable scratch (no per-call allocation once the scratch is warm). Seeds
-// that do not exist are ignored.
+// given seeds following intra-process references only, as an epoch Mark
+// stamped into the objects' records (no per-call allocation once the queue
+// is warm). Seeds that do not exist are ignored.
 func (h *Heap) MarkReachable(seeds ...ids.ObjID) Mark {
-	gen, visited := h.traverse(seeds)
-	return Mark{h: h, gen: gen, count: len(visited)}
+	h.markGen++
+	return Mark{h: h, gen: h.markGen, count: len(h.traverse(h.markGen, seeds))}
+}
+
+// Sweep deletes every object the mark does not hold, in one pass over the
+// ordered store that also closes its tombstones, and returns the number
+// deleted. The mark stays valid: every survivor carries its epoch.
+func (h *Heap) Sweep(m Mark) int {
+	m.check()
+	n, swept := 0, 0
+	for _, e := range h.order {
+		switch {
+		case e == nil:
+		case e.mark == m.gen:
+			e.slot = int32(n)
+			h.order[n] = e
+			n++
+		default:
+			delete(h.objects, e.ID)
+			delete(h.roots, e.ID)
+			swept++
+		}
+	}
+	h.setLen(n)
+	h.gen += uint64(swept)
+	return swept
 }
 
 // ReachableFrom computes the set of objects transitively reachable from the
@@ -94,10 +119,11 @@ func (h *Heap) MarkReachable(seeds ...ids.ObjID) Mark {
 // returned map is owned by the caller; internal traversal state is reused
 // across calls.
 func (h *Heap) ReachableFrom(seeds ...ids.ObjID) map[ids.ObjID]struct{} {
-	_, order := h.traverse(seeds)
-	visited := make(map[ids.ObjID]struct{}, len(order))
-	for _, id := range order {
-		visited[id] = struct{}{}
+	h.markGen++
+	reached := h.traverse(h.markGen, seeds)
+	visited := make(map[ids.ObjID]struct{}, len(reached))
+	for _, slot := range reached {
+		visited[h.order[slot].ID] = struct{}{}
 	}
 	return visited
 }
@@ -115,11 +141,11 @@ func (h *Heap) ReachableFromRoots() map[ids.ObjID]struct{} {
 func (h *Heap) RemoteRefsFrom(set map[ids.ObjID]struct{}) []ids.GlobalRef {
 	seen := make(map[ids.GlobalRef]struct{})
 	for id := range set {
-		o := h.objects[id]
-		if o == nil {
+		e := h.objects[id]
+		if e == nil {
 			continue
 		}
-		for _, r := range o.Remotes {
+		for _, r := range e.Remotes {
 			seen[r] = struct{}{}
 		}
 	}
@@ -134,12 +160,13 @@ func (h *Heap) RemoteRefsFrom(set map[ids.ObjID]struct{}) []ids.GlobalRef {
 // RemoteRefsFromMark is RemoteRefsFrom over an epoch Mark instead of a
 // caller-owned set.
 func (h *Heap) RemoteRefsFromMark(m Mark) []ids.GlobalRef {
+	m.check()
 	seen := make(map[ids.GlobalRef]struct{})
-	for id, o := range h.objects {
-		if !m.Contains(id) {
+	for _, e := range h.order {
+		if e == nil || e.mark != m.gen {
 			continue
 		}
-		for _, r := range o.Remotes {
+		for _, r := range e.Remotes {
 			seen[r] = struct{}{}
 		}
 	}
@@ -156,8 +183,8 @@ func (h *Heap) RemoteRefsFromMark(m Mark) []ids.GlobalRef {
 // holder table instead, built once per summarization.
 func (h *Heap) HoldersOf(target ids.GlobalRef) map[ids.ObjID]struct{} {
 	holders := make(map[ids.ObjID]struct{})
-	for id, o := range h.objects {
-		for _, r := range o.Remotes {
+	for id, e := range h.objects {
+		for _, r := range e.Remotes {
 			if r == target {
 				holders[id] = struct{}{}
 				break
@@ -165,14 +192,4 @@ func (h *Heap) HoldersOf(target ids.GlobalRef) map[ids.ObjID]struct{} {
 		}
 	}
 	return holders
-}
-
-// EdgeCount returns the total number of intra-process plus inter-process
-// references in the heap. Used by workload generators and stats.
-func (h *Heap) EdgeCount() (local, remote int) {
-	for _, o := range h.objects {
-		local += len(o.Locals)
-		remote += len(o.Remotes)
-	}
-	return local, remote
 }

@@ -60,30 +60,21 @@ func New(h *heap.Heap, t *refs.Table) *Collector {
 func (c *Collector) Collect(pinned ...ids.GlobalRef) Result {
 	var res Result
 
-	// Mark. Two traces: from real local roots (for reachability statistics
-	// and, indirectly, Local.Reach summarization), and from roots + scions
-	// (the actual liveness). Both are epoch Marks over the heap's reusable
-	// scratch; the roots-only count must be captured before the second
-	// traversal recycles the epoch.
-	roots := c.heap.Roots()
-	rootsMark := c.heap.MarkReachable(roots...)
-	res.LocallyReachable = rootsMark.Len()
-	seeds := append(roots, c.table.ScionTargets()...)
-	liveMark := c.heap.MarkReachable(seeds...)
+	// Mark. One trace in one epoch: from the real local roots first, so the
+	// count at that point is the locally reachable population, then on from
+	// the scion targets to the actual liveness.
+	mark := c.heap.MarkReachable(c.heap.Roots()...)
+	res.LocallyReachable = mark.Len()
+	mark.Extend(c.table.ScionTargets()...)
 
 	// Sweep. Deleting objects does not disturb the mark epoch.
-	for _, id := range c.heap.IDs() {
-		if !liveMark.Contains(id) {
-			c.heap.Delete(id)
-			res.Swept++
-		}
-	}
+	res.Swept = c.heap.Sweep(mark)
 
 	// Regenerate the stub table: stubs are exactly the remote references
 	// held by live objects ("the LGC generates a new set of stubs each time
 	// it runs", §1). Invocation counters of surviving stubs are preserved.
 	wanted := make(map[ids.GlobalRef]struct{})
-	for _, r := range c.heap.RemoteRefsFromMark(liveMark) {
+	for _, r := range c.heap.RemoteRefsFromMark(mark) {
 		wanted[r] = struct{}{}
 	}
 	for _, r := range pinned {
@@ -104,11 +95,4 @@ func (c *Collector) Collect(pinned ...ids.GlobalRef) Result {
 	res.Live = c.heap.Len()
 	c.Rounds++
 	return res
-}
-
-// LocallyReachable returns the set of objects reachable from real local
-// roots only (no scions). Exposed for the summarizer, which needs it to set
-// Local.Reach flags on stubs.
-func (c *Collector) LocallyReachable() map[ids.ObjID]struct{} {
-	return c.heap.ReachableFromRoots()
 }

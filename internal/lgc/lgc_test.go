@@ -201,20 +201,3 @@ func TestCollectSafetyAndCompletenessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLocallyReachableHelper(t *testing.T) {
-	h, tb, c := newNode(t, "P1")
-	a := h.Alloc(nil)
-	b := h.Alloc(nil)
-	if err := h.AddRoot(a.ID); err != nil {
-		t.Fatal(err)
-	}
-	tb.EnsureScion("P2", b.ID)
-	lr := c.LocallyReachable()
-	if _, ok := lr[a.ID]; !ok {
-		t.Error("root object not locally reachable")
-	}
-	if _, ok := lr[b.ID]; ok {
-		t.Error("scion-only object must not be locally reachable")
-	}
-}

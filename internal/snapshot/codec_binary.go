@@ -3,6 +3,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dgc/internal/heap"
 	"dgc/internal/ids"
@@ -18,27 +19,42 @@ func (BinaryCodec) Name() string { return "binary" }
 
 const binaryMagic = "DGCS\x01"
 
-// Encode implements Codec.
+// Encode implements Codec. One pass interns the node names and sums the
+// encoded size, so the second writes into a buffer allocated once.
 func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
-	// Intern node names appearing in remote references.
 	nodeIndex := make(map[ids.NodeID]uint64)
 	var nodeNames []ids.NodeID
-	intern := func(n ids.NodeID) uint64 {
-		if i, ok := nodeIndex[n]; ok {
-			return i
-		}
-		i := uint64(len(nodeNames))
-		nodeIndex[n] = i
-		nodeNames = append(nodeNames, n)
-		return i
-	}
+	objBytes := 0
 	h.ForEach(func(o *heap.Object) {
-		for _, r := range o.Remotes {
-			intern(r.Node)
+		objBytes += uvarintLen(uint64(o.ID)) + uvarintLen(uint64(len(o.Locals)))
+		for _, l := range o.Locals {
+			objBytes += uvarintLen(uint64(l))
 		}
+		objBytes += uvarintLen(uint64(len(o.Remotes)))
+		for _, r := range o.Remotes {
+			ni, ok := nodeIndex[r.Node]
+			if !ok {
+				ni = uint64(len(nodeNames))
+				nodeIndex[r.Node] = ni
+				nodeNames = append(nodeNames, r.Node)
+			}
+			objBytes += uvarintLen(ni) + uvarintLen(uint64(r.Obj))
+		}
+		objBytes += uvarintLen(uint64(len(o.Payload))) + len(o.Payload)
 	})
+	roots := h.Roots()
 
-	buf := make([]byte, 0, 64+h.Len()*16)
+	size := len(binaryMagic) + stringLen(string(h.Node())) + uvarintLen(uint64(h.NextID())) +
+		uvarintLen(uint64(len(nodeNames))) + uvarintLen(uint64(len(roots))) +
+		uvarintLen(uint64(h.Len())) + objBytes
+	for _, n := range nodeNames {
+		size += stringLen(string(n))
+	}
+	for _, r := range roots {
+		size += uvarintLen(uint64(r))
+	}
+
+	buf := make([]byte, 0, size)
 	buf = append(buf, binaryMagic...)
 	buf = appendString(buf, string(h.Node()))
 	buf = binary.AppendUvarint(buf, uint64(h.NextID()))
@@ -48,14 +64,12 @@ func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
 		buf = appendString(buf, string(n))
 	}
 
-	roots := h.Roots()
 	buf = binary.AppendUvarint(buf, uint64(len(roots)))
 	for _, r := range roots {
 		buf = binary.AppendUvarint(buf, uint64(r))
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(h.Len()))
-	var encodeErr error
 	h.ForEach(func(o *heap.Object) {
 		buf = binary.AppendUvarint(buf, uint64(o.ID))
 		buf = binary.AppendUvarint(buf, uint64(len(o.Locals)))
@@ -70,7 +84,7 @@ func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(o.Payload)))
 		buf = append(buf, o.Payload...)
 	})
-	return buf, encodeErr
+	return buf, nil
 }
 
 // Decode implements Codec.
@@ -137,6 +151,12 @@ func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// stringLen is the number of bytes appendString writes for s.
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // byteReader is a tiny cursor with sticky error handling.
 type byteReader struct {
