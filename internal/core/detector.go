@@ -46,7 +46,7 @@ type Config struct {
 	// When unset (the paper's behaviour), only the finder's own scions are
 	// deleted and the cascade unravels the rest. Kept as an ablation
 	// (dgc-bench -exp ablation) until the live benchmark decides between
-	// the two unravels (ROADMAP item 4(b)).
+	// the two unravels (ROADMAP item 5(b)).
 	BroadcastDelete bool
 }
 

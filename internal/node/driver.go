@@ -184,7 +184,7 @@ func newNode(mach *Machine, ep transport.Endpoint, rcfg *RuntimeConfig) *Node {
 // transport's read loop (and, transitively, a cycle of loaded nodes).
 func (n *Node) handleMessage(from ids.NodeID, msg wire.Message) []transport.Envelope {
 	if n.mailbox == nil {
-		outs, _ := n.enter("HandleMessage", func(m *Machine) { m.HandleMessage(from, msg) })
+		outs, _ := n.enter(func(m *Machine) { m.HandleMessage(from, msg) })
 		return outs
 	}
 	select {
@@ -199,21 +199,18 @@ func (n *Node) handleMessage(from ids.NodeID, msg wire.Message) []transport.Enve
 }
 
 // enter is the one way in: it runs fn as a single machine input and returns
-// the effects the caller still has to send. entry names the public method
-// for the re-entrancy diagnostic — a Method, ReplyFunc or With callback
-// that calls back into the node would deadlock on either scheduler, so the
-// guard panics instead.
+// the effects the caller still has to send.
 //
 // Stepped, fn runs here under the mutex and its effects are handed back, to
 // leave once the mutex is released. Started, fn is queued behind whatever the
 // loop is doing and enter blocks until the loop has run it and flushed its
 // effects (so nothing is handed back); after Close it returns
-// ErrRuntimeClosed with fn not run. A panic raised by fn on the loop —
-// including the guard tripping inside a callback — is captured there and
-// re-raised here on the caller's goroutine, so a misbehaving callback does
-// not take the event loop down with it.
-func (n *Node) enter(entry string, fn func(m *Machine)) ([]transport.Envelope, error) {
-	n.mach.guardReentry(entry)
+// ErrRuntimeClosed with fn not run. A panic raised by fn on the loop is
+// captured there and re-raised here on the caller's goroutine, so a
+// misbehaving callback does not take the event loop down with it. A
+// callback that calls a public method from inside fn waits on its own input
+// and deadlocks; nothing checks for it (see Mutator).
+func (n *Node) enter(fn func(m *Machine)) ([]transport.Envelope, error) {
 	if n.mailbox == nil {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -241,24 +238,24 @@ func (n *Node) enter(entry string, fn func(m *Machine)) ([]transport.Envelope, e
 }
 
 // do is enter for a local call: whatever comes back is sent from here.
-func (n *Node) do(entry string, fn func(m *Machine)) error {
-	outs, err := n.enter(entry, fn)
+func (n *Node) do(fn func(m *Machine)) error {
+	outs, err := n.enter(fn)
 	n.send(outs)
 	return err
 }
 
 // call runs a value-returning machine method as one input (the zero value
 // after Close).
-func call[T any](n *Node, entry string, fn func(m *Machine) T) T {
+func call[T any](n *Node, fn func(m *Machine) T) T {
 	var v T
-	_ = n.do(entry, func(m *Machine) { v = fn(m) })
+	_ = n.do(func(m *Machine) { v = fn(m) })
 	return v
 }
 
 // callErr runs an error-returning machine method as one input.
-func callErr(n *Node, entry string, fn func(m *Machine) error) error {
+func callErr(n *Node, fn func(m *Machine) error) error {
 	var err error
-	if derr := n.do(entry, func(m *Machine) { err = fn(m) }); derr != nil {
+	if derr := n.do(func(m *Machine) { err = fn(m) }); derr != nil {
 		return derr
 	}
 	return err
@@ -441,41 +438,42 @@ func (n *Node) DroppedInbound() uint64 { return n.mach.met.MailboxDropped.Value(
 // error and the zero value where it has not.
 
 // Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return call(n, "Stats", (*Machine).Stats) }
+func (n *Node) Stats() Stats { return call(n, (*Machine).Stats) }
 
 // NumObjects returns the current heap size.
-func (n *Node) NumObjects() int { return call(n, "NumObjects", (*Machine).NumObjects) }
+func (n *Node) NumObjects() int { return call(n, (*Machine).NumObjects) }
 
 // NumScions returns the number of incoming-reference scions.
-func (n *Node) NumScions() int { return call(n, "NumScions", (*Machine).NumScions) }
+func (n *Node) NumScions() int { return call(n, (*Machine).NumScions) }
 
 // NumStubs returns the number of outgoing-reference stubs.
-func (n *Node) NumStubs() int { return call(n, "NumStubs", (*Machine).NumStubs) }
+func (n *Node) NumStubs() int { return call(n, (*Machine).NumStubs) }
 
 // CloneHeap returns a deep copy of the node's heap, for ground-truth
 // analysis by harnesses and tests.
-func (n *Node) CloneHeap() *heap.Heap { return call(n, "CloneHeap", (*Machine).CloneHeap) }
+func (n *Node) CloneHeap() *heap.Heap { return call(n, (*Machine).CloneHeap) }
 
 // ScionRefs returns the node's current scions as reference identifiers, in
 // canonical order.
-func (n *Node) ScionRefs() []ids.RefID { return call(n, "ScionRefs", (*Machine).ScionRefs) }
+func (n *Node) ScionRefs() []ids.RefID { return call(n, (*Machine).ScionRefs) }
 
 // RegisterMethod installs (or replaces) a remotely invocable method.
 func (n *Node) RegisterMethod(name string, fn Method) {
-	_ = n.do("RegisterMethod", func(m *Machine) { m.RegisterMethod(name, fn) })
+	_ = n.do(func(m *Machine) { m.RegisterMethod(name, fn) })
 }
 
 // With runs fn inside the machine with a Mutator: the scenario-building
-// entry point for direct heap manipulation.
+// entry point for direct heap manipulation. fn uses that Mutator and never
+// calls a method of n, which would deadlock (see Mutator).
 func (n *Node) With(fn func(m Mutator)) error {
-	return n.do("With", func(m *Machine) { m.With(fn) })
+	return n.do(func(m *Machine) { m.With(fn) })
 }
 
 // EnsureScionFor records an incoming reference from holder to the local
 // object obj: the owner half of a reference grant (harness bootstrap; the
 // protocol path is CreateScion/Ack).
 func (n *Node) EnsureScionFor(holder ids.NodeID, obj ids.ObjID) error {
-	return callErr(n, "EnsureScionFor", func(m *Machine) error { return m.EnsureScionFor(holder, obj) })
+	return callErr(n, func(m *Machine) error { return m.EnsureScionFor(holder, obj) })
 }
 
 // HoldRemote makes the local object from hold the remote reference target,
@@ -483,33 +481,33 @@ func (n *Node) EnsureScionFor(holder ids.NodeID, obj ids.ObjID) error {
 // must have arranged the owner's scion first (EnsureScionFor), preserving
 // scion-before-stub.
 func (n *Node) HoldRemote(from ids.ObjID, target ids.GlobalRef) error {
-	return callErr(n, "HoldRemote", func(m *Machine) error { return m.HoldRemote(from, target) })
+	return callErr(n, func(m *Machine) error { return m.HoldRemote(from, target) })
 }
 
 // Tick advances the node's logical clock by one, expires timed-out calls
 // and runs the daemons Config schedules on the new tick. A stepped node's
 // caller says Tick; a started node's loop does, every RuntimeConfig.Tick.
-func (n *Node) Tick() { _ = n.do("Tick", (*Machine).Tick) }
+func (n *Node) Tick() { _ = n.do((*Machine).Tick) }
 
 // Clock returns the node's logical time.
-func (n *Node) Clock() uint64 { return call(n, "Clock", (*Machine).Clock) }
+func (n *Node) Clock() uint64 { return call(n, (*Machine).Clock) }
 
 // RunLGC performs one local collection immediately and emits NewSetStubs
 // messages.
-func (n *Node) RunLGC() lgc.Result { return call(n, "RunLGC", (*Machine).RunLGC) }
+func (n *Node) RunLGC() lgc.Result { return call(n, (*Machine).RunLGC) }
 
 // Summarize takes a snapshot of the object graph and rebuilds the node's
 // summarized graph description (§3 "Graph Summarization").
-func (n *Node) Summarize() error { return callErr(n, "Summarize", (*Machine).Summarize) }
+func (n *Node) Summarize() error { return callErr(n, (*Machine).Summarize) }
 
 // RunDetection nominates cycle candidates from the current summary and
 // starts detections. It returns the number started.
-func (n *Node) RunDetection() int { return call(n, "RunDetection", (*Machine).RunDetection) }
+func (n *Node) RunDetection() int { return call(n, (*Machine).RunDetection) }
 
 // Summary returns the node's current summarized snapshot (nil before the
 // first summarization). The summary is immutable; callers may read it
 // freely.
-func (n *Node) Summary() *snapshot.Summary { return call(n, "Summary", (*Machine).Summary) }
+func (n *Node) Summary() *snapshot.Summary { return call(n, (*Machine).Summary) }
 
 // Invoke performs an asynchronous remote invocation of method on target,
 // exporting args to the callee. cb (optional) receives the reply inside the
@@ -517,7 +515,7 @@ func (n *Node) Summary() *snapshot.Summary { return call(n, "Summary", (*Machine
 // only for immediately detectable misuse; transport failures surface as a
 // failed or expired reply.
 func (n *Node) Invoke(target ids.GlobalRef, method string, args []ids.GlobalRef, cb ReplyFunc) error {
-	return callErr(n, "Invoke", func(m *Machine) error { return m.Invoke(target, method, args, cb) })
+	return callErr(n, func(m *Machine) error { return m.Invoke(target, method, args, cb) })
 }
 
 // AcquireRemote bootstraps possession of a remote reference: it runs the
@@ -525,26 +523,26 @@ func (n *Node) Invoke(target ids.GlobalRef, method string, args []ids.GlobalRef,
 // acknowledged, materializes a stub and invokes cb inside the machine. See
 // Machine.AcquireRemote.
 func (n *Node) AcquireRemote(ref ids.GlobalRef, cb func(m Mutator, ok bool)) error {
-	return callErr(n, "AcquireRemote", func(m *Machine) error { return m.AcquireRemote(ref, cb) })
+	return callErr(n, func(m *Machine) error { return m.AcquireRemote(ref, cb) })
 }
 
 // Members returns the node's membership directory in canonical order (nil
 // when Config.Membership is nil).
-func (n *Node) Members() []membership.Member { return call(n, "Members", (*Machine).Members) }
+func (n *Node) Members() []membership.Member { return call(n, (*Machine).Members) }
 
 // AddMember seeds a peer into the membership directory as joining.
 func (n *Node) AddMember(node ids.NodeID, addr string) error {
-	return callErr(n, "AddMember", func(m *Machine) error { return m.AddMember(node, addr) })
+	return callErr(n, func(m *Machine) error { return m.AddMember(node, addr) })
 }
 
 // BeginDrain starts this node's voluntary departure: its exported references
 // are handed to their owners and the node gossips itself draining, then dead.
-func (n *Node) BeginDrain() error { return callErr(n, "BeginDrain", (*Machine).BeginDrain) }
+func (n *Node) BeginDrain() error { return callErr(n, (*Machine).BeginDrain) }
 
 // SetAdvertiseAddr records the transport address this node gossips for
 // itself, so joiners discovered through the directory can dial it.
 func (n *Node) SetAdvertiseAddr(addr string) {
-	_ = n.do("SetAdvertiseAddr", func(m *Machine) { m.SetSelfAddr(addr) })
+	_ = n.do(func(m *Machine) { m.SetSelfAddr(addr) })
 }
 
 // Save serializes the node's durable collector state. On a started node it
@@ -552,24 +550,24 @@ func (n *Node) SetAdvertiseAddr(addr string) {
 // RestoreLiveRuntime.
 func (n *Node) Save() ([]byte, error) {
 	var data []byte
-	err := callErr(n, "Save", func(m *Machine) (err error) { data, err = m.Save(); return })
+	err := callErr(n, func(m *Machine) (err error) { data, err = m.Save(); return })
 	return data, err
 }
 
 // TableDump captures the node's current reference tables.
-func (n *Node) TableDump() TableDump { return call(n, "TableDump", (*Machine).TableDump) }
+func (n *Node) TableDump() TableDump { return call(n, (*Machine).TableDump) }
 
 // ForceDetect starts a detection at the given scion immediately.
 func (n *Node) ForceDetect(candidate ids.RefID) (ForceDetectResult, error) {
 	var res ForceDetectResult
-	err := callErr(n, "ForceDetect", func(m *Machine) (err error) { res, err = m.ForceDetect(candidate); return })
+	err := callErr(n, func(m *Machine) (err error) { res, err = m.ForceDetect(candidate); return })
 	return res, err
 }
 
 // DebugSnapshot captures the node's current diagnostic view, with mailbox
 // statistics when a loop is running.
 func (n *Node) DebugSnapshot() DebugSnapshot {
-	snap := call(n, "DebugSnapshot", (*Machine).DebugSnapshot)
+	snap := call(n, (*Machine).DebugSnapshot)
 	if n.mailbox != nil {
 		snap.Mailbox = &MailboxStats{
 			Depth:    len(n.mailbox),

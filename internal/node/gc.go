@@ -53,7 +53,7 @@ func (m *Machine) expireCalls() {
 			}
 			m.met.CallsFailed.Inc()
 			if pc.cb != nil {
-				m.callback(func() { pc.cb(Mutator{n: m}, Reply{OK: false, Err: "call timed out"}) })
+				pc.cb(Mutator{n: m}, Reply{OK: false, Err: "call timed out"})
 			}
 		}
 	}

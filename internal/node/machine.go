@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dgc/internal/core"
@@ -119,12 +118,6 @@ type Machine struct {
 	// out accumulates the outbound-message effects of the current input.
 	// The driver drains it with TakeEffects after every input it feeds in.
 	out []transport.Envelope
-
-	// cbGoid holds the id of the goroutine currently executing a
-	// user-provided callback (Method handler, ReplyFunc, With body), zero
-	// otherwise. The driver reads it from other goroutines to turn callback
-	// re-entrance into a panic instead of a deadlock; hence atomic.
-	cbGoid atomic.Uint64
 }
 
 // detAcc is one detection's accumulated state at this node.
@@ -375,31 +368,6 @@ func (m *Machine) send(to ids.NodeID, msg wire.Message) {
 	m.maybePiggybackGossip(to, msg)
 }
 
-// callback invokes a user-provided callback (Method handler, ReplyFunc,
-// AcquireRemote continuation, With body). While it runs, the machine
-// records the executing goroutine so the driver's way in can detect
-// re-entrance — a callback calling back into the public Node API, which
-// would deadlock on the driver's mutex or mailbox — and panic with a
-// diagnostic instead.
-func (m *Machine) callback(fn func()) {
-	prev := m.cbGoid.Load()
-	m.cbGoid.Store(goid())
-	defer m.cbGoid.Store(prev)
-	fn()
-}
-
-// guardReentry panics when called from the goroutine that is currently
-// executing one of this machine's user callbacks. entry names the public
-// method for the diagnostic.
-func (m *Machine) guardReentry(entry string) {
-	if g := m.cbGoid.Load(); g != 0 && g == goid() {
-		panic("node: " + entry + " re-entered from a Method/ReplyFunc/With callback; " +
-			"callbacks run inside the machine and must use the Mutator they were handed " +
-			"(m.Invoke, m.Store, ...) instead of calling public entry points, " +
-			"which would deadlock")
-	}
-}
-
 // Stats reads the machine's counters off its metric registry, so they agree
 // with /metrics and continue across a restore into the same registry.
 func (m *Machine) Stats() Stats {
@@ -470,7 +438,7 @@ func (m *Machine) RegisterMethod(name string, fn Method) { m.methods[name] = fn 
 // With runs fn with a Mutator over this machine: the scenario-building and
 // method-handler entry point for direct heap manipulation.
 func (m *Machine) With(fn func(mut Mutator)) {
-	m.callback(func() { fn(Mutator{n: m}) })
+	fn(Mutator{n: m})
 }
 
 // EnsureScionFor records an incoming reference from holder to the local

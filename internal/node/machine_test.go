@@ -1,8 +1,6 @@
 package node
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -81,32 +79,13 @@ func TestMachineHandleMessageEffects(t *testing.T) {
 	}
 }
 
-// The re-entrancy guard turns what used to be a silent deadlock — a Method
-// handler, ReplyFunc or With body calling back into a public entry point —
-// into an immediate panic with a diagnostic. It has one call site (enter)
-// serving both schedulers, so every case runs against both constructors.
-
-func mustPanicReentered(t *testing.T, fn func()) {
-	t.Helper()
-	if msg := reentryPanic(fn); !strings.Contains(msg, "re-entered") {
-		t.Fatalf("panic = %q, want re-entry diagnostic", msg)
-	}
-}
-
-// reentryPanic runs fn and returns the message it panicked with ("" when it
-// returned normally). Callbacks use it in place, because on a started node a
-// panic escaping a Method or ReplyFunc would unwind the loop goroutine.
-func reentryPanic(fn func()) (msg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			msg = fmt.Sprint(r)
-		}
-	}()
-	fn()
-	return ""
-}
-
-func TestReentryGuard(t *testing.T) {
+// A Method handler, ReplyFunc or With body runs inside the machine, and the
+// Mutator it is handed is its only way back in: calling a public Node method
+// from there deadlocks, as re-locking a sync.Mutex does, and nothing checks
+// for it. These are the sanctioned paths, on both schedulers: each case
+// reaches a remote method through a callback's Mutator and reports whether
+// that call was answered.
+func TestCallbacksUseTheirMutator(t *testing.T) {
 	schedulers := map[string]func(t *testing.T, id ids.NodeID, ep transport.Endpoint) *Node{
 		"stepped": func(_ *testing.T, id ids.NodeID, ep transport.Endpoint) *Node {
 			return New(id, ep, Config{})
@@ -117,75 +96,110 @@ func TestReentryGuard(t *testing.T) {
 			return n
 		},
 	}
-	// Each case returns what the offending call panicked with, observed from
-	// inside the callback that made it.
+	// A holds a reference to toB on B, and B one to toC on C.
 	cases := []struct {
-		name      string
-		reentered bool
-		run       func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) string
+		name string
+		run  func(t *testing.T, a, b *Node, toB, toC ids.GlobalRef) (answered *bool)
 	}{
-		{"With block", true, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
-			a.With(func(Mutator) { msg = reentryPanic(func() { a.NumObjects() }) })
-			return msg
-		}},
-		{"Method handler", true, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
-			b.RegisterMethod("bad", func(Mutator, ids.ObjID, []ids.GlobalRef) []ids.GlobalRef {
-				msg = reentryPanic(b.Tick) // illegal: public entry point from inside the machine
-				return nil
+		{"With body", func(t *testing.T, a, b *Node, toB, toC ids.GlobalRef) *bool {
+			got := false
+			err := a.With(func(m Mutator) {
+				if err := m.Root(m.Alloc(nil)); err != nil {
+					t.Error(err)
+				}
+				if err := m.Invoke(toB, "noop", nil, func(_ Mutator, r Reply) { got = r.OK }); err != nil {
+					t.Error(err)
+				}
 			})
-			if err := a.Invoke(target, "bad", nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			tn.settle()
-			return msg
-		}},
-		{"ReplyFunc", true, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
-			err := a.Invoke(target, "noop", nil,
-				func(Mutator, Reply) { msg = reentryPanic(func() { a.Stats() }) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			tn.settle()
-			return msg
+			return &got
 		}},
-		// The sanctioned path — Mutator.Invoke from callback context — must
-		// not trip the guard.
-		{"Mutator.Invoke", false, func(t *testing.T, tn *testNet, a, b *Node, target ids.GlobalRef) (msg string) {
+		{"ReplyFunc chains Invoke", func(t *testing.T, a, b *Node, toB, toC ids.GlobalRef) *bool {
 			got := false
-			err := a.Invoke(target, "noop", nil, func(m Mutator, r Reply) {
+			err := a.Invoke(toB, "noop", nil, func(m Mutator, r Reply) {
 				if !r.OK {
 					t.Errorf("first call failed: %s", r.Err)
 				}
-				msg = reentryPanic(func() {
-					_ = m.Invoke(target, "noop", nil, func(_ Mutator, r2 Reply) { got = r2.OK })
-				})
+				if err := m.Invoke(toB, "noop", nil, func(_ Mutator, r2 Reply) { got = r2.OK }); err != nil {
+					t.Error(err)
+				}
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tn.settle()
-			if !got {
-				t.Error("chained Mutator.Invoke did not complete")
+			return &got
+		}},
+		{"Method invokes onward", func(t *testing.T, a, b *Node, toB, toC ids.GlobalRef) *bool {
+			got := false
+			b.RegisterMethod("relay", func(m Mutator, _ ids.ObjID, _ []ids.GlobalRef) []ids.GlobalRef {
+				if err := m.Invoke(toC, "noop", nil, func(_ Mutator, r Reply) { got = r.OK }); err != nil {
+					t.Error(err)
+				}
+				return nil
+			})
+			if err := a.Invoke(toB, "relay", nil, nil); err != nil {
+				t.Fatal(err)
 			}
-			return msg
+			return &got
 		}},
 	}
 	for sched, mk := range schedulers {
 		for _, tc := range cases {
 			t.Run(sched+"/"+tc.name, func(t *testing.T) {
-				tn := newTestNetOf(t, mk, "A", "B")
+				tn := newTestNetOf(t, mk, "A", "B", "C")
 				a, b := tn.n("A"), tn.n("B")
-				caller, callee := allocRooted(t, a), allocRooted(t, b)
-				tn.grant("A", caller, "B", callee)
-				msg := tc.run(t, tn, a, b, ids.GlobalRef{Node: "B", Obj: callee})
-				if got := strings.Contains(msg, "re-entered"); got != tc.reentered {
-					t.Fatalf("callback panic = %q, want re-entry diagnostic: %v", msg, tc.reentered)
-				}
-				// The node survives a tripped guard on either scheduler.
-				if a.NumObjects() != 1 || b.NumObjects() != 1 {
-					t.Fatalf("objects after guard = %d/%d, want 1/1", a.NumObjects(), b.NumObjects())
+				onA, onB, onC := allocRooted(t, a), allocRooted(t, b), allocRooted(t, tn.n("C"))
+				tn.grant("A", onA, "B", onB)
+				tn.grant("B", onB, "C", onC)
+				answered := tc.run(t, a, b, ids.GlobalRef{Node: "B", Obj: onB}, ids.GlobalRef{Node: "C", Obj: onC})
+				tn.settle()
+				if !*answered {
+					t.Fatal("the call made through the callback's Mutator was not answered")
 				}
 			})
 		}
+	}
+}
+
+// enter re-raises a panic from the input it ran at the caller and leaves the
+// node serving: a started node's loop recovers it and keeps consuming, a
+// stepped node's mutex is released as it unwinds.
+func TestCallbackPanicReachesCaller(t *testing.T) {
+	for _, sched := range []string{"stepped", "started"} {
+		t.Run(sched, func(t *testing.T) {
+			var n *Node
+			if sched == "started" {
+				n = NewLiveRuntime("A", nil, Config{}, RuntimeConfig{Tick: time.Hour})
+				defer n.Close()
+			} else {
+				n = New("A", nil, Config{})
+			}
+			type boom struct{ code int }
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				_ = n.With(func(m Mutator) {
+					m.Alloc(nil)
+					panic(boom{7})
+				})
+			}()
+			if got != (boom{7}) {
+				t.Fatalf("recovered %#v at the caller, want boom{7}", got)
+			}
+			objs := make(chan int, 1)
+			go func() { objs <- n.NumObjects() }()
+			select {
+			case got := <-objs:
+				// The allocation before the panic stays: an input is not a
+				// transaction.
+				if got != 1 {
+					t.Fatalf("objects after the panic = %d, want 1", got)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the node stopped serving after a callback panicked")
+			}
+		})
 	}
 }

@@ -7,9 +7,12 @@ import (
 // Mutator is the application's view of a process's heap. Mutator values
 // are only handed out inside the machine (via With, method handlers and
 // reply callbacks), where inputs are already serialized by the driver, so
-// their operations need no further locking. Code holding a Mutator must
-// not call public Node methods — use the Mutator's own
-// operations (the re-entrancy guard panics on violations).
+// their operations need no further locking.
+//
+// The callback contract: code holding a Mutator uses it, and never calls a
+// public Node method. The callback already owns the machine, so such a call
+// waits for itself and deadlocks on either scheduler, as re-locking a
+// sync.Mutex does; nothing checks for it at run time.
 //
 // The distributed-GC invariants enforced here mirror the paper's remoting
 // instrumentation: storing a remote reference requires the process to

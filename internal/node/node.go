@@ -148,13 +148,13 @@ type Reply struct {
 }
 
 // ReplyFunc consumes an invocation result. It is called inside the machine;
-// implementations may use the Mutator passed alongside but must not call
-// public Node methods — the re-entrancy guard panics on violations, which
-// would otherwise deadlock.
+// implementations use the Mutator passed alongside and never call public
+// Node methods, which would deadlock (see Mutator).
 type ReplyFunc func(m Mutator, r Reply)
 
 // Method implements a remotely invocable method. It runs inside the machine
 // and receives a Mutator for heap access, the invoked object and the
 // imported argument references. Returned references are exported back to
-// the caller. Like ReplyFunc, it must not re-enter public Node methods.
+// the caller. Like ReplyFunc, it uses its Mutator and never calls public
+// Node methods, which would deadlock (see Mutator).
 type Method func(m Mutator, self ids.ObjID, args []ids.GlobalRef) []ids.GlobalRef

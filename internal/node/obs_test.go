@@ -24,7 +24,7 @@ func TestLiveRuntimeMailboxOverflow(t *testing.T) {
 	blocked := make(chan struct{})
 	go func() {
 		defer close(blocked)
-		_ = r.do("block", func(*Machine) {
+		_ = r.do(func(*Machine) {
 			close(started)
 			<-release
 		})

@@ -68,7 +68,7 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 			}
 			m.met.CallsFailed.Inc()
 			if cb != nil {
-				m.callback(func() { cb(Mutator{n: m}, Reply{OK: false, Err: "export failed: " + errMsg}) })
+				cb(Mutator{n: m}, Reply{OK: false, Err: "export failed: " + errMsg})
 			}
 			return
 		}
@@ -179,7 +179,7 @@ func (m *Machine) AcquireRemote(ref ids.GlobalRef, cb func(mut Mutator, ok bool)
 				m.table.EnsureStub(ref)
 			}
 			if cb != nil {
-				m.callback(func() { cb(Mutator{n: m}, ok) })
+				cb(Mutator{n: m}, ok)
 			}
 			m.unpin(ref)
 		},
@@ -242,8 +242,7 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 		}
 	}
 
-	var returns []ids.GlobalRef
-	m.callback(func() { returns = handler(Mutator{n: m}, msg.Target.Obj, msg.Args) })
+	returns := handler(Mutator{n: m}, msg.Target.Obj, msg.Args)
 	reply.OK = true
 	reply.Returns = returns
 
@@ -321,7 +320,7 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 		m.met.CallsFailed.Inc()
 	}
 	if pc.cb != nil {
-		m.callback(func() { pc.cb(Mutator{n: m}, Reply{OK: msg.OK, Err: msg.Err, Returns: msg.Returns}) })
+		pc.cb(Mutator{n: m}, Reply{OK: msg.OK, Err: msg.Err, Returns: msg.Returns})
 	}
 }
 
