@@ -13,7 +13,6 @@ package dgc_test
 //	BenchmarkFig5RaceAbort        — Figure 5 race handling
 //	BenchmarkScaleDetection       — Scale-1 (DCDA vs baselines)
 //	BenchmarkLossSweep            — Loss-1
-//	BenchmarkAblationDeleteMode   — Abl-1
 //	BenchmarkAlgebraMatch/CDMCodec— microbenchmarks of the hot paths
 //	BenchmarkDetectRound          — detection rounds on a garbage ring
 //	BenchmarkCDMHop               — one CDM hop: clone, derive, match, encode
@@ -361,24 +360,6 @@ func BenchmarkLossSweep(b *testing.B) {
 				}
 				if i == 0 {
 					b.ReportMetric(float64(rows[0].Rounds), "rounds/collection")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationDeleteMode(b *testing.B) {
-	for _, mode := range []string{"cascade", "broadcast"} {
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.AblationDeleteMode([]int{8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range rows {
-					if r.Mode == mode && i == 0 {
-						b.ReportMetric(float64(r.RoundsToEmpty), "rounds/collection")
-					}
 				}
 			}
 		})

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dgc-bench [-exp all|table1|serialization|scale|compare|quiescent|loss|ablation|race|lease|disruption|batch]
+//	dgc-bench [-exp all|table1|serialization|scale|compare|quiescent|loss|race|lease|disruption|batch]
 //	          [-quick] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Absolute numbers differ from the paper (simulated substrate vs the
@@ -42,7 +42,6 @@ var exps = []struct {
 	{"compare", runCompare},
 	{"quiescent", runQuiescent},
 	{"loss", runLoss},
-	{"ablation", runAblation},
 	{"race", runRace},
 	{"lease", runLease},
 	{"disruption", runDisruption},
@@ -239,24 +238,6 @@ func runLoss(out io.Writer, quick bool) error {
 	fmt.Fprintln(w, "GC loss rate\trounds to reclaim\tcollected")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%.0f%%\t%d\t%v\n", r.LossRate*100, r.Rounds, r.Collected)
-	}
-	return w.Flush()
-}
-
-// runAblation compares cycle-found delete modes.
-func runAblation(out io.Writer, quick bool) error {
-	sizes := []int{4, 8, 16}
-	if quick {
-		sizes = []int{4, 8}
-	}
-	rows, err := experiments.AblationDeleteMode(sizes)
-	if err != nil {
-		return err
-	}
-	w := tw(out)
-	fmt.Fprintln(w, "processes\tmode\trounds to empty")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%s\t%d\n", r.Procs, r.Mode, r.RoundsToEmpty)
 	}
 	return w.Flush()
 }

@@ -54,7 +54,6 @@ func main() {
 		codecName     = flag.String("codec", "", "snapshot codec: binary or reflect")
 		seedObjects   = flag.Int("seed-objects", 0, "allocate N rooted demo objects at startup")
 		statsEvery    = flag.Int("stats-every", 10, "print stats every N ticks (0 = never)")
-		broadcastDel  = flag.Bool("broadcast-delete", false, "broadcast scion deletion on cycle found")
 		membershipOn  = flag.Bool("membership", true, "gossip membership directory with lease-guarded dead-node reclamation (-membership=false for a static cluster)")
 		callTimeoutTk = flag.Uint64("call-timeout", 40, "RPC timeout in ticks")
 		stateFile     = flag.String("state-file", "", "persist collector state here: loaded at startup if present, saved on shutdown")
@@ -92,7 +91,6 @@ func main() {
 		CallTimeoutTicks: *callTimeoutTk,
 		SnapshotDir:      *snapshotDir,
 	}
-	spec.Config.Detector.BroadcastDelete = *broadcastDel
 	if *membershipOn {
 		spec.Config.Membership = &dgc.MembershipConfig{}
 	}

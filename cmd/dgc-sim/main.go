@@ -5,7 +5,7 @@
 //
 //	dgc-sim [-scenario figure1|figure3|figure4|ring|acyclic|random]
 //	        [-procs N] [-chain N] [-seed N] [-rounds N]
-//	        [-loss F] [-dup F] [-reorder F] [-broadcast] [-v]
+//	        [-loss F] [-dup F] [-reorder F] [-v]
 //	        [-metrics-addr :9090] [-metrics-json]
 //
 // Examples:
@@ -38,17 +38,16 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("dgc-sim", flag.ContinueOnError)
 	var (
-		scenario  = fs.String("scenario", "figure3", "topology to run")
-		procs     = fs.Int("procs", 4, "processes (ring/acyclic/random)")
-		chain     = fs.Int("chain", 2, "objects per process (ring)")
-		seed      = fs.Int64("seed", 1, "seed (random topology and faults)")
-		rounds    = fs.Int("rounds", 0, "max GC rounds (0 = 3*procs+10)")
-		loss      = fs.Float64("loss", 0, "GC message loss rate")
-		dup       = fs.Float64("dup", 0, "GC message duplication rate")
-		reorder   = fs.Float64("reorder", 0, "GC message reorder rate")
-		broadcast = fs.Bool("broadcast", false, "broadcast scion deletion on cycle found")
-		verbose   = fs.Bool("v", false, "print per-node stats at the end")
-		traceN    = fs.Int("trace", 0, "print the last N collector events")
+		scenario = fs.String("scenario", "figure3", "topology to run")
+		procs    = fs.Int("procs", 4, "processes (ring/acyclic/random)")
+		chain    = fs.Int("chain", 2, "objects per process (ring)")
+		seed     = fs.Int64("seed", 1, "seed (random topology and faults)")
+		rounds   = fs.Int("rounds", 0, "max GC rounds (0 = 3*procs+10)")
+		loss     = fs.Float64("loss", 0, "GC message loss rate")
+		dup      = fs.Float64("dup", 0, "GC message duplication rate")
+		reorder  = fs.Float64("reorder", 0, "GC message reorder rate")
+		verbose  = fs.Bool("v", false, "print per-node stats at the end")
+		traceN   = fs.Int("trace", 0, "print the last N collector events")
 
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/dgc on this address during the run")
 		metricsJSON = fs.Bool("metrics-json", false, "dump the full metric set as one JSON object per round")
@@ -80,7 +79,6 @@ func run(args []string, out io.Writer) int {
 	}
 
 	cfg := dgc.Config{Metrics: dgc.NewMetricsSet()}
-	cfg.Detector.BroadcastDelete = *broadcast
 	var events *dgc.TraceLog
 	if *traceN > 0 {
 		events = dgc.NewTraceLog(*traceN)

@@ -35,7 +35,6 @@ import (
 	"net/http"
 
 	"dgc/internal/cluster"
-	"dgc/internal/core"
 	"dgc/internal/ids"
 	"dgc/internal/membership"
 	"dgc/internal/node"
@@ -64,8 +63,6 @@ type (
 	// Config tunes one node; the zero value is a sensible default
 	// (manual GC driving, unlimited detections, no snapshot codec).
 	Config = node.Config
-	// DetectorConfig tunes the cycle detector inside Config.Detector.
-	DetectorConfig = core.Config
 	// Node is one process: heap, collectors, detector and RPC. Built with
 	// NewNode it is stepped — inputs run on the caller's goroutine and the
 	// clock advances on Tick; built with NewLiveRuntime it is started.
@@ -251,7 +248,7 @@ func MetricsHandler(set *MetricsSet, debug func() any) http.Handler {
 }
 
 // GCTraffic returns the message kinds belonging to the garbage collector's
-// own protocol (NewSetStubs, CDM, BatchCDM, DeleteScion). Use it as
+// own protocol (NewSetStubs, CDM, BatchCDM). Use it as
 // Faults.Affects to inject faults into collector traffic only — the paper's
 // loss-tolerance claim is about these messages; application RPCs have their
 // own delivery semantics.

@@ -89,24 +89,23 @@ func parseCodec(v string) (snapshot.Codec, error) {
 // zero is a value like any other (detect_every: 0 disables the detection
 // daemon so only forced detections run). A key not listed here is an error.
 var settings = map[string]func(*nodeDraft, string) error{
-	"tick":             set(time.ParseDuration, func(d *nodeDraft) *time.Duration { return &d.Runtime.Tick }),
-	"lgc_every":        set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.LGCEvery }),
-	"snapshot_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.SnapshotEvery }),
-	"detect_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.DetectEvery }),
-	"candidate_age":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
-	"call_timeout":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
-	"broadcast_delete": set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.Config.Detector.BroadcastDelete }),
-	"membership":       set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.membership }),
-	"gossip_every":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.GossipEvery }),
-	"suspect_after":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.SuspectAfter }),
-	"dead_after":       set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.DeadAfter }),
-	"lease_ticks":      set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.LeaseTicks }),
-	"mailbox":          set(strconv.Atoi, func(d *nodeDraft) *int { return &d.Runtime.Mailbox }),
-	"seed_objects":     set(strconv.Atoi, func(d *nodeDraft) *int { return &d.SeedObjects }),
-	"codec":            set(parseCodec, func(d *nodeDraft) *snapshot.Codec { return &d.Config.Codec }),
-	"snapshot_dir":     set(parseStr, func(d *nodeDraft) *string { return &d.Config.SnapshotDir }),
-	"state_file":       set(parseStr, func(d *nodeDraft) *string { return &d.StateFile }),
-	"fault_seed":       set(parseI64, func(d *nodeDraft) *int64 { return &d.FaultSeed }),
+	"tick":           set(time.ParseDuration, func(d *nodeDraft) *time.Duration { return &d.Runtime.Tick }),
+	"lgc_every":      set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.LGCEvery }),
+	"snapshot_every": set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.SnapshotEvery }),
+	"detect_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.DetectEvery }),
+	"candidate_age":  set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
+	"call_timeout":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
+	"membership":     set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.membership }),
+	"gossip_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.GossipEvery }),
+	"suspect_after":  set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.SuspectAfter }),
+	"dead_after":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.DeadAfter }),
+	"lease_ticks":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.LeaseTicks }),
+	"mailbox":        set(strconv.Atoi, func(d *nodeDraft) *int { return &d.Runtime.Mailbox }),
+	"seed_objects":   set(strconv.Atoi, func(d *nodeDraft) *int { return &d.SeedObjects }),
+	"codec":          set(parseCodec, func(d *nodeDraft) *snapshot.Codec { return &d.Config.Codec }),
+	"snapshot_dir":   set(parseStr, func(d *nodeDraft) *string { return &d.Config.SnapshotDir }),
+	"state_file":     set(parseStr, func(d *nodeDraft) *string { return &d.StateFile }),
+	"fault_seed":     set(parseI64, func(d *nodeDraft) *int64 { return &d.FaultSeed }),
 }
 
 // setting is one `key: value` line of a spec.

@@ -163,3 +163,37 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseClusterSpec hardens the spec parser, whose input an operator
+// writes (dgcctl up -f): it must never panic, and a spec it accepts must
+// resolve or say why not, handing out runnable node specs when it does.
+func FuzzParseClusterSpec(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.yaml"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no example specs: %v", err)
+	}
+	for _, file := range files {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(text)
+	}
+	f.Add([]byte(sampleYAML))
+
+	f.Fuzz(func(t *testing.T, text []byte) {
+		spec, err := ParseClusterSpec(text)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		nodes, err := spec.Resolve()
+		if err != nil {
+			return
+		}
+		for _, ns := range nodes {
+			if ns.ID == "" || ns.Runtime.Tick <= 0 || ns.Peers == nil {
+				t.Fatalf("resolved an unrunnable node spec %+v", ns)
+			}
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -348,11 +349,46 @@ func (s *Supervisor) Stop() error {
 	s.stopped = true
 	s.teardownLocked()
 	if s.spec.StateFile != "" && s.lastState != nil {
-		if err := os.WriteFile(s.spec.StateFile, s.lastState, 0o644); err != nil {
+		if err := writeStateFile(s.spec.StateFile, s.lastState); err != nil {
 			return fmt.Errorf("admin: write state %s: %w", s.spec.StateFile, err)
 		}
 	}
 	return nil
+}
+
+// writeStateFile replaces path with data so that a crash mid-write leaves the
+// previous file, not a torn one: the bytes go to a temporary file that is
+// fsynced before it is renamed over path, and the rename is fsynced through
+// the directory.
+func writeStateFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort; the write error is what the caller needs
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // StateBytes returns the most recently captured durable state (from the

@@ -1,6 +1,7 @@
 package admin
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -108,6 +109,46 @@ func TestSupervisorStateFileRoundTrip(t *testing.T) {
 	defer sup2.Stop()
 	if got := sup2.DebugSnapshot().Objects; got != 2 {
 		t.Errorf("objects after state-file restart = %d, want 2 (no re-seed)", got)
+	}
+}
+
+// TestStopWriteFailureKeepsStateFile: a Stop whose state write fails
+// leaves the previous state file byte for byte, because the new bytes only
+// ever replace it by rename. The write is made to fail by a directory
+// squatting on the temporary file's name.
+func TestStopWriteFailureKeepsStateFile(t *testing.T) {
+	stateFile := filepath.Join(t.TempDir(), "p1.state")
+	sup, err := StartNode(NodeSpec{ID: "P1", SeedObjects: 2, StateFile: stateFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(stateFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sup2, err := StartNode(NodeSpec{ID: "P1", StateFile: stateFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup2.Runtime().With(func(m node.Mutator) { m.Alloc(nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(stateFile+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup2.Stop(); err == nil {
+		t.Fatal("Stop reported success with its temporary file blocked")
+	}
+	after, err := os.ReadFile(stateFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed Stop changed the state file: %d bytes before, %d after", len(before), len(after))
 	}
 }
 

@@ -100,30 +100,6 @@ func TestFigure3EndToEnd(t *testing.T) {
 	}
 }
 
-func TestFigure3BroadcastDeleteReclaimsFaster(t *testing.T) {
-	run := func(broadcast bool) int {
-		cfg := node.Config{}
-		cfg.Detector.BroadcastDelete = broadcast
-		c := New(1, cfg)
-		if _, err := c.Materialize(workload.Figure3(), cfg); err != nil {
-			panic(err)
-		}
-		rounds := 0
-		for c.TotalObjects() > 0 && rounds < 15 {
-			c.GCRound()
-			rounds++
-		}
-		return rounds
-	}
-	cascade, broadcast := run(false), run(true)
-	if broadcast > cascade {
-		t.Fatalf("broadcast (%d rounds) slower than cascade (%d rounds)", broadcast, cascade)
-	}
-	if cascade < 2 {
-		t.Fatalf("cascade surprisingly fast (%d rounds): cascade not exercised", cascade)
-	}
-}
-
 func TestFigure4EndToEnd(t *testing.T) {
 	c := New(1, node.Config{})
 	materialize(t, c, workload.Figure4(), node.Config{})

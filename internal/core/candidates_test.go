@@ -7,7 +7,7 @@ import (
 )
 
 func TestSelectorNominatesQuiescentUnreachableScions(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	sel := NewSelector(5)
 	p2sum := f.proc("P2").sum
 
@@ -22,7 +22,7 @@ func TestSelectorNominatesQuiescentUnreachableScions(t *testing.T) {
 }
 
 func TestSelectorTouchPostponesCandidacy(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	sel := NewSelector(5)
 	sel.Touch(f.refF, 10)
 	p2sum := f.proc("P2").sum
@@ -35,7 +35,7 @@ func TestSelectorTouchPostponesCandidacy(t *testing.T) {
 }
 
 func TestSelectorSkipsLocallyReachable(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	if err := f.proc("P2").h.AddRoot(f.objF); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSelectorSkipsLocallyReachable(t *testing.T) {
 
 func TestSelectorSkipsScionsWithoutOutgoingPath(t *testing.T) {
 	// A scion whose object reaches no stub cannot head a distributed cycle.
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	p2 := f.proc("P2")
 	leaf := p2.h.Alloc(nil)
 	p2.tb.EnsureScion("P9", leaf.ID)
@@ -71,7 +71,7 @@ func TestSelectorForget(t *testing.T) {
 }
 
 func TestSelectorDeterministicOrder(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	sel := NewSelector(0)
 	p5sum := f.proc("P5").sum
 	a := sel.Candidates(p5sum, 1)

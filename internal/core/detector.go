@@ -38,18 +38,6 @@ func TraceIDFor(det DetectionID) uint64 {
 	return h
 }
 
-// Config tunes a node's detector.
-type Config struct {
-	// BroadcastDelete, when set, makes a cycle-finding node send DeleteScion
-	// notifications for the source-set scions owned by other processes,
-	// short-cutting the acyclic collector's cascade (read in cycleFound).
-	// When unset (the paper's behaviour), only the finder's own scions are
-	// deleted and the cascade unravels the rest. Kept as an ablation
-	// (dgc-bench -exp ablation) until the live benchmark decides between
-	// the two unravels (ROADMAP item 5(b)).
-	BroadcastDelete bool
-}
-
 // MaxHops is the CDM hop budget: a CDM that has been forwarded this many
 // times is not forwarded again. Dropping a CDM is always safe; a detection
 // needs at most O(|closure|) strictly-growing hops, so 256 covers any
@@ -70,9 +58,6 @@ type Actions interface {
 	// DeleteOwnScion removes the local scion for ref (ref.Dst.Node is the
 	// local node) and must trigger acyclic-DGC reclamation.
 	DeleteOwnScion(ref ids.RefID)
-	// SendDeleteScion notifies ref.Dst.Node that the scion for ref belongs
-	// to a detected garbage cycle (only used with BroadcastDelete).
-	SendDeleteScion(det DetectionID, ref ids.RefID)
 }
 
 // OutcomeKind classifies the result of processing one CDM (or starting a
@@ -142,14 +127,13 @@ type Outcome struct {
 // those in its metric registry.
 type Detector struct {
 	self    ids.NodeID
-	cfg     Config
 	actions Actions
 	seq     uint64
 }
 
 // NewDetector returns a detector for the given node.
-func NewDetector(self ids.NodeID, cfg Config, actions Actions) *Detector {
-	return &Detector{self: self, cfg: cfg, actions: actions}
+func NewDetector(self ids.NodeID, actions Actions) *Detector {
+	return &Detector{self: self, actions: actions}
 }
 
 // Self returns the owning node's identifier.
@@ -203,7 +187,7 @@ func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.R
 		return Outcome{Kind: OutcomeAborted}
 	}
 	if cycleFound {
-		return d.cycleFound(det, alg)
+		return d.cycleFound(alg)
 	}
 
 	// Safety rule 4: combine the CDM with this process's snapshot and
@@ -228,7 +212,7 @@ func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg,
 		return Outcome{Kind: OutcomeAborted}
 	}
 	if cycleFound {
-		return d.cycleFound(det, alg)
+		return d.cycleFound(alg)
 	}
 	agg := Outcome{Kind: OutcomeBranchEnded}
 	cur := alg
@@ -258,27 +242,16 @@ func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg,
 	return agg
 }
 
-// cycleFound deletes this node's scions named in the CDM source set and,
-// optionally, notifies the owners of the remaining ones.
-func (d *Detector) cycleFound(det DetectionID, alg Alg) Outcome {
+// cycleFound deletes this node's scions named in the CDM source set. The
+// acyclic collector unravels the rest of the cycle from there.
+func (d *Detector) cycleFound(alg Alg) Outcome {
 	garbage := alg.SourceRefs()
 	for _, ref := range garbage {
 		if ref.Dst.Node == d.self {
 			d.actions.DeleteOwnScion(ref)
-		} else if d.cfg.BroadcastDelete {
-			d.actions.SendDeleteScion(det, ref)
 		}
 	}
 	return Outcome{Kind: OutcomeCycleFound, GarbageScions: garbage}
-}
-
-// HandleDeleteScion processes a DeleteScion notification (BroadcastDelete
-// mode): the sender proved ref's scion belongs to a garbage cycle.
-func (d *Detector) HandleDeleteScion(ref ids.RefID) {
-	if ref.Dst.Node != d.self {
-		return
-	}
-	d.actions.DeleteOwnScion(ref)
 }
 
 // expand implements the forwarding step: from the scion sc (either the
@@ -354,7 +327,7 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 		return Outcome{Kind: OutcomeBranchEnded, NoNewInfo: true}
 	}
 	if found {
-		return d.cycleFound(det, derived)
+		return d.cycleFound(derived)
 	}
 	alongs := make([]ids.RefID, len(eligible))
 	for i, tgt := range eligible {

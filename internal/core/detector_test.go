@@ -37,7 +37,6 @@ type cdmEnv struct {
 
 type sim struct {
 	t       *testing.T
-	cfg     Config
 	procs   map[ids.NodeID]*simProc
 	queue   []cdmEnv
 	deleted []ids.RefID // DeleteOwnScion calls, in order
@@ -61,19 +60,11 @@ func (a simActions) DeleteOwnScion(ref ids.RefID) {
 	a.s.procs[a.self].tb.DeleteScion(ref.Src, ref.Dst.Obj)
 }
 
-func (a simActions) SendDeleteScion(det DetectionID, ref ids.RefID) {
-	// Deliver immediately in the simulator.
-	p := a.s.procs[ref.Dst.Node]
-	if p != nil {
-		p.det.HandleDeleteScion(ref)
-	}
-}
-
-func newSim(t *testing.T, cfg Config, names ...ids.NodeID) *sim {
-	s := &sim{t: t, cfg: cfg, procs: make(map[ids.NodeID]*simProc)}
+func newSim(t *testing.T, names ...ids.NodeID) *sim {
+	s := &sim{t: t, procs: make(map[ids.NodeID]*simProc)}
 	for _, n := range names {
 		p := &simProc{h: heap.New(n), tb: refs.NewTable(n), outcomes: make(map[OutcomeKind]int)}
-		p.det = NewDetector(n, cfg, simActions{s: s, self: n})
+		p.det = NewDetector(n, simActions{s: s, self: n})
 		s.procs[n] = p
 	}
 	return s
@@ -154,8 +145,8 @@ type fig3 struct {
 	objF                   ids.ObjID
 }
 
-func buildFig3(t *testing.T, cfg Config) *fig3 {
-	s := newSim(t, cfg, "P1", "P2", "P3", "P4")
+func buildFig3(t *testing.T) *fig3 {
+	s := newSim(t, "P1", "P2", "P3", "P4")
 	f := &fig3{sim: s}
 
 	// P2: F(1) -> H(2), F -> G(3), G -> H, H -> J(4), J -> Q@P4.
@@ -204,7 +195,7 @@ func buildFig3(t *testing.T, cfg Config) *fig3 {
 }
 
 func TestFig3DetectionFindsCycle(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	out := f.start(f.refF)
 	if out.Kind != OutcomeForwarded || out.Forwarded != 1 {
 		t.Fatalf("start outcome = %+v", out)
@@ -240,7 +231,7 @@ func TestFig3DetectionFindsCycle(t *testing.T) {
 }
 
 func TestFig3CDMHopCount(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	f.start(f.refF)
 	processed := f.pump()
 	// One CDM per process downstream of the origin in the 4-process ring:
@@ -258,7 +249,7 @@ func TestFig3CDMHopCount(t *testing.T) {
 }
 
 func TestFig3LiveCycleStopsAtLocalReach(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	// Root C at P1: B (holder of the F stub) becomes locally reachable, so
 	// the cycle is live.
 	mustNoErr(t, f.proc("P1").h.AddRoot(2 /* C */))
@@ -286,7 +277,7 @@ func TestFig3LiveCycleStopsAtLocalReach(t *testing.T) {
 // handed back its own derivation — and not the end at a locally reachable
 // stub (P1 on a live Figure 3 ring).
 func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	f.start(f.refF)
 	env, p4 := f.queue[0], f.proc("P4")
 	out := p4.det.HandleCDM(p4.sum, env.det, env.along, env.alg, env.hops, env.trace)
@@ -298,7 +289,7 @@ func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
 		t.Fatalf("P4's own derivation delivered back = %+v, want the no-new-information cut", out)
 	}
 
-	live := buildFig3(t, Config{})
+	live := buildFig3(t)
 	mustNoErr(t, live.proc("P1").h.AddRoot(2 /* C */))
 	live.summarizeAll(2)
 	live.start(live.refF)
@@ -321,7 +312,7 @@ func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
 }
 
 func TestFig3LocallyReachableCandidateRefused(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	// Root F itself at P2.
 	mustNoErr(t, f.proc("P2").h.AddRoot(f.objF))
 	f.summarizeAll(2)
@@ -335,7 +326,7 @@ func TestFig3LocallyReachableCandidateRefused(t *testing.T) {
 }
 
 func TestFig3UnknownScionCandidateDropped(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	bogus := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 99}}
 	if out := f.start(bogus); out.Kind != OutcomeDropped {
 		t.Fatalf("outcome = %+v, want dropped", out)
@@ -345,7 +336,7 @@ func TestFig3UnknownScionCandidateDropped(t *testing.T) {
 func TestCDMToUnknownScionDropped(t *testing.T) {
 	// Safety rule 1/2: a CDM arriving for a scion not in the summary is
 	// discarded silently.
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	p2 := f.proc("P2")
 	alg := NewAlg()
 	alg.AddTarget(ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}}, 0)
@@ -363,30 +354,12 @@ func TestCDMToUnknownScionDropped(t *testing.T) {
 	}
 }
 
-func TestFig3BroadcastDeleteClearsAllScions(t *testing.T) {
-	f := buildFig3(t, Config{BroadcastDelete: true})
-	f.start(f.refF)
-	f.pump()
-	if len(f.found) != 1 {
-		t.Fatalf("cycles found = %d", len(f.found))
-	}
-	// Every process's cycle scion must be gone without any LGC cascade.
-	for _, n := range []ids.NodeID{"P1", "P2", "P3", "P4"} {
-		if got := f.proc(n).tb.NumScions(); got != 0 {
-			t.Errorf("%s still has %d scions", n, got)
-		}
-	}
-	if len(f.deleted) != 4 {
-		t.Errorf("deleted = %v, want all 4", f.deleted)
-	}
-}
-
 // ---- §3.2 races: invocation counters ----------------------------------
 
 func TestRaceArrivalGuardAborts(t *testing.T) {
 	// Fig 5 shape: an invocation crosses P1->F@P2 after P2's snapshot; P1
 	// re-summarizes afterwards, P2 does not.
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	if _, err := f.proc("P1").tb.BumpStubIC(f.refF.Dst); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +396,7 @@ func TestRaceMatchAborts(t *testing.T) {
 	// detection started from the pre-invocation summary. The source entry
 	// for F carries the old counter; matching sees x vs x+1 at P1, the
 	// first process whose derivation holds both.
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	out := f.start(f.refF)
 	if out.Kind != OutcomeForwarded {
 		t.Fatalf("start = %+v", out)
@@ -453,7 +426,7 @@ func TestQuiescentReSummarizationDoesNotAbort(t *testing.T) {
 	// §3.2: "detections already in course for real cycles are never aborted
 	// due to updates in summarized graph information" — re-summarizing
 	// without mutator activity must not disturb a detection in flight.
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	f.start(f.refF)
 	f.summarizeAll(2) // fresh summaries, same counters
 	f.pump()
@@ -467,9 +440,9 @@ func TestQuiescentReSummarizationDoesNotAbort(t *testing.T) {
 func TestFig1ExtraDependencyPreventsDetection(t *testing.T) {
 	// A fifth process holds a (live) reference to F: the cycle has an extra
 	// dependency that is never resolved, so no cycle may be declared.
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	p5 := &simProc{h: heap.New("P5"), tb: refs.NewTable("P5")}
-	p5.det = NewDetector("P5", Config{}, simActions{s: f.sim, self: "P5"})
+	p5.det = NewDetector("P5", simActions{s: f.sim, self: "P5"})
 	f.procs["P5"] = p5
 	w := p5.h.Alloc(nil)
 	mustNoErr(t,
@@ -512,8 +485,8 @@ type fig4 struct {
 //
 // Y@P5 converges on the same T stub as V, so ScionsTo(T) = {V, Y}: the
 // extra-dependency mechanism of §3.1.
-func buildFig4(t *testing.T, cfg Config) *fig4 {
-	s := newSim(t, cfg, "P1", "P2", "P3", "P4", "P5", "P6")
+func buildFig4(t *testing.T) *fig4 {
+	s := newSim(t, "P1", "P2", "P3", "P4", "P5", "P6")
 	f := &fig4{sim: s}
 
 	p1, p2, p3 := s.proc("P1"), s.proc("P2"), s.proc("P3")
@@ -551,7 +524,7 @@ func buildFig4(t *testing.T, cfg Config) *fig4 {
 }
 
 func TestFig4MutualCyclesDetected(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	out := f.start(f.refF)
 	// StubsFrom(F) = {K@P3, V@P5}: two derivations (§3.1 steps 2-3).
 	if out.Kind != OutcomeForwarded || out.Forwarded != 2 {
@@ -590,7 +563,7 @@ func TestFig4MutualCyclesDetected(t *testing.T) {
 }
 
 func TestFig4SummaryShowsConvergingDependency(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	st := f.proc("P5").sum.Stub(ids.GlobalRef{Node: "P4", Obj: 1})
 	if st == nil {
 		t.Fatal("T stub summary missing at P5")
@@ -604,7 +577,7 @@ func TestFig4BranchTerminationNoNewInformation(t *testing.T) {
 	// §3.1 step 15: when the CDM returns to P2, the derivation through the
 	// V stub equals the delivered algebra and must not be forwarded; the
 	// pump must terminate (this test would loop forever otherwise).
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.start(f.refF)
 	processed := f.pump()
 	if processed == 0 || processed > 50 {
@@ -615,7 +588,7 @@ func TestFig4BranchTerminationNoNewInformation(t *testing.T) {
 func TestFig4LiveViaRightCycleRoot(t *testing.T) {
 	// Root ZD at P6: the right cycle is live, and because the left cycle is
 	// reachable from it through Y -> T, nothing may be collected.
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	mustNoErr(t, f.proc("P6").h.AddRoot(2 /* ZD */))
 	f.summarizeAll(2)
 	f.start(f.refF)
@@ -628,22 +601,12 @@ func TestFig4LiveViaRightCycleRoot(t *testing.T) {
 // ---- misc detector behaviour -------------------------------------------
 
 func TestDetectionIDsIncrease(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	p2 := f.proc("P2")
 	id1, _ := p2.det.StartDetection(p2.sum, f.refF)
 	id2, _ := p2.det.StartDetection(p2.sum, f.refF)
 	if id1.Origin != "P2" || id2.Seq != id1.Seq+1 {
 		t.Fatalf("ids = %+v, %+v", id1, id2)
-	}
-}
-
-func TestHandleDeleteScionIgnoresForeign(t *testing.T) {
-	f := buildFig3(t, Config{})
-	p2 := f.proc("P2")
-	before := p2.tb.NumScions()
-	p2.det.HandleDeleteScion(ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P9", Obj: 1}})
-	if p2.tb.NumScions() != before {
-		t.Fatal("foreign DeleteScion mutated local table")
 	}
 }
 

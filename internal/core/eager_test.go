@@ -9,7 +9,7 @@ import (
 // not), the detector aborts at P1 — before the final hop — instead of
 // shipping the doomed CDM to P2.
 func TestEagerAbortStopsBeforeForwarding(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	out := f.start(f.refF)
 	if out.Kind != OutcomeForwarded {
 		t.Fatalf("start = %+v", out)
@@ -43,7 +43,7 @@ func TestEagerAbortStopsBeforeForwarding(t *testing.T) {
 // TestEagerAbortDoesNotDisturbCleanDetection ensures the sender-side check is
 // inert when counters are consistent.
 func TestEagerAbortDoesNotDisturbCleanDetection(t *testing.T) {
-	f := buildFig3(t, Config{})
+	f := buildFig3(t)
 	f.start(f.refF)
 	f.pump()
 	if len(f.found) != 1 || len(f.found[0].GarbageScions) != 4 {

@@ -585,62 +585,6 @@ func LossSweep(rates []float64, procs, maxRounds int) ([]LossRow, error) {
 	return rows, nil
 }
 
-// ---- ablation: delete mode -----------------------------------------------------
-
-// AblationRow reports reclamation latency for one cycle-found delete mode.
-type AblationRow struct {
-	Mode          string
-	Procs         int
-	RoundsToEmpty int
-}
-
-// AblationDeleteMode compares cascade-only scion deletion (the paper's
-// behaviour) against broadcast deletion after a cycle is found.
-//
-// To isolate the effect, only ONE node runs detections (the ring head's
-// owner): with every node detecting in parallel, each process deletes its
-// own scion anyway and the two modes coincide. With a single finder,
-// cascade reclamation takes one reference-listing round per ring hop while
-// broadcast collapses the whole cycle in the next round.
-func AblationDeleteMode(procSizes []int) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, procs := range procSizes {
-		for _, broadcast := range []bool{false, true} {
-			cfg := node.Config{}
-			cfg.Detector.BroadcastDelete = broadcast
-			c := cluster.New(1, cfg)
-			if _, err := c.Materialize(workload.Ring(procs, 1), cfg); err != nil {
-				return nil, err
-			}
-			headOwner := c.Node("P1") // Ring places p0.o0 on P1
-			rounds := 0
-			for c.TotalObjects() > 0 && rounds < procs*3+10 {
-				for _, n := range c.Nodes() {
-					n.RunLGC()
-				}
-				c.Settle()
-				for _, n := range c.Nodes() {
-					if err := n.Summarize(); err != nil {
-						return nil, err
-					}
-				}
-				headOwner.RunDetection()
-				c.Settle()
-				rounds++
-			}
-			if c.TotalObjects() != 0 {
-				return nil, fmt.Errorf("experiments: ablation ring %d not collected", procs)
-			}
-			mode := "cascade"
-			if broadcast {
-				mode = "broadcast"
-			}
-			rows = append(rows, AblationRow{Mode: mode, Procs: procs, RoundsToEmpty: rounds})
-		}
-	}
-	return rows, nil
-}
-
 // ---- race abort rate (Fig 5 quantified) ----------------------------------------
 
 // RaceRow reports detection outcomes under mutator interference.

@@ -159,26 +159,6 @@ func TestLossSweepDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestAblationBroadcastNotSlower(t *testing.T) {
-	rows, err := AblationDeleteMode([]int{4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[string]int{}
-	for _, r := range rows {
-		byKey[r.Mode+string(rune('0'+r.Procs))] = r.RoundsToEmpty
-	}
-	for _, p := range []byte{'4', '8'} {
-		if byKey["broadcast"+string(p)] > byKey["cascade"+string(p)] {
-			t.Errorf("broadcast slower than cascade at %c procs: %+v", p, rows)
-		}
-	}
-	// Cascade latency grows with ring size; broadcast stays flat-ish.
-	if byKey["cascade8"] <= byKey["cascade4"] {
-		t.Errorf("cascade latency did not grow with ring size: %+v", rows)
-	}
-}
-
 func TestRaceAbortRateSafety(t *testing.T) {
 	rows, err := RaceAbortRate([]int{0, 1}, 6)
 	if err != nil {

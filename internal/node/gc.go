@@ -234,17 +234,8 @@ func (a *detectorActions) SendCDMs(det core.DetectionID, traceID uint64, alongs 
 // belongs to a distributed garbage cycle.
 func (a *detectorActions) DeleteOwnScion(ref ids.RefID) {
 	m := (*Machine)(a)
-	if ref.Dst.Node != m.id {
-		return
-	}
 	m.table.DeleteScion(ref.Src, ref.Dst.Obj)
 	m.selector.Forget(ref)
 	m.met.ScionsFreed.Inc()
 	m.emit(trace.KindScionDeleted, "ref=%s reason=cycle", ref)
-}
-
-// SendDeleteScion implements core.Actions (BroadcastDelete mode).
-func (a *detectorActions) SendDeleteScion(det core.DetectionID, ref ids.RefID) {
-	m := (*Machine)(a)
-	m.send(ref.Dst.Node, &wire.DeleteScion{Det: det, Ref: ref})
 }

@@ -30,8 +30,6 @@ func (m *Machine) HandleMessage(from ids.NodeID, msg wire.Message) {
 		m.handleCDM(msg)
 	case *wire.BatchCDM:
 		m.handleBatchCDM(msg)
-	case *wire.DeleteScion:
-		m.detector.HandleDeleteScion(msg.Ref)
 	case *wire.Gossip:
 		m.handleGossip(from, msg)
 	case *wire.LeaseHandoff:
@@ -286,9 +284,9 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 // waiting for the next LGC tick only adds a period per hop. The bound is in
 // logical time — one such collection between two ticks; a further
 // scion-deleting set in the interval makes the next tick a collection tick
-// instead. Scions deleted for any other reason (cycle found, DeleteScion,
-// leases) wait for the schedule: a found cycle's deletions arrive spread over
-// a tick, and sweeping early splits the burst (DESIGN.md §8).
+// instead. Scions deleted for any other reason (cycle found, leases) wait
+// for the schedule: a found cycle's deletions arrive spread over a tick, and
+// sweeping early splits the burst (DESIGN.md §8).
 func (m *Machine) handleNewSetStubs(msg *wire.NewSetStubs) {
 	deleted := m.acyclic.ApplyStubSet(msg.Set)
 	m.met.StubSetsApplied.Inc()

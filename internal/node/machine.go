@@ -255,7 +255,7 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		m.leases = refs.NewHolderLeases(m.table, mc.LeaseTicks)
 		m.membGossiped = make(map[ids.NodeID]uint64)
 	}
-	m.detector = core.NewDetector(id, cfg.Detector, (*detectorActions)(m))
+	m.detector = core.NewDetector(id, (*detectorActions)(m))
 	registerBuiltins(m)
 	return m
 }

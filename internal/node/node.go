@@ -26,7 +26,6 @@
 package node
 
 import (
-	"dgc/internal/core"
 	"dgc/internal/ids"
 	"dgc/internal/membership"
 	"dgc/internal/obs"
@@ -36,8 +35,6 @@ import (
 
 // Config tunes one node.
 type Config struct {
-	// Detector is handed to the cycle detector.
-	Detector core.Config
 	// CandidateMinAge is the quiescence threshold (in logical ticks) before
 	// a scion becomes a cycle candidate.
 	CandidateMinAge uint64

@@ -1,9 +1,11 @@
 package node
 
 import (
+	"bytes"
 	"testing"
 
 	"dgc/internal/ids"
+	"dgc/internal/refs"
 	"dgc/internal/transport"
 )
 
@@ -149,4 +151,63 @@ func TestRestartedNodeStubSetsNotStale(t *testing.T) {
 	if b.NumObjects() != 0 {
 		t.Fatal("garbage not reclaimed after restart")
 	}
+}
+
+// FuzzRestoreMachine hardens the state-file decoder, whose input an operator
+// supplies (-state-file, POST /api/v1/restore): it must never panic, and any
+// state it accepts must save again and restore from that save to the same
+// bytes.
+func FuzzRestoreMachine(f *testing.F) {
+	m := NewMachine("A", Config{})
+	root := m.heap.Alloc([]byte("root")).ID
+	leaf := m.heap.Alloc(nil).ID
+	if err := m.heap.AddRoot(root); err != nil {
+		f.Fatal(err)
+	}
+	if err := m.heap.AddLocalRef(root, leaf); err != nil {
+		f.Fatal(err)
+	}
+	remote := ids.GlobalRef{Node: "B", Obj: 3}
+	if err := m.heap.AddRemoteRef(leaf, remote); err != nil {
+		f.Fatal(err)
+	}
+	m.table.RestoreStub(remote, 5)
+	m.table.RestoreScion("B", leaf, 2)
+	m.acyclic.RestoreSeqState([]refs.SeqEntry{{Node: "B", Seq: 4}}, []refs.SeqEntry{{Node: "B", Seq: 6}})
+	m.clock, m.snapVersion = 9, 3
+	data, err := m.Save()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for cut := 1; cut < len(data); cut += 7 {
+		f.Add(data[:cut])
+	}
+	for i := 0; i < len(data); i += 5 {
+		flipped := append([]byte{}, data...)
+		flipped[i] ^= 1 << (i % 8)
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := RestoreMachine(Config{}, data)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		saved, err := m.Save()
+		if err != nil {
+			t.Fatalf("accepted state does not save: %v", err)
+		}
+		m2, err := RestoreMachine(Config{}, saved)
+		if err != nil {
+			t.Fatalf("saved state does not restore: %v", err)
+		}
+		again, err := m2.Save()
+		if err != nil {
+			t.Fatalf("restored state does not save: %v", err)
+		}
+		if !bytes.Equal(again, saved) {
+			t.Fatalf("save not stable across a restore:\n first  %x\n second %x", saved, again)
+		}
+	})
 }

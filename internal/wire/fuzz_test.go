@@ -33,7 +33,6 @@ func FuzzDecode(f *testing.F) {
 			r2: {InTarget: true, TgtIC: 1},
 			r3: {InSource: true, InTarget: true},
 		}), 3, core.TraceIDFor(det)),
-		&DeleteScion{Det: det, Ref: r1},
 		&Credit{Consumed: 300},
 		&Batch{Msgs: []Message{
 			&CreateScionAck{ExportID: 42, From: "P1", OK: true},
@@ -51,6 +50,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x01})
+	// A frame in the layout of the retired kind 7 (DeleteScion: detection
+	// id, then a RefID), which Decode must reject.
+	f.Add(putRefID(putUint(putNode([]byte{7}, det.Origin), det.Seq), r1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)

@@ -302,29 +302,6 @@ func readAlg(r *reader, ref func(i int) ids.RefID) core.Alg {
 	})
 }
 
-// DeleteScion tells the destination that the scion for Ref belongs to a
-// detected distributed garbage cycle (BroadcastDelete mode).
-type DeleteScion struct {
-	Det core.DetectionID
-	Ref ids.RefID
-}
-
-// Kind implements Message.
-func (*DeleteScion) Kind() Kind { return KindDeleteScion }
-
-func (m *DeleteScion) encode(buf []byte) []byte {
-	buf = putNode(buf, m.Det.Origin)
-	buf = putUint(buf, m.Det.Seq)
-	return putRefID(buf, m.Ref)
-}
-
-func decodeDeleteScion(r *reader) *DeleteScion {
-	return &DeleteScion{
-		Det: core.DetectionID{Origin: r.node(), Seq: r.uint()},
-		Ref: r.refID(),
-	}
-}
-
 // Credit carries one cumulative counter and nothing reads it: it was the
 // grant of a sender-side flow-control window that has been removed (overload
 // is shed at the receiver's mailbox, DESIGN.md §10). The kind stays decodable

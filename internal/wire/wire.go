@@ -1,6 +1,6 @@
 // Package wire defines every message exchanged between processes — remote
 // invocation, reference-listing (CreateScion / NewSetStubs), cycle detection
-// (CDM / BatchCDM / DeleteScion) and membership — together with a compact,
+// (CDM / BatchCDM) and membership — together with a compact,
 // self-describing binary encoding used by the TCP transport.
 //
 // The in-process transport passes Message values directly; encoding is only
@@ -17,9 +17,11 @@ import (
 type Kind uint8
 
 // Message kinds. The numeric values are part of the wire format and each is
-// pinned explicitly: a kind that leaves the protocol leaves a gap (8–11 were
-// the baseline collectors' messages, which no node sent) instead of shifting
-// its successors, so no frame needs a version. TestKindNumbers holds the table.
+// pinned explicitly: a kind that leaves the protocol leaves a gap instead of
+// shifting its successors, so no frame needs a version. 7 was DeleteScion, the
+// message of a second cycle-found action that lost to the paper's (a finder
+// deletes its own scions); 8–11 were the baseline collectors' messages, which
+// no node sent. TestKindNumbers holds the table.
 const (
 	KindInvokeRequest  Kind = 1
 	KindInvokeReply    Kind = 2
@@ -27,7 +29,6 @@ const (
 	KindCreateScionAck Kind = 4
 	KindNewSetStubs    Kind = 5
 	KindCDM            Kind = 6
-	KindDeleteScion    Kind = 7
 	KindBatch          Kind = 12
 	KindCredit         Kind = 13
 	KindBatchCDM       Kind = 14
@@ -37,12 +38,12 @@ const (
 
 // CollectorKinds returns the kinds that make up the garbage collector's own
 // protocol: reference listing (NewSetStubs) and cycle detection (CDM,
-// BatchCDM, DeleteScion). These are the messages whose loss, duplication and
+// BatchCDM). These are the messages whose loss, duplication and
 // reordering the paper claims to tolerate, so fault injectors target them,
 // and the ones an experiment counts as collector cost. TestEveryKindIsClassified
 // fails when a new kind is in neither this list nor one of the others.
 func CollectorKinds() []Kind {
-	return []Kind{KindNewSetStubs, KindCDM, KindDeleteScion, KindBatchCDM}
+	return []Kind{KindNewSetStubs, KindCDM, KindBatchCDM}
 }
 
 // String returns the protocol name of the kind.
@@ -60,8 +61,6 @@ func (k Kind) String() string {
 		return "NewSetStubs"
 	case KindCDM:
 		return "CDM"
-	case KindDeleteScion:
-		return "DeleteScion"
 	case KindBatch:
 		return "Batch"
 	case KindCredit:
@@ -163,8 +162,6 @@ func Decode(data []byte) (Message, error) {
 		m = decodeNewSetStubs(r)
 	case KindCDM:
 		m = decodeCDM(r)
-	case KindDeleteScion:
-		m = decodeDeleteScion(r)
 	case KindBatch:
 		m = decodeBatch(r)
 	case KindCredit:
