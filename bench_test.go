@@ -8,13 +8,12 @@ package dgc_test
 //	BenchmarkSerialization        — §4 snapshot-serialization prose
 //	BenchmarkSummarize            — §3 graph summarization cost
 //	BenchmarkFig1Dependency       — Figure 1 scenario
-//	BenchmarkFig3CycleLength      — Figure 3 generalized over ring sizes
 //	BenchmarkFig4MutualCycles     — Figure 4 scenario
 //	BenchmarkFig5RaceAbort        — Figure 5 race handling
 //	BenchmarkScaleDetection       — Scale-1 (DCDA vs baselines)
 //	BenchmarkLossSweep            — Loss-1
 //	BenchmarkAlgebraMatch/CDMCodec— microbenchmarks of the hot paths
-//	BenchmarkDetectRound          — detection rounds on a garbage ring
+//	BenchmarkDetectRound          — Figure 3 generalized over ring sizes
 //	BenchmarkCDMHop               — one CDM hop: clone, derive, match, encode
 //
 // Absolute times are this machine's; EXPERIMENTS.md records them against
@@ -25,7 +24,6 @@ import (
 	"testing"
 
 	"dgc"
-	"dgc/internal/baseline"
 	"dgc/internal/core"
 	"dgc/internal/experiments"
 	"dgc/internal/ids"
@@ -38,46 +36,51 @@ import (
 // ---- Table 1 ---------------------------------------------------------------
 
 func BenchmarkTable1RMI(b *testing.B) {
+	// The in-process fabric isolates the pure CPU cost of the DGC
+	// instrumentation per call; loopback TCP is the paper's setting
+	// ("client and server processes execute in the same machine").
+	//
+	// Every call links 10 fresh objects under a rooted holder that is never
+	// collected, so a workload's heap and tables grow with each call. The
+	// workload is rebuilt, timer stopped, every callsPerWorkload calls, so
+	// b.N does not change what one call costs.
+	const callsPerWorkload = 1000
 	modes := []struct {
 		name    string
 		disable bool
 	}{{"plain", true}, {"withDGC", false}}
-
-	// In-process fabric: isolates the pure CPU cost of the DGC
-	// instrumentation per call.
-	for _, mode := range modes {
-		b.Run("inproc/"+mode.name, func(b *testing.B) {
-			w, err := experiments.NewRMIWorkload(10, mode.disable)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Call(); err != nil {
-					b.Fatal(err)
+	for _, fabric := range []experiments.Fabric{experiments.InProc, experiments.TCP} {
+		for _, mode := range modes {
+			b.Run(string(fabric)+"/"+mode.name, func(b *testing.B) {
+				var w *experiments.RMIWorkload
+				fresh := func() {
+					if w != nil {
+						w.Close()
+					}
+					var err error
+					if w, err = experiments.NewRMIWorkload(fabric, 10, mode.disable); err != nil {
+						b.Fatal(err)
+					}
+					if err := w.Call(); err != nil { // warm-up: dials the sockets
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-	}
-	// Loopback TCP: the paper's setting ("client and server processes
-	// execute in the same machine"), overhead relative to a real remoting
-	// round trip.
-	for _, mode := range modes {
-		b.Run("tcp/"+mode.name, func(b *testing.B) {
-			w, err := experiments.NewTCPRMIWorkload(10, mode.disable)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Call(); err != nil {
-					b.Fatal(err)
+				fresh()
+				defer func() { w.Close() }()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i > 0 && i%callsPerWorkload == 0 {
+						b.StopTimer()
+						fresh()
+						b.StartTimer()
+					}
+					if err := w.Call(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -243,36 +246,6 @@ func BenchmarkFig1Dependency(b *testing.B) {
 	}
 }
 
-func BenchmarkFig3CycleLength(b *testing.B) {
-	for _, procs := range []int{2, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := dgc.Config{}
-				c := dgc.NewCluster(1, cfg)
-				if _, err := c.Materialize(dgc.Ring(procs, 2), cfg); err != nil {
-					b.Fatal(err)
-				}
-				rounds := 0
-				for c.TotalObjects() > 0 && rounds < procs*3+10 {
-					c.GCRound()
-					rounds++
-				}
-				if c.TotalObjects() != 0 {
-					b.Fatal("ring not collected")
-				}
-				if i == 0 {
-					var cdms uint64
-					for _, s := range c.Stats() {
-						cdms += s.Detector.CDMsSent
-					}
-					b.ReportMetric(float64(cdms), "CDMs/collection")
-					b.ReportMetric(float64(rounds), "rounds/collection")
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkFig5RaceAbort(b *testing.B) {
 	// One full Figure 5 race (detection + root migration + abort) per
 	// iteration; the experiment asserts zero false positives as it runs.
@@ -291,60 +264,22 @@ func BenchmarkFig5RaceAbort(b *testing.B) {
 // ---- comparisons & extensions ---------------------------------------------------
 
 func BenchmarkScaleDetection(b *testing.B) {
-	topo := func() *workload.Topology { return workload.Ring(8, 2) }
-	b.Run("dcda", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := node.Config{}
-			c := dgc.NewCluster(1, cfg)
-			if _, err := c.Materialize(topo(), cfg); err != nil {
-				b.Fatal(err)
+	// The DCDA and both baselines collecting the same 8-process ring, each
+	// from a fresh world per iteration.
+	for i := 0; i < b.N; i++ {
+		rows, err := experiments.CompareCollectors(workload.Ring(8, 2), 40)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rows {
+			if !r.Collected {
+				b.Fatalf("%s did not collect the ring: %+v", r.Collector, r)
 			}
-			rounds := 0
-			for c.TotalObjects() > 0 && rounds < 40 {
-				c.GCRound()
-				rounds++
-			}
-			if c.TotalObjects() != 0 {
-				b.Fatal("not collected")
+			if i == 0 {
+				b.ReportMetric(float64(r.Messages), r.Collector+"-msgs/collection")
 			}
 		}
-	})
-	b.Run("hughes", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w, err := baseline.Build(topo())
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := baseline.NewHughes(w)
-			rounds := 0
-			for w.TotalObjects() > 0 && rounds < int(h.Lag)*3+50 {
-				h.Round()
-				rounds++
-			}
-			if w.TotalObjects() != 0 {
-				b.Fatal("not collected")
-			}
-		}
-	})
-	b.Run("backtrace", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w, err := baseline.Build(topo())
-			if err != nil {
-				b.Fatal(err)
-			}
-			bt := baseline.NewBacktracer(w)
-			rounds := 0
-			for w.TotalObjects() > 0 && rounds < 40 {
-				if err := bt.Round(); err != nil {
-					b.Fatal(err)
-				}
-				rounds++
-			}
-			if w.TotalObjects() != 0 {
-				b.Fatal("not collected")
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkLossSweep(b *testing.B) {
@@ -432,19 +367,21 @@ func BenchmarkCDMCodec(b *testing.B) {
 }
 
 func BenchmarkDetectRound(b *testing.B) {
-	// The detection rounds that drain a garbage ring: the CDM fan-out and
+	// The detection rounds that drain a garbage ring (Figure 3 generalized,
+	// the collection dgc-bench -exp scale reports): the CDM fan-out and
 	// accumulator merging dominate, exercising the dense algebra end to
 	// end.
 	for _, procs := range []int{8, 32} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows, err := experiments.DetectRoundScale([]int{procs}, 1)
+				rows, err := experiments.DetectionScale([]int{procs}, 2)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
 					b.ReportMetric(float64(rows[0].CDMsSent), "CDMs/collection")
+					b.ReportMetric(float64(rows[0].RoundsToEmpty), "rounds/collection")
 				}
 			}
 		})

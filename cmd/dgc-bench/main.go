@@ -179,7 +179,7 @@ func runScale(out io.Writer, quick bool) error {
 	w := tw(out)
 	fmt.Fprintln(w, "processes\tCDMs sent\tprotocol bytes\trounds to empty\twall")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\n", r.Procs, r.CDMsSent, r.CDMBytes, r.RoundsToEmpty, r.Wall.Round(time.Microsecond))
+		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\n", r.Procs, r.CDMsSent, r.BytesSent, r.RoundsToEmpty, r.Wall.Round(time.Microsecond))
 	}
 	return w.Flush()
 }

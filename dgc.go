@@ -32,8 +32,6 @@
 package dgc
 
 import (
-	"net/http"
-
 	"dgc/internal/cluster"
 	"dgc/internal/ids"
 	"dgc/internal/membership"
@@ -203,9 +201,9 @@ const (
 	TraceKindCDMSent    = trace.KindCDMSent
 )
 
-// Observability types: configure Config.Metrics with NewMetricsSet, serve it
-// with MetricsHandler, and read structural diagnostics via DebugSnapshot
-// (see internal/obs and DESIGN.md §9).
+// Observability types: configure Config.Metrics with NewMetricsSet, render
+// it as Prometheus text with its WriteText method, and read structural
+// diagnostics via DebugSnapshot (see internal/obs and DESIGN.md §9).
 type (
 	// MetricsSet groups the per-node metric registries of one process (or
 	// one simulated cluster); it is what /metrics serves.
@@ -239,12 +237,6 @@ func NewNodeMetrics(reg *MetricsRegistry) *NodeMetrics { return obs.NewNodeMetri
 // in reg; hand it to (*TCPEndpoint).SetMetrics or (*Network).SetMetrics.
 func NewTransportMetrics(reg *MetricsRegistry) *TransportMetrics {
 	return obs.NewTransportMetrics(reg)
-}
-
-// MetricsHandler serves set as Prometheus text at /metrics and, when debug
-// is non-nil, its value as JSON at /debug/dgc.
-func MetricsHandler(set *MetricsSet, debug func() any) http.Handler {
-	return obs.NewHTTPHandler(set, debug)
 }
 
 // GCTraffic returns the message kinds belonging to the garbage collector's

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"dgc/internal/ids"
-	"dgc/internal/lgc"
 	"dgc/internal/membership"
 	"dgc/internal/node"
 	"dgc/internal/obs"
@@ -35,7 +34,6 @@ type Handle interface {
 	DebugSnapshot() node.DebugSnapshot
 	TableDump() node.TableDump
 	RunDetection() int
-	Summarize() error
 	ForceDetect(candidate ids.RefID) (node.ForceDetectResult, error)
 	Save() ([]byte, error)
 }
@@ -62,13 +60,6 @@ type Killer interface {
 // Restorer optionally supports replacing the node's collector state.
 type Restorer interface {
 	RestoreState(data []byte) error
-}
-
-// LGCRunner optionally supports forcing a local collection. (Split from
-// Handle so the interface stays satisfiable by test fakes that don't model
-// local GC.)
-type LGCRunner interface {
-	RunLGC() lgc.Result
 }
 
 // MemberLister optionally exposes the node's view of the elastic membership
@@ -328,8 +319,6 @@ func memberInfos(ms []membership.Member) []MemberInfo {
 //	POST /api/v1/join         seed a new member {node, addr} into every hosted node
 //	POST /api/v1/drain        start one node's voluntary departure (?node=)
 //	POST /api/v1/detect       force detection round, or one scion (&scion=)
-//	POST /api/v1/lgc          force a local collection
-//	POST /api/v1/summarize    force a summary rebuild
 //	POST /api/v1/snapshot     serialize durable state (base64)
 //	POST /api/v1/restore      replace durable state (base64 body)
 //	POST /api/v1/inject       fault injection (kill/restart/delay/drop/partition/heal)
@@ -398,43 +387,6 @@ func (s *Server) Handler() http.Handler {
 			reply.Started = h.RunDetection()
 		}
 		writeJSON(w, http.StatusOK, reply)
-	}))
-	mux.HandleFunc("/api/v1/lgc", s.post(func(w http.ResponseWriter, r *http.Request) {
-		h, err := s.pick(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		runner, ok := h.(LGCRunner)
-		if !ok {
-			writeErr(w, http.StatusNotImplemented, errors.New("node does not support forced LGC"))
-			return
-		}
-		res := runner.RunLGC()
-		writeJSON(w, http.StatusOK, struct {
-			SchemaVersion int    `json:"schema_version"`
-			Node          string `json:"node"`
-			Swept         int    `json:"swept"`
-			Live          int    `json:"live"`
-			StubsCreated  int    `json:"stubs_created"`
-			StubsDeleted  int    `json:"stubs_deleted"`
-		}{SchemaVersion, string(h.ID()), res.Swept, res.Live, res.StubsCreated, res.StubsDeleted})
-	}))
-	mux.HandleFunc("/api/v1/summarize", s.post(func(w http.ResponseWriter, r *http.Request) {
-		h, err := s.pick(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := h.Summarize(); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct {
-			SchemaVersion int    `json:"schema_version"`
-			Node          string `json:"node"`
-			OK            bool   `json:"ok"`
-		}{SchemaVersion, string(h.ID()), true})
 	}))
 	mux.HandleFunc("/api/v1/snapshot", s.post(func(w http.ResponseWriter, r *http.Request) {
 		h, err := s.pick(r)

@@ -35,7 +35,6 @@ func (f *fakeHandle) Stats() node.Stats                 { return f.stats }
 func (f *fakeHandle) DebugSnapshot() node.DebugSnapshot { return f.snap }
 func (f *fakeHandle) TableDump() node.TableDump         { return f.dump }
 func (f *fakeHandle) RunDetection() int                 { return f.detections }
-func (f *fakeHandle) Summarize() error                  { return nil }
 func (f *fakeHandle) Save() ([]byte, error)             { return []byte("state-" + f.id), nil }
 func (f *fakeHandle) ForceDetect(c ids.RefID) (node.ForceDetectResult, error) {
 	f.forced = append(f.forced, c)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dgc/internal/ids"
-	"dgc/internal/lgc"
 	"dgc/internal/membership"
 	"dgc/internal/node"
 	"dgc/internal/obs"
@@ -426,28 +425,12 @@ func (s *Supervisor) TableDump() node.TableDump {
 	return node.TableDump{Node: string(s.spec.ID)}
 }
 
-// RunLGC forces one local collection.
-func (s *Supervisor) RunLGC() lgc.Result {
-	if rt := s.Runtime(); rt != nil {
-		return rt.RunLGC()
-	}
-	return lgc.Result{}
-}
-
 // RunDetection forces one detection round, returning detections started.
 func (s *Supervisor) RunDetection() int {
 	if rt := s.Runtime(); rt != nil {
 		return rt.RunDetection()
 	}
 	return 0
-}
-
-// Summarize forces a summary rebuild.
-func (s *Supervisor) Summarize() error {
-	if rt := s.Runtime(); rt != nil {
-		return rt.Summarize()
-	}
-	return ErrNodeDown
 }
 
 // ForceDetect starts a detection at the given scion immediately.

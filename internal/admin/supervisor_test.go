@@ -261,7 +261,7 @@ func TestStatsAreTheRegistryAcrossRestart(t *testing.T) {
 		if err := sup.Runtime().With(func(m node.Mutator) { m.Alloc(nil) }); err != nil {
 			t.Fatal(err)
 		}
-		if res := sup.RunLGC(); res.Swept != 1 {
+		if res := sup.Runtime().RunLGC(); res.Swept != 1 {
 			t.Fatalf("swept %d, want the one unrooted object", res.Swept)
 		}
 	}

@@ -36,54 +36,88 @@ type Table1Row struct {
 	VariationPct float64
 }
 
-// RMIWorkload drives the Table 1 call pattern on a fresh two-node cluster.
+// Fabric is the substrate an RMIWorkload's client and server talk over.
+type Fabric string
+
+const (
+	// InProc is the in-process network, settled after every call: it
+	// isolates the CPU cost of the DGC's per-call bookkeeping.
+	InProc Fabric = "inproc"
+	// TCP is real loopback sockets: "client and server processes execute
+	// in the same machine". The paper's 7–21% band comes from stub/scion
+	// creation measured against a realistic remoting cost; the frame
+	// encode/decode plus kernel round trip provides that base line, where
+	// the in-process fabric makes the bookkeeping look large in relative
+	// terms.
+	TCP Fabric = "tcp"
+)
+
+// RMIWorkload drives the Table 1 call pattern on a fresh client/server
+// pair over one fabric.
 type RMIWorkload struct {
-	c       *cluster.Cluster
 	client  *node.Node
 	holder  ids.ObjID
 	target  ids.GlobalRef
 	argsPer int
+	reply   node.ReplyFunc
+	done    chan bool
+	await   func() error // delivers the pending call's reply
+	close   func()
 }
 
-// TCPRMIWorkload is the Table 1 workload over real loopback sockets:
-// "client and server processes execute in the same machine". The paper's
-// 7–21% band comes from stub/scion creation measured against a realistic
-// remoting cost; the TCP path (frame encode/decode plus kernel round trip)
-// provides that base line, where the in-process fabric would make the
-// bookkeeping look enormous in relative terms.
-type TCPRMIWorkload struct {
-	client, server *node.Node
-	epc, eps       *transport.TCPEndpoint
-	holder         ids.ObjID
-	target         ids.GlobalRef
-	argsPer        int
-	done           chan bool
-}
-
-// NewTCPRMIWorkload builds the client/server pair on ephemeral loopback
-// ports. Close releases the sockets.
-func NewTCPRMIWorkload(argsPer int, disableDGC bool) (*TCPRMIWorkload, error) {
-	epc, err := transport.ListenTCP("client", "127.0.0.1:0", nil)
-	if err != nil {
-		return nil, err
-	}
-	eps, err := transport.ListenTCP("server", "127.0.0.1:0", nil)
-	if err != nil {
-		epc.Close()
-		return nil, err
-	}
-	epc.AddPeer("server", eps.Addr())
-	eps.AddPeer("client", epc.Addr())
-
+// NewRMIWorkload builds the client/server pair on fabric. argsPer
+// references are exported per call (the paper uses 10). disableDGC turns
+// the collector's invocation-path bookkeeping off (the "Rotor" column).
+// Close releases the fabric.
+func NewRMIWorkload(fabric Fabric, argsPer int, disableDGC bool) (*RMIWorkload, error) {
 	cfg := node.Config{DisableDGC: disableDGC}
-	w := &TCPRMIWorkload{
-		epc: epc, eps: eps, argsPer: argsPer,
-		client: node.New("client", epc, cfg),
-		server: node.New("server", eps, cfg),
-		done:   make(chan bool, 1),
+	w := &RMIWorkload{argsPer: argsPer, done: make(chan bool, 1), close: func() {}}
+	w.reply = func(_ node.Mutator, r node.Reply) { w.done <- r.OK }
+	var server *node.Node
+	switch fabric {
+	case InProc:
+		c := cluster.New(1, cfg, "client", "server")
+		w.client, server = c.Node("client"), c.Node("server")
+		w.await = func() error {
+			c.Settle()
+			select {
+			case ok := <-w.done:
+				return callResult(ok)
+			default:
+				return fmt.Errorf("experiments: RMI call got no reply")
+			}
+		}
+	case TCP:
+		epc, err := transport.ListenTCP("client", "127.0.0.1:0", nil)
+		if err != nil {
+			return nil, err
+		}
+		eps, err := transport.ListenTCP("server", "127.0.0.1:0", nil)
+		if err != nil {
+			epc.Close()
+			return nil, err
+		}
+		epc.AddPeer("server", eps.Addr())
+		eps.AddPeer("client", epc.Addr())
+		w.client, server = node.New("client", epc, cfg), node.New("server", eps, cfg)
+		w.await = func() error {
+			select {
+			case ok := <-w.done:
+				return callResult(ok)
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("experiments: RMI call timed out")
+			}
+		}
+		w.close = func() {
+			epc.Close()
+			eps.Close()
+		}
+	default:
+		return nil, fmt.Errorf("experiments: unknown fabric %q", fabric)
 	}
+
 	var serverObj ids.ObjID
-	w.server.With(func(m node.Mutator) {
+	server.With(func(m node.Mutator) {
 		serverObj = m.Alloc(nil)
 		if err := m.Root(serverObj); err != nil {
 			panic(err)
@@ -97,91 +131,30 @@ func NewTCPRMIWorkload(argsPer int, disableDGC bool) (*TCPRMIWorkload, error) {
 		}
 	})
 	if !disableDGC {
-		if err := w.server.EnsureScionFor("client", serverObj); err != nil {
+		if err := server.EnsureScionFor("client", serverObj); err != nil {
+			w.Close()
 			return nil, err
 		}
 		if err := w.client.HoldRemote(w.holder, w.target); err != nil {
+			w.Close()
 			return nil, err
 		}
 	}
 	return w, nil
 }
 
-// Call performs one synchronous remote invocation over TCP, exporting
-// argsPer fresh references.
-func (w *TCPRMIWorkload) Call() error {
-	args := make([]ids.GlobalRef, w.argsPer)
-	var err error
-	w.client.With(func(m node.Mutator) {
-		for i := range args {
-			obj := m.Alloc(nil)
-			if e := m.Link(w.holder, obj); e != nil && err == nil {
-				err = e
-			}
-			args[i] = m.GlobalRef(obj)
-		}
-	})
-	if err != nil {
-		return err
+func callResult(ok bool) error {
+	if !ok {
+		return fmt.Errorf("experiments: RMI call failed")
 	}
-	if err := w.client.Invoke(w.target, "noop", args, func(_ node.Mutator, r node.Reply) {
-		w.done <- r.OK
-	}); err != nil {
-		return err
-	}
-	select {
-	case ok := <-w.done:
-		if !ok {
-			return fmt.Errorf("experiments: TCP RMI call failed")
-		}
-		return nil
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("experiments: TCP RMI call timed out")
-	}
+	return nil
 }
 
-// Close releases the sockets.
-func (w *TCPRMIWorkload) Close() {
-	w.epc.Close()
-	w.eps.Close()
-}
-
-// NewRMIWorkload builds the client/server pair. argsPer references are
-// exported per call (the paper uses 10). disableDGC turns the collector's
-// invocation-path bookkeeping off (the "Rotor" column).
-func NewRMIWorkload(argsPer int, disableDGC bool) (*RMIWorkload, error) {
-	cfg := node.Config{DisableDGC: disableDGC}
-	c := cluster.New(1, cfg, "client", "server")
-	w := &RMIWorkload{c: c, client: c.Node("client"), argsPer: argsPer}
-
-	var serverObj ids.ObjID
-	c.Node("server").With(func(m node.Mutator) {
-		serverObj = m.Alloc(nil)
-		if err := m.Root(serverObj); err != nil {
-			panic(err)
-		}
-	})
-	w.target = ids.GlobalRef{Node: "server", Obj: serverObj}
-	w.client.With(func(m node.Mutator) {
-		w.holder = m.Alloc(nil)
-		if err := m.Root(w.holder); err != nil {
-			panic(err)
-		}
-	})
-	if !disableDGC {
-		if err := c.Connect("client", w.holder, "server", serverObj); err != nil {
-			return nil, err
-		}
-	}
-	return w, nil
-}
-
-// Call performs one remote invocation exporting argsPer fresh references,
-// settling the network (client and server "on the same machine"). The
-// method is noop: the measured work is exactly the reference
-// export/import path — the paper's "10 different references being
-// exported/imported ... forces the DGC to create 10 scions and stubs each
-// time" — and the application work is identical in both modes.
+// Call performs one synchronous remote invocation exporting argsPer fresh
+// references. The method is noop: the measured work is exactly the
+// reference export/import path — the paper's "10 different references
+// being exported/imported ... forces the DGC to create 10 scions and stubs
+// each time" — and the application work is identical in both modes.
 func (w *RMIWorkload) Call() error {
 	args := make([]ids.GlobalRef, w.argsPer)
 	var err error
@@ -197,18 +170,14 @@ func (w *RMIWorkload) Call() error {
 	if err != nil {
 		return err
 	}
-	ok := false
-	if err := w.client.Invoke(w.target, "noop", args, func(_ node.Mutator, r node.Reply) {
-		ok = r.OK
-	}); err != nil {
+	if err := w.client.Invoke(w.target, "noop", args, w.reply); err != nil {
 		return err
 	}
-	w.c.Settle()
-	if !ok {
-		return fmt.Errorf("experiments: RMI call failed")
-	}
-	return nil
+	return w.await()
 }
+
+// Close releases the fabric's sockets, if any.
+func (w *RMIWorkload) Close() { w.close() }
 
 // Table1 reproduces the paper's Table 1 for the given call counts. Each
 // series is measured over several alternating repetitions and the minimum
@@ -246,7 +215,7 @@ func Table1(callCounts []int, argsPer int) ([]Table1Row, error) {
 }
 
 func timeRMISeries(calls, argsPer int, disableDGC bool) (time.Duration, error) {
-	w, err := NewTCPRMIWorkload(argsPer, disableDGC)
+	w, err := NewRMIWorkload(TCP, argsPer, disableDGC)
 	if err != nil {
 		return 0, err
 	}
@@ -353,26 +322,22 @@ type ScaleRow struct {
 	Procs          int
 	ObjectsPerProc int
 	CDMsSent       uint64
-	CDMBytes       uint64
+	BytesSent      uint64 // every byte the fabric carried, all message kinds
 	RoundsToEmpty  int
 	Wall           time.Duration
 }
 
-// DetectionScale measures DCDA cost against ring size.
+// DetectionScale collects a garbage ring of chain objects per process to
+// empty, once per ring size, and reports the DCDA's cost.
 func DetectionScale(procSizes []int, chain int) ([]ScaleRow, error) {
 	rows := make([]ScaleRow, 0, len(procSizes))
 	for _, procs := range procSizes {
-		cfg := node.Config{}
-		c := cluster.New(1, cfg)
-		if _, err := c.Materialize(workload.Ring(procs, chain), cfg); err != nil {
+		c, err := materialize(1, workload.Ring(procs, chain))
+		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		rounds := 0
-		for c.TotalObjects() > 0 && rounds < procs*3+10 {
-			c.GCRound()
-			rounds++
-		}
+		rounds, _ := runRounds(procs*3+10, true, c.TotalObjects, gcRound(c))
 		wall := time.Since(start)
 		if c.TotalObjects() != 0 {
 			return nil, fmt.Errorf("experiments: ring %d not collected", procs)
@@ -385,7 +350,7 @@ func DetectionScale(procSizes []int, chain int) ([]ScaleRow, error) {
 			Procs:          procs,
 			ObjectsPerProc: chain,
 			CDMsSent:       cdms,
-			CDMBytes:       cdmBytes(c.Net),
+			BytesSent:      c.Net.BytesSent(),
 			RoundsToEmpty:  rounds,
 			Wall:           wall,
 		})
@@ -393,10 +358,27 @@ func DetectionScale(procSizes []int, chain int) ([]ScaleRow, error) {
 	return rows, nil
 }
 
-func cdmBytes(n *transport.Network) uint64 {
-	// Approximation: the network tracks total bytes; CDM share is not
-	// split out per kind, so report total protocol bytes instead.
-	return n.BytesSent()
+// materialize builds a simulated cluster holding topo.
+func materialize(seed int64, topo *workload.Topology) (*cluster.Cluster, error) {
+	c := cluster.New(seed, node.Config{})
+	_, err := c.Materialize(topo, node.Config{})
+	return c, err
+}
+
+// runRounds calls round until limit rounds have run or, with untilEmpty,
+// objects reports an empty world. It returns the rounds run.
+func runRounds(limit int, untilEmpty bool, objects func() int, round func() error) (int, error) {
+	n := 0
+	for ; n < limit && !(untilEmpty && objects() == 0); n++ {
+		if err := round(); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+func gcRound(c *cluster.Cluster) func() error {
+	return func() error { c.GCRound(); return nil }
 }
 
 // ---- baseline comparison ----------------------------------------------------
@@ -407,152 +389,81 @@ type CompareRow struct {
 	Topology  string
 	Messages  uint64 // collector-protocol messages
 	Rounds    int
-	Collected bool
+	Collected bool // nothing of the topology is left
 }
 
-// collectorMessages is the number of collector-protocol messages the
-// cluster's fabric has carried.
-func collectorMessages(c *cluster.Cluster) uint64 {
-	sent, _, _ := c.Net.Counts()
-	var n uint64
-	for _, k := range wire.CollectorKinds() {
-		n += sent[k]
-	}
-	return n
+// collectors run the DCDA and both baselines, each on its own instance of
+// the topology, for up to rounds rounds; untilEmpty stops a run once its
+// world is empty.
+var collectors = []func(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error){
+	runDCDA, runHughes, runBacktrace,
 }
 
 // CompareCollectors runs the DCDA and both baselines on the same topology
 // until reclamation (or the round limit) and reports message costs.
 func CompareCollectors(topo *workload.Topology, maxRounds int) ([]CompareRow, error) {
-	var rows []CompareRow
+	return runCollectors(topo, maxRounds, true)
+}
 
-	// DCDA.
-	{
-		cfg := node.Config{}
-		c := cluster.New(1, cfg)
-		if _, err := c.Materialize(topo, cfg); err != nil {
-			return nil, err
-		}
-		rounds := 0
-		for c.TotalObjects() > 0 && rounds < maxRounds {
-			c.GCRound()
-			rounds++
-		}
-		rows = append(rows, CompareRow{
-			Collector: "dcda",
-			Topology:  topo.Name,
-			Messages:  collectorMessages(c),
-			Rounds:    rounds,
-			Collected: c.TotalObjects() == 0,
-		})
-	}
+// QuiescentCost measures each collector's message cost on a FULLY LIVE
+// topology over exactly `rounds` rounds: the paper's "permanent cost"
+// argument — the DCDA does (almost) nothing when there is nothing to
+// collect, Hughes pays every round.
+func QuiescentCost(topo *workload.Topology, rounds int) ([]CompareRow, error) {
+	return runCollectors(topo, rounds, false)
+}
 
-	// Hughes.
-	{
-		w, err := baseline.Build(topo)
+func runCollectors(topo *workload.Topology, rounds int, untilEmpty bool) ([]CompareRow, error) {
+	rows := make([]CompareRow, 0, len(collectors))
+	for _, run := range collectors {
+		row, err := run(topo, rounds, untilEmpty)
 		if err != nil {
 			return nil, err
 		}
-		h := baseline.NewHughes(w)
-		rounds := 0
-		for w.TotalObjects() > 0 && rounds < maxRounds+int(h.Lag)*3 {
-			h.Round()
-			rounds++
-		}
-		rows = append(rows, CompareRow{
-			Collector: "hughes",
-			Topology:  topo.Name,
-			Messages:  h.Stats.StampMessages + h.Stats.ThresholdMessages + h.Stats.StubSetMessages,
-			Rounds:    rounds,
-			Collected: w.TotalObjects() == 0,
-		})
-	}
-
-	// Back-tracing.
-	{
-		w, err := baseline.Build(topo)
-		if err != nil {
-			return nil, err
-		}
-		b := baseline.NewBacktracer(w)
-		rounds := 0
-		for w.TotalObjects() > 0 && rounds < maxRounds {
-			if err := b.Round(); err != nil {
-				return nil, err
-			}
-			rounds++
-		}
-		rows = append(rows, CompareRow{
-			Collector: "backtrace",
-			Topology:  topo.Name,
-			Messages:  b.Stats.Messages + b.Stats.StubSetMessages,
-			Rounds:    rounds,
-			Collected: w.TotalObjects() == 0,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// QuiescentCost measures each collector's message cost per round on a FULLY
-// LIVE topology over `rounds` rounds: the paper's "permanent cost" argument
-// — the DCDA does (almost) nothing when there is nothing to collect,
-// Hughes pays every round.
-func QuiescentCost(topo *workload.Topology, rounds int) ([]CompareRow, error) {
-	var rows []CompareRow
-	{
-		cfg := node.Config{}
-		c := cluster.New(1, cfg)
-		if _, err := c.Materialize(topo, cfg); err != nil {
-			return nil, err
-		}
-		for i := 0; i < rounds; i++ {
-			c.GCRound()
-		}
-		rows = append(rows, CompareRow{
-			Collector: "dcda",
-			Topology:  topo.Name,
-			Messages:  collectorMessages(c),
-			Rounds:    rounds,
-			Collected: true,
-		})
+func runDCDA(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error) {
+	c, err := materialize(1, topo)
+	if err != nil {
+		return CompareRow{}, err
 	}
-	{
-		w, err := baseline.Build(topo)
-		if err != nil {
-			return nil, err
-		}
-		h := baseline.NewHughes(w)
-		for i := 0; i < rounds; i++ {
-			h.Round()
-		}
-		rows = append(rows, CompareRow{
-			Collector: "hughes",
-			Topology:  topo.Name,
-			Messages:  h.Stats.StampMessages + h.Stats.ThresholdMessages + h.Stats.StubSetMessages,
-			Rounds:    rounds,
-			Collected: true,
-		})
+	n, _ := runRounds(rounds, untilEmpty, c.TotalObjects, gcRound(c))
+	sent, _, _ := c.Net.Counts()
+	var msgs uint64
+	for _, k := range wire.CollectorKinds() {
+		msgs += sent[k]
 	}
-	{
-		w, err := baseline.Build(topo)
-		if err != nil {
-			return nil, err
-		}
-		b := baseline.NewBacktracer(w)
-		for i := 0; i < rounds; i++ {
-			if err := b.Round(); err != nil {
-				return nil, err
-			}
-		}
-		rows = append(rows, CompareRow{
-			Collector: "backtrace",
-			Topology:  topo.Name,
-			Messages:  b.Stats.Messages + b.Stats.StubSetMessages,
-			Rounds:    rounds,
-			Collected: true,
-		})
+	return CompareRow{"dcda", topo.Name, msgs, n, c.TotalObjects() == 0}, nil
+}
+
+func runHughes(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error) {
+	w, err := baseline.Build(topo)
+	if err != nil {
+		return CompareRow{}, err
 	}
-	return rows, nil
+	h := baseline.NewHughes(w)
+	if untilEmpty {
+		rounds += int(h.Lag) * 3 // a timestamp needs Lag rounds to go stale
+	}
+	n, _ := runRounds(rounds, untilEmpty, w.TotalObjects, func() error { h.Round(); return nil })
+	s := h.Stats
+	return CompareRow{"hughes", topo.Name, s.StampMessages + s.ThresholdMessages + s.StubSetMessages, n, w.TotalObjects() == 0}, nil
+}
+
+func runBacktrace(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error) {
+	w, err := baseline.Build(topo)
+	if err != nil {
+		return CompareRow{}, err
+	}
+	b := baseline.NewBacktracer(w)
+	n, err := runRounds(rounds, untilEmpty, w.TotalObjects, b.Round)
+	if err != nil {
+		return CompareRow{}, err
+	}
+	return CompareRow{"backtrace", topo.Name, b.Stats.Messages + b.Stats.StubSetMessages, n, w.TotalObjects() == 0}, nil
 }
 
 // ---- loss sweep ---------------------------------------------------------------
@@ -569,17 +480,12 @@ type LossRow struct {
 func LossSweep(rates []float64, procs, maxRounds int) ([]LossRow, error) {
 	rows := make([]LossRow, 0, len(rates))
 	for _, rate := range rates {
-		cfg := node.Config{}
-		c := cluster.New(7, cfg)
-		if _, err := c.Materialize(workload.Ring(procs, 1), cfg); err != nil {
+		c, err := materialize(7, workload.Ring(procs, 1))
+		if err != nil {
 			return nil, err
 		}
 		c.Net.SetFaults(transport.Faults{LossRate: rate, Affects: wire.CollectorKinds()})
-		rounds := 0
-		for c.TotalObjects() > 0 && rounds < maxRounds {
-			c.GCRound()
-			rounds++
-		}
+		rounds, _ := runRounds(maxRounds, true, c.TotalObjects, gcRound(c))
 		rows = append(rows, LossRow{LossRate: rate, Rounds: rounds, Collected: c.TotalObjects() == 0})
 	}
 	return rows, nil

@@ -32,7 +32,7 @@ func TestTable1ShapesMatchPaper(t *testing.T) {
 }
 
 func TestRMIWorkloadCreatesScionsPerCall(t *testing.T) {
-	w, err := NewRMIWorkload(10, false)
+	w, err := NewRMIWorkload(InProc, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}

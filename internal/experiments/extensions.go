@@ -18,8 +18,11 @@ import (
 // lease-based one)". This experiment quantifies the difference: a holder
 // process goes silent (its stub-set messages are lost) for a number of
 // rounds while STILL holding a live reference. Plain reference listing
-// never deletes the scion; leased reference listing deletes it once the
-// silence outlasts the lease, reclaiming a live object.
+// never deletes the scion. Leased reference listing is the node's own lease
+// table (refs.HolderLeases) without the membership gate that guards it in
+// production: every applied stub set renews the holder's lease, and the
+// owner expires the holder every tick, so silence alone outlasting the
+// lease deletes the scion and reclaims a live object.
 
 // LeaseRow reports one silence length's outcome for both collectors.
 type LeaseRow struct {
@@ -55,12 +58,9 @@ func LeaseAblation(silences []uint64, leaseDuration uint64) ([]LeaseRow, error) 
 			holderTable.EnsureStub(ids.GlobalRef{Node: "P2", Obj: obj.ID})
 			holderDGC := refs.NewAcyclicDGC(holderTable)
 
-			plain := refs.NewAcyclicDGC(ownerTable)
-			var lease *refs.LeaseDGC
-			if leased {
-				lease = refs.NewLeaseDGC(ownerTable, leaseDuration)
-				lease.Grant("P1", obj.ID, 0)
-			}
+			ownerDGC := refs.NewAcyclicDGC(ownerTable)
+			leases := refs.NewHolderLeases(ownerTable, leaseDuration)
+			leases.Renew("P1", 0)
 
 			total := silence + leaseDuration + 4
 			for now := uint64(1); now <= total; now++ {
@@ -69,14 +69,11 @@ func LeaseAblation(silences []uint64, leaseDuration uint64) ([]LeaseRow, error) 
 					if now <= silence {
 						continue // lost
 					}
-					if leased {
-						lease.ApplyStubSetAt(ts.Msg, now)
-					} else {
-						plain.ApplyStubSet(ts.Msg)
-					}
+					ownerDGC.ApplyStubSet(ts.Msg)
+					leases.Renew("P1", now)
 				}
 				if leased {
-					lease.Expire(now)
+					leases.ExpireHolder("P1", now)
 				}
 				// Owner LGC: sweep if the scion is gone.
 				if ownerTable.Scion("P1", obj.ID) == nil {

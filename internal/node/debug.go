@@ -6,7 +6,7 @@ import (
 )
 
 // DebugSnapshot is a point-in-time, JSON-friendly view of one node's
-// collector state, served by the /debug/dgc endpoint (obs.NewHTTPHandler).
+// collector state, served by the admin API's /debug/dgc endpoint.
 // It is diagnostic output only: nothing in the protocol reads it.
 type DebugSnapshot struct {
 	Node            string `json:"node"`

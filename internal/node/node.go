@@ -72,7 +72,8 @@ type Config struct {
 	// summarizations, detections, CDM outcomes, scion lifecycle).
 	Trace *trace.Log
 	// Metrics, when non-nil, is the observability set this node's registry
-	// is created in (labeled node="<id>"); serve it with obs.NewHTTPHandler.
+	// is created in (labeled node="<id>"); the admin server's /metrics
+	// serves it.
 	// When nil the node still instruments itself into a private registry, so
 	// no code path needs a guard — the samples are simply never scraped.
 	Metrics *obs.Set

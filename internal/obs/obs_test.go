@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -231,60 +230,5 @@ func TestConcurrentInstruments(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 || h.Count() != 8000 {
 		t.Fatalf("counter = %d, histogram count = %d", c.Value(), h.Count())
-	}
-}
-
-func TestHTTPHandler(t *testing.T) {
-	s := NewSet()
-	s.Node("P1").Counter("dgc_http_total", "help").Inc()
-	h := NewHTTPHandler(s, func() any { return map[string]int{"objects": 3} })
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	get := func(path string) (int, string, string) {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), sb.String()
-	}
-
-	code, ctype, body := get("/metrics")
-	if code != 200 || !strings.HasPrefix(ctype, "text/plain") {
-		t.Fatalf("metrics: code=%d type=%q", code, ctype)
-	}
-	if !strings.Contains(body, `dgc_http_total{node="P1"} 1`) {
-		t.Fatalf("metrics body:\n%s", body)
-	}
-
-	code, ctype, body = get("/debug/dgc")
-	if code != 200 || !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("debug: code=%d type=%q", code, ctype)
-	}
-	if !strings.Contains(body, `"objects": 3`) {
-		t.Fatalf("debug body:\n%s", body)
-	}
-}
-
-func TestHTTPHandlerNoDebug(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(NewSet(), nil))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/dgc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("debug without provider: code=%d", resp.StatusCode)
 	}
 }

@@ -165,9 +165,6 @@ func (a *AcyclicDGC) ApplyStubSet(msg StubSetMsg) []Scion {
 	return deleted
 }
 
-// LastAppliedSeq returns the highest sequence number applied from src.
-func (a *AcyclicDGC) LastAppliedSeq(src ids.NodeID) uint64 { return a.inSeq[src] }
-
 // SeqEntry is one persisted sequence-number record.
 type SeqEntry struct {
 	Node ids.NodeID

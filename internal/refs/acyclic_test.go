@@ -97,8 +97,8 @@ func TestApplyStubSetIgnoresStaleAndDuplicate(t *testing.T) {
 	if d := a.ApplyStubSet(StubSetMsg{From: "P1", Seq: 3, Objs: nil}); len(d) != 1 {
 		t.Fatalf("deleted = %+v", d)
 	}
-	if a.LastAppliedSeq("P1") != 3 {
-		t.Fatalf("LastAppliedSeq = %d", a.LastAppliedSeq("P1"))
+	if a.inSeq["P1"] != 3 {
+		t.Fatalf("last applied seq = %d", a.inSeq["P1"])
 	}
 }
 

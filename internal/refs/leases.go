@@ -1,73 +1,20 @@
 package refs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dgc/internal/ids"
 )
 
-// LeaseDGC is leased reference listing: the alternative acyclic collector
-// the paper's evaluation alludes to when it calls its own "a safe DGC (not
-// a lease-based one)". Included as an ablation.
-//
-// Every scion carries a lease that each received stub set renews; a scion
-// whose lease has not been renewed for Duration ticks is expired and
-// deleted even though no stub set ever dropped it. Expiry makes the
-// collector self-cleaning when client processes die silently — and UNSAFE
-// when they merely go quiet: a partition or a burst of lost messages longer
-// than the lease deletes scions for references that are still held, letting
-// the owner reclaim live objects. The ablation experiment quantifies
-// exactly that failure against the paper's loss-tolerant design.
-type LeaseDGC struct {
-	*AcyclicDGC
-	// Duration is the lease length in ticks.
-	Duration uint64
-
-	renewed map[ScionKey]uint64 // last renewal tick per scion
-}
-
-// NewLeaseDGC wraps a table with leased reference listing.
-func NewLeaseDGC(table *Table, duration uint64) *LeaseDGC {
-	return &LeaseDGC{
-		AcyclicDGC: NewAcyclicDGC(table),
-		Duration:   duration,
-		renewed:    make(map[ScionKey]uint64),
-	}
-}
-
-// Grant starts (or restarts) the lease of a scion at tick now. Call on
-// scion creation.
-func (l *LeaseDGC) Grant(src ids.NodeID, obj ids.ObjID, now uint64) {
-	l.renewed[ScionKey{Src: src, Obj: obj}] = now
-}
-
-// ApplyStubSetAt applies a stub set like reference listing AND renews the
-// leases of every listed scion at tick now. Stale messages renew nothing.
-func (l *LeaseDGC) ApplyStubSetAt(msg StubSetMsg, now uint64) []Scion {
-	if msg.Seq <= l.LastAppliedSeq(msg.From) {
-		return nil
-	}
-	deleted := l.ApplyStubSet(msg)
-	for _, sc := range deleted {
-		delete(l.renewed, ScionKey{Src: sc.Src, Obj: sc.Obj})
-	}
-	for _, obj := range msg.Objs {
-		key := ScionKey{Src: msg.From, Obj: obj}
-		if l.table.Scion(msg.From, obj) != nil {
-			l.renewed[key] = now
-		}
-	}
-	return deleted
-}
-
 // HolderLeases guards scions per HOLDER rather than per scion: every
 // inbound message from a member renews that member's single lease over all
-// scions it holds here. Unlike the LeaseDGC ablation above — where silence
-// alone deletes scions — HolderLeases only reclaims when the cluster
-// membership directory has ALSO declared the holder dead, so quiet-but-alive
-// members never lose references. Scions taken into custody during a drain
-// handoff (Pin) are exempt from expiry and released only when the drained
-// holder's departure is final.
+// scions it holds here. The node only reclaims when the cluster membership
+// directory has ALSO declared the holder dead, so quiet-but-alive members
+// never lose references; without that gate silence alone deletes scions,
+// which is what the lease ablation (experiments.LeaseAblation) shows.
+// Scions taken into custody during a drain handoff (Pin) are exempt from
+// expiry and released only when the drained holder's departure is final.
 type HolderLeases struct {
 	table *Table
 	// Duration is the lease length in ticks.
@@ -140,7 +87,7 @@ func (h *HolderLeases) ReleaseCustodial(holder ids.NodeID) []Scion {
 			h.table.DeleteScion(key.Src, key.Obj)
 		}
 	}
-	sortScions(out)
+	slices.SortFunc(out, func(x, y Scion) int { return cmp.Compare(x.Obj, y.Obj) })
 	return out
 }
 
@@ -164,42 +111,5 @@ func (h *HolderLeases) ExpireHolder(holder ids.NodeID, now uint64) []Scion {
 		h.table.DeleteScion(sc.Src, sc.Obj)
 	}
 	delete(h.renewed, holder)
-	return out
-}
-
-func sortScions(out []Scion) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Obj < out[j].Obj
-	})
-}
-
-// Expire deletes every scion whose lease ran out at tick now and returns
-// them in canonical order. The caller treats them exactly like stub-set
-// deletions — this is where the unsafety enters.
-func (l *LeaseDGC) Expire(now uint64) []Scion {
-	var out []Scion
-	for _, sc := range l.table.Scions() {
-		key := ScionKey{Src: sc.Src, Obj: sc.Obj}
-		last, ok := l.renewed[key]
-		if !ok {
-			// Never granted: treat as granted now (defensive).
-			l.renewed[key] = now
-			continue
-		}
-		if now-last > l.Duration {
-			l.table.DeleteScion(sc.Src, sc.Obj)
-			delete(l.renewed, key)
-			out = append(out, *sc)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Obj < out[j].Obj
-	})
 	return out
 }

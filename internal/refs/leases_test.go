@@ -1,22 +1,20 @@
 package refs
 
-import (
-	"testing"
+import "testing"
 
-	"dgc/internal/ids"
-)
+// --- HolderLeases: the membership-gated per-holder leases (DESIGN.md §14) ---
 
 func TestLeaseRenewalKeepsScionAlive(t *testing.T) {
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	l := NewLeaseDGC(tb, 3)
-	l.Grant("P1", 6, 0)
+	h := NewHolderLeases(tb, 3)
+	h.Renew("P1", 0)
 
 	// Renewals arrive every tick: the scion survives indefinitely.
 	for now := uint64(1); now <= 10; now++ {
-		l.ApplyStubSetAt(StubSetMsg{From: "P1", Seq: now, Objs: []ids.ObjID{6}}, now)
-		if got := l.Expire(now); len(got) != 0 {
-			t.Fatalf("tick %d: renewed scion expired: %v", now, got)
+		h.Renew("P1", now)
+		if got := h.ExpireHolder("P1", now); got != nil {
+			t.Fatalf("tick %d: renewed holder expired: %v", now, got)
 		}
 	}
 	if tb.Scion("P1", 6) == nil {
@@ -24,176 +22,42 @@ func TestLeaseRenewalKeepsScionAlive(t *testing.T) {
 	}
 }
 
-func TestLeaseExpiryDeletesQuietScion(t *testing.T) {
+func TestLeaseUnsafetyUnderSilence(t *testing.T) {
+	// The point of the lease ablation: the holder still references the
+	// object, but its renewals are lost for longer than the lease. Without
+	// the membership gate, expiry alone deletes the scion.
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	l := NewLeaseDGC(tb, 3)
-	l.Grant("P1", 6, 0)
-
-	for now := uint64(1); now <= 3; now++ {
-		if got := l.Expire(now); len(got) != 0 {
-			t.Fatalf("tick %d: expired within lease: %v", now, got)
-		}
-	}
-	got := l.Expire(4)
-	if len(got) != 1 || got[0].Src != "P1" || got[0].Obj != 6 {
-		t.Fatalf("Expire = %v", got)
+	h := NewHolderLeases(tb, 2)
+	h.Renew("P1", 0)
+	for now := uint64(1); now <= 5; now++ {
+		h.ExpireHolder("P1", now)
 	}
 	if tb.Scion("P1", 6) != nil {
-		t.Fatal("scion survived expiry")
-	}
-}
-
-func TestLeaseUnsafetyUnderSilence(t *testing.T) {
-	// THE point of the ablation: the holder still references the object,
-	// but its renewals are lost for longer than the lease. Leased reference
-	// listing deletes the scion (unsafe); plain reference listing keeps it.
-	leasedTable := NewTable("P2")
-	leasedTable.EnsureScion("P1", 6)
-	leased := NewLeaseDGC(leasedTable, 2)
-	leased.Grant("P1", 6, 0)
-
-	plainTable := NewTable("P2")
-	plainTable.EnsureScion("P1", 6)
-	plain := NewAcyclicDGC(plainTable)
-	_ = plain
-
-	// Five ticks of silence (messages lost); the reference is still held
-	// by P1 the whole time.
-	for now := uint64(1); now <= 5; now++ {
-		leased.Expire(now)
-	}
-	if leasedTable.Scion("P1", 6) != nil {
-		t.Fatal("lease did not expire: ablation would show nothing")
-	}
-	if plainTable.Scion("P1", 6) == nil {
-		t.Fatal("plain reference listing dropped a scion without a stub set")
-	}
-}
-
-func TestLeaseStaleMessagesDoNotRenew(t *testing.T) {
-	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
-	l := NewLeaseDGC(tb, 2)
-	l.Grant("P1", 6, 0)
-	l.ApplyStubSetAt(StubSetMsg{From: "P1", Seq: 5, Objs: []ids.ObjID{6}}, 1)
-	// A duplicate of seq 5 delivered later must NOT extend the lease.
-	l.ApplyStubSetAt(StubSetMsg{From: "P1", Seq: 5, Objs: []ids.ObjID{6}}, 4)
-	if got := l.Expire(4); len(got) != 1 {
-		t.Fatalf("stale renewal extended the lease: %v", got)
-	}
-}
-
-func TestLeaseApplyStubSetStillDeletesUnlisted(t *testing.T) {
-	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
-	tb.EnsureScion("P1", 7)
-	l := NewLeaseDGC(tb, 5)
-	l.Grant("P1", 6, 0)
-	l.Grant("P1", 7, 0)
-	deleted := l.ApplyStubSetAt(StubSetMsg{From: "P1", Seq: 1, Objs: []ids.ObjID{6}}, 1)
-	if len(deleted) != 1 || deleted[0].Obj != 7 {
-		t.Fatalf("deleted = %v", deleted)
-	}
-	// The deletion also cleared its lease record; expiry finds nothing new.
-	if got := l.Expire(1); len(got) != 0 {
-		t.Fatalf("Expire = %v", got)
-	}
-}
-
-func TestLeaseExpiryBoundaryIsExclusive(t *testing.T) {
-	// A lease of N ticks means the scion survives through now-last == N and
-	// expires at now-last == N+1: renewal cadence equal to the lease length
-	// is safe.
-	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
-	l := NewLeaseDGC(tb, 3)
-	l.Grant("P1", 6, 10)
-	if got := l.Expire(13); len(got) != 0 {
-		t.Fatalf("expired at exactly Duration ticks: %v", got)
-	}
-	if got := l.Expire(14); len(got) != 1 {
-		t.Fatalf("survived past Duration: %v", got)
-	}
-}
-
-func TestLeaseExpireCanonicalOrder(t *testing.T) {
-	// Expiry reports are consumed like stub-set deletions, so they must be
-	// in canonical (Src, Obj) order regardless of table iteration order.
-	tb := NewTable("P9")
-	for _, sc := range []struct {
-		src ids.NodeID
-		obj ids.ObjID
-	}{{"P3", 1}, {"P1", 9}, {"P1", 2}, {"P2", 5}} {
-		tb.EnsureScion(sc.src, sc.obj)
-	}
-	l := NewLeaseDGC(tb, 1)
-	for _, sc := range tb.Scions() {
-		l.Grant(sc.Src, sc.Obj, 0)
-	}
-	got := l.Expire(5)
-	if len(got) != 4 {
-		t.Fatalf("Expire = %v", got)
-	}
-	want := []struct {
-		src ids.NodeID
-		obj ids.ObjID
-	}{{"P1", 2}, {"P1", 9}, {"P2", 5}, {"P3", 1}}
-	for i, w := range want {
-		if got[i].Src != w.src || got[i].Obj != w.obj {
-			t.Fatalf("Expire[%d] = %v, want %s/%d", i, got[i], w.src, w.obj)
-		}
+		t.Fatal("lease did not expire: the ablation would show nothing")
 	}
 }
 
 func TestLeaseRegrantAfterExpiryRestartsClock(t *testing.T) {
-	// A reference that reappears after its scion expired (holder resends, a
-	// new remote store arrives) gets a fresh lease, not the stale record.
+	// A holder that references the owner again after its scions expired (a
+	// new remote store arrives) is renewed afresh, not judged by the stale
+	// record.
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	l := NewLeaseDGC(tb, 2)
-	l.Grant("P1", 6, 0)
-	if got := l.Expire(3); len(got) != 1 {
+	h := NewHolderLeases(tb, 2)
+	h.Renew("P1", 0)
+	if got := h.ExpireHolder("P1", 3); len(got) != 1 {
 		t.Fatalf("setup expiry failed: %v", got)
 	}
 	tb.EnsureScion("P1", 6)
-	l.Grant("P1", 6, 3)
-	if got := l.Expire(5); len(got) != 0 {
-		t.Fatalf("re-granted scion expired on the old clock: %v", got)
+	h.Renew("P1", 3)
+	if got := h.ExpireHolder("P1", 5); got != nil {
+		t.Fatalf("renewed holder expired on the old clock: %v", got)
 	}
-	if got := l.Expire(6); len(got) != 1 {
-		t.Fatalf("re-granted lease never expired: %v", got)
-	}
-}
-
-func TestLeaseRenewalIgnoresUnknownScions(t *testing.T) {
-	// A stub set listing an object with no scion here must not create lease
-	// state: only real scions carry leases.
-	tb := NewTable("P2")
-	l := NewLeaseDGC(tb, 2)
-	l.ApplyStubSetAt(StubSetMsg{From: "P1", Seq: 1, Objs: []ids.ObjID{42}}, 1)
-	if len(l.renewed) != 0 {
-		t.Fatalf("phantom lease records: %v", l.renewed)
-	}
-	if got := l.Expire(10); len(got) != 0 {
-		t.Fatalf("Expire on empty table = %v", got)
+	if got := h.ExpireHolder("P1", 6); len(got) != 1 {
+		t.Fatalf("renewed lease never expired: %v", got)
 	}
 }
-
-func TestLeaseUngrantedScionGetsDefensiveLease(t *testing.T) {
-	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6) // created without Grant
-	l := NewLeaseDGC(tb, 2)
-	if got := l.Expire(10); len(got) != 0 {
-		t.Fatalf("ungranted scion expired immediately: %v", got)
-	}
-	// But it ages out from that point on.
-	if got := l.Expire(13); len(got) != 1 {
-		t.Fatalf("defensive lease never expired: %v", got)
-	}
-}
-
-// --- HolderLeases: the membership-gated per-holder leases (DESIGN.md §14) ---
 
 func TestHolderLeaseExpiryReclaimsScions(t *testing.T) {
 	tb := NewTable("P2")

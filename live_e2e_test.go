@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dgc"
+	"dgc/internal/admin"
 )
 
 // The live end-to-end test: a three-process distributed garbage cycle is
@@ -74,17 +75,14 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 		}
 	}()
 
-	// Serve the cluster's observability surface exactly as cmd/dgc-node does
-	// and scrape it over HTTP like a real collector would. The debug closure
-	// is only invoked from scrape(), which blocks this goroutine, so it never
-	// races the nodes-map mutation during B's restart below.
-	srv := httptest.NewServer(dgc.MetricsHandler(metrics, func() any {
-		out := map[string]any{}
-		for _, n := range names {
-			out[string(n)] = nodes[n].DebugSnapshot()
-		}
-		return out
-	}))
+	// Serve the cluster's observability surface through the admin server,
+	// exactly as cmd/dgc-node does, and scrape it over HTTP like a real
+	// collector would.
+	api := admin.NewServer(metrics)
+	for _, n := range names {
+		api.AddNode(nodes[n])
+	}
+	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
 	scrape := func(path string) string {
 		t.Helper()
@@ -220,6 +218,7 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes["B"] = rb
+	api.AddNode(rb)
 	eps["A"].AddPeer("B", epB.Addr())
 	eps["C"].AddPeer("B", epB.Addr())
 
