@@ -13,6 +13,7 @@ package dgc_test
 //	BenchmarkScaleDetection       — Scale-1 (DCDA vs baselines)
 //	BenchmarkLossSweep            — Loss-1
 //	BenchmarkAlgebraMatch/CDMCodec— microbenchmarks of the hot paths
+//	BenchmarkBatchCDMCodec        — the batched detection message's codec
 //	BenchmarkDetectRound          — Figure 3 generalized over ring sizes
 //	BenchmarkCDMHop               — one CDM hop: clone, derive, match, encode
 //
@@ -364,6 +365,68 @@ func BenchmarkCDMCodec(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(len(data)), "bytes/CDM")
+}
+
+// batchCodecShapes returns the two BatchCDM shapes of BenchmarkBatchCDMCodec:
+// 32 disjoint 3-entry sections (a ring workload's hop framed per
+// destination node: no section shares a reference) and 8 sections sharing a
+// 9-entry trunk (a shared-trunk hop, one along for all).
+func batchCodecShapes() map[string][]wire.BatchSection {
+	ref := func(src, dst ids.NodeID, obj int) ids.RefID {
+		return ids.RefID{Src: src, Dst: ids.GlobalRef{Node: dst, Obj: ids.ObjID(obj)}}
+	}
+	section := func(seq int, along ids.RefID, a core.Alg) wire.BatchSection {
+		det := core.DetectionID{Origin: "P1", Seq: uint64(seq)}
+		return wire.NewBatchSection(det, core.TraceIDFor(det), along, a)
+	}
+	disjoint := make([]wire.BatchSection, 32)
+	for i := range disjoint {
+		a := core.NewAlg()
+		a.AddSource(ref("P3", "P1", i), 1)
+		a.AddTarget(ref("P1", "P2", i), 1)
+		a.AddSource(ref("P2", "P3", i), 1)
+		disjoint[i] = section(i+1, ref("P1", "P2", i), a)
+	}
+	shared := make([]wire.BatchSection, 8)
+	for i := range shared {
+		a := core.NewAlg()
+		for t := 0; t < 4; t++ {
+			a.AddTarget(ref("P1", "P2", t), 1)
+			a.AddSource(ref("P2", "P3", t), 1)
+		}
+		a.AddSource(ref("P4", "P1", 100+i), 1)
+		shared[i] = section(i+1, ref("P1", "P2", 0), a)
+	}
+	return map[string][]wire.BatchSection{"disjoint32x3": disjoint, "sharedtrunk8": shared}
+}
+
+// BenchmarkBatchCDMCodec times the BatchCDM codec on both shapes: "send" is
+// what a TCP send of a fresh message costs (build it, size it for frame
+// chunking, encode it into a reused buffer), "decode" the receiver's parse.
+func BenchmarkBatchCDMCodec(b *testing.B) {
+	shapes := batchCodecShapes()
+	for _, name := range []string{"disjoint32x3", "sharedtrunk8"} {
+		secs := shapes[name]
+		data := wire.Encode(wire.NewBatchCDM(3, false, secs))
+		b.Run(name+"/send", func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]byte, 0, 4096)
+			for i := 0; i < b.N; i++ {
+				m := wire.NewBatchCDM(3, false, secs)
+				_ = wire.EncodedSize(m)
+				buf = wire.AppendEncode(buf[:0], m)
+			}
+			b.ReportMetric(float64(len(data)), "bytes/msg")
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := wire.Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkDetectRound(b *testing.B) {

@@ -86,9 +86,16 @@ func collect(t *testing.T, seed int64, topo *workload.Topology, maxRounds int) (
 		t.Fatal(err)
 	}
 	live, want := groundTruth(c)
-	out.rounds = c.CollectFully(maxRounds)
+	return measure(t, c, topo.Name, live, c.CollectFully(maxRounds)), want
+}
+
+// measure reads what survived a collection of rounds rounds, after checking
+// that nothing in live was reclaimed.
+func measure(t *testing.T, c *Cluster, name string, live map[ids.GlobalRef]struct{}, rounds int) (out outcome) {
+	t.Helper()
+	out.rounds = rounds
 	if v := c.LiveViolations(live); len(v) != 0 {
-		t.Fatalf("%s: SAFETY violation: reclaimed live %v", topo.Name, v)
+		t.Fatalf("%s: SAFETY violation: reclaimed live %v", name, v)
 	}
 	for _, n := range c.Nodes() {
 		got := nodeSurvivors{ID: n.ID()}
@@ -113,7 +120,7 @@ func collect(t *testing.T, seed int64, topo *workload.Topology, maxRounds int) (
 		out.sections += s.BatchSectionsSent
 		out.cycles += s.Detector.CyclesFound
 	}
-	return out, want
+	return out
 }
 
 // TestDetectionCollectsExactlyGarbage is the detector's property test,
@@ -195,4 +202,121 @@ func TestBatchedDetectionLossTolerance(t *testing.T) {
 		}
 	}
 	t.Fatalf("shared trunk not reclaimed under 30%% loss: %d objects left", c.TotalObjects())
+}
+
+// peerFramingTap is a node's endpoint with the per-peer framing rule checked
+// on it: one machine input sends at most one forward detection message (a
+// CDM or a non-return BatchCDM) to each peer. A delivery's sends are the
+// handler's result; a node's direct sends in one GCRound all come from its
+// one RunDetection (RunLGC sends stub sets only), so they are checked per
+// round.
+type peerFramingTap struct {
+	*transport.InprocEndpoint
+	t      *testing.T
+	direct map[ids.NodeID]int
+}
+
+func isForward(msg wire.Message) bool {
+	switch msg := msg.(type) {
+	case *wire.CDM:
+		return true
+	case *wire.BatchCDM:
+		return !msg.Return
+	}
+	return false
+}
+
+func (p *peerFramingTap) Send(to ids.NodeID, msg wire.Message) error {
+	if isForward(msg) {
+		p.direct[to]++
+	}
+	return p.InprocEndpoint.Send(to, msg)
+}
+
+func (p *peerFramingTap) SetHandler(h transport.Handler) {
+	p.InprocEndpoint.SetHandler(func(from ids.NodeID, msg wire.Message) []transport.Envelope {
+		outs := h(from, msg)
+		perPeer := make(map[ids.NodeID]int)
+		for _, o := range outs {
+			if isForward(o.Msg) {
+				perPeer[o.To]++
+			}
+		}
+		p.check(fmt.Sprintf("%s delivery", msg.Kind()), perPeer)
+		return outs
+	})
+}
+
+func (p *peerFramingTap) check(input string, perPeer map[ids.NodeID]int) {
+	for to, n := range perPeer {
+		if n > 1 {
+			p.t.Errorf("%s: %s sent %d detection messages to %s in one input", input, p.Self(), n, to)
+		}
+	}
+}
+
+// disjointRings places k garbage rings on procs nodes, one object of each
+// ring per node: every ring is its own cycle, and no two share a reference.
+func disjointRings(k, procs int) *workload.Topology {
+	topo := &workload.Topology{Name: fmt.Sprintf("rings-%dx%d", k, procs)}
+	name := func(ring, p int) string { return fmt.Sprintf("r%d.p%d", ring, p) }
+	for r := 0; r < k; r++ {
+		for p := 0; p < procs; p++ {
+			topo.Objects = append(topo.Objects, workload.ObjSpec{Name: name(r, p), Node: ids.NodeID(fmt.Sprintf("P%d", p+1))})
+			topo.Edges = append(topo.Edges, workload.EdgeSpec{From: name(r, p), To: name(r, (p+1)%procs)})
+		}
+	}
+	return topo
+}
+
+// TestDisjointRingsOneMessagePerPeer: K disjoint rings on three nodes share
+// no outgoing reference, so per-edge framing would send one message per
+// detection per hop. Framed per destination node, every input sends at most
+// one detection message to each peer, the run sends fewer transport
+// messages than detection sections, and it still collects exactly the
+// garbage.
+func TestDisjointRingsOneMessagePerPeer(t *testing.T) {
+	const k, procs = 16, 3
+	c := New(1, node.Config{})
+	var taps []*peerFramingTap
+	for p := 0; p < procs; p++ {
+		id := ids.NodeID(fmt.Sprintf("P%d", p+1))
+		c.Add(id, node.Config{})
+		tap := &peerFramingTap{InprocEndpoint: c.Net.Endpoint(id), t: t, direct: make(map[ids.NodeID]int)}
+		c.Replace(id, node.New(id, tap, node.Config{}))
+		taps = append(taps, tap)
+	}
+	topo := disjointRings(k, procs)
+	if _, err := c.Materialize(topo, node.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	live, want := groundTruth(c)
+	rounds := 0
+	for prev := -1; rounds < 20; rounds++ {
+		cur := c.TotalObjects() + c.TotalScions()
+		if cur == prev {
+			break
+		}
+		prev = cur
+		c.GCRound()
+		for _, tap := range taps {
+			tap.check(fmt.Sprintf("round %d detection", rounds+1), tap.direct)
+			clear(tap.direct)
+		}
+	}
+	out := measure(t, c, topo.Name, live, rounds)
+	for i, got := range out.perNode {
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("node %s survivors\n got %+v\nwant %+v", got.ID, got, want[i])
+		}
+	}
+	if out.cycles == 0 {
+		t.Fatal("found no cycles")
+	}
+	// Per-edge framing sends one message per detection section here: no two
+	// sections share an edge.
+	if out.msgs >= out.derived {
+		t.Fatalf("%d detection messages for %d sections: no better than per-edge framing", out.msgs, out.derived)
+	}
+	t.Logf("%d rounds, %d detection messages for %d sections (batches=%d)", out.rounds, out.msgs, out.derived, out.batch)
 }

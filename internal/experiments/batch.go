@@ -45,7 +45,7 @@ func batchTopology(family string, cands, procs int) (*workload.Topology, error) 
 
 // DetectBatchSweep collects every candidate count of the ring and webgraph
 // families: detection traffic is sublinear in the candidate count when many
-// candidates share outgoing references, and the dense webs collect only
+// candidates leave a node for the same peer, and the dense webs collect only
 // because cut branches return their partial views to the origin.
 func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error) {
 	var rows []BatchRow

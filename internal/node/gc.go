@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"dgc/internal/core"
@@ -44,7 +45,22 @@ func (m *Machine) Tick() {
 	}
 }
 
+// expireCalls fails every pending call and export whose deadline has
+// passed. Exports fail in id order: their continuations send messages, and
+// the schedule must not depend on map order.
 func (m *Machine) expireCalls() {
+	var exports []uint64
+	for id, pe := range m.pendingExports {
+		if pe.deadline != 0 && m.clock > pe.deadline {
+			exports = append(exports, id)
+		}
+	}
+	slices.Sort(exports)
+	for _, id := range exports {
+		pe := m.pendingExports[id]
+		delete(m.pendingExports, id)
+		pe.ready(false, "export timed out")
+	}
 	for id, pc := range m.pendingCalls {
 		if pc.deadline != 0 && m.clock > pc.deadline {
 			delete(m.pendingCalls, id)
@@ -221,11 +237,11 @@ func (m *Machine) Summary() *snapshot.Summary { return m.summary }
 type detectorActions Machine
 
 // SendCDMs implements core.Actions: it parks the fan-out per edge, and
-// flushCDMBatch groups every detection exiting via the same reference into
-// one message (and strips edges through dead members there). The derivation
-// is shared, unflattened, by every outgoing message of the fan-out:
-// in-process receivers merge it directly and the codec flattens lazily if a
-// message reaches a real socket.
+// flushCDMBatch groups every section bound for the same node into one
+// message (and strips peers that are dead members there). The derivation is
+// shared, unflattened, by every outgoing message of the fan-out: in-process
+// receivers merge it directly, and a BatchCDM builds its wire dictionary once
+// for the transport to size and encode.
 func (a *detectorActions) SendCDMs(det core.DetectionID, traceID uint64, alongs []ids.RefID, alg core.Alg, hops int) {
 	(*Machine)(a).batch.add(det, traceID, alongs, alg, hops)
 }

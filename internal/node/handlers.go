@@ -62,8 +62,8 @@ func (m *Machine) handleCDM(msg *wire.CDM) {
 // handleBatchCDM processes a multi-candidate detection message: every
 // section is matched against the local summary exactly as a standalone CDM
 // would be — per-detection accumulators, dedup, race-drop and trace ids all
-// apply section by section — and the surviving forwards are re-grouped per
-// outgoing edge into sub-batches by the bracketing cdmBatcher. Return
+// apply section by section, each along its own reference — and the surviving
+// forwards are re-grouped per peer by the bracketing cdmBatcher. Return
 // messages instead merge each section into the origin's accumulated view
 // and re-launch only the unresolved residue.
 func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
@@ -75,7 +75,7 @@ func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
 			m.emit(trace.KindBatchCDM, "sections=%d hops=%d return received", len(msg.Sections), msg.Hops)
 		} else {
 			m.emit(trace.KindBatchCDM, "from=%s sections=%d hops=%d received",
-				msg.Along.Src, len(msg.Sections), msg.Hops)
+				msg.Sections[0].Along.Src, len(msg.Sections), msg.Hops)
 		}
 	}
 	m.beginCDMBatch()
@@ -84,7 +84,7 @@ func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
 		if msg.Return {
 			m.handleReturnSection(s, int(msg.Hops))
 		} else {
-			m.processCDMSection(s.Det, s.Trace, msg.Along, int(msg.Hops), s.MergeAlgInto)
+			m.processCDMSection(s.Det, s.Trace, s.Along, int(msg.Hops), s.MergeAlgInto)
 		}
 	}
 	m.flushCDMBatch()

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"dgc/internal/core"
@@ -77,7 +79,7 @@ type Machine struct {
 	cdmAcc     map[core.DetectionID]*detAcc
 	cdmAborted map[core.DetectionID]struct{}
 
-	// batch buffers the current input's CDM traffic per outgoing edge; the
+	// batch buffers the current input's CDM traffic per destination node; the
 	// detector's SendCDMs callback appends to it. Non-nil only between
 	// beginCDMBatch and flushCDMBatch, which bracket every input that can
 	// produce detection traffic.
@@ -138,13 +140,13 @@ type detAcc struct {
 }
 
 // cdmBatcher buffers the CDM traffic of one machine input (a detection
-// round or one delivered CDM/BatchCDM), grouped per outgoing edge with one
-// section per detection, plus partial returns grouped per origin. Flushing
-// emits one message per edge (a plain CDM for single sections, a BatchCDM
-// otherwise) in canonical edge order.
+// round or one delivered CDM/BatchCDM), grouped per destination node with one
+// section per (outgoing edge, detection), plus partial returns grouped per
+// origin. Flushing emits at most one forward message per peer (a plain CDM
+// for a single section, a BatchCDM otherwise) in node-name order.
 type cdmBatcher struct {
-	edges map[ids.RefID]*edgeBatch
-	order []ids.RefID // edge insertion order; sorted canonically at flush
+	peers map[ids.NodeID]*peerBatch
+	order []ids.NodeID // peer insertion order; sorted at flush
 
 	rets     map[ids.NodeID][]wire.BatchSection
 	retOrder []ids.NodeID
@@ -155,13 +157,20 @@ type cdmBatcher struct {
 type outSection struct {
 	det   core.DetectionID
 	trace uint64
+	along ids.RefID
 	alg   core.Alg
 	hops  int
 }
 
-type edgeBatch struct {
+// edgeDet names a section within a peer's batch.
+type edgeDet struct {
+	along ids.RefID
+	det   core.DetectionID
+}
+
+type peerBatch struct {
 	secs  []outSection
-	index map[core.DetectionID]int
+	index map[edgeDet]int
 }
 
 // add buffers one detector fan-out. A later derivation of a detection
@@ -170,18 +179,21 @@ type edgeBatch struct {
 // what it replaces.
 func (b *cdmBatcher) add(det core.DetectionID, trace uint64, alongs []ids.RefID, alg core.Alg, hops int) {
 	for _, along := range alongs {
-		eb := b.edges[along]
-		if eb == nil {
-			eb = &edgeBatch{index: make(map[core.DetectionID]int)}
-			b.edges[along] = eb
-			b.order = append(b.order, along)
+		to := along.Dst.Node
+		pb := b.peers[to]
+		if pb == nil {
+			pb = &peerBatch{index: make(map[edgeDet]int)}
+			b.peers[to] = pb
+			b.order = append(b.order, to)
 		}
-		if i, ok := eb.index[det]; ok {
-			eb.secs[i] = outSection{det: det, trace: trace, alg: alg, hops: hops}
+		s := outSection{det: det, trace: trace, along: along, alg: alg, hops: hops}
+		key := edgeDet{along, det}
+		if i, ok := pb.index[key]; ok {
+			pb.secs[i] = s
 			continue
 		}
-		eb.index[det] = len(eb.secs)
-		eb.secs = append(eb.secs, outSection{det: det, trace: trace, alg: alg, hops: hops})
+		pb.index[key] = len(pb.secs)
+		pb.secs = append(pb.secs, s)
 	}
 }
 
@@ -191,7 +203,7 @@ func (b *cdmBatcher) addReturn(det core.DetectionID, trace uint64, alg core.Alg,
 	if _, ok := b.rets[det.Origin]; !ok {
 		b.retOrder = append(b.retOrder, det.Origin)
 	}
-	b.rets[det.Origin] = append(b.rets[det.Origin], wire.NewBatchSection(det, trace, alg))
+	b.rets[det.Origin] = append(b.rets[det.Origin], wire.NewBatchSection(det, trace, ids.RefID{}, alg))
 	if hops > b.retHops {
 		b.retHops = hops
 	}
@@ -199,7 +211,7 @@ func (b *cdmBatcher) addReturn(det core.DetectionID, trace uint64, alg core.Alg,
 
 func newCDMBatcher() *cdmBatcher {
 	return &cdmBatcher{
-		edges: make(map[ids.RefID]*edgeBatch),
+		peers: make(map[ids.NodeID]*peerBatch),
 		rets:  make(map[ids.NodeID][]wire.BatchSection),
 	}
 }
@@ -223,10 +235,11 @@ type pendingCall struct {
 }
 
 type pendingExport struct {
-	waiting int // outstanding CreateScion acks
-	failed  bool
-	errMsg  string
-	ready   func(ok bool, errMsg string) // continuation inside the machine
+	waiting  int // outstanding CreateScion acks
+	failed   bool
+	errMsg   string
+	ready    func(ok bool, errMsg string) // continuation inside the machine
+	deadline uint64                       // as pendingCall.deadline
 }
 
 // NewMachine assembles the protocol core for process id.
@@ -277,46 +290,52 @@ func (m *Machine) syncGauges() {
 	m.met.PendingCalls.Set(int64(len(m.pendingCalls)))
 }
 
-// beginCDMBatch arms per-edge CDM buffering for the current input;
+// beginCDMBatch arms per-peer CDM buffering for the current input;
 // flushCDMBatch drains it.
 func (m *Machine) beginCDMBatch() { m.batch = newCDMBatcher() }
 
-// flushCDMBatch emits the buffered traffic: per edge in canonical order,
-// one plain CDM for a single section or one BatchCDM for several; then the
-// partial returns, one BatchCDM per origin.
+// flushCDMBatch emits the buffered traffic: per peer in name order, one
+// plain CDM for a single section or one BatchCDM for several, its sections
+// in canonical edge order and, per edge, in derivation order, so the
+// receiver's schedule depends on nothing but the input; then the partial
+// returns, one BatchCDM per origin.
 func (m *Machine) flushCDMBatch() {
 	b := m.batch
 	m.batch = nil
-	m.filterDeadEdges(b)
-	ids.SortRefIDs(b.order)
-	for _, edge := range b.order {
-		eb := b.edges[edge]
-		if len(eb.secs) == 1 {
-			s := eb.secs[0]
+	m.filterDeadPeers(b)
+	ids.SortNodeIDs(b.order)
+	for _, to := range b.order {
+		pb := b.peers[to]
+		if len(pb.secs) == 1 {
+			s := pb.secs[0]
 			m.emitT(trace.KindCDMSent, s.trace, "det=%s/%d to=%s along=%s hops=%d",
-				s.det.Origin, s.det.Seq, edge.Dst.Node, edge, s.hops)
-			m.send(edge.Dst.Node, wire.NewCDMFromAlg(s.det, edge, s.alg, s.hops, s.trace))
+				s.det.Origin, s.det.Seq, to, s.along, s.hops)
+			m.send(to, wire.NewCDMFromAlg(s.det, s.along, s.alg, s.hops, s.trace))
 			continue
 		}
-		secs := make([]wire.BatchSection, len(eb.secs))
+		// Every along leads from this node into to: its object orders it.
+		slices.SortStableFunc(pb.secs, func(x, y outSection) int {
+			return cmp.Compare(x.along.Dst.Obj, y.along.Dst.Obj)
+		})
+		secs := make([]wire.BatchSection, len(pb.secs))
 		hops := 0
-		for i, s := range eb.secs {
-			secs[i] = wire.NewBatchSection(s.det, s.trace, s.alg)
+		for i, s := range pb.secs {
+			secs[i] = wire.NewBatchSection(s.det, s.trace, s.along, s.alg)
 			if s.hops > hops {
 				hops = s.hops
 			}
 			m.emitT(trace.KindCDMSent, s.trace, "det=%s/%d to=%s along=%s hops=%d batched",
-				s.det.Origin, s.det.Seq, edge.Dst.Node, edge, s.hops)
+				s.det.Origin, s.det.Seq, to, s.along, s.hops)
 		}
 		m.met.BatchCDMsSent.Inc()
 		m.met.BatchSections.Observe(float64(len(secs)))
-		m.emit(trace.KindBatchCDM, "to=%s sections=%d hops=%d sent", edge.Dst.Node, len(secs), hops)
-		m.send(edge.Dst.Node, wire.NewBatchCDM(edge, hops, false, secs))
+		m.emit(trace.KindBatchCDM, "to=%s sections=%d hops=%d sent", to, len(secs), hops)
+		m.send(to, wire.NewBatchCDM(hops, false, secs))
 	}
 	for _, origin := range b.retOrder {
 		m.emit(trace.KindBatchCDM, "to=%s sections=%d hops=%d return sent",
 			origin, len(b.rets[origin]), b.retHops)
-		m.send(origin, wire.NewBatchCDM(ids.RefID{}, b.retHops, true, b.rets[origin]))
+		m.send(origin, wire.NewBatchCDM(b.retHops, true, b.rets[origin]))
 	}
 	// Every detection still tracked was first seen in this input, and none
 	// outlives it (trackDetection).

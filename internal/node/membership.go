@@ -247,12 +247,6 @@ func (m *Machine) handleLeaseHandoff(msg *wire.LeaseHandoff) {
 	m.emit(trace.KindLeaseHandoff, "holder=%s objs=%d pinned=%d received", msg.Holder, len(msg.Objs), pinned)
 }
 
-// memberDeadEdge reports whether detection traffic along ref would route
-// through a member the directory has declared dead.
-func (m *Machine) memberDeadEdge(ref ids.RefID) bool {
-	return m.memb != nil && m.memb.IsDead(ref.Dst.Node)
-}
-
 // abortDetectionMemberDead terminates a detection whose every outgoing edge
 // routes through dead members, journaling the member-dead outcome dgcctl's
 // follow loop keys on (relaunch after the holder's scions are reclaimed
@@ -265,37 +259,38 @@ func (m *Machine) abortDetectionMemberDead(det core.DetectionID, traceID uint64)
 	m.emitT(trace.KindDetectionEnd, traceID, "det=%s/%d outcome=member-dead", det.Origin, det.Seq)
 }
 
-// filterDeadEdges strips a flush-pending CDM batch of edges and returns
-// routing through dead members. A section whose detection still leaves via
-// some live edge is silently narrowed; one with no live exit aborts.
-func (m *Machine) filterDeadEdges(b *cdmBatcher) {
+// filterDeadPeers strips a flush-pending CDM batch of the peers and the
+// return origins that the directory has declared dead. A detection that
+// still leaves via some live peer is silently narrowed; one with no live
+// exit aborts.
+func (m *Machine) filterDeadPeers(b *cdmBatcher) {
 	if m.memb == nil {
 		return
 	}
 	liveDet := make(map[core.DetectionID]struct{})
-	var liveOrder, deadEdges []ids.RefID
-	for _, edge := range b.order {
-		if m.memberDeadEdge(edge) {
-			deadEdges = append(deadEdges, edge)
+	var liveOrder, deadPeers []ids.NodeID
+	for _, to := range b.order {
+		if m.memb.IsDead(to) {
+			deadPeers = append(deadPeers, to)
 			continue
 		}
-		liveOrder = append(liveOrder, edge)
-		for _, s := range b.edges[edge].secs {
+		liveOrder = append(liveOrder, to)
+		for _, s := range b.peers[to].secs {
 			liveDet[s.det] = struct{}{}
 		}
 	}
-	if len(deadEdges) == 0 && len(b.retOrder) == 0 {
+	if len(deadPeers) == 0 && len(b.retOrder) == 0 {
 		return
 	}
-	for _, edge := range deadEdges {
-		for _, s := range b.edges[edge].secs {
+	for _, to := range deadPeers {
+		for _, s := range b.peers[to].secs {
 			if _, ok := liveDet[s.det]; ok {
 				continue
 			}
 			m.abortDetectionMemberDead(s.det, s.trace)
 			liveDet[s.det] = struct{}{} // abort a detection at most once
 		}
-		delete(b.edges, edge)
+		delete(b.peers, to)
 	}
 	b.order = liveOrder
 	var retOrder []ids.NodeID

@@ -38,7 +38,7 @@ type Config struct {
 	// CandidateMinAge is the quiescence threshold (in logical ticks) before
 	// a scion becomes a cycle candidate.
 	CandidateMinAge uint64
-	// BatchDetection is unread: per-edge batching is the only detection
+	// BatchDetection is unread: per-peer batching is the only detection
 	// path.
 	//
 	// Deprecated: kept, with Bool, only because the frozen benchmark/

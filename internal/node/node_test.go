@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -512,6 +513,82 @@ func TestCallTimeoutReleasesPins(t *testing.T) {
 			t.Errorf("pins leaked: %v", m.n.pins)
 		}
 	})
+}
+
+// TestLostCreateScionExpiresExport loses the one CreateScion of an export —
+// a bootstrap acquisition, and a third-party reference passed as an
+// invocation argument — and expects the export to expire like a pending
+// call: the callback reports failure, the pins are released, no export stays
+// pending, and every node's tables return to their pre-call sizes.
+func TestLostCreateScionExpiresExport(t *testing.T) {
+	type sizes struct{ objects, scions, stubs int }
+	for _, tc := range []struct {
+		name  string
+		start func(a *Node, b, c ids.GlobalRef, failed *bool) error
+	}{
+		{"acquire", func(a *Node, _, c ids.GlobalRef, failed *bool) error {
+			return a.AcquireRemote(c, func(_ Mutator, ok bool) { *failed = !ok })
+		}},
+		{"third-party", func(a *Node, b, c ids.GlobalRef, failed *bool) error {
+			return a.Invoke(b, "store", []ids.GlobalRef{c}, func(_ Mutator, r Reply) {
+				*failed = !r.OK && strings.Contains(r.Err, "timed out")
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := newTestNet(t, Config{CallTimeoutTicks: 4}, "A", "B", "C")
+			names := []ids.NodeID{"A", "B", "C"}
+			holder := allocRooted(t, tn.n("A"))
+			b := ids.GlobalRef{Node: "B", Obj: allocRooted(t, tn.n("B"))}
+			c := ids.GlobalRef{Node: "C", Obj: allocRooted(t, tn.n("C"))}
+			tn.grant("A", holder, "B", b.Obj)
+			if tc.name == "third-party" {
+				tn.grant("A", holder, "C", c.Obj)
+			}
+			round := func() {
+				for _, id := range names {
+					tn.n(id).RunLGC()
+					tn.settle()
+				}
+			}
+			measure := func() map[ids.NodeID]sizes {
+				out := make(map[ids.NodeID]sizes)
+				for _, id := range names {
+					n := tn.n(id)
+					out[id] = sizes{n.NumObjects(), n.NumScions(), n.NumStubs()}
+				}
+				return out
+			}
+			round()
+			before := measure()
+
+			var failed bool
+			tn.net.SetFaults(transport.Faults{LossRate: 1, Affects: []wire.Kind{wire.KindCreateScion}})
+			if err := tc.start(tn.n("A"), b, c, &failed); err != nil {
+				t.Fatal(err)
+			}
+			tn.net.SetFaults(transport.Faults{})
+			tn.settle()
+			for i := 0; i < 5; i++ {
+				tn.n("A").Tick()
+				tn.settle()
+			}
+			if !failed {
+				t.Fatal("the export never failed")
+			}
+			tn.n("A").With(func(m Mutator) {
+				if len(m.n.pins) != 0 || len(m.n.pendingExports) != 0 {
+					t.Errorf("pins %v, pending exports %d", m.n.pins, len(m.n.pendingExports))
+				}
+			})
+			for r := 0; r < 60 && !reflect.DeepEqual(measure(), before); r++ {
+				round()
+			}
+			if after := measure(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("tables did not return to their pre-call sizes:\n got %v\nwant %v", after, before)
+			}
+		})
+	}
 }
 
 func TestTickRunsDaemons(t *testing.T) {

@@ -78,11 +78,7 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 				stubIC = ic
 			}
 		}
-		pc := &pendingCall{target: target, pinned: pinned, cb: cb}
-		if m.cfg.CallTimeoutTicks > 0 {
-			pc.deadline = m.clock + m.cfg.CallTimeoutTicks
-		}
-		m.pendingCalls[callID] = pc
+		m.pendingCalls[callID] = &pendingCall{target: target, pinned: pinned, cb: cb, deadline: m.callDeadline()}
 		m.met.InvokesSent.Inc()
 		m.send(target.Node, &wire.InvokeRequest{
 			CallID: callID,
@@ -146,9 +142,7 @@ func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func
 		ready(true, "")
 		return
 	}
-	m.nextExportID++
-	exportID := m.nextExportID
-	m.pendingExports[exportID] = &pendingExport{waiting: len(remoteOwners), ready: ready}
+	exportID := m.beginExport(len(remoteOwners), ready)
 	for _, r := range remoteOwners {
 		m.send(r.Node, &wire.CreateScion{
 			ExportID: exportID,
@@ -157,6 +151,27 @@ func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func
 			Obj:      r.Obj,
 		})
 	}
+}
+
+// callDeadline is the clock tick after which a call or export started now
+// expires (0 = never: Config.CallTimeoutTicks is unset).
+func (m *Machine) callDeadline() uint64 {
+	if m.cfg.CallTimeoutTicks == 0 {
+		return 0
+	}
+	return m.clock + m.cfg.CallTimeoutTicks
+}
+
+// beginExport registers an export awaiting waiting CreateScion acks and
+// returns its id. It fails through ready(false, ...) when an ack reports
+// failure or, like a pending call, when its deadline passes (expireCalls): a
+// lost CreateScion or ack must not pin the exported references forever. An
+// ack arriving after expiry finds no entry and is ignored; the holder never
+// got a stub, so its next stub set deletes any scion the owner created.
+func (m *Machine) beginExport(waiting int, ready func(ok bool, errMsg string)) uint64 {
+	m.nextExportID++
+	m.pendingExports[m.nextExportID] = &pendingExport{waiting: waiting, ready: ready, deadline: m.callDeadline()}
+	return m.nextExportID
 }
 
 // AcquireRemote bootstraps possession of a remote reference: it runs the
@@ -169,21 +184,16 @@ func (m *Machine) AcquireRemote(ref ids.GlobalRef, cb func(mut Mutator, ok bool)
 	if ref.Node == m.id {
 		return m.errf("AcquireRemote: %v is local", ref)
 	}
-	m.nextExportID++
-	exportID := m.nextExportID
 	m.pin(ref)
-	m.pendingExports[exportID] = &pendingExport{
-		waiting: 1,
-		ready: func(ok bool, _ string) {
-			if ok {
-				m.table.EnsureStub(ref)
-			}
-			if cb != nil {
-				cb(Mutator{n: m}, ok)
-			}
-			m.unpin(ref)
-		},
-	}
+	exportID := m.beginExport(1, func(ok bool, _ string) {
+		if ok {
+			m.table.EnsureStub(ref)
+		}
+		if cb != nil {
+			cb(Mutator{n: m}, ok)
+		}
+		m.unpin(ref)
+	})
 	m.send(ref.Node, &wire.CreateScion{
 		ExportID: exportID,
 		From:     m.id,

@@ -24,8 +24,8 @@ var DurationBuckets = []float64{
 var HopBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // BatchSectionBuckets bounds the sections-per-BatchCDM histogram: one
-// section per candidate sharing an edge, up to the detection round's
-// candidate budget.
+// section per (detection, edge) bound for one peer, up to the detection
+// round's candidate budget.
 var BatchSectionBuckets = []float64{2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // NodeMetrics is one node's instrument block, covering detection, the local
@@ -96,8 +96,8 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		DetectionLatency:  reg.Histogram("dgc_detection_latency_seconds", "Seconds from a detection's arrival at this node to its terminal outcome here (cycle found or abort), within the one input that handles it.", DetectionLatencyBuckets),
 		CDMHops:           reg.Histogram("dgc_cdm_hops", "Forwarding depth carried by delivered CDMs.", HopBuckets),
 
-		BatchCDMsSent:       reg.Counter("dgc_batch_cdms_sent_total", "Multi-candidate BatchCDM messages sent to peers."),
-		BatchSections:       reg.Histogram("dgc_batch_cdm_sections", "Detection sections carried per BatchCDM sent.", BatchSectionBuckets),
+		BatchCDMsSent:       reg.Counter("dgc_batch_cdms_sent_total", "Forward BatchCDM messages sent: one per input per peer that gets two or more detection sections (partial returns not counted)."),
+		BatchSections:       reg.Histogram("dgc_batch_cdm_sections", "Detection sections per forward BatchCDM sent, one per (detection, outgoing reference) bound for the peer.", BatchSectionBuckets),
 		PartialReturns:      reg.Counter("dgc_partial_returns_total", "Partial returns received at this node as a detection's origin: the accumulated view of a branch cut without a verdict."),
 		DetectionRelaunches: reg.Counter("dgc_detection_relaunches_total", "Unresolved residues this node re-launched as a detection's origin after merging a partial return."),
 

@@ -8,19 +8,24 @@ import (
 )
 
 // BatchSection is one detection's slice of a BatchCDM: the detection
-// identity, its causal trace id and its algebra. Sections are independent —
-// a receiver processes each exactly as it would a standalone CDM carrying
-// the same algebra — so batching is a pure transport optimization.
+// identity, its causal trace id, the reference it travels along and its
+// algebra. Sections are independent — a receiver processes each exactly as it
+// would a standalone CDM carrying the same along and algebra — so batching is
+// a pure transport optimization.
 type BatchSection struct {
 	Det   core.DetectionID
 	Trace uint64
+	// Along is the reference the section travels along (Along.Src is the
+	// sender, Along.Dst.Node the receiver), exactly as CDM.Along. Zero in a
+	// partial return, which travels to the detection's origin instead.
+	Along ids.RefID
 	alg   core.Alg // with CDM.alg's sharing contract
 }
 
 // NewBatchSection builds a section around an algebra (shared, not copied —
 // the algebra must not be mutated afterwards).
-func NewBatchSection(det core.DetectionID, trace uint64, alg core.Alg) BatchSection {
-	return BatchSection{Det: det, Trace: trace, alg: alg}
+func NewBatchSection(det core.DetectionID, trace uint64, along ids.RefID, alg core.Alg) BatchSection {
+	return BatchSection{Det: det, Trace: trace, Along: along, alg: alg}
 }
 
 // MergeAlgInto merges the section's algebra into a, exactly as
@@ -28,97 +33,72 @@ func NewBatchSection(det core.DetectionID, trace uint64, alg core.Alg) BatchSect
 func (s *BatchSection) MergeAlgInto(a core.Alg) (changed, conflict bool) { return a.Merge(s.alg) }
 
 // BatchCDM is a multi-candidate cycle detection message: every detection
-// whose derivation exits a node via the same outgoing reference travels as
-// one section of one message instead of one CDM each. On the wire the
-// sections share a reference dictionary — the canonically-sorted union of
-// every section's references, encoded once — and entries name references by
-// dictionary index, so overlapping closures (the whole point of batching)
-// pay for each reference string once per message, not once per section.
+// section one input sends to the same node travels in one message instead of
+// one CDM each, whatever reference each section travels along. On the wire
+// the sections share a reference dictionary — the canonically-sorted union of
+// every section's references and alongs, encoded once — and entries and
+// alongs name references by dictionary index, so overlapping closures pay for
+// each reference string once per message, not once per section.
 //
 // With Return set the message carries partial returns: the accumulated
 // views of branches cut at the sender, traveling back to each section's
-// detection origin; Along is meaningless and zero in that case.
+// detection origin; sections carry no along.
 type BatchCDM struct {
-	// Along is the reference every section travels along (along.Dst.Node is
-	// the receiver), exactly as CDM.Along. Zero for Return messages.
-	Along ids.RefID
-	// Hops is the forwarding depth shared by the batch (sections split from
-	// one delivery share one depth).
+	// Hops is the forwarding depth shared by the batch: the deepest of its
+	// sections'.
 	Hops uint32
 	// Return marks partial returns bound for the detections' origin.
 	Return bool
-	// Sections holds one entry per detection. Never empty on the wire: the
-	// decoder rejects zero-section batches.
+	// Sections holds one entry per (detection, along) pair. Never empty on
+	// the wire: the decoder rejects zero-section batches.
 	Sections []BatchSection
+
+	// dict is the shared-dictionary form, built once by NewBatchCDM: sizing
+	// the message for the transport and encoding it both read it. Nil on a
+	// decoded message, which nothing sends on; re-encoding one flattens it
+	// again.
+	dict *core.Dict
 }
 
 // NewBatchCDM builds a batched detection message from sections
-// (NewBatchSection).
-func NewBatchCDM(along ids.RefID, hops int, ret bool, sections []BatchSection) *BatchCDM {
-	return &BatchCDM{Along: along, Hops: uint32(hops), Return: ret, Sections: sections}
+// (NewBatchSection), each of a forward message with its along set. The
+// message, like its algebras, must not be mutated afterwards.
+func NewBatchCDM(hops int, ret bool, sections []BatchSection) *BatchCDM {
+	m := &BatchCDM{Hops: uint32(hops), Return: ret, Sections: sections}
+	m.dict = m.flatten()
+	return m
 }
 
 // Kind implements Message.
 func (*BatchCDM) Kind() Kind { return KindBatchCDM }
 
-// batchEntry is one section entry as encoded: its dictionary index and
-// its presence bits and counters.
-type batchEntry struct {
-	idx uint32
-	e   core.Entry
-}
-
-// batchFlat is the shared-dictionary wire form of a batch: the canonical
-// union of every section's references plus per-section index entries.
-type batchFlat struct {
-	dict []ids.RefID
-	secs [][]batchEntry
-}
-
-// flatten computes the shared-dictionary form. Each section is walked in
-// canonical reference order (core.Alg.EachCanonical), the dictionary's own
-// order, so indices are assigned with a single merge walk per section and no
-// hashing. Not cached: encoding only happens at a real socket, where the walk
-// is noise next to the write.
-func (m *BatchCDM) flatten() batchFlat {
-	var all []ids.RefID
-	for i := range m.Sections {
-		m.Sections[i].alg.Each(func(r ids.RefID, _ core.Entry) bool {
-			all = append(all, r)
-			return true
-		})
-	}
-	ids.SortRefIDs(all)
-	dict := make([]ids.RefID, 0, len(all))
-	for i, r := range all {
-		if i == 0 || all[i-1] != r {
-			dict = append(dict, r)
+// flatten computes the shared-dictionary form (core.NewDict: one integer
+// sort of every reference occurrence).
+func (m *BatchCDM) flatten() *core.Dict {
+	d := core.NewDict(len(m.Sections), func(i int) (core.Alg, ids.RefID) {
+		if m.Return {
+			return m.Sections[i].alg, ids.RefID{}
 		}
+		return m.Sections[i].alg, m.Sections[i].Along
+	})
+	return &d
+}
+
+// flat returns the dictionary form: NewBatchCDM's, or a fresh one for a
+// decoded message.
+func (m *BatchCDM) flat() *core.Dict {
+	if m.dict != nil {
+		return m.dict
 	}
-	secs := make([][]batchEntry, len(m.Sections))
-	for i := range m.Sections {
-		alg := m.Sections[i].alg
-		es := make([]batchEntry, 0, alg.Len())
-		j := 0
-		alg.EachCanonical(func(r ids.RefID, e core.Entry) bool {
-			for dict[j] != r {
-				j++
-			}
-			es = append(es, batchEntry{idx: uint32(j), e: e})
-			return true
-		})
-		secs[i] = es
-	}
-	return batchFlat{dict: dict, secs: secs}
+	return m.flatten()
 }
 
 func (m *BatchCDM) encode(buf []byte) []byte {
-	f := m.flatten()
-	buf = putRefID(buf, m.Along)
+	d := m.flat()
 	buf = putUint(buf, uint64(m.Hops))
 	buf = putBool(buf, m.Return)
-	buf = putUint(buf, uint64(len(f.dict)))
-	for _, r := range f.dict {
+	buf = putUint(buf, uint64(len(d.Refs)))
+	for _, r := range d.Refs {
 		buf = putRefID(buf, r)
 	}
 	buf = putUint(buf, uint64(len(m.Sections)))
@@ -127,32 +107,36 @@ func (m *BatchCDM) encode(buf []byte) []byte {
 		buf = putNode(buf, s.Det.Origin)
 		buf = putUint(buf, s.Det.Seq)
 		buf = putUint(buf, s.Trace)
-		es := f.secs[i]
+		if !m.Return {
+			buf = putUint(buf, uint64(d.Extra[i]))
+		}
+		es := d.Section(i)
 		buf = putUint(buf, uint64(len(es)))
 		for _, e := range es {
-			buf = putEntry(putUint(buf, uint64(e.idx)), e.e)
+			buf = putEntry(putUint(buf, uint64(e.Index)), e.Entry)
 		}
 	}
 	return buf
 }
 
-// encodedSize returns len(m.encode(nil)) without writing bytes: one flatten
-// walk, no buffer.
+// encodedSize returns len(m.encode(nil)) without writing bytes.
 func (m *BatchCDM) encodedSize() int {
-	f := m.flatten()
-	n := refIDSize(m.Along) + uvarintSize(uint64(m.Hops)) + 1 +
-		uvarintSize(uint64(len(f.dict)))
-	for _, r := range f.dict {
+	d := m.flat()
+	n := uvarintSize(uint64(m.Hops)) + 1 + uvarintSize(uint64(len(d.Refs)))
+	for _, r := range d.Refs {
 		n += refIDSize(r)
 	}
 	n += uvarintSize(uint64(len(m.Sections)))
 	for i := range m.Sections {
 		s := &m.Sections[i]
 		n += nodeSize(s.Det.Origin) + uvarintSize(s.Det.Seq) + uvarintSize(s.Trace)
-		es := f.secs[i]
+		if !m.Return {
+			n += uvarintSize(uint64(d.Extra[i]))
+		}
+		es := d.Section(i)
 		n += uvarintSize(uint64(len(es)))
 		for _, e := range es {
-			n += uvarintSize(uint64(e.idx)) + entrySize(e.e)
+			n += uvarintSize(uint64(e.Index)) + entrySize(e.Entry)
 		}
 	}
 	return n
@@ -160,11 +144,13 @@ func (m *BatchCDM) encodedSize() int {
 
 // decodeBatchCDM parses and validates a batch. The decoder enforces the
 // canonical form the encoder produces — dictionary strictly sorted, every
-// dictionary reference used, section entries strictly ascending by index,
-// at least one section, at least one entry per section, no duplicate
-// detection ids — so any accepted input re-encodes byte-identically.
+// dictionary reference used by an entry or an along, section entries strictly
+// ascending by index, at least one section, at least one entry per section,
+// no (detection, along) pair twice — so any accepted input re-encodes
+// byte-identically. One detection may travel along two references into the
+// same node: that is two sections.
 func decodeBatchCDM(r *reader) *BatchCDM {
-	m := &BatchCDM{Along: r.refID()}
+	m := &BatchCDM{}
 	hops := r.uint()
 	if hops > math.MaxUint32 {
 		r.fail("hops %d overflows uint32", hops)
@@ -188,30 +174,48 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 		return m
 	}
 	used := make([]bool, len(dict))
+	index := func(what string) int {
+		idx := r.uint()
+		if r.err == nil && idx >= uint64(len(dict)) {
+			r.fail("%s index %d out of dictionary range %d", what, idx, len(dict))
+		}
+		if r.err != nil {
+			return -1
+		}
+		used[idx] = true
+		return int(idx)
+	}
 	ns := r.count()
 	if ns == 0 && r.err == nil {
 		r.fail("batch cdm with zero sections")
 	}
-	seen := make(map[core.DetectionID]struct{}, min(ns, 1024))
+	type detAlong struct {
+		det   core.DetectionID
+		along int // dictionary index; -1 in a return
+	}
+	seen := make(map[detAlong]struct{}, min(ns, 1024))
+	m.Sections = make([]BatchSection, 0, min(ns, 1024))
 	for i := 0; i < ns && r.err == nil; i++ {
 		s := BatchSection{
 			Det:   core.DetectionID{Origin: r.node(), Seq: r.uint()},
 			Trace: r.uint(),
 		}
+		along := -1
+		if !m.Return {
+			if along = index("along"); along >= 0 {
+				s.Along = dict[along]
+			}
+		}
 		prev := -1
 		s.alg = readAlg(r, func(int) ids.RefID {
-			idx := r.uint()
+			idx := index("entry ref")
 			switch {
-			case r.err != nil:
+			case idx < 0:
 				return ids.RefID{}
-			case idx >= uint64(len(dict)):
-				r.fail("entry ref index %d out of dictionary range %d", idx, len(dict))
-				return ids.RefID{}
-			case int(idx) <= prev:
+			case idx <= prev:
 				r.fail("section entries not in canonical order")
 			}
-			prev = int(idx)
-			used[idx] = true
+			prev = idx
 			return dict[idx]
 		})
 		if r.err != nil {
@@ -221,11 +225,12 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 			r.fail("batch section with zero entries")
 			break
 		}
-		if _, dup := seen[s.Det]; dup {
-			r.fail("duplicate detection %s/%d in batch", s.Det.Origin, s.Det.Seq)
+		key := detAlong{s.Det, along}
+		if _, dup := seen[key]; dup {
+			r.fail("duplicate detection %s/%d along %s in batch", s.Det.Origin, s.Det.Seq, s.Along)
 			break
 		}
-		seen[s.Det] = struct{}{}
+		seen[key] = struct{}{}
 		m.Sections = append(m.Sections, s)
 	}
 	if r.err == nil {

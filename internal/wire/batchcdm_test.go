@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,17 +11,22 @@ import (
 )
 
 // batchRefs returns a few distinct canonical references for batch tests.
+// The first two and the last lead from P1 into P2: alongs of one message.
 func batchRefs() []ids.RefID {
 	return []ids.RefID{
 		{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}},
 		{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 5}},
 		{Src: "P2", Dst: ids.GlobalRef{Node: "P3", Obj: 2}},
 		{Src: "P3", Dst: ids.GlobalRef{Node: "P1", Obj: 9}},
+		{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 7}},
 	}
 }
 
-// testBatch builds a three-section batch whose sections overlap on refs —
-// the shared-dictionary case batching exists for.
+// testBatch builds a batch whose sections overlap on refs — the
+// shared-dictionary case — and, unless it is a partial return, travel three
+// different alongs into P2: one named by no section's algebra, and one
+// detection along two references. A return carries the first three
+// algebras with no along.
 func testBatch(ret bool) *BatchCDM {
 	rs := batchRefs()
 	a1 := core.NewAlg()
@@ -31,10 +37,19 @@ func testBatch(ret bool) *BatchCDM {
 	a2.Set(rs[1], core.Entry{InTarget: true, TgtIC: 7})
 	a3 := core.NewAlg()
 	a3.Set(rs[3], core.Entry{InSource: true, SrcIC: 1})
-	return NewBatchCDM(rs[2], 4, ret, []BatchSection{
-		NewBatchSection(core.DetectionID{Origin: "P1", Seq: 1}, 11, a1),
-		NewBatchSection(core.DetectionID{Origin: "P1", Seq: 2}, 12, a2),
-		NewBatchSection(core.DetectionID{Origin: "P4", Seq: 1}, 13, a3),
+	d1, d2, d3 := core.DetectionID{Origin: "P1", Seq: 1}, core.DetectionID{Origin: "P1", Seq: 2}, core.DetectionID{Origin: "P4", Seq: 1}
+	if ret {
+		return NewBatchCDM(4, true, []BatchSection{
+			NewBatchSection(d1, 11, ids.RefID{}, a1),
+			NewBatchSection(d2, 12, ids.RefID{}, a2),
+			NewBatchSection(d3, 13, ids.RefID{}, a3),
+		})
+	}
+	return NewBatchCDM(4, false, []BatchSection{
+		NewBatchSection(d1, 11, rs[0], a1),
+		NewBatchSection(d2, 12, rs[1], a2),
+		NewBatchSection(d3, 13, rs[4], a3),
+		NewBatchSection(d1, 11, rs[1], a1),
 	})
 }
 
@@ -42,6 +57,9 @@ func TestBatchCDMRoundTrip(t *testing.T) {
 	for _, ret := range []bool{false, true} {
 		m := testBatch(ret)
 		data := Encode(m)
+		if n := EncodedSize(m); n != len(data) {
+			t.Fatalf("ret=%v: EncodedSize = %d, len(Encode) = %d", ret, n, len(data))
+		}
 		got, err := Decode(data)
 		if err != nil {
 			t.Fatalf("ret=%v: decode: %v", ret, err)
@@ -50,7 +68,7 @@ func TestBatchCDMRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("decoded %T", got)
 		}
-		if b.Along != m.Along || b.Hops != m.Hops || b.Return != m.Return {
+		if b.Hops != m.Hops || b.Return != m.Return {
 			t.Fatalf("header mismatch: %+v vs %+v", b, m)
 		}
 		if len(b.Sections) != len(m.Sections) {
@@ -58,17 +76,47 @@ func TestBatchCDMRoundTrip(t *testing.T) {
 		}
 		for i := range m.Sections {
 			ws, ds := &m.Sections[i], &b.Sections[i]
-			if ds.Det != ws.Det || ds.Trace != ws.Trace {
-				t.Fatalf("section %d identity mismatch", i)
+			if ds.Det != ws.Det || ds.Trace != ws.Trace || ds.Along != ws.Along {
+				t.Fatalf("section %d identity mismatch: %+v vs %+v", i, ds, ws)
 			}
 			if !carried(ds).Equal(carried(ws)) {
 				t.Fatalf("section %d algebra mismatch", i)
 			}
 		}
-		// Canonical form: the decoded message re-encodes byte-identically.
+		// Canonical form: the decoded message re-encodes byte-identically,
+		// and sizes itself without NewBatchCDM's dictionary.
 		if re := Encode(b); !reflect.DeepEqual(re, data) {
 			t.Fatalf("ret=%v: not canonical:\n in  %x\n out %x", ret, data, re)
 		}
+		if n := EncodedSize(b); n != len(data) {
+			t.Fatalf("ret=%v: decoded EncodedSize = %d, want %d", ret, n, len(data))
+		}
+	}
+}
+
+// TestBatchCDMDictionary pins the shared dictionary of testBatch: every
+// reference an algebra or an along names, once, in canonical order — the
+// along no algebra names included.
+func TestBatchCDMDictionary(t *testing.T) {
+	rs := batchRefs()
+	d := testBatch(false).flat()
+	want := []ids.RefID{rs[0], rs[1], rs[4], rs[2], rs[3]}
+	if !reflect.DeepEqual(d.Refs, want) {
+		t.Fatalf("dictionary %v, want %v", d.Refs, want)
+	}
+	if !reflect.DeepEqual(d.Extra, []int{0, 1, 2, 1}) {
+		t.Fatalf("along indices %v", d.Extra)
+	}
+	var idx [][]uint32
+	for i := range 4 {
+		var s []uint32
+		for _, e := range d.Section(i) {
+			s = append(s, e.Index)
+		}
+		idx = append(idx, s)
+	}
+	if got := fmt.Sprint(idx); got != "[[0 3] [0 1] [4] [0 3]]" {
+		t.Fatalf("entry indices %s", got)
 	}
 }
 
@@ -111,9 +159,8 @@ func TestBatchCDMTruncationErrorsNotPanics(t *testing.T) {
 // malformed framings the encoder cannot produce.
 type rawBatch struct{ buf []byte }
 
-func newRawBatch(along ids.RefID, hops uint64, ret bool, dict []ids.RefID) *rawBatch {
+func newRawBatch(hops uint64, ret bool, dict []ids.RefID) *rawBatch {
 	b := &rawBatch{buf: []byte{byte(KindBatchCDM)}}
-	b.buf = putRefID(b.buf, along)
 	b.buf = putUint(b.buf, hops)
 	b.buf = putBool(b.buf, ret)
 	b.buf = putUint(b.buf, uint64(len(dict)))
@@ -128,10 +175,13 @@ func (b *rawBatch) sections(n int) *rawBatch {
 	return b
 }
 
-func (b *rawBatch) section(origin ids.NodeID, seq uint64, entries ...uint64) *rawBatch {
+// section appends a forward section travelling along dictionary entry
+// along, with one source entry per listed dictionary index.
+func (b *rawBatch) section(origin ids.NodeID, seq, along uint64, entries ...uint64) *rawBatch {
 	b.buf = putNode(b.buf, origin)
 	b.buf = putUint(b.buf, seq)
 	b.buf = putUint(b.buf, 99) // trace
+	b.buf = putUint(b.buf, along)
 	b.buf = putUint(b.buf, uint64(len(entries)))
 	for _, idx := range entries {
 		b.buf = putUint(b.buf, idx)
@@ -152,49 +202,54 @@ func TestBatchCDMRejectsMalformed(t *testing.T) {
 	}{
 		{
 			"zero sections",
-			newRawBatch(rs[0], 1, false, rs[:1]).sections(0).buf,
+			newRawBatch(1, false, rs[:1]).sections(0).buf,
 			"zero sections",
 		},
 		{
 			"zero-entry section",
-			newRawBatch(rs[0], 1, false, rs[:1]).sections(1).section("P1", 1).buf,
+			newRawBatch(1, false, rs[:1]).sections(1).section("P1", 1, 0).buf,
 			"zero entries",
 		},
 		{
 			"duplicate detection ids",
-			newRawBatch(rs[0], 1, false, rs[:1]).sections(2).
-				section("P1", 7, 0).section("P1", 7, 0).buf,
+			newRawBatch(1, false, rs[:2]).sections(2).
+				section("P1", 7, 0, 1).section("P1", 7, 0, 1).buf,
 			"duplicate detection",
 		},
 		{
 			"dictionary out of order",
-			newRawBatch(rs[0], 1, false, []ids.RefID{rs[1], rs[0]}).sections(1).
-				section("P1", 1, 0, 1).buf,
+			newRawBatch(1, false, []ids.RefID{rs[1], rs[0]}).sections(1).
+				section("P1", 1, 0, 0, 1).buf,
 			"canonical order",
 		},
 		{
 			"unused dictionary ref",
-			newRawBatch(rs[0], 1, false, rs[:2]).sections(1).section("P1", 1, 0).buf,
+			newRawBatch(1, false, rs[:3]).sections(1).section("P1", 1, 0, 1).buf,
 			"unused dictionary ref",
 		},
 		{
+			"along index out of range",
+			newRawBatch(1, false, rs[:1]).sections(1).section("P1", 1, 1, 0).buf,
+			"along index 1 out of dictionary range",
+		},
+		{
 			"entry index out of range",
-			newRawBatch(rs[0], 1, false, rs[:1]).sections(1).section("P1", 1, 3).buf,
+			newRawBatch(1, false, rs[:1]).sections(1).section("P1", 1, 0, 3).buf,
 			"out of dictionary range",
 		},
 		{
 			"entries out of order",
-			newRawBatch(rs[0], 1, false, rs[:2]).sections(1).section("P1", 1, 1, 0).buf,
+			newRawBatch(1, false, rs[:2]).sections(1).section("P1", 1, 0, 1, 0).buf,
 			"canonical order",
 		},
 		{
 			"repeated entry index",
-			newRawBatch(rs[0], 1, false, rs[:1]).sections(1).section("P1", 1, 0, 0).buf,
+			newRawBatch(1, false, rs[:1]).sections(1).section("P1", 1, 0, 0, 0).buf,
 			"canonical order",
 		},
 		{
 			"hops overflow",
-			newRawBatch(rs[0], 1<<40, false, rs[:1]).sections(1).section("P1", 1, 0).buf,
+			newRawBatch(1<<40, false, rs[:1]).sections(1).section("P1", 1, 0, 0).buf,
 			"overflows",
 		},
 	}

@@ -21,12 +21,15 @@ func TestGenerateCorpus(t *testing.T) {
 		"batchcdm-valid":         Encode(testBatch(false)),
 		"batchcdm-return":        Encode(testBatch(true)),
 		"batchcdm-truncated":     Encode(testBatch(false))[:20],
-		"batchcdm-zero-sections": newRawBatch(rs[0], 1, false, rs[:1]).sections(0).buf,
-		"batchcdm-zero-entries":  newRawBatch(rs[0], 1, false, rs[:1]).sections(1).section("P1", 1).buf,
-		"batchcdm-dup-detection": newRawBatch(rs[0], 1, false, rs[:1]).sections(2).
-			section("P1", 7, 0).section("P1", 7, 0).buf,
-		"batchcdm-unsorted-dict": newRawBatch(rs[0], 1, false, []ids.RefID{rs[1], rs[0]}).
-			sections(1).section("P1", 1, 0, 1).buf,
+		"batchcdm-zero-sections": newRawBatch(1, false, rs[:1]).sections(0).buf,
+		"batchcdm-zero-entries":  newRawBatch(1, false, rs[:1]).sections(1).section("P1", 1, 0).buf,
+		"batchcdm-dup-detection": newRawBatch(1, false, rs[:2]).sections(2).
+			section("P1", 7, 0, 1).section("P1", 7, 0, 1).buf,
+		"batchcdm-mixed-alongs": newRawBatch(1, false, rs[:2]).sections(2).
+			section("P1", 7, 0, 1).section("P1", 7, 1, 1).buf,
+		"batchcdm-along-range": newRawBatch(1, false, rs[:1]).sections(1).section("P1", 1, 1, 0).buf,
+		"batchcdm-unsorted-dict": newRawBatch(1, false, []ids.RefID{rs[1], rs[0]}).
+			sections(1).section("P1", 1, 0, 0, 1).buf,
 	}
 	_, bad := nonCanonicalCDMs()
 	for name, data := range bad {

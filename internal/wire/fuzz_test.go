@@ -40,7 +40,7 @@ func FuzzDecode(f *testing.F) {
 		}},
 		&Batch{},
 		&Batch{Msgs: []Message{testBatch(false)}},
-		testBatch(false),
+		testBatch(false), // sections along three references, one detection along two
 		testBatch(true),
 		&Gossip{Members: []MemberRecord{{Node: "P1", Addr: "h:1", Incarnation: 3, State: 2}}},
 		&LeaseHandoff{Holder: "P3", Objs: []ids.ObjID{2, 7}},

@@ -322,13 +322,13 @@ func testNewCDMBytesMatchReference(t *testing.T, u [5]ids.NodeID) {
 			t.Fatalf("seed %d: decoded algebra mismatch", seed)
 		}
 
-		// The batched form assigns dictionary indices by a merge walk that
-		// relies on canonical section order; a decode that accepts the bytes
-		// and yields the same algebra proves the walk held.
+		// The batched form assigns dictionary indices by one rank-keyed
+		// sort that must reproduce canonical order; a decode that accepts
+		// the bytes and yields the same algebra proves it did.
 		if alg.Len() == 0 {
 			continue // the decoder rejects empty sections by design
 		}
-		batch := NewBatchCDM(along, 3, false, []BatchSection{NewBatchSection(det, tr, alg)})
+		batch := NewBatchCDM(3, false, []BatchSection{NewBatchSection(det, tr, along, alg)})
 		dec, err = Decode(Encode(batch))
 		if err != nil {
 			t.Fatalf("seed %d: batch decode: %v", seed, err)
