@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"dgc/internal/ids"
 )
@@ -52,8 +51,6 @@ type dictKey struct {
 
 func cmpDictKeys(x, y dictKey) int { return x.e.cmpKey(y.e.nodes(), y.e.obj) }
 
-var dictScratch = sync.Pool{New: func() any { return new([]dictKey) }}
-
 // NewDict builds the dictionary of n algebras: at(i) returns algebra i and
 // its extra reference (the zero RefID for none). Every occurrence is keyed by
 // node-name rank under one node-table snapshot and the lot is sorted once, an
@@ -74,9 +71,7 @@ func NewDict(n int, at func(i int) (Alg, ids.RefID)) Dict {
 	ranked := func(word uint64) uint64 {
 		return nodesWord(names.Rank(srcOf(word)), names.Rank(dstOf(word)))
 	}
-	sp := dictScratch.Get().(*[]dictKey)
-	defer dictScratch.Put(sp)
-	keys := (*sp)[:0]
+	keys := make([]dictKey, 0, total)
 	d := Dict{Ends: make([]int, n), Extra: make([]int, n)}
 	for i := 0; i < n; i++ {
 		a, extra := at(i)
@@ -92,7 +87,6 @@ func NewDict(n int, at func(i int) (Alg, ids.RefID)) Dict {
 			keys = append(keys, dictKey{e: e, alg: int32(i), extra: true})
 		}
 	}
-	*sp = keys
 	slices.SortFunc(keys, cmpDictKeys)
 
 	// Ends becomes each algebra's write cursor, starting at its offset, and

@@ -149,6 +149,7 @@ type cdmBatcher struct {
 	order []ids.NodeID // peer insertion order; sorted at flush
 
 	rets     map[ids.NodeID][]wire.BatchSection
+	retIndex map[core.DetectionID]int // det → its section in rets[det.Origin]
 	retOrder []ids.NodeID
 	retHops  int
 }
@@ -198,12 +199,21 @@ func (b *cdmBatcher) add(det core.DetectionID, trace uint64, alongs []ids.RefID,
 }
 
 // addReturn buffers one partial-match result bound for the detection's
-// origin. alg must be safe to share (the caller clones the accumulator).
+// origin. alg must be safe to share (the caller clones the accumulator). A
+// detection that arrived along two references can be cut twice in one input;
+// its later return supersedes the earlier, as in add, so the origin gets one
+// section per detection.
 func (b *cdmBatcher) addReturn(det core.DetectionID, trace uint64, alg core.Alg, hops int) {
-	if _, ok := b.rets[det.Origin]; !ok {
-		b.retOrder = append(b.retOrder, det.Origin)
+	s := wire.NewBatchSection(det, trace, ids.RefID{}, alg)
+	if i, ok := b.retIndex[det]; ok {
+		b.rets[det.Origin][i] = s
+	} else {
+		if _, ok := b.rets[det.Origin]; !ok {
+			b.retOrder = append(b.retOrder, det.Origin)
+		}
+		b.retIndex[det] = len(b.rets[det.Origin])
+		b.rets[det.Origin] = append(b.rets[det.Origin], s)
 	}
-	b.rets[det.Origin] = append(b.rets[det.Origin], wire.NewBatchSection(det, trace, ids.RefID{}, alg))
 	if hops > b.retHops {
 		b.retHops = hops
 	}
@@ -211,8 +221,9 @@ func (b *cdmBatcher) addReturn(det core.DetectionID, trace uint64, alg core.Alg,
 
 func newCDMBatcher() *cdmBatcher {
 	return &cdmBatcher{
-		peers: make(map[ids.NodeID]*peerBatch),
-		rets:  make(map[ids.NodeID][]wire.BatchSection),
+		peers:    make(map[ids.NodeID]*peerBatch),
+		rets:     make(map[ids.NodeID][]wire.BatchSection),
+		retIndex: make(map[core.DetectionID]int),
 	}
 }
 

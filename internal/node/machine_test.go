@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dgc/internal/core"
 	"dgc/internal/ids"
 	"dgc/internal/transport"
 	"dgc/internal/wire"
@@ -201,5 +202,87 @@ func TestCallbackPanicReachesCaller(t *testing.T) {
 				t.Fatal("the node stopped serving after a callback panicked")
 			}
 		})
+	}
+}
+
+// A detection that enters a node along two references can travel as two
+// sections of one BatchCDM, and each can be cut for carrying no new
+// information: the first against the accumulator it creates, the second after
+// merging a larger derivation into it. The origin must still get one return
+// section for the detection, since the decoder rejects a repeated (detection,
+// along) pair. Every message the input sends has to survive the real codec.
+func TestTwoCutsOfOneDetectionReturnOnce(t *testing.T) {
+	m := NewMachine("B", Config{})
+	stub := ids.GlobalRef{Node: "C", Obj: 9}
+	var o1, o2 ids.ObjID
+	m.With(func(mut Mutator) {
+		o1 = mut.Alloc(nil)
+		o2 = mut.Alloc(nil)
+	})
+	for _, o := range []ids.ObjID{o1, o2} {
+		if err := m.EnsureScionFor("A", o); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.HoldRemote(o, stub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Summarize(); err != nil {
+		t.Fatal(err)
+	}
+	m.TakeEffects()
+	sum := m.Summary()
+	r1 := ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: o1}}
+	r2 := ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: o2}}
+	s := ids.RefID{Src: "B", Dst: stub}
+	if sum.Scion(r1) == nil || sum.Scion(r2) == nil || sum.Stub(stub) == nil {
+		t.Fatal("summary lacks the scions or the stub")
+	}
+
+	// alg1 already holds everything B's expansion adds (the stub and the
+	// scions leading to it), plus an unmatched source at A, so the branch
+	// ends with no new information and no verdict. alg2 is alg1 grown by
+	// one entry: it changes the accumulator and is cut again.
+	alg1 := core.NewAlg()
+	alg1.AddSource(r1, sum.Scion(r1).IC)
+	alg1.AddSource(r2, sum.Scion(r2).IC)
+	alg1.AddTarget(r1, sum.Scion(r1).IC)
+	alg1.AddTarget(s, sum.Stub(stub).IC)
+	alg1.AddSource(ids.RefID{Src: "C", Dst: ids.GlobalRef{Node: "A", Obj: 1}}, 0)
+	alg2 := alg1.Clone()
+	alg2.AddTarget(r2, sum.Scion(r2).IC)
+
+	det := core.DetectionID{Origin: "A", Seq: 1}
+	tr := core.TraceIDFor(det)
+	m.HandleMessage("A", wire.NewBatchCDM(2, false, []wire.BatchSection{
+		wire.NewBatchSection(det, tr, r1, alg1),
+		wire.NewBatchSection(det, tr, r2, alg2),
+	}))
+
+	returns := 0
+	for _, out := range m.TakeEffects() {
+		got, err := wire.Decode(wire.Encode(out.Msg))
+		if err != nil {
+			t.Fatalf("%T to %s does not decode: %v", out.Msg, out.To, err)
+		}
+		b, ok := got.(*wire.BatchCDM)
+		if !ok || !b.Return {
+			continue
+		}
+		returns++
+		if out.To != "A" || len(b.Sections) != 1 || b.Sections[0].Det != det {
+			t.Fatalf("return to %s carries %d sections, want one for %v to A", out.To, len(b.Sections), det)
+		}
+		// The surviving section is the later cut's view, which holds the
+		// earlier one's: it adds to alg1 and nothing to alg2.
+		if changed, conflict := b.Sections[0].MergeAlgInto(alg1.Clone()); !changed || conflict {
+			t.Fatalf("returned view is the earlier cut's: changed=%v conflict=%v", changed, conflict)
+		}
+		if changed, conflict := b.Sections[0].MergeAlgInto(alg2.Clone()); changed || conflict {
+			t.Fatalf("returned view is not the later cut's: changed=%v conflict=%v", changed, conflict)
+		}
+	}
+	if returns != 1 {
+		t.Fatalf("%d return messages, want 1", returns)
 	}
 }

@@ -53,7 +53,7 @@ func TestCodecAllocsPinned(t *testing.T) {
 	}{
 		{"CDM/encode", 0, func() { buf = AppendEncode(buf[:0], cdm) }},
 		{"CDM/decode", 3, func() { _, _ = Decode(cdmData) }},
-		{"BatchCDM/build", 5, func() { _ = NewBatchCDM(3, false, secs) }},
+		{"BatchCDM/build", 6, func() { _ = NewBatchCDM(3, false, secs) }},
 		{"BatchCDM/encode", 0, func() { buf = AppendEncode(buf[:0], batch) }},
 		{"BatchCDM/decode", 71, func() { _, _ = Decode(batchData) }},
 	} {
