@@ -40,78 +40,88 @@ import (
 	"dgc/internal/admin"
 )
 
-func main() {
-	var (
-		id            = flag.String("id", "", "node identifier (required)")
-		listen        = flag.String("listen", ":0", "listen address")
-		peersFlag     = flag.String("peers", "", "comma-separated name=addr peer list")
-		tick          = flag.Duration("tick", 250*time.Millisecond, "tick period")
-		lgcEvery      = flag.Uint64("lgc-every", 2, "run the local GC every N ticks")
-		snapEvery     = flag.Uint64("snapshot-every", 4, "summarize every N ticks")
-		detectEvery   = flag.Uint64("detect-every", 4, "run cycle detection every N ticks")
-		candidateAge  = flag.Uint64("candidate-age", 4, "scion quiescence ticks before candidacy")
-		snapshotDir   = flag.String("snapshot-dir", "", "write serialized snapshots here")
-		codecName     = flag.String("codec", "", "snapshot codec: binary or reflect")
-		seedObjects   = flag.Int("seed-objects", 0, "allocate N rooted demo objects at startup")
-		statsEvery    = flag.Int("stats-every", 10, "print stats every N ticks (0 = never)")
-		membershipOn  = flag.Bool("membership", true, "gossip membership directory with lease-guarded dead-node reclamation (-membership=false for a static cluster)")
-		callTimeoutTk = flag.Uint64("call-timeout", 40, "RPC timeout in ticks")
-		stateFile     = flag.String("state-file", "", "persist collector state here: loaded at startup if present, saved on shutdown")
-		metricsAddr   = flag.String("metrics-addr", "", "serve the admin API (Prometheus /metrics, /debug/dgc, /api/v1) on this address")
-		adminToken    = flag.String("admin-token", os.Getenv("DGC_ADMIN_TOKEN"), "bearer token required on /api/v1 and /debug routes (default $DGC_ADMIN_TOKEN; empty = open)")
-		pprofMode     = flag.String("pprof", "auto", "serve /debug/pprof on the admin address: on, off, or auto (loopback only)")
-	)
-	flag.Parse()
+// options are the daemon's own flags: the ones that do not describe the node.
+type options struct {
+	statsEvery  int
+	metricsAddr string
+	adminToken  string
+	pprofMode   string
+}
+
+// parseArgs resolves the command line into the node's spec and the daemon's
+// options. A flag named after a cluster-spec setting (-lgc-every is
+// lgc_every) resolves through the spec's settings table, exactly as a node
+// entry of `dgcctl up` does: the defaults printed by -h are read from it, and
+// only the flags given on the command line override them.
+func parseArgs(args []string) (admin.NodeSpec, options, error) {
+	def, err := admin.NodeSettings("", nil)
+	if err != nil {
+		return admin.NodeSpec{}, options{}, err
+	}
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	isSetting := map[string]bool{}
+	setting := func(name string) string {
+		isSetting[name] = true
+		return name
+	}
+	var o options
+	id := fs.String("id", "", "node identifier (required)")
+	listen := fs.String("listen", ":0", "listen address")
+	peersFlag := fs.String("peers", "", "comma-separated name=addr peer list")
+	fs.Duration(setting("tick"), def.Runtime.Tick, "tick period")
+	fs.Uint64(setting("lgc-every"), def.Config.LGCEvery, "run the local GC every N ticks")
+	fs.Uint64(setting("snapshot-every"), def.Config.SnapshotEvery, "summarize every N ticks")
+	fs.Uint64(setting("detect-every"), def.Config.DetectEvery, "run cycle detection every N ticks")
+	fs.Uint64(setting("candidate-age"), def.Config.CandidateMinAge, "scion quiescence ticks before candidacy")
+	fs.String(setting("snapshot-dir"), def.Config.SnapshotDir, "write serialized snapshots here")
+	fs.String(setting("codec"), "", "snapshot codec: binary or reflect")
+	fs.Int(setting("seed-objects"), def.SeedObjects, "allocate N rooted demo objects at startup")
+	fs.IntVar(&o.statsEvery, "stats-every", 10, "print stats every N ticks (0 = never)")
+	fs.Bool(setting("membership"), def.Config.Membership != nil, "gossip membership directory with lease-guarded dead-node reclamation (-membership=false for a static cluster)")
+	fs.Uint64(setting("call-timeout"), def.Config.CallTimeoutTicks, "RPC timeout in ticks")
+	fs.String(setting("state-file"), def.StateFile, "persist collector state here: loaded at startup if present, saved on shutdown")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve the admin API (Prometheus /metrics, /debug/dgc, /api/v1) on this address")
+	fs.StringVar(&o.adminToken, "admin-token", os.Getenv("DGC_ADMIN_TOKEN"), "bearer token required on /api/v1 and /debug routes (default $DGC_ADMIN_TOKEN; empty = open)")
+	fs.StringVar(&o.pprofMode, "pprof", "auto", "serve /debug/pprof on the admin address: on, off, or auto (loopback only)")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with usage
 	if *id == "" {
-		log.Fatal("dgc-node: -id is required")
+		return admin.NodeSpec{}, o, fmt.Errorf("-id is required")
 	}
 
-	spec := admin.NodeSpec{
-		ID:          dgc.NodeID(*id),
-		Listen:      *listen,
-		Peers:       map[dgc.NodeID]string{},
-		StateFile:   *stateFile,
-		SeedObjects: *seedObjects,
+	values := map[string]string{}
+	fs.Visit(func(f *flag.Flag) {
+		if isSetting[f.Name] {
+			values[strings.ReplaceAll(f.Name, "-", "_")] = f.Value.String()
+		}
+	})
+	spec, err := admin.NodeSettings(dgc.NodeID(*id), values)
+	if err != nil {
+		return admin.NodeSpec{}, o, err
 	}
+	spec.Listen = *listen
+	spec.Peers = map[dgc.NodeID]string{}
 	if *peersFlag != "" {
 		for _, kv := range strings.Split(*peersFlag, ",") {
 			name, addr, ok := strings.Cut(kv, "=")
 			if !ok {
-				log.Fatalf("dgc-node: malformed peer %q (want name=addr)", kv)
+				return admin.NodeSpec{}, o, fmt.Errorf("malformed peer %q (want name=addr)", kv)
 			}
 			spec.Peers[dgc.NodeID(name)] = addr
 		}
 	}
+	return spec, o, nil
+}
 
-	spec.Config = dgc.Config{
-		CandidateMinAge:  *candidateAge,
-		LGCEvery:         *lgcEvery,
-		SnapshotEvery:    *snapEvery,
-		DetectEvery:      *detectEvery,
-		CallTimeoutTicks: *callTimeoutTk,
-		SnapshotDir:      *snapshotDir,
+func main() {
+	spec, o, err := parseArgs(os.Args[1:])
+	if err != nil {
+		log.Fatalf("dgc-node: %v", err)
 	}
-	if *membershipOn {
-		spec.Config.Membership = &dgc.MembershipConfig{}
-	}
-	switch *codecName {
-	case "":
-	case "binary":
-		spec.Config.Codec = dgc.BinaryCodec{}
-	case "reflect":
-		spec.Config.Codec = dgc.ReflectCodec{}
-	default:
-		log.Fatalf("dgc-node: unknown codec %q", *codecName)
-	}
-	if spec.Config.SnapshotDir != "" && spec.Config.Codec == nil {
-		spec.Config.Codec = dgc.BinaryCodec{}
-	}
-
-	spec.Runtime = dgc.RuntimeConfig{Tick: *tick}
+	id := spec.ID
 
 	hadState := false
-	if *stateFile != "" {
-		if _, err := os.Stat(*stateFile); err == nil {
+	if spec.StateFile != "" {
+		if _, err := os.Stat(spec.StateFile); err == nil {
 			hadState = true
 		}
 	}
@@ -120,24 +130,23 @@ func main() {
 		log.Fatal(err)
 	}
 	if hadState {
-		fmt.Printf("restored state from %s (%d objects)\n", *stateFile, sup.DebugSnapshot().Objects)
-	} else if *seedObjects > 0 {
-		fmt.Printf("seeded %d rooted objects\n", *seedObjects)
+		fmt.Printf("restored state from %s (%d objects)\n", spec.StateFile, sup.DebugSnapshot().Objects)
+	} else if spec.SeedObjects > 0 {
+		fmt.Printf("seeded %d rooted objects\n", spec.SeedObjects)
 	}
-	fmt.Printf("dgc-node %s listening on %s (%d peers)\n", *id, sup.Addr(), len(spec.Peers))
+	fmt.Printf("dgc-node %s listening on %s (%d peers)\n", id, sup.Addr(), len(spec.Peers))
 
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
+	if o.metricsAddr != "" {
+		ln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
-			log.Fatalf("dgc-node: metrics listen %s: %v", *metricsAddr, err)
+			log.Fatalf("dgc-node: metrics listen %s: %v", o.metricsAddr, err)
 		}
-		srv := admin.NewServer(sup.Metrics())
-		srv.SetToken(*adminToken)
-		if admin.PprofEnabled(*pprofMode, *metricsAddr) {
+		srv := admin.NewServer(sup)
+		srv.SetToken(o.adminToken)
+		if admin.PprofEnabled(o.pprofMode, o.metricsAddr) {
 			srv.EnablePprof()
 			fmt.Printf("pprof profiles on http://%s/debug/pprof/\n", ln.Addr())
 		}
-		srv.AddNode(sup)
 		go func() { _ = http.Serve(ln, srv.Handler()) }()
 		defer ln.Close()
 		fmt.Printf("admin API on http://%s (metrics at /metrics, diagnostics at /debug/dgc, events at /api/v1/events)\n", ln.Addr())
@@ -148,8 +157,8 @@ func main() {
 
 	// The runtime drives itself; this loop only reports.
 	var statsC <-chan time.Time
-	if *statsEvery > 0 {
-		t := time.NewTicker(time.Duration(*statsEvery) * *tick)
+	if o.statsEvery > 0 {
+		t := time.NewTicker(time.Duration(o.statsEvery) * spec.Runtime.Tick)
 		defer t.Stop()
 		statsC = t.C
 	}
@@ -159,7 +168,7 @@ func main() {
 			s := sup.Stats()
 			snap := sup.DebugSnapshot()
 			fmt.Printf("[%s t=%d] objects=%d scions=%d stubs=%d swept=%d detections=%d cycles=%d aborted=%d\n",
-				*id, s.Clock, snap.Objects, snap.Scions, snap.Stubs,
+				id, s.Clock, snap.Objects, snap.Scions, snap.Stubs,
 				s.ObjectsSwept, s.Detector.Started, s.Detector.CyclesFound, s.Detector.Aborted)
 		case got := <-sig:
 			// Graceful: state flush + clean runtime/transport close. A second
@@ -173,11 +182,11 @@ func main() {
 			objects := sup.DebugSnapshot().Objects
 			if err := sup.Stop(); err != nil {
 				log.Printf("dgc-node: shutdown: %v", err)
-			} else if *stateFile != "" {
-				fmt.Printf("\nstate saved to %s\n", *stateFile)
+			} else if spec.StateFile != "" {
+				fmt.Printf("\nstate saved to %s\n", spec.StateFile)
 			}
 			fmt.Printf("dgc-node %s shut down on %v: %d objects, %d swept over %d ticks\n",
-				*id, got, objects, s.ObjectsSwept, s.Clock)
+				id, got, objects, s.ObjectsSwept, s.Clock)
 			return
 		}
 	}

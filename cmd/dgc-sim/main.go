@@ -6,7 +6,7 @@
 //	dgc-sim [-scenario figure1|figure3|figure4|ring|acyclic|random]
 //	        [-procs N] [-chain N] [-seed N] [-rounds N]
 //	        [-loss F] [-dup F] [-reorder F] [-v]
-//	        [-metrics-addr :9090] [-metrics-json]
+//	        [-metrics-json] [-trace N]
 //
 // Examples:
 //
@@ -20,13 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"text/tabwriter"
 
 	"dgc"
-	"dgc/internal/admin"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
@@ -49,9 +46,7 @@ func run(args []string, out io.Writer) int {
 		verbose  = fs.Bool("v", false, "print per-node stats at the end")
 		traceN   = fs.Int("trace", 0, "print the last N collector events")
 
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/dgc on this address during the run")
 		metricsJSON = fs.Bool("metrics-json", false, "dump the full metric set as one JSON object per round")
-		pprofMode   = fs.String("pprof", "auto", "serve /debug/pprof on the metrics address: on, off, or auto (loopback only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,10 +78,6 @@ func run(args []string, out io.Writer) int {
 	if *traceN > 0 {
 		events = dgc.NewTraceLog(*traceN)
 		cfg.Trace = events
-	} else if *metricsAddr != "" {
-		// The admin event stream (/api/v1/events) reads the shared journal;
-		// give it one even when -trace printing is off.
-		cfg.Trace = dgc.NewTraceLog(8192)
 	}
 	c := dgc.NewCluster(*seed, cfg)
 	if _, err := c.Materialize(topo, cfg); err != nil {
@@ -98,24 +89,6 @@ func run(args []string, out io.Writer) int {
 			LossRate: *loss, DupRate: *dup, ReorderRate: *reorder,
 			Affects: dgc.GCTraffic(),
 		})
-	}
-
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dgc-sim: metrics listen %s: %v\n", *metricsAddr, err)
-			return 1
-		}
-		defer ln.Close()
-		srv := admin.NewServer(cfg.Metrics)
-		if admin.PprofEnabled(*pprofMode, *metricsAddr) {
-			srv.EnablePprof()
-		}
-		for _, n := range c.Nodes() {
-			srv.AddNode(n)
-		}
-		go func() { _ = http.Serve(ln, srv.Handler()) }()
-		fmt.Fprintf(out, "metrics on http://%s/metrics\n", ln.Addr())
 	}
 
 	live := c.GlobalLive()

@@ -159,8 +159,8 @@ func RestoreNode(ep transport.Endpoint, cfg Config, state []byte) (*Node, error)
 
 // NewLiveRuntime assembles a wall-clock node over the endpoint and starts
 // its event loop and clock: the engine of a real deployment
-// (cmd/dgc-node, examples/tcpcluster). Close stops it; the caller closes
-// the endpoint separately.
+// (cmd/dgc-node, dgcctl up). Close stops it; the caller closes the endpoint
+// separately.
 func NewLiveRuntime(id NodeID, ep transport.Endpoint, cfg Config, rcfg RuntimeConfig) *LiveRuntime {
 	return node.NewLiveRuntime(id, ep, cfg, rcfg)
 }

@@ -23,8 +23,7 @@ func TestMetricsCatalogue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sup.Stop()
-	srv := NewServer(sup.Metrics())
-	srv.AddNode(sup)
+	srv := NewServer(sup)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {

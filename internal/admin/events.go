@@ -11,13 +11,6 @@ import (
 	"dgc/internal/trace"
 )
 
-// Journaler is the optional capability of handles that expose the node's
-// event journal. Both drivers and *Supervisor implement it; a nil Journal
-// means tracing is not configured on that node.
-type Journaler interface {
-	Journal() *trace.Log
-}
-
 // EventJSON is one /api/v1/events NDJSON line: a journal event, or a
 // truncation marker (kind "dropped", seq 0) telling a resuming consumer how
 // many events the ring evicted before its ?since= position.
@@ -91,30 +84,6 @@ func parseEventFilter(r *http.Request) (eventFilter, error) {
 	return f, nil
 }
 
-// pickJournal resolves the journal to stream: the ?node= handle when given,
-// otherwise the first hosted node exposing a journal (a multi-node server
-// like dgc-sim shares one journal across its nodes, so any exposes the full
-// cluster view).
-func (s *Server) pickJournal(r *http.Request) (*trace.Log, error) {
-	if want := r.URL.Query().Get("node"); want != "" {
-		h, err := s.pick(r)
-		if err != nil {
-			return nil, err
-		}
-		j, ok := h.(Journaler)
-		if !ok || j.Journal() == nil {
-			return nil, fmt.Errorf("node %q has no event journal", want)
-		}
-		return j.Journal(), nil
-	}
-	for _, h := range s.handles() {
-		if j, ok := h.(Journaler); ok && j.Journal() != nil {
-			return j.Journal(), nil
-		}
-	}
-	return nil, fmt.Errorf("no hosted node has an event journal")
-}
-
 // handleEvents serves GET /api/v1/events: the node's journal as NDJSON.
 //
 //	?since=N      resume after sequence number N (0 = full retained history)
@@ -128,11 +97,7 @@ func (s *Server) pickJournal(r *http.Request) (*trace.Log, error) {
 // follow mode a slow reader is evicted server-side; the stream ends with a
 // second marker and the client resumes with ?since=<last seq it saw>.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	log, err := s.pickJournal(r)
-	if err != nil {
-		writeErr(w, http.StatusNotImplemented, err)
-		return
-	}
+	log := s.sup.Journal()
 	filter, err := parseEventFilter(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -236,20 +201,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// syncJournalMetrics refreshes the per-node dgc_trace_* gauges from each
-// hosted journal. Called at scrape time, so the journal needs no dependency
-// on the metrics package and the series never lag.
+// syncJournalMetrics refreshes the node's dgc_trace_* gauges from its
+// journal. Called at scrape time, so the journal needs no dependency on the
+// metrics package and the series never lag.
 func (s *Server) syncJournalMetrics() {
-	for _, h := range s.handles() {
-		j, ok := h.(Journaler)
-		if !ok || j.Journal() == nil {
-			continue
-		}
-		journal := j.Journal()
-		reg := s.set.Node(string(h.ID()))
-		reg.Gauge("dgc_trace_events_emitted",
-			"Events sequenced into the node's trace journal.").Set(int64(journal.Total()))
-		reg.Gauge("dgc_trace_events_ring_dropped",
-			"Journal events evicted by the ring bound.").Set(int64(journal.Dropped()))
-	}
+	journal := s.sup.Journal()
+	reg := s.sup.Metrics().Node(string(s.sup.ID()))
+	reg.Gauge("dgc_trace_events_emitted",
+		"Events sequenced into the node's trace journal.").Set(int64(journal.Total()))
+	reg.Gauge("dgc_trace_events_ring_dropped",
+		"Journal events evicted by the ring bound.").Set(int64(journal.Dropped()))
 }

@@ -14,13 +14,14 @@ import (
 	"dgc/internal/trace"
 )
 
-// journaledHandle is a fakeHandle that exposes an event journal.
-type journaledHandle struct {
-	fakeHandle
-	log *trace.Log
+// serveJournal starts node P1 journaling into log behind its admin server.
+func serveJournal(t *testing.T, log *trace.Log) *httptest.Server {
+	t.Helper()
+	var spec NodeSpec
+	spec.Config.Trace = log
+	_, srv := serveNode(t, spec)
+	return srv
 }
-
-func (j *journaledHandle) Journal() *trace.Log { return j.log }
 
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
@@ -57,10 +58,7 @@ func TestEventsEndpointSinceAndFilters(t *testing.T) {
 		}
 		log.EmitTraced("P1", kind, uint64(0xabc), "ev=%d", i)
 	}
-	s := NewServer(nil)
-	s.AddNode(&journaledHandle{fakeHandle: fakeHandle{id: "P1"}, log: log})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	srv := serveJournal(t, log)
 
 	// Resume from seq 2: the ring retains 9..24, so events 3..8 were evicted
 	// and the stream opens with a truncation marker carrying the exact count.
@@ -119,10 +117,7 @@ func TestEventsEndpointSinceAndFilters(t *testing.T) {
 func TestEventsEndpointFollowStreamsLive(t *testing.T) {
 	log := trace.New(64)
 	log.Emit("P1", trace.KindLGC, "before")
-	s := NewServer(nil)
-	s.AddNode(&journaledHandle{fakeHandle: fakeHandle{id: "P1"}, log: log})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	srv := serveJournal(t, log)
 
 	resp, err := http.Get(srv.URL + "/api/v1/events?follow=true&timeout=5s")
 	if err != nil {
@@ -159,30 +154,12 @@ func TestEventsEndpointFollowStreamsLive(t *testing.T) {
 	}
 }
 
-func TestEventsEndpointNoJournal(t *testing.T) {
-	s := NewServer(nil)
-	s.AddNode(&fakeHandle{id: "P1"})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/v1/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("status = %d, want 501", resp.StatusCode)
-	}
-}
-
 func TestJournalMetricsAtScrape(t *testing.T) {
 	log := trace.New(16)
 	for i := 0; i < 20; i++ {
 		log.Emit("P1", trace.KindLGC, "ev")
 	}
-	s := NewServer(nil)
-	s.AddNode(&journaledHandle{fakeHandle: fakeHandle{id: "P1"}, log: log})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	srv := serveJournal(t, log)
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +197,12 @@ func TestPprofEnabled(t *testing.T) {
 }
 
 func TestPprofServedWhenEnabled(t *testing.T) {
-	s := NewServer(nil)
+	sup, err := StartNode(NodeSpec{ID: "P1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	s := NewServer(sup)
 	s.EnablePprof()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -10,13 +10,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dgc/internal/ids"
 	"dgc/internal/membership"
 	"dgc/internal/node"
-	"dgc/internal/obs"
 	"dgc/internal/trace"
 )
 
@@ -25,75 +23,16 @@ import (
 // disappears; additions are backward compatible and do not bump it.
 const SchemaVersion = 2
 
-// Handle is the per-node surface the admin server operates on. Both drivers
-// satisfy it (*node.Node, *node.LiveRuntime), as does *Supervisor — which
-// additionally implements the optional capability interfaces below.
-type Handle interface {
-	ID() ids.NodeID
-	Stats() node.Stats
-	DebugSnapshot() node.DebugSnapshot
-	TableDump() node.TableDump
-	RunDetection() int
-	ForceDetect(candidate ids.RefID) (node.ForceDetectResult, error)
-	Save() ([]byte, error)
-}
-
-// Statuser optionally reports process-level state ("running"/"down") and the
-// node's transport address. Supervisors implement it; bare drivers don't.
-type Statuser interface {
-	State() string
-	Addr() string
-}
-
-// FaultController optionally exposes fault injection. Implemented by
-// *Supervisor (via its FaultEndpoint).
-type FaultController interface {
-	Faults() *FaultEndpoint
-}
-
-// Killer optionally supports crash/restart chaos.
-type Killer interface {
-	Kill(recoverAfter time.Duration) error
-	Restart() error
-}
-
-// Restorer optionally supports replacing the node's collector state.
-type Restorer interface {
-	RestoreState(data []byte) error
-}
-
-// MemberLister optionally exposes the node's view of the elastic membership
-// directory (nil when Config.Membership is off).
-type MemberLister interface {
-	Members() []membership.Member
-}
-
-// Joiner optionally supports seeding a new cluster member into the node's
-// directory and transport dial table.
-type Joiner interface {
-	Join(peer ids.NodeID, addr string) error
-}
-
-// Drainer optionally supports voluntary departure: the node migrates its
-// exported references before declaring itself dead.
-type Drainer interface {
-	Drain() error
-}
-
-// Server is the unified admin control plane: one HTTP surface per process
-// exposing every hosted node's status, tables, in-flight detections, forced
-// actions, snapshots and fault injection as a versioned JSON API. It replaces
-// the per-binary /metrics + /debug/dgc wiring that cmd/dgc-node, cmd/dgc-sim
-// and examples/tcpcluster each duplicated.
+// Server is the admin control plane of one supervised node: one HTTP
+// surface exposing the node's status, tables, membership view, event
+// journal, forced detections, snapshots and fault injection as a versioned
+// JSON API. Payloads keep their node-id-keyed shape, with the one node as
+// the one entry.
 type Server struct {
-	set   *obs.Set
+	sup   *Supervisor
 	build BuildInfo
 	pprof bool
 	token string
-
-	mu    sync.Mutex
-	nodes map[string]Handle
-	order []string
 }
 
 // SetToken enables bearer-token authentication: every /api/v1/* and /debug/*
@@ -107,67 +46,25 @@ func (s *Server) SetToken(token string) { s.token = token }
 // /debug/pprof/. Call before Handler; see PprofEnabled for the flag policy.
 func (s *Server) EnablePprof() { s.pprof = true }
 
-// NewServer creates a server over the given metrics set (a fresh set when
-// nil) and publishes the dgc_build_info gauge into it.
-func NewServer(set *obs.Set) *Server {
-	if set == nil {
-		set = obs.NewSet()
-	}
-	return &Server{
-		set:   set,
-		build: RegisterBuildInfo(set),
-		nodes: make(map[string]Handle),
-	}
+// NewServer creates the admin server of sup and publishes the dgc_build_info
+// gauge into the supervisor's metric set.
+func NewServer(sup *Supervisor) *Server {
+	return &Server{sup: sup, build: RegisterBuildInfo(sup.Metrics())}
 }
 
-// AddNode registers a node with the server. Safe before or after Handler is
-// serving.
-func (s *Server) AddNode(h Handle) {
-	id := string(h.ID())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.nodes[id]; !dup {
-		s.order = append(s.order, id)
+// checkNode rejects a ?node= selector that names a node other than the
+// served one; an absent selector means the served node.
+func (s *Server) checkNode(r *http.Request) error {
+	if want := r.URL.Query().Get("node"); want != "" && want != string(s.sup.ID()) {
+		return fmt.Errorf("unknown node %q (this server runs %s)", want, s.sup.ID())
 	}
-	s.nodes[id] = h
-}
-
-// Metrics returns the server's metrics set.
-func (s *Server) Metrics() *obs.Set { return s.set }
-
-func (s *Server) handles() []Handle {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Handle, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.nodes[id])
-	}
-	return out
-}
-
-// pick resolves the ?node= selector: required only when the server hosts
-// more than one node.
-func (s *Server) pick(r *http.Request) (Handle, error) {
-	want := r.URL.Query().Get("node")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if want == "" {
-		if len(s.order) == 1 {
-			return s.nodes[s.order[0]], nil
-		}
-		return nil, fmt.Errorf("?node= is required (hosting %d nodes)", len(s.order))
-	}
-	h, ok := s.nodes[want]
-	if !ok {
-		return nil, fmt.Errorf("unknown node %q", want)
-	}
-	return h, nil
+	return nil
 }
 
 // NodeStatus is one node's row in the /api/v1/status payload.
 type NodeStatus struct {
 	Node    string `json:"node"`
-	State   string `json:"state"` // "running" or "down" ("running" for bare drivers)
+	State   string `json:"state"` // "running" or "down"
 	Addr    string `json:"addr,omitempty"`
 	Clock   uint64 `json:"clock"`
 	Objects int    `json:"objects"`
@@ -198,14 +95,11 @@ type StatusReply struct {
 	Nodes         map[string]NodeStatus `json:"nodes"`
 }
 
-func statusOf(h Handle) NodeStatus {
-	st := NodeStatus{Node: string(h.ID()), State: "running"}
-	if ss, ok := h.(Statuser); ok {
-		st.State = ss.State()
-		st.Addr = ss.Addr()
-	}
-	snap := h.DebugSnapshot()
-	stats := h.Stats()
+func (s *Server) status() NodeStatus {
+	sup := s.sup
+	st := NodeStatus{Node: string(sup.ID()), State: sup.State(), Addr: sup.Addr()}
+	snap := sup.DebugSnapshot()
+	stats := sup.Stats()
 	st.Clock = snap.Clock
 	st.Objects = snap.Objects
 	st.Scions = snap.Scions
@@ -220,11 +114,8 @@ func statusOf(h Handle) NodeStatus {
 		ScionsFreed: stats.Detector.ScionsFreed,
 	}
 	st.Mailbox = snap.Mailbox
-	if fc, ok := h.(FaultController); ok {
-		fs := fc.Faults().FaultStatus()
-		if fs.Active() || fs.Dropped > 0 || fs.Delayed > 0 {
-			st.Faults = &fs
-		}
+	if fs := sup.Faults().FaultStatus(); fs.Active() || fs.Dropped > 0 || fs.Delayed > 0 {
+		st.Faults = &fs
 	}
 	return st
 }
@@ -280,8 +171,9 @@ type MemberInfo struct {
 	Incarnation uint64 `json:"incarnation"`
 }
 
-// MembersReply is the /api/v1/members payload: each hosted node's view of the
-// membership directory. Views can disagree transiently — that divergence is
+// MembersReply is the /api/v1/members payload: the node's view of the
+// membership directory, keyed by node id (no entry with membership off).
+// Views of different nodes can disagree transiently — that divergence is
 // exactly what the endpoint exists to observe.
 type MembersReply struct {
 	SchemaVersion int                     `json:"schema_version"`
@@ -289,7 +181,7 @@ type MembersReply struct {
 }
 
 // JoinRequest is the /api/v1/join body: the new member's name and transport
-// dial address, seeded into every hosted node's directory.
+// dial address, seeded into the node's directory.
 type JoinRequest struct {
 	Node string `json:"node"`
 	Addr string `json:"addr"`
@@ -311,22 +203,24 @@ func memberInfos(ms []membership.Member) []MemberInfo {
 // Handler returns the admin API:
 //
 //	GET  /metrics             Prometheus text exposition
-//	GET  /debug/dgc           versioned per-node debug snapshots
-//	GET  /api/v1/status       cluster status: build, per-node state/counters
-//	GET  /api/v1/tables       one node's scion/stub tables (?node=)
-//	GET  /api/v1/members      per-node membership directory views
+//	GET  /debug/dgc           versioned debug snapshot
+//	GET  /api/v1/status       build, node state and counters
+//	GET  /api/v1/tables       scion/stub tables
+//	GET  /api/v1/members      membership directory view
 //	GET  /api/v1/events       journal event stream, NDJSON (?since=&kind=&trace=&follow=)
-//	POST /api/v1/join         seed a new member {node, addr} into every hosted node
-//	POST /api/v1/drain        start one node's voluntary departure (?node=)
-//	POST /api/v1/detect       force detection round, or one scion (&scion=)
+//	POST /api/v1/join         seed a new member {node, addr} into the directory
+//	POST /api/v1/drain        start the node's voluntary departure
+//	POST /api/v1/detect       force detection round, or one scion (?scion=)
 //	POST /api/v1/snapshot     serialize durable state (base64)
 //	POST /api/v1/restore      replace durable state (base64 body)
 //	POST /api/v1/inject       fault injection (kill/restart/delay/drop/partition/heal)
 //
-// Every JSON payload carries schema_version. Errors are {"error": "..."}.
-// With SetToken, /api/v1/* and /debug/* require a bearer token; /metrics
-// stays open.
+// Every JSON payload carries schema_version. Errors are {"error": "..."}. A
+// ?node= naming another node is answered 400. With SetToken, /api/v1/* and
+// /debug/* require a bearer token; /metrics stays open.
 func (s *Server) Handler() http.Handler {
+	sup := s.sup
+	id := string(sup.ID())
 	mux := http.NewServeMux()
 	if s.pprof {
 		AttachPprof(mux)
@@ -334,47 +228,31 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.syncJournalMetrics()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.set.WriteText(w)
+		_ = sup.Metrics().WriteText(w)
 	})
 	mux.HandleFunc("/debug/dgc", func(w http.ResponseWriter, r *http.Request) {
-		reply := DebugReply{SchemaVersion: SchemaVersion, Nodes: make(map[string]node.DebugSnapshot)}
-		for _, h := range s.handles() {
-			reply.Nodes[string(h.ID())] = h.DebugSnapshot()
-		}
-		writeJSON(w, http.StatusOK, reply)
+		writeJSON(w, http.StatusOK, DebugReply{SchemaVersion: SchemaVersion,
+			Nodes: map[string]node.DebugSnapshot{id: sup.DebugSnapshot()}})
 	})
 	mux.HandleFunc("/api/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		reply := StatusReply{SchemaVersion: SchemaVersion, Build: s.build, Nodes: make(map[string]NodeStatus)}
-		for _, h := range s.handles() {
-			reply.Nodes[string(h.ID())] = statusOf(h)
-		}
-		writeJSON(w, http.StatusOK, reply)
+		writeJSON(w, http.StatusOK, StatusReply{SchemaVersion: SchemaVersion, Build: s.build,
+			Nodes: map[string]NodeStatus{id: s.status()}})
 	})
 	mux.HandleFunc("/api/v1/tables", func(w http.ResponseWriter, r *http.Request) {
-		h, err := s.pick(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
 		writeJSON(w, http.StatusOK, struct {
 			SchemaVersion int `json:"schema_version"`
 			node.TableDump
-		}{SchemaVersion, h.TableDump()})
+		}{SchemaVersion, sup.TableDump()})
 	})
 	mux.HandleFunc("/api/v1/detect", s.post(func(w http.ResponseWriter, r *http.Request) {
-		h, err := s.pick(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		reply := DetectReply{SchemaVersion: SchemaVersion, Node: string(h.ID())}
+		reply := DetectReply{SchemaVersion: SchemaVersion, Node: id}
 		if scion := r.URL.Query().Get("scion"); scion != "" {
 			ref, err := ParseRefID(scion)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, err)
 				return
 			}
-			res, err := h.ForceDetect(ref)
+			res, err := sup.ForceDetect(ref)
 			if err != nil {
 				writeErr(w, http.StatusUnprocessableEntity, err)
 				return
@@ -384,39 +262,24 @@ func (s *Server) Handler() http.Handler {
 				reply.Started = 1
 			}
 		} else {
-			reply.Started = h.RunDetection()
+			reply.Started = sup.RunDetection()
 		}
 		writeJSON(w, http.StatusOK, reply)
 	}))
 	mux.HandleFunc("/api/v1/snapshot", s.post(func(w http.ResponseWriter, r *http.Request) {
-		h, err := s.pick(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		data, err := h.Save()
+		data, err := sup.Save()
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, SnapshotReply{
 			SchemaVersion: SchemaVersion,
-			Node:          string(h.ID()),
+			Node:          id,
 			Bytes:         len(data),
 			State:         base64.StdEncoding.EncodeToString(data),
 		})
 	}))
 	mux.HandleFunc("/api/v1/restore", s.post(func(w http.ResponseWriter, r *http.Request) {
-		h, err := s.pick(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		rs, ok := h.(Restorer)
-		if !ok {
-			writeErr(w, http.StatusNotImplemented, errors.New("node does not support state restore"))
-			return
-		}
 		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
@@ -427,7 +290,7 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("body must be base64 state: %w", err))
 			return
 		}
-		if err := rs.RestoreState(data); err != nil {
+		if err := sup.RestoreState(data); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -436,20 +299,37 @@ func (s *Server) Handler() http.Handler {
 			Node          string `json:"node"`
 			OK            bool   `json:"ok"`
 			Bytes         int    `json:"bytes"`
-		}{SchemaVersion, string(h.ID()), true, len(data)})
+		}{SchemaVersion, id, true, len(data)})
 	}))
 	mux.HandleFunc("/api/v1/events", s.handleEvents)
 	mux.HandleFunc("/api/v1/inject", s.post(s.handleInject))
-	mux.HandleFunc("/api/v1/members", s.handleMembers)
+	mux.HandleFunc("/api/v1/members", func(w http.ResponseWriter, r *http.Request) {
+		reply := MembersReply{SchemaVersion: SchemaVersion, Nodes: make(map[string][]MemberInfo)}
+		if ms := sup.Members(); ms != nil {
+			reply.Nodes[id] = memberInfos(ms)
+		}
+		writeJSON(w, http.StatusOK, reply)
+	})
 	mux.HandleFunc("/api/v1/join", s.post(s.handleJoin))
-	mux.HandleFunc("/api/v1/drain", s.post(s.handleDrain))
-	if s.token == "" {
-		return mux
-	}
+	mux.HandleFunc("/api/v1/drain", s.post(func(w http.ResponseWriter, r *http.Request) {
+		if err := sup.Drain(); err != nil {
+			writeErr(w, http.StatusConflict, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, struct {
+			SchemaVersion int    `json:"schema_version"`
+			Node          string `json:"node"`
+			Draining      bool   `json:"draining"`
+		}{SchemaVersion, id, true})
+	}))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.authorized(r) {
+		if s.token != "" && !s.authorized(r) {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="dgc-admin"`)
 			writeErr(w, http.StatusUnauthorized, errors.New("missing or invalid bearer token"))
+			return
+		}
+		if err := s.checkNode(r); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		mux.ServeHTTP(w, r)
@@ -468,20 +348,6 @@ func (s *Server) authorized(r *http.Request) bool {
 	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(s.token)) == 1
 }
 
-func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
-	reply := MembersReply{SchemaVersion: SchemaVersion, Nodes: make(map[string][]MemberInfo)}
-	for _, h := range s.handles() {
-		ml, ok := h.(MemberLister)
-		if !ok {
-			continue
-		}
-		if ms := ml.Members(); ms != nil {
-			reply.Nodes[string(h.ID())] = memberInfos(ms)
-		}
-	}
-	writeJSON(w, http.StatusOK, reply)
-}
-
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -492,28 +358,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("join needs node and addr"))
 		return
 	}
-	// Seed the newcomer into every hosted node; gossip spreads it from there.
-	seeded := make([]string, 0, 4)
-	var firstErr error
-	for _, h := range s.handles() {
-		j, ok := h.(Joiner)
-		if !ok {
-			continue
-		}
-		if err := j.Join(ids.NodeID(req.Node), req.Addr); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", h.ID(), err)
-			}
-			continue
-		}
-		seeded = append(seeded, string(h.ID()))
-	}
-	if len(seeded) == 0 {
-		if firstErr != nil {
-			writeErr(w, http.StatusConflict, firstErr)
-		} else {
-			writeErr(w, http.StatusNotImplemented, errors.New("no hosted node supports membership join"))
-		}
+	// Seed the newcomer into this node's directory; gossip spreads it from
+	// there.
+	id := string(s.sup.ID())
+	if err := s.sup.Join(ids.NodeID(req.Node), req.Addr); err != nil {
+		writeErr(w, http.StatusConflict, fmt.Errorf("%s: %w", id, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -521,37 +370,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Node          string   `json:"node"`
 		Addr          string   `json:"addr"`
 		SeededInto    []string `json:"seeded_into"`
-	}{SchemaVersion, req.Node, req.Addr, seeded})
-}
-
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	h, err := s.pick(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	d, ok := h.(Drainer)
-	if !ok {
-		writeErr(w, http.StatusNotImplemented, errors.New("node does not support drain"))
-		return
-	}
-	if err := d.Drain(); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		SchemaVersion int    `json:"schema_version"`
-		Node          string `json:"node"`
-		Draining      bool   `json:"draining"`
-	}{SchemaVersion, string(h.ID()), true})
+	}{SchemaVersion, req.Node, req.Addr, []string{id}})
 }
 
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	h, err := s.pick(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+	sup := s.sup
 	var req InjectRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad inject body: %w", err))
@@ -562,45 +385,24 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	faults := func() (*FaultEndpoint, bool) {
-		fc, ok := h.(FaultController)
-		if !ok {
-			writeErr(w, http.StatusNotImplemented, errors.New("node does not support fault injection"))
-			return nil, false
-		}
-		return fc.Faults(), true
-	}
+	f := sup.Faults()
 	switch req.Action {
 	case "kill":
-		k, ok := h.(Killer)
-		if !ok {
-			writeErr(w, http.StatusNotImplemented, errors.New("node does not support kill"))
-			return
-		}
 		recoverAfter, err := optionalDuration(req.Recover)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := k.Kill(recoverAfter); err != nil {
+		if err := sup.Kill(recoverAfter); err != nil {
 			writeErr(w, http.StatusConflict, err)
 			return
 		}
 	case "restart":
-		k, ok := h.(Killer)
-		if !ok {
-			writeErr(w, http.StatusNotImplemented, errors.New("node does not support restart"))
-			return
-		}
-		if err := k.Restart(); err != nil {
+		if err := sup.Restart(); err != nil {
 			writeErr(w, http.StatusConflict, err)
 			return
 		}
 	case "delay":
-		f, ok := faults()
-		if !ok {
-			return
-		}
 		d, err := optionalDuration(req.Delay)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
@@ -608,30 +410,18 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		}
 		f.SetDelay(d, ttl)
 	case "drop":
-		f, ok := faults()
-		if !ok {
-			return
-		}
 		if req.Rate < 0 || req.Rate > 1 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("rate %v outside [0,1]", req.Rate))
 			return
 		}
 		f.SetDrop(req.Rate, ttl)
 	case "partition":
-		f, ok := faults()
-		if !ok {
-			return
-		}
 		peers := make([]ids.NodeID, 0, len(req.Peers))
 		for _, p := range req.Peers {
 			peers = append(peers, ids.NodeID(p))
 		}
 		f.SetPartition(peers, len(peers) == 0, ttl)
 	case "heal":
-		f, ok := faults()
-		if !ok {
-			return
-		}
 		f.Heal()
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown action %q", req.Action))
@@ -642,38 +432,29 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	// the supervisor itself (covering timed auto-recovery, which never
 	// passes through this handler).
 	if req.Action != "kill" && req.Action != "restart" {
-		if j, ok := h.(Journaler); ok && j.Journal() != nil {
-			detail := "action=" + req.Action
-			if req.Rate > 0 {
-				detail += fmt.Sprintf(" rate=%.2f", req.Rate)
-			}
-			if req.Delay != "" {
-				detail += " delay=" + req.Delay
-			}
-			if len(req.Peers) > 0 {
-				detail += " peers=" + strings.Join(req.Peers, "+")
-			}
-			if req.For != "" {
-				detail += " for=" + req.For
-			}
-			j.Journal().Emit(h.ID(), trace.KindFault, "%s", detail)
+		detail := "action=" + req.Action
+		if req.Rate > 0 {
+			detail += fmt.Sprintf(" rate=%.2f", req.Rate)
 		}
+		if req.Delay != "" {
+			detail += " delay=" + req.Delay
+		}
+		if len(req.Peers) > 0 {
+			detail += " peers=" + strings.Join(req.Peers, "+")
+		}
+		if req.For != "" {
+			detail += " for=" + req.For
+		}
+		sup.Journal().Emit(sup.ID(), trace.KindFault, "%s", detail)
 	}
-	reply := struct {
+	fs := f.FaultStatus()
+	writeJSON(w, http.StatusOK, struct {
 		SchemaVersion int          `json:"schema_version"`
 		Node          string       `json:"node"`
 		Action        string       `json:"action"`
 		State         string       `json:"state"`
 		Faults        *FaultStatus `json:"faults,omitempty"`
-	}{SchemaVersion: SchemaVersion, Node: string(h.ID()), Action: req.Action, State: "running"}
-	if ss, ok := h.(Statuser); ok {
-		reply.State = ss.State()
-	}
-	if fc, ok := h.(FaultController); ok {
-		fs := fc.Faults().FaultStatus()
-		reply.Faults = &fs
-	}
-	writeJSON(w, http.StatusOK, reply)
+	}{SchemaVersion, string(sup.ID()), req.Action, sup.State(), &fs})
 }
 
 // post gates a handler to the POST method.

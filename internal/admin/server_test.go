@@ -10,56 +10,62 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dgc/internal/ids"
-	"dgc/internal/node"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fakeHandle is a deterministic Handle for API-shape tests.
-type fakeHandle struct {
-	id    string
-	snap  node.DebugSnapshot
-	dump  node.TableDump
-	stats node.Stats
-
-	forced     []ids.RefID
-	forceRes   node.ForceDetectResult
-	forceErr   error
-	detections int
+// serveNode starts node P1 from spec on loopback behind its admin server. The
+// tick is an hour, so the node's clock and daemons stay put for the test.
+func serveNode(t *testing.T, spec NodeSpec) (*Supervisor, *httptest.Server) {
+	t.Helper()
+	spec.ID = "P1"
+	spec.Runtime.Tick = time.Hour
+	sup, err := StartNode(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(sup).Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		sup.Stop()
+	})
+	return sup, srv
 }
 
-func (f *fakeHandle) ID() ids.NodeID                    { return ids.NodeID(f.id) }
-func (f *fakeHandle) Stats() node.Stats                 { return f.stats }
-func (f *fakeHandle) DebugSnapshot() node.DebugSnapshot { return f.snap }
-func (f *fakeHandle) TableDump() node.TableDump         { return f.dump }
-func (f *fakeHandle) RunDetection() int                 { return f.detections }
-func (f *fakeHandle) Save() ([]byte, error)             { return []byte("state-" + f.id), nil }
-func (f *fakeHandle) ForceDetect(c ids.RefID) (node.ForceDetectResult, error) {
-	f.forced = append(f.forced, c)
-	return f.forceRes, f.forceErr
+// getJSON GETs path and returns the status code, decoding a 200 body into out.
+func getJSON(t *testing.T, srv *httptest.Server, path string, out any) int {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK && out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
 }
 
-func goldenServer() *Server {
-	s := NewServer(nil)
-	s.AddNode(&fakeHandle{
-		id: "P1",
-		snap: node.DebugSnapshot{
-			Node: "P1", Clock: 42, Objects: 3, Scions: 1, Stubs: 2,
-			SummaryVersion: 7,
-			Accumulators:   []node.AccumulatorInfo{},
-		},
-	})
-	s.AddNode(&fakeHandle{
-		id: "P2",
-		snap: node.DebugSnapshot{
-			Node: "P2", Clock: 40, Objects: 1, Scions: 2, Stubs: 0,
-			Accumulators: []node.AccumulatorInfo{},
-			Mailbox:      &node.MailboxStats{Depth: 1, Capacity: 1024, Dropped: 3},
-		},
-	})
-	return s
+// postJSON POSTs body to path and returns the status code, decoding the
+// reply (a payload or an {"error"} object) into out.
+func postJSON(t *testing.T, srv *httptest.Server, path, body string, out any) int {
+	t.Helper()
+	resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
 }
 
 // TestDebugEndpointGolden pins the rendered /debug/dgc JSON — the versioned
@@ -67,8 +73,7 @@ func goldenServer() *Server {
 // (rerun with -update and review the diff); removals or renames additionally
 // require a SchemaVersion bump.
 func TestDebugEndpointGolden(t *testing.T) {
-	srv := httptest.NewServer(goldenServer().Handler())
-	defer srv.Close()
+	_, srv := serveNode(t, NodeSpec{SeedObjects: 3})
 	resp, err := http.Get(srv.URL + "/debug/dgc")
 	if err != nil {
 		t.Fatal(err)
@@ -104,172 +109,132 @@ func TestDebugEndpointGolden(t *testing.T) {
 	if reply.SchemaVersion != SchemaVersion {
 		t.Errorf("schema_version = %d, want %d", reply.SchemaVersion, SchemaVersion)
 	}
-	if len(reply.Nodes) != 2 {
-		t.Errorf("nodes = %d, want 2", len(reply.Nodes))
+	if len(reply.Nodes) != 1 || reply.Nodes["P1"].Objects != 3 {
+		t.Errorf("nodes = %+v, want P1 alone with 3 objects", reply.Nodes)
 	}
 }
 
+// TestStatusEndpoint follows one node through fault injection and a kill:
+// the status row carries the faults block while a fault is injected, and
+// reports the node down, not a panic, once it is killed.
 func TestStatusEndpoint(t *testing.T) {
-	s := goldenServer()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/v1/status")
-	if err != nil {
-		t.Fatal(err)
+	sup, srv := serveNode(t, NodeSpec{SeedObjects: 3})
+	status := func() NodeStatus {
+		t.Helper()
+		var reply StatusReply
+		if code := getJSON(t, srv, "/api/v1/status", &reply); code != http.StatusOK {
+			t.Fatalf("status = %d", code)
+		}
+		if reply.SchemaVersion != SchemaVersion {
+			t.Errorf("schema_version = %d", reply.SchemaVersion)
+		}
+		if reply.Build.Version == "" || reply.Build.Go == "" {
+			t.Errorf("build info incomplete: %+v", reply.Build)
+		}
+		if len(reply.Nodes) != 1 {
+			t.Fatalf("nodes = %+v, want P1 alone", reply.Nodes)
+		}
+		return reply.Nodes["P1"]
 	}
-	defer resp.Body.Close()
-	var reply StatusReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.SchemaVersion != SchemaVersion {
-		t.Errorf("schema_version = %d", reply.SchemaVersion)
-	}
-	if reply.Build.Version == "" || reply.Build.Go == "" {
-		t.Errorf("build info incomplete: %+v", reply.Build)
-	}
-	p1 := reply.Nodes["P1"]
-	if p1.Clock != 42 || p1.Objects != 3 || p1.State != "running" {
+
+	p1 := status()
+	if p1.Clock != 0 || p1.Objects != 3 || p1.State != "running" || p1.Addr != sup.Addr() {
 		t.Errorf("P1 status = %+v", p1)
 	}
-	if mb := reply.Nodes["P2"].Mailbox; mb == nil || mb.Dropped != 3 {
-		t.Errorf("P2 mailbox = %+v", mb)
+	if p1.Mailbox == nil || p1.Mailbox.Capacity == 0 || p1.Faults != nil {
+		t.Errorf("P1 mailbox = %+v, faults = %+v", p1.Mailbox, p1.Faults)
+	}
+
+	if code := postJSON(t, srv, "/api/v1/inject", `{"action":"drop","rate":0.5}`, nil); code != http.StatusOK {
+		t.Fatalf("inject drop = %d", code)
+	}
+	if fs := status().Faults; fs == nil || fs.DropRate != 0.5 {
+		t.Errorf("faults after drop = %+v, want drop_rate 0.5", fs)
+	}
+	if code := postJSON(t, srv, "/api/v1/inject", `{"action":"heal"}`, nil); code != http.StatusOK {
+		t.Fatalf("inject heal = %d", code)
+	}
+	if fs := status().Faults; fs != nil && fs.Active() {
+		t.Errorf("faults after heal = %+v, want none active", fs)
+	}
+	if code := postJSON(t, srv, "/api/v1/inject", `{"action":"frobnicate"}`, nil); code != http.StatusBadRequest {
+		t.Errorf("unknown action = %d, want 400", code)
+	}
+
+	if err := sup.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if p1 := status(); p1.State != "down" || p1.Objects != 0 {
+		t.Errorf("P1 status after kill = %+v, want down", p1)
 	}
 }
 
 func TestDetectEndpoint(t *testing.T) {
-	fh := &fakeHandle{
-		id:         "P1",
-		detections: 2,
-		forceRes: node.ForceDetectResult{
-			Origin: "P1", Seq: 9, TraceID: "0000000000000009", Outcome: "forwarded", Forwarded: 1,
-		},
-	}
-	s := NewServer(nil)
-	s.AddNode(fh)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	sup, srv := serveNode(t, NodeSpec{})
 
 	// GET is rejected.
-	resp, err := http.Get(srv.URL + "/api/v1/detect")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET detect = %d, want 405", resp.StatusCode)
+	if code := getJSON(t, srv, "/api/v1/detect", nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET detect = %d, want 405", code)
 	}
 
-	// Round mode.
-	resp, err = http.Post(srv.URL+"/api/v1/detect", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Round mode: a node without scions starts nothing.
 	var reply DetectReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatal(err)
+	if code := postJSON(t, srv, "/api/v1/detect", "", &reply); code != http.StatusOK {
+		t.Fatalf("round = %d", code)
 	}
-	resp.Body.Close()
-	if reply.Started != 2 || reply.Result != nil {
+	if reply.Node != "P1" || reply.Started != 0 || reply.Result != nil {
 		t.Errorf("round reply = %+v", reply)
 	}
 
-	// Forced-scion mode.
-	resp, err = http.Post(srv.URL+"/api/v1/detect?scion=P2-%3E7@P1", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	// Forced-scion mode launches at the parsed candidate, which this node
+	// owns; with no such scion the detection ends where it started.
+	reply = DetectReply{}
+	if code := postJSON(t, srv, "/api/v1/detect?scion=P2-%3E7@P1", "", &reply); code != http.StatusOK {
+		t.Fatalf("forced = %d", code)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatal(err)
+	if r := reply.Result; r == nil || r.Origin != "P1" || len(r.TraceID) != 16 || reply.Started != 0 {
+		t.Errorf("forced reply = %+v (result %+v)", reply, reply.Result)
 	}
-	resp.Body.Close()
-	if reply.Result == nil || reply.Result.TraceID != "0000000000000009" || reply.Started != 1 {
-		t.Errorf("forced reply = %+v", reply)
-	}
-	want := ids.RefID{Src: "P2", Dst: ids.GlobalRef{Node: "P1", Obj: 7}}
-	if len(fh.forced) != 1 || fh.forced[0] != want {
-		t.Errorf("forced candidates = %v, want %v", fh.forced, want)
+
+	// A scion owned by another node is refused, naming the parsed candidate.
+	var apiErr struct{ Error string }
+	if code := postJSON(t, srv, "/api/v1/detect?scion=P1-%3E7@P2", "", &apiErr); code != http.StatusUnprocessableEntity ||
+		!strings.Contains(apiErr.Error, "P1->7@P2") {
+		t.Errorf("foreign scion = %d %q, want 422 naming P1->7@P2", code, apiErr.Error)
 	}
 
 	// Bad scion syntax.
-	resp, err = http.Post(srv.URL+"/api/v1/detect?scion=nonsense", "", nil)
-	if err != nil {
+	if code := postJSON(t, srv, "/api/v1/detect?scion=nonsense", "", nil); code != http.StatusBadRequest {
+		t.Errorf("bad scion = %d, want 400", code)
+	}
+
+	// A killed node answers a forced detection with an error.
+	if err := sup.Kill(0); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad scion = %d, want 400", resp.StatusCode)
+	apiErr.Error = ""
+	if code := postJSON(t, srv, "/api/v1/detect?scion=P2-%3E7@P1", "", &apiErr); code != http.StatusUnprocessableEntity ||
+		apiErr.Error != ErrNodeDown.Error() {
+		t.Errorf("detect on killed node = %d %q, want 422 %q", code, apiErr.Error, ErrNodeDown)
 	}
 }
 
-func TestCapabilityGating(t *testing.T) {
-	// A bare Handle (no Killer/FaultController/Restorer) must refuse inject
-	// and restore with 501, not crash.
-	s := NewServer(nil)
-	s.AddNode(&fakeHandle{id: "P1"})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/api/v1/inject", "application/json",
-		strings.NewReader(`{"action":"kill"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("inject kill on bare handle = %d, want 501", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL+"/api/v1/restore", "", strings.NewReader("AAAA"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("restore on bare handle = %d, want 501", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL+"/api/v1/inject", "application/json",
-		strings.NewReader(`{"action":"frobnicate"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown action = %d, want 400", resp.StatusCode)
-	}
-}
-
+// TestNodeSelector: the server runs one node, and a ?node= naming any other
+// is a client error on every route.
 func TestNodeSelector(t *testing.T) {
-	s := goldenServer() // two nodes: selector is mandatory
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/api/v1/tables")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("tables without ?node= on 2-node server = %d, want 400", resp.StatusCode)
-	}
-
-	resp, err = http.Get(srv.URL + "/api/v1/tables?node=P2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("tables?node=P2 = %d, want 200", resp.StatusCode)
-	}
-
-	resp, err = http.Get(srv.URL + "/api/v1/tables?node=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("tables?node=nope = %d, want 400", resp.StatusCode)
+	_, srv := serveNode(t, NodeSpec{})
+	for path, want := range map[string]int{
+		"/api/v1/tables":           http.StatusOK,
+		"/api/v1/tables?node=P1":   http.StatusOK,
+		"/api/v1/tables?node=nope": http.StatusBadRequest,
+		"/api/v1/status?node=P1":   http.StatusOK,
+		"/api/v1/status?node=nope": http.StatusBadRequest,
+		"/api/v1/events?node=nope": http.StatusBadRequest,
+		"/debug/dgc?node=nope":     http.StatusBadRequest,
+	} {
+		if code := getJSON(t, srv, path, nil); code != want {
+			t.Errorf("GET %s = %d, want %d", path, code, want)
+		}
 	}
 }
 

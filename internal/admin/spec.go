@@ -3,6 +3,7 @@ package admin
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -143,6 +144,30 @@ func (d nodeDraft) finish() (NodeSpec, error) {
 		d.Config.Codec = snapshot.BinaryCodec{}
 	}
 	return d.NodeSpec, nil
+}
+
+// NodeSettings resolves one node's settings as a cluster spec resolves a
+// node entry: the built-in defaults, overlaid by values (keys of the settings
+// table mapped to their text), then finished into a runnable NodeSpec. A key
+// absent from values keeps its default.
+func NodeSettings(id ids.NodeID, values map[string]string) (NodeSpec, error) {
+	keys := make([]string, 0, len(values))
+	for k := range values {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	d := defaultDraft()
+	d.ID = id
+	for _, k := range keys {
+		put, ok := settings[k]
+		if !ok {
+			return NodeSpec{}, fmt.Errorf("unknown setting %q", k)
+		}
+		if err := put(&d, values[k]); err != nil {
+			return NodeSpec{}, fmt.Errorf("%s: %v", k, err)
+		}
+	}
+	return d.finish()
 }
 
 // ParseClusterSpec decodes a cluster spec from YAML-subset text. The subset

@@ -398,7 +398,7 @@ func (s *Supervisor) StateBytes() []byte {
 	return s.lastState
 }
 
-// --- Handle: the admin API surface, delegating to the current runtime. ---
+// --- The admin API surface, delegating to the current runtime (down-aware). ---
 
 // Stats returns the node's counters (zero while down).
 func (s *Supervisor) Stats() node.Stats {

@@ -1,9 +1,9 @@
 // Package cli implements dgcctl, the operator CLI over the admin control
 // plane (internal/admin). Every command talks to running clusters purely
-// through the versioned JSON admin API — the same surface cmd/dgc-node,
-// cmd/dgc-sim and examples/tcpcluster serve — so one binary drives any of
-// them. The entry point is testable: Run takes argv and writers and returns
-// an exit code, with no global state.
+// through the versioned JSON admin API — one server per node, as
+// cmd/dgc-node -metrics-addr and 'dgcctl up' serve it — so one binary drives
+// either. The entry point is testable: Run takes argv and writers and
+// returns an exit code, with no global state.
 package cli
 
 import (

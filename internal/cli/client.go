@@ -22,7 +22,7 @@ import (
 )
 
 // Endpoint is one admin API address, optionally tagged with the node it
-// hosts (a single server may host several nodes — dgc-sim, tcpcluster).
+// serves (every admin server runs exactly one node).
 type Endpoint struct {
 	Name string // node id when known, "" otherwise
 	Addr string // host:port of the admin HTTP listener
@@ -252,7 +252,7 @@ func (c *Client) Restore(nodeID, stateB64 string) error {
 	return c.post("/api/v1/restore?node="+nodeID, []byte(stateB64), nil)
 }
 
-// Members fetches the per-node membership directory views.
+// Members fetches the server's node's view of the membership directory.
 func (c *Client) Members() (*admin.MembersReply, error) {
 	var reply admin.MembersReply
 	if err := c.get("/api/v1/members", &reply); err != nil {
@@ -261,8 +261,8 @@ func (c *Client) Members() (*admin.MembersReply, error) {
 	return &reply, nil
 }
 
-// Join seeds a new member (name + transport dial address) into every node
-// this server hosts.
+// Join seeds a new member (name + transport dial address) into this
+// server's node.
 func (c *Client) Join(nodeID, addr string) error {
 	body, err := json.Marshal(admin.JoinRequest{Node: nodeID, Addr: addr})
 	if err != nil {
@@ -278,7 +278,7 @@ func (c *Client) Drain(nodeID string) error {
 
 // EventStreamOptions selects the /api/v1/events slice to stream.
 type EventStreamOptions struct {
-	Node    string        // ?node= (optional; servers default to their first journaled node)
+	Node    string        // ?node= (optional; a server streams its own node's journal)
 	Since   uint64        // resume after this sequence number
 	Kinds   string        // comma-separated kind names, "" = all
 	TraceID string        // hex causal trace id, "" = all
@@ -445,29 +445,4 @@ func (f *fleet) nodeIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// serverClient is one distinct admin server and the nodes it hosts.
-type serverClient struct {
-	c     *Client
-	nodes []string
-}
-
-// servers deduplicates the node -> client routing table into one entry per
-// admin server (a dgc-sim or tcpcluster process hosts several nodes behind
-// one listener), in stable node-id order.
-func (f *fleet) servers() []serverClient {
-	index := make(map[*Client]int)
-	var out []serverClient
-	for _, id := range f.nodeIDs() {
-		c := f.clients[id]
-		i, ok := index[c]
-		if !ok {
-			i = len(out)
-			index[c] = i
-			out = append(out, serverClient{c: c})
-		}
-		out[i].nodes = append(out[i].nodes, id)
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -158,21 +157,21 @@ func cmdDetect(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	if err := f.refresh(); err != nil {
 		return fail(stderr, err)
 	}
-	// Baseline every server's journal head BEFORE triggering anything, so
+	// Baseline every node's journal head BEFORE triggering anything, so
 	// the follow stream replays exactly the events this command caused.
-	baselines := make(map[*Client]uint64)
+	baselines := make(map[string]uint64)
 	if *follow {
 		// A node that hasn't completed its first gossip exchange can't
 		// route detections reliably; fail fast instead of timing out.
 		if err := checkMembersReady(f); err != nil {
 			return fail(stderr, err)
 		}
-		for _, sv := range f.servers() {
-			head, err := sv.c.JournalHead(ctx, "")
+		for _, id := range f.nodeIDs() {
+			head, err := f.clients[id].JournalHead(ctx, "")
 			if err != nil {
-				return fail(stderr, fmt.Errorf("%s: no event stream (server predates journals?): %w", sv.nodes[0], err))
+				return fail(stderr, fmt.Errorf("%s: no event stream: %w", id, err))
 			}
-			baselines[sv.c] = head
+			baselines[id] = head
 		}
 	}
 
@@ -235,23 +234,23 @@ func cmdDetect(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	return followDetections(ctx, f, traceID, baselines, *timeout, stdout, stderr)
 }
 
-// followDetections follows the event stream of every admin server until a
+// followDetections follows the event stream of every node until a
 // terminal detection event arrives: cycle-found, or detection-end (whose
 // detail carries the outcome). Following one trace id filters the streams to
 // that detection; otherwise any terminal event past the pre-trigger journal
 // baseline resolves the wait. No counter polling: the journal replay from
 // the baseline makes the race between "detection finished" and "client
 // subscribed" unlosable.
-func followDetections(ctx context.Context, f *fleet, traceID string, baselines map[*Client]uint64, timeout time.Duration, stdout, stderr io.Writer) int {
+func followDetections(ctx context.Context, f *fleet, traceID string, baselines map[string]uint64, timeout time.Duration, stdout, stderr io.Writer) int {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	terminal := make(chan admin.EventJSON, len(f.servers()))
-	for _, sv := range f.servers() {
-		sv := sv
+	terminal := make(chan admin.EventJSON, len(f.clients))
+	for _, id := range f.nodeIDs() {
+		c := f.clients[id]
 		go func() {
-			since := baselines[sv.c]
+			since := baselines[id]
 			if traceID != "" {
 				// The trace filter scopes the replay, so rewind to the full
 				// retained history: a detection that raced ahead of the
@@ -267,7 +266,7 @@ func followDetections(ctx context.Context, f *fleet, traceID string, baselines m
 					Follow:  true,
 					Timeout: timeout,
 				}
-				_, err := sv.c.StreamEvents(ctx, opts, func(e admin.EventJSON) bool {
+				_, err := c.StreamEvents(ctx, opts, func(e admin.EventJSON) bool {
 					if e.Seq == 0 {
 						return true // truncation/eviction marker
 					}
@@ -330,22 +329,19 @@ func cmdMembers(args []string, stdout, stderr io.Writer) int {
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "VIEW\tMEMBER\tSTATE\tINC\tADDR")
 	views := 0
-	for _, sv := range f.servers() {
-		reply, err := sv.c.Members()
+	for _, id := range f.nodeIDs() {
+		reply, err := f.clients[id].Members()
 		if err != nil {
-			fmt.Fprintf(stderr, "dgcctl: %s: %v\n", sv.nodes[0], err)
+			fmt.Fprintf(stderr, "dgcctl: %s: %v\n", id, err)
 			continue
 		}
-		viewers := make([]string, 0, len(reply.Nodes))
-		for id := range reply.Nodes {
-			viewers = append(viewers, id)
+		view, ok := reply.Nodes[id]
+		if !ok {
+			continue
 		}
-		sort.Strings(viewers)
-		for _, viewer := range viewers {
-			views++
-			for _, m := range reply.Nodes[viewer] {
-				fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\n", viewer, m.Node, m.State, m.Incarnation, m.Addr)
-			}
+		views++
+		for _, m := range view {
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\n", id, m.Node, m.State, m.Incarnation, m.Addr)
 		}
 	}
 	tw.Flush()
@@ -384,21 +380,21 @@ func cmdJoin(args []string, stdout, stderr io.Writer) int {
 	if err := f.refresh(); err != nil {
 		return fail(stderr, err)
 	}
-	// Seed the newcomer into every admin server: each hosted node records it
-	// as joining and starts gossiping with it; the newcomer learns the rest
-	// of the directory from the gossip it receives back.
+	// Seed the newcomer into every node: each records it as joining and
+	// starts gossiping with it; the newcomer learns the rest of the
+	// directory from the gossip it receives back.
 	seeded := 0
-	for _, sv := range f.servers() {
-		if err := sv.c.Join(id, addr); err != nil {
-			fmt.Fprintf(stderr, "dgcctl: %s: %v\n", sv.nodes[0], err)
+	for _, node := range f.nodeIDs() {
+		if err := f.clients[node].Join(id, addr); err != nil {
+			fmt.Fprintf(stderr, "dgcctl: %s: %v\n", node, err)
 			continue
 		}
 		seeded++
 	}
 	if seeded == 0 {
-		return fail(stderr, fmt.Errorf("no server accepted the join"))
+		return fail(stderr, fmt.Errorf("no node accepted the join"))
 	}
-	fmt.Fprintf(stdout, "member %s (%s) seeded into %d servers; gossip completes the join\n", id, addr, seeded)
+	fmt.Fprintf(stdout, "member %s (%s) seeded into %d nodes; gossip completes the join\n", id, addr, seeded)
 	return 0
 }
 
@@ -438,20 +434,18 @@ func cmdDrain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// checkMembersReady fails fast when any hosted node still sees itself as
+// checkMembersReady fails fast when any node still sees itself as
 // "joining" — gossip hasn't completed, so a detection launched now would
-// stall rather than converge. Servers without membership pass vacuously.
+// stall rather than converge. Nodes without membership pass vacuously.
 func checkMembersReady(f *fleet) error {
-	for _, sv := range f.servers() {
-		reply, err := sv.c.Members()
+	for _, id := range f.nodeIDs() {
+		reply, err := f.clients[id].Members()
 		if err != nil {
-			continue // pre-membership server: nothing to check
+			continue // unreachable: the detection itself reports it
 		}
-		for _, viewer := range sv.nodes {
-			for _, m := range reply.Nodes[viewer] {
-				if m.Node == viewer && m.State == "joining" {
-					return fmt.Errorf("node %s is still joining (no gossip exchanged yet) — wait for 'dgcctl members' to show it alive", viewer)
-				}
+		for _, m := range reply.Nodes[id] {
+			if m.Node == id && m.State == "joining" {
+				return fmt.Errorf("node %s is still joining (no gossip exchanged yet) — wait for 'dgcctl members' to show it alive", id)
 			}
 		}
 	}

@@ -10,9 +10,9 @@ import (
 	"dgc/internal/admin"
 )
 
-// cmdTail streams live journal events from every admin server in the fleet,
-// merged onto stdout as they arrive. By default it baselines at "now" and
-// follows; -all replays each server's retained history first.
+// cmdTail streams live journal events from every node in the fleet, merged
+// onto stdout as they arrive. By default it baselines at "now" and follows;
+// -all replays each node's retained history first.
 func cmdTail(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs, ef := newFlagSet("tail", stderr)
 	kinds := fs.String("kind", "", "comma-separated event kinds to keep (default all)")
@@ -36,36 +36,33 @@ func cmdTail(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	var mu sync.Mutex // serializes output lines across server streams
+	var mu sync.Mutex // serializes output lines across node streams
 	print := func(e admin.EventJSON) {
 		mu.Lock()
 		defer mu.Unlock()
-		switch {
-		case e.Seq == 0 && e.Missed > 0:
+		if e.Seq == 0 { // truncation or eviction marker
 			fmt.Fprintf(stderr, "dgcctl: %s\n", e.Detail)
-		case e.Seq == 0:
-			fmt.Fprintf(stderr, "dgcctl: %s\n", e.Detail)
-		default:
-			tid := ""
-			if e.Trace != "" {
-				tid = " [" + e.Trace + "]"
-			}
-			fmt.Fprintf(stdout, "%-12s #%-6d %-15s%s %s\n", e.Node, e.Seq, e.Kind, tid, e.Detail)
+			return
 		}
+		tid := ""
+		if e.Trace != "" {
+			tid = " [" + e.Trace + "]"
+		}
+		fmt.Fprintf(stdout, "%-12s #%-6d %-15s%s %s\n", e.Node, e.Seq, e.Kind, tid, e.Detail)
 	}
 
 	var wg sync.WaitGroup
-	for _, sv := range f.servers() {
-		sv := sv
+	for _, id := range f.nodeIDs() {
+		c := f.clients[id]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			since := uint64(0)
 			if !*all {
-				head, err := sv.c.JournalHead(ctx, "")
+				head, err := c.JournalHead(ctx, "")
 				if err != nil {
 					mu.Lock()
-					fmt.Fprintf(stderr, "dgcctl: %s: %v\n", sv.nodes[0], err)
+					fmt.Fprintf(stderr, "dgcctl: %s: %v\n", id, err)
 					mu.Unlock()
 					return
 				}
@@ -78,7 +75,7 @@ func cmdTail(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 					Since: since, Kinds: *kinds, TraceID: *traceID,
 					Follow: true, Timeout: time.Minute,
 				}
-				_, err := sv.c.StreamEvents(ctx, opts, func(e admin.EventJSON) bool {
+				_, err := c.StreamEvents(ctx, opts, func(e admin.EventJSON) bool {
 					if e.Seq > since {
 						since = e.Seq
 					}
@@ -87,7 +84,7 @@ func cmdTail(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				})
 				if err != nil && ctx.Err() == nil {
 					mu.Lock()
-					fmt.Fprintf(stderr, "dgcctl: %s: %v\n", sv.nodes[0], err)
+					fmt.Fprintf(stderr, "dgcctl: %s: %v\n", id, err)
 					mu.Unlock()
 					return
 				}

@@ -13,7 +13,7 @@ import (
 )
 
 // traceEvent is one journal event tagged with its parsed wall-clock stamp,
-// ready for cross-node merging. Events from different admin servers carry
+// ready for cross-node merging. Events from different nodes carry
 // independent sequence numbers, so the timestamp is the merge key.
 type traceEvent struct {
 	admin.EventJSON
@@ -21,24 +21,16 @@ type traceEvent struct {
 }
 
 // collectTrace pulls every retained event for one causal trace id from every
-// distinct admin server in the fleet and returns them merged in time order.
-// A multi-node server (dgc-sim) shares one journal across its nodes, so each
-// server is queried exactly once.
+// node in the fleet and returns them merged in time order.
 func collectTrace(ctx context.Context, f *fleet, traceID string) ([]traceEvent, error) {
 	var all []traceEvent
-	seen := make(map[string]bool) // "node#seq" dedup across overlapping streams
 	var lastErr error
 	ok := 0
-	for _, sv := range f.servers() {
-		_, err := sv.c.StreamEvents(ctx, EventStreamOptions{TraceID: traceID}, func(e admin.EventJSON) bool {
+	for _, id := range f.nodeIDs() {
+		_, err := f.clients[id].StreamEvents(ctx, EventStreamOptions{TraceID: traceID}, func(e admin.EventJSON) bool {
 			if e.Seq == 0 {
 				return true // truncation marker, not a journal event
 			}
-			key := e.Node + "#" + strconv.FormatUint(e.Seq, 10)
-			if seen[key] {
-				return true
-			}
-			seen[key] = true
 			te := traceEvent{EventJSON: e}
 			if e.TS != "" {
 				if t, err := time.Parse(time.RFC3339Nano, e.TS); err == nil {

@@ -110,9 +110,8 @@ func startCluster(spec *admin.ClusterSpec, adminToken string, stdout, stderr io.
 		if err != nil {
 			return failure(fmt.Errorf("admin listen %s for %s: %w", adminAddr, sup.ID(), err))
 		}
-		srv := admin.NewServer(sup.Metrics())
+		srv := admin.NewServer(sup)
 		srv.SetToken(adminToken)
-		srv.AddNode(sup)
 		hs := &http.Server{Handler: srv.Handler()}
 		go func() { _ = hs.Serve(ln) }()
 		cl.listeners = append(cl.listeners, ln)
@@ -130,8 +129,8 @@ func startCluster(spec *admin.ClusterSpec, adminToken string, stdout, stderr io.
 }
 
 // buildDemoRing allocates one anchor per node and links them into an
-// inter-node ring through the remote-invocation API (acquire + store), the
-// same construction as examples/tcpcluster. With rooted=false the ring is
+// inter-node ring through the remote-invocation API (acquire + store) over
+// the nodes' TCP transports. With rooted=false the ring is
 // left unrooted — the canonical distributed garbage cycle only the cycle
 // detector can reclaim, ready for `dgcctl detect`.
 func buildDemoRing(sups []*admin.Supervisor, rooted bool) error {

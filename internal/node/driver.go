@@ -82,7 +82,7 @@ type rtEvent struct {
 //     machine outright and consumes a bounded mailbox of inputs — transport
 //     deliveries and local calls — plus one wall-clock ticker that says
 //     Tick, flushing the effects of each before taking the next. The engine
-//     behind cmd/dgc-node, dgcctl up and examples/tcpcluster.
+//     behind cmd/dgc-node and dgcctl up.
 //   - stepped (New, Restore): no goroutine and no wall clock. An input runs
 //     on its caller's goroutine under the node's mutex, and the caller says
 //     Tick. The deterministic simulator (internal/cluster) steps every node

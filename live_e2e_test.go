@@ -1,15 +1,11 @@
 package dgc_test
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"dgc"
-	"dgc/internal/admin"
 )
 
 // The live end-to-end test: a three-process distributed garbage cycle is
@@ -75,30 +71,15 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 		}
 	}()
 
-	// Serve the cluster's observability surface through the admin server,
-	// exactly as cmd/dgc-node does, and scrape it over HTTP like a real
-	// collector would.
-	api := admin.NewServer(metrics)
-	for _, n := range names {
-		api.AddNode(nodes[n])
-	}
-	srv := httptest.NewServer(api.Handler())
-	defer srv.Close()
-	scrape := func(path string) string {
+	// The cluster's observability surface, read the way the admin server
+	// renders it: the Prometheus text of the shared set.
+	exposition := func() string {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
+		var buf strings.Builder
+		if err := metrics.WriteText(&buf); err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		return string(body)
+		return buf.String()
 	}
 
 	// One anchor object per node, all rooted while we build: the periodic
@@ -182,13 +163,13 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 		return false
 	})
 
-	// Mid-run scrape: the full metric surface is live while detections are
-	// in flight, and the structural diagnostic serves every node.
-	if families := strings.Count(scrape("/metrics"), "# TYPE dgc_"); families < 15 {
+	// Mid-run: the full metric surface is live while detections are in
+	// flight, and the structural diagnostic serves B with its mailbox.
+	if families := strings.Count(exposition(), "# TYPE dgc_"); families < 15 {
 		t.Fatalf("only %d dgc_ metric families exposed mid-run", families)
 	}
-	if debug := scrape("/debug/dgc"); !strings.Contains(debug, `"node": "B"`) {
-		t.Fatalf("debug snapshot missing node structure:\n%s", debug)
+	if snap := nodes["B"].DebugSnapshot(); snap.Node != "B" || snap.Mailbox == nil {
+		t.Fatalf("debug snapshot of B missing node structure: %+v", snap)
 	}
 
 	// ...then kill B mid-detection: persist its collector state, stop its
@@ -218,7 +199,6 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes["B"] = rb
-	api.AddNode(rb)
 	eps["A"].AddPeer("B", epB.Addr())
 	eps["C"].AddPeer("B", epB.Addr())
 
@@ -242,10 +222,10 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 		t.Fatalf("%d scions left after reclamation", scions)
 	}
 
-	// Final scrape: at least one node carried a detection from first sight to
+	// Final read: at least one node carried a detection from first sight to
 	// a terminal outcome, so a completed-detection latency sample exists; the
 	// transport series rode the same set the whole way.
-	final := scrape("/metrics")
+	final := exposition()
 	sawSample := false
 	for _, line := range strings.Split(final, "\n") {
 		if strings.HasPrefix(line, "dgc_detection_latency_seconds_count{") &&
