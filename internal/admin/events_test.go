@@ -215,3 +215,16 @@ func TestPprofServedWhenEnabled(t *testing.T) {
 		t.Errorf("pprof status = %d, want 200", resp.StatusCode)
 	}
 }
+
+// The state gauges are current from the moment the node is up, not from its
+// first tick: seeding runs through With, which syncs them.
+func TestStateGaugesCurrentBeforeFirstTick(t *testing.T) {
+	_, srv := serveNode(t, NodeSpec{SeedObjects: 5})
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, want := readAll(t, resp), `dgc_heap_objects{node="P1"} 5`; !strings.Contains(body, want) {
+		t.Errorf("metrics missing %q before the first tick", want)
+	}
+}

@@ -262,7 +262,12 @@ func (s *Server) Handler() http.Handler {
 				reply.Started = 1
 			}
 		} else {
-			reply.Started = sup.RunDetection()
+			started, err := sup.RunDetection()
+			if err != nil {
+				writeErr(w, http.StatusUnprocessableEntity, err)
+				return
+			}
+			reply.Started = started
 		}
 		writeJSON(w, http.StatusOK, reply)
 	}))

@@ -217,6 +217,12 @@ func TestDetectEndpoint(t *testing.T) {
 		apiErr.Error != ErrNodeDown.Error() {
 		t.Errorf("detect on killed node = %d %q, want 422 %q", code, apiErr.Error, ErrNodeDown)
 	}
+	// So does a full round: a down node starts nothing, and says why.
+	apiErr.Error = ""
+	if code := postJSON(t, srv, "/api/v1/detect", "", &apiErr); code != http.StatusUnprocessableEntity ||
+		apiErr.Error != ErrNodeDown.Error() {
+		t.Errorf("detect round on killed node = %d %q, want 422 %q", code, apiErr.Error, ErrNodeDown)
+	}
 }
 
 // TestNodeSelector: the server runs one node, and a ?node= naming any other

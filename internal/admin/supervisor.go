@@ -426,11 +426,11 @@ func (s *Supervisor) TableDump() node.TableDump {
 }
 
 // RunDetection forces one detection round, returning detections started.
-func (s *Supervisor) RunDetection() int {
+func (s *Supervisor) RunDetection() (int, error) {
 	if rt := s.Runtime(); rt != nil {
-		return rt.RunDetection()
+		return rt.RunDetection(), nil
 	}
-	return 0
+	return 0, ErrNodeDown
 }
 
 // ForceDetect starts a detection at the given scion immediately.

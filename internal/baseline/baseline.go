@@ -47,6 +47,8 @@ type World struct {
 	Order []ids.NodeID
 	// Names maps topology object names to global references.
 	Names map[string]ids.GlobalRef
+	// lgcs counts LGC rounds; it is every stub set's sequence number.
+	lgcs uint64
 }
 
 // Build materializes a workload topology into baseline processes with
@@ -96,11 +98,8 @@ func Build(topo *workload.Topology) (*World, error) {
 // applies the resulting stub sets immediately (settled round). Returns
 // objects swept and NewSetStubs-equivalent messages exchanged.
 func (w *World) LGC() (swept, messages int) {
-	type targeted struct {
-		to  ids.NodeID
-		msg refs.StubSetMsg
-	}
-	var pending []targeted
+	w.lgcs++
+	var pending []refs.TargetedStubSet
 	for _, id := range w.Order {
 		p := w.Procs[id]
 		seeds := p.Heap.Roots()
@@ -130,26 +129,13 @@ func (w *World) LGC() (swept, messages int) {
 			byNode[s.Target.Node] = append(byNode[s.Target.Node], s.Target.Obj)
 		}
 		for to, objs := range byNode {
-			pending = append(pending, targeted{to: to, msg: refs.StubSetMsg{From: id, Objs: objs}})
+			pending = append(pending, refs.TargetedStubSet{To: to, Msg: refs.StubSetMsg{From: id, Seq: w.lgcs, Objs: objs}})
 		}
 	}
 	for _, t := range pending {
 		messages++
-		p := w.Procs[t.to]
-		if p == nil {
-			continue
-		}
-		listed := make(map[ids.ObjID]struct{}, len(t.msg.Objs))
-		for _, o := range t.msg.Objs {
-			listed[o] = struct{}{}
-		}
-		for _, sc := range p.Table.Scions() {
-			if sc.Src != t.msg.From {
-				continue
-			}
-			if _, ok := listed[sc.Obj]; !ok {
-				p.Table.DeleteScion(sc.Src, sc.Obj)
-			}
+		if p := w.Procs[t.To]; p != nil {
+			p.Table.ApplyStubSet(t.Msg)
 		}
 	}
 	return swept, messages

@@ -1,9 +1,6 @@
 package baseline
 
-import (
-	"dgc/internal/ids"
-	"dgc/internal/refs"
-)
+import "dgc/internal/ids"
 
 // Hughes implements a timestamp-propagation complete DGC in the style of
 // Hughes [7], the first of the paper's related-work baselines.
@@ -38,7 +35,7 @@ type Hughes struct {
 	Lag uint64
 
 	round  uint64
-	stamps map[ids.NodeID]map[refs.ScionKey]uint64
+	stamps map[ids.RefID]uint64 // per scion, keyed by the reference
 	Stats  HughesStats
 }
 
@@ -55,20 +52,13 @@ type HughesStats struct {
 // NewHughes builds the baseline over a world, with the conservative
 // worst-case lag.
 func NewHughes(w *World) *Hughes {
-	h := &Hughes{World: w, stamps: make(map[ids.NodeID]map[refs.ScionKey]uint64)}
+	h := &Hughes{World: w, stamps: make(map[ids.RefID]uint64)}
 	totalRefs := 0
 	for _, id := range w.Order {
 		totalRefs += w.Procs[id].Table.NumScions()
 	}
 	h.Lag = uint64(totalRefs + len(w.Order) + 1)
-	for _, id := range w.Order {
-		h.stamps[id] = make(map[refs.ScionKey]uint64)
-	}
 	return h
-}
-
-func (h *Hughes) stamp(node ids.NodeID, key refs.ScionKey) uint64 {
-	return h.stamps[node][key]
 }
 
 // Round executes one settled collection round: timestamp propagation,
@@ -101,7 +91,7 @@ func (h *Hughes) Round() {
 		}
 		for _, sc := range p.Table.Scions() {
 			reach := p.Heap.ReachableFrom(sc.Obj)
-			scStamp := h.stamp(id, refs.ScionKey{Src: sc.Src, Obj: sc.Obj})
+			scStamp := h.stamps[sc.RefID(id)]
 			for _, tgt := range p.Heap.RemoteRefsFrom(reach) {
 				if p.Table.Stub(tgt) == nil {
 					continue
@@ -132,12 +122,12 @@ func (h *Hughes) Round() {
 			continue
 		}
 		for _, obj := range d.objs {
-			key := refs.ScionKey{Src: d.from, Obj: obj}
+			key := ids.RefID{Src: d.from, Dst: ids.GlobalRef{Node: d.to, Obj: obj}}
 			if p.Table.Scion(d.from, obj) == nil {
 				continue
 			}
-			if d.stamp > h.stamps[d.to][key] {
-				h.stamps[d.to][key] = d.stamp
+			if d.stamp > h.stamps[key] {
+				h.stamps[key] = d.stamp
 			}
 		}
 	}
@@ -155,10 +145,10 @@ func (h *Hughes) Round() {
 	for _, id := range h.World.Order {
 		p := h.World.Procs[id]
 		for _, sc := range p.Table.Scions() {
-			key := refs.ScionKey{Src: sc.Src, Obj: sc.Obj}
-			if h.stamps[id][key] < threshold {
+			key := sc.RefID(id)
+			if h.stamps[key] < threshold {
 				p.Table.DeleteScion(sc.Src, sc.Obj)
-				delete(h.stamps[id], key)
+				delete(h.stamps, key)
 				h.Stats.ScionsDeleted++
 			}
 		}

@@ -213,7 +213,7 @@ func cmdDetect(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		}
 		fmt.Fprintf(stdout, "%s: started %d detections\n", *nodeID, reply.Started)
 	default:
-		total := 0
+		total, failed := 0, 0
 		for _, id := range f.nodeIDs() {
 			c, err := f.client(id)
 			if err != nil {
@@ -222,11 +222,15 @@ func cmdDetect(ctx context.Context, args []string, stdout, stderr io.Writer) int
 			reply, err := c.Detect(id, "")
 			if err != nil {
 				fmt.Fprintf(stderr, "dgcctl: %s: %v\n", id, err)
+				failed++
 				continue
 			}
 			total += reply.Started
 		}
 		fmt.Fprintf(stdout, "started %d detections across %d nodes\n", total, len(f.nodeIDs()))
+		if failed > 0 {
+			return 1 // a down node started nothing: say so in the exit status too
+		}
 	}
 	if !*follow {
 		return 0

@@ -18,11 +18,11 @@ import (
 // lease-based one)". This experiment quantifies the difference: a holder
 // process goes silent (its stub-set messages are lost) for a number of
 // rounds while STILL holding a live reference. Plain reference listing
-// never deletes the scion. Leased reference listing is the node's own lease
-// table (refs.HolderLeases) without the membership gate that guards it in
-// production: every applied stub set renews the holder's lease, and the
-// owner expires the holder every tick, so silence alone outlasting the
-// lease deletes the scion and reclaims a live object.
+// never deletes the scion. Leased reference listing is the node's own
+// holder leases (refs.Table.ExpireHolder) without the membership gate that
+// guards them in production: every applied stub set renews the holder's
+// lease, and the owner expires the holder every tick, so silence alone
+// outlasting the lease deletes the scion and reclaims a live object.
 
 // LeaseRow reports one silence length's outcome for both collectors.
 type LeaseRow struct {
@@ -56,24 +56,20 @@ func LeaseAblation(silences []uint64, leaseDuration uint64) ([]LeaseRow, error) 
 			}
 			holderTable := refs.NewTable("P1")
 			holderTable.EnsureStub(ids.GlobalRef{Node: "P2", Obj: obj.ID})
-			holderDGC := refs.NewAcyclicDGC(holderTable)
-
-			ownerDGC := refs.NewAcyclicDGC(ownerTable)
-			leases := refs.NewHolderLeases(ownerTable, leaseDuration)
-			leases.Renew("P1", 0)
+			ownerTable.Renew("P1", 0)
 
 			total := silence + leaseDuration + 4
 			for now := uint64(1); now <= total; now++ {
-				for _, ts := range holderDGC.GenerateTargeted() {
+				for _, ts := range holderTable.GenerateTargeted() {
 					renewals++
 					if now <= silence {
 						continue // lost
 					}
-					ownerDGC.ApplyStubSet(ts.Msg)
-					leases.Renew("P1", now)
+					ownerTable.ApplyStubSet(ts.Msg)
+					ownerTable.Renew("P1", now)
 				}
 				if leased {
-					leases.ExpireHolder("P1", now)
+					ownerTable.ExpireHolder("P1", now, leaseDuration)
 				}
 				// Owner LGC: sweep if the scion is gone.
 				if ownerTable.Scion("P1", obj.ID) == nil {

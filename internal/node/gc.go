@@ -84,18 +84,14 @@ func (m *Machine) RunLGC() lgc.Result { return m.collect(false) }
 // handleNewSetStubs).
 func (m *Machine) collect(offSchedule bool) lgc.Result {
 	start := time.Now()
-	// Remember every current peer before the collection can delete their
-	// last stub, so they still receive the (empty) stub set that lets them
-	// reclaim scions.
-	m.acyclic.NotePeers()
 	res := m.lgc.Collect(m.pinnedRefs()...)
 	m.met.LGCRuns.Inc()
 	m.met.ObjectsSwept.Add(uint64(res.Swept))
 
 	// "This new set of stubs is then sent to remote processes" (§1).
-	generate, trigger := m.acyclic.GenerateTargeted, ""
+	generate, trigger := m.table.GenerateTargeted, ""
 	if offSchedule {
-		generate, trigger = m.acyclic.GenerateChanged, " trigger=stub-set"
+		generate, trigger = m.table.GenerateChanged, " trigger=stub-set"
 	}
 	m.emit(trace.KindLGC, "swept=%d live=%d stubs-deleted=%d%s", res.Swept, res.Live, res.StubsDeleted, trigger)
 	for _, ts := range generate() {

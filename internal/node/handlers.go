@@ -288,7 +288,7 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 // for the schedule: a found cycle's deletions arrive spread over a tick, and
 // sweeping early splits the burst (DESIGN.md §8).
 func (m *Machine) handleNewSetStubs(msg *wire.NewSetStubs) {
-	deleted := m.acyclic.ApplyStubSet(msg.Set)
+	deleted := m.table.ApplyStubSet(msg.Set)
 	m.met.StubSetsApplied.Inc()
 	if len(deleted) == 0 {
 		return

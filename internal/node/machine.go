@@ -36,7 +36,6 @@ type Machine struct {
 	cfg      Config
 	heap     *heap.Heap
 	table    *refs.Table
-	acyclic  *refs.AcyclicDGC
 	lgc      *lgc.Collector
 	detector *core.Detector
 	selector *core.Selector
@@ -85,14 +84,14 @@ type Machine struct {
 	// produce detection traffic.
 	batch *cdmBatcher
 
-	// memb/leases are the elastic-membership state: the gossip directory and
-	// the per-holder lease table guarding scion reclamation. Both nil when
-	// Config.Membership is nil (the simulator's static-directory mode), and
-	// every membership code path guards on that. membGossiped records, per
-	// peer, the directory version last pushed to it, so piggybacked gossip
-	// only rides along when the peer's view may be stale.
+	// memb is the elastic-membership state: the gossip directory, whose
+	// lease length guards scion reclamation through the table's holder
+	// leases. Nil when Config.Membership is nil (the simulator's
+	// static-directory mode), and every membership code path guards on
+	// that. membGossiped records, per peer, the directory version last
+	// pushed to it, so piggybacked gossip only rides along when the peer's
+	// view may be stale.
 	memb         *membership.Tracker
-	leases       *refs.HolderLeases
 	membGossiped map[ids.NodeID]uint64
 
 	// met is the node's observability instrument block (a private registry
@@ -269,14 +268,12 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		inflight:       make(map[core.DetectionID]detInflight),
 	}
 	m.met = obs.NewNodeMetrics(cfg.Metrics.Node(string(id)))
-	m.acyclic = refs.NewAcyclicDGC(m.table)
 	m.lgc = lgc.New(m.heap, m.table)
 	m.selector = core.NewSelector(cfg.CandidateMinAge)
 	if cfg.Membership != nil {
 		mc := cfg.Membership.WithDefaults()
 		m.cfg.Membership = &mc
 		m.memb = membership.NewTracker(id, "", mc)
-		m.leases = refs.NewHolderLeases(m.table, mc.LeaseTicks)
 		m.membGossiped = make(map[ids.NodeID]uint64)
 	}
 	m.detector = core.NewDetector(id, (*detectorActions)(m))
@@ -292,8 +289,8 @@ func (m *Machine) ID() ids.NodeID { return m.id }
 func (m *Machine) Metrics() *obs.NodeMetrics { return m.met }
 
 // syncGauges refreshes the instantaneous-state gauges from the heap and
-// tables; called from the daemon paths, which are the only inputs that can
-// change them in bulk.
+// tables; called from the daemon paths and With, the inputs that can change
+// them in bulk.
 func (m *Machine) syncGauges() {
 	m.met.HeapObjects.Set(int64(m.heap.Len()))
 	m.met.Scions.Set(int64(m.table.NumScions()))
@@ -466,9 +463,12 @@ func (m *Machine) ScionRefs() []ids.RefID {
 func (m *Machine) RegisterMethod(name string, fn Method) { m.methods[name] = fn }
 
 // With runs fn with a Mutator over this machine: the scenario-building and
-// method-handler entry point for direct heap manipulation.
+// method-handler entry point for direct heap manipulation. The state gauges
+// are synced after it, so a body that seeds a fresh node shows in /metrics
+// before the first tick.
 func (m *Machine) With(fn func(mut Mutator)) {
 	fn(Mutator{n: m})
+	m.syncGauges()
 }
 
 // EnsureScionFor records an incoming reference from holder to the local

@@ -1,8 +1,6 @@
 package node
 
 import (
-	"sort"
-
 	"dgc/internal/core"
 	"dgc/internal/ids"
 	"dgc/internal/membership"
@@ -12,8 +10,8 @@ import (
 )
 
 // Elastic-membership integration: the machine inputs and effects that keep
-// the gossip directory (internal/membership) and the holder-lease table
-// (refs.HolderLeases) wired into the protocol core. Everything here is a
+// the gossip directory (internal/membership) and the reference table's
+// holder leases wired into the protocol core. Everything here is a
 // no-op when Config.Membership is nil, so the deterministic simulator's
 // static-directory behaviour — and its byte-identical fingerprints — are
 // untouched.
@@ -82,22 +80,11 @@ func (m *Machine) BeginDrain() error {
 	if tr := m.memb.BeginDrain(m.clock); tr != nil {
 		m.processMemberTransitions([]membership.Transition{*tr})
 	}
-	byOwner := make(map[ids.NodeID][]ids.ObjID)
-	var owners []ids.NodeID
-	for _, s := range m.table.Stubs() {
-		o := s.Target.Node
-		if o == m.id {
+	for _, o := range m.table.Peers() {
+		objs := m.table.StubObjs(o)
+		if o == m.id || len(objs) == 0 {
 			continue
 		}
-		if _, ok := byOwner[o]; !ok {
-			owners = append(owners, o)
-		}
-		byOwner[o] = append(byOwner[o], s.Target.Obj)
-	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-	for _, o := range owners {
-		objs := byOwner[o]
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 		m.emit(trace.KindLeaseHandoff, "to=%s objs=%d sent", o, len(objs))
 		m.send(o, &wire.LeaseHandoff{Holder: m.id, Objs: objs})
 	}
@@ -110,7 +97,7 @@ func (m *Machine) observeMember(from ids.NodeID) {
 	if m.memb == nil || from == m.id {
 		return
 	}
-	m.leases.Renew(from, m.clock)
+	m.table.Renew(from, m.clock)
 	if tr := m.memb.Observe(from, m.clock); tr != nil {
 		m.processMemberTransitions([]membership.Transition{*tr})
 	}
@@ -127,7 +114,7 @@ func (m *Machine) membTick() {
 		if mem.Node == m.id || mem.State != membership.Dead {
 			continue
 		}
-		m.reclaimScions(m.leases.ExpireHolder(mem.Node, m.clock), mem.Node, "lease-expired")
+		m.reclaimScions(m.table.ExpireHolder(mem.Node, m.clock, m.cfg.Membership.LeaseTicks), mem.Node, "lease-expired")
 	}
 	cfg := m.memb.Config()
 	if cfg.GossipEvery > 0 && m.clock%cfg.GossipEvery == 0 {
@@ -149,7 +136,7 @@ func (m *Machine) processMemberTransitions(trs []membership.Transition) {
 		case membership.Alive:
 			m.emit(trace.KindMemberAlive, "node=%s inc=%d prev=%s", mem.Node, mem.Incarnation, tr.Prev)
 			if mem.Node != m.id && tr.Prev == membership.Dead {
-				m.leases.Regrant(mem.Node, mem.Incarnation, m.clock)
+				m.table.Regrant(mem.Node, mem.Incarnation, m.clock)
 			}
 		case membership.Suspect:
 			m.emit(trace.KindMemberSuspect, "node=%s inc=%d", mem.Node, mem.Incarnation)
@@ -158,7 +145,7 @@ func (m *Machine) processMemberTransitions(trs []membership.Transition) {
 		case membership.Dead:
 			m.emit(trace.KindMemberDead, "node=%s inc=%d prev=%s", mem.Node, mem.Incarnation, tr.Prev)
 			if mem.Node != m.id {
-				m.reclaimScions(m.leases.ReleaseCustodial(mem.Node), mem.Node, "drain-departed")
+				m.reclaimScions(m.table.ReleaseCustodial(mem.Node), mem.Node, "drain-departed")
 			}
 		}
 	}
@@ -166,7 +153,7 @@ func (m *Machine) processMemberTransitions(trs []membership.Transition) {
 
 // reclaimScions finalizes scions deleted by lease expiry or custodial
 // release: selector cleanup and journal. The table deletion already
-// happened inside HolderLeases through the normal DeleteScion path.
+// happened in the table's lease bookkeeping.
 func (m *Machine) reclaimScions(scs []refs.Scion, holder ids.NodeID, reason string) {
 	for _, sc := range scs {
 		ref := ids.RefID{Src: sc.Src, Dst: ids.GlobalRef{Node: m.id, Obj: sc.Obj}}
@@ -241,7 +228,7 @@ func (m *Machine) handleLeaseHandoff(msg *wire.LeaseHandoff) {
 		if m.table.Scion(msg.Holder, obj) == nil {
 			continue
 		}
-		m.leases.Pin(msg.Holder, obj)
+		m.table.Pin(msg.Holder, obj)
 		pinned++
 	}
 	m.emit(trace.KindLeaseHandoff, "holder=%s objs=%d pinned=%d received", msg.Holder, len(msg.Objs), pinned)

@@ -173,7 +173,7 @@ func TestStubSetNeverCollectsWithoutSchedule(t *testing.T) {
 
 // outSeqs reads the node's outbound reference-listing sequence numbers.
 func outSeqs(n *Node) (out []refs.SeqEntry) {
-	n.With(func(m Mutator) { out, _ = m.n.acyclic.SeqState() })
+	n.With(func(m Mutator) { out, _ = m.n.table.SeqState() })
 	return out
 }
 

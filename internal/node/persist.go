@@ -65,7 +65,7 @@ func (m *Machine) Save() ([]byte, error) {
 		buf = binary.AppendUvarint(buf, s.IC)
 	}
 
-	out, in := m.acyclic.SeqState()
+	out, in := m.table.SeqState()
 	for _, entries := range [][]refs.SeqEntry{out, in} {
 		buf = binary.AppendUvarint(buf, uint64(len(entries)))
 		for _, e := range entries {
@@ -138,7 +138,7 @@ func RestoreMachine(cfg Config, data []byte) (*Machine, error) {
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("node: Restore: %d trailing bytes", len(data)-r.pos)
 	}
-	m.acyclic.RestoreSeqState(seqs[0], seqs[1])
+	m.table.RestoreSeqState(seqs[0], seqs[1])
 	return m, nil
 }
 

@@ -68,7 +68,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	// Sequence numbers survive: the next stub set is newer than any sent
 	// before the save.
 	a2.With(func(m Mutator) {
-		out, _ := m.n.acyclic.SeqState()
+		out, _ := m.n.table.SeqState()
 		if len(out) == 0 || out[0].Seq == 0 {
 			t.Errorf("outbound sequence state lost: %+v", out)
 		}
@@ -173,7 +173,7 @@ func FuzzRestoreMachine(f *testing.F) {
 	}
 	m.table.RestoreStub(remote, 5)
 	m.table.RestoreScion("B", leaf, 2)
-	m.acyclic.RestoreSeqState([]refs.SeqEntry{{Node: "B", Seq: 4}}, []refs.SeqEntry{{Node: "B", Seq: 6}})
+	m.table.RestoreSeqState([]refs.SeqEntry{{Node: "B", Seq: 4}}, []refs.SeqEntry{{Node: "B", Seq: 6}})
 	m.clock, m.snapVersion = 9, 3
 	data, err := m.Save()
 	if err != nil {

@@ -1,7 +1,6 @@
 package refs
 
 import (
-	"cmp"
 	"slices"
 
 	"dgc/internal/ids"
@@ -29,51 +28,6 @@ type StubSetMsg struct {
 	Objs []ids.ObjID // receiver-local objects still referenced, sorted
 }
 
-// AcyclicDGC implements the sender and receiver sides of the NewSetStubs
-// protocol for one process.
-type AcyclicDGC struct {
-	table *Table
-
-	// outSeq is the next sequence number per destination node.
-	outSeq map[ids.NodeID]uint64
-	// inSeq is the highest sequence number applied per source node.
-	inSeq map[ids.NodeID]uint64
-	// knownPeers remembers every node we have ever sent a stub set to, so
-	// that a process whose last stub to a peer disappears still sends the
-	// (empty) set that lets the peer drop its remaining scions — in every
-	// scheduled round from then on: an empty set is tiny, and repeating it is
-	// what makes scion reclamation tolerate message loss, where a single lost
-	// empty set would otherwise leak the peer's scions permanently.
-	knownPeers map[ids.NodeID]struct{}
-	// lastSent fingerprints the set last sent to each destination, so an
-	// off-schedule collection (GenerateChanged) can leave an unchanged set
-	// unsaid. Updated by every send; not persisted — a restored process has
-	// no entry and restates.
-	lastSent map[ids.NodeID]uint64
-}
-
-// NewAcyclicDGC returns the acyclic collector state bound to a table.
-func NewAcyclicDGC(table *Table) *AcyclicDGC {
-	return &AcyclicDGC{
-		table:      table,
-		outSeq:     make(map[ids.NodeID]uint64),
-		inSeq:      make(map[ids.NodeID]uint64),
-		knownPeers: make(map[ids.NodeID]struct{}),
-		lastSent:   make(map[ids.NodeID]uint64),
-	}
-}
-
-// NotePeers records every node the process currently holds stubs to,
-// guaranteeing each a stub-set message in the next generation round even if
-// every such stub disappears before it. Callers must invoke this BEFORE a
-// local collection deletes stubs, otherwise a peer whose last stub dies in
-// the collection never learns about it and its scions leak.
-func (a *AcyclicDGC) NotePeers() {
-	for ref := range a.table.stubs {
-		a.knownPeers[ref.Node] = struct{}{}
-	}
-}
-
 // TargetedStubSet pairs a NewSetStubs message with its destination.
 type TargetedStubSet struct {
 	To  ids.NodeID
@@ -82,46 +36,34 @@ type TargetedStubSet struct {
 
 // GenerateTargeted builds one NewSetStubs message per peer process from the
 // current stub table. It must be called after a local collection has
-// recomputed the stub table (see lgc). A peer that has no stubs left here is
-// sent an explicit empty set so its scions from this process can be
-// reclaimed, in every round from then on: the repetition is what lets scion
-// reclamation survive the loss of an empty set.
-func (a *AcyclicDGC) GenerateTargeted() []TargetedStubSet { return a.generate(false) }
+// recomputed the stub table (see lgc). A peer that has held a stub here is
+// sent a set in every round from then on, an explicit empty one once its
+// last stub is gone, so its scions from this process can be reclaimed: the
+// repetition is what lets scion reclamation survive the loss of an empty
+// set. A peer that only holds references into this process is sent none.
+func (t *Table) GenerateTargeted() []TargetedStubSet { return t.generate(false) }
 
 // GenerateChanged is GenerateTargeted for a collection that runs between two
 // scheduled ones: a peer whose set equals the one last sent to it gets no
 // message and its sequence number does not move. Loss tolerance stays with
 // the scheduled rounds, which restate every set whether it changed or not.
-func (a *AcyclicDGC) GenerateChanged() []TargetedStubSet { return a.generate(true) }
+func (t *Table) GenerateChanged() []TargetedStubSet { return t.generate(true) }
 
-func (a *AcyclicDGC) generate(changedOnly bool) []TargetedStubSet {
-	byNode := make(map[ids.NodeID][]ids.ObjID)
-	for ref := range a.table.stubs {
-		byNode[ref.Node] = append(byNode[ref.Node], ref.Obj)
-	}
-	for n := range byNode {
-		a.knownPeers[n] = struct{}{}
-	}
-	nodes := make([]ids.NodeID, 0, len(a.knownPeers))
-	for n := range a.knownPeers {
-		nodes = append(nodes, n)
-	}
-	ids.SortNodeIDs(nodes)
-
-	out := make([]TargetedStubSet, 0, len(nodes))
-	for _, n := range nodes {
-		objs := byNode[n]
-		slices.Sort(objs)
-		fp := fingerprint(objs)
-		if last, sent := a.lastSent[n]; changedOnly && sent && last == fp {
+func (t *Table) generate(changedOnly bool) []TargetedStubSet {
+	var out []TargetedStubSet
+	for _, n := range t.names {
+		p := t.peers[n]
+		if !p.owed {
 			continue
 		}
-		a.lastSent[n] = fp
-		a.outSeq[n]++
-		out = append(out, TargetedStubSet{
-			To:  n,
-			Msg: StubSetMsg{From: a.table.Node(), Seq: a.outSeq[n], Objs: objs},
-		})
+		objs := t.StubObjs(n)
+		fp := fingerprint(objs)
+		if changedOnly && p.sent && p.lastSent == fp {
+			continue
+		}
+		p.sent, p.lastSent = true, fp
+		p.outSeq++
+		out = append(out, TargetedStubSet{To: n, Msg: StubSetMsg{From: t.node, Seq: p.outSeq, Objs: objs}})
 	}
 	return out
 }
@@ -140,29 +82,43 @@ func fingerprint(objs []ids.ObjID) uint64 {
 // ApplyStubSet processes a received NewSetStubs message: every scion from
 // msg.From whose object is not listed is deleted. Stale or duplicate
 // messages (sequence number not larger than the last applied) are ignored.
-// It returns the scions deleted, in canonical order.
-func (a *AcyclicDGC) ApplyStubSet(msg StubSetMsg) []Scion {
-	if msg.Seq <= a.inSeq[msg.From] {
+// It returns the scions deleted, in canonical order. Only the sender's
+// record is read, so the cost does not depend on other peers' scions.
+func (t *Table) ApplyStubSet(msg StubSetMsg) []Scion {
+	p := t.peer(msg.From)
+	if msg.Seq <= p.inSeq {
 		return nil // stale or duplicate
 	}
-	a.inSeq[msg.From] = msg.Seq
+	p.inSeq = msg.Seq
 
-	listed := make(map[ids.ObjID]struct{}, len(msg.Objs))
-	for _, o := range msg.Objs {
-		listed[o] = struct{}{}
+	listed := msg.Objs
+	if !ascending(listed) { // every sender here lists a sorted set; a foreign one may not
+		listed = slices.Clone(listed)
+		slices.Sort(listed)
+		listed = slices.Compact(listed)
 	}
-	var deleted []Scion
-	for k, s := range a.table.scions {
-		if k.Src != msg.From {
-			continue
-		}
-		if _, ok := listed[k.Obj]; !ok {
-			deleted = append(deleted, *s)
-			a.table.DeleteScion(k.Src, k.Obj)
+	// The common case deletes nothing: every scion is listed.
+	kept := 0
+	for _, o := range listed {
+		if p.scions[o] != nil {
+			kept++
 		}
 	}
-	slices.SortFunc(deleted, func(x, y Scion) int { return cmp.Compare(x.Obj, y.Obj) })
-	return deleted
+	if kept == len(p.scions) {
+		return nil
+	}
+	return t.dropScions(p, func(obj ids.ObjID) bool { _, ok := slices.BinarySearch(listed, obj); return !ok })
+}
+
+// ascending reports whether objs is strictly increasing: sorted, with no
+// object listed twice.
+func ascending(objs []ids.ObjID) bool {
+	for i := 1; i < len(objs); i++ {
+		if objs[i-1] >= objs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // SeqEntry is one persisted sequence-number record.
@@ -172,34 +128,32 @@ type SeqEntry struct {
 }
 
 // SeqState exports the protocol's sequence numbers for persistence, in
-// canonical node order: outbound (next stub-set per destination) and
+// canonical node order: outbound (last stub set sent per destination) and
 // inbound (last applied per source). Sequence numbers MUST survive a
 // process restart — a rebooted process restarting from sequence zero would
 // have its fresh (authoritative) stub sets discarded as stale by peers.
-func (a *AcyclicDGC) SeqState() (out, in []SeqEntry) {
-	collect := func(m map[ids.NodeID]uint64) []SeqEntry {
-		nodes := make([]ids.NodeID, 0, len(m))
-		for n := range m {
-			nodes = append(nodes, n)
+func (t *Table) SeqState() (out, in []SeqEntry) {
+	for _, n := range t.names {
+		p := t.peers[n]
+		if p.outSeq > 0 {
+			out = append(out, SeqEntry{Node: n, Seq: p.outSeq})
 		}
-		ids.SortNodeIDs(nodes)
-		entries := make([]SeqEntry, 0, len(nodes))
-		for _, n := range nodes {
-			entries = append(entries, SeqEntry{Node: n, Seq: m[n]})
+		if p.inSeq > 0 {
+			in = append(in, SeqEntry{Node: n, Seq: p.inSeq})
 		}
-		return entries
 	}
-	return collect(a.outSeq), collect(a.inSeq)
+	return out, in
 }
 
-// RestoreSeqState reinstates persisted sequence numbers and re-registers
-// every outbound peer (so empty sets resume if stubs died with the crash).
-func (a *AcyclicDGC) RestoreSeqState(out, in []SeqEntry) {
+// RestoreSeqState reinstates persisted sequence numbers; every outbound
+// peer is owed a set again, so empty sets resume if stubs died with the
+// crash.
+func (t *Table) RestoreSeqState(out, in []SeqEntry) {
 	for _, e := range out {
-		a.outSeq[e.Node] = e.Seq
-		a.knownPeers[e.Node] = struct{}{}
+		p := t.peer(e.Node)
+		p.outSeq, p.owed = e.Seq, true
 	}
 	for _, e := range in {
-		a.inSeq[e.Node] = e.Seq
+		t.peer(e.Node).inSeq = e.Seq
 	}
 }

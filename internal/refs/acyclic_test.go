@@ -1,6 +1,7 @@
 package refs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,8 +14,7 @@ func TestGenerateTargetedGroupsByNode(t *testing.T) {
 	tb.EnsureStub(gref("P2", 6))
 	tb.EnsureStub(gref("P2", 3))
 	tb.EnsureStub(gref("P3", 1))
-	a := NewAcyclicDGC(tb)
-	out := a.GenerateTargeted()
+	out := tb.GenerateTargeted()
 	if len(out) != 2 {
 		t.Fatalf("messages = %d, want 2", len(out))
 	}
@@ -33,11 +33,10 @@ func TestGenerateTargetedRepeatsEmptySetsByDefault(t *testing.T) {
 	// Empty sets repeat forever so scion reclamation survives message loss.
 	tb := NewTable("P1")
 	tb.EnsureStub(gref("P2", 6))
-	a := NewAcyclicDGC(tb)
-	a.GenerateTargeted()
+	tb.GenerateTargeted()
 	tb.DeleteStub(gref("P2", 6))
 	for round := 0; round < 5; round++ {
-		out := a.GenerateTargeted()
+		out := tb.GenerateTargeted()
 		if len(out) != 1 || out[0].To != "P2" || len(out[0].Msg.Objs) != 0 {
 			t.Fatalf("round %d: %+v, want a repeated empty set", round, out)
 		}
@@ -46,13 +45,12 @@ func TestGenerateTargetedRepeatsEmptySetsByDefault(t *testing.T) {
 
 func TestNotePeerForcesEmptySetAfterSilentStubDeath(t *testing.T) {
 	// A stub deleted before the FIRST generation round (e.g. by the first
-	// local collection) must still produce an empty set for its peer.
+	// local collection) must still produce an empty set for its peer: the
+	// peer record remembers that it once held a stub.
 	tb := NewTable("P1")
 	tb.EnsureStub(gref("P2", 6))
-	a := NewAcyclicDGC(tb)
-	a.NotePeers()
 	tb.DeleteStub(gref("P2", 6)) // dies before any GenerateTargeted
-	out := a.GenerateTargeted()
+	out := tb.GenerateTargeted()
 	if len(out) != 1 || out[0].To != "P2" || len(out[0].Msg.Objs) != 0 {
 		t.Fatalf("generated = %+v, want one empty set for P2", out)
 	}
@@ -63,9 +61,8 @@ func TestApplyStubSetDeletesUnlistedScions(t *testing.T) {
 	tb.EnsureScion("P1", 6)
 	tb.EnsureScion("P1", 3)
 	tb.EnsureScion("P5", 6) // different source: must survive
-	a := NewAcyclicDGC(tb)
 
-	deleted := a.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: []ids.ObjID{6}})
+	deleted := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: []ids.ObjID{6}})
 	if len(deleted) != 1 || deleted[0].Obj != 3 || deleted[0].Src != "P1" {
 		t.Fatalf("deleted = %+v", deleted)
 	}
@@ -74,31 +71,48 @@ func TestApplyStubSetDeletesUnlistedScions(t *testing.T) {
 	}
 }
 
+// A set listed out of order or with repeats (no sender here writes one)
+// still deletes exactly the unlisted scions, and the message is not
+// rewritten in place.
+func TestApplyStubSetToleratesUnsortedSets(t *testing.T) {
+	tb := NewTable("P2")
+	for _, o := range []ids.ObjID{1, 2, 3, 4} {
+		tb.EnsureScion("P1", o)
+	}
+	objs := []ids.ObjID{4, 1, 4, 1}
+	deleted := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: objs})
+	if len(deleted) != 2 || deleted[0].Obj != 2 || deleted[1].Obj != 3 {
+		t.Fatalf("deleted = %+v, want 2 and 3", deleted)
+	}
+	if objs[0] != 4 || objs[1] != 1 || objs[2] != 4 || objs[3] != 1 {
+		t.Fatalf("message rewritten: %v", objs)
+	}
+}
+
 func TestApplyStubSetIgnoresStaleAndDuplicate(t *testing.T) {
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	a := NewAcyclicDGC(tb)
 
-	if d := a.ApplyStubSet(StubSetMsg{From: "P1", Seq: 2, Objs: []ids.ObjID{6}}); len(d) != 0 {
+	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 2, Objs: []ids.ObjID{6}}); len(d) != 0 {
 		t.Fatalf("deleted = %+v", d)
 	}
 	// Duplicate of seq 2: ignored even though it would delete.
-	if d := a.ApplyStubSet(StubSetMsg{From: "P1", Seq: 2, Objs: nil}); len(d) != 0 {
+	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 2, Objs: nil}); len(d) != 0 {
 		t.Fatal("duplicate message was applied")
 	}
 	// Older message (seq 1) that would delete: ignored.
-	if d := a.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: nil}); len(d) != 0 {
+	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: nil}); len(d) != 0 {
 		t.Fatal("stale message was applied")
 	}
 	if tb.Scion("P1", 6) == nil {
 		t.Fatal("scion deleted by stale/duplicate message")
 	}
 	// Newer empty set: applied.
-	if d := a.ApplyStubSet(StubSetMsg{From: "P1", Seq: 3, Objs: nil}); len(d) != 1 {
+	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 3, Objs: nil}); len(d) != 1 {
 		t.Fatalf("deleted = %+v", d)
 	}
-	if a.inSeq["P1"] != 3 {
-		t.Fatalf("last applied seq = %d", a.inSeq["P1"])
+	if tb.peers["P1"].inSeq != 3 {
+		t.Fatalf("last applied seq = %d", tb.peers["P1"].inSeq)
 	}
 }
 
@@ -110,8 +124,6 @@ func TestStubSetConvergenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sender := NewTable("P1")
 		receiver := NewTable("P2")
-		sDGC := NewAcyclicDGC(sender)
-		rDGC := NewAcyclicDGC(receiver)
 
 		// Receiver starts with scions for objects 0..9 from P1.
 		for o := ids.ObjID(0); o < 10; o++ {
@@ -127,7 +139,7 @@ func TestStubSetConvergenceProperty(t *testing.T) {
 					sender.DeleteStub(gref("P2", o))
 				}
 			}
-			for _, ts := range sDGC.GenerateTargeted() {
+			for _, ts := range sender.GenerateTargeted() {
 				if ts.To == "P2" {
 					backlog = append(backlog, ts.Msg)
 				}
@@ -136,15 +148,15 @@ func TestStubSetConvergenceProperty(t *testing.T) {
 			for i := 0; i < len(backlog); i++ {
 				j := rng.Intn(len(backlog))
 				if rng.Intn(3) != 0 {
-					rDGC.ApplyStubSet(backlog[j])
+					receiver.ApplyStubSet(backlog[j])
 				}
 			}
 		}
 		// Final round: a fresh set, delivered reliably.
-		final := sDGC.GenerateTargeted()
+		final := sender.GenerateTargeted()
 		for _, ts := range final {
 			if ts.To == "P2" {
-				rDGC.ApplyStubSet(ts.Msg)
+				receiver.ApplyStubSet(ts.Msg)
 			}
 		}
 		// Receiver scions from P1 must now equal the sender's stub set
@@ -175,9 +187,8 @@ func TestApplyStubSetNeverDeletesListed(t *testing.T) {
 		tb := NewTable("P2")
 		kept := ids.ObjID(keep % 4)
 		tb.EnsureScion("P1", kept)
-		a := NewAcyclicDGC(tb)
 		for _, s := range seqs {
-			a.ApplyStubSet(StubSetMsg{From: "P1", Seq: s % 16, Objs: []ids.ObjID{kept}})
+			tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: s % 16, Objs: []ids.ObjID{kept}})
 		}
 		return tb.Scion("P1", kept) != nil
 	}
@@ -193,34 +204,78 @@ func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
 	tb := NewTable("P1")
 	tb.EnsureStub(gref("P2", 6))
 	tb.EnsureStub(gref("P3", 1))
-	a := NewAcyclicDGC(tb)
-	if out := a.GenerateChanged(); len(out) != 2 {
+	if out := tb.GenerateChanged(); len(out) != 2 {
 		t.Fatalf("never-sent sets = %+v, want both stated", out)
 	}
-	if out := a.GenerateChanged(); len(out) != 0 {
+	if out := tb.GenerateChanged(); len(out) != 0 {
 		t.Fatalf("unchanged sets = %+v, want none", out)
 	}
 	tb.DeleteStub(gref("P3", 1))
-	out := a.GenerateChanged()
+	out := tb.GenerateChanged()
 	if len(out) != 1 || out[0].To != "P3" || len(out[0].Msg.Objs) != 0 || out[0].Msg.Seq != 2 {
 		t.Fatalf("after P3's last stub died = %+v, want one empty set, seq 2", out)
 	}
-	if out := a.GenerateChanged(); len(out) != 0 {
+	if out := tb.GenerateChanged(); len(out) != 0 {
 		t.Fatalf("unchanged empty set = %+v, want none", out)
 	}
-	if a.outSeq["P2"] != 1 || a.outSeq["P3"] != 2 {
-		t.Fatalf("skipped sets moved state: outSeq=%v", a.outSeq)
+	if tb.peers["P2"].outSeq != 1 || tb.peers["P3"].outSeq != 2 {
+		t.Fatalf("skipped sets moved state: outSeq=%d,%d", tb.peers["P2"].outSeq, tb.peers["P3"].outSeq)
 	}
 	// A scheduled round restates both.
-	out = a.GenerateTargeted()
+	out = tb.GenerateTargeted()
 	if len(out) != 2 || out[0].Msg.Seq != 2 || out[1].Msg.Seq != 3 {
 		t.Fatalf("scheduled round = %+v, want P2 seq 2 and P3 seq 3", out)
 	}
 	// Fingerprints are not persisted: a restored process restates.
-	outSeq, inSeq := a.SeqState()
-	b := NewAcyclicDGC(tb)
+	outSeq, inSeq := tb.SeqState()
+	b := NewTable("P1")
+	for _, s := range tb.Stubs() {
+		b.RestoreStub(s.Target, s.IC)
+	}
 	b.RestoreSeqState(outSeq, inSeq)
 	if out := b.GenerateChanged(); len(out) != 2 || out[0].Msg.Seq != 3 {
 		t.Fatalf("restored process = %+v, want both peers restated, P2 at seq 3", out)
+	}
+}
+
+// A peer that only holds references into this process, or has only sent it
+// messages, is owed no stub set: only a peer that has held a stub is.
+func TestGenerateSkipsPeersThatNeverHeldAStub(t *testing.T) {
+	tb := NewTable("P1")
+	tb.EnsureScion("P2", 1)
+	tb.Renew("P3", 0)
+	tb.ApplyStubSet(StubSetMsg{From: "P4", Seq: 1})
+	tb.EnsureStub(gref("P5", 2))
+	if out := tb.GenerateTargeted(); len(out) != 1 || out[0].To != "P5" {
+		t.Fatalf("generated = %+v, want one set, for P5", out)
+	}
+}
+
+// BenchmarkApplyStubSet applies one peer's complete set of 1,000 listed
+// scions beside 0 or 63 other peers holding 1,000 scions each. Only the
+// sender's record is read, so the cost is flat in the other peers' scions.
+func BenchmarkApplyStubSet(b *testing.B) {
+	const perPeer = 1000
+	for _, others := range []int{0, 63} {
+		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+			tb := NewTable("P0")
+			objs := make([]ids.ObjID, perPeer)
+			for i := range objs {
+				objs[i] = ids.ObjID(i)
+			}
+			for p := 0; p <= others; p++ {
+				src := ids.NodeID(fmt.Sprintf("Q%02d", p))
+				for _, o := range objs {
+					tb.EnsureScion(src, o)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d := tb.ApplyStubSet(StubSetMsg{From: "Q00", Seq: uint64(i + 1), Objs: objs}); len(d) != 0 {
+					b.Fatalf("deleted %d listed scions", len(d))
+				}
+			}
+		})
 	}
 }

@@ -2,18 +2,18 @@ package refs
 
 import "testing"
 
-// --- HolderLeases: the membership-gated per-holder leases (DESIGN.md §14) ---
+// --- holder leases: the membership-gated per-holder leases (DESIGN.md §14) ---
 
 func TestLeaseRenewalKeepsScionAlive(t *testing.T) {
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	h := NewHolderLeases(tb, 3)
-	h.Renew("P1", 0)
+	const lease = 3
+	tb.Renew("P1", 0)
 
 	// Renewals arrive every tick: the scion survives indefinitely.
 	for now := uint64(1); now <= 10; now++ {
-		h.Renew("P1", now)
-		if got := h.ExpireHolder("P1", now); got != nil {
+		tb.Renew("P1", now)
+		if got := tb.ExpireHolder("P1", now, lease); got != nil {
 			t.Fatalf("tick %d: renewed holder expired: %v", now, got)
 		}
 	}
@@ -28,10 +28,10 @@ func TestLeaseUnsafetyUnderSilence(t *testing.T) {
 	// the membership gate, expiry alone deletes the scion.
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	h := NewHolderLeases(tb, 2)
-	h.Renew("P1", 0)
+	const lease = 2
+	tb.Renew("P1", 0)
 	for now := uint64(1); now <= 5; now++ {
-		h.ExpireHolder("P1", now)
+		tb.ExpireHolder("P1", now, lease)
 	}
 	if tb.Scion("P1", 6) != nil {
 		t.Fatal("lease did not expire: the ablation would show nothing")
@@ -44,17 +44,17 @@ func TestLeaseRegrantAfterExpiryRestartsClock(t *testing.T) {
 	// record.
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	h := NewHolderLeases(tb, 2)
-	h.Renew("P1", 0)
-	if got := h.ExpireHolder("P1", 3); len(got) != 1 {
+	const lease = 2
+	tb.Renew("P1", 0)
+	if got := tb.ExpireHolder("P1", 3, lease); len(got) != 1 {
 		t.Fatalf("setup expiry failed: %v", got)
 	}
 	tb.EnsureScion("P1", 6)
-	h.Renew("P1", 3)
-	if got := h.ExpireHolder("P1", 5); got != nil {
+	tb.Renew("P1", 3)
+	if got := tb.ExpireHolder("P1", 5, lease); got != nil {
 		t.Fatalf("renewed holder expired on the old clock: %v", got)
 	}
-	if got := h.ExpireHolder("P1", 6); len(got) != 1 {
+	if got := tb.ExpireHolder("P1", 6, lease); len(got) != 1 {
 		t.Fatalf("renewed lease never expired: %v", got)
 	}
 }
@@ -64,14 +64,14 @@ func TestHolderLeaseExpiryReclaimsScions(t *testing.T) {
 	tb.EnsureScion("P1", 6)
 	tb.EnsureScion("P1", 3)
 	tb.EnsureScion("P3", 9) // different holder: must survive P1's expiry
-	h := NewHolderLeases(tb, 4)
-	h.Renew("P1", 0)
-	h.Renew("P3", 0)
+	const lease = 4
+	tb.Renew("P1", 0)
+	tb.Renew("P3", 0)
 
-	if got := h.ExpireHolder("P1", 4); got != nil {
+	if got := tb.ExpireHolder("P1", 4, lease); got != nil {
 		t.Fatalf("expired within lease: %v", got)
 	}
-	got := h.ExpireHolder("P1", 5)
+	got := tb.ExpireHolder("P1", 5, lease)
 	if len(got) != 2 || got[0].Obj != 3 || got[1].Obj != 6 {
 		t.Fatalf("ExpireHolder = %v, want P1's scions 3,6 in canonical order", got)
 	}
@@ -89,37 +89,37 @@ func TestHolderLeaseRenewalRacesExpiry(t *testing.T) {
 	// a suspected-but-alive holder must always win over the expiry sweep.
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	h := NewHolderLeases(tb, 4)
-	h.Renew("P1", 0)
+	const lease = 4
+	tb.Renew("P1", 0)
 
-	h.Renew("P1", 4) // renewal racing the tick-5 sweep
-	if got := h.ExpireHolder("P1", 5); got != nil {
+	tb.Renew("P1", 4) // renewal racing the tick-5 sweep
+	if got := tb.ExpireHolder("P1", 5, lease); got != nil {
 		t.Fatalf("renewed holder reclaimed: %v", got)
 	}
-	if got := h.ExpireHolder("P1", 9); len(got) != 1 {
+	if got := tb.ExpireHolder("P1", 9, lease); len(got) != 1 {
 		t.Fatalf("silent holder kept lease: %v", got)
 	}
 }
 
 func TestHolderLeaseRegrantRequiresHigherIncarnation(t *testing.T) {
 	tb := NewTable("P2")
-	h := NewHolderLeases(tb, 4)
-	if !h.Regrant("P1", 1, 10) {
+	const lease = 4
+	if !tb.Regrant("P1", 1, 10) {
 		t.Fatal("first regrant at incarnation 1 refused")
 	}
-	if h.Regrant("P1", 1, 20) {
+	if tb.Regrant("P1", 1, 20) {
 		t.Fatal("equal incarnation re-granted: a rejoining member must prove a restart")
 	}
-	if h.Regrant("P1", 0, 20) {
+	if tb.Regrant("P1", 0, 20) {
 		t.Fatal("stale incarnation re-granted")
 	}
-	if !h.Regrant("P1", 2, 20) {
+	if !tb.Regrant("P1", 2, 20) {
 		t.Fatal("higher incarnation refused")
 	}
-	if !h.Valid("P1", 24) {
+	if !tb.LeaseValid("P1", 24, lease) {
 		t.Fatal("regrant did not restart the lease clock")
 	}
-	if h.Valid("P1", 25) {
+	if tb.LeaseValid("P1", 25, lease) {
 		t.Fatal("regranted lease never ages")
 	}
 }
@@ -129,14 +129,14 @@ func TestHolderLeaseNeverHeardIsDefensivelyGranted(t *testing.T) {
 	// holder with no bookkeeping at all starts its clock at first check.
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
-	h := NewHolderLeases(tb, 4)
-	if !h.Valid("P1", 100) {
+	const lease = 4
+	if !tb.LeaseValid("P1", 100, lease) {
 		t.Fatal("never-heard holder treated as expired")
 	}
-	if got := h.ExpireHolder("P1", 104); got != nil {
+	if got := tb.ExpireHolder("P1", 104, lease); got != nil {
 		t.Fatalf("reclaimed within the defensive grant: %v", got)
 	}
-	if got := h.ExpireHolder("P1", 105); len(got) != 1 {
+	if got := tb.ExpireHolder("P1", 105, lease); len(got) != 1 {
 		t.Fatalf("defensive grant never expired: %v", got)
 	}
 }
@@ -148,18 +148,18 @@ func TestHolderLeaseCustodialPinsSurviveExpiry(t *testing.T) {
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
 	tb.EnsureScion("P1", 3)
-	h := NewHolderLeases(tb, 4)
-	h.Renew("P1", 0)
-	h.Pin("P1", 3)
+	const lease = 4
+	tb.Renew("P1", 0)
+	tb.Pin("P1", 3)
 
-	got := h.ExpireHolder("P1", 5)
+	got := tb.ExpireHolder("P1", 5, lease)
 	if len(got) != 1 || got[0].Obj != 6 {
 		t.Fatalf("ExpireHolder = %v, want only the unpinned scion 6", got)
 	}
 	if tb.Scion("P1", 3) == nil {
 		t.Fatal("custodial scion reclaimed by lease expiry")
 	}
-	rel := h.ReleaseCustodial("P1")
+	rel := tb.ReleaseCustodial("P1")
 	if len(rel) != 1 || rel[0].Obj != 3 {
 		t.Fatalf("ReleaseCustodial = %v", rel)
 	}

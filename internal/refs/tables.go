@@ -9,11 +9,17 @@
 // remote invocation (and reply) performed through the reference and
 // piggy-backed on the message, so the two ends of a quiescent reference hold
 // equal counters.
+//
+// Reference listing's unit is the (holder, owner) pair: a NewSetStubs message
+// is one peer's complete set under one per-peer sequence number, and a holder
+// lease covers every scion one peer holds. The Table is therefore kept per
+// peer, and every per-peer decision reads one record.
 package refs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dgc/internal/ids"
 )
@@ -40,18 +46,37 @@ func (s Scion) RefID(owner ids.NodeID) ids.RefID {
 	return ids.RefID{Src: s.Src, Dst: ids.GlobalRef{Node: owner, Obj: s.Obj}}
 }
 
-// ScionKey identifies a scion within one process.
-type ScionKey struct {
-	Src ids.NodeID
-	Obj ids.ObjID
+// peer is everything this process keeps about one other process.
+type peer struct {
+	stubs  map[ids.ObjID]*Stub  // this process's references into the peer
+	scions map[ids.ObjID]*Scion // the peer's references into this process
+
+	// The stub-set protocol (acyclic.go). owed is set once the peer has
+	// held a stub of ours: from then on it is sent a set every scheduled
+	// round, empty or not. lastSent fingerprints the set last sent (valid
+	// when sent); it is not persisted, so a restored process restates.
+	owed     bool
+	outSeq   uint64 // last sequence number sent to the peer
+	inSeq    uint64 // highest sequence number applied from the peer
+	sent     bool
+	lastSent uint64
+
+	// The holder lease (leases.go): the tick the peer was last heard from
+	// (valid when heard), the incarnation of its current grant, and the
+	// scions taken into custody by its drain handoff.
+	heard       bool
+	renewed     uint64
+	incarnation uint64
+	custodial   map[ids.ObjID]struct{}
 }
 
-// Table holds the stub and scion tables of one process. Table is not safe
-// for concurrent use; the owning node serializes access.
+// Table holds the stub and scion tables of one process, one record per
+// peer. Table is not safe for concurrent use; the owning node serializes
+// access.
 type Table struct {
-	node   ids.NodeID
-	stubs  map[ids.GlobalRef]*Stub
-	scions map[ScionKey]*Scion
+	node  ids.NodeID
+	peers map[ids.NodeID]*peer
+	names []ids.NodeID // the keys of peers, ascending
 
 	// gen is the mutation epoch: it advances whenever a table entry is
 	// created, deleted, restored or has its invocation counter bumped.
@@ -62,11 +87,19 @@ type Table struct {
 
 // NewTable returns empty stub/scion tables for the given process.
 func NewTable(node ids.NodeID) *Table {
-	return &Table{
-		node:   node,
-		stubs:  make(map[ids.GlobalRef]*Stub),
-		scions: make(map[ScionKey]*Scion),
+	return &Table{node: node, peers: make(map[ids.NodeID]*peer)}
+}
+
+// peer returns n's record, creating it.
+func (t *Table) peer(n ids.NodeID) *peer {
+	if p := t.peers[n]; p != nil {
+		return p
 	}
+	p := &peer{stubs: make(map[ids.ObjID]*Stub), scions: make(map[ids.ObjID]*Scion)}
+	t.peers[n] = p
+	i, _ := slices.BinarySearch(t.names, n)
+	t.names = slices.Insert(t.names, i, n)
+	return p
 }
 
 // Node returns the owning process identifier.
@@ -78,127 +111,180 @@ func (t *Table) Gen() uint64 { return t.gen }
 // EnsureStub returns the stub for target, creating it (with IC zero) if
 // needed. created reports whether a new stub was created.
 func (t *Table) EnsureStub(target ids.GlobalRef) (s *Stub, created bool) {
-	if s = t.stubs[target]; s != nil {
+	p := t.peer(target.Node)
+	if s = p.stubs[target.Obj]; s != nil {
 		return s, false
 	}
 	s = &Stub{Target: target}
-	t.stubs[target] = s
-	t.gen++
+	t.putStub(p, s)
 	return s, true
 }
 
-// Stub returns the stub for target, or nil.
-func (t *Table) Stub(target ids.GlobalRef) *Stub { return t.stubs[target] }
-
-// DeleteStub removes the stub for target (no-op if absent).
-func (t *Table) DeleteStub(target ids.GlobalRef) {
-	if _, ok := t.stubs[target]; !ok {
-		return
-	}
-	delete(t.stubs, target)
+func (t *Table) putStub(p *peer, s *Stub) {
+	p.stubs[s.Target.Obj] = s
+	p.owed = true
 	t.gen++
 }
 
+// Stub returns the stub for target, or nil.
+func (t *Table) Stub(target ids.GlobalRef) *Stub {
+	if p := t.peers[target.Node]; p != nil {
+		return p.stubs[target.Obj]
+	}
+	return nil
+}
+
+// DeleteStub removes the stub for target (no-op if absent).
+func (t *Table) DeleteStub(target ids.GlobalRef) {
+	if t.Stub(target) == nil {
+		return
+	}
+	delete(t.peers[target.Node].stubs, target.Obj)
+	t.gen++
+}
+
+// StubObjs returns the objects at peer n this process holds stubs to, in
+// ascending order (nil when there are none).
+func (t *Table) StubObjs(n ids.NodeID) []ids.ObjID {
+	var out []ids.ObjID
+	if p := t.peers[n]; p != nil {
+		for o := range p.stubs {
+			out = append(out, o)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Peers returns every process this table has a record for, ascending.
+func (t *Table) Peers() []ids.NodeID { return slices.Clone(t.names) }
+
 // Stubs returns all stubs in canonical target order.
 func (t *Table) Stubs() []*Stub {
-	out := make([]*Stub, 0, len(t.stubs))
-	for _, s := range t.stubs {
-		out = append(out, s)
+	out := make([]*Stub, 0, t.NumStubs())
+	for _, n := range t.names {
+		start := len(out)
+		for _, s := range t.peers[n].stubs {
+			out = append(out, s)
+		}
+		slices.SortFunc(out[start:], func(x, y *Stub) int { return cmp.Compare(x.Target.Obj, y.Target.Obj) })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target.Less(out[j].Target) })
 	return out
 }
 
 // NumStubs returns the number of stubs.
-func (t *Table) NumStubs() int { return len(t.stubs) }
+func (t *Table) NumStubs() int {
+	n := 0
+	for _, p := range t.peers {
+		n += len(p.stubs)
+	}
+	return n
+}
 
 // EnsureScion returns the scion for (src, obj), creating it (with IC zero)
 // if needed. created reports whether a new scion was created.
 func (t *Table) EnsureScion(src ids.NodeID, obj ids.ObjID) (s *Scion, created bool) {
-	k := ScionKey{Src: src, Obj: obj}
-	if s = t.scions[k]; s != nil {
+	p := t.peer(src)
+	if s = p.scions[obj]; s != nil {
 		return s, false
 	}
 	s = &Scion{Src: src, Obj: obj}
-	t.scions[k] = s
+	p.scions[obj] = s
 	t.gen++
 	return s, true
 }
 
 // Scion returns the scion for (src, obj), or nil.
 func (t *Table) Scion(src ids.NodeID, obj ids.ObjID) *Scion {
-	return t.scions[ScionKey{Src: src, Obj: obj}]
+	if p := t.peers[src]; p != nil {
+		return p.scions[obj]
+	}
+	return nil
 }
 
 // DeleteScion removes the scion for (src, obj). It reports whether a scion
 // was present.
 func (t *Table) DeleteScion(src ids.NodeID, obj ids.ObjID) bool {
-	k := ScionKey{Src: src, Obj: obj}
-	if _, ok := t.scions[k]; !ok {
+	if t.Scion(src, obj) == nil {
 		return false
 	}
-	delete(t.scions, k)
+	delete(t.peers[src].scions, obj)
 	t.gen++
 	return true
 }
 
 // Scions returns all scions in canonical (src, obj) order.
 func (t *Table) Scions() []*Scion {
-	out := make([]*Scion, 0, len(t.scions))
-	for _, s := range t.scions {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
+	out := make([]*Scion, 0, t.NumScions())
+	for _, n := range t.names {
+		start := len(out)
+		for _, s := range t.peers[n].scions {
+			out = append(out, s)
 		}
-		return out[i].Obj < out[j].Obj
-	})
+		slices.SortFunc(out[start:], func(x, y *Scion) int { return cmp.Compare(x.Obj, y.Obj) })
+	}
 	return out
 }
 
 // NumScions returns the number of scions.
-func (t *Table) NumScions() int { return len(t.scions) }
+func (t *Table) NumScions() int {
+	n := 0
+	for _, p := range t.peers {
+		n += len(p.scions)
+	}
+	return n
+}
 
 // ScionTargets returns the distinct local objects protected by at least one
 // scion, in ascending order. These are extra roots for the local collector.
 func (t *Table) ScionTargets() []ids.ObjID {
-	seen := make(map[ids.ObjID]struct{})
-	for k := range t.scions {
-		seen[k.Obj] = struct{}{}
+	out := make([]ids.ObjID, 0, t.NumScions())
+	for _, p := range t.peers {
+		for o := range p.scions {
+			out = append(out, o)
+		}
 	}
-	out := make([]ids.ObjID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ScionsForObject returns all scions protecting the given local object, in
 // canonical source order.
 func (t *Table) ScionsForObject(obj ids.ObjID) []*Scion {
 	var out []*Scion
-	for _, s := range t.scions {
-		if s.Obj == obj {
+	for _, n := range t.names {
+		if s := t.peers[n].scions[obj]; s != nil {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Src < out[j].Src })
+	return out
+}
+
+// dropScions deletes p's scions whose object drop selects and returns them
+// in canonical order.
+func (t *Table) dropScions(p *peer, drop func(ids.ObjID) bool) []Scion {
+	var out []Scion
+	for obj, sc := range p.scions {
+		if drop(obj) {
+			out = append(out, *sc)
+			delete(p.scions, obj)
+			t.gen++
+		}
+	}
+	slices.SortFunc(out, func(x, y Scion) int { return cmp.Compare(x.Obj, y.Obj) })
 	return out
 }
 
 // RestoreStub reinstates a stub with an explicit invocation counter.
 // Used when loading persisted state; overwrites any existing entry.
 func (t *Table) RestoreStub(target ids.GlobalRef, ic uint64) {
-	t.stubs[target] = &Stub{Target: target, IC: ic}
-	t.gen++
+	t.putStub(t.peer(target.Node), &Stub{Target: target, IC: ic})
 }
 
 // RestoreScion reinstates a scion with an explicit invocation counter.
 // Used when loading persisted state; overwrites any existing entry.
 func (t *Table) RestoreScion(src ids.NodeID, obj ids.ObjID, ic uint64) {
-	t.scions[ScionKey{Src: src, Obj: obj}] = &Scion{Src: src, Obj: obj, IC: ic}
+	t.peer(src).scions[obj] = &Scion{Src: src, Obj: obj, IC: ic}
 	t.gen++
 }
 
@@ -206,7 +292,7 @@ func (t *Table) RestoreScion(src ids.NodeID, obj ids.ObjID, ic uint64) {
 // returns the new value. It is an error if the stub does not exist: an
 // invocation can only travel through an existing reference.
 func (t *Table) BumpStubIC(target ids.GlobalRef) (uint64, error) {
-	s := t.stubs[target]
+	s := t.Stub(target)
 	if s == nil {
 		return 0, fmt.Errorf("refs %s: BumpStubIC: no stub for %v", t.node, target)
 	}
