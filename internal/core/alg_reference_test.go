@@ -429,9 +429,13 @@ func TestAlgMatchesReferenceOnCorpus(t *testing.T) {
 
 // TestBuildAlgMatchesSet: the bulk constructor must behave exactly like
 // repeated Set — for any order of the stream, including injected duplicates
-// (last occurrence wins).
+// (last occurrence wins). One builder builds every seed's algebra, so they
+// share its arrays as a decoded BatchCDM's sections do, and growing one must
+// leave the others as they were.
 func TestBuildAlgMatchesSet(t *testing.T) {
 	forEachUniverse(t, func(t *testing.T, u universe) {
+		var b AlgBuilder
+		var built, want []Alg
 		for seed := int64(0); seed < 200; seed++ {
 			rng := rand.New(rand.NewSource(1000 + seed))
 			type pair struct {
@@ -453,9 +457,21 @@ func TestBuildAlgMatchesSet(t *testing.T) {
 			for _, p := range pairs {
 				viaSet.Set(p.ref, p.e)
 			}
-			built := BuildAlg(len(pairs), func(i int) (ids.RefID, Entry) { return pairs[i].ref, pairs[i].e })
-			if !built.Equal(viaSet) {
-				t.Fatalf("seed %d: BuildAlg differs from repeated Set:\n%v\n%v", seed, built, viaSet)
+			alg := b.Build(len(pairs), func(i int) (ids.RefID, Entry) { return pairs[i].ref, pairs[i].e })
+			if !alg.Equal(viaSet) {
+				t.Fatalf("seed %d: Build differs from repeated Set:\n%v\n%v", seed, alg, viaSet)
+			}
+			if len(pairs) > 0 {
+				grown := pairs[0].ref
+				grown.Dst.Obj = 1 << 40
+				alg.AddSource(grown, 1)
+				viaSet.AddSource(grown, 1)
+			}
+			built, want = append(built, alg), append(want, viaSet)
+		}
+		for i := range built {
+			if !built[i].Equal(want[i]) {
+				t.Fatalf("seed %d: a later build or growth changed the algebra:\n%v\n%v", i, built[i], want[i])
 			}
 		}
 	})

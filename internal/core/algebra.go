@@ -364,18 +364,36 @@ func (a Alg) EachCanonical(fn func(ids.RefID, Entry) bool) {
 	}
 }
 
-// BuildAlg constructs an algebra from the n entries produced by at(0..n-1).
-// It is the bulk form of repeated Set — entries are keyed and appended, then
-// sorted once by key (an integer sort) — and the constructor of choice for
-// CDM decode, where the per-entry sorted insertion of Set turned message
-// rebuild quadratic. When at yields the same reference more than once, the
-// last occurrence wins, matching Set semantics.
-func BuildAlg(n int, at func(int) (ids.RefID, Entry)) Alg {
-	entries := make([]algEntry, 0, n)
+// AlgBuilder is the constructor of choice for CDM decode. It builds a run of
+// algebras into one shared entry array and one shared state array, so the
+// sections of one BatchCDM cost two allocations, not two each. Each
+// algebra's entries are capped at their length, so growing one reallocates
+// it rather than writing over the next. The zero value is ready to use.
+type AlgBuilder struct {
+	entries []algEntry
+	states  []algState
+}
+
+// NewAlgBuilder returns a builder sized for algs algebras holding entries
+// entries in all: building within that costs no further allocation, and
+// building past it only another one.
+func NewAlgBuilder(algs, entries int) AlgBuilder {
+	return AlgBuilder{entries: make([]algEntry, 0, entries), states: make([]algState, 0, algs)}
+}
+
+// Build constructs an algebra from the n entries produced by at(0..n-1). It
+// is the bulk form of repeated Set — entries are keyed and appended, then
+// sorted once by key (an integer sort) — where the per-entry sorted insertion
+// of Set turned message rebuild quadratic. When at yields the same reference
+// more than once, the last occurrence wins, matching Set semantics.
+func (b *AlgBuilder) Build(n int, at func(int) (ids.RefID, Entry)) Alg {
+	b.entries = slices.Grow(b.entries, n)
+	start := len(b.entries)
 	for i := 0; i < n; i++ {
 		r, e := at(i)
-		entries = append(entries, packEntry(internNodes(r), r.Dst.Obj, e))
+		b.entries = append(b.entries, packEntry(internNodes(r), r.Dst.Obj, e))
 	}
+	entries := b.entries[start:]
 	slices.SortStableFunc(entries, cmpEntries)
 	out := entries[:0]
 	for i := range entries {
@@ -384,7 +402,9 @@ func BuildAlg(n int, at func(int) (ids.RefID, Entry)) Alg {
 		}
 		out = append(out, entries[i])
 	}
-	return Alg{s: &algState{entries: out}}
+	b.entries = b.entries[:start+len(out)]
+	b.states = append(b.states, algState{entries: out[:len(out):len(out)]})
+	return Alg{s: &b.states[len(b.states)-1]}
 }
 
 // Equal reports whether two algebras hold exactly the same entries. Used for

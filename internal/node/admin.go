@@ -86,9 +86,7 @@ func (m *Machine) ForceDetect(candidate ids.RefID) (ForceDetectResult, error) {
 	if err := m.Summarize(); err != nil {
 		return ForceDetectResult{}, err
 	}
-	m.beginCDMBatch()
 	det, out := m.launch(candidate, true)
-	m.flushCDMBatch()
 	m.syncGauges()
 	res := ForceDetectResult{
 		Origin:    string(det.Origin),

@@ -81,8 +81,9 @@ type rtEvent struct {
 //   - started (NewLiveRuntime, RestoreLiveRuntime): a goroutine owns the
 //     machine outright and consumes a bounded mailbox of inputs — transport
 //     deliveries and local calls — plus one wall-clock ticker that says
-//     Tick, flushing the effects of each before taking the next. The engine
-//     behind cmd/dgc-node and dgcctl up.
+//     Tick. It drains what is queued and flushes once per drained window,
+//     so the detection traffic of a burst of deliveries leaves as one
+//     message per peer. The engine behind cmd/dgc-node and dgcctl up.
 //   - stepped (New, Restore): no goroutine and no wall clock. An input runs
 //     on its caller's goroutine under the node's mutex, and the caller says
 //     Tick. The deterministic simulator (internal/cluster) steps every node
@@ -203,13 +204,13 @@ func (n *Node) handleMessage(from ids.NodeID, msg wire.Message) []transport.Enve
 //
 // Stepped, fn runs here under the mutex and its effects are handed back, to
 // leave once the mutex is released. Started, fn is queued behind whatever the
-// loop is doing and enter blocks until the loop has run it and flushed its
-// effects (so nothing is handed back); after Close it returns
-// ErrRuntimeClosed with fn not run. A panic raised by fn on the loop is
-// captured there and re-raised here on the caller's goroutine, so a
-// misbehaving callback does not take the event loop down with it. A
-// callback that calls a public method from inside fn waits on its own input
-// and deadlocks; nothing checks for it (see Mutator).
+// loop is doing and enter blocks until the loop has flushed the inputs before
+// it, run it and flushed its effects (so nothing is handed back); after Close
+// it returns ErrRuntimeClosed with fn not run. A panic raised by fn on the
+// loop is captured there and re-raised here on the caller's goroutine, so a
+// misbehaving callback does not take the event loop down with it. A callback
+// that calls a public method from inside fn waits on its own input and
+// deadlocks; nothing checks for it (see Mutator).
 func (n *Node) enter(fn func(m *Machine)) ([]transport.Envelope, error) {
 	if n.mailbox == nil {
 		n.mu.Lock()
@@ -324,7 +325,9 @@ func (n *Node) loop() {
 		}
 		select {
 		case ev := <-n.mailbox:
-			n.consume(ev)
+			if at, due := n.window(ev, tick.C); due {
+				serve(at)
+			}
 		case at := <-tick.C:
 			serve(at)
 		case <-n.quit:
@@ -335,6 +338,7 @@ func (n *Node) loop() {
 				case ev := <-n.mailbox:
 					n.consume(ev)
 				default:
+					n.flush()
 					return
 				}
 			}
@@ -342,30 +346,50 @@ func (n *Node) loop() {
 	}
 }
 
-// consume feeds one event to the machine and transmits its effects before
-// signalling completion.
-func (n *Node) consume(ev rtEvent) {
-	n.mach.met.MailboxDepth.Set(int64(len(n.mailbox)))
-	switch {
-	case ev.msg != nil:
-		n.mach.HandleMessage(ev.from, ev.msg)
-	case ev.fn != nil:
-		ev.fn(n.mach)
+// window consumes ev and the inputs that were queued behind it when it was
+// taken, then flushes once, so the per-peer batcher and the endpoint's stage
+// group the traffic of all of them. It is bounded by what was queued, and
+// closes early at a local call (consume) or a due tick, which it returns
+// flushed for the loop to serve before the next input.
+func (n *Node) window(ev rtEvent, tick <-chan time.Time) (at time.Time, due bool) {
+	defer n.flush()
+	for left := len(n.mailbox); n.consume(ev) && left > 0; left-- {
+		select {
+		case at = <-tick:
+			return at, true
+		default:
+		}
+		ev = <-n.mailbox // the loop is the only receiver: left are queued
 	}
-	n.flush()
-	if ev.done != nil {
-		close(ev.done)
-	}
+	return at, false
 }
 
-// flush puts the effects of the loop's last input on the wire.
+// consume feeds one event to the machine and reports whether the window
+// stays open. A delivery's effects wait for the window's flush. A local call
+// ends the window: the inputs before it are flushed, then it runs and its
+// effects are on the wire before it completes.
+func (n *Node) consume(ev rtEvent) bool {
+	n.mach.met.MailboxDepth.Set(int64(len(n.mailbox)))
+	if ev.msg != nil {
+		n.mach.HandleMessage(ev.from, ev.msg)
+		return true
+	}
+	n.flush()
+	ev.fn(n.mach)
+	n.flush()
+	close(ev.done)
+	return false
+}
+
+// flush puts the effects of the loop's inputs since the last flush on the
+// wire.
 func (n *Node) flush() { n.send(n.effects()) }
 
-// effects drains what the machine's last input produced, in production
-// order. Transport addresses the membership directory learned through gossip
-// are programmed into the endpoint first — a message to a just-discovered
-// member needs its route — and endpoints without dynamic peer programming
-// simply never learn new routes. Runs with the machine owned.
+// effects drains what the machine's inputs since the last flush produced, in
+// production order. Transport addresses the membership directory learned
+// through gossip are programmed into the endpoint first — a message to a
+// just-discovered member needs its route — and endpoints without dynamic peer
+// programming simply never learn new routes. Runs with the machine owned.
 func (n *Node) effects() []transport.Envelope {
 	if ups := n.mach.TakeAddrUpdates(); len(ups) > 0 {
 		if ap, ok := n.ep.(interface{ AddPeer(ids.NodeID, string) }); ok {

@@ -121,8 +121,7 @@ func (m *Machine) Summarize() error {
 		m.lastSummarize = time.Now()
 		m.emit(trace.KindSummarize, "version=%d scions=%d stubs=%d cached",
 			m.summary.Version, len(m.summary.Scions), len(m.summary.Stubs))
-		m.cdmAcc = make(map[core.DetectionID]*detAcc)
-		m.cdmAborted = make(map[core.DetectionID]struct{})
+		m.resetAccumulators()
 		return nil
 	}
 	start := time.Now()
@@ -153,8 +152,7 @@ func (m *Machine) Summarize() error {
 		m.snapVersion, len(m.summary.Scions), len(m.summary.Stubs))
 	// A new summary changes CDM processing results: reset the accumulators
 	// so stale drops cannot mask newly-useful deliveries.
-	m.cdmAcc = make(map[core.DetectionID]*detAcc)
-	m.cdmAborted = make(map[core.DetectionID]struct{})
+	m.resetAccumulators()
 	m.sumHeapGen = m.heap.Gen()
 	m.sumTableGen = m.table.Gen()
 	m.syncGauges()
@@ -185,21 +183,18 @@ func (m *Machine) RunDetection() int {
 		cands = live
 	}
 	started := 0
-	m.beginCDMBatch()
 	for _, c := range cands {
 		if _, out := m.launch(c, false); out.Kind == core.OutcomeForwarded {
 			started++
 		}
 	}
-	m.flushCDMBatch()
 	m.syncGauges()
 	return started
 }
 
 // launch starts a detection at candidate and records its outcome, the one
 // place a launch is counted: a detection is started once it makes a first
-// hop. forced marks an operator-forced launch in the journal. The caller
-// brackets it with beginCDMBatch/flushCDMBatch.
+// hop. forced marks an operator-forced launch in the journal.
 func (m *Machine) launch(candidate ids.RefID, forced bool) (core.DetectionID, core.Outcome) {
 	det, out := m.detector.StartDetection(m.summary, candidate)
 	tid := core.TraceIDFor(det)
@@ -232,9 +227,9 @@ func (m *Machine) Summary() *snapshot.Summary { return m.summary }
 // the detector, which only runs inside the machine.
 type detectorActions Machine
 
-// SendCDMs implements core.Actions: it parks the fan-out per edge, and
-// flushCDMBatch groups every section bound for the same node into one
-// message (and strips peers that are dead members there). The derivation is
+// SendCDMs implements core.Actions: it parks the fan-out per edge, and the
+// next flush groups every section bound for the same node into one message
+// (and strips peers that are dead members there). The derivation is
 // shared, unflattened, by every outgoing message of the fan-out: in-process
 // receivers merge it directly, and a BatchCDM builds its wire dictionary once
 // for the transport to size and encode.

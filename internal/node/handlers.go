@@ -54,16 +54,14 @@ func (m *Machine) HandleMessage(from ids.NodeID, msg wire.Message) {
 // paper's "no correctness-critical per-detection state at intermediate
 // processes" property.
 func (m *Machine) handleCDM(msg *wire.CDM) {
-	m.beginCDMBatch()
 	m.processCDMSection(msg.Det, msg.Trace, msg.Along, int(msg.Hops), msg.MergeAlgInto)
-	m.flushCDMBatch()
 }
 
 // handleBatchCDM processes a multi-candidate detection message: every
 // section is matched against the local summary exactly as a standalone CDM
 // would be — per-detection accumulators, dedup, race-drop and trace ids all
 // apply section by section, each along its own reference — and the surviving
-// forwards are re-grouped per peer by the bracketing cdmBatcher. Return
+// forwards are re-grouped per peer by the machine's cdmBatcher. Return
 // messages instead merge each section into the origin's accumulated view
 // and re-launch only the unresolved residue.
 func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
@@ -78,7 +76,6 @@ func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
 				msg.Sections[0].Along.Src, len(msg.Sections), msg.Hops)
 		}
 	}
-	m.beginCDMBatch()
 	for i := range msg.Sections {
 		s := &msg.Sections[i]
 		if msg.Return {
@@ -87,7 +84,6 @@ func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
 			m.processCDMSection(s.Det, s.Trace, s.Along, int(msg.Hops), s.MergeAlgInto)
 		}
 	}
-	m.flushCDMBatch()
 }
 
 // accumulatorFor returns (creating if needed) the detection's accumulated
@@ -96,8 +92,7 @@ func (m *Machine) accumulatorFor(det core.DetectionID) *detAcc {
 	acc, ok := m.cdmAcc[det]
 	if !ok {
 		if len(m.cdmAcc) >= cdmAccCap {
-			m.cdmAcc = make(map[core.DetectionID]*detAcc)
-			m.cdmAborted = make(map[core.DetectionID]struct{})
+			m.resetAccumulators()
 		}
 		acc = &detAcc{alg: core.NewAlg(), alongs: make(map[ids.RefID]struct{}), first: time.Now()}
 		m.cdmAcc[det] = acc

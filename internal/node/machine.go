@@ -78,10 +78,10 @@ type Machine struct {
 	cdmAcc     map[core.DetectionID]*detAcc
 	cdmAborted map[core.DetectionID]struct{}
 
-	// batch buffers the current input's CDM traffic per destination node; the
-	// detector's SendCDMs callback appends to it. Non-nil only between
-	// beginCDMBatch and flushCDMBatch, which bracket every input that can
-	// produce detection traffic.
+	// batch parks CDM traffic per destination node until the next flush; the
+	// detector's SendCDMs callback appends to it. It is open for the
+	// machine's life and TakeEffects closes it, so one flush groups every
+	// input the driver fed in since the last one (DESIGN.md §11).
 	batch *cdmBatcher
 
 	// memb is the elastic-membership state: the gossip directory, whose
@@ -105,10 +105,11 @@ type Machine struct {
 	// counter with no metric family.
 	snapshotBytes uint64
 
-	// inflight tracks the detections the current input touches, for causal
-	// tracing and the per-detection latency histogram: keyed by detection,
-	// carrying the trace id and the wall-clock time of first sight here. It
-	// is per-input state (trackDetection): empty between inputs.
+	// inflight tracks the detections the inputs since the last flush touch,
+	// for causal tracing and the per-detection latency histogram: keyed by
+	// detection, carrying the trace id and the wall-clock time of first
+	// sight here. It is per-flush state (trackDetection): empty after
+	// TakeEffects.
 	inflight map[core.DetectionID]detInflight
 
 	// lastLGC/lastSummarize timestamp the most recent daemon runs, for the
@@ -116,8 +117,8 @@ type Machine struct {
 	lastLGC       time.Time
 	lastSummarize time.Time
 
-	// out accumulates the outbound-message effects of the current input.
-	// The driver drains it with TakeEffects after every input it feeds in.
+	// out accumulates the outbound-message effects of the inputs since the
+	// last TakeEffects.
 	out []transport.Envelope
 }
 
@@ -138,11 +139,11 @@ type detAcc struct {
 	retVer uint64
 }
 
-// cdmBatcher buffers the CDM traffic of one machine input (a detection
-// round or one delivered CDM/BatchCDM), grouped per destination node with one
-// section per (outgoing edge, detection), plus partial returns grouped per
-// origin. Flushing emits at most one forward message per peer (a plain CDM
-// for a single section, a BatchCDM otherwise) in node-name order.
+// cdmBatcher parks the CDM traffic of every input since the last flush
+// (detection rounds and delivered CDMs/BatchCDMs), grouped per destination
+// node with one section per (outgoing edge, detection), plus partial returns
+// grouped per origin. Flushing emits at most one forward message per peer (a
+// plain CDM for a single section, a BatchCDM otherwise) in node-name order.
 type cdmBatcher struct {
 	peers map[ids.NodeID]*peerBatch
 	order []ids.NodeID // peer insertion order; sorted at flush
@@ -174,9 +175,10 @@ type peerBatch struct {
 }
 
 // add buffers one detector fan-out. A later derivation of a detection
-// already buffered for an edge supersedes the earlier one: within one input
-// the accumulated algebra only grows, so the newest derivation subsumes
-// what it replaces.
+// already buffered for an edge supersedes the earlier one: while the
+// accumulator both came from is alive its algebra only grows, so the newest
+// derivation subsumes what it replaces. Every accumulator reset flushes the
+// batcher first (resetAccumulators), so no section outlives its accumulator.
 func (b *cdmBatcher) add(det core.DetectionID, trace uint64, alongs []ids.RefID, alg core.Alg, hops int) {
 	for _, along := range alongs {
 		to := along.Dst.Node
@@ -199,9 +201,9 @@ func (b *cdmBatcher) add(det core.DetectionID, trace uint64, alongs []ids.RefID,
 
 // addReturn buffers one partial-match result bound for the detection's
 // origin. alg must be safe to share (the caller clones the accumulator). A
-// detection that arrived along two references can be cut twice in one input;
-// its later return supersedes the earlier, as in add, so the origin gets one
-// section per detection.
+// detection that arrived along two references can be cut twice before a
+// flush; its later return supersedes the earlier, as in add, so the origin
+// gets one section per detection.
 func (b *cdmBatcher) addReturn(det core.DetectionID, trace uint64, alg core.Alg, hops int) {
 	s := wire.NewBatchSection(det, trace, ids.RefID{}, alg)
 	if i, ok := b.retIndex[det]; ok {
@@ -266,6 +268,7 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		cdmAcc:         make(map[core.DetectionID]*detAcc),
 		cdmAborted:     make(map[core.DetectionID]struct{}),
 		inflight:       make(map[core.DetectionID]detInflight),
+		batch:          newCDMBatcher(),
 	}
 	m.met = obs.NewNodeMetrics(cfg.Metrics.Node(string(id)))
 	m.lgc = lgc.New(m.heap, m.table)
@@ -298,18 +301,16 @@ func (m *Machine) syncGauges() {
 	m.met.PendingCalls.Set(int64(len(m.pendingCalls)))
 }
 
-// beginCDMBatch arms per-peer CDM buffering for the current input;
-// flushCDMBatch drains it.
-func (m *Machine) beginCDMBatch() { m.batch = newCDMBatcher() }
-
-// flushCDMBatch emits the buffered traffic: per peer in name order, one
-// plain CDM for a single section or one BatchCDM for several, its sections
-// in canonical edge order and, per edge, in derivation order, so the
-// receiver's schedule depends on nothing but the input; then the partial
-// returns, one BatchCDM per origin.
+// flushCDMBatch emits the parked traffic and empties the batcher: per peer
+// in name order, one plain CDM for a single section or one BatchCDM for
+// several, its sections in canonical edge order and, per edge, in derivation
+// order, so the receiver's schedule depends on nothing but the inputs; then
+// the partial returns, one BatchCDM per origin.
 func (m *Machine) flushCDMBatch() {
 	b := m.batch
-	m.batch = nil
+	if len(b.order) == 0 && len(b.retOrder) == 0 {
+		return
+	}
 	m.filterDeadPeers(b)
 	ids.SortNodeIDs(b.order)
 	for _, to := range b.order {
@@ -345,15 +346,22 @@ func (m *Machine) flushCDMBatch() {
 			origin, len(b.rets[origin]), b.retHops)
 		m.send(origin, wire.NewBatchCDM(b.retHops, true, b.rets[origin]))
 	}
-	// Every detection still tracked was first seen in this input, and none
-	// outlives it (trackDetection).
-	clear(m.inflight)
+	m.batch = newCDMBatcher()
+}
+
+// resetAccumulators drops every detection's accumulated view. The parked
+// traffic leaves first: a later derivation supersedes a parked one only
+// while the accumulator both came from is alive (cdmBatcher.add).
+func (m *Machine) resetAccumulators() {
+	m.flushCDMBatch()
+	m.cdmAcc = make(map[core.DetectionID]*detAcc)
+	m.cdmAborted = make(map[core.DetectionID]struct{})
 }
 
 // trackDetection records a detection for causal tracing, stamping its first
-// sight at this node. No entry outlives the current input: the detection
-// ends in it or leaves it forwarded, returned or dropped (a ring closes at
-// its last process), so the batch flush drops the entry, and a later
+// sight at this node. No entry outlives the next flush: by then the
+// detection has ended here or left forwarded, returned or dropped (a ring
+// closes at its last process), so TakeEffects drops the entry, and a later
 // delivery tracks it afresh (§3.2: no state about detections in course).
 func (m *Machine) trackDetection(det core.DetectionID, trace uint64) {
 	if _, ok := m.inflight[det]; !ok {
@@ -376,13 +384,17 @@ func (m *Machine) detectionDone(det core.DetectionID, outcome string) {
 	delete(m.inflight, det)
 }
 
-// TakeEffects returns the outbound messages accumulated since the last
-// call, transferring ownership to the caller (the machine starts a fresh
-// buffer). The driver calls it after every input and transmits the result;
-// the order of the slice is the order the protocol produced the sends in,
-// which the driver must preserve (simulated runs are reproducible only if it
-// does).
+// TakeEffects flushes the parked detection traffic and returns the outbound
+// messages accumulated since the last call, transferring ownership to the
+// caller (the machine starts a fresh buffer). A stepped driver calls it after
+// every input, a started one once per drained window (Node.loop); the order
+// of the slice is the order the protocol produced the sends in, which the
+// driver must preserve (simulated runs are reproducible only if it does).
 func (m *Machine) TakeEffects() []transport.Envelope {
+	m.flushCDMBatch()
+	// Every detection still tracked was first seen since the last flush, and
+	// none outlives it (trackDetection).
+	clear(m.inflight)
 	out := m.out
 	m.out = nil
 	return out

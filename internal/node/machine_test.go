@@ -286,3 +286,80 @@ func TestTwoCutsOfOneDetectionReturnOnce(t *testing.T) {
 		t.Fatalf("%d return messages, want 1", returns)
 	}
 }
+
+// A parked section leaves before any accumulator reset, here the cdmAccCap
+// one: after the reset a later delivery of the same detection builds a fresh,
+// smaller view, and its derivation must not supersede the one parked from
+// the view that died. The machine is fed like a started node's window, with
+// no TakeEffects between the deliveries.
+func TestParkedSectionSurvivesAccumulatorReset(t *testing.T) {
+	m := NewMachine("B", Config{})
+	stub := ids.GlobalRef{Node: "C", Obj: 9}
+	var o ids.ObjID
+	m.With(func(mut Mutator) { o = mut.Alloc(nil) })
+	if err := m.EnsureScionFor("A", o); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.HoldRemote(o, stub); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Summarize(); err != nil {
+		t.Fatal(err)
+	}
+	m.TakeEffects()
+	along := ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: o}}
+	first := ids.RefID{Src: "C", Dst: ids.GlobalRef{Node: "A", Obj: 1}}
+	later := ids.RefID{Src: "X", Dst: ids.GlobalRef{Node: "A", Obj: 7}}
+	cdm := func(seq uint64, src ids.RefID) *wire.CDM {
+		alg := core.NewAlg()
+		alg.AddSource(src, 0)
+		alg.AddTarget(along, 0)
+		det := core.DetectionID{Origin: "A", Seq: seq}
+		return wire.NewCDMFromAlg(det, along, alg, 1, core.TraceIDFor(det))
+	}
+
+	// det's accumulator and cdmAccCap-1 others fill the cache; the next
+	// detection resets it, and det then arrives again from elsewhere.
+	det := core.DetectionID{Origin: "A", Seq: 1}
+	m.HandleMessage("A", cdm(det.Seq, first))
+	for seq := uint64(2); seq <= cdmAccCap+1; seq++ {
+		m.HandleMessage("A", cdm(seq, first))
+	}
+	m.HandleMessage("A", cdm(det.Seq, later))
+
+	var views []core.Alg
+	for _, out := range m.TakeEffects() {
+		got, err := wire.Decode(wire.Encode(out.Msg))
+		if err != nil {
+			t.Fatalf("%T to %s does not decode: %v", out.Msg, out.To, err)
+		}
+		switch msg := got.(type) {
+		case *wire.CDM:
+			if msg.Det == det {
+				v := core.NewAlg()
+				msg.MergeAlgInto(v)
+				views = append(views, v)
+			}
+		case *wire.BatchCDM:
+			for i := range msg.Sections {
+				if s := &msg.Sections[i]; s.Det == det {
+					v := core.NewAlg()
+					s.MergeAlgInto(v)
+					views = append(views, v)
+				}
+			}
+		}
+	}
+	if len(views) != 2 {
+		t.Fatalf("det %v left in %d sections, want 2: the parked one and the later one", det, len(views))
+	}
+	if _, ok := views[0].Get(first); !ok {
+		t.Fatal("the parked section was superseded by the post-reset derivation")
+	}
+	if _, ok := views[1].Get(later); !ok {
+		t.Fatal("the post-reset derivation did not leave")
+	}
+	if _, ok := views[1].Get(first); ok {
+		t.Fatal("the post-reset derivation carries the dead accumulator's view")
+	}
+}

@@ -13,13 +13,13 @@
 //     single-threaded and are trivially testable without any network.
 //   - Node (driver.go) is the driver: it gives one input at a time exclusive
 //     ownership of the machine and puts the effects on the transport, in the
-//     order the machine produced them, once the input is done. A started
-//     node (NewLiveRuntime; LiveRuntime is the same type) runs its inputs on
-//     a mailbox goroutine and says Tick off one wall-clock ticker, for real
-//     deployments. A stepped node (New) runs them on the caller's goroutine
-//     and its caller says Tick; the deterministic cluster simulator steps
-//     every node in its canonical schedule, which makes a simulated run a
-//     pure function of its seed.
+//     order the machine produced them. A started node (NewLiveRuntime;
+//     LiveRuntime is the same type) runs its inputs on a mailbox goroutine,
+//     sends once per drained window of them and says Tick off one wall-clock
+//     ticker, for real deployments. A stepped node (New) runs them on the
+//     caller's goroutine and sends after each, and its caller says Tick; the
+//     deterministic cluster simulator steps every node in its canonical
+//     schedule, which makes a simulated run a pure function of its seed.
 //
 // This file holds what both share with their callers: Config, Stats and the
 // callback types.

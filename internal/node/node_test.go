@@ -119,6 +119,50 @@ func TestInvokeNoopBumpsBothCounters(t *testing.T) {
 	})
 }
 
+// Every counter bump advances the table's mutation epoch, so a summary taken
+// after an invocation carries the counters the invocation left behind rather
+// than a cached pre-invocation copy; a stale counter would abort every
+// detection through the reference.
+func TestSummaryCarriesInvocationCounters(t *testing.T) {
+	tn := newTestNet(t, Config{}, "A", "B")
+	a, b := tn.n("A"), tn.n("B")
+	holder := allocRooted(t, a)
+	target := alloc(b)
+	tn.grant("A", holder, "B", target)
+	ref := ids.GlobalRef{Node: "B", Obj: target}
+
+	for _, n := range []*Node{a, b} {
+		if err := n.Summarize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Invoke(ref, "noop", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A summarizes between its request and the reply, so only the reply's
+	// bump separates this summary from the next.
+	if err := a.Summarize(); err != nil {
+		t.Fatal(err)
+	}
+	tn.settle()
+	for _, n := range []*Node{a, b} {
+		if err := n.Summarize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.With(func(m Mutator) {
+		if got, want := m.n.Summary().Stub(ref).IC, m.n.table.Stub(ref).IC; got != want {
+			t.Errorf("A's summary stub IC = %d, table holds %d", got, want)
+		}
+	})
+	b.With(func(m Mutator) {
+		rid := ids.RefID{Src: "A", Dst: ref}
+		if got, want := m.n.Summary().Scion(rid).IC, m.n.table.Scion("A", target).IC; got != want {
+			t.Errorf("B's summary scion IC = %d, table holds %d", got, want)
+		}
+	})
+}
+
 func TestInvokeValidation(t *testing.T) {
 	tn := newTestNet(t, Config{}, "A", "B")
 	a := tn.n("A")

@@ -214,11 +214,10 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 		// The caller held a stub, so our scion exists (create it defensively
 		// if a mixed-configuration caller skipped the protocol), and the
 		// invocation bumps its counter (§3.2).
-		sc, created := m.table.EnsureScion(msg.From, msg.Target.Obj)
-		if created {
+		if _, created := m.table.EnsureScion(msg.From, msg.Target.Obj); created {
 			m.met.ScionsCreated.Inc()
 		}
-		sc.IC++
+		_, _ = m.table.BumpScionIC(msg.From, msg.Target.Obj) // ensured above
 		m.selector.Touch(ids.RefID{Src: msg.From, Dst: msg.Target}, m.clock)
 	}
 
@@ -245,8 +244,7 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 				m.table.EnsureStub(a)
 				continue
 			}
-			if sc := m.table.Scion(msg.From, a.Obj); sc != nil {
-				sc.IC++
+			if _, err := m.table.BumpScionIC(msg.From, a.Obj); err == nil {
 				m.selector.Touch(ids.RefID{Src: msg.From, Dst: a}, m.clock)
 			}
 		}
@@ -265,9 +263,8 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 		if !m.cfg.DisableDGC {
 			// The reply travels back through the same reference: bump the
 			// scion-side counter and piggy-back it.
-			if sc := m.table.Scion(msg.From, msg.Target.Obj); sc != nil {
-				sc.IC++
-				reply.ScionIC = sc.IC
+			if ic, err := m.table.BumpScionIC(msg.From, msg.Target.Obj); err == nil {
+				reply.ScionIC = ic
 			}
 		}
 		m.send(msg.From, reply)
@@ -304,10 +301,8 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 
 	if !m.cfg.DisableDGC {
 		// Reply-side counter bump on the stub end (§3.2: "invocation (or
-		// reply)").
-		if st := m.table.Stub(pc.target); st != nil {
-			st.IC++
-		}
+		// reply)"). A stub no longer held has no counter to keep.
+		_, _ = m.table.BumpStubIC(pc.target)
 		// Import returned references. Returns WE own were copies of the
 		// callee's reference to them: bump the matching scion counter.
 		for _, r := range msg.Returns {
@@ -317,8 +312,7 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 				defer m.unpin(r)
 				continue
 			}
-			if sc := m.table.Scion(msg.From, r.Obj); sc != nil {
-				sc.IC++
+			if _, err := m.table.BumpScionIC(msg.From, r.Obj); err == nil {
 				m.selector.Touch(ids.RefID{Src: msg.From, Dst: r}, m.clock)
 			}
 		}
@@ -348,8 +342,7 @@ func (m *Machine) handleCreateScion(msg *wire.CreateScion) {
 		// matching scion counter (it bumped the stub side). A bootstrap
 		// acquisition (Holder == From) is a fresh grant, not a copy.
 		if msg.Holder != msg.From {
-			if sc := m.table.Scion(msg.From, msg.Obj); sc != nil {
-				sc.IC++
+			if _, err := m.table.BumpScionIC(msg.From, msg.Obj); err == nil {
 				m.selector.Touch(ids.RefID{Src: msg.From, Dst: ids.GlobalRef{Node: m.id, Obj: msg.Obj}}, m.clock)
 			}
 		}

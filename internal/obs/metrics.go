@@ -96,7 +96,7 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		DetectionLatency:  reg.Histogram("dgc_detection_latency_seconds", "Seconds from a detection's arrival at this node to its terminal outcome here (cycle found or abort), within the one input that handles it.", DetectionLatencyBuckets),
 		CDMHops:           reg.Histogram("dgc_cdm_hops", "Forwarding depth carried by delivered CDMs.", HopBuckets),
 
-		BatchCDMsSent:       reg.Counter("dgc_batch_cdms_sent_total", "Forward BatchCDM messages sent: one per input per peer that gets two or more detection sections (partial returns not counted)."),
+		BatchCDMsSent:       reg.Counter("dgc_batch_cdms_sent_total", "Forward BatchCDM messages sent: one per flush per peer that gets two or more detection sections (partial returns not counted)."),
 		BatchSections:       reg.Histogram("dgc_batch_cdm_sections", "Detection sections per forward BatchCDM sent, one per (detection, outgoing reference) bound for the peer.", BatchSectionBuckets),
 		PartialReturns:      reg.Counter("dgc_partial_returns_total", "Partial returns received at this node as a detection's origin: the accumulated view of a branch cut without a verdict."),
 		DetectionRelaunches: reg.Counter("dgc_detection_relaunches_total", "Unresolved residues this node re-launched as a detection's origin after merging a partial return."),

@@ -55,7 +55,7 @@ func TestCodecAllocsPinned(t *testing.T) {
 		{"CDM/decode", 3, func() { _, _ = Decode(cdmData) }},
 		{"BatchCDM/build", 6, func() { _ = NewBatchCDM(3, false, secs) }},
 		{"BatchCDM/encode", 0, func() { buf = AppendEncode(buf[:0], batch) }},
-		{"BatchCDM/decode", 71, func() { _, _ = Decode(batchData) }},
+		{"BatchCDM/decode", 9, func() { _, _ = Decode(batchData) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
 			t.Errorf("%s: %v allocs, pinned at %v", c.name, got, c.want)

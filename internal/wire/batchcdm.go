@@ -195,6 +195,9 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 	}
 	seen := make(map[detAlong]struct{}, min(ns, 1024))
 	m.Sections = make([]BatchSection, 0, min(ns, 1024))
+	// Every section's algebra is built into one entry array, sized for the
+	// most entries the rest of the message can hold.
+	algs := core.NewAlgBuilder(min(ns, 1024), (len(r.data)-r.pos)/minEntryBytes)
 	for i := 0; i < ns && r.err == nil; i++ {
 		s := BatchSection{
 			Det:   core.DetectionID{Origin: r.node(), Seq: r.uint()},
@@ -207,7 +210,7 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 			}
 		}
 		prev := -1
-		s.alg = readAlg(r, func(int) ids.RefID {
+		s.alg = readAlg(r, &algs, func(int) ids.RefID {
 			idx := index("entry ref")
 			switch {
 			case idx < 0:

@@ -254,7 +254,8 @@ func decodeCDM(r *reader) *CDM {
 	m.Hops = uint32(hops)
 	m.Trace = r.uint()
 	var prev ids.RefID
-	m.alg = readAlg(r, func(i int) ids.RefID {
+	var algs core.AlgBuilder
+	m.alg = readAlg(r, &algs, func(i int) ids.RefID {
 		ref := r.refID()
 		if i > 0 && !prev.Less(ref) {
 			r.fail("cdm entries not in canonical order")
@@ -289,14 +290,14 @@ const minEntryBytes = 5
 // readAlg reads an entry count and that many entries — each keyed by ref,
 // which reads the reference and enforces the encoder's order: strictly
 // ascending, so no reference repeats and every accepted message re-encodes
-// byte-identically — and builds their algebra as it goes.
-func readAlg(r *reader, ref func(i int) ids.RefID) core.Alg {
+// byte-identically — and builds their algebra in b as it goes.
+func readAlg(r *reader, b *core.AlgBuilder, ref func(i int) ids.RefID) core.Alg {
 	n := r.count()
 	if n > (len(r.data)-r.pos)/minEntryBytes {
 		r.fail("implausible entry count %d", n)
 		n = 0
 	}
-	return core.BuildAlg(n, func(i int) (ids.RefID, core.Entry) {
+	return b.Build(n, func(i int) (ids.RefID, core.Entry) {
 		k := ref(i)
 		return k, core.Entry{InSource: r.bool(), SrcIC: r.uint(), InTarget: r.bool(), TgtIC: r.uint()}
 	})
