@@ -532,10 +532,10 @@ func BenchmarkCDMHopJournaled(b *testing.B) {
 	// BenchmarkCDMHopInstrumented plus the event-journal writes the node
 	// layer performs per handled CDM: the cdm-handled emission and the
 	// cdm-sent emission for the forwarded message, against a journal at the
-	// daemons' default capacity with no subscribers (the steady state — the
-	// fan-out loop is empty and the cost is seq++, packing the arguments into
-	// a record, and the ring store). The bar matches PR 4's instrumentation:
-	// within noise of the uninstrumented hop.
+	// daemons' default capacity with no follower waiting (the steady state:
+	// the cost is seq++, packing the arguments into a record, the ring store
+	// and a nil check on the wake channel). The bar matches the
+	// instrumented hop's: within noise of the uninstrumented hop.
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
 			alg := core.NewAlg()

@@ -28,7 +28,8 @@
 //	refs, _ := c.Materialize(dgc.Figure3(), dgc.Config{})
 //	c.CollectFully(12) // cycle detected and reclaimed
 //
-// See examples/ for complete programs and DESIGN.md for the architecture.
+// ExampleNewCluster runs this as a test (go test -run ExampleNewCluster -v);
+// DESIGN.md describes the architecture.
 package dgc
 
 import (
@@ -251,8 +252,6 @@ var (
 	// Ring builds a distributed garbage cycle over procs processes with
 	// chain objects each — the generalized Figure 3.
 	Ring = workload.Ring
-	// LiveRing is Ring with the head rooted: a live cycle.
-	LiveRing = workload.LiveRing
 	// Figure1, Figure3 and Figure4 are the paper's figures verbatim.
 	Figure1 = workload.Figure1
 	Figure3 = workload.Figure3
@@ -261,6 +260,4 @@ var (
 	AcyclicChain = workload.AcyclicChain
 	// RandomGraph builds a seeded random distributed graph.
 	RandomGraph = workload.RandomGraph
-	// RingHead names the ring entry object in Ring/LiveRing topologies.
-	RingHead = workload.RingHead
 )

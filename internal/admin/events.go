@@ -93,9 +93,10 @@ func parseEventFilter(r *http.Request) (eventFilter, error) {
 //	?timeout=30s  follow mode's maximum stream duration (default 30s)
 //
 // The first line after a gap is a truncation marker {"kind":"dropped",
-// "missed":N}: the ring evicted N events the stream can never replay. In
-// follow mode a slow reader is evicted server-side; the stream ends with a
-// second marker and the client resumes with ?since=<last seq it saw>.
+// "missed":N}: the ring evicted N events the stream can never replay. Follow
+// mode is the same read in a loop — the events after the last one written,
+// then a wait for the next emit — so a reader that falls a whole ring behind
+// gets such a marker and the stream goes on from the oldest retained event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	log := s.sup.Journal()
 	filter, err := parseEventFilter(r)
@@ -133,70 +134,39 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
+	var deadline <-chan time.Time
+	if follow {
+		timer := time.NewTimer(streamFor)
+		defer timer.Stop()
+		deadline = timer.C
+	}
+	for last := since; ; {
+		events, missed := log.Since(last)
+		if missed > 0 {
+			marker := EventJSON{Kind: trace.KindDropped.String(), Missed: missed,
+				Detail: fmt.Sprintf("%d events evicted before since=%d", missed, last)}
+			if enc.Encode(marker) != nil {
+				return
+			}
+		}
+		for _, e := range events {
+			last = e.Seq
+			if filter.match(e) && enc.Encode(eventToJSON(e)) != nil {
+				return
+			}
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	writeEvent := func(e EventJSON) bool { return enc.Encode(e) == nil }
-
-	// Subscribe BEFORE reading the backlog so no event can fall between
-	// history and the live stream; the overlap is deduplicated by sequence
-	// number below.
-	var sub *trace.Subscription
-	if follow {
-		sub = log.Subscribe(1024)
-		defer sub.Close()
-	}
-
-	backlog, missed := log.Since(since)
-	if missed > 0 {
-		writeEvent(EventJSON{Kind: trace.KindDropped.String(), Missed: missed,
-			Detail: fmt.Sprintf("%d events evicted before since=%d", missed, since)})
-	}
-	last := since
-	for _, e := range backlog {
-		if e.Seq > last {
-			last = e.Seq
+		if !follow {
+			return
 		}
-		if filter.match(e) {
-			if !writeEvent(eventToJSON(e)) {
-				return
-			}
-		}
-	}
-	flush()
-	if !follow {
-		return
-	}
-
-	deadline := time.NewTimer(streamFor)
-	defer deadline.Stop()
-	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-deadline.C:
+		case <-deadline:
 			return
-		case e, ok := <-sub.Events():
-			if !ok {
-				// Evicted for falling behind: tell the client where to
-				// resume and end the stream.
-				writeEvent(EventJSON{Kind: trace.KindDropped.String(),
-					Detail: fmt.Sprintf("stream evicted (slow reader); resume with ?since=%d", last)})
-				flush()
-				return
-			}
-			if e.Seq <= last {
-				continue // overlap with the backlog read
-			}
-			last = e.Seq
-			if filter.match(e) {
-				if !writeEvent(eventToJSON(e)) {
-					return
-				}
-				flush()
-			}
+		case <-log.Wait(last):
 		}
 	}
 }

@@ -2,6 +2,7 @@ package admin
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -151,6 +152,105 @@ func TestEventsEndpointFollowStreamsLive(t *testing.T) {
 		if e.Seq != want {
 			t.Fatalf("live seq = %d, want %d (dup or gap)", e.Seq, want)
 		}
+	}
+}
+
+// heldWriter is a follower's connection whose every write waits for the
+// test: Write hands its line to lines, then blocks until ack, or fails once
+// stop is closed.
+type heldWriter struct {
+	header http.Header
+	lines  chan string
+	ack    chan struct{}
+	stop   <-chan struct{}
+}
+
+func (w *heldWriter) Header() http.Header { return w.header }
+func (w *heldWriter) WriteHeader(int)     {}
+func (w *heldWriter) Write(p []byte) (int, error) {
+	select {
+	case w.lines <- string(p):
+	case <-w.stop:
+		return 0, io.ErrClosedPipe
+	}
+	select {
+	case <-w.ack:
+		return len(p), nil
+	case <-w.stop:
+		return 0, io.ErrClosedPipe
+	}
+}
+
+// TestEventsFollowerBehindRingGetsMarker: a follower whose writer stalls
+// while the ring wraps is not cut off and not replayed a private backlog: on
+// release it reads one truncation marker with the exact count the ring
+// evicted, then the retained events and later ones, in order.
+func TestEventsFollowerBehindRingGetsMarker(t *testing.T) {
+	log := trace.New(16)
+	log.Emit("P1", trace.KindLGC, "before")
+	var spec NodeSpec
+	spec.ID = "P1"
+	spec.Runtime.Tick = time.Hour
+	spec.Config.Trace = log
+	sup, err := StartNode(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/events?follow=true&timeout=10s", nil).WithContext(ctx)
+	w := &heldWriter{header: make(http.Header), lines: make(chan string), ack: make(chan struct{}), stop: ctx.Done()}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewServer(sup).Handler().ServeHTTP(w, req)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	take := func() string {
+		t.Helper()
+		select {
+		case line := <-w.lines:
+			return line
+		case <-time.After(5 * time.Second):
+			t.Fatal("no line from the follower")
+			return ""
+		}
+	}
+	next := func() EventJSON {
+		t.Helper()
+		line := take()
+		w.ack <- struct{}{}
+		var e EventJSON
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		return e
+	}
+	if e := next(); e.Seq != 1 {
+		t.Fatalf("backlog line = %+v, want seq 1", e)
+	}
+	// Event 2's write stalls; meanwhile 40 more wrap the 16-slot ring, which
+	// then holds 27..42.
+	log.Emit("P1", trace.KindLGC, "stalled")
+	take()
+	for i := 0; i < 40; i++ {
+		log.Emit("P1", trace.KindCDMSent, "n=%d", i)
+	}
+	w.ack <- struct{}{}
+	if e := next(); e.Kind != "dropped" || e.Seq != 0 || e.Missed != 24 {
+		t.Fatalf("after the stall: %+v, want one dropped marker with missed=24", e)
+	}
+	for want := uint64(27); want <= 42; want++ {
+		if e := next(); e.Seq != want {
+			t.Fatalf("seq %d (%s), want %d", e.Seq, e.Kind, want)
+		}
+	}
+	log.Emit("P1", trace.KindDetectionEnd, "later")
+	if e := next(); e.Seq != 43 {
+		t.Fatalf("live event after the gap: seq %d, want 43", e.Seq)
 	}
 }
 

@@ -2,7 +2,6 @@ package admin
 
 import (
 	"crypto/subtle"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,14 +137,6 @@ type DetectReply struct {
 	Result        *node.ForceDetectResult `json:"result,omitempty"`
 }
 
-// SnapshotReply is the /api/v1/snapshot payload.
-type SnapshotReply struct {
-	SchemaVersion int    `json:"schema_version"`
-	Node          string `json:"node"`
-	Bytes         int    `json:"bytes"`
-	State         string `json:"state"` // base64 of the durable collector state
-}
-
 // InjectRequest is the /api/v1/inject body.
 type InjectRequest struct {
 	// Action is one of kill, restart, delay, drop, partition, heal.
@@ -211,8 +202,6 @@ func memberInfos(ms []membership.Member) []MemberInfo {
 //	POST /api/v1/join         seed a new member {node, addr} into the directory
 //	POST /api/v1/drain        start the node's voluntary departure
 //	POST /api/v1/detect       force detection round, or one scion (?scion=)
-//	POST /api/v1/snapshot     serialize durable state (base64)
-//	POST /api/v1/restore      replace durable state (base64 body)
 //	POST /api/v1/inject       fault injection (kill/restart/delay/drop/partition/heal)
 //
 // Every JSON payload carries schema_version. Errors are {"error": "..."}. A
@@ -270,41 +259,6 @@ func (s *Server) Handler() http.Handler {
 			reply.Started = started
 		}
 		writeJSON(w, http.StatusOK, reply)
-	}))
-	mux.HandleFunc("/api/v1/snapshot", s.post(func(w http.ResponseWriter, r *http.Request) {
-		data, err := sup.Save()
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, SnapshotReply{
-			SchemaVersion: SchemaVersion,
-			Node:          id,
-			Bytes:         len(data),
-			State:         base64.StdEncoding.EncodeToString(data),
-		})
-	}))
-	mux.HandleFunc("/api/v1/restore", s.post(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		data, err := base64.StdEncoding.DecodeString(strings.TrimSpace(string(body)))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("body must be base64 state: %w", err))
-			return
-		}
-		if err := sup.RestoreState(data); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct {
-			SchemaVersion int    `json:"schema_version"`
-			Node          string `json:"node"`
-			OK            bool   `json:"ok"`
-			Bytes         int    `json:"bytes"`
-		}{SchemaVersion, id, true, len(data)})
 	}))
 	mux.HandleFunc("/api/v1/events", s.handleEvents)
 	mux.HandleFunc("/api/v1/inject", s.post(s.handleInject))

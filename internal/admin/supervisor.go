@@ -36,8 +36,9 @@ type NodeSpec struct {
 	Config  node.Config // Metrics is populated by the supervisor
 	Runtime node.RuntimeConfig
 
-	// StateFile, when set, is loaded at start (if present) and written by
-	// Stop and Kill: the node's durable collector state.
+	// StateFile, when set, is loaded at start (if present) and written by a
+	// graceful Stop: the node's durable collector state. Kill does not write
+	// it; Restart comes back from the state Kill captured in memory.
 	StateFile string
 
 	// SeedObjects allocates N rooted demo objects on a fresh start (not on
@@ -51,10 +52,10 @@ type NodeSpec struct {
 // Supervisor owns one live node end to end: the TCP endpoint (wrapped in a
 // fault injector), the LiveRuntime driving the machine, the metrics set, and
 // the node's durable state. It is the process-lifecycle half of the admin
-// control plane: Stop for graceful shutdown, Kill/Restart for chaos
-// injection, RestoreState for operator-driven state replacement — with the
-// fault configuration and the listen port stable across restarts so peers
-// reconnect to the same address.
+// control plane: Stop for graceful shutdown and Kill/Restart for chaos
+// injection, with the fault configuration and the listen port stable across
+// restarts so peers reconnect to the same address. A node only ever restarts
+// from its latest state: the capture at Kill, or the file Stop wrote.
 type Supervisor struct {
 	spec   NodeSpec
 	set    *obs.Set
@@ -64,7 +65,7 @@ type Supervisor struct {
 	ep        *transport.TCPEndpoint
 	rt        *node.LiveRuntime
 	addr      string // concrete listen address after first bind
-	lastState []byte // most recent Save, for restart-after-kill
+	lastState []byte // the latest state: loaded at start, captured at Kill or Stop
 	stopped   bool   // Stop is terminal; Kill is not
 }
 
@@ -85,7 +86,7 @@ func StartNode(spec NodeSpec) (*Supervisor, error) {
 	if spec.Config.Trace == nil {
 		// Live nodes journal by default: the event stream is the admin
 		// plane's observability backbone, and an 8k ring is cheap. Pass an
-		// explicit Log (or a filtered one) to override.
+		// explicit Log to override.
 		spec.Config.Trace = trace.New(defaultJournalCapacity)
 	}
 	s := &Supervisor{
@@ -297,45 +298,6 @@ func (s *Supervisor) Restart() error {
 	return nil
 }
 
-// RestoreState replaces the node's collector state in place: the current
-// runtime closes, a new one starts from data on the same endpoint. The
-// transport stays up throughout. Undecodable data is refused with the
-// current runtime still serving.
-func (s *Supervisor) RestoreState(data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return ErrNodeDown
-	}
-	// Decode before closing anything: once the runtime is closed there is no
-	// way back to it, and a node with no runtime on a bound endpoint can be
-	// neither killed nor restarted.
-	if _, err := node.RestoreMachine(s.spec.Config, data); err != nil {
-		return fmt.Errorf("admin: restore %s: %w", s.spec.ID, err)
-	}
-	if s.rt != nil {
-		rt := s.rt
-		s.rt = nil
-		s.mu.Unlock()
-		rt.Close()
-		s.mu.Lock()
-	}
-	if s.ep == nil {
-		// Node was killed: bring the transport back first.
-		if err := s.startLocked(data); err != nil {
-			return err
-		}
-		return nil
-	}
-	rt, err := node.RestoreLiveRuntime(s.faults, s.spec.Config, s.spec.Runtime, data)
-	if err != nil {
-		return fmt.Errorf("admin: restore %s: %w", s.spec.ID, err)
-	}
-	s.rt = rt
-	s.lastState = data
-	return nil
-}
-
 // Stop is the graceful shutdown: the durable state is flushed to StateFile
 // (when configured), the runtime stops, and the transport closes cleanly.
 // Terminal — a stopped supervisor cannot restart. Idempotent.
@@ -388,14 +350,6 @@ func writeStateFile(path string, data []byte) error {
 		err = cerr
 	}
 	return err
-}
-
-// StateBytes returns the most recently captured durable state (from the
-// last Save/Kill/Stop), or nil.
-func (s *Supervisor) StateBytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastState
 }
 
 // --- The admin API surface, delegating to the current runtime (down-aware). ---
@@ -472,21 +426,4 @@ func (s *Supervisor) Drain() error {
 		return ErrNodeDown
 	}
 	return rt.BeginDrain()
-}
-
-// Save serializes the node's durable collector state.
-func (s *Supervisor) Save() ([]byte, error) {
-	if rt := s.Runtime(); rt != nil {
-		data, err := rt.Save()
-		if err == nil {
-			s.mu.Lock()
-			s.lastState = data
-			s.mu.Unlock()
-		}
-		return data, err
-	}
-	if state := s.StateBytes(); state != nil {
-		return state, nil
-	}
-	return nil, ErrNodeDown
 }

@@ -2,9 +2,11 @@ package admin
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,69 +154,54 @@ func TestStopWriteFailureKeepsStateFile(t *testing.T) {
 	}
 }
 
-func TestSupervisorRestoreState(t *testing.T) {
-	sup, err := StartNode(NodeSpec{ID: "P1", SeedObjects: 4})
+// TestStartNodeRefusesCorruptStateFile: a state file that does not decode
+// (a wrong file, a torn copy, an empty one) is refused at start, and the
+// refused start leaves its listen address free for the next attempt.
+func TestStartNodeRefusesCorruptStateFile(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.state")
+	sup, err := StartNode(NodeSpec{ID: "P1", SeedObjects: 3, StateFile: good})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Stop()
-	state, err := sup.Save()
+	if err := sup.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutate past the snapshot, then restore: the heap rolls back.
-	if err := sup.Runtime().With(func(m node.Mutator) { m.Alloc(nil) }); err != nil {
-		t.Fatal(err)
-	}
-	if got := sup.DebugSnapshot().Objects; got != 5 {
-		t.Fatalf("objects = %d, want 5", got)
-	}
-	if err := sup.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	if got := sup.DebugSnapshot().Objects; got != 4 {
-		t.Errorf("objects after restore = %d, want 4", got)
+	for name, bad := range map[string][]byte{
+		"not a state file": []byte("definitely not collector state"),
+		"truncated":        data[:len(data)/2],
+		"empty":            {},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".state")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		addr := freeAddr(t)
+		if sup, err := StartNode(NodeSpec{ID: "P1", Listen: addr, StateFile: path}); err == nil {
+			sup.Stop()
+			t.Fatalf("%s: StartNode accepted the state file", name)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: listen address still held after the refused start: %v", name, err)
+		}
+		ln.Close()
 	}
 }
 
-// TestRestoreStateRejectsCorruptAndKeepsServing: one bad restore (truncated
-// upload, wrong file) must not cost a healthy node — it keeps its runtime,
-// its heap and its endpoint, and the kill/restart lifecycle still works.
-func TestRestoreStateRejectsCorruptAndKeepsServing(t *testing.T) {
-	sup, err := StartNode(NodeSpec{ID: "P1", SeedObjects: 3})
+// freeAddr returns a loopback address with a port nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Stop()
-	good, err := sup.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{
-		"not a state file": []byte("definitely not collector state"),
-		"truncated":        good[:len(good)/2],
-		"empty":            nil,
-	} {
-		if err := sup.RestoreState(data); err == nil {
-			t.Fatalf("%s: RestoreState accepted corrupt data", name)
-		}
-		if sup.State() != "running" {
-			t.Fatalf("%s: state = %q after a refused restore, want running", name, sup.State())
-		}
-		if got := sup.DebugSnapshot().Objects; got != 3 {
-			t.Fatalf("%s: objects = %d after a refused restore, want 3", name, got)
-		}
-	}
-	addr := sup.Addr()
-	if err := sup.Kill(0); err != nil {
-		t.Fatalf("kill after refused restores: %v", err)
-	}
-	if err := sup.Restart(); err != nil {
-		t.Fatalf("restart after refused restores: %v", err)
-	}
-	if sup.Addr() != addr || sup.DebugSnapshot().Objects != 3 {
-		t.Errorf("after restart: addr %s (want %s), %d objects (want 3)", sup.Addr(), addr, sup.DebugSnapshot().Objects)
-	}
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 // statsFamilies names the metric family each node.Stats counter reads.

@@ -18,13 +18,11 @@ Usage: dgcctl <command> [flags]
 
 Commands:
   status     cluster overview: per-node state, tables, detection counters
-  top        live status, refreshed periodically
   tables     one node's scion and stub tables
   detect     force cycle detection (a full round, or one scion with -scion)
   tail       follow the live event journal of every node, merged
   trace      reconstruct one detection's causal span tree across nodes
   inject     fault injection: kill, restart, delay, drop, partition, heal
-  snapshot   save (or -restore) a node's durable collector state
   members    per-node views of the gossip membership directory
   join       seed a new member (name=addr) into every running node
   drain      migrate a node's exported references, then retire it
@@ -47,7 +45,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	return RunContext(context.Background(), args, stdout, stderr)
 }
 
-// RunContext is Run with cancellation: long-running commands (up, top,
+// RunContext is Run with cancellation: long-running commands (up, tail,
 // detect -follow) stop cleanly when ctx is done.
 func RunContext(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
@@ -58,8 +56,6 @@ func RunContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	switch cmd {
 	case "status":
 		return cmdStatus(rest, stdout, stderr)
-	case "top":
-		return cmdTop(ctx, rest, stdout, stderr)
 	case "tables":
 		return cmdTables(rest, stdout, stderr)
 	case "detect":
@@ -70,8 +66,6 @@ func RunContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		return cmdTrace(ctx, rest, stdout, stderr)
 	case "inject":
 		return cmdInject(rest, stdout, stderr)
-	case "snapshot":
-		return cmdSnapshot(rest, stdout, stderr)
 	case "members":
 		return cmdMembers(rest, stdout, stderr)
 	case "join":

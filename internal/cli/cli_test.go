@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dgc/internal/admin"
+	"dgc/internal/membership"
 )
 
 var traceIDRe = regexp.MustCompile(`trace ([0-9a-f]{16})`)
@@ -49,7 +53,7 @@ nodes:
 
 // TestLiveE2EDgcctl drives a real 3-node TCP cluster end to end purely
 // through the dgcctl command surface: up -> status -> forced detection of
-// the demo garbage ring -> kill/recover -> snapshot. The name keeps it in
+// the demo garbage ring -> kill/recover -> graceful stop. The name keeps it in
 // CI's live-e2e (-race) net.
 func TestLiveE2EDgcctl(t *testing.T) {
 	dir := t.TempDir()
@@ -150,16 +154,6 @@ func TestLiveE2EDgcctl(t *testing.T) {
 		return strings.Count(out.String(), "running") == 3
 	})
 
-	// Snapshot through the API.
-	stateFile := filepath.Join(dir, "a.state")
-	var snap bytes.Buffer
-	if code := Run(append([]string{"snapshot", "-node", "A", "-o", stateFile}, ef...), &snap, &snap); code != 0 {
-		t.Fatalf("snapshot: exit %d\n%s", code, snap.String())
-	}
-	if fi, err := os.Stat(stateFile); err != nil || fi.Size() == 0 {
-		t.Fatalf("snapshot wrote nothing: %v", err)
-	}
-
 	cancel()
 	select {
 	case code := <-upDone:
@@ -206,6 +200,49 @@ func waitFor(t *testing.T, timeout time.Duration, what string, fn func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestDrainThroughAdminPlane: 'dgcctl drain' reaches a node through
+// POST /api/v1/drain, and the node's own directory then shows it leaving. A
+// node with membership off refuses, and the command says so in its exit code.
+func TestDrainThroughAdminPlane(t *testing.T) {
+	serve := func(spec admin.NodeSpec) string {
+		t.Helper()
+		spec.Runtime.Tick = time.Hour // the drain must not finish behind the test's back
+		sup, err := admin.StartNode(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(admin.NewServer(sup).Handler())
+		t.Cleanup(func() {
+			srv.Close()
+			sup.Stop()
+		})
+		return srv.Listener.Addr().String()
+	}
+	off := serve(admin.NodeSpec{ID: "Q"})
+	var out bytes.Buffer
+	if code := Run([]string{"drain", "-e", off, "Q"}, &out, &out); code != 1 {
+		t.Fatalf("drain with membership off: exit %d, want 1\n%s", code, out.String())
+	}
+
+	spec := admin.NodeSpec{ID: "P"}
+	spec.Config.Membership = &membership.Config{GossipEvery: 4, SuspectAfter: 4, DeadAfter: 4, LeaseTicks: 10, DrainLinger: 2}
+	ep := serve(spec)
+	out.Reset()
+	if code := Run([]string{"drain", "-e", ep, "P"}, &out, &out); code != 0 {
+		t.Fatalf("drain: exit %d\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "P: draining") {
+		t.Fatalf("drain output:\n%s", out.String())
+	}
+	out.Reset()
+	if code := Run([]string{"members", "-e", ep}, &out, &out); code != 0 {
+		t.Fatalf("members: exit %d\n%s", code, out.String())
+	}
+	if !regexp.MustCompile(`(?m)^P\s+P\s+(draining|dead)\s`).MatchString(out.String()) {
+		t.Fatalf("P's directory does not show it leaving:\n%s", out.String())
 	}
 }
 

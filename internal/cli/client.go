@@ -238,20 +238,6 @@ func (c *Client) Inject(nodeID string, req admin.InjectRequest) error {
 	return c.post("/api/v1/inject?node="+nodeID, body, nil)
 }
 
-// Snapshot serializes a node's durable state.
-func (c *Client) Snapshot(nodeID string) (*admin.SnapshotReply, error) {
-	var reply admin.SnapshotReply
-	if err := c.post("/api/v1/snapshot?node="+nodeID, nil, &reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
-}
-
-// Restore replaces a node's durable state with base64 text.
-func (c *Client) Restore(nodeID, stateB64 string) error {
-	return c.post("/api/v1/restore?node="+nodeID, []byte(stateB64), nil)
-}
-
 // Members fetches the server's node's view of the membership directory.
 func (c *Client) Members() (*admin.MembersReply, error) {
 	var reply admin.MembersReply

@@ -2,11 +2,9 @@ package cli
 
 import (
 	"context"
-	"encoding/base64"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -71,34 +69,6 @@ func printStatus(w io.Writer, f *fleet) {
 			st.ObjectsSwept, st.Detections.Started, st.Detections.CyclesFound, faults)
 	}
 	tw.Flush()
-}
-
-func cmdTop(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs, ef := newFlagSet("top", stderr)
-	interval := fs.Duration("interval", 2*time.Second, "refresh period")
-	n := fs.Int("n", 0, "number of refreshes (0 = until interrupted)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	f, err := newFleet(ef)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	for i := 0; *n == 0 || i < *n; i++ {
-		if i > 0 {
-			select {
-			case <-ctx.Done():
-				return 0
-			case <-time.After(*interval):
-			}
-		}
-		if err := f.refresh(); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "--- %s ---\n", time.Now().Format(time.TimeOnly))
-		printStatus(stdout, f)
-	}
-	return 0
 }
 
 func cmdTables(args []string, stdout, stderr io.Writer) int {
@@ -244,7 +214,7 @@ func cmdDetect(ctx context.Context, args []string, stdout, stderr io.Writer) int
 // that detection; otherwise any terminal event past the pre-trigger journal
 // baseline resolves the wait. No counter polling: the journal replay from
 // the baseline makes the race between "detection finished" and "client
-// subscribed" unlosable.
+// started reading" unlosable.
 func followDetections(ctx context.Context, f *fleet, traceID string, baselines map[string]uint64, timeout time.Duration, stdout, stderr io.Writer) int {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
@@ -506,60 +476,5 @@ func cmdInject(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "%s: %s injected\n", id, action)
-	return 0
-}
-
-func cmdSnapshot(args []string, stdout, stderr io.Writer) int {
-	fs, ef := newFlagSet("snapshot", stderr)
-	nodeID := fs.String("node", "", "target node (optional on single-node clusters)")
-	out := fs.String("o", "", "write the state here (default <node>.state)")
-	restore := fs.String("restore", "", "restore the node from this state file instead of saving")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	f, err := newFleet(ef)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if err := f.refresh(); err != nil {
-		return fail(stderr, err)
-	}
-	id := *nodeID
-	if id == "" {
-		if id, err = f.one(); err != nil {
-			return fail(stderr, err)
-		}
-	}
-	c, err := f.client(id)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if *restore != "" {
-		data, err := os.ReadFile(*restore)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := c.Restore(id, base64.StdEncoding.EncodeToString(data)); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "%s: restored %d bytes from %s\n", id, len(data), *restore)
-		return 0
-	}
-	reply, err := c.Snapshot(id)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	data, err := base64.StdEncoding.DecodeString(reply.State)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	path := *out
-	if path == "" {
-		path = id + ".state"
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fail(stderr, err)
-	}
-	fmt.Fprintf(stdout, "%s: %d bytes saved to %s\n", id, len(data), path)
 	return 0
 }

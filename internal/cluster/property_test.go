@@ -120,64 +120,93 @@ func TestRandomGraphSafetyUnderGCMessageLoss(t *testing.T) {
 
 // TestMutationChurnSafety runs continuous mutator activity (allocations,
 // link churn, remote invocations through the RPC path) interleaved with GC
-// rounds, then verifies ground truth is preserved.
+// rounds, then verifies ground truth is preserved: no round reclaims a live
+// object, and once the churn stops everything unreachable goes. The faulty
+// row runs the same churn while the collector's own messages are lost,
+// duplicated and reordered (the application's calls are not).
 func TestMutationChurnSafety(t *testing.T) {
-	c := New(9, node.Config{CallTimeoutTicks: 50})
-	refs, err := c.Materialize(workload.LiveRing(3, 2), node.Config{CallTimeoutTicks: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := refs[workload.RingHead()]
-
-	// A rooted driver object on each node, all holding the ring head.
-	for _, n := range c.Nodes() {
-		var driver ids.ObjID
-		n.With(func(m node.Mutator) {
-			driver = m.Alloc(nil)
-			if err := m.Root(driver); err != nil {
-				t.Error(err)
+	for _, tc := range []struct {
+		name   string
+		faults *transport.Faults
+	}{
+		{"fault-free", nil},
+		{"faulty", &transport.Faults{LossRate: 0.2, DupRate: 0.1, ReorderRate: 0.2, Affects: gcTraffic}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(9, node.Config{CallTimeoutTicks: 50})
+			refs, err := c.Materialize(workload.LiveRing(3, 2), node.Config{CallTimeoutTicks: 50})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err := c.Connect(n.ID(), driver, head.Node, head.Obj); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Settle()
+			head := refs[workload.RingHead()]
 
-	// Churn: every node keeps invoking alloc-child/get/noop on the head and
-	// dropping what it learns, while GC rounds run.
-	for round := 0; round < 15; round++ {
-		for _, n := range c.Nodes() {
-			n := n
-			if n.ID() == head.Node {
-				continue
-			}
-			if err := n.Invoke(head, "alloc-child", nil, func(m node.Mutator, r node.Reply) {
-				// Unlink the child again right away: it becomes garbage at
-				// the owner and must be collected, not leak.
-				if r.OK && len(r.Returns) == 1 {
-					if err := m.Invoke(head, "drop", r.Returns, nil); err != nil {
+			// A rooted driver object on each node, all holding the ring head.
+			for _, n := range c.Nodes() {
+				var driver ids.ObjID
+				n.With(func(m node.Mutator) {
+					driver = m.Alloc(nil)
+					if err := m.Root(driver); err != nil {
 						t.Error(err)
 					}
+				})
+				if err := c.Connect(n.ID(), driver, head.Node, head.Obj); err != nil {
+					t.Fatal(err)
 				}
-			}); err != nil {
-				t.Fatal(err)
 			}
-			if err := n.Invoke(head, "noop", nil, nil); err != nil {
-				t.Fatal(err)
+			c.Settle()
+			if tc.faults != nil {
+				c.Net.SetFaults(*tc.faults)
 			}
-		}
-		c.Settle()
-		c.GCRound()
-	}
-	// Quiesce fully, then check ground truth equivalence.
-	c.Settle()
-	live := c.GlobalLive()
-	c.CollectFully(25)
-	if v := c.LiveViolations(live); len(v) != 0 {
-		t.Fatalf("safety violation under churn: %v", v)
-	}
-	if got := c.TotalObjects(); got != len(live) {
-		t.Fatalf("completeness under churn: %d objects, want %d", got, len(live))
+
+			// Churn: every node keeps invoking alloc-child/get/noop on the head and
+			// dropping what it learns, while GC rounds run.
+			for round := 0; round < 15; round++ {
+				for _, n := range c.Nodes() {
+					if n.ID() == head.Node {
+						continue
+					}
+					if err := n.Invoke(head, "alloc-child", nil, func(m node.Mutator, r node.Reply) {
+						// Unlink the child again right away: it becomes garbage at
+						// the owner and must be collected, not leak.
+						if r.OK && len(r.Returns) == 1 {
+							if err := m.Invoke(head, "drop", r.Returns, nil); err != nil {
+								t.Error(err)
+							}
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if err := n.Invoke(head, "noop", nil, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.Settle()
+				live := c.GlobalLive()
+				c.GCRound()
+				if v := c.LiveViolations(live); len(v) != 0 {
+					t.Fatalf("safety violation in churn round %d: %v", round, v)
+				}
+			}
+			// Quiesce, then check ground truth equivalence. Fault-free, the
+			// collector must reach the live set before objects and scions
+			// stop shrinking. Under faults a lost message can leave a round
+			// with nothing reclaimed, so that row runs rounds (still faulty)
+			// until only the live set is left, at most 25.
+			c.Settle()
+			live := c.GlobalLive()
+			if tc.faults == nil {
+				c.CollectFully(25)
+			} else {
+				for r := 0; r < 25 && c.TotalObjects() > len(live); r++ {
+					c.GCRound()
+				}
+			}
+			if v := c.LiveViolations(live); len(v) != 0 {
+				t.Fatalf("safety violation under churn: %v", v)
+			}
+			if got := c.TotalObjects(); got != len(live) {
+				t.Fatalf("completeness under churn: %d objects, want %d", got, len(live))
+			}
+		})
 	}
 }

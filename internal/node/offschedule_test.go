@@ -50,7 +50,7 @@ func tickTo(n *Node, clock uint64) {
 
 // (a) The owner collects on delivery of the stub set, without a tick of its own.
 func TestStubSetCollectsWithoutOwnerTick(t *testing.T) {
-	journal := trace.New(1 << 8).Only(trace.KindLGC)
+	journal := trace.New(1 << 8)
 	tn := newTestNet(t, Config{LGCEvery: 2, Trace: journal}, "A", "B")
 	a, b := tn.n("A"), tn.n("B")
 	holder, x := export(t, tn, "B", "A")
@@ -72,7 +72,7 @@ func TestStubSetCollectsWithoutOwnerTick(t *testing.T) {
 	}
 	// The journal tells the two apart: B's scheduled line is as it always
 	// was (the dgc-sim goldens carry it), A's names its trigger.
-	events := journal.Snapshot()
+	events := eventsOf(t, journal, trace.KindLGC)
 	if len(events) != 2 || events[0].Node != "B" || events[1].Node != "A" ||
 		strings.Contains(events[0].Detail, "trigger") || !strings.HasSuffix(events[1].Detail, " trigger=stub-set") {
 		t.Fatalf("lgc events = %v", events)

@@ -154,9 +154,8 @@ func TestRestartedNodeStubSetsNotStale(t *testing.T) {
 }
 
 // FuzzRestoreMachine hardens the state-file decoder, whose input an operator
-// supplies (-state-file, POST /api/v1/restore): it must never panic, and any
-// state it accepts must save again and restore from that save to the same
-// bytes.
+// supplies (-state-file): it must never panic, and any state it accepts must
+// save again and restore from that save to the same bytes.
 func FuzzRestoreMachine(f *testing.F) {
 	m := NewMachine("A", Config{})
 	root := m.heap.Alloc([]byte("root")).ID

@@ -22,6 +22,22 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// eventsOf returns the journal's events of the given kinds, oldest first,
+// failing the test when the ring has evicted any event.
+func eventsOf(t *testing.T, journal *trace.Log, kinds ...trace.Kind) []trace.Event {
+	t.Helper()
+	if n := journal.Dropped(); n > 0 {
+		t.Fatalf("journal evicted %d events; enlarge it", n)
+	}
+	var out []trace.Event
+	for _, e := range journal.Snapshot() {
+		if slices.Contains(kinds, e.Kind) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestLiveRuntimeLocalLifecycle(t *testing.T) {
 	r := NewLiveRuntime("A", nil, Config{}, RuntimeConfig{Tick: time.Millisecond})
 	var obj ids.ObjID
@@ -71,7 +87,7 @@ func TestLiveRuntimeDaemonTickers(t *testing.T) {
 // never shows a detection ahead of the summary of its own tick (one select
 // over three free-running tickers ordered them by coin toss).
 func TestStartedDaemonsRunInDataFlowOrder(t *testing.T) {
-	journal := trace.New(1<<12).Only(trace.KindLGC, trace.KindSummarize, trace.KindDetectionStart)
+	journal := trace.New(1 << 12)
 	r := NewLiveRuntime("A", nil,
 		Config{LGCEvery: 2, SnapshotEvery: 2, DetectEvery: 2, Trace: journal},
 		RuntimeConfig{Tick: time.Millisecond})
@@ -92,10 +108,7 @@ func TestStartedDaemonsRunInDataFlowOrder(t *testing.T) {
 	waitUntil(t, 10*time.Second, "200 ticks", func() bool { return r.Clock() >= from+200 })
 	r.Close()
 
-	events := journal.Snapshot()
-	if events[0].Kind == trace.KindDropped {
-		t.Fatalf("journal overflowed: %s", events[0])
-	}
+	events := eventsOf(t, journal, trace.KindLGC, trace.KindSummarize, trace.KindDetectionStart)
 	// What each kind may directly follow; the first event is tick 2's LGC.
 	follows := map[trace.Kind][]trace.Kind{
 		trace.KindLGC:            {trace.KindSummarize, trace.KindDetectionStart},
@@ -165,7 +178,7 @@ func TestSchedulePeriod(t *testing.T) {
 func TestStartedNodeKeepsSchedulePhase(t *testing.T) {
 	const tick = 10 * time.Millisecond
 	const period = 4 * tick
-	journal := trace.New(1 << 10).Only(trace.KindLGC)
+	journal := trace.New(1 << 10)
 	r := NewLiveRuntime("A", nil, Config{LGCEvery: 4, Trace: journal}, RuntimeConfig{Tick: tick})
 	defer r.Close()
 	runs := func(n uint64) func() bool {
@@ -182,7 +195,7 @@ func TestStartedNodeKeepsSchedulePhase(t *testing.T) {
 	waitUntil(t, 10*time.Second, "collections after the stall", runs(r.Stats().LGCRuns+4))
 	r.Close()
 
-	events := journal.Snapshot()
+	events := eventsOf(t, journal, trace.KindLGC)
 	after := 0
 	for _, e := range events {
 		if e.At.After(stalled) && e.At.Before(resumed) {

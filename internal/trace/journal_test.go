@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -123,98 +125,64 @@ func TestSinceResumeAcrossTruncation(t *testing.T) {
 	if len(events) != 16 || events[0].Seq != 9 {
 		t.Fatalf("post-truncation window starts at %d, want 9", events[0].Seq)
 	}
-	// A consumer current through the last retained event resumes empty.
-	events, missed = l.Since(24)
-	if len(events) != 0 || missed != 0 {
-		t.Fatalf("caught-up resume = %d events, %d missed", len(events), missed)
-	}
-}
-
-// TestSubscribeDelivery checks ordered fan-out to a keeping-up subscriber
-// and clean detach on Close.
-func TestSubscribeDelivery(t *testing.T) {
-	l := New(64)
-	sub := l.Subscribe(32)
-	for i := 0; i < 5; i++ {
-		l.EmitTraced("P1", KindCDMSent, 7, "n=%d", i)
-	}
-	for i := 0; i < 5; i++ {
-		select {
-		case e := <-sub.Events():
-			if e.Seq != uint64(i+1) || e.Trace != 7 {
-				t.Fatalf("event %d = %+v", i, e)
-			}
-		case <-time.After(time.Second):
-			t.Fatal("subscriber starved")
+	// A consumer current through the last retained event resumes empty, and
+	// so does one past the head (a head probe asks for MaxUint64).
+	for _, after := range []uint64{24, 25, math.MaxUint64} {
+		if events, missed = l.Since(after); len(events) != 0 || missed != 0 {
+			t.Fatalf("Since(%d) = %d events, %d missed; want none", after, len(events), missed)
 		}
 	}
-	sub.Close()
-	if _, open := <-sub.Events(); open {
-		t.Fatal("channel open after Close")
-	}
-	if sub.Evicted() {
-		t.Fatal("explicit Close reported as eviction")
-	}
-	if n := liveSubs(l); n != 0 {
-		t.Fatalf("%d live subscriptions after Close", n)
-	}
-	l.Emit("P1", KindCustom, "after close") // must not panic or block
 }
 
-// liveSubs counts the log's attached subscriptions.
-func liveSubs(l *Log) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.subs)
-}
-
-// TestSlowSubscriberEvictedNotBlocking is the backpressure contract: a
-// subscriber that never drains fills its buffer and is evicted, while Emit
-// keeps completing (bounded time, no deadlock) and other subscribers and the
-// ring are unaffected.
-func TestSlowSubscriberEvictedNotBlocking(t *testing.T) {
+// TestWaitWakesOnNextEmit: Wait's channel is closed at once when the log
+// already holds an event past the given sequence number, and otherwise by
+// the next emit — which then reads with Since, in order.
+func TestWaitWakesOnNextEmit(t *testing.T) {
 	l := New(64)
-	slow := l.Subscribe(16)
-	fast := l.Subscribe(1024)
-	done := make(chan struct{})
+	l.EmitTraced("P1", KindCDMSent, 7, "n=%d", 0)
+	select {
+	case <-l.Wait(0):
+	default:
+		t.Fatal("Wait(0) open with event 1 in the log")
+	}
+	w := l.Wait(1)
+	select {
+	case <-w:
+		t.Fatal("Wait(1) closed before a second emit")
+	default:
+	}
+	if l.Wait(1) != w {
+		t.Fatal("two waiters on one sequence number got different channels")
+	}
 	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			l.Emit("P1", KindCustom, "n=%d", i)
+		for i := 1; i < 5; i++ {
+			l.EmitTraced("P1", KindCDMSent, 7, "n=%d", i)
 		}
 	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Emit blocked on a slow subscriber")
-	}
-	if !slow.Evicted() {
-		t.Fatal("slow subscriber not evicted")
-	}
-	// The evicted channel holds its buffered prefix, then closes.
-	n := 0
-	for range slow.Events() {
-		n++
-	}
-	if n != 16 {
-		t.Fatalf("slow subscriber drained %d buffered events, want 16", n)
-	}
-	// The fast subscriber saw everything, in order.
-	for i := 0; i < 100; i++ {
-		e := <-fast.Events()
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("fast subscriber: event %d has seq %d", i, e.Seq)
+	var got []uint64
+	for last := uint64(1); last < 5; {
+		select {
+		case <-l.Wait(last):
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no wake after seq %d", last)
+		}
+		events, missed := l.Since(last)
+		if missed != 0 {
+			t.Fatalf("missed %d with the ring not full", missed)
+		}
+		for _, e := range events {
+			got = append(got, e.Seq)
+			last = e.Seq
 		}
 	}
-	if n := liveSubs(l); n != 1 || fast.Evicted() {
-		t.Fatalf("%d live subscriptions, fast evicted %v: want the fast one live and only the slow one evicted",
-			n, fast.Evicted())
+	if !slices.Equal(got, []uint64{2, 3, 4, 5}) {
+		t.Fatalf("followed seqs %v, want 2..5", got)
 	}
-	if l.Total() != 100 {
-		t.Fatalf("Total = %d", l.Total())
+	select {
+	case <-w:
+	default:
+		t.Fatal("the first waiter's channel is still open")
 	}
-	slow.Close() // idempotent after eviction
-	fast.Close()
 }
 
 // TestParseKind round-trips every named kind and rejects junk.

@@ -13,9 +13,9 @@
 //     (Since) and detect truncation exactly;
 //   - a bounded ring: the most recent events are retained, older ones are
 //     evicted and reported via an explicit truncation marker;
-//   - a fan-out hub: subscribers receive events on buffered channels with
-//     non-blocking delivery — a slow consumer is evicted (its channel
-//     closed) rather than ever blocking the emitting hot path.
+//   - a wake-up: Wait hands a follower a channel that the next emit closes,
+//     so a live stream is a loop of Since and Wait, and a follower that falls
+//     behind the ring reads the truncation marker instead of blocking Emit.
 //
 // The ring holds fixed-size, pointer-free records, not text: an event's
 // arguments are kept as integers and indices into a bounded per-log string
@@ -156,40 +156,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("#%d %s %s: %s", e.Seq, e.Node, e.Kind, e.Detail)
 }
 
-// Subscription is one live tap on a Log's event stream. Events arrive on
-// Events() in emission order. Delivery is non-blocking on the emitter's
-// side: when the subscriber's buffer fills, the subscription is evicted —
-// its channel closes and Evicted reports true — so a stalled consumer can
-// never block the protocol hot path. An evicted consumer resumes by
-// re-subscribing and backfilling with Since.
-type Subscription struct {
-	log *Log
-	ch  chan Event
-	// evicted/closed are guarded by log.mu.
-	evicted bool
-	closed  bool
-}
-
-// Events returns the subscription's delivery channel. It is closed when the
-// subscription is evicted or Close is called.
-func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Evicted reports whether the log evicted this subscription for falling
-// behind (as opposed to an explicit Close).
-func (s *Subscription) Evicted() bool {
-	s.log.mu.Lock()
-	defer s.log.mu.Unlock()
-	return s.evicted
-}
-
-// Close detaches the subscription and closes its channel. Idempotent; safe
-// after eviction.
-func (s *Subscription) Close() {
-	s.log.mu.Lock()
-	defer s.log.mu.Unlock()
-	s.log.closeSubLocked(s, false)
-}
-
 // Log is a bounded ring of events shared by any number of nodes. The zero
 // value is unusable; create with New.
 type Log struct {
@@ -199,13 +165,11 @@ type Log struct {
 	cap     int
 	seq     uint64
 	dropped uint64        // events evicted by the ring bound
-	filter  map[Kind]bool // nil = all kinds
+	wake    chan struct{} // closed by the next emit; nil while nobody waits
 
 	tab     tables
 	strIdx  map[string]uint16
 	formats map[string]*format
-
-	subs []*Subscription
 }
 
 // New returns a log retaining the most recent capacity events (minimum 16).
@@ -251,35 +215,16 @@ func (l *Log) readLocked(after uint64, kind Kind) view {
 	return v
 }
 
-// Only restricts the log to the given kinds (replacing any earlier filter);
-// calling with no kinds removes the filter.
-func (l *Log) Only(kinds ...Kind) *Log {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(kinds) == 0 {
-		l.filter = nil
-		return l
-	}
-	l.filter = make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		l.filter[k] = true
-	}
-	return l
-}
-
 // Emit records an event with no causal trace id. Safe for concurrent use.
 func (l *Log) Emit(node ids.NodeID, kind Kind, format string, args ...any) {
 	l.EmitTraced(node, kind, 0, format, args...)
 }
 
 // EmitTraced records an event carrying a detection's causal trace id. Safe
-// for concurrent use; never blocks on subscribers (slow ones are evicted).
+// for concurrent use; never blocks on a reader.
 func (l *Log) EmitTraced(node ids.NodeID, kind Kind, traceID uint64, format string, args ...any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.filter != nil && !l.filter[kind] {
-		return
-	}
 	l.seq++
 	r := record{at: time.Now().UnixNano(), trace: traceID, kind: kind}
 	if !l.pack(&r, node, format, args) {
@@ -311,56 +256,28 @@ func (l *Log) EmitTraced(node ids.NodeID, kind Kind, traceID uint64, format stri
 		}
 		l.dropped++
 	}
-	if len(l.subs) == 0 {
-		return
-	}
-	// Fan out without ever blocking: a full subscriber buffer means the
-	// consumer fell a whole buffer behind — evict it (close the channel) and
-	// let it resume via Since, rather than stall the protocol hot path.
-	e, _ := l.tab.event(l.seq, &r, nil)
-	for i := 0; i < len(l.subs); {
-		s := l.subs[i]
-		select {
-		case s.ch <- e:
-			i++
-		default:
-			l.closeSubLocked(s, true)
-			// closeSubLocked swapped the tail into position i; revisit it.
-		}
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
 	}
 }
 
-// closeSubLocked detaches s from the log (caller holds l.mu). evicted marks
-// involuntary removal.
-func (l *Log) closeSubLocked(s *Subscription, evicted bool) {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.evicted = evicted
-	for i, sub := range l.subs {
-		if sub == s {
-			last := len(l.subs) - 1
-			l.subs[i] = l.subs[last]
-			l.subs[last] = nil
-			l.subs = l.subs[:last]
-			break
-		}
-	}
-	close(s.ch)
-}
+// closed is the channel Wait returns when there is nothing to wait for.
+var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
-// Subscribe taps the live event stream with a delivery buffer of at least
-// 16 events. See Subscription for the eviction contract.
-func (l *Log) Subscribe(buffer int) *Subscription {
-	if buffer < 16 {
-		buffer = 16
-	}
-	s := &Subscription{log: l, ch: make(chan Event, buffer)}
+// Wait returns a channel that is closed once the log holds an event with a
+// sequence number above after: already closed when it does, else closed by
+// the next emit. A follower reads with Since(after) and then waits.
+func (l *Log) Wait(after uint64) <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.subs = append(l.subs, s)
-	return s
+	if l.seq > after {
+		return closed
+	}
+	if l.wake == nil {
+		l.wake = make(chan struct{})
+	}
+	return l.wake
 }
 
 // Since returns the retained events with sequence numbers greater than
@@ -370,7 +287,7 @@ func (l *Log) Subscribe(buffer int) *Subscription {
 func (l *Log) Since(after uint64) (events []Event, missed uint64) {
 	l.mu.Lock()
 	if len(l.buf) > 0 {
-		if first := l.firstSeqLocked(); after+1 < first {
+		if first := l.firstSeqLocked(); after < first-1 {
 			missed = first - 1 - after
 		}
 	} else if after < l.seq {
@@ -396,8 +313,7 @@ func (l *Log) Len() int {
 	return len(l.buf)
 }
 
-// Total returns the number of events ever emitted (including evicted and
-// filtered-in only).
+// Total returns the number of events ever emitted, evicted ones included.
 func (l *Log) Total() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

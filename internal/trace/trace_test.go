@@ -88,20 +88,6 @@ func TestMinimumCapacityClamp(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	l := New(32).Only(KindCycleFound)
-	l.Emit("P1", KindLGC, "ignored")
-	l.Emit("P1", KindCycleFound, "kept")
-	if l.Len() != 1 || l.Snapshot()[0].Kind != KindCycleFound {
-		t.Fatalf("filter failed: %+v", l.Snapshot())
-	}
-	l.Only() // remove filter
-	l.Emit("P1", KindLGC, "now kept")
-	if l.Len() != 2 {
-		t.Fatalf("unfiltered emit dropped: %d", l.Len())
-	}
-}
-
 func TestOfKind(t *testing.T) {
 	l := New(32)
 	l.Emit("P1", KindLGC, "a")

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"runtime"
 	"testing"
 
 	"dgc/internal/core"
@@ -28,7 +29,9 @@ func disjointSections(n int) []BatchSection {
 // TestCodecAllocsPinned is a cost gate that host noise cannot trip: the
 // allocations of building, encoding into a reused buffer and decoding the
 // two detection messages, pinned exactly. An increase is a regression; a
-// decrease must lower the pin in the same change.
+// decrease must lower the pin in the same change. A decoded batch's bytes
+// are held under a ceiling too: the decoder sizes its one entry array from a
+// bound, and a loose bound shows as bytes, not allocations.
 func TestCodecAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")
@@ -55,10 +58,27 @@ func TestCodecAllocsPinned(t *testing.T) {
 		{"CDM/decode", 3, func() { _, _ = Decode(cdmData) }},
 		{"BatchCDM/build", 6, func() { _ = NewBatchCDM(3, false, secs) }},
 		{"BatchCDM/encode", 0, func() { buf = AppendEncode(buf[:0], batch) }},
-		{"BatchCDM/decode", 9, func() { _, _ = Decode(batchData) }},
+		{"BatchCDM/decode", 6, func() { _, _ = Decode(batchData) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
 			t.Errorf("%s: %v allocs, pinned at %v", c.name, got, c.want)
 		}
 	}
+	if got := bytesPerRun(100, func() { _, _ = Decode(batchData) }); got > 13496 {
+		t.Errorf("BatchCDM/decode: %d B/op, ceiling 13496", got)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes one
+// call of f allocates, after a warm-up call, on one P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

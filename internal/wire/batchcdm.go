@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"dgc/internal/core"
 	"dgc/internal/ids"
@@ -189,15 +191,16 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 	if ns == 0 && r.err == nil {
 		r.fail("batch cdm with zero sections")
 	}
-	type detAlong struct {
-		det   core.DetectionID
-		along int // dictionary index; -1 in a return
-	}
-	seen := make(map[detAlong]struct{}, min(ns, 1024))
 	m.Sections = make([]BatchSection, 0, min(ns, 1024))
 	// Every section's algebra is built into one entry array, sized for the
-	// most entries the rest of the message can hold.
-	algs := core.NewAlgBuilder(min(ns, 1024), (len(r.data)-r.pos)/minEntryBytes)
+	// most entries the rest of the message can hold once each section's
+	// header is paid for: origin, seq, trace id, along and entry count take a
+	// byte each at least (a return has no along).
+	header := 5
+	if m.Return {
+		header = 4
+	}
+	algs := core.NewAlgBuilder(min(ns, 1024), max(len(r.data)-r.pos-ns*header, 0)/minEntryBytes)
 	for i := 0; i < ns && r.err == nil; i++ {
 		s := BatchSection{
 			Det:   core.DetectionID{Origin: r.node(), Seq: r.uint()},
@@ -228,12 +231,6 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 			r.fail("batch section with zero entries")
 			break
 		}
-		key := detAlong{s.Det, along}
-		if _, dup := seen[key]; dup {
-			r.fail("duplicate detection %s/%d along %s in batch", s.Det.Origin, s.Det.Seq, s.Along)
-			break
-		}
-		seen[key] = struct{}{}
 		m.Sections = append(m.Sections, s)
 	}
 	if r.err == nil {
@@ -244,5 +241,35 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 			}
 		}
 	}
+	if r.err == nil {
+		// No (detection, along) pair twice: in sorted order a repeat sits
+		// next to its first occurrence.
+		order := make([]int32, 0, 32) // on the stack unless the batch is larger
+		for i := range m.Sections {
+			order = append(order, int32(i))
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmpSection(&m.Sections[a], &m.Sections[b]) })
+		for i := 1; i < len(order); i++ {
+			if s := &m.Sections[order[i]]; cmpSection(&m.Sections[order[i-1]], s) == 0 {
+				r.fail("duplicate detection %s/%d along %s in batch", s.Det.Origin, s.Det.Seq, s.Along)
+				break
+			}
+		}
+	}
 	return m
+}
+
+// cmpSection orders sections by detection, then along.
+func cmpSection(a, b *BatchSection) int {
+	switch {
+	case a.Det.Origin != b.Det.Origin:
+		return cmp.Compare(a.Det.Origin, b.Det.Origin)
+	case a.Det.Seq != b.Det.Seq:
+		return cmp.Compare(a.Det.Seq, b.Det.Seq)
+	case a.Along.Less(b.Along):
+		return -1
+	case b.Along.Less(a.Along):
+		return 1
+	}
+	return 0
 }
