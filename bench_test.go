@@ -10,7 +10,6 @@ package dgc_test
 //	BenchmarkFig1Dependency       — Figure 1 scenario
 //	BenchmarkFig4MutualCycles     — Figure 4 scenario
 //	BenchmarkFig5RaceAbort        — Figure 5 race handling
-//	BenchmarkScaleDetection       — Scale-1 (DCDA vs baselines)
 //	BenchmarkLossSweep            — Loss-1
 //	BenchmarkAlgebraMatch/CDMCodec— microbenchmarks of the hot paths
 //	BenchmarkBatchCDMCodec        — the batched detection message's codec
@@ -21,6 +20,7 @@ package dgc_test
 // the paper's and discusses shape agreement.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -262,26 +262,7 @@ func BenchmarkFig5RaceAbort(b *testing.B) {
 	}
 }
 
-// ---- comparisons & extensions ---------------------------------------------------
-
-func BenchmarkScaleDetection(b *testing.B) {
-	// The DCDA and both baselines collecting the same 8-process ring, each
-	// from a fresh world per iteration.
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CompareCollectors(workload.Ring(8, 2), 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if !r.Collected {
-				b.Fatalf("%s did not collect the ring: %+v", r.Collector, r)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(r.Messages), r.Collector+"-msgs/collection")
-			}
-		}
-	}
-}
+// ---- extensions ---------------------------------------------------------------
 
 func BenchmarkLossSweep(b *testing.B) {
 	for _, rate := range []float64{0, 0.1, 0.3} {
@@ -451,35 +432,51 @@ func BenchmarkDetectRound(b *testing.B) {
 	}
 }
 
+// newCDMHop returns one CDM hop at a receiving process over an accumulated
+// algebra of n entries: clone the algebra, derive, check for a match, and
+// build + frame the outgoing message — the per-message unit of work
+// detection latency scales with. The returned function reports an
+// unexpected abort.
+func newCDMHop(n int) func() error {
+	alg := core.NewAlg()
+	for i := 0; i < n; i++ {
+		r := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: ids.ObjID(i)}}
+		alg.AddSource(r, uint64(i))
+		if i%2 == 0 {
+			alg.AddTarget(r, uint64(i))
+		}
+	}
+	det := core.DetectionID{Origin: "P1", Seq: 1}
+	along := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P1", Obj: 1}}
+	newSrc := ids.RefID{Src: "P8", Dst: ids.GlobalRef{Node: "P9", Obj: 7}}
+	frame := make([]byte, 0, 4096)
+	return func() error {
+		derived := alg.Clone()
+		derived.AddTarget(along, 3)
+		derived.AddSource(newSrc, 4)
+		if _, abort := derived.MatchStatus(); abort {
+			return errors.New("unexpected abort")
+		}
+		msg := wire.NewCDMFromAlg(det, along, derived, 3, core.TraceIDFor(det))
+		frame = wire.AppendEncode(frame[:0], msg)
+		return nil
+	}
+}
+
+// cdmHopEntries are the algebra sizes the hop benchmarks and
+// TestCDMHopAllocsPinned run.
+var cdmHopEntries = []int{16, 64, 256}
+
 func BenchmarkCDMHop(b *testing.B) {
-	// One CDM hop at a receiving process: clone the accumulated algebra,
-	// derive, check for a match, and build + frame the outgoing message —
-	// the per-message unit of work detection latency scales with.
-	for _, n := range []int{16, 64, 256} {
+	for _, n := range cdmHopEntries {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
-			alg := core.NewAlg()
-			for i := 0; i < n; i++ {
-				r := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: ids.ObjID(i)}}
-				alg.AddSource(r, uint64(i))
-				if i%2 == 0 {
-					alg.AddTarget(r, uint64(i))
-				}
-			}
-			det := core.DetectionID{Origin: "P1", Seq: 1}
-			along := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P1", Obj: 1}}
-			newSrc := ids.RefID{Src: "P8", Dst: ids.GlobalRef{Node: "P9", Obj: 7}}
-			frame := make([]byte, 0, 4096)
+			hop := newCDMHop(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				derived := alg.Clone()
-				derived.AddTarget(along, 3)
-				derived.AddSource(newSrc, 4)
-				if _, abort := derived.MatchStatus(); abort {
-					b.Fatal("unexpected abort")
+				if err := hop(); err != nil {
+					b.Fatal(err)
 				}
-				msg := wire.NewCDMFromAlg(det, along, derived, 3, core.TraceIDFor(det))
-				frame = wire.AppendEncode(frame[:0], msg)
 			}
 		})
 	}
@@ -490,20 +487,10 @@ func BenchmarkCDMHopInstrumented(b *testing.B) {
 	// handled CDM: the counter increments, the hop histogram observation and
 	// the inflight-detection map upkeep. The acceptance bar for the metrics
 	// layer is this staying within 5% of the uninstrumented hop.
-	for _, n := range []int{16, 64, 256} {
+	det := core.DetectionID{Origin: "P1", Seq: 1}
+	for _, n := range cdmHopEntries {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
-			alg := core.NewAlg()
-			for i := 0; i < n; i++ {
-				r := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: ids.ObjID(i)}}
-				alg.AddSource(r, uint64(i))
-				if i%2 == 0 {
-					alg.AddTarget(r, uint64(i))
-				}
-			}
-			det := core.DetectionID{Origin: "P1", Seq: 1}
-			along := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P1", Obj: 1}}
-			newSrc := ids.RefID{Src: "P8", Dst: ids.GlobalRef{Node: "P9", Obj: 7}}
-			frame := make([]byte, 0, 4096)
+			hop := newCDMHop(n)
 			met := dgc.NewNodeMetrics(dgc.NewMetricsRegistry())
 			inflight := map[core.DetectionID]struct{}{}
 			b.ReportAllocs()
@@ -514,14 +501,9 @@ func BenchmarkCDMHopInstrumented(b *testing.B) {
 				if _, ok := inflight[det]; !ok {
 					inflight[det] = struct{}{}
 				}
-				derived := alg.Clone()
-				derived.AddTarget(along, 3)
-				derived.AddSource(newSrc, 4)
-				if _, abort := derived.MatchStatus(); abort {
-					b.Fatal("unexpected abort")
+				if err := hop(); err != nil {
+					b.Fatal(err)
 				}
-				msg := wire.NewCDMFromAlg(det, along, derived, 3, core.TraceIDFor(det))
-				frame = wire.AppendEncode(frame[:0], msg)
 				met.CDMsSent.Inc()
 			}
 		})
@@ -536,24 +518,15 @@ func BenchmarkCDMHopJournaled(b *testing.B) {
 	// the cost is seq++, packing the arguments into a record, the ring store
 	// and a nil check on the wake channel). The bar matches the
 	// instrumented hop's: within noise of the uninstrumented hop.
-	for _, n := range []int{16, 64, 256} {
+	det := core.DetectionID{Origin: "P1", Seq: 1}
+	along := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P1", Obj: 1}}
+	tid := core.TraceIDFor(det)
+	for _, n := range cdmHopEntries {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
-			alg := core.NewAlg()
-			for i := 0; i < n; i++ {
-				r := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: ids.ObjID(i)}}
-				alg.AddSource(r, uint64(i))
-				if i%2 == 0 {
-					alg.AddTarget(r, uint64(i))
-				}
-			}
-			det := core.DetectionID{Origin: "P1", Seq: 1}
-			along := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P1", Obj: 1}}
-			newSrc := ids.RefID{Src: "P8", Dst: ids.GlobalRef{Node: "P9", Obj: 7}}
-			frame := make([]byte, 0, 4096)
+			hop := newCDMHop(n)
 			met := dgc.NewNodeMetrics(dgc.NewMetricsRegistry())
 			inflight := map[core.DetectionID]struct{}{}
 			journal := dgc.NewTraceLog(8192)
-			tid := core.TraceIDFor(det)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -562,16 +535,11 @@ func BenchmarkCDMHopJournaled(b *testing.B) {
 				if _, ok := inflight[det]; !ok {
 					inflight[det] = struct{}{}
 				}
-				derived := alg.Clone()
-				derived.AddTarget(along, 3)
-				derived.AddSource(newSrc, 4)
-				if _, abort := derived.MatchStatus(); abort {
-					b.Fatal("unexpected abort")
-				}
 				journal.EmitTraced("P1", dgc.TraceKindCDMHandled, tid,
 					"det=%s/%d along=%s outcome=forwarded", det.Origin, det.Seq, along)
-				msg := wire.NewCDMFromAlg(det, along, derived, 3, tid)
-				frame = wire.AppendEncode(frame[:0], msg)
+				if err := hop(); err != nil {
+					b.Fatal(err)
+				}
 				journal.EmitTraced("P1", dgc.TraceKindCDMSent, tid,
 					"det=%s/%d to=%s along=%s hops=%d", det.Origin, det.Seq, along.Dst.Node, along, 3)
 				met.CDMsSent.Inc()
@@ -580,10 +548,10 @@ func BenchmarkCDMHopJournaled(b *testing.B) {
 	}
 }
 
-func BenchmarkLGC(b *testing.B) {
-	// Local collection over a 10k-object heap with distributed edges.
-	cfg := dgc.Config{}
-	c := dgc.NewCluster(1, cfg, "P1", "P2")
+// newLGCNode returns node P1 of a two-node cluster holding a rooted chain
+// of 10k objects: BenchmarkLGC's and TestLGCAllocsPinned's heap.
+func newLGCNode(tb testing.TB) *dgc.Node {
+	c := dgc.NewCluster(1, dgc.Config{}, "P1", "P2")
 	n := c.Node("P1")
 	n.With(func(m dgc.Mutator) {
 		var prev dgc.ObjID
@@ -591,14 +559,20 @@ func BenchmarkLGC(b *testing.B) {
 			o := m.Alloc(nil)
 			if i == 0 {
 				if err := m.Root(o); err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 			} else if err := m.Link(prev, o); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			prev = o
 		}
 	})
+	return n
+}
+
+func BenchmarkLGC(b *testing.B) {
+	// Local collection over a rooted 10k-object chain.
+	n := newLGCNode(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.RunLGC()

@@ -1,19 +1,28 @@
-// dgc-bench regenerates the paper's evaluation tables and the extended
-// experiments from DESIGN.md, printing the same rows the paper reports.
+// dgc-bench regenerates the paper's evaluation, printing the same rows the
+// paper reports. Each experiment is named for the part of the paper it
+// serves (DESIGN.md §3):
+//
+//	table1         Table 1: RMI time, plain vs DGC-extended
+//	serialization  §4: snapshot serialization, naive vs binary codec, ± stubs
+//	scale          Figure 3, generalized: detection cost vs ring size
+//	loss           §1: collection under GC-message loss
+//	race           Figure 5, quantified: mutator races abort, never misfire
+//	lease          §4: "a safe DGC (not a lease-based one)"
+//	disruption     §4: snapshot pause against invocation latency
+//	batch          completeness under density: traffic vs candidates
 //
 // Usage:
 //
-//	dgc-bench [-exp all|table1|serialization|scale|compare|quiescent|loss|race|lease|disruption|batch]
+//	dgc-bench [-exp all|table1|serialization|scale|loss|race|lease|disruption|batch]
 //	          [-quick] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Absolute numbers differ from the paper (simulated substrate vs the
 // authors' Pentium 4 Rotor testbed); the SHAPES are the reproduction
 // target: DGC overhead per call within a modest band, naive-vs-binary
 // serialization two orders of magnitude apart, stubs adding sub-linear
-// cost, detection cost linear in cycle length, Hughes paying continuously,
-// back-tracing state growing with cycles. Per-layer timings (summarize, CDM
-// hop, wire codec) are `go test -bench` benchmarks in bench_test.go, not
-// experiments here.
+// cost, detection cost linear in cycle length, no live object lost to a
+// race or to loss. Per-layer timings (summarize, CDM hop, wire codec) are
+// `go test -bench` benchmarks in bench_test.go, not experiments here.
 package main
 
 import (
@@ -28,7 +37,6 @@ import (
 	"time"
 
 	"dgc/internal/experiments"
-	"dgc/internal/workload"
 )
 
 // exps lists the experiments in the order -exp all runs them.
@@ -39,8 +47,6 @@ var exps = []struct {
 	{"table1", runTable1},
 	{"serialization", runSerialization},
 	{"scale", runScale},
-	{"compare", runCompare},
-	{"quiescent", runQuiescent},
 	{"loss", runLoss},
 	{"race", runRace},
 	{"lease", runLease},
@@ -180,44 +186,6 @@ func runScale(out io.Writer, quick bool) error {
 	fmt.Fprintln(w, "processes\tCDMs sent\tprotocol bytes\trounds to empty\twall")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\n", r.Procs, r.CDMsSent, r.BytesSent, r.RoundsToEmpty, r.Wall.Round(time.Microsecond))
-	}
-	return w.Flush()
-}
-
-// runCompare races the DCDA against the Hughes and back-tracing baselines.
-func runCompare(out io.Writer, quick bool) error {
-	topos := []*workload.Topology{workload.Figure3(), workload.Figure4(), workload.Ring(8, 2)}
-	if quick {
-		topos = topos[:1]
-	}
-	w := tw(out)
-	fmt.Fprintln(w, "topology\tcollector\tprotocol messages\trounds\tcollected")
-	for _, topo := range topos {
-		rows, err := experiments.CompareCollectors(topo, 60)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%v\n", r.Topology, r.Collector, r.Messages, r.Rounds, r.Collected)
-		}
-	}
-	return w.Flush()
-}
-
-// runQuiescent measures the permanent cost on a fully live world.
-func runQuiescent(out io.Writer, quick bool) error {
-	rounds := 20
-	if quick {
-		rounds = 8
-	}
-	rows, err := experiments.QuiescentCost(workload.LiveRing(6, 3), rounds)
-	if err != nil {
-		return err
-	}
-	w := tw(out)
-	fmt.Fprintln(w, "collector\tmessages over rounds\tper round")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\n", r.Collector, r.Messages, float64(r.Messages)/float64(r.Rounds))
 	}
 	return w.Flush()
 }

@@ -10,12 +10,15 @@ import (
 // fail loudly, or a renamed experiment would leave CI's smoke run green
 // while running nothing.
 func TestUnknownExperimentIsAUsageError(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-exp", "nosuch"}, &out); code != 2 {
-		t.Errorf("-exp nosuch: exit code %d, want 2", code)
-	}
-	if out.Len() != 0 {
-		t.Errorf("-exp nosuch ran something:\n%s", out.String())
+	// compare and quiescent ran the deleted baseline collectors.
+	for _, name := range []string{"nosuch", "compare", "quiescent"} {
+		var out bytes.Buffer
+		if code := run([]string{"-exp", name}, &out); code != 2 {
+			t.Errorf("-exp %s: exit code %d, want 2", name, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-exp %s ran something:\n%s", name, out.String())
+		}
 	}
 }
 

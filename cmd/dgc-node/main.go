@@ -12,8 +12,9 @@
 //
 // With -metrics-addr the daemon serves the full admin control plane:
 // Prometheus text at /metrics, versioned JSON diagnostics at /debug/dgc, and
-// the /api/v1 operator API (status, tables, forced detection with trace ids,
-// snapshot/restore, fault injection) that the dgcctl CLI drives.
+// the /api/v1 operator API (status, tables, membership, the event journal,
+// forced detection with trace ids, fault injection) that the dgcctl CLI
+// drives.
 //
 // The -*-every flags count ticks (e.g. -tick 250ms -lgc-every 2 runs the
 // local collector on every second tick, 500ms apart); daemons due on the

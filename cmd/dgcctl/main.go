@@ -1,9 +1,10 @@
-// dgcctl is the operator CLI for dgc clusters: status, live top, table
-// dumps, forced cycle detection with trace-id follow, fault injection
-// (kill/restart/delay/drop/partition/heal), state snapshot/restore, and a
-// declarative cluster launcher (`dgcctl up -f cluster.yaml`). It drives any
-// process serving the internal/admin JSON API — dgc-node daemons, dgc-sim,
-// or a cluster started by `dgcctl up` itself.
+// dgcctl is the operator CLI for dgc clusters: status, table dumps, forced
+// cycle detection with trace-id follow, the merged event journal and
+// detection traces, fault injection (kill/restart/delay/drop/partition/heal),
+// membership (members/join/drain), and a declarative cluster launcher
+// (`dgcctl up -f cluster.yaml`). It drives any node serving the
+// internal/admin JSON API: dgc-node daemons started with -metrics-addr, or
+// the nodes of a cluster started by `dgcctl up` itself.
 //
 //	dgcctl up -f cluster.yaml &
 //	dgcctl status

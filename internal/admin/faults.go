@@ -60,10 +60,7 @@ func NewFaultEndpoint(inner transport.Endpoint, seed int64) *FaultEndpoint {
 	return &FaultEndpoint{inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
 
-var (
-	_ transport.Endpoint = (*FaultEndpoint)(nil)
-	_ transport.Stager   = (*FaultEndpoint)(nil)
-)
+var _ transport.Endpoint = (*FaultEndpoint)(nil)
 
 // setInner swaps the wrapped endpoint (nil detaches), re-installing the
 // delivery shim when a handler is registered. Fault configuration persists
@@ -92,33 +89,43 @@ func (e *FaultEndpoint) Self() ids.NodeID {
 	return ""
 }
 
-// Send implements transport.Endpoint, applying partition, drop-rate and
-// delay injection on the outbound path. Dropped messages report success —
-// exactly how real loss looks to a sender.
-func (e *FaultEndpoint) Send(to ids.NodeID, msg wire.Message) error {
+// SendAll implements transport.Endpoint, applying partition, drop-rate and
+// delay injection on the outbound path. Dropped messages vanish silently —
+// exactly how real loss looks to a sender. The survivors go to the inner
+// endpoint in one SendAll, after the injected delay when one is set; the
+// protocol tolerates the reordering a delay causes, which is the point of
+// the fault.
+func (e *FaultEndpoint) SendAll(outs []transport.Envelope) {
 	e.mu.Lock()
 	in := e.inner
 	if in == nil {
 		e.mu.Unlock()
-		return nil
+		return
 	}
-	if e.blockedLocked(to) || (e.drop > 0 && e.rng.Float64() < e.drop) {
-		e.dropped++
-		e.mu.Unlock()
-		return nil
+	if e.drop > 0 || e.isolate || len(e.part) > 0 {
+		kept := make([]transport.Envelope, 0, len(outs))
+		for _, o := range outs {
+			if e.blockedLocked(o.To) || (e.drop > 0 && e.rng.Float64() < e.drop) {
+				e.dropped++
+				continue
+			}
+			kept = append(kept, o)
+		}
+		outs = kept
 	}
 	d := e.delay
 	if d > 0 {
-		e.delayed++
+		e.delayed += uint64(len(outs))
 	}
 	e.mu.Unlock()
-	if d > 0 {
-		// Delayed delivery escapes any staging bracket; the protocol
-		// tolerates the resulting reordering, which is the point of the fault.
-		time.AfterFunc(d, func() { _ = in.Send(to, msg) })
-		return nil
+	if len(outs) == 0 {
+		return
 	}
-	return in.Send(to, msg)
+	if d > 0 {
+		time.AfterFunc(d, func() { in.SendAll(outs) })
+		return
+	}
+	in.SendAll(outs)
 }
 
 // SetHandler implements transport.Endpoint: the handler is wrapped so
@@ -170,21 +177,6 @@ func (e *FaultEndpoint) Close() error {
 		return in.Close()
 	}
 	return nil
-}
-
-// BeginStage implements transport.Stager, delegating when the inner
-// endpoint stages (the TCP transport) and no-opping otherwise.
-func (e *FaultEndpoint) BeginStage() {
-	if st, ok := e.innerEP().(transport.Stager); ok {
-		st.BeginStage()
-	}
-}
-
-// FlushStage implements transport.Stager.
-func (e *FaultEndpoint) FlushStage() {
-	if st, ok := e.innerEP().(transport.Stager); ok {
-		st.FlushStage()
-	}
 }
 
 func (e *FaultEndpoint) blockedLocked(peer ids.NodeID) bool {

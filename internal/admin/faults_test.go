@@ -1,6 +1,7 @@
 package admin
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,18 +13,21 @@ import (
 
 // memEndpoint is a minimal in-memory endpoint recording sends.
 type memEndpoint struct {
-	mu   sync.Mutex
-	self ids.NodeID
-	sent []ids.NodeID
-	h    transport.Handler
+	mu    sync.Mutex
+	self  ids.NodeID
+	sent  []ids.NodeID
+	calls int // SendAll calls
+	h     transport.Handler
 }
 
 func (m *memEndpoint) Self() ids.NodeID { return m.self }
-func (m *memEndpoint) Send(to ids.NodeID, msg wire.Message) error {
+func (m *memEndpoint) SendAll(outs []transport.Envelope) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sent = append(m.sent, to)
-	return nil
+	m.calls++
+	for _, o := range outs {
+		m.sent = append(m.sent, o.To)
+	}
 }
 func (m *memEndpoint) SetHandler(h transport.Handler) {
 	m.mu.Lock()
@@ -52,14 +56,19 @@ func (m *memEndpoint) inject(from ids.NodeID, msg wire.Message) []transport.Enve
 
 var testMsg wire.Message = &wire.CreateScionAck{}
 
+// send1 sends testMsg to each peer, one SendAll per message.
+func send1(fe *FaultEndpoint, peers ...ids.NodeID) {
+	for _, p := range peers {
+		fe.SendAll([]transport.Envelope{{To: p, Msg: testMsg}})
+	}
+}
+
 func TestFaultEndpointDrop(t *testing.T) {
 	inner := &memEndpoint{self: "P1"}
 	fe := NewFaultEndpoint(inner, 1)
 	fe.SetDrop(1.0, 0)
 	for i := 0; i < 10; i++ {
-		if err := fe.Send("P2", testMsg); err != nil {
-			t.Fatal(err)
-		}
+		send1(fe, "P2")
 	}
 	if inner.sentCount() != 0 {
 		t.Errorf("sent %d messages through a rate-1.0 drop", inner.sentCount())
@@ -69,9 +78,7 @@ func TestFaultEndpointDrop(t *testing.T) {
 		t.Errorf("status = %+v", st)
 	}
 	fe.Heal()
-	if err := fe.Send("P2", testMsg); err != nil {
-		t.Fatal(err)
-	}
+	send1(fe, "P2")
 	if inner.sentCount() != 1 {
 		t.Errorf("healed endpoint still dropping")
 	}
@@ -91,8 +98,7 @@ func TestFaultEndpointPartitionBothWays(t *testing.T) {
 	fe.SetPartition([]ids.NodeID{"P2"}, false, 0)
 
 	// Outbound to the partitioned peer is cut; other peers pass.
-	_ = fe.Send("P2", testMsg)
-	_ = fe.Send("P3", testMsg)
+	send1(fe, "P2", "P3")
 	if inner.sentCount() != 1 {
 		t.Errorf("outbound: sent %d, want 1 (P3 only)", inner.sentCount())
 	}
@@ -106,7 +112,7 @@ func TestFaultEndpointPartitionBothWays(t *testing.T) {
 
 	// Isolation (empty peer list) cuts everyone.
 	fe.SetPartition(nil, true, 0)
-	_ = fe.Send("P3", testMsg)
+	send1(fe, "P3")
 	inner.inject("P3", testMsg)
 	if inner.sentCount() != 1 || delivered != 1 {
 		t.Errorf("isolate leaked: sent=%d delivered=%d", inner.sentCount(), delivered)
@@ -149,9 +155,7 @@ func TestFaultEndpointSetInnerKeepsConfigAndHandler(t *testing.T) {
 	inner2 := &memEndpoint{self: "P1"}
 	fe.setInner(inner2)
 
-	if err := fe.Send("P2", testMsg); err != nil {
-		t.Fatal(err)
-	}
+	send1(fe, "P2")
 	if inner2.sentCount() != 0 {
 		t.Error("drop config lost across setInner")
 	}
@@ -165,9 +169,7 @@ func TestFaultEndpointDelay(t *testing.T) {
 	inner := &memEndpoint{self: "P1"}
 	fe := NewFaultEndpoint(inner, 0)
 	fe.SetDelay(20*time.Millisecond, 0)
-	if err := fe.Send("P2", testMsg); err != nil {
-		t.Fatal(err)
-	}
+	fe.SendAll([]transport.Envelope{{To: "P2", Msg: testMsg}, {To: "P3", Msg: testMsg}})
 	if inner.sentCount() != 0 {
 		t.Error("delayed message sent immediately")
 	}
@@ -178,7 +180,30 @@ func TestFaultEndpointDelay(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := fe.FaultStatus(); st.Delayed != 1 || st.DelayMS != 20 {
+	inner.mu.Lock()
+	sent, calls := inner.sent, inner.calls
+	inner.mu.Unlock()
+	if len(sent) != 2 || calls != 1 {
+		t.Errorf("delayed burst reached the inner endpoint as %v in %d calls, want both in one", sent, calls)
+	}
+	if st := fe.FaultStatus(); st.Delayed != 2 || st.DelayMS != 20 {
 		t.Errorf("status = %+v", st)
+	}
+}
+
+// TestFaultEndpointSendAllFiltersInOrder: the survivors of one SendAll
+// reach the inner endpoint in one SendAll, in the order given.
+func TestFaultEndpointSendAllFiltersInOrder(t *testing.T) {
+	inner := &memEndpoint{self: "P1"}
+	fe := NewFaultEndpoint(inner, 0)
+	fe.SetPartition([]ids.NodeID{"P2"}, false, 0)
+	fe.SendAll([]transport.Envelope{
+		{To: "P2", Msg: testMsg}, {To: "P4", Msg: testMsg}, {To: "P2", Msg: testMsg}, {To: "P3", Msg: testMsg},
+	})
+	if got := fmt.Sprint(inner.sent); got != "[P4 P3]" || inner.calls != 1 {
+		t.Errorf("inner got %s in %d calls, want [P4 P3] in 1", got, inner.calls)
+	}
+	if st := fe.FaultStatus(); st.Dropped != 2 {
+		t.Errorf("dropped %d, want 2", st.Dropped)
 	}
 }

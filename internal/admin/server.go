@@ -24,8 +24,7 @@ const SchemaVersion = 2
 
 // Server is the admin control plane of one supervised node: one HTTP
 // surface exposing the node's status, tables, membership view, event
-// journal, forced detections, snapshots and fault injection as a versioned
-// JSON API. Payloads keep their node-id-keyed shape, with the one node as
+// journal, forced detections and fault injection as a versioned JSON API. Payloads keep their node-id-keyed shape, with the one node as
 // the one entry.
 type Server struct {
 	sup   *Supervisor

@@ -226,11 +226,13 @@ func isForward(msg wire.Message) bool {
 	return false
 }
 
-func (p *peerFramingTap) Send(to ids.NodeID, msg wire.Message) error {
-	if isForward(msg) {
-		p.direct[to]++
+func (p *peerFramingTap) SendAll(outs []transport.Envelope) {
+	for _, o := range outs {
+		if isForward(o.Msg) {
+			p.direct[o.To]++
+		}
 	}
-	return p.InprocEndpoint.Send(to, msg)
+	p.InprocEndpoint.SendAll(outs)
 }
 
 func (p *peerFramingTap) SetHandler(h transport.Handler) {
@@ -291,7 +293,7 @@ func TestDisjointRingsOneMessagePerPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	live, want := groundTruth(c)
-	rounds := 0
+	rounds, direct := 0, 0
 	for prev := -1; rounds < 20; rounds++ {
 		cur := c.TotalObjects() + c.TotalScions()
 		if cur == prev {
@@ -300,9 +302,15 @@ func TestDisjointRingsOneMessagePerPeer(t *testing.T) {
 		prev = cur
 		c.GCRound()
 		for _, tap := range taps {
+			for _, n := range tap.direct {
+				direct += n
+			}
 			tap.check(fmt.Sprintf("round %d detection", rounds+1), tap.direct)
 			clear(tap.direct)
 		}
+	}
+	if direct == 0 {
+		t.Fatal("the taps saw no direct detection sends: they are off the send path")
 	}
 	out := measure(t, c, topo.Name, live, rounds)
 	for i, got := range out.perNode {

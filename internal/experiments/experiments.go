@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"dgc/internal/baseline"
 	"dgc/internal/cluster"
 	"dgc/internal/heap"
 	"dgc/internal/ids"
@@ -337,7 +336,7 @@ func DetectionScale(procSizes []int, chain int) ([]ScaleRow, error) {
 			return nil, err
 		}
 		start := time.Now()
-		rounds, _ := runRounds(procs*3+10, true, c.TotalObjects, gcRound(c))
+		rounds := collect(c, procs*3+10)
 		wall := time.Since(start)
 		if c.TotalObjects() != 0 {
 			return nil, fmt.Errorf("experiments: ring %d not collected", procs)
@@ -365,105 +364,14 @@ func materialize(seed int64, topo *workload.Topology) (*cluster.Cluster, error) 
 	return c, err
 }
 
-// runRounds calls round until limit rounds have run or, with untilEmpty,
-// objects reports an empty world. It returns the rounds run.
-func runRounds(limit int, untilEmpty bool, objects func() int, round func() error) (int, error) {
+// collect runs GC rounds on c until its world is empty or limit rounds have
+// run, and returns the rounds run.
+func collect(c *cluster.Cluster, limit int) int {
 	n := 0
-	for ; n < limit && !(untilEmpty && objects() == 0); n++ {
-		if err := round(); err != nil {
-			return n, err
-		}
+	for ; n < limit && c.TotalObjects() != 0; n++ {
+		c.GCRound()
 	}
-	return n, nil
-}
-
-func gcRound(c *cluster.Cluster) func() error {
-	return func() error { c.GCRound(); return nil }
-}
-
-// ---- baseline comparison ----------------------------------------------------
-
-// CompareRow reports one collector's cost on one topology.
-type CompareRow struct {
-	Collector string
-	Topology  string
-	Messages  uint64 // collector-protocol messages
-	Rounds    int
-	Collected bool // nothing of the topology is left
-}
-
-// collectors run the DCDA and both baselines, each on its own instance of
-// the topology, for up to rounds rounds; untilEmpty stops a run once its
-// world is empty.
-var collectors = []func(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error){
-	runDCDA, runHughes, runBacktrace,
-}
-
-// CompareCollectors runs the DCDA and both baselines on the same topology
-// until reclamation (or the round limit) and reports message costs.
-func CompareCollectors(topo *workload.Topology, maxRounds int) ([]CompareRow, error) {
-	return runCollectors(topo, maxRounds, true)
-}
-
-// QuiescentCost measures each collector's message cost on a FULLY LIVE
-// topology over exactly `rounds` rounds: the paper's "permanent cost"
-// argument — the DCDA does (almost) nothing when there is nothing to
-// collect, Hughes pays every round.
-func QuiescentCost(topo *workload.Topology, rounds int) ([]CompareRow, error) {
-	return runCollectors(topo, rounds, false)
-}
-
-func runCollectors(topo *workload.Topology, rounds int, untilEmpty bool) ([]CompareRow, error) {
-	rows := make([]CompareRow, 0, len(collectors))
-	for _, run := range collectors {
-		row, err := run(topo, rounds, untilEmpty)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func runDCDA(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error) {
-	c, err := materialize(1, topo)
-	if err != nil {
-		return CompareRow{}, err
-	}
-	n, _ := runRounds(rounds, untilEmpty, c.TotalObjects, gcRound(c))
-	sent, _, _ := c.Net.Counts()
-	var msgs uint64
-	for _, k := range wire.CollectorKinds() {
-		msgs += sent[k]
-	}
-	return CompareRow{"dcda", topo.Name, msgs, n, c.TotalObjects() == 0}, nil
-}
-
-func runHughes(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error) {
-	w, err := baseline.Build(topo)
-	if err != nil {
-		return CompareRow{}, err
-	}
-	h := baseline.NewHughes(w)
-	if untilEmpty {
-		rounds += int(h.Lag) * 3 // a timestamp needs Lag rounds to go stale
-	}
-	n, _ := runRounds(rounds, untilEmpty, w.TotalObjects, func() error { h.Round(); return nil })
-	s := h.Stats
-	return CompareRow{"hughes", topo.Name, s.StampMessages + s.ThresholdMessages + s.StubSetMessages, n, w.TotalObjects() == 0}, nil
-}
-
-func runBacktrace(topo *workload.Topology, rounds int, untilEmpty bool) (CompareRow, error) {
-	w, err := baseline.Build(topo)
-	if err != nil {
-		return CompareRow{}, err
-	}
-	b := baseline.NewBacktracer(w)
-	n, err := runRounds(rounds, untilEmpty, w.TotalObjects, b.Round)
-	if err != nil {
-		return CompareRow{}, err
-	}
-	return CompareRow{"backtrace", topo.Name, b.Stats.Messages + b.Stats.StubSetMessages, n, w.TotalObjects() == 0}, nil
+	return n
 }
 
 // ---- loss sweep ---------------------------------------------------------------
@@ -485,7 +393,7 @@ func LossSweep(rates []float64, procs, maxRounds int) ([]LossRow, error) {
 			return nil, err
 		}
 		c.Net.SetFaults(transport.Faults{LossRate: rate, Affects: wire.CollectorKinds()})
-		rounds, _ := runRounds(maxRounds, true, c.TotalObjects, gcRound(c))
+		rounds := collect(c, maxRounds)
 		rows = append(rows, LossRow{LossRate: rate, Rounds: rounds, Collected: c.TotalObjects() == 0})
 	}
 	return rows, nil

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"dgc/internal/workload"
-)
+import "testing"
 
 func TestTable1ShapesMatchPaper(t *testing.T) {
 	// Small call counts keep the test fast; the paper's observation is the
@@ -106,41 +102,6 @@ func TestDetectionScaleGrowsLinearly(t *testing.T) {
 		if r.RoundsToEmpty <= 0 {
 			t.Errorf("ring %d uncollected: %+v", r.Procs, r)
 		}
-	}
-}
-
-func TestCompareCollectorsAllComplete(t *testing.T) {
-	rows, err := CompareCollectors(workload.Figure3(), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.Collected {
-			t.Errorf("%s did not collect figure3: %+v", r.Collector, r)
-		}
-		if r.Messages == 0 {
-			t.Errorf("%s reported zero messages", r.Collector)
-		}
-	}
-}
-
-func TestQuiescentCostShape(t *testing.T) {
-	// On a fully live world, Hughes keeps paying; the DCDA pays only the
-	// reference-listing heartbeat and no CDMs.
-	rows, err := QuiescentCost(workload.LiveRing(4, 2), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]CompareRow{}
-	for _, r := range rows {
-		byName[r.Collector] = r
-	}
-	if byName["hughes"].Messages <= byName["dcda"].Messages {
-		t.Errorf("expected Hughes to cost more when quiescent: hughes=%d dcda=%d",
-			byName["hughes"].Messages, byName["dcda"].Messages)
 	}
 }
 

@@ -347,10 +347,10 @@ func (n *Node) loop() {
 }
 
 // window consumes ev and the inputs that were queued behind it when it was
-// taken, then flushes once, so the per-peer batcher and the endpoint's stage
-// group the traffic of all of them. It is bounded by what was queued, and
-// closes early at a local call (consume) or a due tick, which it returns
-// flushed for the loop to serve before the next input.
+// taken, then flushes once, so the per-peer batcher and the endpoint's
+// SendAll group the traffic of all of them. It is bounded by what was
+// queued, and closes early at a local call (consume) or a due tick, which it
+// returns flushed for the loop to serve before the next input.
 func (n *Node) window(ev rtEvent, tick <-chan time.Time) (at time.Time, due bool) {
 	defer n.flush()
 	for left := len(n.mailbox); n.consume(ev) && left > 0; left-- {
@@ -403,22 +403,16 @@ func (n *Node) effects() []transport.Envelope {
 	return n.mach.TakeEffects()
 }
 
-// send is the one way out: it transmits effects in the order given, staging
-// a multi-message burst so the TCP endpoint ships it as one batch frame per
-// peer. Send errors are deliberately ignored: every protocol layer above
-// tolerates message loss, and nothing is parked for a slow peer — overload is
-// shed at the receiver's mailbox (handleMessage).
+// send is the one way out: it hands effects to the endpoint in one SendAll,
+// in the order given, so the TCP endpoint ships a burst as one batch frame
+// per peer. Every protocol layer above tolerates message loss, and nothing
+// is parked for a slow peer — overload is shed at the receiver's mailbox
+// (handleMessage).
 func (n *Node) send(outs []transport.Envelope) {
 	if len(outs) == 0 || n.ep == nil {
 		return
 	}
-	if st, ok := n.ep.(transport.Stager); ok && len(outs) > 1 {
-		st.BeginStage()
-		defer st.FlushStage()
-	}
-	for _, o := range outs {
-		_ = n.ep.Send(o.To, o.Msg)
-	}
+	n.ep.SendAll(outs)
 }
 
 // Close detaches the node from its endpoint and, when started, stops the

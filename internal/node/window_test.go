@@ -12,18 +12,20 @@ import (
 )
 
 // sendLog records, in order, the kind of every message a node hands its
-// TCP endpoint (the embedded endpoint still sends it, and stages bursts).
+// TCP endpoint (the embedded endpoint still sends it, batching bursts).
 type sendLog struct {
 	*transport.TCPEndpoint
 	mu    sync.Mutex
 	kinds []wire.Kind
 }
 
-func (l *sendLog) Send(to ids.NodeID, msg wire.Message) error {
+func (l *sendLog) SendAll(outs []transport.Envelope) {
 	l.mu.Lock()
-	l.kinds = append(l.kinds, msg.Kind())
+	for _, o := range outs {
+		l.kinds = append(l.kinds, o.Msg.Kind())
+	}
 	l.mu.Unlock()
-	return l.TCPEndpoint.Send(to, msg)
+	l.TCPEndpoint.SendAll(outs)
 }
 
 func (l *sendLog) sent() []wire.Kind {

@@ -251,24 +251,30 @@ func TestGenerateSkipsPeersThatNeverHeldAStub(t *testing.T) {
 	}
 }
 
+// newStubSetTable returns a table holding perPeer scions for peer Q00 and
+// for each of others more peers, and the objects Q00's complete set lists.
+func newStubSetTable(others, perPeer int) (*Table, []ids.ObjID) {
+	tb := NewTable("P0")
+	objs := make([]ids.ObjID, perPeer)
+	for i := range objs {
+		objs[i] = ids.ObjID(i)
+	}
+	for p := 0; p <= others; p++ {
+		src := ids.NodeID(fmt.Sprintf("Q%02d", p))
+		for _, o := range objs {
+			tb.EnsureScion(src, o)
+		}
+	}
+	return tb, objs
+}
+
 // BenchmarkApplyStubSet applies one peer's complete set of 1,000 listed
 // scions beside 0 or 63 other peers holding 1,000 scions each. Only the
 // sender's record is read, so the cost is flat in the other peers' scions.
 func BenchmarkApplyStubSet(b *testing.B) {
-	const perPeer = 1000
 	for _, others := range []int{0, 63} {
 		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
-			tb := NewTable("P0")
-			objs := make([]ids.ObjID, perPeer)
-			for i := range objs {
-				objs[i] = ids.ObjID(i)
-			}
-			for p := 0; p <= others; p++ {
-				src := ids.NodeID(fmt.Sprintf("Q%02d", p))
-				for _, o := range objs {
-					tb.EnsureScion(src, o)
-				}
-			}
+			tb, objs := newStubSetTable(others, 1000)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -144,9 +144,7 @@ func (n *Network) Step() bool {
 	// handler produced them — the same queue evolution as the historical
 	// re-entrant-Send contract, so schedules (and the fault-RNG stream)
 	// are unchanged.
-	for _, o := range h(env.from, env.msg) {
-		_ = n.send(env.to, o.To, o.Msg)
-	}
+	ep.SendAll(h(env.from, env.msg))
 	return true
 }
 
@@ -253,9 +251,18 @@ var _ Endpoint = (*InprocEndpoint)(nil)
 // Self implements Endpoint.
 func (e *InprocEndpoint) Self() ids.NodeID { return e.self }
 
-// Send implements Endpoint: the message goes straight to the shared queue.
+// Send puts one message straight on the shared queue.
 func (e *InprocEndpoint) Send(to ids.NodeID, msg wire.Message) error {
 	return e.net.send(e.self, to, msg)
+}
+
+// SendAll implements Endpoint: the messages go to the shared queue one by
+// one, in the order given, so the queue evolves exactly as the caller
+// produced them.
+func (e *InprocEndpoint) SendAll(outs []Envelope) {
+	for _, o := range outs {
+		_ = e.net.send(e.self, o.To, o.Msg)
+	}
 }
 
 // SetHandler implements Endpoint.

@@ -21,7 +21,7 @@ import (
 // protocol messages stay small.
 const maxFrame = 16 << 20
 
-// batchChunk bounds the encoded size of one staged batch: a GC round's
+// batchChunk bounds the encoded size of one batch frame: a burst of
 // traffic to one peer is split into frames of roughly this size, keeping
 // per-frame memory and receiver latency bounded while still amortizing the
 // syscall and framing cost over many messages.
@@ -40,7 +40,7 @@ const (
 
 // peerConn is an established outbound connection with its buffered writer.
 // The bufio layer coalesces the 4-byte header, envelope and body writes of a
-// frame (and, in staged mode, whole frame runs) into single syscalls.
+// frame (and, for a burst, whole frame runs) into single syscalls.
 type peerConn struct {
 	c  net.Conn
 	bw *bufio.Writer
@@ -64,10 +64,9 @@ var framePool = sync.Pool{
 // dials peers on demand. Frames are 4-byte big-endian length prefixed wire
 // envelopes: sender name followed by the encoded message.
 //
-// TCPEndpoint implements Stager: between BeginStage and FlushStage, sends
-// are collected per destination and shipped as one wire.Batch frame per
-// peer (chunked at batchChunk), so a GC round costs one syscall per peer
-// instead of one per CDM.
+// SendAll ships a burst as one wire.Batch frame per peer (chunked at
+// batchChunk), so a flush of effects costs one syscall per peer instead of
+// one per message.
 type TCPEndpoint struct {
 	self ids.NodeID
 
@@ -82,10 +81,6 @@ type TCPEndpoint struct {
 
 	writeMu sync.Mutex // serializes frame writes per endpoint
 
-	stageMu    sync.Mutex
-	stageDepth int
-	staged     map[ids.NodeID][]wire.Message
-
 	// met is the endpoint's transport instrument block. Initialized to a
 	// private registry so hot paths never nil-check; SetMetrics rebinds it to
 	// a scraped registry. Atomic because send and read paths race with it.
@@ -94,10 +89,7 @@ type TCPEndpoint struct {
 	wg sync.WaitGroup
 }
 
-var (
-	_ Endpoint = (*TCPEndpoint)(nil)
-	_ Stager   = (*TCPEndpoint)(nil)
-)
+var _ Endpoint = (*TCPEndpoint)(nil)
 
 // ListenTCP starts an endpoint for node self on addr ("host:port", use port
 // 0 for ephemeral). peers maps the other nodes' names to their dial
@@ -113,7 +105,6 @@ func ListenTCP(self ids.NodeID, addr string, peers map[ids.NodeID]string) (*TCPE
 		conns:    make(map[ids.NodeID]*peerConn),
 		dialing:  make(map[ids.NodeID]*dialState),
 		accepted: make(map[net.Conn]struct{}),
-		staged:   make(map[ids.NodeID][]wire.Message),
 		ln:       ln,
 	}
 	e.met.Store(obs.NewTransportMetrics(obs.NewRegistry()))
@@ -155,25 +146,13 @@ func (e *TCPEndpoint) SetHandler(h Handler) {
 	e.h = h
 }
 
-// Send implements Endpoint. In staged mode the message is queued for the
-// destination and shipped at FlushStage. Otherwise a failed write tears down
-// the cached connection and retries once with a fresh dial; a second failure
-// is returned (and may be treated as message loss by callers).
+// Send writes one message as one frame. A failed write tears down the
+// cached connection and retries once with a fresh dial; a second failure is
+// returned (and may be treated as message loss by callers).
 func (e *TCPEndpoint) Send(to ids.NodeID, msg wire.Message) error {
 	if msg == nil {
 		return errors.New("transport: nil message")
 	}
-	e.stageMu.Lock()
-	if e.stageDepth > 0 {
-		e.staged[to] = append(e.staged[to], msg)
-		e.stageMu.Unlock()
-		return nil
-	}
-	e.stageMu.Unlock()
-	return e.sendNow(to, msg)
-}
-
-func (e *TCPEndpoint) sendNow(to ids.NodeID, msg wire.Message) error {
 	met := e.met.Load()
 	bp := framePool.Get().(*[]byte)
 	frame, err := e.buildFrame((*bp)[:0], msg)
@@ -238,60 +217,45 @@ func (e *TCPEndpoint) writeFrame(to ids.NodeID, frame []byte) error {
 	return pc.bw.Flush()
 }
 
-// BeginStage implements Stager: subsequent sends are collected instead of
-// written. Nestable; only the matching outermost FlushStage ships.
-func (e *TCPEndpoint) BeginStage() {
-	e.stageMu.Lock()
-	e.stageDepth++
-	e.stageMu.Unlock()
-}
-
-// FlushStage implements Stager: ships everything staged since BeginStage,
-// one batch frame per destination (chunked at batchChunk), destinations in
-// sorted order. Write failures follow Send semantics: one redial retry, then
-// the traffic to that peer is dropped (the protocol stack tolerates loss).
-func (e *TCPEndpoint) FlushStage() {
-	e.stageMu.Lock()
-	if e.stageDepth == 0 {
-		e.stageMu.Unlock()
-		panic("transport: FlushStage without BeginStage")
-	}
-	e.stageDepth--
-	if e.stageDepth > 0 {
-		e.stageMu.Unlock()
+// SendAll implements Endpoint: the messages are grouped by destination,
+// each peer's in the order given, and each peer's group ships as batch
+// frames of bounded size, destinations in sorted order. A lone message
+// skips the batch wrapper. Write failures follow Send: one redial retry,
+// then that frame is dropped (the protocol stack tolerates loss, and dial
+// backoff curbs retries).
+func (e *TCPEndpoint) SendAll(outs []Envelope) {
+	switch len(outs) {
+	case 0:
+		return
+	case 1:
+		_ = e.Send(outs[0].To, outs[0].Msg)
 		return
 	}
-	staged := e.staged
-	e.staged = make(map[ids.NodeID][]wire.Message)
-	e.stageMu.Unlock()
-
-	dests := make([]ids.NodeID, 0, len(staged))
-	for to := range staged {
+	byPeer := make(map[ids.NodeID][]wire.Message)
+	for _, o := range outs {
+		if o.Msg != nil {
+			byPeer[o.To] = append(byPeer[o.To], o.Msg)
+		}
+	}
+	dests := make([]ids.NodeID, 0, len(byPeer))
+	for to := range byPeer {
 		dests = append(dests, to)
 	}
 	ids.SortNodeIDs(dests)
 	for _, to := range dests {
-		e.sendStaged(to, staged[to])
-	}
-}
-
-// sendStaged ships one peer's staged messages as batch frames of bounded
-// size. A single message skips the batch wrapper entirely.
-func (e *TCPEndpoint) sendStaged(to ids.NodeID, msgs []wire.Message) {
-	for len(msgs) > 0 {
-		n, size := 1, wire.EncodedSize(msgs[0])
-		for n < len(msgs) && size < batchChunk {
-			size += wire.EncodedSize(msgs[n])
-			n++
+		for msgs := byPeer[to]; len(msgs) > 0; {
+			n, size := 1, wire.EncodedSize(msgs[0])
+			for n < len(msgs) && size < batchChunk {
+				size += wire.EncodedSize(msgs[n])
+				n++
+			}
+			if n == 1 {
+				_ = e.Send(to, msgs[0])
+			} else {
+				_ = e.Send(to, &wire.Batch{Msgs: msgs[:n]})
+			}
+			msgs = msgs[n:]
 		}
-		var err error
-		if n == 1 {
-			err = e.sendNow(to, msgs[0])
-		} else {
-			err = e.sendNow(to, &wire.Batch{Msgs: msgs[:n]})
-		}
-		_ = err // best-effort: loss is tolerated, backoff curbs retries
-		msgs = msgs[n:]
 	}
 }
 
@@ -443,35 +407,19 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		}
 		// Batches are a framing construct: unpack and deliver individually,
 		// preserving order. Nested batches are rejected by the decoder.
-		// The handler's response sends are staged across the whole batch so
-		// one inbound batch costs at most one outbound batch per peer.
+		// The handler's responses to the whole batch go out in one SendAll,
+		// so one inbound batch costs at most one outbound batch per peer.
+		var outs []Envelope
 		if b, ok := msg.(*wire.Batch); ok {
 			met.MsgsReceived.Add(uint64(len(b.Msgs)))
-			e.BeginStage()
 			for _, sub := range b.Msgs {
-				e.transmit(h(ids.NodeID(from), sub))
+				outs = append(outs, h(ids.NodeID(from), sub)...)
 			}
-			e.FlushStage()
-			continue
+		} else {
+			met.MsgsReceived.Inc()
+			outs = h(ids.NodeID(from), msg)
 		}
-		met.MsgsReceived.Inc()
-		e.transmit(h(ids.NodeID(from), msg))
-	}
-}
-
-// transmit performs a handler's effect sends. Multi-message effect lists
-// are staged so a burst of responses ships as one batch frame per peer.
-func (e *TCPEndpoint) transmit(outs []Envelope) {
-	if len(outs) == 0 {
-		return
-	}
-	if len(outs) > 1 {
-		e.BeginStage()
-		defer e.FlushStage()
-	}
-	for _, o := range outs {
-		// Best-effort, like every send: the protocol tolerates loss.
-		_ = e.Send(o.To, o.Msg)
+		e.SendAll(outs)
 	}
 }
 

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -212,14 +214,26 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	}
 }
 
+// TestTCPConcurrentSenders: single sends and SendAll bursts from several
+// goroutines share one connection; every message arrives.
 func TestTCPConcurrentSenders(t *testing.T) {
 	a, _, _, cb := newTCPPair(t)
 	var wg sync.WaitGroup
-	const per, workers = 50, 4
+	const per, workers, burst = 50, 4, 10
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if w%2 == 1 {
+				for i := 0; i < per; i += burst {
+					outs := make([]Envelope, burst)
+					for j := range outs {
+						outs[j] = Envelope{To: "B", Msg: ping(uint64(i + j))}
+					}
+					a.SendAll(outs)
+				}
+				return
+			}
 			for i := 0; i < per; i++ {
 				if err := a.Send("B", ping(uint64(i))); err != nil {
 					t.Error(err)
@@ -232,91 +246,79 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	cb.waitFor(t, per*workers, 5*time.Second)
 }
 
-func TestTCPStagedBatchDelivery(t *testing.T) {
-	a, _, _, cb := newTCPPair(t)
-	a.BeginStage()
+// TestTCPSendAllBatchDelivery: a burst to one peer arrives as one frame,
+// in the order given.
+func TestTCPSendAllBatchDelivery(t *testing.T) {
+	a, b, _, cb := newTCPPair(t)
+	b.SetMetrics(obs.NewTransportMetrics(obs.NewRegistry()))
 	const n = 20
-	for i := 0; i < n; i++ {
-		if err := a.Send("B", ping(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
+	outs := make([]Envelope, n)
+	for i := range outs {
+		outs[i] = Envelope{To: "B", Msg: ping(uint64(i))}
 	}
-	// Nothing may hit the wire while staged.
-	time.Sleep(20 * time.Millisecond)
-	cb.mu.Lock()
-	early := len(cb.msgs)
-	cb.mu.Unlock()
-	if early != 0 {
-		t.Fatalf("%d messages delivered before FlushStage", early)
-	}
-	a.FlushStage()
+	a.SendAll(outs)
 	msgs := cb.waitFor(t, n, 5*time.Second)
 	for i, m := range msgs {
 		if pingSeq(m) != uint64(i) {
 			t.Fatalf("out of order at %d: %v", i, m)
 		}
 	}
+	if f := b.met.Load().FramesReceived.Value(); f != 1 {
+		t.Fatalf("%d frames for one burst, want 1", f)
+	}
 }
 
-func TestTCPStagedNesting(t *testing.T) {
-	a, _, _, cb := newTCPPair(t)
-	a.BeginStage()
-	a.BeginStage()
-	if err := a.Send("B", ping(1)); err != nil {
-		t.Fatal(err)
-	}
-	a.FlushStage() // inner: must NOT ship yet
-	time.Sleep(20 * time.Millisecond)
-	cb.mu.Lock()
-	early := len(cb.msgs)
-	cb.mu.Unlock()
-	if early != 0 {
-		t.Fatal("inner FlushStage shipped messages")
-	}
-	a.FlushStage() // outer: ships
-	cb.waitFor(t, 1, 2*time.Second)
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unbalanced FlushStage did not panic")
-		}
-	}()
-	a.FlushStage()
-}
-
-func TestTCPStagedMixedPeers(t *testing.T) {
-	// Three endpoints; A stages traffic to both B and C and flushes in order.
-	a, b, _, cb := newTCPPair(t)
-	_ = b
-	c, err := ListenTCP("C", "127.0.0.1:0", nil)
+// TestTCPSendAllMixedPeers: a burst to two peers ships one frame per peer,
+// peers in sorted order, each peer's messages in the order given. Both
+// peers are one raw listener, so its accept queue shows the order in which
+// A dialled them: A dials C only once B's frame is written.
+func TestTCPSendAllMixedPeers(t *testing.T) {
+	a, err := ListenTCP("A", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	a.AddPeer("C", c.Addr())
-	cc := newCollector()
-	c.SetHandler(cc.handler)
+	defer a.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a.AddPeer("B", ln.Addr().String())
+	a.AddPeer("C", ln.Addr().String())
 
-	a.BeginStage()
-	for i := 0; i < 5; i++ {
-		if err := a.Send("B", ping(uint64(i))); err != nil {
+	var outs []Envelope
+	for i := uint64(0); i < 5; i++ {
+		outs = append(outs, Envelope{To: "C", Msg: ping(100 + i)}, Envelope{To: "B", Msg: ping(i)})
+	}
+	a.SendAll(outs)
+	for _, base := range []uint64{0, 100} { // B's frame, then C's
+		conn, err := ln.Accept()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Send("C", ping(uint64(100+i))); err != nil {
+		defer conn.Close()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		hdr := make([]byte, 4)
+		if _, err := io.ReadFull(conn, hdr); err != nil {
 			t.Fatal(err)
 		}
-	}
-	a.FlushStage() // ships to both peers, sorted destination order
-	got := cb.waitFor(t, 5, 5*time.Second)
-	for i, m := range got {
-		if pingSeq(m) != uint64(i) {
-			t.Fatalf("B out of order at %d", i)
+		payload := make([]byte, binary.BigEndian.Uint32(hdr))
+		if _, err := io.ReadFull(conn, payload); err != nil {
+			t.Fatal(err)
 		}
-	}
-	gotC := cc.waitFor(t, 5, 5*time.Second)
-	for i, m := range gotC {
-		if pingSeq(m) != uint64(100+i) {
-			t.Fatalf("C out of order at %d", i)
+		_, rest, _ := readLenString(payload)
+		msg, err := wire.Decode(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, ok := msg.(*wire.Batch)
+		if !ok || len(batch.Msgs) != 5 {
+			t.Fatalf("connection %d: got %v, want one batch of 5", base, msg)
+		}
+		for i, m := range batch.Msgs {
+			if pingSeq(m) != base+uint64(i) {
+				t.Fatalf("connection %d out of order at %d: %v", base, i, m)
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package wire
 
 // Batch bundles several messages into one wire frame. The TCP transport's
-// staging mode collects every message a GC phase produces for one peer and
-// ships them as a single Batch — one length-prefixed frame, one syscall —
+// SendAll groups a burst of effects by peer and ships each peer's messages
+// as a single Batch — one length-prefixed frame, one syscall —
 // instead of one frame per CDM. Batches are a pure framing construct: the
 // receiver unpacks and delivers the sub-messages individually, so the
 // protocol layers never see them.
