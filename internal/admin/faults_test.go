@@ -54,7 +54,7 @@ func (m *memEndpoint) inject(from ids.NodeID, msg wire.Message) []transport.Enve
 	return h(from, msg)
 }
 
-var testMsg wire.Message = &wire.CreateScionAck{}
+var testMsg wire.Message = &wire.CreateScionAck{From: "A", Acks: []wire.ExportAck{{ExportID: 1}}}
 
 // send1 sends testMsg to each peer, one SendAll per message.
 func send1(fe *FaultEndpoint, peers ...ids.NodeID) {

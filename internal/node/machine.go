@@ -120,6 +120,11 @@ type Machine struct {
 	// out accumulates the outbound-message effects of the inputs since the
 	// last TakeEffects.
 	out []transport.Envelope
+
+	// acks holds, per exporter, the CreateScionAck already in out: the
+	// CreateScions handled since the last TakeEffects answer in one message
+	// (ackExport). TakeEffects empties it.
+	acks map[ids.NodeID]*wire.CreateScionAck
 }
 
 // detAcc is one detection's accumulated state at this node.
@@ -247,7 +252,7 @@ type pendingCall struct {
 }
 
 type pendingExport struct {
-	waiting  int // outstanding CreateScion acks
+	waiting  []ids.NodeID // owners yet to acknowledge, one CreateScion each
 	failed   bool
 	errMsg   string
 	ready    func(ok bool, errMsg string) // continuation inside the machine
@@ -269,6 +274,7 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		cdmAborted:     make(map[core.DetectionID]struct{}),
 		inflight:       make(map[core.DetectionID]detInflight),
 		batch:          newCDMBatcher(),
+		acks:           make(map[ids.NodeID]*wire.CreateScionAck),
 	}
 	m.met = obs.NewNodeMetrics(cfg.Metrics.Node(string(id)))
 	m.lgc = lgc.New(m.heap, m.table)
@@ -395,6 +401,7 @@ func (m *Machine) TakeEffects() []transport.Envelope {
 	// Every detection still tracked was first seen since the last flush, and
 	// none outlives it (trackDetection).
 	clear(m.inflight)
+	clear(m.acks)
 	out := m.out
 	m.out = nil
 	return out

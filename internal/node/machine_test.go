@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -59,13 +60,13 @@ func TestMachineHandleMessageEffects(t *testing.T) {
 	m.With(func(mut Mutator) { obj = mut.Alloc(nil) })
 	m.TakeEffects()
 
-	m.HandleMessage("A", &wire.CreateScion{ExportID: 7, From: "A", Holder: "A", Obj: obj})
+	m.HandleMessage("A", &wire.CreateScion{ExportID: 7, From: "A", Holder: "A", Objs: []ids.ObjID{obj}})
 	outs := m.TakeEffects()
 	if len(outs) != 1 || outs[0].To != "A" {
 		t.Fatalf("effects = %v, want one ack to A", outs)
 	}
 	ack, ok := outs[0].Msg.(*wire.CreateScionAck)
-	if !ok || !ack.OK || ack.ExportID != 7 {
+	if !ok || !reflect.DeepEqual(ack.Acks, []wire.ExportAck{{ExportID: 7}}) {
 		t.Fatalf("ack = %+v", outs[0].Msg)
 	}
 	if m.NumScions() != 1 {
@@ -77,6 +78,111 @@ func TestMachineHandleMessageEffects(t *testing.T) {
 	m.HandleMessage("A", &wire.Credit{Consumed: 3})
 	if outs := m.TakeEffects(); len(outs) != 0 || m.NumScions() != 1 {
 		t.Fatalf("a Credit produced %d effects and left %d scions", len(outs), m.NumScions())
+	}
+}
+
+// TestOwnerAcksOncePerExporterPerFlush: an owner answers every CreateScion it
+// handled for one exporter since the last flush in one CreateScionAck, in
+// handling order. A request repeated within the window keeps its first
+// entry, so the ack still decodes: a repeated export id would reject the
+// whole TCP frame it travels in.
+func TestOwnerAcksOncePerExporterPerFlush(t *testing.T) {
+	m := NewMachine("C", Config{})
+	var x, y ids.ObjID
+	m.With(func(mut Mutator) { x, y = mut.Alloc(nil), mut.Alloc(nil) })
+	m.TakeEffects()
+	for _, req := range []*wire.CreateScion{
+		{ExportID: 3, From: "A", Holder: "A", Objs: []ids.ObjID{x}},
+		{ExportID: 8, From: "D", Holder: "D", Objs: []ids.ObjID{y}},
+		{ExportID: 4, From: "A", Holder: "B", Objs: []ids.ObjID{x, y, x}},
+		{ExportID: 3, From: "A", Holder: "A", Objs: []ids.ObjID{x}},
+		{ExportID: 5, From: "A", Holder: "A", Objs: []ids.ObjID{99}},
+	} {
+		m.HandleMessage(req.From, req)
+	}
+	outs := m.TakeEffects()
+	want := []transport.Envelope{
+		{To: "A", Msg: &wire.CreateScionAck{From: "C", Acks: []wire.ExportAck{
+			{ExportID: 3}, {ExportID: 4}, {ExportID: 5, Err: "no such object"},
+		}}},
+		{To: "D", Msg: &wire.CreateScionAck{From: "C", Acks: []wire.ExportAck{{ExportID: 8}}}},
+	}
+	if !reflect.DeepEqual(outs, want) {
+		t.Fatalf("effects = %v, want %v", outs, want)
+	}
+	for _, o := range outs {
+		if _, err := wire.Decode(wire.Encode(o.Msg)); err != nil {
+			t.Errorf("ack to %s: %v", o.To, err)
+		}
+	}
+	// Export 4 copied A's reference to x twice (and to y, which A does not
+	// hold): the scion counts both copies.
+	if sc := m.table.Scion("A", x); sc == nil || sc.IC != 2 {
+		t.Errorf("scion A -> x = %+v, want IC 2", sc)
+	}
+
+	// The next flush starts a new ack.
+	m.HandleMessage("A", &wire.CreateScion{ExportID: 6, From: "A", Holder: "A", Objs: []ids.ObjID{y}})
+	want = []transport.Envelope{{To: "A", Msg: &wire.CreateScionAck{From: "C", Acks: []wire.ExportAck{{ExportID: 6}}}}}
+	if outs := m.TakeEffects(); !reflect.DeepEqual(outs, want) {
+		t.Fatalf("next flush = %v, want %v", outs, want)
+	}
+}
+
+// TestDuplicatedAckDoesNotCompleteTwoOwnerExport: an invocation exporting
+// references owned by C and D leaves only once both owners have answered.
+// A duplicated ack from C must not stand in for D's, or the callee would get
+// a stub to D's object before its scion exists (PROPERTIES.md A1).
+func TestDuplicatedAckDoesNotCompleteTwoOwnerExport(t *testing.T) {
+	m := NewMachine("A", Config{})
+	var holder ids.ObjID
+	m.With(func(mut Mutator) {
+		holder = mut.Alloc(nil)
+		if err := mut.Root(holder); err != nil {
+			t.Fatal(err)
+		}
+	})
+	b := ids.GlobalRef{Node: "B", Obj: 1}
+	c := ids.GlobalRef{Node: "C", Obj: 1}
+	d := ids.GlobalRef{Node: "D", Obj: 1}
+	for _, r := range []ids.GlobalRef{b, c, d} {
+		if err := m.HoldRemote(holder, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.TakeEffects()
+	if err := m.Invoke(b, "store", []ids.GlobalRef{c, d}, nil); err != nil {
+		t.Fatal(err)
+	}
+	exports := make(map[ids.NodeID]uint64)
+	for _, o := range m.TakeEffects() {
+		if cs, ok := o.Msg.(*wire.CreateScion); ok {
+			exports[o.To] = cs.ExportID
+		}
+	}
+	if len(exports) != 2 {
+		t.Fatalf("CreateScions went to %v, want C and D", exports)
+	}
+	invoked := func() bool {
+		for _, o := range m.TakeEffects() {
+			if _, ok := o.Msg.(*wire.InvokeRequest); ok && o.To == "B" {
+				return true
+			}
+		}
+		return false
+	}
+	ackFrom := func(owner ids.NodeID) *wire.CreateScionAck {
+		return &wire.CreateScionAck{From: owner, Acks: []wire.ExportAck{{ExportID: exports[owner]}}}
+	}
+	for i := 0; i < 2; i++ {
+		m.HandleMessage("C", ackFrom("C"))
+		if invoked() {
+			t.Fatal("InvokeRequest to B sent before D acknowledged its scion")
+		}
+	}
+	m.HandleMessage("D", ackFrom("D"))
+	if !invoked() {
+		t.Fatal("no InvokeRequest to B once C and D acknowledged")
 	}
 }
 

@@ -49,7 +49,7 @@ func TestMachineMembershipDeadPeerReclaimsScions(t *testing.T) {
 	}
 
 	// Traffic from B: scion created, directory flips B to alive, lease starts.
-	m.HandleMessage("B", &wire.CreateScion{ExportID: 1, From: "B", Holder: "B", Obj: obj})
+	m.HandleMessage("B", &wire.CreateScion{ExportID: 1, From: "B", Holder: "B", Objs: []ids.ObjID{obj}})
 	m.TakeEffects()
 	if got := m.MemberState("B"); got != membership.Alive {
 		t.Fatalf("after traffic, B = %s, want alive", got)
@@ -137,7 +137,7 @@ func TestMachineDrainHandsOffAndRetires(t *testing.T) {
 	// B owns an object; A holds a reference to it (stub at A, scion at B).
 	var target ids.ObjID
 	b.With(func(mut Mutator) { target = mut.Alloc(nil) })
-	b.HandleMessage("A", &wire.CreateScion{ExportID: 1, From: "A", Holder: "A", Obj: target})
+	b.HandleMessage("A", &wire.CreateScion{ExportID: 1, From: "A", Holder: "A", Objs: []ids.ObjID{target}})
 	b.TakeEffects()
 	var holder ids.ObjID
 	a.With(func(mut Mutator) {

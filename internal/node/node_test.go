@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dgc/internal/ids"
+	"dgc/internal/refs"
 	"dgc/internal/transport"
 	"dgc/internal/wire"
 )
@@ -274,13 +275,14 @@ func TestStoreExportCreatesScionAndStub(t *testing.T) {
 }
 
 func TestThirdPartyExportViaCreateScion(t *testing.T) {
-	// A holds a ref to C's object and exports it to B: CreateScion flows
+	// A holds refs to C's objects and exports them to B: CreateScion flows
 	// A -> C, then the invoke A -> B.
 	tn := newTestNet(t, Config{}, "A", "B", "C")
 	a, b, c := tn.n("A"), tn.n("B"), tn.n("C")
 	holderA := allocRooted(t, a)
-	objC := alloc(c)
+	objC, objC2 := alloc(c), alloc(c)
 	tn.grant("A", holderA, "C", objC)
+	tn.grant("A", holderA, "C", objC2)
 	targetB := alloc(b)
 	b.With(func(m Mutator) {
 		if err := m.Root(targetB); err != nil {
@@ -289,21 +291,25 @@ func TestThirdPartyExportViaCreateScion(t *testing.T) {
 	})
 	tn.grant("A", holderA, "B", targetB)
 
-	cRef := ids.GlobalRef{Node: "C", Obj: objC}
-	done := false
-	if err := a.Invoke(ids.GlobalRef{Node: "B", Obj: targetB}, "store",
-		[]ids.GlobalRef{cRef}, func(_ Mutator, r Reply) {
-			done = true
-			if !r.OK {
-				t.Errorf("reply: %s", r.Err)
-			}
-		}); err != nil {
-		t.Fatal(err)
+	cRef, cRef2 := ids.GlobalRef{Node: "C", Obj: objC}, ids.GlobalRef{Node: "C", Obj: objC2}
+	invoke := func(args ...ids.GlobalRef) {
+		t.Helper()
+		done := false
+		if err := a.Invoke(ids.GlobalRef{Node: "B", Obj: targetB}, "store",
+			args, func(_ Mutator, r Reply) {
+				done = true
+				if !r.OK {
+					t.Errorf("reply: %s", r.Err)
+				}
+			}); err != nil {
+			t.Fatal(err)
+		}
+		tn.settle()
+		if !done {
+			t.Fatal("no reply")
+		}
 	}
-	tn.settle()
-	if !done {
-		t.Fatal("no reply")
-	}
+	invoke(cRef)
 	c.With(func(m Mutator) {
 		if m.n.table.Scion("B", objC) == nil {
 			t.Error("scion (B -> objC) missing at C")
@@ -314,12 +320,43 @@ func TestThirdPartyExportViaCreateScion(t *testing.T) {
 			t.Error("stub for objC missing at B")
 		}
 	})
-	// The copy bumped the (A -> objC) pair on both ends equally.
-	var stubIC, scionIC uint64
+
+	// Two references owned by C, one of them twice, cost one CreateScion:
+	// it lists all three arguments.
+	sent, _, _ := tn.net.Counts()
+	before := sent[wire.KindCreateScion]
+	invoke(cRef, cRef2, cRef)
+	if sent, _, _ = tn.net.Counts(); sent[wire.KindCreateScion] != before+1 {
+		t.Errorf("CreateScions for one export to C = %d, want 1", sent[wire.KindCreateScion]-before)
+	}
+
+	// Every copy bumped its pair on both ends equally: the owner bumps its
+	// scion once per listed entry, as the exporter bumped its stub once per
+	// argument.
+	for _, holder := range []*Node{a, b} {
+		var stubs []refs.Stub
+		holder.With(func(m Mutator) {
+			for _, st := range m.n.table.Stubs() {
+				stubs = append(stubs, *st)
+			}
+		})
+		for _, st := range stubs {
+			var scionIC uint64
+			var ok bool
+			tn.n(st.Target.Node).With(func(m Mutator) {
+				if sc := m.n.table.Scion(holder.ID(), st.Target.Obj); sc != nil {
+					scionIC, ok = sc.IC, true
+				}
+			})
+			if !ok || st.IC != scionIC {
+				t.Errorf("%s -> %v: stub IC %d, scion IC %d (exists %v)", holder.ID(), st.Target, st.IC, scionIC, ok)
+			}
+		}
+	}
+	var stubIC uint64
 	a.With(func(m Mutator) { stubIC = m.n.table.Stub(cRef).IC })
-	c.With(func(m Mutator) { scionIC = m.n.table.Scion("A", objC).IC })
-	if stubIC == 0 || stubIC != scionIC {
-		t.Errorf("copy counters diverge: stub=%d scion=%d", stubIC, scionIC)
+	if stubIC != 3 {
+		t.Errorf("A's stub to objC counted %d copies, want 3", stubIC)
 	}
 }
 

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"slices"
+
 	"dgc/internal/ids"
 	"dgc/internal/trace"
 	"dgc/internal/wire"
@@ -12,10 +14,11 @@ import (
 // scion-before-stub: before a reference is handed to a new holder, its
 // owner's scion for that holder exists. Exports of self-owned references
 // create the scion locally; third-party exports run the CreateScion/Ack
-// sub-protocol with the owner and delay the invocation until every ack has
-// arrived. While exports are in flight the references are pinned so the
-// local collector cannot drop the exporter's stubs (the paper's remoting
-// instrumentation gets this for free from the thread stack).
+// sub-protocol with each owner (one CreateScion per owner, listing its
+// objects) and delay the invocation until every owner has answered. While
+// exports are in flight the references are pinned so the local collector
+// cannot drop the exporter's stubs (the paper's remoting instrumentation
+// gets this for free from the thread stack).
 
 // Invoke performs an asynchronous remote invocation of method on target,
 // exporting args to the callee. cb (optional) receives the reply inside
@@ -101,7 +104,8 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 // exportRefs ensures scions exist for every reference in refs on behalf of
 // the new holder, then calls ready inside the machine. Self-owned
 // references get their scions synchronously; third-party references go
-// through CreateScion/Ack.
+// through CreateScion/Ack, one CreateScion per owner listing every argument
+// it owns, repeats included.
 //
 // Copying an existing remote reference counts as mutator activity on it:
 // the exporter bumps its stub-side counter here and the owner bumps the
@@ -112,7 +116,8 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 // remote invocations, and possibly reference copying, along the CDM-Graph",
 // safety rule 3).
 func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func(ok bool, errMsg string)) {
-	var remoteOwners []ids.GlobalRef
+	var owners []ids.NodeID
+	var objs [][]ids.ObjID // objs[i] is what owners[i] is asked for
 	for _, r := range refs {
 		switch r.Node {
 		case m.id:
@@ -135,20 +140,26 @@ func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func
 				m.table.EnsureStub(r)
 				_, _ = m.table.BumpStubIC(r)
 			}
-			remoteOwners = append(remoteOwners, r)
+			i := slices.Index(owners, r.Node)
+			if i < 0 {
+				i = len(owners)
+				owners = append(owners, r.Node)
+				objs = append(objs, nil)
+			}
+			objs[i] = append(objs[i], r.Obj)
 		}
 	}
-	if len(remoteOwners) == 0 {
+	if len(owners) == 0 {
 		ready(true, "")
 		return
 	}
-	exportID := m.beginExport(len(remoteOwners), ready)
-	for _, r := range remoteOwners {
-		m.send(r.Node, &wire.CreateScion{
+	exportID := m.beginExport(owners, ready)
+	for i, owner := range owners {
+		m.send(owner, &wire.CreateScion{
 			ExportID: exportID,
 			From:     m.id,
 			Holder:   holder,
-			Obj:      r.Obj,
+			Objs:     objs[i],
 		})
 	}
 }
@@ -162,13 +173,13 @@ func (m *Machine) callDeadline() uint64 {
 	return m.clock + m.cfg.CallTimeoutTicks
 }
 
-// beginExport registers an export awaiting waiting CreateScion acks and
-// returns its id. It fails through ready(false, ...) when an ack reports
+// beginExport registers an export awaiting the acks of the owners in waiting
+// and returns its id. It fails through ready(false, ...) when an ack reports
 // failure or, like a pending call, when its deadline passes (expireCalls): a
 // lost CreateScion or ack must not pin the exported references forever. An
 // ack arriving after expiry finds no entry and is ignored; the holder never
 // got a stub, so its next stub set deletes any scion the owner created.
-func (m *Machine) beginExport(waiting int, ready func(ok bool, errMsg string)) uint64 {
+func (m *Machine) beginExport(waiting []ids.NodeID, ready func(ok bool, errMsg string)) uint64 {
 	m.nextExportID++
 	m.pendingExports[m.nextExportID] = &pendingExport{waiting: waiting, ready: ready, deadline: m.callDeadline()}
 	return m.nextExportID
@@ -185,7 +196,7 @@ func (m *Machine) AcquireRemote(ref ids.GlobalRef, cb func(mut Mutator, ok bool)
 		return m.errf("AcquireRemote: %v is local", ref)
 	}
 	m.pin(ref)
-	exportID := m.beginExport(1, func(ok bool, _ string) {
+	exportID := m.beginExport([]ids.NodeID{ref.Node}, func(ok bool, _ string) {
 		if ok {
 			m.table.EnsureStub(ref)
 		}
@@ -198,7 +209,7 @@ func (m *Machine) AcquireRemote(ref ids.GlobalRef, cb func(mut Mutator, ok bool)
 		ExportID: exportID,
 		From:     m.id,
 		Holder:   m.id,
-		Obj:      ref.Obj,
+		Objs:     []ids.ObjID{ref.Obj},
 	})
 	return nil
 }
@@ -328,42 +339,76 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 	}
 }
 
-// handleCreateScion serves a scion-creation request.
+// handleCreateScion serves a scion-creation request: a scion for every
+// listed object that exists, then the request's entry in the exporter's ack.
 func (m *Machine) handleCreateScion(msg *wire.CreateScion) {
-	ack := &wire.CreateScionAck{ExportID: msg.ExportID, From: m.id}
-	if !m.heap.Contains(msg.Obj) {
-		ack.Err = "no such object"
-	} else {
-		if _, created := m.table.EnsureScion(msg.Holder, msg.Obj); created {
+	var errMsg string
+	for _, obj := range msg.Objs {
+		if !m.heap.Contains(obj) {
+			errMsg = "no such object"
+			continue
+		}
+		ref := ids.GlobalRef{Node: m.id, Obj: obj}
+		if _, created := m.table.EnsureScion(msg.Holder, obj); created {
 			m.met.ScionsCreated.Inc()
 		}
-		m.selector.Touch(ids.RefID{Src: msg.Holder, Dst: ids.GlobalRef{Node: m.id, Obj: msg.Obj}}, m.clock)
+		m.selector.Touch(ids.RefID{Src: msg.Holder, Dst: ref}, m.clock)
 		// The exporter copied ITS reference to our object: bump the
 		// matching scion counter (it bumped the stub side). A bootstrap
 		// acquisition (Holder == From) is a fresh grant, not a copy.
 		if msg.Holder != msg.From {
-			if _, err := m.table.BumpScionIC(msg.From, msg.Obj); err == nil {
-				m.selector.Touch(ids.RefID{Src: msg.From, Dst: ids.GlobalRef{Node: m.id, Obj: msg.Obj}}, m.clock)
+			if _, err := m.table.BumpScionIC(msg.From, obj); err == nil {
+				m.selector.Touch(ids.RefID{Src: msg.From, Dst: ref}, m.clock)
 			}
 		}
-		ack.OK = true
 	}
-	m.send(msg.From, ack)
+	m.ackExport(msg.From, wire.ExportAck{ExportID: msg.ExportID, Err: errMsg})
 }
 
-// handleCreateScionAck resolves one pending export.
-func (m *Machine) handleCreateScionAck(msg *wire.CreateScionAck) {
-	pe, ok := m.pendingExports[msg.ExportID]
-	if !ok {
+// ackExport answers one CreateScion. The first answer to an exporter since
+// the last flush is sent as a new CreateScionAck; later ones join that
+// message, which is still in the effect list, so every entry leaves after
+// its scions exist and the exporter gets one ack per flush. A CreateScion
+// repeated within the window keeps its first entry: an ack names each
+// export once.
+func (m *Machine) ackExport(exporter ids.NodeID, e wire.ExportAck) {
+	ack := m.acks[exporter]
+	if ack == nil {
+		ack = &wire.CreateScionAck{From: m.id, Acks: []wire.ExportAck{e}}
+		m.acks[exporter] = ack
+		m.send(exporter, ack)
 		return
 	}
-	if !msg.OK {
-		pe.failed = true
-		pe.errMsg = msg.Err
+	for _, a := range ack.Acks {
+		if a.ExportID == e.ExportID {
+			return
+		}
 	}
-	pe.waiting--
-	if pe.waiting <= 0 {
-		delete(m.pendingExports, msg.ExportID)
-		pe.ready(!pe.failed, pe.errMsg)
+	ack.Acks = append(ack.Acks, e)
+}
+
+// handleCreateScionAck resolves each listed export in turn. An export
+// completes once every owner it waits on has answered; an answer from an
+// owner not (or no longer) awaited changes nothing, so a duplicated ack
+// cannot stand in for another owner's.
+func (m *Machine) handleCreateScionAck(msg *wire.CreateScionAck) {
+	for _, a := range msg.Acks {
+		pe, ok := m.pendingExports[a.ExportID]
+		if !ok {
+			continue
+		}
+		i := slices.Index(pe.waiting, msg.From)
+		if i < 0 {
+			continue
+		}
+		pe.waiting = slices.Delete(pe.waiting, i, i+1)
+		if a.Err != "" {
+			pe.failed = true
+			pe.errMsg = a.Err
+		}
+		if len(pe.waiting) == 0 {
+			delete(m.pendingExports, a.ExportID)
+			pe.ready(!pe.failed, pe.errMsg)
+		}
 	}
 }

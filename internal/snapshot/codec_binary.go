@@ -24,6 +24,23 @@ const binaryMagic = "DGCS\x01"
 func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
 	nodeIndex := make(map[ids.NodeID]uint64)
 	var nodeNames []ids.NodeID
+	// A heap's references run long stretches into one node, so the last
+	// name looked up is kept and the map is hashed only when it changes.
+	var lastName ids.NodeID
+	var lastIndex uint64
+	index := func(n ids.NodeID) uint64 {
+		if len(nodeNames) > 0 && n == lastName {
+			return lastIndex
+		}
+		ni, ok := nodeIndex[n]
+		if !ok {
+			ni = uint64(len(nodeNames))
+			nodeIndex[n] = ni
+			nodeNames = append(nodeNames, n)
+		}
+		lastName, lastIndex = n, ni
+		return ni
+	}
 	objBytes := 0
 	h.ForEach(func(o *heap.Object) {
 		objBytes += uvarintLen(uint64(o.ID)) + uvarintLen(uint64(len(o.Locals)))
@@ -32,13 +49,7 @@ func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
 		}
 		objBytes += uvarintLen(uint64(len(o.Remotes)))
 		for _, r := range o.Remotes {
-			ni, ok := nodeIndex[r.Node]
-			if !ok {
-				ni = uint64(len(nodeNames))
-				nodeIndex[r.Node] = ni
-				nodeNames = append(nodeNames, r.Node)
-			}
-			objBytes += uvarintLen(ni) + uvarintLen(uint64(r.Obj))
+			objBytes += uvarintLen(index(r.Node)) + uvarintLen(uint64(r.Obj))
 		}
 		objBytes += uvarintLen(uint64(len(o.Payload))) + len(o.Payload)
 	})
@@ -78,7 +89,7 @@ func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(o.Remotes)))
 		for _, r := range o.Remotes {
-			buf = binary.AppendUvarint(buf, nodeIndex[r.Node])
+			buf = binary.AppendUvarint(buf, index(r.Node))
 			buf = binary.AppendUvarint(buf, uint64(r.Obj))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(o.Payload)))

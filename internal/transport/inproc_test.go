@@ -11,10 +11,10 @@ import (
 // ping is the transport tests' payload: a kind with a production sender,
 // carrying a sequence number that pingSeq reads back.
 func ping(seq uint64) wire.Message {
-	return &wire.CreateScionAck{ExportID: seq, From: "A", OK: true}
+	return &wire.CreateScionAck{From: "A", Acks: []wire.ExportAck{{ExportID: seq}}}
 }
 
-func pingSeq(m wire.Message) uint64 { return m.(*wire.CreateScionAck).ExportID }
+func pingSeq(m wire.Message) uint64 { return m.(*wire.CreateScionAck).Acks[0].ExportID }
 
 func TestInprocDelivery(t *testing.T) {
 	net := NewNetwork(1)

@@ -28,10 +28,11 @@ func disjointSections(n int) []BatchSection {
 
 // TestCodecAllocsPinned is a cost gate that host noise cannot trip: the
 // allocations of building, encoding into a reused buffer and decoding the
-// two detection messages, pinned exactly. An increase is a regression; a
-// decrease must lower the pin in the same change. A decoded batch's bytes
-// are held under a ceiling too: the decoder sizes its one entry array from a
-// bound, and a loose bound shows as bytes, not allocations.
+// two detection messages and an export ack, pinned exactly. An increase is
+// a regression; a decrease must lower the pin in the same change. A decoded
+// batch's bytes are held under a ceiling too: the decoder sizes its one
+// entry array from a bound, and a loose bound shows as bytes, not
+// allocations.
 func TestCodecAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")
@@ -46,8 +47,14 @@ func TestCodecAllocsPinned(t *testing.T) {
 	cdm := NewCDMFromAlg(det, ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}}, alg, 3, core.TraceIDFor(det))
 	secs := disjointSections(32)
 	batch := NewBatchCDM(3, false, secs)
+	// An owner's answer to 31 exports in one flush, as a ring workload's
+	// holder receives it.
+	ack := &CreateScionAck{From: "P1"}
+	for i := 0; i < 31; i++ {
+		ack.Acks = append(ack.Acks, ExportAck{ExportID: uint64(1000 + i)})
+	}
 	buf := make([]byte, 0, 8192)
-	cdmData, batchData := Encode(cdm), Encode(batch)
+	cdmData, batchData, ackData := Encode(cdm), Encode(batch), Encode(ack)
 
 	for _, c := range []struct {
 		name string
@@ -59,6 +66,8 @@ func TestCodecAllocsPinned(t *testing.T) {
 		{"BatchCDM/build", 6, func() { _ = NewBatchCDM(3, false, secs) }},
 		{"BatchCDM/encode", 0, func() { buf = AppendEncode(buf[:0], batch) }},
 		{"BatchCDM/decode", 6, func() { _, _ = Decode(batchData) }},
+		{"CreateScionAck/encode", 0, func() { buf = AppendEncode(buf[:0], ack) }},
+		{"CreateScionAck/decode", 2, func() { _, _ = Decode(ackData) }}, // the message and its entry list
 	} {
 		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
 			t.Errorf("%s: %v allocs, pinned at %v", c.name, got, c.want)

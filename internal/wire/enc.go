@@ -209,6 +209,12 @@ func (r *reader) globalRefs() []ids.GlobalRef {
 
 func (r *reader) objIDs() []ids.ObjID {
 	n := r.count()
+	if n > len(r.data)-r.pos {
+		// Every id takes at least a byte: refuse a count the rest cannot
+		// hold before sizing a slice of 8-byte ids for it.
+		r.fail("implausible object count %d", n)
+		return nil
+	}
 	if n == 0 {
 		return nil
 	}

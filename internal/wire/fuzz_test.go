@@ -22,8 +22,10 @@ func FuzzDecode(f *testing.F) {
 	seeds := []Message{
 		&InvokeRequest{CallID: 3, From: "P1", Target: g1, Method: "store", Args: []ids.GlobalRef{g1}, StubIC: 7},
 		&InvokeReply{CallID: 3, From: "P2", Target: g1, OK: true, Returns: []ids.GlobalRef{g1}},
-		&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Obj: 6},
-		&CreateScionAck{ExportID: 5, From: "P2", OK: true},
+		&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Objs: []ids.ObjID{6}},
+		&CreateScion{ExportID: 6, From: "P1", Holder: "P3", Objs: []ids.ObjID{6, 2, 6}},
+		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}}},
+		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}, {ExportID: 9, Err: "no such object"}, {ExportID: 7}}},
 		&NewSetStubs{Set: refs.StubSetMsg{From: "P1", Seq: 12, Objs: []ids.ObjID{1, 5}}},
 		NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{
 			r1: {InSource: true, SrcIC: 2, InTarget: true, TgtIC: 2},
@@ -35,7 +37,7 @@ func FuzzDecode(f *testing.F) {
 		}), 3, core.TraceIDFor(det)),
 		&Credit{Consumed: 300},
 		&Batch{Msgs: []Message{
-			&CreateScionAck{ExportID: 42, From: "P1", OK: true},
+			&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 42}}},
 			NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{r1: {InSource: true, SrcIC: 2}}), 2, 0),
 		}},
 		&Batch{},
@@ -53,6 +55,16 @@ func FuzzDecode(f *testing.F) {
 	// A frame in the layout of the retired kind 7 (DeleteScion: detection
 	// id, then a RefID), which Decode must reject.
 	f.Add(putRefID(putUint(putNode([]byte{7}, det.Origin), det.Seq), r1))
+	// Export messages Decode must reject: a CreateScion with no objects, and
+	// acks with no entry or with one export named twice.
+	for _, m := range []Message{
+		&CreateScion{ExportID: 5, From: "P1", Holder: "P3"},
+		&CreateScionAck{From: "P2"},
+		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 4}, {ExportID: 4}}},
+		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}, {ExportID: 7}, {ExportID: 5}}},
+	} {
+		f.Add(Encode(m))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)

@@ -99,15 +99,18 @@ func decodeInvokeReply(r *reader) *InvokeReply {
 
 // ---- reference listing ---------------------------------------------------
 
-// CreateScion asks the destination (the owner of Obj) to create a scion
-// recording that Holder now references Obj. Sent by an exporter before it
-// hands the reference to Holder, preserving the scion-before-stub ordering
-// that keeps reference listing safe.
+// CreateScion asks the destination (the owner of Objs) to create the scions
+// recording that Holder now references each listed object. Sent by an
+// exporter before it hands the references to Holder, preserving the
+// scion-before-stub ordering that keeps reference listing safe; one export
+// sends one CreateScion per owner. Objs is never empty and keeps repeats: the
+// exporter bumped its stub counter once per copied argument, so the owner
+// bumps the scion counter once per listed entry.
 type CreateScion struct {
 	ExportID uint64 // exporter-local id for matching the ack
 	From     ids.NodeID
 	Holder   ids.NodeID
-	Obj      ids.ObjID
+	Objs     []ids.ObjID
 }
 
 // Kind implements Message.
@@ -117,43 +120,95 @@ func (m *CreateScion) encode(buf []byte) []byte {
 	buf = putUint(buf, m.ExportID)
 	buf = putNode(buf, m.From)
 	buf = putNode(buf, m.Holder)
-	return putUint(buf, uint64(m.Obj))
+	return putObjIDs(buf, m.Objs)
 }
 
 func decodeCreateScion(r *reader) *CreateScion {
-	return &CreateScion{
+	m := &CreateScion{
 		ExportID: r.uint(),
 		From:     r.node(),
 		Holder:   r.node(),
-		Obj:      ids.ObjID(r.uint()),
+		Objs:     r.objIDs(),
 	}
+	if r.err == nil && len(m.Objs) == 0 {
+		r.fail("CreateScion lists no objects")
+	}
+	return m
 }
 
-// CreateScionAck confirms scion creation to the exporter.
-type CreateScionAck struct {
+// ExportAck answers one CreateScion: Err is empty when every listed scion
+// exists, and names the failure otherwise.
+type ExportAck struct {
 	ExportID uint64
-	From     ids.NodeID
-	OK       bool
 	Err      string
+}
+
+// CreateScionAck confirms scion creation to one exporter: one entry for each
+// of its CreateScions the owner handled since its last flush, in handling
+// order. Acks is never empty and names no export twice.
+type CreateScionAck struct {
+	From ids.NodeID
+	Acks []ExportAck
 }
 
 // Kind implements Message.
 func (*CreateScionAck) Kind() Kind { return KindCreateScionAck }
 
 func (m *CreateScionAck) encode(buf []byte) []byte {
-	buf = putUint(buf, m.ExportID)
 	buf = putNode(buf, m.From)
-	buf = putBool(buf, m.OK)
-	return putString(buf, m.Err)
+	buf = putUint(buf, uint64(len(m.Acks)))
+	for _, a := range m.Acks {
+		buf = putUint(buf, a.ExportID)
+		buf = putString(buf, a.Err)
+	}
+	return buf
 }
 
+// minExportAckBytes is the smallest entry: a one-byte id and an empty error.
+const minExportAckBytes = 2
+
 func decodeCreateScionAck(r *reader) *CreateScionAck {
-	return &CreateScionAck{
-		ExportID: r.uint(),
-		From:     r.node(),
-		OK:       r.bool(),
-		Err:      r.string(),
+	m := &CreateScionAck{From: r.node()}
+	n := r.count()
+	switch {
+	case r.err != nil:
+		return m
+	case n == 0:
+		r.fail("CreateScionAck lists no exports")
+		return m
+	case n > (len(r.data)-r.pos)/minExportAckBytes:
+		r.fail("implausible ack count %d", n)
+		return m
 	}
+	m.Acks = make([]ExportAck, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		m.Acks = append(m.Acks, ExportAck{ExportID: r.uint(), Err: r.string()})
+	}
+	if r.err == nil && repeatsExport(m.Acks) {
+		r.fail("ack repeats an export id")
+	}
+	return m
+}
+
+// repeatsExport reports whether two entries name one export. An owner lists
+// one exporter's ids in handling order, which is ascending on an ordered
+// link, so a sorted list is checked in one pass and only another pays for a
+// set.
+func repeatsExport(acks []ExportAck) bool {
+	for i := 1; i < len(acks); i++ {
+		if acks[i].ExportID > acks[i-1].ExportID {
+			continue
+		}
+		seen := make(map[uint64]struct{}, len(acks))
+		for _, a := range acks {
+			if _, dup := seen[a.ExportID]; dup {
+				return true
+			}
+			seen[a.ExportID] = struct{}{}
+		}
+		return false
+	}
+	return false
 }
 
 // NewSetStubs wraps the reference-listing stub-set message (§1).

@@ -55,9 +55,11 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&InvokeRequest{CallID: 4, From: "P1", Target: g1}, // empty args
 		&InvokeReply{CallID: 3, From: "P2", Target: g1, OK: true, Returns: []ids.GlobalRef{g1, g2}, ScionIC: 8},
 		&InvokeReply{CallID: 3, From: "P2", Target: g1, OK: false, Err: "no such method"},
-		&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Obj: 6},
-		&CreateScionAck{ExportID: 5, From: "P2", OK: true},
-		&CreateScionAck{ExportID: 5, From: "P2", OK: false, Err: "no such object"},
+		&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Objs: []ids.ObjID{6}},
+		&CreateScion{ExportID: 6, From: "P1", Holder: "P3", Objs: []ids.ObjID{6, 300, 6}},
+		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}}},
+		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5, Err: "no such object"}}},
+		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 300}, {ExportID: 5}, {ExportID: 7, Err: "no such object"}}},
 		&NewSetStubs{Set: refs.StubSetMsg{From: "P1", Seq: 12, Objs: []ids.ObjID{1, 5, 9}}},
 		&NewSetStubs{Set: refs.StubSetMsg{From: "P1", Seq: 13}},
 		NewCDMFromAlg(det, r2, testAlg(map[ids.RefID]core.Entry{
@@ -66,7 +68,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		}), 3, 0xfeedface12345678),
 		&Credit{Consumed: 300},
 		&Batch{Msgs: []Message{
-			&CreateScionAck{ExportID: 42, From: "P1", OK: true},
+			&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 42}}},
 			&Credit{Consumed: 7},
 		}},
 		&Batch{},
@@ -226,7 +228,7 @@ func TestCDMDecodeRejectsNonCanonicalEntries(t *testing.T) {
 }
 
 func TestBatchRejectsNesting(t *testing.T) {
-	inner := Encode(&Batch{Msgs: []Message{&CreateScionAck{ExportID: 1, From: "P1", OK: true}}})
+	inner := Encode(&Batch{Msgs: []Message{&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 1}}}}})
 	if _, err := Decode(wrapBatch(inner)); err == nil {
 		t.Fatal("nested batch accepted")
 	}
@@ -234,6 +236,52 @@ func TestBatchRejectsNesting(t *testing.T) {
 	data := []byte{byte(KindBatch), 1, 0}
 	if _, err := Decode(data); err == nil {
 		t.Fatal("empty batch element accepted")
+	}
+}
+
+// TestExportMessagesRejectMalformed: a CreateScion names at least one
+// object, and a CreateScionAck at least one export and none twice. One bad
+// message rejects the whole batch it travels in, so the owner never builds
+// such an ack (Machine.ackExport).
+func TestExportMessagesRejectMalformed(t *testing.T) {
+	ack := func(exports ...uint64) *CreateScionAck {
+		m := &CreateScionAck{From: "P2"}
+		for _, id := range exports {
+			m.Acks = append(m.Acks, ExportAck{ExportID: id})
+		}
+		return m
+	}
+	valid := Encode(ack(1))
+	for name, c := range map[string]struct {
+		m    Message
+		want string
+	}{
+		"no objects":        {&CreateScion{ExportID: 5, From: "P1", Holder: "P3"}, "no objects"},
+		"no exports":        {ack(), "no exports"},
+		"adjacent repeat":   {ack(4, 4), "repeats an export"},
+		"unordered repeat":  {ack(5, 7, 5), "repeats an export"},
+		"repeat after drop": {ack(9, 2, 3, 2), "repeats an export"},
+	} {
+		data := Encode(c.m)
+		for frame, data := range map[string][]byte{"bare": data, "batched": wrapBatch(valid, data)} {
+			if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, %s: err = %v, want %q", name, frame, err, c.want)
+			}
+		}
+	}
+	// Unordered but distinct ids, as a reordering link delivers them.
+	if _, err := Decode(Encode(ack(7, 3, 5))); err != nil {
+		t.Errorf("unordered distinct ids rejected: %v", err)
+	}
+	// Counts the remaining bytes cannot hold are refused before the decoder
+	// sizes a list for them.
+	data := putUint(putNode([]byte{byte(KindCreateScionAck)}, "P2"), 6)
+	if _, err := Decode(append(data, 1, 0)); err == nil || !strings.Contains(err.Error(), "implausible ack count") {
+		t.Errorf("ack claiming 6 entries in 2 bytes: err = %v", err)
+	}
+	data = putUint(putNode(putNode(putUint([]byte{byte(KindCreateScion)}, 5), "P1"), "P3"), 6)
+	if _, err := Decode(append(data, 1, 2)); err == nil || !strings.Contains(err.Error(), "implausible object count") {
+		t.Errorf("CreateScion claiming 6 objects in 2 bytes: err = %v", err)
 	}
 }
 
@@ -342,9 +390,9 @@ func testNewCDMBytesMatchReference(t *testing.T, u [5]ids.NodeID) {
 func TestEncodedSizeAndAppendEncode(t *testing.T) {
 	r1 := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 6}}
 	msgs := []Message{
-		&CreateScionAck{ExportID: 42, From: "P1", OK: true},
+		&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 42}, {ExportID: 300, Err: "no such object"}}},
 		&Credit{Consumed: 300},
-		&Batch{Msgs: []Message{&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Obj: r1.Dst.Obj}}},
+		&Batch{Msgs: []Message{&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Objs: []ids.ObjID{r1.Dst.Obj}}}},
 		&Gossip{Ack: true, Members: []MemberRecord{{Node: "P1", Addr: "h:1", Incarnation: 300, State: 2}}},
 		&LeaseHandoff{Holder: "P3", Objs: []ids.ObjID{2, 700}},
 	}
