@@ -220,7 +220,7 @@ func TestFig3DetectionFindsCycle(t *testing.T) {
 	if len(f.deleted) != 1 || f.deleted[0] != f.refD {
 		t.Fatalf("deleted = %v, want [%v]", f.deleted, f.refD)
 	}
-	if f.proc("P1").tb.Scion("P3", f.refD.Dst.Obj) != nil {
+	if f.proc("P1").tb.HasScion("P3", f.refD.Dst.Obj) {
 		t.Fatal("scion for D still in table")
 	}
 	// Other processes keep their scions; the acyclic DGC cascade reclaims

@@ -15,7 +15,7 @@ func TestInvokeAllocsPinned(t *testing.T) {
 		name    string
 		disable bool
 		want    float64
-	}{{"plain", true, 32}, {"withDGC", false, 52}} {
+	}{{"plain", true, 32}, {"withDGC", false, 32}} {
 		w, err := NewRMIWorkload(InProc, 10, c.disable)
 		if err != nil {
 			t.Fatal(err)

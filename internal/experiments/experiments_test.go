@@ -45,7 +45,7 @@ func TestRMIWorkloadCreatesScionsPerCall(t *testing.T) {
 }
 
 func TestSerializationShapesMatchPaper(t *testing.T) {
-	rows, err := Serialization(2000, 1)
+	rows, err := Serialization(2000, 5) // the fastest of 5 encodes per row
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func LeaseAblation(silences []uint64, leaseDuration uint64) ([]LeaseRow, error) 
 					ownerTable.ExpireHolder("P1", now, leaseDuration)
 				}
 				// Owner LGC: sweep if the scion is gone.
-				if ownerTable.Scion("P1", obj.ID) == nil {
+				if !ownerTable.HasScion("P1", obj.ID) {
 					owner.Delete(obj.ID)
 				}
 			}

@@ -106,16 +106,6 @@ func (ix *Index) Targets() []ids.GlobalRef { return ix.targets }
 // holder index: one map lookup plus a slice, replacing a full-heap scan.
 func (ix *Index) Holders(t int32) []int32 { return ix.holders[t] }
 
-// HoldersOfTarget returns the holder indices for a remote target value (nil
-// when the target is held nowhere).
-func (ix *Index) HoldersOfTarget(target ids.GlobalRef) []int32 {
-	t, ok := ix.tpos[target]
-	if !ok {
-		return nil
-	}
-	return ix.holders[t]
-}
-
 // RootFlags computes, per dense index, whether the object is reachable from
 // the process-local root set: the Local.Reach input of the summarizer.
 func (ix *Index) RootFlags() []bool {

@@ -139,9 +139,9 @@ func TestIndexHoldersMatchHoldersOf(t *testing.T) {
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
-	for _, tgt := range ix.Targets() {
+	for i, tgt := range ix.Targets() {
 		want := h.HoldersOf(tgt)
-		got := ix.HoldersOfTarget(tgt)
+		got := ix.Holders(int32(i))
 		if len(got) != len(want) {
 			t.Fatalf("target %v: %d holders via index, %d via scan", tgt, len(got), len(want))
 		}
@@ -150,9 +150,6 @@ func TestIndexHoldersMatchHoldersOf(t *testing.T) {
 				t.Fatalf("target %v: index holder %d not in scan set", tgt, ix.ids[hp])
 			}
 		}
-	}
-	if ix.HoldersOfTarget(ids.GlobalRef{Node: "P9", Obj: 1}) != nil {
-		t.Fatal("holders for unheld target")
 	}
 }
 

@@ -87,7 +87,7 @@ func (c *Collector) Collect(pinned ...ids.GlobalRef) Result {
 		}
 	}
 	for r := range wanted {
-		if _, created := c.table.EnsureStub(r); created {
+		if c.table.EnsureStub(r) {
 			res.StubsCreated++
 		}
 	}

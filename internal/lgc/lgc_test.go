@@ -91,15 +91,15 @@ func TestCollectRegeneratesStubs(t *testing.T) {
 	if res.StubsDeleted != 1 || res.StubsCreated != 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if tb.Stub(deadTarget) != nil {
+	if tb.HasStub(deadTarget) {
 		t.Fatal("stub for dead holder survived")
 	}
-	s := tb.Stub(liveTarget)
-	if s == nil {
+	ic, ok := tb.StubIC(liveTarget)
+	if !ok {
 		t.Fatal("live stub deleted")
 	}
-	if s.IC != 1 {
-		t.Fatalf("surviving stub lost its IC: %d", s.IC)
+	if ic != 1 {
+		t.Fatalf("surviving stub lost its IC: %d", ic)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestCollectCreatesMissingStubs(t *testing.T) {
 	if res.StubsCreated != 1 {
 		t.Fatalf("StubsCreated = %d", res.StubsCreated)
 	}
-	if tb.Stub(target) == nil {
+	if !tb.HasStub(target) {
 		t.Fatal("stub not created")
 	}
 }
@@ -152,7 +152,7 @@ func TestDistributedCycleFragmentLeaksWithoutDCDA(t *testing.T) {
 			t.Fatalf("round %d swept %d, want 0", i, res.Swept)
 		}
 	}
-	if tb.Stub(ids.GlobalRef{Node: "P1", Obj: 4}) == nil {
+	if !tb.HasStub(ids.GlobalRef{Node: "P1", Obj: 4}) {
 		t.Fatal("outgoing stub of scion-rooted object missing")
 	}
 }

@@ -20,14 +20,13 @@ func TestPinnedRefsKeepStubs(t *testing.T) {
 	if res.StubsDeleted != 0 {
 		t.Fatalf("pinned stub deleted: %+v", res)
 	}
-	s := tb.Stub(target)
-	if s == nil || s.IC != 1 {
-		t.Fatalf("pinned stub lost or reset: %+v", s)
+	if ic, ok := tb.StubIC(target); !ok || ic != 1 {
+		t.Fatalf("pinned stub lost or reset: IC %d, present %v", ic, ok)
 	}
 
 	// Without the pin the stub is reclaimed.
 	res = c.Collect()
-	if res.StubsDeleted != 1 || tb.Stub(target) != nil {
+	if res.StubsDeleted != 1 || tb.HasStub(target) {
 		t.Fatalf("unpinned stub survived: %+v", res)
 	}
 }
@@ -36,7 +35,7 @@ func TestPinnedRefCreatesStubIfMissing(t *testing.T) {
 	_, tb, c := newNode(t, "P1")
 	target := ids.GlobalRef{Node: "P2", Obj: 6}
 	res := c.Collect(target)
-	if res.StubsCreated != 1 || tb.Stub(target) == nil {
+	if res.StubsCreated != 1 || !tb.HasStub(target) {
 		t.Fatalf("pinned ref did not materialize a stub: %+v", res)
 	}
 }

@@ -63,8 +63,8 @@ func referenceCollect(h *heap.Heap, tb *refs.Table, pinned []ids.GlobalRef) (Res
 		if _, ok := stubs[r]; ok {
 			return
 		}
-		if s := tb.Stub(r); s != nil {
-			stubs[r] = s.IC
+		if ic, ok := tb.StubIC(r); ok {
+			stubs[r] = ic
 		} else {
 			stubs[r] = 0
 			res.StubsCreated++

@@ -498,7 +498,7 @@ func (m *Machine) EnsureScionFor(holder ids.NodeID, obj ids.ObjID) error {
 	if !m.heap.Contains(obj) {
 		return m.errf("EnsureScionFor: no object %d", obj)
 	}
-	if _, created := m.table.EnsureScion(holder, obj); created {
+	if m.table.EnsureScion(holder, obj) {
 		m.met.ScionsCreated.Inc()
 	}
 	m.selector.Touch(ids.RefID{Src: holder, Dst: ids.GlobalRef{Node: m.id, Obj: obj}}, m.clock)

@@ -117,8 +117,8 @@ func TestOwnerAcksOncePerExporterPerFlush(t *testing.T) {
 	}
 	// Export 4 copied A's reference to x twice (and to y, which A does not
 	// hold): the scion counts both copies.
-	if sc := m.table.Scion("A", x); sc == nil || sc.IC != 2 {
-		t.Errorf("scion A -> x = %+v, want IC 2", sc)
+	if ic, ok := m.table.ScionIC("A", x); !ok || ic != 2 {
+		t.Errorf("scion A -> x: IC %d, present %v, want IC 2", ic, ok)
 	}
 
 	// The next flush starts a new ack.

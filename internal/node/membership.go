@@ -225,7 +225,7 @@ func (m *Machine) handleLeaseHandoff(msg *wire.LeaseHandoff) {
 	}
 	pinned := 0
 	for _, obj := range msg.Objs {
-		if m.table.Scion(msg.Holder, obj) == nil {
+		if !m.table.HasScion(msg.Holder, obj) {
 			continue
 		}
 		m.table.Pin(msg.Holder, obj)

@@ -59,7 +59,7 @@ func (m Mutator) Store(from ids.ObjID, ref ids.GlobalRef) error {
 	if ref.Node == m.n.id {
 		return m.n.heap.AddLocalRef(from, ref.Obj)
 	}
-	if m.n.table.Stub(ref) == nil && m.n.pins[ref] == 0 {
+	if !m.n.table.HasStub(ref) && m.n.pins[ref] == 0 {
 		return m.n.errf("Store: reference %v not held by this process", ref)
 	}
 	m.n.table.EnsureStub(ref)

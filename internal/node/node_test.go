@@ -109,12 +109,12 @@ func TestInvokeNoopBumpsBothCounters(t *testing.T) {
 	}
 	// Request bumped both ends once, reply bumped both ends once: 2 == 2.
 	a.With(func(m Mutator) {
-		if ic := m.n.table.Stub(ref).IC; ic != 2 {
+		if ic, _ := m.n.table.StubIC(ref); ic != 2 {
 			t.Errorf("stub IC = %d, want 2", ic)
 		}
 	})
 	b.With(func(m Mutator) {
-		if ic := m.n.table.Scion("A", target).IC; ic != 2 {
+		if ic, _ := m.n.table.ScionIC("A", target); ic != 2 {
 			t.Errorf("scion IC = %d, want 2", ic)
 		}
 	})
@@ -152,13 +152,15 @@ func TestSummaryCarriesInvocationCounters(t *testing.T) {
 		}
 	}
 	a.With(func(m Mutator) {
-		if got, want := m.n.Summary().Stub(ref).IC, m.n.table.Stub(ref).IC; got != want {
+		want, _ := m.n.table.StubIC(ref)
+		if got := m.n.Summary().Stub(ref).IC; got != want {
 			t.Errorf("A's summary stub IC = %d, table holds %d", got, want)
 		}
 	})
 	b.With(func(m Mutator) {
 		rid := ids.RefID{Src: "A", Dst: ref}
-		if got, want := m.n.Summary().Scion(rid).IC, m.n.table.Scion("A", target).IC; got != want {
+		want, _ := m.n.table.ScionIC("A", target)
+		if got := m.n.Summary().Scion(rid).IC; got != want {
 			t.Errorf("B's summary scion IC = %d, table holds %d", got, want)
 		}
 	})
@@ -245,12 +247,12 @@ func TestStoreExportCreatesScionAndStub(t *testing.T) {
 	tn.settle()
 
 	a.With(func(m Mutator) {
-		if m.n.table.Scion("B", x) == nil {
+		if !m.n.table.HasScion("B", x) {
 			t.Error("scion (B -> X) missing at A")
 		}
 	})
 	b.With(func(m Mutator) {
-		if m.n.table.Stub(xRef) == nil {
+		if !m.n.table.HasStub(xRef) {
 			t.Error("stub for X missing at B")
 		}
 		refs := m.Refs(target)
@@ -311,12 +313,12 @@ func TestThirdPartyExportViaCreateScion(t *testing.T) {
 	}
 	invoke(cRef)
 	c.With(func(m Mutator) {
-		if m.n.table.Scion("B", objC) == nil {
+		if !m.n.table.HasScion("B", objC) {
 			t.Error("scion (B -> objC) missing at C")
 		}
 	})
 	b.With(func(m Mutator) {
-		if m.n.table.Stub(cRef) == nil {
+		if !m.n.table.HasStub(cRef) {
 			t.Error("stub for objC missing at B")
 		}
 	})
@@ -335,18 +337,12 @@ func TestThirdPartyExportViaCreateScion(t *testing.T) {
 	// argument.
 	for _, holder := range []*Node{a, b} {
 		var stubs []refs.Stub
-		holder.With(func(m Mutator) {
-			for _, st := range m.n.table.Stubs() {
-				stubs = append(stubs, *st)
-			}
-		})
+		holder.With(func(m Mutator) { stubs = m.n.table.Stubs() })
 		for _, st := range stubs {
 			var scionIC uint64
 			var ok bool
 			tn.n(st.Target.Node).With(func(m Mutator) {
-				if sc := m.n.table.Scion(holder.ID(), st.Target.Obj); sc != nil {
-					scionIC, ok = sc.IC, true
-				}
+				scionIC, ok = m.n.table.ScionIC(holder.ID(), st.Target.Obj)
 			})
 			if !ok || st.IC != scionIC {
 				t.Errorf("%s -> %v: stub IC %d, scion IC %d (exists %v)", holder.ID(), st.Target, st.IC, scionIC, ok)
@@ -354,7 +350,7 @@ func TestThirdPartyExportViaCreateScion(t *testing.T) {
 		}
 	}
 	var stubIC uint64
-	a.With(func(m Mutator) { stubIC = m.n.table.Stub(cRef).IC })
+	a.With(func(m Mutator) { stubIC, _ = m.n.table.StubIC(cRef) })
 	if stubIC != 3 {
 		t.Errorf("A's stub to objC counted %d copies, want 3", stubIC)
 	}
@@ -432,7 +428,7 @@ func TestGetReturnsRefsAndImportsThem(t *testing.T) {
 	}
 	// Scion (A -> objC) must exist at C (created during return export).
 	c.With(func(m Mutator) {
-		if m.n.table.Scion("A", objC) == nil {
+		if !m.n.table.HasScion("A", objC) {
 			t.Error("scion (A -> objC) missing at C")
 		}
 	})
@@ -461,7 +457,7 @@ func TestAcquireRemote(t *testing.T) {
 		t.Fatal("acquire failed")
 	}
 	b.With(func(m Mutator) {
-		if m.n.table.Scion("A", target) == nil {
+		if !m.n.table.HasScion("A", target) {
 			t.Error("scion missing after acquire")
 		}
 	})
@@ -516,7 +512,7 @@ func TestAllocChildMethod(t *testing.T) {
 	}
 	// A holds the child remotely: scion must exist.
 	b.With(func(m Mutator) {
-		if m.n.table.Scion("A", child.Obj) == nil {
+		if !m.n.table.HasScion("A", child.Obj) {
 			t.Error("scion for returned child missing")
 		}
 	})

@@ -60,8 +60,8 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 	// Invocation counters survive.
 	var icOld, icNew uint64
-	a.With(func(m Mutator) { icOld = m.n.table.Stub(ref).IC })
-	a2.With(func(m Mutator) { icNew = m.n.table.Stub(ref).IC })
+	a.With(func(m Mutator) { icOld, _ = m.n.table.StubIC(ref) })
+	a2.With(func(m Mutator) { icNew, _ = m.n.table.StubIC(ref) })
 	if icOld == 0 || icOld != icNew {
 		t.Fatalf("stub IC: %d vs %d", icOld, icNew)
 	}

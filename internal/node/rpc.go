@@ -29,7 +29,7 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 		return m.errf("Invoke: target %v is local", target)
 	}
 	if !m.cfg.DisableDGC {
-		if m.table.Stub(target) == nil && m.pins[target] == 0 {
+		if !m.table.HasStub(target) && m.pins[target] == 0 {
 			return m.errf("Invoke: reference %v not held by this process", target)
 		}
 		for _, a := range args {
@@ -39,7 +39,7 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 				}
 				continue
 			}
-			if m.table.Stub(a) == nil && m.pins[a] == 0 {
+			if !m.table.HasStub(a) && m.pins[a] == 0 {
 				return m.errf("Invoke: exported reference %v not held", a)
 			}
 		}
@@ -123,7 +123,7 @@ func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func
 		case m.id:
 			// We own the object: a brand-new reference, not a copy. Create
 			// the scion directly.
-			if _, created := m.table.EnsureScion(holder, r.Obj); created {
+			if m.table.EnsureScion(holder, r.Obj) {
 				m.met.ScionsCreated.Inc()
 			}
 			m.selector.Touch(ids.RefID{Src: holder, Dst: r}, m.clock)
@@ -225,7 +225,7 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 		// The caller held a stub, so our scion exists (create it defensively
 		// if a mixed-configuration caller skipped the protocol), and the
 		// invocation bumps its counter (§3.2).
-		if _, created := m.table.EnsureScion(msg.From, msg.Target.Obj); created {
+		if m.table.EnsureScion(msg.From, msg.Target.Obj) {
 			m.met.ScionsCreated.Inc()
 		}
 		_, _ = m.table.BumpScionIC(msg.From, msg.Target.Obj) // ensured above
@@ -349,7 +349,7 @@ func (m *Machine) handleCreateScion(msg *wire.CreateScion) {
 			continue
 		}
 		ref := ids.GlobalRef{Node: m.id, Obj: obj}
-		if _, created := m.table.EnsureScion(msg.Holder, obj); created {
+		if m.table.EnsureScion(msg.Holder, obj) {
 			m.met.ScionsCreated.Inc()
 		}
 		m.selector.Touch(ids.RefID{Src: msg.Holder, Dst: ref}, m.clock)

@@ -100,14 +100,14 @@ func (t *Table) ApplyStubSet(msg StubSetMsg) []Scion {
 	// The common case deletes nothing: every scion is listed.
 	kept := 0
 	for _, o := range listed {
-		if p.scions[o] != nil {
+		if _, ok := p.scions[o]; ok {
 			kept++
 		}
 	}
 	if kept == len(p.scions) {
 		return nil
 	}
-	return t.dropScions(p, func(obj ids.ObjID) bool { _, ok := slices.BinarySearch(listed, obj); return !ok })
+	return t.dropScions(msg.From, func(obj ids.ObjID) bool { _, ok := slices.BinarySearch(listed, obj); return !ok })
 }
 
 // ascending reports whether objs is strictly increasing: sorted, with no

@@ -66,7 +66,7 @@ func TestApplyStubSetDeletesUnlistedScions(t *testing.T) {
 	if len(deleted) != 1 || deleted[0].Obj != 3 || deleted[0].Src != "P1" {
 		t.Fatalf("deleted = %+v", deleted)
 	}
-	if tb.Scion("P1", 6) == nil || tb.Scion("P5", 6) == nil {
+	if !tb.HasScion("P1", 6) || !tb.HasScion("P5", 6) {
 		t.Fatal("listed or foreign scions were deleted")
 	}
 }
@@ -104,7 +104,7 @@ func TestApplyStubSetIgnoresStaleAndDuplicate(t *testing.T) {
 	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: nil}); len(d) != 0 {
 		t.Fatal("stale message was applied")
 	}
-	if tb.Scion("P1", 6) == nil {
+	if !tb.HasScion("P1", 6) {
 		t.Fatal("scion deleted by stale/duplicate message")
 	}
 	// Newer empty set: applied.
@@ -190,7 +190,7 @@ func TestApplyStubSetNeverDeletesListed(t *testing.T) {
 		for _, s := range seqs {
 			tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: s % 16, Objs: []ids.ObjID{kept}})
 		}
-		return tb.Scion("P1", kept) != nil
+		return tb.HasScion("P1", kept)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

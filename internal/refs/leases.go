@@ -60,7 +60,7 @@ func (t *Table) Pin(src ids.NodeID, obj ids.ObjID) {
 // them in canonical order for journaling and sweep.
 func (t *Table) ReleaseCustodial(holder ids.NodeID) []Scion {
 	p := t.peer(holder)
-	out := t.dropScions(p, func(obj ids.ObjID) bool { _, pinned := p.custodial[obj]; return pinned })
+	out := t.dropScions(holder, func(obj ids.ObjID) bool { _, pinned := p.custodial[obj]; return pinned })
 	p.custodial = nil
 	return out
 }
@@ -76,5 +76,5 @@ func (t *Table) ExpireHolder(holder ids.NodeID, now, lease uint64) []Scion {
 	}
 	p := t.peers[holder]
 	p.heard = false
-	return t.dropScions(p, func(obj ids.ObjID) bool { _, pinned := p.custodial[obj]; return !pinned })
+	return t.dropScions(holder, func(obj ids.ObjID) bool { _, pinned := p.custodial[obj]; return !pinned })
 }

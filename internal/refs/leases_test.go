@@ -17,7 +17,7 @@ func TestLeaseRenewalKeepsScionAlive(t *testing.T) {
 			t.Fatalf("tick %d: renewed holder expired: %v", now, got)
 		}
 	}
-	if tb.Scion("P1", 6) == nil {
+	if !tb.HasScion("P1", 6) {
 		t.Fatal("scion gone despite renewals")
 	}
 }
@@ -33,7 +33,7 @@ func TestLeaseUnsafetyUnderSilence(t *testing.T) {
 	for now := uint64(1); now <= 5; now++ {
 		tb.ExpireHolder("P1", now, lease)
 	}
-	if tb.Scion("P1", 6) != nil {
+	if tb.HasScion("P1", 6) {
 		t.Fatal("lease did not expire: the ablation would show nothing")
 	}
 }
@@ -75,10 +75,10 @@ func TestHolderLeaseExpiryReclaimsScions(t *testing.T) {
 	if len(got) != 2 || got[0].Obj != 3 || got[1].Obj != 6 {
 		t.Fatalf("ExpireHolder = %v, want P1's scions 3,6 in canonical order", got)
 	}
-	if tb.Scion("P1", 6) != nil || tb.Scion("P1", 3) != nil {
+	if tb.HasScion("P1", 6) || tb.HasScion("P1", 3) {
 		t.Fatal("P1 scions survived reclamation")
 	}
-	if tb.Scion("P3", 9) == nil {
+	if !tb.HasScion("P3", 9) {
 		t.Fatal("false reclamation: P3's scion deleted by P1's expiry")
 	}
 }
@@ -156,14 +156,14 @@ func TestHolderLeaseCustodialPinsSurviveExpiry(t *testing.T) {
 	if len(got) != 1 || got[0].Obj != 6 {
 		t.Fatalf("ExpireHolder = %v, want only the unpinned scion 6", got)
 	}
-	if tb.Scion("P1", 3) == nil {
+	if !tb.HasScion("P1", 3) {
 		t.Fatal("custodial scion reclaimed by lease expiry")
 	}
 	rel := tb.ReleaseCustodial("P1")
 	if len(rel) != 1 || rel[0].Obj != 3 {
 		t.Fatalf("ReleaseCustodial = %v", rel)
 	}
-	if tb.Scion("P1", 3) != nil {
+	if tb.HasScion("P1", 3) {
 		t.Fatal("custodial scion survived release")
 	}
 }

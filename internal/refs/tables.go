@@ -48,8 +48,10 @@ func (s Scion) RefID(owner ids.NodeID) ids.RefID {
 
 // peer is everything this process keeps about one other process.
 type peer struct {
-	stubs  map[ids.ObjID]*Stub  // this process's references into the peer
-	scions map[ids.ObjID]*Scion // the peer's references into this process
+	// Each reference is its invocation counter, keyed by the object at its
+	// owner. Only the Table writes them; Stubs and Scions hand out copies.
+	stubs  map[ids.ObjID]uint64 // this process's references into the peer
+	scions map[ids.ObjID]uint64 // the peer's references into this process
 
 	// The stub-set protocol (acyclic.go). owed is set once the peer has
 	// held a stub of ours: from then on it is sent a set every scheduled
@@ -81,7 +83,8 @@ type Table struct {
 	// gen is the mutation epoch: it advances whenever a table entry is
 	// created, deleted, restored or has its invocation counter bumped.
 	// Together with the heap's epoch it lets the summarization cache prove
-	// that a previously built summary is still exact.
+	// that a previously built summary is still exact. The table hands out
+	// copies only, so no counter changes without advancing gen.
 	gen uint64
 }
 
@@ -95,7 +98,7 @@ func (t *Table) peer(n ids.NodeID) *peer {
 	if p := t.peers[n]; p != nil {
 		return p
 	}
-	p := &peer{stubs: make(map[ids.ObjID]*Stub), scions: make(map[ids.ObjID]*Scion)}
+	p := &peer{stubs: make(map[ids.ObjID]uint64), scions: make(map[ids.ObjID]uint64)}
 	t.peers[n] = p
 	i, _ := slices.BinarySearch(t.names, n)
 	t.names = slices.Insert(t.names, i, n)
@@ -108,39 +111,37 @@ func (t *Table) Node() ids.NodeID { return t.node }
 // Gen returns the table's mutation epoch.
 func (t *Table) Gen() uint64 { return t.gen }
 
-// EnsureStub returns the stub for target, creating it (with IC zero) if
-// needed. created reports whether a new stub was created.
-func (t *Table) EnsureStub(target ids.GlobalRef) (s *Stub, created bool) {
-	p := t.peer(target.Node)
-	if s = p.stubs[target.Obj]; s != nil {
-		return s, false
+// EnsureStub creates the stub for target (with IC zero) if there is none,
+// reporting whether it did.
+func (t *Table) EnsureStub(target ids.GlobalRef) (created bool) {
+	if t.HasStub(target) {
+		return false
 	}
-	s = &Stub{Target: target}
-	t.putStub(p, s)
-	return s, true
+	t.RestoreStub(target, 0)
+	return true
 }
 
-func (t *Table) putStub(p *peer, s *Stub) {
-	p.stubs[s.Target.Obj] = s
-	p.owed = true
-	t.gen++
-}
-
-// Stub returns the stub for target, or nil.
-func (t *Table) Stub(target ids.GlobalRef) *Stub {
+// StubIC returns the invocation counter of the stub for target, and
+// whether there is one.
+func (t *Table) StubIC(target ids.GlobalRef) (ic uint64, ok bool) {
 	if p := t.peers[target.Node]; p != nil {
-		return p.stubs[target.Obj]
+		ic, ok = p.stubs[target.Obj]
 	}
-	return nil
+	return ic, ok
+}
+
+// HasStub reports whether there is a stub for target.
+func (t *Table) HasStub(target ids.GlobalRef) bool {
+	_, ok := t.StubIC(target)
+	return ok
 }
 
 // DeleteStub removes the stub for target (no-op if absent).
 func (t *Table) DeleteStub(target ids.GlobalRef) {
-	if t.Stub(target) == nil {
-		return
+	if t.HasStub(target) {
+		delete(t.peers[target.Node].stubs, target.Obj)
+		t.gen++
 	}
-	delete(t.peers[target.Node].stubs, target.Obj)
-	t.gen++
 }
 
 // StubObjs returns the objects at peer n this process holds stubs to, in
@@ -159,15 +160,15 @@ func (t *Table) StubObjs(n ids.NodeID) []ids.ObjID {
 // Peers returns every process this table has a record for, ascending.
 func (t *Table) Peers() []ids.NodeID { return slices.Clone(t.names) }
 
-// Stubs returns all stubs in canonical target order.
-func (t *Table) Stubs() []*Stub {
-	out := make([]*Stub, 0, t.NumStubs())
+// Stubs returns a copy of every stub in canonical target order.
+func (t *Table) Stubs() []Stub {
+	out := make([]Stub, 0, t.NumStubs())
 	for _, n := range t.names {
 		start := len(out)
-		for _, s := range t.peers[n].stubs {
-			out = append(out, s)
+		for o, ic := range t.peers[n].stubs {
+			out = append(out, Stub{Target: ids.GlobalRef{Node: n, Obj: o}, IC: ic})
 		}
-		slices.SortFunc(out[start:], func(x, y *Stub) int { return cmp.Compare(x.Target.Obj, y.Target.Obj) })
+		slices.SortFunc(out[start:], func(x, y Stub) int { return cmp.Compare(x.Target.Obj, y.Target.Obj) })
 	}
 	return out
 }
@@ -181,31 +182,35 @@ func (t *Table) NumStubs() int {
 	return n
 }
 
-// EnsureScion returns the scion for (src, obj), creating it (with IC zero)
-// if needed. created reports whether a new scion was created.
-func (t *Table) EnsureScion(src ids.NodeID, obj ids.ObjID) (s *Scion, created bool) {
-	p := t.peer(src)
-	if s = p.scions[obj]; s != nil {
-		return s, false
+// EnsureScion creates the scion for (src, obj) (with IC zero) if there is
+// none, reporting whether it did.
+func (t *Table) EnsureScion(src ids.NodeID, obj ids.ObjID) (created bool) {
+	if t.HasScion(src, obj) {
+		return false
 	}
-	s = &Scion{Src: src, Obj: obj}
-	p.scions[obj] = s
-	t.gen++
-	return s, true
+	t.RestoreScion(src, obj, 0)
+	return true
 }
 
-// Scion returns the scion for (src, obj), or nil.
-func (t *Table) Scion(src ids.NodeID, obj ids.ObjID) *Scion {
+// ScionIC returns the invocation counter of the scion for (src, obj), and
+// whether there is one.
+func (t *Table) ScionIC(src ids.NodeID, obj ids.ObjID) (ic uint64, ok bool) {
 	if p := t.peers[src]; p != nil {
-		return p.scions[obj]
+		ic, ok = p.scions[obj]
 	}
-	return nil
+	return ic, ok
+}
+
+// HasScion reports whether there is a scion for (src, obj).
+func (t *Table) HasScion(src ids.NodeID, obj ids.ObjID) bool {
+	_, ok := t.ScionIC(src, obj)
+	return ok
 }
 
 // DeleteScion removes the scion for (src, obj). It reports whether a scion
 // was present.
 func (t *Table) DeleteScion(src ids.NodeID, obj ids.ObjID) bool {
-	if t.Scion(src, obj) == nil {
+	if !t.HasScion(src, obj) {
 		return false
 	}
 	delete(t.peers[src].scions, obj)
@@ -213,15 +218,15 @@ func (t *Table) DeleteScion(src ids.NodeID, obj ids.ObjID) bool {
 	return true
 }
 
-// Scions returns all scions in canonical (src, obj) order.
-func (t *Table) Scions() []*Scion {
-	out := make([]*Scion, 0, t.NumScions())
+// Scions returns a copy of every scion in canonical (src, obj) order.
+func (t *Table) Scions() []Scion {
+	out := make([]Scion, 0, t.NumScions())
 	for _, n := range t.names {
 		start := len(out)
-		for _, s := range t.peers[n].scions {
-			out = append(out, s)
+		for o, ic := range t.peers[n].scions {
+			out = append(out, Scion{Src: n, Obj: o, IC: ic})
 		}
-		slices.SortFunc(out[start:], func(x, y *Scion) int { return cmp.Compare(x.Obj, y.Obj) })
+		slices.SortFunc(out[start:], func(x, y Scion) int { return cmp.Compare(x.Obj, y.Obj) })
 	}
 	return out
 }
@@ -248,25 +253,14 @@ func (t *Table) ScionTargets() []ids.ObjID {
 	return slices.Compact(out)
 }
 
-// ScionsForObject returns all scions protecting the given local object, in
-// canonical source order.
-func (t *Table) ScionsForObject(obj ids.ObjID) []*Scion {
-	var out []*Scion
-	for _, n := range t.names {
-		if s := t.peers[n].scions[obj]; s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// dropScions deletes p's scions whose object drop selects and returns them
-// in canonical order.
-func (t *Table) dropScions(p *peer, drop func(ids.ObjID) bool) []Scion {
+// dropScions deletes the scions src holds whose object drop selects and
+// returns them in canonical order.
+func (t *Table) dropScions(src ids.NodeID, drop func(ids.ObjID) bool) []Scion {
 	var out []Scion
-	for obj, sc := range p.scions {
+	p := t.peers[src]
+	for obj, ic := range p.scions {
 		if drop(obj) {
-			out = append(out, *sc)
+			out = append(out, Scion{Src: src, Obj: obj, IC: ic})
 			delete(p.scions, obj)
 			t.gen++
 		}
@@ -275,16 +269,19 @@ func (t *Table) dropScions(p *peer, drop func(ids.ObjID) bool) []Scion {
 	return out
 }
 
-// RestoreStub reinstates a stub with an explicit invocation counter.
-// Used when loading persisted state; overwrites any existing entry.
+// RestoreStub sets the stub for target to an explicit invocation counter,
+// creating it if needed: the one writer of stubs, and the state loader's.
 func (t *Table) RestoreStub(target ids.GlobalRef, ic uint64) {
-	t.putStub(t.peer(target.Node), &Stub{Target: target, IC: ic})
+	p := t.peer(target.Node)
+	p.stubs[target.Obj] = ic
+	p.owed = true
+	t.gen++
 }
 
-// RestoreScion reinstates a scion with an explicit invocation counter.
-// Used when loading persisted state; overwrites any existing entry.
+// RestoreScion sets the scion for (src, obj) to an explicit invocation
+// counter, creating it if needed: the one writer of scions, as RestoreStub.
 func (t *Table) RestoreScion(src ids.NodeID, obj ids.ObjID, ic uint64) {
-	t.peer(src).scions[obj] = &Scion{Src: src, Obj: obj, IC: ic}
+	t.peer(src).scions[obj] = ic
 	t.gen++
 }
 
@@ -292,23 +289,21 @@ func (t *Table) RestoreScion(src ids.NodeID, obj ids.ObjID, ic uint64) {
 // returns the new value. It is an error if the stub does not exist: an
 // invocation can only travel through an existing reference.
 func (t *Table) BumpStubIC(target ids.GlobalRef) (uint64, error) {
-	s := t.Stub(target)
-	if s == nil {
+	ic, ok := t.StubIC(target)
+	if !ok {
 		return 0, fmt.Errorf("refs %s: BumpStubIC: no stub for %v", t.node, target)
 	}
-	s.IC++
-	t.gen++
-	return s.IC, nil
+	t.RestoreStub(target, ic+1)
+	return ic + 1, nil
 }
 
 // BumpScionIC increments the invocation counter of the scion for (src, obj)
 // and returns the new value.
 func (t *Table) BumpScionIC(src ids.NodeID, obj ids.ObjID) (uint64, error) {
-	s := t.Scion(src, obj)
-	if s == nil {
+	ic, ok := t.ScionIC(src, obj)
+	if !ok {
 		return 0, fmt.Errorf("refs %s: BumpScionIC: no scion for %s->%d", t.node, src, obj)
 	}
-	s.IC++
-	t.gen++
-	return s.IC, nil
+	t.RestoreScion(src, obj, ic+1)
+	return ic + 1, nil
 }

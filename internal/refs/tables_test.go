@@ -10,16 +10,17 @@ func gref(n ids.NodeID, o ids.ObjID) ids.GlobalRef { return ids.GlobalRef{Node: 
 
 func TestEnsureStubIdempotent(t *testing.T) {
 	tb := NewTable("P1")
-	s1, created := tb.EnsureStub(gref("P2", 6))
-	if !created {
+	if !tb.EnsureStub(gref("P2", 6)) {
 		t.Fatal("first EnsureStub should create")
 	}
-	s2, created := tb.EnsureStub(gref("P2", 6))
-	if created {
+	if _, err := tb.BumpStubIC(gref("P2", 6)); err != nil {
+		t.Fatal(err)
+	}
+	if tb.EnsureStub(gref("P2", 6)) {
 		t.Fatal("second EnsureStub should not create")
 	}
-	if s1 != s2 {
-		t.Fatal("EnsureStub returned distinct stubs for same target")
+	if ic, ok := tb.StubIC(gref("P2", 6)); !ok || ic != 1 {
+		t.Fatalf("second EnsureStub reset the stub: IC %d, present %v", ic, ok)
 	}
 	if tb.NumStubs() != 1 {
 		t.Fatalf("NumStubs = %d", tb.NumStubs())
@@ -29,14 +30,14 @@ func TestEnsureStubIdempotent(t *testing.T) {
 func TestStubLookupAndDelete(t *testing.T) {
 	tb := NewTable("P1")
 	tb.EnsureStub(gref("P2", 6))
-	if tb.Stub(gref("P2", 6)) == nil {
+	if !tb.HasStub(gref("P2", 6)) {
 		t.Fatal("Stub lookup failed")
 	}
-	if tb.Stub(gref("P2", 7)) != nil {
+	if tb.HasStub(gref("P2", 7)) {
 		t.Fatal("Stub lookup should miss")
 	}
 	tb.DeleteStub(gref("P2", 6))
-	if tb.Stub(gref("P2", 6)) != nil {
+	if tb.HasStub(gref("P2", 6)) {
 		t.Fatal("stub still present after delete")
 	}
 	tb.DeleteStub(gref("P2", 6)) // no-op
@@ -58,18 +59,21 @@ func TestStubsSorted(t *testing.T) {
 
 func TestEnsureScionIdempotentPerSource(t *testing.T) {
 	tb := NewTable("P2")
-	s1, created := tb.EnsureScion("P1", 6)
-	if !created {
+	if !tb.EnsureScion("P1", 6) {
 		t.Fatal("first EnsureScion should create")
 	}
-	_, created = tb.EnsureScion("P1", 6)
-	if created {
+	if tb.EnsureScion("P1", 6) {
 		t.Fatal("duplicate EnsureScion should not create")
 	}
 	// Same object, different source: a distinct scion (reference listing).
-	s3, created := tb.EnsureScion("P5", 6)
-	if !created || s3 == s1 {
+	if !tb.EnsureScion("P5", 6) {
 		t.Fatal("scion from another source must be distinct")
+	}
+	if _, err := tb.BumpScionIC("P5", 6); err != nil {
+		t.Fatal(err)
+	}
+	if ic, _ := tb.ScionIC("P1", 6); ic != 0 {
+		t.Fatalf("bumping P5's scion moved P1's to IC %d", ic)
 	}
 	if tb.NumScions() != 2 {
 		t.Fatalf("NumScions = %d", tb.NumScions())
@@ -85,7 +89,7 @@ func TestDeleteScion(t *testing.T) {
 	if tb.DeleteScion("P1", 6) {
 		t.Fatal("second DeleteScion should report false")
 	}
-	if tb.Scion("P1", 6) != nil {
+	if tb.HasScion("P1", 6) {
 		t.Fatal("scion still present")
 	}
 }
@@ -98,17 +102,6 @@ func TestScionTargetsDeduplicated(t *testing.T) {
 	targets := tb.ScionTargets()
 	if len(targets) != 2 || targets[0] != 2 || targets[1] != 6 {
 		t.Fatalf("ScionTargets = %v", targets)
-	}
-}
-
-func TestScionsForObject(t *testing.T) {
-	tb := NewTable("P2")
-	tb.EnsureScion("P5", 6)
-	tb.EnsureScion("P1", 6)
-	tb.EnsureScion("P1", 3)
-	got := tb.ScionsForObject(6)
-	if len(got) != 2 || got[0].Src != "P1" || got[1].Src != "P5" {
-		t.Fatalf("ScionsForObject = %+v", got)
 	}
 }
 
@@ -152,5 +145,57 @@ func TestScionsSorted(t *testing.T) {
 	s := tb.Scions()
 	if s[0].Src != "P1" || s[0].Obj != 3 || s[1].Obj != 9 || s[2].Src != "P5" {
 		t.Fatalf("Scions order: %+v %+v %+v", s[0], s[1], s[2])
+	}
+}
+
+// Gen is the summary cache's proof that the tables did not move: every
+// mutation of a record must advance it, and a call that changes nothing
+// must leave it alone (an idle table would otherwise never hit the cache).
+func TestEveryTableMutationAdvancesGen(t *testing.T) {
+	stub, other := gref("P2", 6), gref("P2", 7)
+	// seeded returns a table holding stub, scions (P2, 6) and (P2, 8), the
+	// latter in custody, and the stub set P2 sent with sequence number 1.
+	seeded := func() *Table {
+		tb := NewTable("P1")
+		tb.EnsureStub(stub)
+		tb.EnsureScion("P2", 6)
+		tb.EnsureScion("P2", 8)
+		tb.Pin("P2", 8)
+		tb.ApplyStubSet(StubSetMsg{From: "P2", Seq: 1, Objs: []ids.ObjID{6, 8}})
+		return tb
+	}
+	for _, c := range []struct {
+		name    string
+		mutates bool
+		call    func(tb *Table)
+	}{
+		{"EnsureStub creates", true, func(tb *Table) { tb.EnsureStub(other) }},
+		{"EnsureScion creates", true, func(tb *Table) { tb.EnsureScion("P3", 6) }},
+		{"DeleteStub present", true, func(tb *Table) { tb.DeleteStub(stub) }},
+		{"DeleteScion present", true, func(tb *Table) { tb.DeleteScion("P2", 6) }},
+		{"BumpStubIC", true, func(tb *Table) { _, _ = tb.BumpStubIC(stub) }},
+		{"BumpScionIC", true, func(tb *Table) { _, _ = tb.BumpScionIC("P2", 6) }},
+		{"RestoreStub", true, func(tb *Table) { tb.RestoreStub(stub, 5) }},
+		{"RestoreScion", true, func(tb *Table) { tb.RestoreScion("P2", 6, 5) }},
+		{"ApplyStubSet drops", true, func(tb *Table) { tb.ApplyStubSet(StubSetMsg{From: "P2", Seq: 2, Objs: []ids.ObjID{8}}) }},
+		{"ExpireHolder drops", true, func(tb *Table) { tb.Renew("P2", 0); tb.ExpireHolder("P2", 10, 3) }},
+		{"ReleaseCustodial drops", true, func(tb *Table) { tb.ReleaseCustodial("P2") }},
+
+		{"EnsureStub existing", false, func(tb *Table) { tb.EnsureStub(stub) }},
+		{"EnsureScion existing", false, func(tb *Table) { tb.EnsureScion("P2", 6) }},
+		{"DeleteStub absent", false, func(tb *Table) { tb.DeleteStub(other) }},
+		{"DeleteScion absent", false, func(tb *Table) { tb.DeleteScion("P3", 6) }},
+		{"ApplyStubSet stale", false, func(tb *Table) { tb.ApplyStubSet(StubSetMsg{From: "P2", Seq: 1}) }},
+		{"BumpStubIC missing", false, func(tb *Table) { _, _ = tb.BumpStubIC(other) }}, // errors: TestBumpICs
+		{"BumpScionIC missing", false, func(tb *Table) { _, _ = tb.BumpScionIC("P3", 6) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tb := seeded()
+			before := tb.Gen()
+			c.call(tb)
+			if moved := tb.Gen() != before; moved != c.mutates {
+				t.Errorf("Gen %d -> %d, want advanced = %v", before, tb.Gen(), c.mutates)
+			}
+		})
 	}
 }

@@ -114,7 +114,7 @@ func TestSummaryReachabilityConsistency(t *testing.T) {
 			reach := h.ReachableFrom(sc.Obj)
 			want := map[ids.GlobalRef]bool{}
 			for _, tgt := range h.RemoteRefsFrom(reach) {
-				if tb.Stub(tgt) != nil {
+				if tb.HasStub(tgt) {
 					want[tgt] = true
 				}
 			}
