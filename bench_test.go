@@ -317,7 +317,7 @@ func BenchmarkCDMCodec(b *testing.B) {
 	}
 	det := core.DetectionID{Origin: "P1", Seq: 9}
 	msg := wire.NewCDMFromAlg(det, ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}},
-		alg, 7, core.TraceIDFor(det))
+		alg, 7, 0)
 	data := wire.Encode(msg)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
@@ -357,8 +357,7 @@ func batchCodecShapes() map[string][]wire.BatchSection {
 		return ids.RefID{Src: src, Dst: ids.GlobalRef{Node: dst, Obj: ids.ObjID(obj)}}
 	}
 	section := func(seq int, along ids.RefID, a core.Alg) wire.BatchSection {
-		det := core.DetectionID{Origin: "P1", Seq: uint64(seq)}
-		return wire.NewBatchSection(det, core.TraceIDFor(det), along, a)
+		return wire.NewBatchSection(core.DetectionID{Origin: "P1", Seq: uint64(seq)}, along, a)
 	}
 	disjoint := make([]wire.BatchSection, 32)
 	for i := range disjoint {
@@ -457,7 +456,7 @@ func newCDMHop(n int) func() error {
 		if _, abort := derived.MatchStatus(); abort {
 			return errors.New("unexpected abort")
 		}
-		msg := wire.NewCDMFromAlg(det, along, derived, 3, core.TraceIDFor(det))
+		msg := wire.NewCDMFromAlg(det, along, derived, 3, 0)
 		frame = wire.AppendEncode(frame[:0], msg)
 		return nil
 	}
@@ -513,14 +512,14 @@ func BenchmarkCDMHopInstrumented(b *testing.B) {
 func BenchmarkCDMHopJournaled(b *testing.B) {
 	// BenchmarkCDMHopInstrumented plus the event-journal writes the node
 	// layer performs per handled CDM: the cdm-handled emission and the
-	// cdm-sent emission for the forwarded message, against a journal at the
-	// daemons' default capacity with no follower waiting (the steady state:
-	// the cost is seq++, packing the arguments into a record, the ring store
+	// cdm-sent emission for the forwarded message, each deriving the
+	// detection's trace id, against a journal at the daemons' default
+	// capacity with no follower waiting (the steady state: the cost is the
+	// id's hash, seq++, packing the arguments into a record, the ring store
 	// and a nil check on the wake channel). The bar matches the
 	// instrumented hop's: within noise of the uninstrumented hop.
 	det := core.DetectionID{Origin: "P1", Seq: 1}
 	along := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P1", Obj: 1}}
-	tid := core.TraceIDFor(det)
 	for _, n := range cdmHopEntries {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
 			hop := newCDMHop(n)
@@ -535,12 +534,12 @@ func BenchmarkCDMHopJournaled(b *testing.B) {
 				if _, ok := inflight[det]; !ok {
 					inflight[det] = struct{}{}
 				}
-				journal.EmitTraced("P1", dgc.TraceKindCDMHandled, tid,
+				journal.EmitTraced("P1", dgc.TraceKindCDMHandled, core.TraceIDFor(det),
 					"det=%s/%d along=%s outcome=forwarded", det.Origin, det.Seq, along)
 				if err := hop(); err != nil {
 					b.Fatal(err)
 				}
-				journal.EmitTraced("P1", dgc.TraceKindCDMSent, tid,
+				journal.EmitTraced("P1", dgc.TraceKindCDMSent, core.TraceIDFor(det),
 					"det=%s/%d to=%s along=%s hops=%d", det.Origin, det.Seq, along.Dst.Node, along, 3)
 				met.CDMsSent.Inc()
 			}

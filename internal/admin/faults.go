@@ -54,10 +54,13 @@ func (st FaultStatus) Active() bool {
 	return st.DropRate > 0 || st.DelayMS > 0 || len(st.Partition) > 0 || st.Isolate
 }
 
-// NewFaultEndpoint wraps inner (which may be nil until setInner). The seed
-// drives the drop-rate coin only.
-func NewFaultEndpoint(inner transport.Endpoint, seed int64) *FaultEndpoint {
-	return &FaultEndpoint{inner: inner, rng: rand.New(rand.NewSource(seed))}
+// dropSeed seeds the drop-rate coin, so which messages a given drop rate
+// discards depends only on the traffic.
+const dropSeed = 0
+
+// NewFaultEndpoint wraps inner (which may be nil until setInner).
+func NewFaultEndpoint(inner transport.Endpoint) *FaultEndpoint {
+	return &FaultEndpoint{inner: inner, rng: rand.New(rand.NewSource(dropSeed))}
 }
 
 var _ transport.Endpoint = (*FaultEndpoint)(nil)

@@ -54,7 +54,7 @@ func (m *memEndpoint) inject(from ids.NodeID, msg wire.Message) []transport.Enve
 	return h(from, msg)
 }
 
-var testMsg wire.Message = &wire.CreateScionAck{From: "A", Acks: []wire.ExportAck{{ExportID: 1}}}
+var testMsg wire.Message = &wire.CreateScionAck{Acks: []wire.ExportAck{{ExportID: 1}}}
 
 // send1 sends testMsg to each peer, one SendAll per message.
 func send1(fe *FaultEndpoint, peers ...ids.NodeID) {
@@ -65,7 +65,7 @@ func send1(fe *FaultEndpoint, peers ...ids.NodeID) {
 
 func TestFaultEndpointDrop(t *testing.T) {
 	inner := &memEndpoint{self: "P1"}
-	fe := NewFaultEndpoint(inner, 1)
+	fe := NewFaultEndpoint(inner)
 	fe.SetDrop(1.0, 0)
 	for i := 0; i < 10; i++ {
 		send1(fe, "P2")
@@ -89,7 +89,7 @@ func TestFaultEndpointDrop(t *testing.T) {
 
 func TestFaultEndpointPartitionBothWays(t *testing.T) {
 	inner := &memEndpoint{self: "P1"}
-	fe := NewFaultEndpoint(inner, 0)
+	fe := NewFaultEndpoint(inner)
 	var delivered int
 	fe.SetHandler(func(from ids.NodeID, msg wire.Message) []transport.Envelope {
 		delivered++
@@ -121,7 +121,7 @@ func TestFaultEndpointPartitionBothWays(t *testing.T) {
 
 func TestFaultEndpointTTLAndGeneration(t *testing.T) {
 	inner := &memEndpoint{self: "P1"}
-	fe := NewFaultEndpoint(inner, 0)
+	fe := NewFaultEndpoint(inner)
 	fe.SetDrop(1.0, 10*time.Millisecond)
 	// Reconfigure before the TTL fires: the stale expiry must not clobber
 	// the newer injection.
@@ -143,7 +143,7 @@ func TestFaultEndpointTTLAndGeneration(t *testing.T) {
 
 func TestFaultEndpointSetInnerKeepsConfigAndHandler(t *testing.T) {
 	inner1 := &memEndpoint{self: "P1"}
-	fe := NewFaultEndpoint(inner1, 0)
+	fe := NewFaultEndpoint(inner1)
 	var delivered int
 	fe.SetHandler(func(from ids.NodeID, msg wire.Message) []transport.Envelope {
 		delivered++
@@ -167,7 +167,7 @@ func TestFaultEndpointSetInnerKeepsConfigAndHandler(t *testing.T) {
 
 func TestFaultEndpointDelay(t *testing.T) {
 	inner := &memEndpoint{self: "P1"}
-	fe := NewFaultEndpoint(inner, 0)
+	fe := NewFaultEndpoint(inner)
 	fe.SetDelay(20*time.Millisecond, 0)
 	fe.SendAll([]transport.Envelope{{To: "P2", Msg: testMsg}, {To: "P3", Msg: testMsg}})
 	if inner.sentCount() != 0 {
@@ -195,7 +195,7 @@ func TestFaultEndpointDelay(t *testing.T) {
 // reach the inner endpoint in one SendAll, in the order given.
 func TestFaultEndpointSendAllFiltersInOrder(t *testing.T) {
 	inner := &memEndpoint{self: "P1"}
-	fe := NewFaultEndpoint(inner, 0)
+	fe := NewFaultEndpoint(inner)
 	fe.SetPartition([]ids.NodeID{"P2"}, false, 0)
 	fe.SendAll([]transport.Envelope{
 		{To: "P2", Msg: testMsg}, {To: "P4", Msg: testMsg}, {To: "P2", Msg: testMsg}, {To: "P3", Msg: testMsg},

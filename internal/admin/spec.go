@@ -71,7 +71,6 @@ func set[T any](parse func(string) (T, error), field func(*nodeDraft) *T) func(*
 }
 
 func parseU64(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) }
-func parseI64(v string) (int64, error)  { return strconv.ParseInt(v, 10, 64) }
 func parseStr(v string) (string, error) { return v, nil }
 
 func parseCodec(v string) (snapshot.Codec, error) {
@@ -106,7 +105,6 @@ var settings = map[string]func(*nodeDraft, string) error{
 	"codec":          set(parseCodec, func(d *nodeDraft) *snapshot.Codec { return &d.Config.Codec }),
 	"snapshot_dir":   set(parseStr, func(d *nodeDraft) *string { return &d.Config.SnapshotDir }),
 	"state_file":     set(parseStr, func(d *nodeDraft) *string { return &d.StateFile }),
-	"fault_seed":     set(parseI64, func(d *nodeDraft) *int64 { return &d.FaultSeed }),
 }
 
 // setting is one `key: value` line of a spec.

@@ -44,9 +44,6 @@ type NodeSpec struct {
 	// SeedObjects allocates N rooted demo objects on a fresh start (not on
 	// restore).
 	SeedObjects int
-
-	// FaultSeed seeds the fault injector's drop coin (0 = time-free default).
-	FaultSeed int64
 }
 
 // Supervisor owns one live node end to end: the TCP endpoint (wrapped in a
@@ -92,7 +89,7 @@ func StartNode(spec NodeSpec) (*Supervisor, error) {
 	s := &Supervisor{
 		spec:   spec,
 		set:    spec.Config.Metrics,
-		faults: NewFaultEndpoint(nil, spec.FaultSeed),
+		faults: NewFaultEndpoint(nil),
 	}
 	var state []byte
 	if spec.StateFile != "" {

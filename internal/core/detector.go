@@ -16,13 +16,12 @@ type DetectionID struct {
 }
 
 // TraceIDFor derives the causal trace id of a detection: a well-mixed
-// 64-bit tag carried by every CDM of the detection (through the wire codec,
-// across every hop), so one detection can be followed across nodes in
-// /debug/dgc snapshots and trace logs. The id is a pure function of the
-// DetectionID — FNV-1a over the origin name folded with the sequence number,
-// finished with the splitmix64 mixer — so it is deterministic (simulation
-// fingerprints are unaffected) and any process can recompute it without
-// coordination.
+// 64-bit tag on every journal event about the detection, so one detection
+// can be followed across nodes in /debug/dgc snapshots and trace logs. The id
+// is a pure function of the DetectionID — FNV-1a over the origin name folded
+// with the sequence number, finished with the splitmix64 mixer — so every
+// process computes the same id from the detection id that every detection
+// message carries, and no message carries the id itself.
 func TraceIDFor(det DetectionID) uint64 {
 	h := uint64(14695981039346656037) // FNV-64 offset basis
 	for i := 0; i < len(det.Origin); i++ {
@@ -50,11 +49,10 @@ const MaxHops = 256
 type Actions interface {
 	// SendCDMs forwards a CDM derivation along each of the stubs in
 	// `alongs` (along.Src is the local node, along.Dst the remote object).
-	// hops is the derivation's forwarding depth and trace the detection's
-	// causal trace id (TraceIDFor), both carried in every message. Handing
-	// the whole fan-out to the implementation at once lets it flatten the
-	// algebra a single time and share the result across peers.
-	SendCDMs(det DetectionID, trace uint64, alongs []ids.RefID, alg Alg, hops int)
+	// hops is the derivation's forwarding depth, carried in every message.
+	// Handing the whole fan-out to the implementation at once lets it
+	// flatten the algebra a single time and share the result across peers.
+	SendCDMs(det DetectionID, alongs []ids.RefID, alg Alg, hops int)
 	// DeleteOwnScion removes the local scion for ref (ref.Dst.Node is the
 	// local node) and must trigger acyclic-DGC reclamation.
 	DeleteOwnScion(ref ids.RefID)
@@ -156,15 +154,14 @@ func (d *Detector) StartDetection(sum *snapshot.Summary, candidate ids.RefID) (D
 		// Locally reachable objects are live by definition; never trace.
 		return det, Outcome{Kind: OutcomeBranchEnded}
 	}
-	out := d.expand(sum, det, sc, NewAlg(), 0, TraceIDFor(det))
+	out := d.expand(sum, det, sc, NewAlg(), 0)
 	return det, out
 }
 
 // HandleCDM processes a CDM delivered along the reference `along`
 // (along.Dst.Node must be this node). sum is the node's current summarized
-// snapshot; hops is the forwarding depth and trace the causal trace id
-// carried by the message (propagated unchanged into any forwarded CDMs).
-func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.RefID, alg Alg, hops int, trace uint64) Outcome {
+// snapshot; hops is the forwarding depth carried by the message.
+func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.RefID, alg Alg, hops int) Outcome {
 	// Safety rules 1/2 (§2.2): the reference must have a scion in the
 	// current summary. A CDM for a scion created after the last
 	// summarization, or already deleted, is simply discarded ("these CDM
@@ -192,7 +189,7 @@ func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.R
 
 	// Safety rule 4: combine the CDM with this process's snapshot and
 	// continue detection.
-	return d.expand(sum, det, sc, alg, hops, trace)
+	return d.expand(sum, det, sc, alg, hops)
 }
 
 // HandleReturn processes a partial return sent to this node — the
@@ -206,7 +203,7 @@ func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.R
 // of this node's own scions named in its source set, and expand's no-new-
 // information check guarantees the relaunch forwards nothing downstream
 // already has.
-func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg, hops int, trace uint64) Outcome {
+func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg, hops int) Outcome {
 	cycleFound, abort := alg.MatchStatus()
 	if abort {
 		return Outcome{Kind: OutcomeAborted}
@@ -224,7 +221,7 @@ func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg,
 		if sc == nil || sc.LocalReach {
 			continue
 		}
-		out := d.expand(sum, det, sc, cur, hops, trace)
+		out := d.expand(sum, det, sc, cur, hops)
 		switch out.Kind {
 		case OutcomeCycleFound, OutcomeAborted:
 			// Relaunches through earlier scions already went out.
@@ -267,7 +264,7 @@ func (d *Detector) cycleFound(alg Alg) Outcome {
 // dense graphs (every interleaving of a diamond yields a distinct algebra
 // that keeps breeding); the merged form converges to the closure in
 // O(closure) growth steps and lets receivers deduplicate identical CDMs.
-func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.ScionSummary, alg Alg, hops int, trace uint64) Outcome {
+func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.ScionSummary, alg Alg, hops int) Outcome {
 	if hops >= MaxHops {
 		return Outcome{Kind: OutcomeBranchEnded}
 	}
@@ -333,6 +330,6 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 	for i, tgt := range eligible {
 		alongs[i] = ids.RefID{Src: d.self, Dst: tgt}
 	}
-	d.actions.SendCDMs(det, trace, alongs, derived, hops+1)
+	d.actions.SendCDMs(det, alongs, derived, hops+1)
 	return Outcome{Kind: OutcomeForwarded, Forwarded: len(eligible), Derived: &derived}
 }

@@ -32,7 +32,6 @@ type cdmEnv struct {
 	along ids.RefID
 	alg   Alg
 	hops  int
-	trace uint64
 }
 
 type sim struct {
@@ -48,10 +47,10 @@ type simActions struct {
 	self ids.NodeID
 }
 
-func (a simActions) SendCDMs(det DetectionID, trace uint64, alongs []ids.RefID, alg Alg, hops int) {
+func (a simActions) SendCDMs(det DetectionID, alongs []ids.RefID, alg Alg, hops int) {
 	a.s.procs[a.self].sent += len(alongs)
 	for _, along := range alongs {
-		a.s.queue = append(a.s.queue, cdmEnv{det: det, along: along, alg: alg.Clone(), hops: hops, trace: trace})
+		a.s.queue = append(a.s.queue, cdmEnv{det: det, along: along, alg: alg.Clone(), hops: hops})
 	}
 }
 
@@ -106,7 +105,7 @@ func (s *sim) deliver(env cdmEnv) Outcome {
 	if p == nil {
 		s.t.Fatalf("CDM to unknown node %s", env.along.Dst.Node)
 	}
-	return s.record(p, p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops, env.trace))
+	return s.record(p, p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops))
 }
 
 // start initiates a detection at the node owning candidate's scion.
@@ -280,11 +279,11 @@ func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
 	f := buildFig3(t)
 	f.start(f.refF)
 	env, p4 := f.queue[0], f.proc("P4")
-	out := p4.det.HandleCDM(p4.sum, env.det, env.along, env.alg, env.hops, env.trace)
+	out := p4.det.HandleCDM(p4.sum, env.det, env.along, env.alg, env.hops)
 	if out.Kind != OutcomeForwarded || out.NoNewInfo {
 		t.Fatalf("first delivery at P4 = %+v, want forwarded", out)
 	}
-	out = p4.det.HandleCDM(p4.sum, env.det, env.along, *out.Derived, env.hops, env.trace)
+	out = p4.det.HandleCDM(p4.sum, env.det, env.along, *out.Derived, env.hops)
 	if out.Kind != OutcomeBranchEnded || !out.NoNewInfo {
 		t.Fatalf("P4's own derivation delivered back = %+v, want the no-new-information cut", out)
 	}
@@ -298,7 +297,7 @@ func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
 		env := live.queue[0]
 		live.queue = live.queue[1:]
 		p := live.proc(env.along.Dst.Node)
-		out := p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops, env.trace)
+		out := p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops)
 		if env.along.Dst.Node == "P1" {
 			reached = true
 			if out.Kind != OutcomeBranchEnded || out.NoNewInfo {
@@ -342,7 +341,7 @@ func TestCDMToUnknownScionDropped(t *testing.T) {
 	alg.AddTarget(ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}}, 0)
 	det := DetectionID{Origin: "P9", Seq: 1}
 	out := f.deliver(cdmEnv{det: det, along: ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}},
-		alg: alg, trace: TraceIDFor(det)})
+		alg: alg})
 	if out.Kind != OutcomeDropped {
 		t.Fatalf("outcome = %+v", out)
 	}

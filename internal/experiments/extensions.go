@@ -65,7 +65,7 @@ func LeaseAblation(silences []uint64, leaseDuration uint64) ([]LeaseRow, error) 
 					if now <= silence {
 						continue // lost
 					}
-					ownerTable.ApplyStubSet(ts.Msg)
+					ownerTable.ApplyStubSet("P1", ts.Seq, ts.Objs)
 					ownerTable.Renew("P1", now)
 				}
 				if leased {

@@ -38,7 +38,7 @@ func TestDeterministicRowsArePinned(t *testing.T) {
 		for i := range rows {
 			rows[i].Wall = 0
 		}
-		pin(t, "ring x2", rows, "[{2 2 2 117 2 0s} {4 2 12 727 2 0s} {8 2 56 4493 2 0s}]")
+		pin(t, "ring x2", rows, "[{2 2 2 86 2 0s} {4 2 12 592 2 0s} {8 2 56 3920 2 0s}]")
 	})
 
 	t.Run("loss", func(t *testing.T) {

@@ -96,7 +96,7 @@ func (m *Machine) collect(offSchedule bool) lgc.Result {
 	m.emit(trace.KindLGC, "swept=%d live=%d stubs-deleted=%d%s", res.Swept, res.Live, res.StubsDeleted, trigger)
 	for _, ts := range generate() {
 		m.met.StubSetsSent.Inc()
-		m.send(ts.To, &wire.NewSetStubs{Set: ts.Msg})
+		m.send(ts.To, &wire.NewSetStubs{Seq: ts.Seq, Objs: ts.Objs})
 	}
 	m.lastLGC = start
 	m.met.LGCDuration.Observe(time.Since(start).Seconds())
@@ -197,7 +197,6 @@ func (m *Machine) RunDetection() int {
 // hop. forced marks an operator-forced launch in the journal.
 func (m *Machine) launch(candidate ids.RefID, forced bool) (core.DetectionID, core.Outcome) {
 	det, out := m.detector.StartDetection(m.summary, candidate)
-	tid := core.TraceIDFor(det)
 	startFmt, foundFmt := "det=%s/%d candidate=%s", "det=%s/%d scions=%d"
 	if forced {
 		startFmt, foundFmt = startFmt+" forced", foundFmt+" forced"
@@ -206,13 +205,13 @@ func (m *Machine) launch(candidate ids.RefID, forced bool) (core.DetectionID, co
 	switch out.Kind {
 	case core.OutcomeForwarded:
 		m.met.DetectionsStarted.Inc()
-		m.trackDetection(det, tid)
-		m.emitT(trace.KindDetectionStart, tid, startFmt, det.Origin, det.Seq, candidate)
+		m.trackDetection(det)
+		m.emitT(trace.KindDetectionStart, det, startFmt, det.Origin, det.Seq, candidate)
 	case core.OutcomeCycleFound:
 		// The first derivation already closed.
 		m.met.CyclesFound.Inc()
-		m.emitT(trace.KindCycleFound, tid, foundFmt, det.Origin, det.Seq, len(out.GarbageScions))
-		m.emitT(trace.KindDetectionEnd, tid, "det=%s/%d outcome=%s", det.Origin, det.Seq, out.Kind)
+		m.emitT(trace.KindCycleFound, det, foundFmt, det.Origin, det.Seq, len(out.GarbageScions))
+		m.emitT(trace.KindDetectionEnd, det, "det=%s/%d outcome=%s", det.Origin, det.Seq, out.Kind)
 	case core.OutcomeAborted:
 		m.met.DetectionsAborted.Inc()
 	}
@@ -233,8 +232,8 @@ type detectorActions Machine
 // shared, unflattened, by every outgoing message of the fan-out: in-process
 // receivers merge it directly, and a BatchCDM builds its wire dictionary once
 // for the transport to size and encode.
-func (a *detectorActions) SendCDMs(det core.DetectionID, traceID uint64, alongs []ids.RefID, alg core.Alg, hops int) {
-	(*Machine)(a).batch.add(det, traceID, alongs, alg, hops)
+func (a *detectorActions) SendCDMs(det core.DetectionID, alongs []ids.RefID, alg core.Alg, hops int) {
+	(*Machine)(a).batch.add(det, alongs, alg, hops)
 }
 
 // DeleteOwnScion implements core.Actions: the detector proved the scion

@@ -9,31 +9,32 @@ import (
 	"dgc/internal/wire"
 )
 
-// HandleMessage feeds one delivered protocol message into the machine.
-// Unknown messages are ignored (datagram semantics). Any sends the message
-// triggers (CDM fan-out, acks, replies) accumulate as effects for the
-// driver to transmit.
+// HandleMessage feeds one delivered protocol message into the machine. from
+// is the sender as the transport names it, and the only name a handler acts
+// on: no message names its sender. Unknown messages are ignored (datagram
+// semantics). Any sends the message triggers (CDM fan-out, acks, replies)
+// accumulate as effects for the driver to transmit.
 func (m *Machine) HandleMessage(from ids.NodeID, msg wire.Message) {
 	m.observeMember(from)
 	switch msg := msg.(type) {
 	case *wire.InvokeRequest:
-		m.handleInvokeRequest(msg)
+		m.handleInvokeRequest(from, msg)
 	case *wire.InvokeReply:
-		m.handleInvokeReply(msg)
+		m.handleInvokeReply(from, msg)
 	case *wire.CreateScion:
-		m.handleCreateScion(msg)
+		m.handleCreateScion(from, msg)
 	case *wire.CreateScionAck:
-		m.handleCreateScionAck(msg)
+		m.handleCreateScionAck(from, msg)
 	case *wire.NewSetStubs:
-		m.handleNewSetStubs(msg)
+		m.handleNewSetStubs(from, msg)
 	case *wire.CDM:
 		m.handleCDM(msg)
 	case *wire.BatchCDM:
-		m.handleBatchCDM(msg)
+		m.handleBatchCDM(from, msg)
 	case *wire.Gossip:
 		m.handleGossip(from, msg)
 	case *wire.LeaseHandoff:
-		m.handleLeaseHandoff(msg)
+		m.handleLeaseHandoff(from, msg)
 	default:
 		// Baseline traffic and future kinds are not for this handler.
 	}
@@ -54,17 +55,17 @@ func (m *Machine) HandleMessage(from ids.NodeID, msg wire.Message) {
 // paper's "no correctness-critical per-detection state at intermediate
 // processes" property.
 func (m *Machine) handleCDM(msg *wire.CDM) {
-	m.processCDMSection(msg.Det, msg.Trace, msg.Along, int(msg.Hops), msg.MergeAlgInto)
+	m.processCDMSection(msg.Det, msg.Along, int(msg.Hops), msg.MergeAlgInto)
 }
 
 // handleBatchCDM processes a multi-candidate detection message: every
 // section is matched against the local summary exactly as a standalone CDM
-// would be — per-detection accumulators, dedup, race-drop and trace ids all
-// apply section by section, each along its own reference — and the surviving
-// forwards are re-grouped per peer by the machine's cdmBatcher. Return
+// would be — per-detection accumulators, dedup, race-drop and journal events
+// all apply section by section, each along its own reference — and the
+// surviving forwards are re-grouped per peer by the machine's cdmBatcher. Return
 // messages instead merge each section into the origin's accumulated view
 // and re-launch only the unresolved residue.
-func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
+func (m *Machine) handleBatchCDM(from ids.NodeID, msg *wire.BatchCDM) {
 	if len(msg.Sections) == 0 {
 		return // decoder rejects these; in-process senders never build them
 	}
@@ -73,7 +74,7 @@ func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
 			m.emit(trace.KindBatchCDM, "sections=%d hops=%d return received", len(msg.Sections), msg.Hops)
 		} else {
 			m.emit(trace.KindBatchCDM, "from=%s sections=%d hops=%d received",
-				msg.Sections[0].Along.Src, len(msg.Sections), msg.Hops)
+				from, len(msg.Sections), msg.Hops)
 		}
 	}
 	for i := range msg.Sections {
@@ -81,7 +82,7 @@ func (m *Machine) handleBatchCDM(msg *wire.BatchCDM) {
 		if msg.Return {
 			m.handleReturnSection(s, int(msg.Hops))
 		} else {
-			m.processCDMSection(s.Det, s.Trace, s.Along, int(msg.Hops), s.MergeAlgInto)
+			m.processCDMSection(s.Det, s.Along, int(msg.Hops), s.MergeAlgInto)
 		}
 	}
 }
@@ -113,14 +114,14 @@ func (m *Machine) raceDropDetection(det core.DetectionID) {
 // processCDMSection is the per-detection core of handleCDM/handleBatchCDM:
 // one delivered algebra (a standalone CDM or one batch section), arriving
 // along one scion, merged and processed against the accumulated view.
-func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along ids.RefID, hops int, merge func(core.Alg) (bool, bool)) {
+func (m *Machine) processCDMSection(det core.DetectionID, along ids.RefID, hops int, merge func(core.Alg) (bool, bool)) {
 	m.met.CDMsHandled.Inc()
 	m.met.CDMHops.Observe(float64(hops))
 	if _, aborted := m.cdmAborted[det]; aborted {
 		m.met.CDMsRaceDropped.Inc()
 		return
 	}
-	m.trackDetection(det, traceID)
+	m.trackDetection(det)
 	acc := m.accumulatorFor(det)
 	changed, conflict := merge(acc.alg)
 	if conflict {
@@ -147,7 +148,7 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 	// would starve each other of the closure they jointly build.
 	terminal, forwarded, cut := false, false, false
 	for _, a := range acc.alongsSorted {
-		out := m.detector.HandleCDM(m.summary, det, a, acc.alg, hops, traceID)
+		out := m.detector.HandleCDM(m.summary, det, a, acc.alg, hops)
 		m.met.CDMsSent.Add(uint64(out.Forwarded))
 		switch out.Kind {
 		case core.OutcomeDropped:
@@ -162,10 +163,10 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 			cut = cut || out.NoNewInfo
 		}
 		if m.cfg.Trace != nil {
-			m.emitT(trace.KindCDMHandled, traceID, "det=%s/%d along=%s outcome=%s entries=%d",
+			m.emitT(trace.KindCDMHandled, det, "det=%s/%d along=%s outcome=%s entries=%d",
 				det.Origin, det.Seq, a, out.Kind, acc.alg.Len())
 			if out.Kind == core.OutcomeCycleFound {
-				m.emitT(trace.KindCycleFound, traceID, "det=%s/%d scions=%d",
+				m.emitT(trace.KindCycleFound, det, "det=%s/%d scions=%d",
 					det.Origin, det.Seq, len(out.GarbageScions))
 			}
 		}
@@ -202,9 +203,9 @@ func (m *Machine) processCDMSection(det core.DetectionID, traceID uint64, along 
 	if cut && !terminal && !forwarded &&
 		det.Origin != m.id && acc.ver > acc.retVer && acc.alg.Len() > 0 {
 		acc.retVer = acc.ver
-		m.emitT(trace.KindPartialReturn, traceID, "det=%s/%d to=%s entries=%d hops=%d",
+		m.emitT(trace.KindPartialReturn, det, "det=%s/%d to=%s entries=%d hops=%d",
 			det.Origin, det.Seq, det.Origin, acc.alg.Len(), hops+1)
-		m.batch.addReturn(det, traceID, acc.alg.Clone(), hops+1)
+		m.batch.addReturn(det, acc.alg.Clone(), hops+1)
 	}
 }
 
@@ -225,7 +226,7 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 	if m.summary == nil {
 		return
 	}
-	m.trackDetection(det, s.Trace)
+	m.trackDetection(det)
 	acc := m.accumulatorFor(det)
 	changed, conflict := s.MergeAlgInto(acc.alg)
 	if conflict {
@@ -237,7 +238,7 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 		return
 	}
 	acc.ver++
-	out := m.detector.HandleReturn(m.summary, det, acc.alg, hops, s.Trace)
+	out := m.detector.HandleReturn(m.summary, det, acc.alg, hops)
 	m.met.CDMsSent.Add(uint64(out.Forwarded))
 	switch out.Kind {
 	case core.OutcomeAborted:
@@ -246,14 +247,14 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 		m.met.CyclesFound.Inc()
 	case core.OutcomeForwarded:
 		m.met.DetectionRelaunches.Inc()
-		m.emitT(trace.KindRelaunch, s.Trace, "det=%s/%d forwarded=%d entries=%d",
+		m.emitT(trace.KindRelaunch, det, "det=%s/%d forwarded=%d entries=%d",
 			det.Origin, det.Seq, out.Forwarded, acc.alg.Len())
 	}
 	if m.cfg.Trace != nil {
-		m.emitT(trace.KindCDMHandled, s.Trace, "det=%s/%d along=return outcome=%s entries=%d",
+		m.emitT(trace.KindCDMHandled, det, "det=%s/%d along=return outcome=%s entries=%d",
 			det.Origin, det.Seq, out.Kind, acc.alg.Len())
 		if out.Kind == core.OutcomeCycleFound {
-			m.emitT(trace.KindCycleFound, s.Trace, "det=%s/%d scions=%d",
+			m.emitT(trace.KindCycleFound, det, "det=%s/%d scions=%d",
 				det.Origin, det.Seq, len(out.GarbageScions))
 		}
 	}
@@ -273,17 +274,18 @@ func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
 }
 
 // handleNewSetStubs applies a reference-listing stub set: scions from the
-// sender not listed are deleted. On a machine that schedules its own LGC the
-// objects they protected are collected in this same input: a stub set is the
-// product of the peer's finished collection, so nothing more is coming and
-// waiting for the next LGC tick only adds a period per hop. The bound is in
-// logical time — one such collection between two ticks; a further
-// scion-deleting set in the interval makes the next tick a collection tick
-// instead. Scions deleted for any other reason (cycle found, leases) wait
-// for the schedule: a found cycle's deletions arrive spread over a tick, and
-// sweeping early splits the burst (DESIGN.md §8).
-func (m *Machine) handleNewSetStubs(msg *wire.NewSetStubs) {
-	deleted := m.table.ApplyStubSet(msg.Set)
+// sender, from, that it does not list are deleted. On a machine that
+// schedules its own LGC the objects they protected are collected in this
+// same input: a stub set is the product of the peer's finished collection,
+// so nothing more is coming and waiting for the next LGC tick only adds a
+// period per hop. The bound is in logical time — one such collection
+// between two ticks; a further scion-deleting set in the interval makes the
+// next tick a collection tick instead. Scions deleted for any other reason
+// (cycle found, leases) wait for the schedule: a found cycle's deletions
+// arrive spread over a tick, and sweeping early splits the burst (DESIGN.md
+// §8).
+func (m *Machine) handleNewSetStubs(from ids.NodeID, msg *wire.NewSetStubs) {
+	deleted := m.table.ApplyStubSet(from, msg.Seq, msg.Objs)
 	m.met.StubSetsApplied.Inc()
 	if len(deleted) == 0 {
 		return

@@ -106,11 +106,10 @@ type Machine struct {
 	snapshotBytes uint64
 
 	// inflight tracks the detections the inputs since the last flush touch,
-	// for causal tracing and the per-detection latency histogram: keyed by
-	// detection, carrying the trace id and the wall-clock time of first
-	// sight here. It is per-flush state (trackDetection): empty after
-	// TakeEffects.
-	inflight map[core.DetectionID]detInflight
+	// for the per-detection latency histogram: keyed by detection, holding
+	// the wall-clock time of first sight here. It is per-flush state
+	// (trackDetection): empty after TakeEffects.
+	inflight map[core.DetectionID]time.Time
 
 	// lastLGC/lastSummarize timestamp the most recent daemon runs, for the
 	// /debug/dgc snapshot.
@@ -162,7 +161,6 @@ type cdmBatcher struct {
 // outSection is one buffered (detection, algebra) pair bound for an edge.
 type outSection struct {
 	det   core.DetectionID
-	trace uint64
 	along ids.RefID
 	alg   core.Alg
 	hops  int
@@ -184,7 +182,7 @@ type peerBatch struct {
 // accumulator both came from is alive its algebra only grows, so the newest
 // derivation subsumes what it replaces. Every accumulator reset flushes the
 // batcher first (resetAccumulators), so no section outlives its accumulator.
-func (b *cdmBatcher) add(det core.DetectionID, trace uint64, alongs []ids.RefID, alg core.Alg, hops int) {
+func (b *cdmBatcher) add(det core.DetectionID, alongs []ids.RefID, alg core.Alg, hops int) {
 	for _, along := range alongs {
 		to := along.Dst.Node
 		pb := b.peers[to]
@@ -193,7 +191,7 @@ func (b *cdmBatcher) add(det core.DetectionID, trace uint64, alongs []ids.RefID,
 			b.peers[to] = pb
 			b.order = append(b.order, to)
 		}
-		s := outSection{det: det, trace: trace, along: along, alg: alg, hops: hops}
+		s := outSection{det: det, along: along, alg: alg, hops: hops}
 		key := edgeDet{along, det}
 		if i, ok := pb.index[key]; ok {
 			pb.secs[i] = s
@@ -209,8 +207,8 @@ func (b *cdmBatcher) add(det core.DetectionID, trace uint64, alongs []ids.RefID,
 // detection that arrived along two references can be cut twice before a
 // flush; its later return supersedes the earlier, as in add, so the origin
 // gets one section per detection.
-func (b *cdmBatcher) addReturn(det core.DetectionID, trace uint64, alg core.Alg, hops int) {
-	s := wire.NewBatchSection(det, trace, ids.RefID{}, alg)
+func (b *cdmBatcher) addReturn(det core.DetectionID, alg core.Alg, hops int) {
+	s := wire.NewBatchSection(det, ids.RefID{}, alg)
 	if i, ok := b.retIndex[det]; ok {
 		b.rets[det.Origin][i] = s
 	} else {
@@ -236,13 +234,6 @@ func newCDMBatcher() *cdmBatcher {
 // cdmAccCap bounds the per-detection accumulator cache; overflowing flushes
 // it, which only costs repeated work.
 const cdmAccCap = 1 << 10
-
-// detInflight is one tracked detection: its causal trace id and when this
-// node first saw it.
-type detInflight struct {
-	trace uint64
-	first time.Time
-}
 
 type pendingCall struct {
 	target   ids.GlobalRef
@@ -272,7 +263,7 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		pins:           make(map[ids.GlobalRef]int),
 		cdmAcc:         make(map[core.DetectionID]*detAcc),
 		cdmAborted:     make(map[core.DetectionID]struct{}),
-		inflight:       make(map[core.DetectionID]detInflight),
+		inflight:       make(map[core.DetectionID]time.Time),
 		batch:          newCDMBatcher(),
 		acks:           make(map[ids.NodeID]*wire.CreateScionAck),
 	}
@@ -323,9 +314,9 @@ func (m *Machine) flushCDMBatch() {
 		pb := b.peers[to]
 		if len(pb.secs) == 1 {
 			s := pb.secs[0]
-			m.emitT(trace.KindCDMSent, s.trace, "det=%s/%d to=%s along=%s hops=%d",
+			m.emitT(trace.KindCDMSent, s.det, "det=%s/%d to=%s along=%s hops=%d",
 				s.det.Origin, s.det.Seq, to, s.along, s.hops)
-			m.send(to, wire.NewCDMFromAlg(s.det, s.along, s.alg, s.hops, s.trace))
+			m.send(to, wire.NewCDMFromAlg(s.det, s.along, s.alg, s.hops, 0))
 			continue
 		}
 		// Every along leads from this node into to: its object orders it.
@@ -335,11 +326,11 @@ func (m *Machine) flushCDMBatch() {
 		secs := make([]wire.BatchSection, len(pb.secs))
 		hops := 0
 		for i, s := range pb.secs {
-			secs[i] = wire.NewBatchSection(s.det, s.trace, s.along, s.alg)
+			secs[i] = wire.NewBatchSection(s.det, s.along, s.alg)
 			if s.hops > hops {
 				hops = s.hops
 			}
-			m.emitT(trace.KindCDMSent, s.trace, "det=%s/%d to=%s along=%s hops=%d batched",
+			m.emitT(trace.KindCDMSent, s.det, "det=%s/%d to=%s along=%s hops=%d batched",
 				s.det.Origin, s.det.Seq, to, s.along, s.hops)
 		}
 		m.met.BatchCDMsSent.Inc()
@@ -369,9 +360,9 @@ func (m *Machine) resetAccumulators() {
 // detection has ended here or left forwarded, returned or dropped (a ring
 // closes at its last process), so TakeEffects drops the entry, and a later
 // delivery tracks it afresh (§3.2: no state about detections in course).
-func (m *Machine) trackDetection(det core.DetectionID, trace uint64) {
+func (m *Machine) trackDetection(det core.DetectionID) {
 	if _, ok := m.inflight[det]; !ok {
-		m.inflight[det] = detInflight{trace: trace, first: time.Now()}
+		m.inflight[det] = time.Now()
 	}
 }
 
@@ -381,12 +372,12 @@ func (m *Machine) trackDetection(det core.DetectionID, trace uint64) {
 // "race-dropped") for the detection-end event dgcctl's stream-driven
 // follow terminates on.
 func (m *Machine) detectionDone(det core.DetectionID, outcome string) {
-	inf, ok := m.inflight[det]
+	first, ok := m.inflight[det]
 	if !ok {
 		return
 	}
-	m.emitT(trace.KindDetectionEnd, inf.trace, "det=%s/%d outcome=%s", det.Origin, det.Seq, outcome)
-	m.met.DetectionLatency.Observe(time.Since(inf.first).Seconds())
+	m.emitT(trace.KindDetectionEnd, det, "det=%s/%d outcome=%s", det.Origin, det.Seq, outcome)
+	m.met.DetectionLatency.Observe(time.Since(first).Seconds())
 	delete(m.inflight, det)
 }
 
@@ -565,11 +556,12 @@ func (m *Machine) emit(kind trace.Kind, format string, args ...any) {
 	}
 }
 
-// emitT records a trace event carrying a detection's causal trace id, the
-// key the timeline assembler merges per-node streams on.
-func (m *Machine) emitT(kind trace.Kind, traceID uint64, format string, args ...any) {
+// emitT records a trace event about detection det, tagged with its causal
+// trace id (core.TraceIDFor), the key the timeline assembler merges per-node
+// streams on. Every node derives the id from det, so no message carries it.
+func (m *Machine) emitT(kind trace.Kind, det core.DetectionID, format string, args ...any) {
 	if m.cfg.Trace != nil {
-		m.cfg.Trace.EmitTraced(m.id, kind, traceID, format, args...)
+		m.cfg.Trace.EmitTraced(m.id, kind, core.TraceIDFor(det), format, args...)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestMachineHandleMessageEffects(t *testing.T) {
 	m.With(func(mut Mutator) { obj = mut.Alloc(nil) })
 	m.TakeEffects()
 
-	m.HandleMessage("A", &wire.CreateScion{ExportID: 7, From: "A", Holder: "A", Objs: []ids.ObjID{obj}})
+	m.HandleMessage("A", &wire.CreateScion{ExportID: 7, Holder: "A", Objs: []ids.ObjID{obj}})
 	outs := m.TakeEffects()
 	if len(outs) != 1 || outs[0].To != "A" {
 		t.Fatalf("effects = %v, want one ack to A", outs)
@@ -91,21 +91,24 @@ func TestOwnerAcksOncePerExporterPerFlush(t *testing.T) {
 	var x, y ids.ObjID
 	m.With(func(mut Mutator) { x, y = mut.Alloc(nil), mut.Alloc(nil) })
 	m.TakeEffects()
-	for _, req := range []*wire.CreateScion{
-		{ExportID: 3, From: "A", Holder: "A", Objs: []ids.ObjID{x}},
-		{ExportID: 8, From: "D", Holder: "D", Objs: []ids.ObjID{y}},
-		{ExportID: 4, From: "A", Holder: "B", Objs: []ids.ObjID{x, y, x}},
-		{ExportID: 3, From: "A", Holder: "A", Objs: []ids.ObjID{x}},
-		{ExportID: 5, From: "A", Holder: "A", Objs: []ids.ObjID{99}},
+	for _, req := range []struct {
+		from ids.NodeID
+		msg  *wire.CreateScion
+	}{
+		{"A", &wire.CreateScion{ExportID: 3, Holder: "A", Objs: []ids.ObjID{x}}},
+		{"D", &wire.CreateScion{ExportID: 8, Holder: "D", Objs: []ids.ObjID{y}}},
+		{"A", &wire.CreateScion{ExportID: 4, Holder: "B", Objs: []ids.ObjID{x, y, x}}},
+		{"A", &wire.CreateScion{ExportID: 3, Holder: "A", Objs: []ids.ObjID{x}}},
+		{"A", &wire.CreateScion{ExportID: 5, Holder: "A", Objs: []ids.ObjID{99}}},
 	} {
-		m.HandleMessage(req.From, req)
+		m.HandleMessage(req.from, req.msg)
 	}
 	outs := m.TakeEffects()
 	want := []transport.Envelope{
-		{To: "A", Msg: &wire.CreateScionAck{From: "C", Acks: []wire.ExportAck{
+		{To: "A", Msg: &wire.CreateScionAck{Acks: []wire.ExportAck{
 			{ExportID: 3}, {ExportID: 4}, {ExportID: 5, Err: "no such object"},
 		}}},
-		{To: "D", Msg: &wire.CreateScionAck{From: "C", Acks: []wire.ExportAck{{ExportID: 8}}}},
+		{To: "D", Msg: &wire.CreateScionAck{Acks: []wire.ExportAck{{ExportID: 8}}}},
 	}
 	if !reflect.DeepEqual(outs, want) {
 		t.Fatalf("effects = %v, want %v", outs, want)
@@ -122,8 +125,8 @@ func TestOwnerAcksOncePerExporterPerFlush(t *testing.T) {
 	}
 
 	// The next flush starts a new ack.
-	m.HandleMessage("A", &wire.CreateScion{ExportID: 6, From: "A", Holder: "A", Objs: []ids.ObjID{y}})
-	want = []transport.Envelope{{To: "A", Msg: &wire.CreateScionAck{From: "C", Acks: []wire.ExportAck{{ExportID: 6}}}}}
+	m.HandleMessage("A", &wire.CreateScion{ExportID: 6, Holder: "A", Objs: []ids.ObjID{y}})
+	want = []transport.Envelope{{To: "A", Msg: &wire.CreateScionAck{Acks: []wire.ExportAck{{ExportID: 6}}}}}
 	if outs := m.TakeEffects(); !reflect.DeepEqual(outs, want) {
 		t.Fatalf("next flush = %v, want %v", outs, want)
 	}
@@ -172,7 +175,7 @@ func TestDuplicatedAckDoesNotCompleteTwoOwnerExport(t *testing.T) {
 		return false
 	}
 	ackFrom := func(owner ids.NodeID) *wire.CreateScionAck {
-		return &wire.CreateScionAck{From: owner, Acks: []wire.ExportAck{{ExportID: exports[owner]}}}
+		return &wire.CreateScionAck{Acks: []wire.ExportAck{{ExportID: exports[owner]}}}
 	}
 	for i := 0; i < 2; i++ {
 		m.HandleMessage("C", ackFrom("C"))
@@ -183,6 +186,98 @@ func TestDuplicatedAckDoesNotCompleteTwoOwnerExport(t *testing.T) {
 	m.HandleMessage("D", ackFrom("D"))
 	if !invoked() {
 		t.Fatal("no InvokeRequest to B once C and D acknowledged")
+	}
+}
+
+// TestMessageSpeaksOnlyForItsTransportSender: no message names its sender,
+// so every handler acts for the node the transport delivered it from. Owner
+// A holds scions from B and from C on the same objects; each message from
+// one of them touches that one's references and exports only.
+func TestMessageSpeaksOnlyForItsTransportSender(t *testing.T) {
+	m := NewMachine("A", membCfg())
+	var x, y ids.ObjID
+	m.With(func(mut Mutator) { x, y = mut.Alloc(nil), mut.Alloc(nil) })
+	for _, holder := range []ids.NodeID{"B", "C"} {
+		for _, obj := range []ids.ObjID{x, y} {
+			if err := m.EnsureScionFor(holder, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m.TakeEffects()
+	scionsOf := func(holder ids.NodeID) (n int) {
+		for _, sc := range m.table.Scions() {
+			if sc.Src == holder {
+				n++
+			}
+		}
+		return n
+	}
+
+	// A drain handoff from B takes B's scions into custody, not C's.
+	m.HandleMessage("B", &wire.LeaseHandoff{Objs: []ids.ObjID{x, y}})
+	if got := m.table.ReleaseCustodial("C"); len(got) != 0 {
+		t.Fatalf("handoff from B pinned C's scions %v", got)
+	}
+	if got := m.table.ReleaseCustodial("B"); len(got) != 2 {
+		t.Fatalf("handoff from B pinned %v of B's scions, want both", got)
+	}
+	for _, obj := range []ids.ObjID{x, y} {
+		if err := m.EnsureScionFor("B", obj); err != nil { // put back what the release deleted
+			t.Fatal(err)
+		}
+	}
+
+	// An empty stub set from B deletes B's scions and leaves C's.
+	m.HandleMessage("B", &wire.NewSetStubs{Seq: 1})
+	if b, c := scionsOf("B"), scionsOf("C"); b != 0 || c != 2 {
+		t.Fatalf("after B's empty stub set: B holds %d scions, C %d; want 0 and 2", b, c)
+	}
+
+	// An ack from C resolves the exports that wait on C and no other owner's.
+	var holder ids.ObjID
+	m.With(func(mut Mutator) {
+		holder = mut.Alloc(nil)
+		if err := mut.Root(holder); err != nil {
+			t.Fatal(err)
+		}
+	})
+	c := ids.GlobalRef{Node: "C", Obj: 1}
+	d := ids.GlobalRef{Node: "D", Obj: 1}
+	for _, r := range []ids.GlobalRef{c, d} {
+		if err := m.HoldRemote(holder, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acquired := map[ids.NodeID]bool{}
+	for _, r := range []ids.GlobalRef{{Node: "C", Obj: 2}, {Node: "D", Obj: 2}} {
+		if err := m.AcquireRemote(r, func(_ Mutator, ok bool) { acquired[r.Node] = ok }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Invoke(c, "store", []ids.GlobalRef{d}, nil); err != nil { // waits on D only
+		t.Fatal(err)
+	}
+	ack := &wire.CreateScionAck{}
+	for _, o := range m.TakeEffects() {
+		if cs, ok := o.Msg.(*wire.CreateScion); ok {
+			ack.Acks = append(ack.Acks, wire.ExportAck{ExportID: cs.ExportID})
+		}
+	}
+	if len(ack.Acks) != 3 {
+		t.Fatalf("%d exports pending, want 3", len(ack.Acks))
+	}
+	m.HandleMessage("C", ack)
+	if !acquired["C"] || len(acquired) != 1 {
+		t.Fatalf("an ack from C completed acquisitions %v, want C's only", acquired)
+	}
+	if n := len(m.pendingExports); n != 2 {
+		t.Fatalf("%d exports still pending after C's ack, want D's 2", n)
+	}
+	for _, o := range m.TakeEffects() {
+		if _, ok := o.Msg.(*wire.InvokeRequest); ok {
+			t.Fatal("an ack from C released an invocation waiting on D")
+		}
 	}
 }
 
@@ -359,10 +454,9 @@ func TestTwoCutsOfOneDetectionReturnOnce(t *testing.T) {
 	alg2.AddTarget(r2, sum.Scion(r2).IC)
 
 	det := core.DetectionID{Origin: "A", Seq: 1}
-	tr := core.TraceIDFor(det)
 	m.HandleMessage("A", wire.NewBatchCDM(2, false, []wire.BatchSection{
-		wire.NewBatchSection(det, tr, r1, alg1),
-		wire.NewBatchSection(det, tr, r2, alg2),
+		wire.NewBatchSection(det, r1, alg1),
+		wire.NewBatchSection(det, r2, alg2),
 	}))
 
 	returns := 0

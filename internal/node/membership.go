@@ -86,7 +86,7 @@ func (m *Machine) BeginDrain() error {
 			continue
 		}
 		m.emit(trace.KindLeaseHandoff, "to=%s objs=%d sent", o, len(objs))
-		m.send(o, &wire.LeaseHandoff{Holder: m.id, Objs: objs})
+		m.send(o, &wire.LeaseHandoff{Objs: objs})
 	}
 	return nil
 }
@@ -216,34 +216,35 @@ func (m *Machine) handleGossip(from ids.NodeID, g *wire.Gossip) {
 	}
 }
 
-// handleLeaseHandoff takes a draining holder's scions into custody: pinned
-// against lease expiry until the holder's departure is final, then released
-// through the normal deletion path (processMemberTransitions).
-func (m *Machine) handleLeaseHandoff(msg *wire.LeaseHandoff) {
+// handleLeaseHandoff takes the scions of a draining holder, the sender, into
+// custody: pinned against lease expiry until the holder's departure is
+// final, then released through the normal deletion path
+// (processMemberTransitions).
+func (m *Machine) handleLeaseHandoff(holder ids.NodeID, msg *wire.LeaseHandoff) {
 	if m.memb == nil {
 		return
 	}
 	pinned := 0
 	for _, obj := range msg.Objs {
-		if !m.table.HasScion(msg.Holder, obj) {
+		if !m.table.HasScion(holder, obj) {
 			continue
 		}
-		m.table.Pin(msg.Holder, obj)
+		m.table.Pin(holder, obj)
 		pinned++
 	}
-	m.emit(trace.KindLeaseHandoff, "holder=%s objs=%d pinned=%d received", msg.Holder, len(msg.Objs), pinned)
+	m.emit(trace.KindLeaseHandoff, "holder=%s objs=%d pinned=%d received", holder, len(msg.Objs), pinned)
 }
 
 // abortDetectionMemberDead terminates a detection whose every outgoing edge
 // routes through dead members, journaling the member-dead outcome dgcctl's
 // follow loop keys on (relaunch after the holder's scions are reclaimed
 // skips the dead edge entirely).
-func (m *Machine) abortDetectionMemberDead(det core.DetectionID, traceID uint64) {
+func (m *Machine) abortDetectionMemberDead(det core.DetectionID) {
 	if _, ok := m.inflight[det]; ok {
 		m.detectionDone(det, "member-dead")
 		return
 	}
-	m.emitT(trace.KindDetectionEnd, traceID, "det=%s/%d outcome=member-dead", det.Origin, det.Seq)
+	m.emitT(trace.KindDetectionEnd, det, "det=%s/%d outcome=member-dead", det.Origin, det.Seq)
 }
 
 // filterDeadPeers strips a flush-pending CDM batch of the peers and the
@@ -274,7 +275,7 @@ func (m *Machine) filterDeadPeers(b *cdmBatcher) {
 			if _, ok := liveDet[s.det]; ok {
 				continue
 			}
-			m.abortDetectionMemberDead(s.det, s.trace)
+			m.abortDetectionMemberDead(s.det)
 			liveDet[s.det] = struct{}{} // abort a detection at most once
 		}
 		delete(b.peers, to)

@@ -3,8 +3,10 @@ package node
 import (
 	"testing"
 
+	"dgc/internal/core"
 	"dgc/internal/ids"
 	"dgc/internal/membership"
+	"dgc/internal/trace"
 	"dgc/internal/wire"
 )
 
@@ -49,7 +51,7 @@ func TestMachineMembershipDeadPeerReclaimsScions(t *testing.T) {
 	}
 
 	// Traffic from B: scion created, directory flips B to alive, lease starts.
-	m.HandleMessage("B", &wire.CreateScion{ExportID: 1, From: "B", Holder: "B", Objs: []ids.ObjID{obj}})
+	m.HandleMessage("B", &wire.CreateScion{ExportID: 1, Holder: "B", Objs: []ids.ObjID{obj}})
 	m.TakeEffects()
 	if got := m.MemberState("B"); got != membership.Alive {
 		t.Fatalf("after traffic, B = %s, want alive", got)
@@ -88,6 +90,55 @@ func TestMachineMembershipDeadPeerReclaimsScions(t *testing.T) {
 	// sweeps it.
 	if res := m.RunLGC(); res.Swept != 1 {
 		t.Fatalf("swept = %d after reclamation, want 1", res.Swept)
+	}
+}
+
+// TestMemberDeadAbortCarriesDerivedTraceID: a detection whose only exit is
+// a dead member ends at the sender with outcome member-dead, and that journal
+// event carries the trace id derived from the detection id, as every other
+// detection event does.
+func TestMemberDeadAbortCarriesDerivedTraceID(t *testing.T) {
+	cfg := membCfg()
+	cfg.Trace = trace.New(256)
+	m := NewMachine("A", cfg)
+	var obj ids.ObjID
+	m.With(func(mut Mutator) { obj = mut.Alloc(nil) })
+	if err := m.HoldRemote(obj, ids.GlobalRef{Node: "B", Obj: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnsureScionFor("C", obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddMember("B", ""); err != nil {
+		t.Fatal(err)
+	}
+	m.HandleMessage("B", &wire.Credit{}) // B is heard from, then falls silent
+	for i := 0; i < 40 && m.MemberState("B") != membership.Dead; i++ {
+		m.Tick()
+		m.TakeEffects()
+	}
+	if m.MemberState("B") != membership.Dead {
+		t.Fatal("B never declared dead under silence")
+	}
+
+	res, err := m.ForceDetect(ids.RefID{Src: "C", Dst: ids.GlobalRef{Node: "A", Obj: obj}})
+	if err != nil || res.Outcome != core.OutcomeForwarded.String() {
+		t.Fatalf("ForceDetect = %+v, %v; want a forwarded first hop", res, err)
+	}
+	for _, o := range m.TakeEffects() {
+		if o.To == "B" {
+			t.Fatalf("%s sent to dead member B", o.Msg.Kind())
+		}
+	}
+	det := core.DetectionID{Origin: "A", Seq: res.Seq}
+	var ends []trace.Event
+	for _, e := range cfg.Trace.OfKind(trace.KindDetectionEnd) {
+		if e.Detail == "det=A/1 outcome=member-dead" {
+			ends = append(ends, e)
+		}
+	}
+	if len(ends) != 1 || ends[0].Trace != core.TraceIDFor(det) {
+		t.Fatalf("member-dead ends %+v, want one with trace id %#x", ends, core.TraceIDFor(det))
 	}
 }
 
@@ -137,7 +188,7 @@ func TestMachineDrainHandsOffAndRetires(t *testing.T) {
 	// B owns an object; A holds a reference to it (stub at A, scion at B).
 	var target ids.ObjID
 	b.With(func(mut Mutator) { target = mut.Alloc(nil) })
-	b.HandleMessage("A", &wire.CreateScion{ExportID: 1, From: "A", Holder: "A", Objs: []ids.ObjID{target}})
+	b.HandleMessage("A", &wire.CreateScion{ExportID: 1, Holder: "A", Objs: []ids.ObjID{target}})
 	b.TakeEffects()
 	var holder ids.ObjID
 	a.With(func(mut Mutator) {

@@ -35,7 +35,7 @@ func TestLiveRuntimeMailboxOverflow(t *testing.T) {
 	// export). The loop is inside consume, so exactly cap of them queue.
 	const flood = 100
 	for i := 0; i < flood; i++ {
-		r.handleMessage("B", &wire.CreateScionAck{From: "B", Acks: []wire.ExportAck{{ExportID: 999}}})
+		r.handleMessage("B", &wire.CreateScionAck{Acks: []wire.ExportAck{{ExportID: 999}}})
 	}
 	if got := r.DroppedInbound(); got != flood-cap {
 		t.Fatalf("DroppedInbound = %d, want %d", got, flood-cap)

@@ -85,8 +85,7 @@ func (m *Machine) Invoke(target ids.GlobalRef, method string, args []ids.GlobalR
 		m.met.InvokesSent.Inc()
 		m.send(target.Node, &wire.InvokeRequest{
 			CallID: callID,
-			From:   m.id,
-			Target: target,
+			Obj:    target.Obj,
 			Method: method,
 			Args:   argsCopy,
 			StubIC: stubIC,
@@ -157,7 +156,6 @@ func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func
 	for i, owner := range owners {
 		m.send(owner, &wire.CreateScion{
 			ExportID: exportID,
-			From:     m.id,
 			Holder:   holder,
 			Objs:     objs[i],
 		})
@@ -207,40 +205,39 @@ func (m *Machine) AcquireRemote(ref ids.GlobalRef, cb func(mut Mutator, ok bool)
 	})
 	m.send(ref.Node, &wire.CreateScion{
 		ExportID: exportID,
-		From:     m.id,
 		Holder:   m.id,
 		Objs:     []ids.ObjID{ref.Obj},
 	})
 	return nil
 }
 
-// handleInvokeRequest executes an incoming invocation.
-func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
+// handleInvokeRequest executes an incoming invocation from caller.
+func (m *Machine) handleInvokeRequest(caller ids.NodeID, msg *wire.InvokeRequest) {
 	m.met.InvokesHandled.Inc()
 	m.emit(trace.KindInvoke, "from=%s target=%d method=%s args=%d",
-		msg.From, msg.Target.Obj, msg.Method, len(msg.Args))
-	reply := &wire.InvokeReply{CallID: msg.CallID, From: m.id, Target: msg.Target}
+		caller, msg.Obj, msg.Method, len(msg.Args))
+	reply := &wire.InvokeReply{CallID: msg.CallID}
 
 	if !m.cfg.DisableDGC {
 		// The caller held a stub, so our scion exists (create it defensively
 		// if a mixed-configuration caller skipped the protocol), and the
 		// invocation bumps its counter (§3.2).
-		if m.table.EnsureScion(msg.From, msg.Target.Obj) {
+		if m.table.EnsureScion(caller, msg.Obj) {
 			m.met.ScionsCreated.Inc()
 		}
-		_, _ = m.table.BumpScionIC(msg.From, msg.Target.Obj) // ensured above
-		m.selector.Touch(ids.RefID{Src: msg.From, Dst: msg.Target}, m.clock)
+		_, _ = m.table.BumpScionIC(caller, msg.Obj) // ensured above
+		m.selector.Touch(ids.RefID{Src: caller, Dst: ids.GlobalRef{Node: m.id, Obj: msg.Obj}}, m.clock)
 	}
 
-	if !m.heap.Contains(msg.Target.Obj) {
+	if !m.heap.Contains(msg.Obj) {
 		reply.Err = "no such object"
-		m.send(msg.From, reply)
+		m.send(caller, reply)
 		return
 	}
 	handler, ok := m.methods[msg.Method]
 	if !ok {
 		reply.Err = "no such method: " + msg.Method
-		m.send(msg.From, reply)
+		m.send(caller, reply)
 		return
 	}
 
@@ -255,13 +252,13 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 				m.table.EnsureStub(a)
 				continue
 			}
-			if _, err := m.table.BumpScionIC(msg.From, a.Obj); err == nil {
-				m.selector.Touch(ids.RefID{Src: msg.From, Dst: a}, m.clock)
+			if _, err := m.table.BumpScionIC(caller, a.Obj); err == nil {
+				m.selector.Touch(ids.RefID{Src: caller, Dst: a}, m.clock)
 			}
 		}
 	}
 
-	returns := handler(Mutator{n: m}, msg.Target.Obj, msg.Args)
+	returns := handler(Mutator{n: m}, msg.Obj, msg.Args)
 	reply.OK = true
 	reply.Returns = returns
 
@@ -274,11 +271,11 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 		if !m.cfg.DisableDGC {
 			// The reply travels back through the same reference: bump the
 			// scion-side counter and piggy-back it.
-			if ic, err := m.table.BumpScionIC(msg.From, msg.Target.Obj); err == nil {
+			if ic, err := m.table.BumpScionIC(caller, msg.Obj); err == nil {
 				reply.ScionIC = ic
 			}
 		}
-		m.send(msg.From, reply)
+		m.send(caller, reply)
 	}
 
 	if m.cfg.DisableDGC || len(returns) == 0 {
@@ -288,12 +285,12 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 	// Pin remote returns until their scions are confirmed.
 	var pinned []ids.GlobalRef
 	for _, r := range returns {
-		if r.Node != m.id && r.Node != msg.From {
+		if r.Node != m.id && r.Node != caller {
 			m.pin(r)
 			pinned = append(pinned, r)
 		}
 	}
-	m.exportRefs(returns, msg.From, func(ok bool, errMsg string) {
+	m.exportRefs(returns, caller, func(ok bool, errMsg string) {
 		finish(ok, errMsg)
 		for _, r := range pinned {
 			m.unpin(r)
@@ -301,8 +298,8 @@ func (m *Machine) handleInvokeRequest(msg *wire.InvokeRequest) {
 	})
 }
 
-// handleInvokeReply completes a pending call.
-func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
+// handleInvokeReply completes a pending call to callee.
+func (m *Machine) handleInvokeReply(callee ids.NodeID, msg *wire.InvokeReply) {
 	pc, ok := m.pendingCalls[msg.CallID]
 	if !ok {
 		return // expired or duplicate: returned refs self-heal via NewSetStubs
@@ -323,8 +320,8 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 				defer m.unpin(r)
 				continue
 			}
-			if _, err := m.table.BumpScionIC(msg.From, r.Obj); err == nil {
-				m.selector.Touch(ids.RefID{Src: msg.From, Dst: r}, m.clock)
+			if _, err := m.table.BumpScionIC(callee, r.Obj); err == nil {
+				m.selector.Touch(ids.RefID{Src: callee, Dst: r}, m.clock)
 			}
 		}
 	}
@@ -339,9 +336,10 @@ func (m *Machine) handleInvokeReply(msg *wire.InvokeReply) {
 	}
 }
 
-// handleCreateScion serves a scion-creation request: a scion for every
-// listed object that exists, then the request's entry in the exporter's ack.
-func (m *Machine) handleCreateScion(msg *wire.CreateScion) {
+// handleCreateScion serves an exporter's scion-creation request: a scion for
+// every listed object that exists, then the request's entry in the
+// exporter's ack.
+func (m *Machine) handleCreateScion(exporter ids.NodeID, msg *wire.CreateScion) {
 	var errMsg string
 	for _, obj := range msg.Objs {
 		if !m.heap.Contains(obj) {
@@ -355,14 +353,15 @@ func (m *Machine) handleCreateScion(msg *wire.CreateScion) {
 		m.selector.Touch(ids.RefID{Src: msg.Holder, Dst: ref}, m.clock)
 		// The exporter copied ITS reference to our object: bump the
 		// matching scion counter (it bumped the stub side). A bootstrap
-		// acquisition (Holder == From) is a fresh grant, not a copy.
-		if msg.Holder != msg.From {
-			if _, err := m.table.BumpScionIC(msg.From, obj); err == nil {
-				m.selector.Touch(ids.RefID{Src: msg.From, Dst: ref}, m.clock)
+		// acquisition (the exporter is the holder) is a fresh grant, not a
+		// copy.
+		if msg.Holder != exporter {
+			if _, err := m.table.BumpScionIC(exporter, obj); err == nil {
+				m.selector.Touch(ids.RefID{Src: exporter, Dst: ref}, m.clock)
 			}
 		}
 	}
-	m.ackExport(msg.From, wire.ExportAck{ExportID: msg.ExportID, Err: errMsg})
+	m.ackExport(exporter, wire.ExportAck{ExportID: msg.ExportID, Err: errMsg})
 }
 
 // ackExport answers one CreateScion. The first answer to an exporter since
@@ -374,7 +373,7 @@ func (m *Machine) handleCreateScion(msg *wire.CreateScion) {
 func (m *Machine) ackExport(exporter ids.NodeID, e wire.ExportAck) {
 	ack := m.acks[exporter]
 	if ack == nil {
-		ack = &wire.CreateScionAck{From: m.id, Acks: []wire.ExportAck{e}}
+		ack = &wire.CreateScionAck{Acks: []wire.ExportAck{e}}
 		m.acks[exporter] = ack
 		m.send(exporter, ack)
 		return
@@ -387,17 +386,17 @@ func (m *Machine) ackExport(exporter ids.NodeID, e wire.ExportAck) {
 	ack.Acks = append(ack.Acks, e)
 }
 
-// handleCreateScionAck resolves each listed export in turn. An export
-// completes once every owner it waits on has answered; an answer from an
-// owner not (or no longer) awaited changes nothing, so a duplicated ack
+// handleCreateScionAck resolves each export that owner lists, in turn. An
+// export completes once every owner it waits on has answered; an answer from
+// an owner not (or no longer) awaited changes nothing, so a duplicated ack
 // cannot stand in for another owner's.
-func (m *Machine) handleCreateScionAck(msg *wire.CreateScionAck) {
+func (m *Machine) handleCreateScionAck(owner ids.NodeID, msg *wire.CreateScionAck) {
 	for _, a := range msg.Acks {
 		pe, ok := m.pendingExports[a.ExportID]
 		if !ok {
 			continue
 		}
-		i := slices.Index(pe.waiting, msg.From)
+		i := slices.Index(pe.waiting, owner)
 		if i < 0 {
 			continue
 		}

@@ -20,18 +20,13 @@ import (
 // message loss (the next message supersedes) and, with the sequence number,
 // reordering and duplication (stale messages are ignored).
 
-// StubSetMsg is the payload of one NewSetStubs message: the full set of
-// objects at the receiver that the sender still references.
-type StubSetMsg struct {
-	From ids.NodeID  // sender (the process holding the stubs)
+// TargetedStubSet is one NewSetStubs message and its destination: the full
+// set of objects at To that this process still references. The message does
+// not name its sender; the receiver learns it from the transport.
+type TargetedStubSet struct {
+	To   ids.NodeID
 	Seq  uint64      // per-(sender,receiver) monotonic sequence number
 	Objs []ids.ObjID // receiver-local objects still referenced, sorted
-}
-
-// TargetedStubSet pairs a NewSetStubs message with its destination.
-type TargetedStubSet struct {
-	To  ids.NodeID
-	Msg StubSetMsg
 }
 
 // GenerateTargeted builds one NewSetStubs message per peer process from the
@@ -63,7 +58,7 @@ func (t *Table) generate(changedOnly bool) []TargetedStubSet {
 		}
 		p.sent, p.lastSent = true, fp
 		p.outSeq++
-		out = append(out, TargetedStubSet{To: n, Msg: StubSetMsg{From: t.node, Seq: p.outSeq, Objs: objs}})
+		out = append(out, TargetedStubSet{To: n, Seq: p.outSeq, Objs: objs})
 	}
 	return out
 }
@@ -79,19 +74,20 @@ func fingerprint(objs []ids.ObjID) uint64 {
 	return h
 }
 
-// ApplyStubSet processes a received NewSetStubs message: every scion from
-// msg.From whose object is not listed is deleted. Stale or duplicate
-// messages (sequence number not larger than the last applied) are ignored.
-// It returns the scions deleted, in canonical order. Only the sender's
-// record is read, so the cost does not depend on other peers' scions.
-func (t *Table) ApplyStubSet(msg StubSetMsg) []Scion {
-	p := t.peer(msg.From)
-	if msg.Seq <= p.inSeq {
+// ApplyStubSet processes a NewSetStubs message received from the process
+// from: every scion from it whose object is not in objs is deleted. Stale or
+// duplicate messages (sequence number not larger than the last applied) are
+// ignored. It returns the scions deleted, in canonical order. Only the
+// sender's record is read, so the cost does not depend on other peers'
+// scions.
+func (t *Table) ApplyStubSet(from ids.NodeID, seq uint64, objs []ids.ObjID) []Scion {
+	p := t.peer(from)
+	if seq <= p.inSeq {
 		return nil // stale or duplicate
 	}
-	p.inSeq = msg.Seq
+	p.inSeq = seq
 
-	listed := msg.Objs
+	listed := objs
 	if !ascending(listed) { // every sender here lists a sorted set; a foreign one may not
 		listed = slices.Clone(listed)
 		slices.Sort(listed)
@@ -107,7 +103,7 @@ func (t *Table) ApplyStubSet(msg StubSetMsg) []Scion {
 	if kept == len(p.scions) {
 		return nil
 	}
-	return t.dropScions(msg.From, func(obj ids.ObjID) bool { _, ok := slices.BinarySearch(listed, obj); return !ok })
+	return t.dropScions(from, func(obj ids.ObjID) bool { _, ok := slices.BinarySearch(listed, obj); return !ok })
 }
 
 // ascending reports whether objs is strictly increasing: sorted, with no

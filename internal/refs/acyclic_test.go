@@ -21,11 +21,11 @@ func TestGenerateTargetedGroupsByNode(t *testing.T) {
 	if out[0].To != "P2" || out[1].To != "P3" {
 		t.Fatalf("destinations = %v, %v", out[0].To, out[1].To)
 	}
-	if len(out[0].Msg.Objs) != 2 || out[0].Msg.Objs[0] != 3 || out[0].Msg.Objs[1] != 6 {
-		t.Fatalf("P2 objs = %v", out[0].Msg.Objs)
+	if len(out[0].Objs) != 2 || out[0].Objs[0] != 3 || out[0].Objs[1] != 6 {
+		t.Fatalf("P2 objs = %v", out[0].Objs)
 	}
-	if out[0].Msg.Seq != 1 || out[0].Msg.From != "P1" {
-		t.Fatalf("msg header = %+v", out[0].Msg)
+	if out[0].Seq != 1 {
+		t.Fatalf("msg header = %+v", out[0])
 	}
 }
 
@@ -37,7 +37,7 @@ func TestGenerateTargetedRepeatsEmptySetsByDefault(t *testing.T) {
 	tb.DeleteStub(gref("P2", 6))
 	for round := 0; round < 5; round++ {
 		out := tb.GenerateTargeted()
-		if len(out) != 1 || out[0].To != "P2" || len(out[0].Msg.Objs) != 0 {
+		if len(out) != 1 || out[0].To != "P2" || len(out[0].Objs) != 0 {
 			t.Fatalf("round %d: %+v, want a repeated empty set", round, out)
 		}
 	}
@@ -51,7 +51,7 @@ func TestNotePeerForcesEmptySetAfterSilentStubDeath(t *testing.T) {
 	tb.EnsureStub(gref("P2", 6))
 	tb.DeleteStub(gref("P2", 6)) // dies before any GenerateTargeted
 	out := tb.GenerateTargeted()
-	if len(out) != 1 || out[0].To != "P2" || len(out[0].Msg.Objs) != 0 {
+	if len(out) != 1 || out[0].To != "P2" || len(out[0].Objs) != 0 {
 		t.Fatalf("generated = %+v, want one empty set for P2", out)
 	}
 }
@@ -62,7 +62,7 @@ func TestApplyStubSetDeletesUnlistedScions(t *testing.T) {
 	tb.EnsureScion("P1", 3)
 	tb.EnsureScion("P5", 6) // different source: must survive
 
-	deleted := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: []ids.ObjID{6}})
+	deleted := tb.ApplyStubSet("P1", 1, []ids.ObjID{6})
 	if len(deleted) != 1 || deleted[0].Obj != 3 || deleted[0].Src != "P1" {
 		t.Fatalf("deleted = %+v", deleted)
 	}
@@ -80,7 +80,7 @@ func TestApplyStubSetToleratesUnsortedSets(t *testing.T) {
 		tb.EnsureScion("P1", o)
 	}
 	objs := []ids.ObjID{4, 1, 4, 1}
-	deleted := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: objs})
+	deleted := tb.ApplyStubSet("P1", 1, objs)
 	if len(deleted) != 2 || deleted[0].Obj != 2 || deleted[1].Obj != 3 {
 		t.Fatalf("deleted = %+v, want 2 and 3", deleted)
 	}
@@ -93,22 +93,22 @@ func TestApplyStubSetIgnoresStaleAndDuplicate(t *testing.T) {
 	tb := NewTable("P2")
 	tb.EnsureScion("P1", 6)
 
-	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 2, Objs: []ids.ObjID{6}}); len(d) != 0 {
+	if d := tb.ApplyStubSet("P1", 2, []ids.ObjID{6}); len(d) != 0 {
 		t.Fatalf("deleted = %+v", d)
 	}
 	// Duplicate of seq 2: ignored even though it would delete.
-	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 2, Objs: nil}); len(d) != 0 {
+	if d := tb.ApplyStubSet("P1", 2, nil); len(d) != 0 {
 		t.Fatal("duplicate message was applied")
 	}
 	// Older message (seq 1) that would delete: ignored.
-	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 1, Objs: nil}); len(d) != 0 {
+	if d := tb.ApplyStubSet("P1", 1, nil); len(d) != 0 {
 		t.Fatal("stale message was applied")
 	}
 	if !tb.HasScion("P1", 6) {
 		t.Fatal("scion deleted by stale/duplicate message")
 	}
 	// Newer empty set: applied.
-	if d := tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: 3, Objs: nil}); len(d) != 1 {
+	if d := tb.ApplyStubSet("P1", 3, nil); len(d) != 1 {
 		t.Fatalf("deleted = %+v", d)
 	}
 	if tb.peers["P1"].inSeq != 3 {
@@ -129,7 +129,7 @@ func TestStubSetConvergenceProperty(t *testing.T) {
 		for o := ids.ObjID(0); o < 10; o++ {
 			receiver.EnsureScion("P1", o)
 		}
-		var backlog []StubSetMsg
+		var backlog []TargetedStubSet
 		for round := 0; round < 8; round++ {
 			// Mutate sender stub set randomly over objects 0..9 at P2.
 			for o := ids.ObjID(0); o < 10; o++ {
@@ -141,14 +141,14 @@ func TestStubSetConvergenceProperty(t *testing.T) {
 			}
 			for _, ts := range sender.GenerateTargeted() {
 				if ts.To == "P2" {
-					backlog = append(backlog, ts.Msg)
+					backlog = append(backlog, ts)
 				}
 			}
 			// Deliver a random subset, in random order, with duplicates.
 			for i := 0; i < len(backlog); i++ {
 				j := rng.Intn(len(backlog))
 				if rng.Intn(3) != 0 {
-					receiver.ApplyStubSet(backlog[j])
+					receiver.ApplyStubSet("P1", backlog[j].Seq, backlog[j].Objs)
 				}
 			}
 		}
@@ -156,7 +156,7 @@ func TestStubSetConvergenceProperty(t *testing.T) {
 		final := sender.GenerateTargeted()
 		for _, ts := range final {
 			if ts.To == "P2" {
-				receiver.ApplyStubSet(ts.Msg)
+				receiver.ApplyStubSet("P1", ts.Seq, ts.Objs)
 			}
 		}
 		// Receiver scions from P1 must now equal the sender's stub set
@@ -188,7 +188,7 @@ func TestApplyStubSetNeverDeletesListed(t *testing.T) {
 		kept := ids.ObjID(keep % 4)
 		tb.EnsureScion("P1", kept)
 		for _, s := range seqs {
-			tb.ApplyStubSet(StubSetMsg{From: "P1", Seq: s % 16, Objs: []ids.ObjID{kept}})
+			tb.ApplyStubSet("P1", s%16, []ids.ObjID{kept})
 		}
 		return tb.HasScion("P1", kept)
 	}
@@ -212,7 +212,7 @@ func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
 	}
 	tb.DeleteStub(gref("P3", 1))
 	out := tb.GenerateChanged()
-	if len(out) != 1 || out[0].To != "P3" || len(out[0].Msg.Objs) != 0 || out[0].Msg.Seq != 2 {
+	if len(out) != 1 || out[0].To != "P3" || len(out[0].Objs) != 0 || out[0].Seq != 2 {
 		t.Fatalf("after P3's last stub died = %+v, want one empty set, seq 2", out)
 	}
 	if out := tb.GenerateChanged(); len(out) != 0 {
@@ -223,7 +223,7 @@ func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
 	}
 	// A scheduled round restates both.
 	out = tb.GenerateTargeted()
-	if len(out) != 2 || out[0].Msg.Seq != 2 || out[1].Msg.Seq != 3 {
+	if len(out) != 2 || out[0].Seq != 2 || out[1].Seq != 3 {
 		t.Fatalf("scheduled round = %+v, want P2 seq 2 and P3 seq 3", out)
 	}
 	// Fingerprints are not persisted: a restored process restates.
@@ -233,7 +233,7 @@ func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
 		b.RestoreStub(s.Target, s.IC)
 	}
 	b.RestoreSeqState(outSeq, inSeq)
-	if out := b.GenerateChanged(); len(out) != 2 || out[0].Msg.Seq != 3 {
+	if out := b.GenerateChanged(); len(out) != 2 || out[0].Seq != 3 {
 		t.Fatalf("restored process = %+v, want both peers restated, P2 at seq 3", out)
 	}
 }
@@ -244,7 +244,7 @@ func TestGenerateSkipsPeersThatNeverHeldAStub(t *testing.T) {
 	tb := NewTable("P1")
 	tb.EnsureScion("P2", 1)
 	tb.Renew("P3", 0)
-	tb.ApplyStubSet(StubSetMsg{From: "P4", Seq: 1})
+	tb.ApplyStubSet("P4", 1, nil)
 	tb.EnsureStub(gref("P5", 2))
 	if out := tb.GenerateTargeted(); len(out) != 1 || out[0].To != "P5" {
 		t.Fatalf("generated = %+v, want one set, for P5", out)
@@ -278,7 +278,7 @@ func BenchmarkApplyStubSet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if d := tb.ApplyStubSet(StubSetMsg{From: "Q00", Seq: uint64(i + 1), Objs: objs}); len(d) != 0 {
+				if d := tb.ApplyStubSet("Q00", uint64(i+1), objs); len(d) != 0 {
 					b.Fatalf("deleted %d listed scions", len(d))
 				}
 			}

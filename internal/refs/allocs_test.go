@@ -17,7 +17,7 @@ func TestApplyStubSetAllocsPinned(t *testing.T) {
 		seq := uint64(0)
 		got := testing.AllocsPerRun(100, func() {
 			seq++
-			tb.ApplyStubSet(StubSetMsg{From: "Q00", Seq: seq, Objs: objs})
+			tb.ApplyStubSet("Q00", seq, objs)
 		})
 		if got != 0 {
 			t.Errorf("others=%d: %v allocs per apply, pinned at 0", others, got)

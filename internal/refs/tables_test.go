@@ -161,7 +161,7 @@ func TestEveryTableMutationAdvancesGen(t *testing.T) {
 		tb.EnsureScion("P2", 6)
 		tb.EnsureScion("P2", 8)
 		tb.Pin("P2", 8)
-		tb.ApplyStubSet(StubSetMsg{From: "P2", Seq: 1, Objs: []ids.ObjID{6, 8}})
+		tb.ApplyStubSet("P2", 1, []ids.ObjID{6, 8})
 		return tb
 	}
 	for _, c := range []struct {
@@ -177,7 +177,7 @@ func TestEveryTableMutationAdvancesGen(t *testing.T) {
 		{"BumpScionIC", true, func(tb *Table) { _, _ = tb.BumpScionIC("P2", 6) }},
 		{"RestoreStub", true, func(tb *Table) { tb.RestoreStub(stub, 5) }},
 		{"RestoreScion", true, func(tb *Table) { tb.RestoreScion("P2", 6, 5) }},
-		{"ApplyStubSet drops", true, func(tb *Table) { tb.ApplyStubSet(StubSetMsg{From: "P2", Seq: 2, Objs: []ids.ObjID{8}}) }},
+		{"ApplyStubSet drops", true, func(tb *Table) { tb.ApplyStubSet("P2", 2, []ids.ObjID{8}) }},
 		{"ExpireHolder drops", true, func(tb *Table) { tb.Renew("P2", 0); tb.ExpireHolder("P2", 10, 3) }},
 		{"ReleaseCustodial drops", true, func(tb *Table) { tb.ReleaseCustodial("P2") }},
 
@@ -185,7 +185,7 @@ func TestEveryTableMutationAdvancesGen(t *testing.T) {
 		{"EnsureScion existing", false, func(tb *Table) { tb.EnsureScion("P2", 6) }},
 		{"DeleteStub absent", false, func(tb *Table) { tb.DeleteStub(other) }},
 		{"DeleteScion absent", false, func(tb *Table) { tb.DeleteScion("P3", 6) }},
-		{"ApplyStubSet stale", false, func(tb *Table) { tb.ApplyStubSet(StubSetMsg{From: "P2", Seq: 1}) }},
+		{"ApplyStubSet stale", false, func(tb *Table) { tb.ApplyStubSet("P2", 1, nil) }},
 		{"BumpStubIC missing", false, func(tb *Table) { _, _ = tb.BumpStubIC(other) }}, // errors: TestBumpICs
 		{"BumpScionIC missing", false, func(tb *Table) { _, _ = tb.BumpScionIC("P3", 6) }},
 	} {

@@ -11,7 +11,7 @@ import (
 // ping is the transport tests' payload: a kind with a production sender,
 // carrying a sequence number that pingSeq reads back.
 func ping(seq uint64) wire.Message {
-	return &wire.CreateScionAck{From: "A", Acks: []wire.ExportAck{{ExportID: seq}}}
+	return &wire.CreateScionAck{Acks: []wire.ExportAck{{ExportID: seq}}}
 }
 
 func pingSeq(m wire.Message) uint64 { return m.(*wire.CreateScionAck).Acks[0].ExportID }

@@ -20,8 +20,7 @@ func disjointSections(n int) []BatchSection {
 		a.AddSource(ids.RefID{Src: "P3", Dst: ids.GlobalRef{Node: "P1", Obj: obj}}, 1)
 		a.AddTarget(along, 1)
 		a.AddSource(ids.RefID{Src: "P2", Dst: ids.GlobalRef{Node: "P3", Obj: obj}}, 1)
-		det := core.DetectionID{Origin: "P1", Seq: uint64(i + 1)}
-		secs[i] = NewBatchSection(det, core.TraceIDFor(det), along, a)
+		secs[i] = NewBatchSection(core.DetectionID{Origin: "P1", Seq: uint64(i + 1)}, along, a)
 	}
 	return secs
 }
@@ -44,12 +43,12 @@ func TestCodecAllocsPinned(t *testing.T) {
 		alg.AddTarget(r, uint64(i))
 	}
 	det := core.DetectionID{Origin: "P1", Seq: 9}
-	cdm := NewCDMFromAlg(det, ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}}, alg, 3, core.TraceIDFor(det))
+	cdm := NewCDMFromAlg(det, ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}}, alg, 3, 0)
 	secs := disjointSections(32)
 	batch := NewBatchCDM(3, false, secs)
 	// An owner's answer to 31 exports in one flush, as a ring workload's
 	// holder receives it.
-	ack := &CreateScionAck{From: "P1"}
+	ack := &CreateScionAck{}
 	for i := 0; i < 31; i++ {
 		ack.Acks = append(ack.Acks, ExportAck{ExportID: uint64(1000 + i)})
 	}

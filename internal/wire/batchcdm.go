@@ -10,13 +10,12 @@ import (
 )
 
 // BatchSection is one detection's slice of a BatchCDM: the detection
-// identity, its causal trace id, the reference it travels along and its
-// algebra. Sections are independent — a receiver processes each exactly as it
-// would a standalone CDM carrying the same along and algebra — so batching is
-// a pure transport optimization.
+// identity, the reference it travels along and its algebra. Sections are
+// independent — a receiver processes each exactly as it would a standalone
+// CDM carrying the same along and algebra — so batching is a pure transport
+// optimization.
 type BatchSection struct {
-	Det   core.DetectionID
-	Trace uint64
+	Det core.DetectionID
 	// Along is the reference the section travels along (Along.Src is the
 	// sender, Along.Dst.Node the receiver), exactly as CDM.Along. Zero in a
 	// partial return, which travels to the detection's origin instead.
@@ -26,8 +25,8 @@ type BatchSection struct {
 
 // NewBatchSection builds a section around an algebra (shared, not copied —
 // the algebra must not be mutated afterwards).
-func NewBatchSection(det core.DetectionID, trace uint64, along ids.RefID, alg core.Alg) BatchSection {
-	return BatchSection{Det: det, Trace: trace, Along: along, alg: alg}
+func NewBatchSection(det core.DetectionID, along ids.RefID, alg core.Alg) BatchSection {
+	return BatchSection{Det: det, Along: along, alg: alg}
 }
 
 // MergeAlgInto merges the section's algebra into a, exactly as
@@ -108,7 +107,6 @@ func (m *BatchCDM) encode(buf []byte) []byte {
 		s := &m.Sections[i]
 		buf = putNode(buf, s.Det.Origin)
 		buf = putUint(buf, s.Det.Seq)
-		buf = putUint(buf, s.Trace)
 		if !m.Return {
 			buf = putUint(buf, uint64(d.Extra[i]))
 		}
@@ -131,7 +129,7 @@ func (m *BatchCDM) encodedSize() int {
 	n += uvarintSize(uint64(len(m.Sections)))
 	for i := range m.Sections {
 		s := &m.Sections[i]
-		n += nodeSize(s.Det.Origin) + uvarintSize(s.Det.Seq) + uvarintSize(s.Trace)
+		n += nodeSize(s.Det.Origin) + uvarintSize(s.Det.Seq)
 		if !m.Return {
 			n += uvarintSize(uint64(d.Extra[i]))
 		}
@@ -194,18 +192,15 @@ func decodeBatchCDM(r *reader) *BatchCDM {
 	m.Sections = make([]BatchSection, 0, min(ns, 1024))
 	// Every section's algebra is built into one entry array, sized for the
 	// most entries the rest of the message can hold once each section's
-	// header is paid for: origin, seq, trace id, along and entry count take a
-	// byte each at least (a return has no along).
-	header := 5
+	// header is paid for: origin, seq, along and entry count take a byte
+	// each at least (a return has no along).
+	header := 4
 	if m.Return {
-		header = 4
+		header = 3
 	}
 	algs := core.NewAlgBuilder(min(ns, 1024), max(len(r.data)-r.pos-ns*header, 0)/minEntryBytes)
 	for i := 0; i < ns && r.err == nil; i++ {
-		s := BatchSection{
-			Det:   core.DetectionID{Origin: r.node(), Seq: r.uint()},
-			Trace: r.uint(),
-		}
+		s := BatchSection{Det: core.DetectionID{Origin: r.node(), Seq: r.uint()}}
 		along := -1
 		if !m.Return {
 			if along = index("along"); along >= 0 {

@@ -40,16 +40,16 @@ func testBatch(ret bool) *BatchCDM {
 	d1, d2, d3 := core.DetectionID{Origin: "P1", Seq: 1}, core.DetectionID{Origin: "P1", Seq: 2}, core.DetectionID{Origin: "P4", Seq: 1}
 	if ret {
 		return NewBatchCDM(4, true, []BatchSection{
-			NewBatchSection(d1, 11, ids.RefID{}, a1),
-			NewBatchSection(d2, 12, ids.RefID{}, a2),
-			NewBatchSection(d3, 13, ids.RefID{}, a3),
+			NewBatchSection(d1, ids.RefID{}, a1),
+			NewBatchSection(d2, ids.RefID{}, a2),
+			NewBatchSection(d3, ids.RefID{}, a3),
 		})
 	}
 	return NewBatchCDM(4, false, []BatchSection{
-		NewBatchSection(d1, 11, rs[0], a1),
-		NewBatchSection(d2, 12, rs[1], a2),
-		NewBatchSection(d3, 13, rs[4], a3),
-		NewBatchSection(d1, 11, rs[1], a1),
+		NewBatchSection(d1, rs[0], a1),
+		NewBatchSection(d2, rs[1], a2),
+		NewBatchSection(d3, rs[4], a3),
+		NewBatchSection(d1, rs[1], a1),
 	})
 }
 
@@ -76,7 +76,7 @@ func TestBatchCDMRoundTrip(t *testing.T) {
 		}
 		for i := range m.Sections {
 			ws, ds := &m.Sections[i], &b.Sections[i]
-			if ds.Det != ws.Det || ds.Trace != ws.Trace || ds.Along != ws.Along {
+			if ds.Det != ws.Det || ds.Along != ws.Along {
 				t.Fatalf("section %d identity mismatch: %+v vs %+v", i, ds, ws)
 			}
 			if !carried(ds).Equal(carried(ws)) {
@@ -180,7 +180,6 @@ func (b *rawBatch) sections(n int) *rawBatch {
 func (b *rawBatch) section(origin ids.NodeID, seq, along uint64, entries ...uint64) *rawBatch {
 	b.buf = putNode(b.buf, origin)
 	b.buf = putUint(b.buf, seq)
-	b.buf = putUint(b.buf, 99) // trace
 	b.buf = putUint(b.buf, along)
 	b.buf = putUint(b.buf, uint64(len(entries)))
 	for _, idx := range entries {

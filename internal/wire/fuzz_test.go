@@ -6,7 +6,6 @@ import (
 
 	"dgc/internal/core"
 	"dgc/internal/ids"
-	"dgc/internal/refs"
 )
 
 // FuzzDecode hardens the wire decoder against arbitrary input: it must
@@ -20,13 +19,13 @@ func FuzzDecode(f *testing.F) {
 	r3 := ids.RefID{Src: "P2", Dst: ids.GlobalRef{Node: "P1", Obj: 4}}
 	det := core.DetectionID{Origin: "P2", Seq: 9}
 	seeds := []Message{
-		&InvokeRequest{CallID: 3, From: "P1", Target: g1, Method: "store", Args: []ids.GlobalRef{g1}, StubIC: 7},
-		&InvokeReply{CallID: 3, From: "P2", Target: g1, OK: true, Returns: []ids.GlobalRef{g1}},
-		&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Objs: []ids.ObjID{6}},
-		&CreateScion{ExportID: 6, From: "P1", Holder: "P3", Objs: []ids.ObjID{6, 2, 6}},
-		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}}},
-		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}, {ExportID: 9, Err: "no such object"}, {ExportID: 7}}},
-		&NewSetStubs{Set: refs.StubSetMsg{From: "P1", Seq: 12, Objs: []ids.ObjID{1, 5}}},
+		&InvokeRequest{CallID: 3, Obj: g1.Obj, Method: "store", Args: []ids.GlobalRef{g1}, StubIC: 7},
+		&InvokeReply{CallID: 3, OK: true, Returns: []ids.GlobalRef{g1}},
+		&CreateScion{ExportID: 5, Holder: "P3", Objs: []ids.ObjID{6}},
+		&CreateScion{ExportID: 6, Holder: "P3", Objs: []ids.ObjID{6, 2, 6}},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 5}}},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 5}, {ExportID: 9, Err: "no such object"}, {ExportID: 7}}},
+		&NewSetStubs{Seq: 12, Objs: []ids.ObjID{1, 5}},
 		NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{
 			r1: {InSource: true, SrcIC: 2, InTarget: true, TgtIC: 2},
 		}), 2, 0),
@@ -34,10 +33,10 @@ func FuzzDecode(f *testing.F) {
 			r1: {InSource: true, SrcIC: 2},
 			r2: {InTarget: true, TgtIC: 1},
 			r3: {InSource: true, InTarget: true},
-		}), 3, core.TraceIDFor(det)),
+		}), 3, 0),
 		&Credit{Consumed: 300},
 		&Batch{Msgs: []Message{
-			&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 42}}},
+			&CreateScionAck{Acks: []ExportAck{{ExportID: 42}}},
 			NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{r1: {InSource: true, SrcIC: 2}}), 2, 0),
 		}},
 		&Batch{},
@@ -45,7 +44,7 @@ func FuzzDecode(f *testing.F) {
 		testBatch(false), // sections along three references, one detection along two
 		testBatch(true),
 		&Gossip{Members: []MemberRecord{{Node: "P1", Addr: "h:1", Incarnation: 3, State: 2}}},
-		&LeaseHandoff{Holder: "P3", Objs: []ids.ObjID{2, 7}},
+		&LeaseHandoff{Objs: []ids.ObjID{2, 7}},
 	}
 	for _, m := range seeds {
 		f.Add(Encode(m))
@@ -58,10 +57,10 @@ func FuzzDecode(f *testing.F) {
 	// Export messages Decode must reject: a CreateScion with no objects, and
 	// acks with no entry or with one export named twice.
 	for _, m := range []Message{
-		&CreateScion{ExportID: 5, From: "P1", Holder: "P3"},
-		&CreateScionAck{From: "P2"},
-		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 4}, {ExportID: 4}}},
-		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}, {ExportID: 7}, {ExportID: 5}}},
+		&CreateScion{ExportID: 5, Holder: "P3"},
+		&CreateScionAck{},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 4}, {ExportID: 4}}},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 5}, {ExportID: 7}, {ExportID: 5}}},
 	} {
 		f.Add(Encode(m))
 	}

@@ -70,21 +70,20 @@ func decodeGossip(r *reader) *Gossip {
 // LeaseHandoff is sent by a draining holder to the owner of objects it
 // holds references to: the owner takes the listed scions into custody
 // (pinned against lease expiry) and releases them through the normal
-// deletion path once the holder's departure is final.
+// deletion path once the holder's departure is final. The holder is the
+// sender.
 type LeaseHandoff struct {
-	Holder ids.NodeID
-	Objs   []ids.ObjID
+	Objs []ids.ObjID
 }
 
 func (*LeaseHandoff) Kind() Kind { return KindLeaseHandoff }
 
 func (m *LeaseHandoff) encode(buf []byte) []byte {
-	buf = putNode(buf, m.Holder)
 	return putObjIDs(buf, m.Objs)
 }
 
 func (m *LeaseHandoff) encodedSize() int {
-	n := nodeSize(m.Holder) + uvarintSize(uint64(len(m.Objs)))
+	n := uvarintSize(uint64(len(m.Objs)))
 	for _, o := range m.Objs {
 		n += uvarintSize(uint64(o))
 	}
@@ -92,5 +91,5 @@ func (m *LeaseHandoff) encodedSize() int {
 }
 
 func decodeLeaseHandoff(r *reader) *LeaseHandoff {
-	return &LeaseHandoff{Holder: r.node(), Objs: r.objIDs()}
+	return &LeaseHandoff{Objs: r.objIDs()}
 }

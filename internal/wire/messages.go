@@ -6,7 +6,6 @@ import (
 
 	"dgc/internal/core"
 	"dgc/internal/ids"
-	"dgc/internal/refs"
 )
 
 // Analytic sizes of the encoder's primitives, for messages hot enough to
@@ -22,15 +21,15 @@ func refIDSize(r ids.RefID) int {
 
 // ---- remote invocation --------------------------------------------------
 
-// InvokeRequest asks the destination to invoke a method on one of its
-// objects. Args carries references exported with the call (their scions at
-// the owning processes were created before the request was sent). StubIC is
-// the caller's invocation counter after the send-side bump, piggy-backed per
-// §3.2.
+// InvokeRequest asks the destination to invoke a method on its object Obj.
+// Args carries references exported with the call (their scions at the owning
+// processes were created before the request was sent). StubIC is the caller's
+// invocation counter after the send-side bump, piggy-backed per §3.2. No
+// message names its sender: the transport hands every handler the sender, so
+// the wire states it once.
 type InvokeRequest struct {
 	CallID uint64
-	From   ids.NodeID
-	Target ids.GlobalRef
+	Obj    ids.ObjID
 	Method string
 	Args   []ids.GlobalRef
 	StubIC uint64
@@ -41,8 +40,7 @@ func (*InvokeRequest) Kind() Kind { return KindInvokeRequest }
 
 func (m *InvokeRequest) encode(buf []byte) []byte {
 	buf = putUint(buf, m.CallID)
-	buf = putNode(buf, m.From)
-	buf = putGlobalRef(buf, m.Target)
+	buf = putUint(buf, uint64(m.Obj))
 	buf = putString(buf, m.Method)
 	buf = putGlobalRefs(buf, m.Args)
 	return putUint(buf, m.StubIC)
@@ -51,8 +49,7 @@ func (m *InvokeRequest) encode(buf []byte) []byte {
 func decodeInvokeRequest(r *reader) *InvokeRequest {
 	return &InvokeRequest{
 		CallID: r.uint(),
-		From:   r.node(),
-		Target: r.globalRef(),
+		Obj:    ids.ObjID(r.uint()),
 		Method: r.string(),
 		Args:   r.globalRefs(),
 		StubIC: r.uint(),
@@ -61,11 +58,10 @@ func decodeInvokeRequest(r *reader) *InvokeRequest {
 
 // InvokeReply carries the result of an InvokeRequest back to the caller,
 // including any references returned by the method (exported by the callee).
-// ScionIC piggy-backs the callee's counter after the reply-side bump.
+// ScionIC piggy-backs the callee's counter after the reply-side bump. The
+// caller finds the invoked reference by CallID.
 type InvokeReply struct {
 	CallID  uint64
-	From    ids.NodeID
-	Target  ids.GlobalRef // the invoked object (identifies the reference)
 	OK      bool
 	Err     string
 	Returns []ids.GlobalRef
@@ -77,8 +73,6 @@ func (*InvokeReply) Kind() Kind { return KindInvokeReply }
 
 func (m *InvokeReply) encode(buf []byte) []byte {
 	buf = putUint(buf, m.CallID)
-	buf = putNode(buf, m.From)
-	buf = putGlobalRef(buf, m.Target)
 	buf = putBool(buf, m.OK)
 	buf = putString(buf, m.Err)
 	buf = putGlobalRefs(buf, m.Returns)
@@ -88,8 +82,6 @@ func (m *InvokeReply) encode(buf []byte) []byte {
 func decodeInvokeReply(r *reader) *InvokeReply {
 	return &InvokeReply{
 		CallID:  r.uint(),
-		From:    r.node(),
-		Target:  r.globalRef(),
 		OK:      r.bool(),
 		Err:     r.string(),
 		Returns: r.globalRefs(),
@@ -108,7 +100,6 @@ func decodeInvokeReply(r *reader) *InvokeReply {
 // bumps the scion counter once per listed entry.
 type CreateScion struct {
 	ExportID uint64 // exporter-local id for matching the ack
-	From     ids.NodeID
 	Holder   ids.NodeID
 	Objs     []ids.ObjID
 }
@@ -118,7 +109,6 @@ func (*CreateScion) Kind() Kind { return KindCreateScion }
 
 func (m *CreateScion) encode(buf []byte) []byte {
 	buf = putUint(buf, m.ExportID)
-	buf = putNode(buf, m.From)
 	buf = putNode(buf, m.Holder)
 	return putObjIDs(buf, m.Objs)
 }
@@ -126,7 +116,6 @@ func (m *CreateScion) encode(buf []byte) []byte {
 func decodeCreateScion(r *reader) *CreateScion {
 	m := &CreateScion{
 		ExportID: r.uint(),
-		From:     r.node(),
 		Holder:   r.node(),
 		Objs:     r.objIDs(),
 	}
@@ -147,7 +136,6 @@ type ExportAck struct {
 // of its CreateScions the owner handled since its last flush, in handling
 // order. Acks is never empty and names no export twice.
 type CreateScionAck struct {
-	From ids.NodeID
 	Acks []ExportAck
 }
 
@@ -155,7 +143,6 @@ type CreateScionAck struct {
 func (*CreateScionAck) Kind() Kind { return KindCreateScionAck }
 
 func (m *CreateScionAck) encode(buf []byte) []byte {
-	buf = putNode(buf, m.From)
 	buf = putUint(buf, uint64(len(m.Acks)))
 	for _, a := range m.Acks {
 		buf = putUint(buf, a.ExportID)
@@ -168,7 +155,7 @@ func (m *CreateScionAck) encode(buf []byte) []byte {
 const minExportAckBytes = 2
 
 func decodeCreateScionAck(r *reader) *CreateScionAck {
-	m := &CreateScionAck{From: r.node()}
+	m := &CreateScionAck{}
 	n := r.count()
 	switch {
 	case r.err != nil:
@@ -211,40 +198,36 @@ func repeatsExport(acks []ExportAck) bool {
 	return false
 }
 
-// NewSetStubs wraps the reference-listing stub-set message (§1).
+// NewSetStubs is the reference-listing stub-set message (§1): the complete
+// set of the receiver's objects the sender still references, with the
+// sender's per-receiver sequence number (refs.Table.ApplyStubSet).
 type NewSetStubs struct {
-	Set refs.StubSetMsg
+	Seq  uint64
+	Objs []ids.ObjID
 }
 
 // Kind implements Message.
 func (*NewSetStubs) Kind() Kind { return KindNewSetStubs }
 
 func (m *NewSetStubs) encode(buf []byte) []byte {
-	buf = putNode(buf, m.Set.From)
-	buf = putUint(buf, m.Set.Seq)
-	return putObjIDs(buf, m.Set.Objs)
+	buf = putUint(buf, m.Seq)
+	return putObjIDs(buf, m.Objs)
 }
 
 func decodeNewSetStubs(r *reader) *NewSetStubs {
-	return &NewSetStubs{Set: refs.StubSetMsg{
-		From: r.node(),
-		Seq:  r.uint(),
-		Objs: r.objIDs(),
-	}}
+	return &NewSetStubs{Seq: r.uint(), Objs: r.objIDs()}
 }
 
 // ---- cycle detection -----------------------------------------------------
 
 // CDM is a cycle detection message: the detection identity, the reference it
-// travels along, the forwarding depth, the causal trace id, and the algebra.
+// travels along, the forwarding depth, and the algebra. The detection's
+// causal trace id is not carried: it is a function of Det (core.TraceIDFor),
+// which every node computes where it journals.
 type CDM struct {
 	Det   core.DetectionID
 	Along ids.RefID
 	Hops  uint32
-	// Trace is the detection's causal trace id (core.TraceIDFor), carried
-	// unchanged across every hop so observability tooling can follow one
-	// detection through multiple processes.
-	Trace uint64
 
 	// alg is the carried algebra: the sender's own on a message built in
 	// this process — the in-memory fabric passes message pointers, so one
@@ -256,10 +239,12 @@ type CDM struct {
 }
 
 // NewCDMFromAlg builds a CDM around an algebra (shared, not copied — the
-// algebra must not be mutated afterwards). trace is the detection's causal
-// trace id (core.TraceIDFor).
+// algebra must not be mutated afterwards).
+//
+// Deprecated: the trace parameter is ignored (a receiver derives the trace id
+// from det) and stays only for benchmark/probes.go; callers pass 0.
 func NewCDMFromAlg(det core.DetectionID, along ids.RefID, alg core.Alg, hops int, trace uint64) *CDM {
-	return &CDM{Det: det, Along: along, Hops: uint32(hops), Trace: trace, alg: alg}
+	return &CDM{Det: det, Along: along, Hops: uint32(hops), alg: alg}
 }
 
 // Kind implements Message.
@@ -273,7 +258,6 @@ func (m *CDM) encode(buf []byte) []byte {
 	buf = putUint(buf, m.Det.Seq)
 	buf = putRefID(buf, m.Along)
 	buf = putUint(buf, uint64(m.Hops))
-	buf = putUint(buf, m.Trace)
 	buf = putUint(buf, uint64(m.alg.Len()))
 	m.alg.EachCanonical(func(r ids.RefID, e core.Entry) bool {
 		buf = putEntry(putRefID(buf, r), e)
@@ -288,8 +272,7 @@ func (m *CDM) encode(buf []byte) []byte {
 // order-independent, so it walks the algebra unsorted.
 func (m *CDM) encodedSize() int {
 	n := nodeSize(m.Det.Origin) + uvarintSize(m.Det.Seq) +
-		refIDSize(m.Along) + uvarintSize(uint64(m.Hops)) + uvarintSize(m.Trace) +
-		uvarintSize(uint64(m.alg.Len()))
+		refIDSize(m.Along) + uvarintSize(uint64(m.Hops)) + uvarintSize(uint64(m.alg.Len()))
 	m.alg.Each(func(r ids.RefID, e core.Entry) bool {
 		n += refIDSize(r) + entrySize(e)
 		return true
@@ -307,7 +290,6 @@ func decodeCDM(r *reader) *CDM {
 		r.fail("hops %d overflows uint32", hops)
 	}
 	m.Hops = uint32(hops)
-	m.Trace = r.uint()
 	var prev ids.RefID
 	var algs core.AlgBuilder
 	m.alg = readAlg(r, &algs, func(i int) ids.RefID {

@@ -11,7 +11,6 @@ import (
 
 	"dgc/internal/core"
 	"dgc/internal/ids"
-	"dgc/internal/refs"
 )
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -51,24 +50,24 @@ func TestRoundTripAllKinds(t *testing.T) {
 	det := core.DetectionID{Origin: "P2", Seq: 9}
 
 	msgs := []Message{
-		&InvokeRequest{CallID: 3, From: "P1", Target: g1, Method: "store", Args: []ids.GlobalRef{g2}, StubIC: 7},
-		&InvokeRequest{CallID: 4, From: "P1", Target: g1}, // empty args
-		&InvokeReply{CallID: 3, From: "P2", Target: g1, OK: true, Returns: []ids.GlobalRef{g1, g2}, ScionIC: 8},
-		&InvokeReply{CallID: 3, From: "P2", Target: g1, OK: false, Err: "no such method"},
-		&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Objs: []ids.ObjID{6}},
-		&CreateScion{ExportID: 6, From: "P1", Holder: "P3", Objs: []ids.ObjID{6, 300, 6}},
-		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5}}},
-		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 5, Err: "no such object"}}},
-		&CreateScionAck{From: "P2", Acks: []ExportAck{{ExportID: 300}, {ExportID: 5}, {ExportID: 7, Err: "no such object"}}},
-		&NewSetStubs{Set: refs.StubSetMsg{From: "P1", Seq: 12, Objs: []ids.ObjID{1, 5, 9}}},
-		&NewSetStubs{Set: refs.StubSetMsg{From: "P1", Seq: 13}},
+		&InvokeRequest{CallID: 3, Obj: g1.Obj, Method: "store", Args: []ids.GlobalRef{g2}, StubIC: 7},
+		&InvokeRequest{CallID: 4, Obj: 300}, // empty args
+		&InvokeReply{CallID: 3, OK: true, Returns: []ids.GlobalRef{g1, g2}, ScionIC: 8},
+		&InvokeReply{CallID: 3, OK: false, Err: "no such method"},
+		&CreateScion{ExportID: 5, Holder: "P3", Objs: []ids.ObjID{6}},
+		&CreateScion{ExportID: 6, Holder: "P3", Objs: []ids.ObjID{6, 300, 6}},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 5}}},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 5, Err: "no such object"}}},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 300}, {ExportID: 5}, {ExportID: 7, Err: "no such object"}}},
+		&NewSetStubs{Seq: 12, Objs: []ids.ObjID{1, 5, 9}},
+		&NewSetStubs{Seq: 13},
 		NewCDMFromAlg(det, r2, testAlg(map[ids.RefID]core.Entry{
 			r1: {InSource: true, SrcIC: 2},
 			r2: {InSource: true, SrcIC: 1, InTarget: true, TgtIC: 1},
-		}), 3, 0xfeedface12345678),
+		}), 3, 0),
 		&Credit{Consumed: 300},
 		&Batch{Msgs: []Message{
-			&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 42}}},
+			&CreateScionAck{Acks: []ExportAck{{ExportID: 42}}},
 			&Credit{Consumed: 7},
 		}},
 		&Batch{},
@@ -77,8 +76,8 @@ func TestRoundTripAllKinds(t *testing.T) {
 			{Node: "P2", Incarnation: 0, State: 5},
 		}},
 		&Gossip{Ack: true},
-		&LeaseHandoff{Holder: "P3", Objs: []ids.ObjID{2, 7, 9}},
-		&LeaseHandoff{Holder: "P3"},
+		&LeaseHandoff{Objs: []ids.ObjID{2, 7, 9}},
+		&LeaseHandoff{},
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)
@@ -100,7 +99,7 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	}
 	// Truncations of a valid message must all fail.
-	data := Encode(&InvokeRequest{CallID: 3, From: "P1", Target: ids.GlobalRef{Node: "P2", Obj: 6}, Method: "m"})
+	data := Encode(&InvokeRequest{CallID: 3, Obj: 6, Method: "m"})
 	for cut := 1; cut < len(data); cut++ {
 		if _, err := Decode(data[:cut]); err == nil {
 			t.Errorf("truncation at %d decoded successfully", cut)
@@ -112,7 +111,7 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	// An entry count the remaining bytes cannot hold is refused before the
 	// decoder sizes an algebra for it.
-	cdm := refCDM(core.DetectionID{Origin: "P1"}, ids.RefID{}, 0, 0, nil, nil)
+	cdm := refCDM(core.DetectionID{Origin: "P1"}, ids.RefID{}, 0, nil, nil)
 	cdm = append(cdm[:len(cdm)-1], make([]byte, 21)...)
 	cdm[len(cdm)-21] = 20
 	if _, err := Decode(cdm); err == nil || !strings.Contains(err.Error(), "implausible entry count") {
@@ -166,13 +165,12 @@ func TestCDMAlgConversionProperty(t *testing.T) {
 // refCDM hand-encodes a CDM whose entries are written in exactly the order
 // keys gives them: the reference the codec's bytes are pinned to, and the
 // way to express entry orders the encoder never produces.
-func refCDM(det core.DetectionID, along ids.RefID, hops, trace uint64, keys []ids.RefID, es map[ids.RefID]core.Entry) []byte {
+func refCDM(det core.DetectionID, along ids.RefID, hops uint64, keys []ids.RefID, es map[ids.RefID]core.Entry) []byte {
 	buf := []byte{byte(KindCDM)}
 	buf = putNode(buf, det.Origin)
 	buf = putUint(buf, det.Seq)
 	buf = putRefID(buf, along)
 	buf = putUint(buf, hops)
-	buf = putUint(buf, trace)
 	buf = putUint(buf, uint64(len(keys)))
 	for _, r := range keys {
 		e := es[r]
@@ -201,9 +199,9 @@ func nonCanonicalCDMs() (valid []byte, bad map[string][]byte) {
 	r1 := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 6}}
 	r2 := ids.RefID{Src: "P2", Dst: ids.GlobalRef{Node: "P4", Obj: 17}}
 	es := map[ids.RefID]core.Entry{r1: {InSource: true, SrcIC: 2}, r2: {InTarget: true, TgtIC: 1}}
-	return refCDM(det, r2, 1, 0, []ids.RefID{r1, r2}, es), map[string][]byte{
-		"cdm-unsorted-entries": refCDM(det, r2, 1, 0, []ids.RefID{r2, r1}, es),
-		"cdm-duplicate-entry":  refCDM(det, r2, 1, 0, []ids.RefID{r1, r1}, es),
+	return refCDM(det, r2, 1, []ids.RefID{r1, r2}, es), map[string][]byte{
+		"cdm-unsorted-entries": refCDM(det, r2, 1, []ids.RefID{r2, r1}, es),
+		"cdm-duplicate-entry":  refCDM(det, r2, 1, []ids.RefID{r1, r1}, es),
 	}
 }
 
@@ -228,7 +226,7 @@ func TestCDMDecodeRejectsNonCanonicalEntries(t *testing.T) {
 }
 
 func TestBatchRejectsNesting(t *testing.T) {
-	inner := Encode(&Batch{Msgs: []Message{&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 1}}}}})
+	inner := Encode(&Batch{Msgs: []Message{&CreateScionAck{Acks: []ExportAck{{ExportID: 1}}}}})
 	if _, err := Decode(wrapBatch(inner)); err == nil {
 		t.Fatal("nested batch accepted")
 	}
@@ -245,7 +243,7 @@ func TestBatchRejectsNesting(t *testing.T) {
 // such an ack (Machine.ackExport).
 func TestExportMessagesRejectMalformed(t *testing.T) {
 	ack := func(exports ...uint64) *CreateScionAck {
-		m := &CreateScionAck{From: "P2"}
+		m := &CreateScionAck{}
 		for _, id := range exports {
 			m.Acks = append(m.Acks, ExportAck{ExportID: id})
 		}
@@ -256,7 +254,7 @@ func TestExportMessagesRejectMalformed(t *testing.T) {
 		m    Message
 		want string
 	}{
-		"no objects":        {&CreateScion{ExportID: 5, From: "P1", Holder: "P3"}, "no objects"},
+		"no objects":        {&CreateScion{ExportID: 5, Holder: "P3"}, "no objects"},
 		"no exports":        {ack(), "no exports"},
 		"adjacent repeat":   {ack(4, 4), "repeats an export"},
 		"unordered repeat":  {ack(5, 7, 5), "repeats an export"},
@@ -275,11 +273,11 @@ func TestExportMessagesRejectMalformed(t *testing.T) {
 	}
 	// Counts the remaining bytes cannot hold are refused before the decoder
 	// sizes a list for them.
-	data := putUint(putNode([]byte{byte(KindCreateScionAck)}, "P2"), 6)
+	data := putUint([]byte{byte(KindCreateScionAck)}, 3)
 	if _, err := Decode(append(data, 1, 0)); err == nil || !strings.Contains(err.Error(), "implausible ack count") {
-		t.Errorf("ack claiming 6 entries in 2 bytes: err = %v", err)
+		t.Errorf("ack claiming 3 entries in 2 bytes: err = %v", err)
 	}
-	data = putUint(putNode(putNode(putUint([]byte{byte(KindCreateScion)}, 5), "P1"), "P3"), 6)
+	data = putUint(putNode(putUint([]byte{byte(KindCreateScion)}, 5), "P3"), 6)
 	if _, err := Decode(append(data, 1, 2)); err == nil || !strings.Contains(err.Error(), "implausible object count") {
 		t.Errorf("CreateScion claiming 6 objects in 2 bytes: err = %v", err)
 	}
@@ -344,7 +342,6 @@ func testNewCDMBytesMatchReference(t *testing.T, u [5]ids.NodeID) {
 		}
 		det := core.DetectionID{Origin: "P2", Seq: uint64(seed)}
 		along := ids.RefID{Src: u[4], Dst: ids.GlobalRef{Node: u[0], Obj: 1}}
-		tr := core.TraceIDFor(det)
 
 		// Reference flattening: sorted map keys, exactly as the retired
 		// map-based encoder did it.
@@ -353,9 +350,9 @@ func testNewCDMBytesMatchReference(t *testing.T, u [5]ids.NodeID) {
 			keys = append(keys, r)
 		}
 		ids.SortRefIDs(keys)
-		want := refCDM(det, along, 3, tr, keys, mirror)
+		want := refCDM(det, along, 3, keys, mirror)
 
-		msg := NewCDMFromAlg(det, along, alg, 3, tr)
+		msg := NewCDMFromAlg(det, along, alg, 3, 0)
 		if got := Encode(msg); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: wire bytes differ\n got %x\nwant %x", seed, got, want)
 		}
@@ -376,7 +373,7 @@ func testNewCDMBytesMatchReference(t *testing.T, u [5]ids.NodeID) {
 		if alg.Len() == 0 {
 			continue // the decoder rejects empty sections by design
 		}
-		batch := NewBatchCDM(3, false, []BatchSection{NewBatchSection(det, tr, along, alg)})
+		batch := NewBatchCDM(3, false, []BatchSection{NewBatchSection(det, along, alg)})
 		dec, err = Decode(Encode(batch))
 		if err != nil {
 			t.Fatalf("seed %d: batch decode: %v", seed, err)
@@ -390,11 +387,14 @@ func testNewCDMBytesMatchReference(t *testing.T, u [5]ids.NodeID) {
 func TestEncodedSizeAndAppendEncode(t *testing.T) {
 	r1 := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 6}}
 	msgs := []Message{
-		&CreateScionAck{From: "P1", Acks: []ExportAck{{ExportID: 42}, {ExportID: 300, Err: "no such object"}}},
+		&InvokeRequest{CallID: 300, Obj: 700, Method: "store", Args: []ids.GlobalRef{r1.Dst}, StubIC: 300},
+		&InvokeReply{CallID: 300, OK: true, Returns: []ids.GlobalRef{r1.Dst}, ScionIC: 300},
+		&CreateScionAck{Acks: []ExportAck{{ExportID: 42}, {ExportID: 300, Err: "no such object"}}},
+		&NewSetStubs{Seq: 300, Objs: []ids.ObjID{2, 700}},
 		&Credit{Consumed: 300},
-		&Batch{Msgs: []Message{&CreateScion{ExportID: 5, From: "P1", Holder: "P3", Objs: []ids.ObjID{r1.Dst.Obj}}}},
+		&Batch{Msgs: []Message{&CreateScion{ExportID: 5, Holder: "P3", Objs: []ids.ObjID{r1.Dst.Obj}}}},
 		&Gossip{Ack: true, Members: []MemberRecord{{Node: "P1", Addr: "h:1", Incarnation: 300, State: 2}}},
-		&LeaseHandoff{Holder: "P3", Objs: []ids.ObjID{2, 700}},
+		&LeaseHandoff{Objs: []ids.ObjID{2, 700}},
 	}
 	for _, m := range msgs {
 		data := Encode(m)
@@ -425,7 +425,6 @@ func TestEncodedSizeAndAppendEncode(t *testing.T) {
 			Det:   core.DetectionID{Origin: ids.NodeID(randName(rng)), Seq: randUint(rng)},
 			Along: randRefID(rng),
 			Hops:  uint32(randUint(rng)),
-			Trace: randUint(rng),
 			alg:   alg,
 		}
 		if n, data := EncodedSize(m), Encode(m); n != len(data) {
