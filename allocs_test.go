@@ -35,22 +35,26 @@ func TestCDMHopAllocsPinned(t *testing.T) {
 // BenchmarkLGC's 10k-object chain.
 func TestLGCAllocsPinned(t *testing.T) {
 	n := newLGCNode(t)
-	if got := testing.AllocsPerRun(20, func() { n.RunLGC() }); got != 6 {
-		t.Errorf("%v allocs per collection, pinned at 6", got)
+	if got := testing.AllocsPerRun(20, func() { n.RunLGC() }); got != 4 {
+		t.Errorf("%v allocs per collection, pinned at 4", got)
 	}
 }
 
 // TestSummarizeAllocsPinned pins the allocations of one summarization of
-// BenchmarkSummarize's objs=1000/scions=4 graph. The scions=512 graph is
-// not pinned: it reads 4003 or 4004 from run to run.
+// BenchmarkSummarize's objs=1000 graph at 4 and 512 scions.
 func TestSummarizeAllocsPinned(t *testing.T) {
-	h, tb := experiments.BuildSummarizeHeap(1000, 4)
-	epoch := uint64(0)
-	got := testing.AllocsPerRun(50, func() {
-		epoch++
-		snapshot.Summarize(h, tb, epoch)
-	})
-	if got != 235 {
-		t.Errorf("objs=1000/scions=4: %v allocs per summary, pinned at 235", got)
+	for _, c := range []struct {
+		scions int
+		want   float64
+	}{{4, 83}, {512, 83}} {
+		h, tb := experiments.BuildSummarizeHeap(1000, c.scions)
+		epoch := uint64(0)
+		got := testing.AllocsPerRun(50, func() {
+			epoch++
+			snapshot.Summarize(h, tb, epoch)
+		})
+		if got != c.want {
+			t.Errorf("objs=1000/scions=%d: %v allocs per summary, pinned at %v", c.scions, got, c.want)
+		}
 	}
 }

@@ -1,63 +1,30 @@
 package core
 
-import (
-	"dgc/internal/ids"
-	"dgc/internal/snapshot"
-)
+import "dgc/internal/ids"
 
-// Selector implements a candidate-selection heuristic for cycle detection.
+// Candidates returns the scions of sum eligible for cycle detection at
+// logical time now, in canonical order.
 //
 // The paper leaves candidate selection out of scope ("efficient selection of
 // cycle candidates is an issue out of the scope of this paper; heuristics
 // found in the literature may be used") but describes the intuition in §2.1:
 // an object kept alive solely by remote references that has not been invoked
-// for a certain amount of time is a reasonable guess. The Selector tracks a
-// logical last-activity time per scion and nominates scions that are
+// for a certain amount of time is a reasonable guess. A scion is nominated
+// when it is
 //
 //   - not locally reachable in the summarized snapshot,
-//   - have at least one outgoing path (StubsFrom non-empty), and
-//   - have been quiescent for at least MinAge ticks.
+//   - has at least one outgoing path (StubsFrom non-empty), and
+//   - has been quiescent for at least minAge ticks since its Active stamp.
 //
 // Any selection policy is safe — the DCDA itself rejects live candidates —
-// so this type only affects efficiency, never correctness.
-type Selector struct {
-	// MinAge is the quiescence threshold in logical ticks.
-	MinAge uint64
-
-	lastActivity map[ids.RefID]uint64
-}
-
-// NewSelector returns a selector with the given quiescence threshold.
-func NewSelector(minAge uint64) *Selector {
-	return &Selector{MinAge: minAge, lastActivity: make(map[ids.RefID]uint64)}
-}
-
-// Touch records activity (creation or invocation) on a scion at the given
-// logical time, postponing its candidacy.
-func (s *Selector) Touch(ref ids.RefID, now uint64) {
-	s.lastActivity[ref] = now
-}
-
-// Forget drops bookkeeping for a deleted scion.
-func (s *Selector) Forget(ref ids.RefID) {
-	delete(s.lastActivity, ref)
-}
-
-// Candidates returns the scions of sum eligible for detection at logical
-// time now, in canonical order. Scions never touched are treated as created
-// at time zero.
-func (s *Selector) Candidates(sum *snapshot.Summary, now uint64) []ids.RefID {
+// so this function only affects efficiency, never correctness.
+func Candidates(sum *Summary, now, minAge uint64) []ids.RefID {
 	var out []ids.RefID
-	for ref, sc := range sum.Scions {
-		if sc.LocalReach || len(sc.StubsFrom) == 0 {
+	for _, sc := range sum.Scions {
+		if sc.LocalReach || len(sc.StubsFrom) == 0 || now < sc.Active+minAge {
 			continue
 		}
-		last := s.lastActivity[ref]
-		if now < last+s.MinAge {
-			continue
-		}
-		out = append(out, ref)
+		out = append(out, sc.Ref)
 	}
-	ids.SortRefIDs(out)
 	return out
 }

@@ -1,35 +1,42 @@
-package core
+package core_test
 
 import (
 	"testing"
 
-	"dgc/internal/ids"
+	"dgc/internal/core"
 )
 
 func TestSelectorNominatesQuiescentUnreachableScions(t *testing.T) {
 	f := buildFig3(t)
-	sel := NewSelector(5)
 	p2sum := f.proc("P2").sum
 
-	// Never touched: eligible from time MinAge onwards (created at 0).
-	if got := sel.Candidates(p2sum, 4); len(got) != 0 {
+	// Stamped at creation, time zero: eligible from time minAge onwards.
+	if got := core.Candidates(p2sum, 4, 5); len(got) != 0 {
 		t.Fatalf("too-young candidates = %v", got)
 	}
-	got := sel.Candidates(p2sum, 5)
+	got := core.Candidates(p2sum, 5, 5)
 	if len(got) != 1 || got[0] != f.refF {
 		t.Fatalf("candidates = %v, want [%v]", got, f.refF)
 	}
 }
 
+// TestSelectorTouchPostponesCandidacy: activity on a scion (here a re-grant
+// at tick 10) is stamped in its table record, and the next summary carries
+// the stamp to candidacy.
 func TestSelectorTouchPostponesCandidacy(t *testing.T) {
 	f := buildFig3(t)
-	sel := NewSelector(5)
-	sel.Touch(f.refF, 10)
+	if f.proc("P2").tb.EnsureScion("P1", f.objF, 10) {
+		t.Fatal("re-grant created a second scion")
+	}
+	f.summarize("P2", 2)
 	p2sum := f.proc("P2").sum
-	if got := sel.Candidates(p2sum, 14); len(got) != 0 {
+	if sc, _ := p2sum.Scion(f.refF); sc.Active != 10 {
+		t.Fatalf("summary stamp = %d, want 10", sc.Active)
+	}
+	if got := core.Candidates(p2sum, 14, 5); len(got) != 0 {
 		t.Fatalf("touched scion nominated too early: %v", got)
 	}
-	if got := sel.Candidates(p2sum, 15); len(got) != 1 {
+	if got := core.Candidates(p2sum, 15, 5); len(got) != 1 {
 		t.Fatalf("candidates = %v", got)
 	}
 }
@@ -40,8 +47,7 @@ func TestSelectorSkipsLocallyReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.summarizeAll(2)
-	sel := NewSelector(0)
-	if got := sel.Candidates(f.proc("P2").sum, 100); len(got) != 0 {
+	if got := core.Candidates(f.proc("P2").sum, 100, 0); len(got) != 0 {
 		t.Fatalf("locally reachable scion nominated: %v", got)
 	}
 }
@@ -51,31 +57,19 @@ func TestSelectorSkipsScionsWithoutOutgoingPath(t *testing.T) {
 	f := buildFig3(t)
 	p2 := f.proc("P2")
 	leaf := p2.h.Alloc(nil)
-	p2.tb.EnsureScion("P9", leaf.ID)
+	p2.tb.EnsureScion("P9", leaf.ID, 0)
 	f.summarizeAll(2)
-	sel := NewSelector(0)
-	got := sel.Candidates(p2.sum, 100)
+	got := core.Candidates(p2.sum, 100, 0)
 	if len(got) != 1 || got[0] != f.refF {
 		t.Fatalf("candidates = %v, want only %v", got, f.refF)
 	}
 }
 
-func TestSelectorForget(t *testing.T) {
-	sel := NewSelector(5)
-	r := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 1}}
-	sel.Touch(r, 100)
-	sel.Forget(r)
-	if sel.lastActivity[r] != 0 {
-		t.Fatal("Forget did not clear activity")
-	}
-}
-
 func TestSelectorDeterministicOrder(t *testing.T) {
 	f := buildFig4(t)
-	sel := NewSelector(0)
 	p5sum := f.proc("P5").sum
-	a := sel.Candidates(p5sum, 1)
-	b := sel.Candidates(p5sum, 1)
+	a := core.Candidates(p5sum, 1, 0)
+	b := core.Candidates(p5sum, 1, 0)
 	if len(a) != 2 || len(b) != 2 || a[0] != b[0] || a[1] != b[1] {
 		t.Fatalf("nondeterministic candidates: %v vs %v", a, b)
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dgc/internal/ids"
-	"dgc/internal/snapshot"
-)
+import "dgc/internal/ids"
 
 // DetectionID names one cycle detection: the process that initiated it and a
 // per-origin sequence number. Several detections proceed in parallel without
@@ -143,11 +140,11 @@ func (d *Detector) Self() ids.NodeID { return d.self }
 // outcome; detections that cannot make a first hop (locally reachable
 // candidate, no outgoing stubs) report OutcomeBranchEnded or OutcomeDropped
 // and send nothing.
-func (d *Detector) StartDetection(sum *snapshot.Summary, candidate ids.RefID) (DetectionID, Outcome) {
+func (d *Detector) StartDetection(sum *Summary, candidate ids.RefID) (DetectionID, Outcome) {
 	d.seq++
 	det := DetectionID{Origin: d.self, Seq: d.seq}
-	sc := sum.Scion(candidate)
-	if sc == nil {
+	sc, ok := sum.Scion(candidate)
+	if !ok {
 		return det, Outcome{Kind: OutcomeDropped}
 	}
 	if sc.LocalReach {
@@ -161,13 +158,13 @@ func (d *Detector) StartDetection(sum *snapshot.Summary, candidate ids.RefID) (D
 // HandleCDM processes a CDM delivered along the reference `along`
 // (along.Dst.Node must be this node). sum is the node's current summarized
 // snapshot; hops is the forwarding depth carried by the message.
-func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.RefID, alg Alg, hops int) Outcome {
+func (d *Detector) HandleCDM(sum *Summary, det DetectionID, along ids.RefID, alg Alg, hops int) Outcome {
 	// Safety rules 1/2 (§2.2): the reference must have a scion in the
 	// current summary. A CDM for a scion created after the last
 	// summarization, or already deleted, is simply discarded ("these CDM
 	// are simply discarded and those detections terminated", §3.2).
-	sc := sum.Scion(along)
-	if sc == nil {
+	sc, ok := sum.Scion(along)
+	if !ok {
 		return Outcome{Kind: OutcomeDropped}
 	}
 
@@ -203,7 +200,7 @@ func (d *Detector) HandleCDM(sum *snapshot.Summary, det DetectionID, along ids.R
 // of this node's own scions named in its source set, and expand's no-new-
 // information check guarantees the relaunch forwards nothing downstream
 // already has.
-func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg, hops int) Outcome {
+func (d *Detector) HandleReturn(sum *Summary, det DetectionID, alg Alg, hops int) Outcome {
 	cycleFound, abort := alg.MatchStatus()
 	if abort {
 		return Outcome{Kind: OutcomeAborted}
@@ -217,8 +214,8 @@ func (d *Detector) HandleReturn(sum *snapshot.Summary, det DetectionID, alg Alg,
 		if ref.Dst.Node != d.self {
 			continue
 		}
-		sc := sum.Scion(ref)
-		if sc == nil || sc.LocalReach {
+		sc, ok := sum.Scion(ref)
+		if !ok || sc.LocalReach {
 			continue
 		}
 		out := d.expand(sum, det, sc, cur, hops)
@@ -264,7 +261,7 @@ func (d *Detector) cycleFound(alg Alg) Outcome {
 // dense graphs (every interleaving of a diamond yields a distinct algebra
 // that keeps breeding); the merged form converges to the closure in
 // O(closure) growth steps and lets receivers deduplicate identical CDMs.
-func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.ScionSummary, alg Alg, hops int) Outcome {
+func (d *Detector) expand(sum *Summary, det DetectionID, sc ScionSummary, alg Alg, hops int) Outcome {
 	if hops >= MaxHops {
 		return Outcome{Kind: OutcomeBranchEnded}
 	}
@@ -273,8 +270,8 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 	conflict := false
 	var eligible []ids.GlobalRef
 	for _, tgt := range sc.StubsFrom {
-		st := sum.Stub(tgt)
-		if st == nil {
+		st, ok := sum.Stub(tgt)
+		if !ok {
 			// Stub vanished from the summary (rule 2's mirror): the path
 			// cannot be followed consistently; skip it.
 			continue
@@ -292,8 +289,8 @@ func (d *Detector) expand(sum *snapshot.Summary, det DetectionID, sc *snapshot.S
 		// "All other scions that may lead to any of the aforementioned
 		// stubs are included as dependencies" (§2.1, §3.1 step 5).
 		for _, dep := range st.ScionsTo {
-			depSc := sum.Scion(dep)
-			if depSc == nil {
+			depSc, ok := sum.Scion(dep)
+			if !ok {
 				continue
 			}
 			if _, c := derived.AddSource(dep, depSc.IC); c {

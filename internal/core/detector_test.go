@@ -1,8 +1,9 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"dgc/internal/core"
 	"dgc/internal/heap"
 	"dgc/internal/ids"
 	"dgc/internal/refs"
@@ -17,20 +18,20 @@ import (
 type simProc struct {
 	h   *heap.Heap
 	tb  *refs.Table
-	det *Detector
-	sum *snapshot.Summary
+	det *core.Detector
+	sum *core.Summary
 
 	// The detector counts nothing; the fixture records what it did: sent
 	// counts the CDMs its SendCDMs calls handed over, outcomes the kinds
 	// its starts and deliveries returned.
 	sent     int
-	outcomes map[OutcomeKind]int
+	outcomes map[core.OutcomeKind]int
 }
 
 type cdmEnv struct {
-	det   DetectionID
+	det   core.DetectionID
 	along ids.RefID
-	alg   Alg
+	alg   core.Alg
 	hops  int
 }
 
@@ -38,8 +39,8 @@ type sim struct {
 	t       *testing.T
 	procs   map[ids.NodeID]*simProc
 	queue   []cdmEnv
-	deleted []ids.RefID // DeleteOwnScion calls, in order
-	found   []Outcome   // OutcomeCycleFound outcomes
+	deleted []ids.RefID    // DeleteOwnScion calls, in order
+	found   []core.Outcome // OutcomeCycleFound outcomes
 }
 
 type simActions struct {
@@ -47,7 +48,7 @@ type simActions struct {
 	self ids.NodeID
 }
 
-func (a simActions) SendCDMs(det DetectionID, alongs []ids.RefID, alg Alg, hops int) {
+func (a simActions) SendCDMs(det core.DetectionID, alongs []ids.RefID, alg core.Alg, hops int) {
 	a.s.procs[a.self].sent += len(alongs)
 	for _, along := range alongs {
 		a.s.queue = append(a.s.queue, cdmEnv{det: det, along: along, alg: alg.Clone(), hops: hops})
@@ -62,8 +63,8 @@ func (a simActions) DeleteOwnScion(ref ids.RefID) {
 func newSim(t *testing.T, names ...ids.NodeID) *sim {
 	s := &sim{t: t, procs: make(map[ids.NodeID]*simProc)}
 	for _, n := range names {
-		p := &simProc{h: heap.New(n), tb: refs.NewTable(n), outcomes: make(map[OutcomeKind]int)}
-		p.det = NewDetector(n, simActions{s: s, self: n})
+		p := &simProc{h: heap.New(n), tb: refs.NewTable(n), outcomes: make(map[core.OutcomeKind]int)}
+		p.det = core.NewDetector(n, simActions{s: s, self: n})
 		s.procs[n] = p
 	}
 	return s
@@ -100,7 +101,7 @@ func (s *sim) pump() int {
 
 // deliver hands one CDM to the node owning its along scion, recording the
 // outcome.
-func (s *sim) deliver(env cdmEnv) Outcome {
+func (s *sim) deliver(env cdmEnv) core.Outcome {
 	p := s.procs[env.along.Dst.Node]
 	if p == nil {
 		s.t.Fatalf("CDM to unknown node %s", env.along.Dst.Node)
@@ -109,15 +110,15 @@ func (s *sim) deliver(env cdmEnv) Outcome {
 }
 
 // start initiates a detection at the node owning candidate's scion.
-func (s *sim) start(candidate ids.RefID) Outcome {
+func (s *sim) start(candidate ids.RefID) core.Outcome {
 	p := s.procs[candidate.Dst.Node]
 	_, out := p.det.StartDetection(p.sum, candidate)
 	return s.record(p, out)
 }
 
-func (s *sim) record(p *simProc, out Outcome) Outcome {
+func (s *sim) record(p *simProc, out core.Outcome) core.Outcome {
 	p.outcomes[out.Kind]++
-	if out.Kind == OutcomeCycleFound {
+	if out.Kind == core.OutcomeCycleFound {
 		s.found = append(s.found, out)
 	}
 	return out
@@ -181,7 +182,7 @@ func buildFig3(t *testing.T) *fig3 {
 		g := ids.GlobalRef{Node: dstProc.h.Node(), Obj: target}
 		mustNoErr(t, srcProc.h.AddRemoteRef(holder, g))
 		srcProc.tb.EnsureStub(g)
-		dstProc.tb.EnsureScion(srcProc.h.Node(), target)
+		dstProc.tb.EnsureScion(srcProc.h.Node(), target, 0)
 		return ids.RefID{Src: srcProc.h.Node(), Dst: g}
 	}
 	f.refQ = link(p2, J.ID, p4, Q.ID)
@@ -196,7 +197,7 @@ func buildFig3(t *testing.T) *fig3 {
 func TestFig3DetectionFindsCycle(t *testing.T) {
 	f := buildFig3(t)
 	out := f.start(f.refF)
-	if out.Kind != OutcomeForwarded || out.Forwarded != 1 {
+	if out.Kind != core.OutcomeForwarded || out.Forwarded != 1 {
 		t.Fatalf("start outcome = %+v", out)
 	}
 	f.pump()
@@ -255,7 +256,7 @@ func TestFig3LiveCycleStopsAtLocalReach(t *testing.T) {
 	f.summarizeAll(2)
 
 	out := f.start(f.refF)
-	if out.Kind != OutcomeForwarded {
+	if out.Kind != core.OutcomeForwarded {
 		t.Fatalf("start outcome = %+v", out)
 	}
 	f.pump()
@@ -280,11 +281,11 @@ func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
 	f.start(f.refF)
 	env, p4 := f.queue[0], f.proc("P4")
 	out := p4.det.HandleCDM(p4.sum, env.det, env.along, env.alg, env.hops)
-	if out.Kind != OutcomeForwarded || out.NoNewInfo {
+	if out.Kind != core.OutcomeForwarded || out.NoNewInfo {
 		t.Fatalf("first delivery at P4 = %+v, want forwarded", out)
 	}
 	out = p4.det.HandleCDM(p4.sum, env.det, env.along, *out.Derived, env.hops)
-	if out.Kind != OutcomeBranchEnded || !out.NoNewInfo {
+	if out.Kind != core.OutcomeBranchEnded || !out.NoNewInfo {
 		t.Fatalf("P4's own derivation delivered back = %+v, want the no-new-information cut", out)
 	}
 
@@ -300,7 +301,7 @@ func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
 		out := p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops)
 		if env.along.Dst.Node == "P1" {
 			reached = true
-			if out.Kind != OutcomeBranchEnded || out.NoNewInfo {
+			if out.Kind != core.OutcomeBranchEnded || out.NoNewInfo {
 				t.Fatalf("P1 behind a locally reachable stub = %+v, want a plain branch end", out)
 			}
 		}
@@ -316,7 +317,7 @@ func TestFig3LocallyReachableCandidateRefused(t *testing.T) {
 	mustNoErr(t, f.proc("P2").h.AddRoot(f.objF))
 	f.summarizeAll(2)
 	out := f.start(f.refF)
-	if out.Kind != OutcomeBranchEnded {
+	if out.Kind != core.OutcomeBranchEnded {
 		t.Fatalf("outcome = %+v, want branch-ended", out)
 	}
 	if len(f.queue) != 0 {
@@ -327,7 +328,7 @@ func TestFig3LocallyReachableCandidateRefused(t *testing.T) {
 func TestFig3UnknownScionCandidateDropped(t *testing.T) {
 	f := buildFig3(t)
 	bogus := ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 99}}
-	if out := f.start(bogus); out.Kind != OutcomeDropped {
+	if out := f.start(bogus); out.Kind != core.OutcomeDropped {
 		t.Fatalf("outcome = %+v, want dropped", out)
 	}
 }
@@ -337,15 +338,15 @@ func TestCDMToUnknownScionDropped(t *testing.T) {
 	// discarded silently.
 	f := buildFig3(t)
 	p2 := f.proc("P2")
-	alg := NewAlg()
+	alg := core.NewAlg()
 	alg.AddTarget(ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}}, 0)
-	det := DetectionID{Origin: "P9", Seq: 1}
+	det := core.DetectionID{Origin: "P9", Seq: 1}
 	out := f.deliver(cdmEnv{det: det, along: ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}},
 		alg: alg})
-	if out.Kind != OutcomeDropped {
+	if out.Kind != core.OutcomeDropped {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if got := p2.outcomes[OutcomeDropped]; got != 1 {
+	if got := p2.outcomes[core.OutcomeDropped]; got != 1 {
 		t.Fatalf("dropped outcomes = %d", got)
 	}
 	if len(f.queue) != 0 {
@@ -362,7 +363,7 @@ func TestRaceArrivalGuardAborts(t *testing.T) {
 	if _, err := f.proc("P1").tb.BumpStubIC(f.refF.Dst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.proc("P2").tb.BumpScionIC("P1", f.objF); err != nil {
+	if _, err := f.proc("P2").tb.BumpScionIC("P1", f.objF, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Only P1 re-summarizes ("snapshot information becomes available at Px
@@ -375,17 +376,17 @@ func TestRaceArrivalGuardAborts(t *testing.T) {
 	// compares the CDM's stub-side counter (x+1) with P2's scion-side
 	// snapshot counter (x). (The same race met by a detection already in
 	// flight from F is caught a hop earlier, at P1: eager_test.go.)
-	if out := f.start(f.refD); out.Kind != OutcomeForwarded {
+	if out := f.start(f.refD); out.Kind != core.OutcomeForwarded {
 		t.Fatalf("start = %+v", out)
 	}
 	f.pump()
 	if len(f.found) != 0 || len(f.deleted) != 0 {
 		t.Fatal("race produced a false cycle detection")
 	}
-	if got := f.proc("P1").outcomes[OutcomeAborted]; got != 0 {
+	if got := f.proc("P1").outcomes[core.OutcomeAborted]; got != 0 {
 		t.Fatalf("P1 aborted = %d, want 0 (nothing to compare yet)", got)
 	}
-	if got := f.proc("P2").outcomes[OutcomeAborted]; got != 1 {
+	if got := f.proc("P2").outcomes[core.OutcomeAborted]; got != 1 {
 		t.Fatalf("P2 aborted = %d, want 1", got)
 	}
 }
@@ -397,13 +398,13 @@ func TestRaceMatchAborts(t *testing.T) {
 	// first process whose derivation holds both.
 	f := buildFig3(t)
 	out := f.start(f.refF)
-	if out.Kind != OutcomeForwarded {
+	if out.Kind != core.OutcomeForwarded {
 		t.Fatalf("start = %+v", out)
 	}
 	if _, err := f.proc("P1").tb.BumpStubIC(f.refF.Dst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.proc("P2").tb.BumpScionIC("P1", f.objF); err != nil {
+	if _, err := f.proc("P2").tb.BumpScionIC("P1", f.objF, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.summarize("P1", 2)
@@ -413,10 +414,10 @@ func TestRaceMatchAborts(t *testing.T) {
 	if len(f.found) != 0 || len(f.deleted) != 0 {
 		t.Fatal("race produced a false cycle detection")
 	}
-	if got := f.proc("P1").outcomes[OutcomeAborted]; got != 1 {
+	if got := f.proc("P1").outcomes[core.OutcomeAborted]; got != 1 {
 		t.Fatalf("P1 aborted = %d, want 1", got)
 	}
-	if got := f.proc("P2").outcomes[OutcomeAborted]; got != 0 {
+	if got := f.proc("P2").outcomes[core.OutcomeAborted]; got != 0 {
 		t.Fatalf("P2 aborted = %d, want 0 (CDM never sent)", got)
 	}
 }
@@ -441,7 +442,7 @@ func TestFig1ExtraDependencyPreventsDetection(t *testing.T) {
 	// dependency that is never resolved, so no cycle may be declared.
 	f := buildFig3(t)
 	p5 := &simProc{h: heap.New("P5"), tb: refs.NewTable("P5")}
-	p5.det = NewDetector("P5", simActions{s: f.sim, self: "P5"})
+	p5.det = core.NewDetector("P5", simActions{s: f.sim, self: "P5"})
 	f.procs["P5"] = p5
 	w := p5.h.Alloc(nil)
 	mustNoErr(t,
@@ -449,7 +450,7 @@ func TestFig1ExtraDependencyPreventsDetection(t *testing.T) {
 		p5.h.AddRoot(w.ID),
 	)
 	p5.tb.EnsureStub(ids.GlobalRef{Node: "P2", Obj: f.objF})
-	f.proc("P2").tb.EnsureScion("P5", f.objF)
+	f.proc("P2").tb.EnsureScion("P5", f.objF, 0)
 	f.summarizeAll(2)
 
 	f.start(f.refF)
@@ -505,7 +506,7 @@ func buildFig4(t *testing.T) *fig4 {
 		g := ids.GlobalRef{Node: dstProc.h.Node(), Obj: target}
 		mustNoErr(t, srcProc.h.AddRemoteRef(holder, g))
 		srcProc.tb.EnsureStub(g)
-		dstProc.tb.EnsureScion(srcProc.h.Node(), target)
+		dstProc.tb.EnsureScion(srcProc.h.Node(), target, 0)
 		return ids.RefID{Src: srcProc.h.Node(), Dst: g}
 	}
 	f.refV = link(p2, F.ID, p5, V.ID)
@@ -526,7 +527,7 @@ func TestFig4MutualCyclesDetected(t *testing.T) {
 	f := buildFig4(t)
 	out := f.start(f.refF)
 	// StubsFrom(F) = {K@P3, V@P5}: two derivations (§3.1 steps 2-3).
-	if out.Kind != OutcomeForwarded || out.Forwarded != 2 {
+	if out.Kind != core.OutcomeForwarded || out.Forwarded != 2 {
 		t.Fatalf("start = %+v, want 2 derivations", out)
 	}
 	f.pump()
@@ -563,8 +564,8 @@ func TestFig4MutualCyclesDetected(t *testing.T) {
 
 func TestFig4SummaryShowsConvergingDependency(t *testing.T) {
 	f := buildFig4(t)
-	st := f.proc("P5").sum.Stub(ids.GlobalRef{Node: "P4", Obj: 1})
-	if st == nil {
+	st, ok := f.proc("P5").sum.Stub(ids.GlobalRef{Node: "P4", Obj: 1})
+	if !ok {
 		t.Fatal("T stub summary missing at P5")
 	}
 	if len(st.ScionsTo) != 2 {
@@ -610,13 +611,13 @@ func TestDetectionIDsIncrease(t *testing.T) {
 }
 
 func TestOutcomeKindStrings(t *testing.T) {
-	kinds := map[OutcomeKind]string{
-		OutcomeDropped:     "dropped",
-		OutcomeAborted:     "aborted",
-		OutcomeCycleFound:  "cycle-found",
-		OutcomeForwarded:   "forwarded",
-		OutcomeBranchEnded: "branch-ended",
-		OutcomeKind(99):    "unknown",
+	kinds := map[core.OutcomeKind]string{
+		core.OutcomeDropped:     "dropped",
+		core.OutcomeAborted:     "aborted",
+		core.OutcomeCycleFound:  "cycle-found",
+		core.OutcomeForwarded:   "forwarded",
+		core.OutcomeBranchEnded: "branch-ended",
+		core.OutcomeKind(99):    "unknown",
 	}
 	for k, want := range kinds {
 		if k.String() != want {

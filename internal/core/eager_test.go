@@ -1,7 +1,9 @@
-package core
+package core_test
 
 import (
 	"testing"
+
+	"dgc/internal/core"
 )
 
 // TestEagerAbortStopsBeforeForwarding reproduces the §3.2 optimization: in
@@ -11,14 +13,14 @@ import (
 func TestEagerAbortStopsBeforeForwarding(t *testing.T) {
 	f := buildFig3(t)
 	out := f.start(f.refF)
-	if out.Kind != OutcomeForwarded {
+	if out.Kind != core.OutcomeForwarded {
 		t.Fatalf("start = %+v", out)
 	}
 	// Invocation crosses P1 -> F@P2 after the detection started.
 	if _, err := f.proc("P1").tb.BumpStubIC(f.refF.Dst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.proc("P2").tb.BumpScionIC("P1", f.objF); err != nil {
+	if _, err := f.proc("P2").tb.BumpScionIC("P1", f.objF, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.summarize("P1", 2)
@@ -28,10 +30,10 @@ func TestEagerAbortStopsBeforeForwarding(t *testing.T) {
 		t.Fatal("race produced a false detection")
 	}
 	// The abort happens at P1 (the sender), not P2.
-	if got := f.proc("P1").outcomes[OutcomeAborted]; got != 1 {
+	if got := f.proc("P1").outcomes[core.OutcomeAborted]; got != 1 {
 		t.Fatalf("P1 aborted = %d, want 1 (eager)", got)
 	}
-	if got := f.proc("P2").outcomes[OutcomeAborted]; got != 0 {
+	if got := f.proc("P2").outcomes[core.OutcomeAborted]; got != 0 {
 		t.Fatalf("P2 aborted = %d, want 0 (CDM never sent)", got)
 	}
 	// One hop saved: P1 sent nothing.

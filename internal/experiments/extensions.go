@@ -44,7 +44,7 @@ func LeaseAblation(silences []uint64, leaseDuration uint64) ([]LeaseRow, error) 
 			owner := heap.New("P2")
 			obj := owner.Alloc(nil)
 			ownerTable := refs.NewTable("P2")
-			ownerTable.EnsureScion("P1", obj.ID)
+			ownerTable.EnsureScion("P1", obj.ID, 0)
 
 			holder := heap.New("P1")
 			h := holder.Alloc(nil)

@@ -52,7 +52,7 @@ func BuildSummarizeHeap(objects, scions int) (*heap.Heap, *refs.Table) {
 			stride = 1
 		}
 		for s := 0; s < scions; s++ {
-			tb.EnsureScion(srcs[s%len(srcs)], objs[(s*stride)%objects])
+			tb.EnsureScion(srcs[s%len(srcs)], objs[(s*stride)%objects], 0)
 		}
 	}
 	// A small rooted region at the head of the spine.

@@ -6,7 +6,8 @@
 package ids
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -37,15 +38,18 @@ func (g GlobalRef) String() string {
 // IsZero reports whether g is the zero reference (no node and object 0).
 func (g GlobalRef) IsZero() bool { return g.Node == "" && g.Obj == 0 }
 
-// Less imposes a total order on global references (node, then object). Used
-// to produce deterministic iteration orders in snapshots, wire encoding and
-// test output.
-func (g GlobalRef) Less(o GlobalRef) bool {
+// Compare imposes a total order on global references (node, then object),
+// returning -1, 0 or +1. Used to produce deterministic iteration orders in
+// snapshots, wire encoding and test output.
+func (g GlobalRef) Compare(o GlobalRef) int {
 	if g.Node != o.Node {
-		return g.Node < o.Node
+		return strings.Compare(string(g.Node), string(o.Node))
 	}
-	return g.Obj < o.Obj
+	return cmp.Compare(g.Obj, o.Obj)
 }
+
+// Less reports whether g sorts before o.
+func (g GlobalRef) Less(o GlobalRef) bool { return g.Compare(o) < 0 }
 
 // RefID identifies one inter-process reference: the node holding the
 // outgoing reference (Src) and the referenced object (Dst). A stub at Src and
@@ -65,30 +69,28 @@ func (r RefID) String() string {
 	return string(r.Src) + "->" + r.Dst.String()
 }
 
-// Less imposes a total order on reference identifiers.
-func (r RefID) Less(o RefID) bool {
+// Compare imposes a total order on reference identifiers (source, then
+// target), returning -1, 0 or +1.
+func (r RefID) Compare(o RefID) int {
 	if r.Src != o.Src {
-		return r.Src < o.Src
+		return strings.Compare(string(r.Src), string(o.Src))
 	}
-	return r.Dst.Less(o.Dst)
+	return r.Dst.Compare(o.Dst)
 }
+
+// Less reports whether r sorts before o.
+func (r RefID) Less(o RefID) bool { return r.Compare(o) < 0 }
 
 // SortGlobalRefs sorts a slice of global references in place into the
 // canonical order defined by GlobalRef.Less.
-func SortGlobalRefs(refs []GlobalRef) {
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
-}
+func SortGlobalRefs(refs []GlobalRef) { slices.SortFunc(refs, GlobalRef.Compare) }
 
 // SortRefIDs sorts a slice of reference identifiers in place into the
 // canonical order defined by RefID.Less.
-func SortRefIDs(refs []RefID) {
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
-}
+func SortRefIDs(refs []RefID) { slices.SortFunc(refs, RefID.Compare) }
 
 // SortNodeIDs sorts node identifiers in place.
-func SortNodeIDs(nodes []NodeID) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-}
+func SortNodeIDs(nodes []NodeID) { slices.Sort(nodes) }
 
 // FormatRefSet renders a set of reference identifiers as a deterministic
 // brace-enclosed list, e.g. "{P1->2@P2, P3->7@P4}". Intended for logs and

@@ -49,7 +49,7 @@ func TestScionsActAsRoots(t *testing.T) {
 	if err := h.AddLocalRef(remote.ID, downstream.ID); err != nil {
 		t.Fatal(err)
 	}
-	tb.EnsureScion("P1", remote.ID)
+	tb.EnsureScion("P1", remote.ID, 0)
 	res := c.Collect()
 	if res.Swept != 0 {
 		t.Fatalf("swept %d, want 0", res.Swept)
@@ -142,7 +142,7 @@ func TestDistributedCycleFragmentLeaksWithoutDCDA(t *testing.T) {
 	// remote reference back out. The LGC alone must never reclaim it.
 	h, tb, c := newNode(t, "P2")
 	f := h.Alloc(nil)
-	tb.EnsureScion("P1", f.ID)
+	tb.EnsureScion("P1", f.ID, 0)
 	if err := h.AddRemoteRef(f.ID, ids.GlobalRef{Node: "P1", Obj: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCollectSafetyAndCompletenessProperty(t *testing.T) {
 			_ = h.AddRoot(objs[rng.Intn(n)])
 		}
 		if rng.Intn(4) > 0 {
-			tb.EnsureScion("P9", objs[rng.Intn(n)])
+			tb.EnsureScion("P9", objs[rng.Intn(n)], 0)
 		}
 		seeds := h.Roots()
 		seeds = append(seeds, tb.ScionTargets()...)

@@ -132,7 +132,7 @@ func TestCollectMatchesReference(t *testing.T) {
 				}
 			}
 			for n := rng.Intn(4); n > 0; n-- {
-				tb.EnsureScion(ids.NodeID(fmt.Sprintf("P%d", 2+rng.Intn(3))), pick()) // may name a swept object
+				tb.EnsureScion(ids.NodeID(fmt.Sprintf("P%d", 2+rng.Intn(3))), pick(), 0) // may name a swept object
 			}
 			for n := rng.Intn(10); n > 0; n-- {
 				h.Delete(pick()) // leaves dangling local refs
@@ -200,7 +200,7 @@ func TestCollectSteadyStateAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%1000 == 500 {
-			tb.EnsureScion("P2", o.ID)
+			tb.EnsureScion("P2", o.ID, 0)
 			if err := h.AddRemoteRef(o.ID, ids.GlobalRef{Node: "P3", Obj: ids.ObjID(i)}); err != nil {
 				t.Fatal(err)
 			}

@@ -5,11 +5,11 @@ import (
 	"sync"
 	"time"
 
+	"dgc/internal/core"
 	"dgc/internal/heap"
 	"dgc/internal/ids"
 	"dgc/internal/lgc"
 	"dgc/internal/membership"
-	"dgc/internal/snapshot"
 	"dgc/internal/trace"
 	"dgc/internal/transport"
 	"dgc/internal/wire"
@@ -525,7 +525,7 @@ func (n *Node) RunDetection() int { return call(n, (*Machine).RunDetection) }
 // Summary returns the node's current summarized snapshot (nil before the
 // first summarization). The summary is immutable; callers may read it
 // freely.
-func (n *Node) Summary() *snapshot.Summary { return call(n, (*Machine).Summary) }
+func (n *Node) Summary() *core.Summary { return call(n, (*Machine).Summary) }
 
 // Invoke performs an asynchronous remote invocation of method on target,
 // exporting args to the callee. cb (optional) receives the reply inside the

@@ -170,7 +170,7 @@ func (m *Machine) RunDetection() int {
 		// survivors' relaunches cover its candidates.
 		return 0
 	}
-	cands := m.selector.Candidates(m.summary, m.clock)
+	cands := core.Candidates(m.summary, m.clock, m.cfg.CandidateMinAge)
 	if m.memb != nil {
 		// Scions held by dead members are waiting on lease reclamation, not
 		// cycle detection; launching from them would only abort.
@@ -220,7 +220,7 @@ func (m *Machine) launch(candidate ids.RefID, forced bool) (core.DetectionID, co
 
 // Summary returns the machine's current summarized snapshot (nil before
 // the first summarization). The summary is immutable.
-func (m *Machine) Summary() *snapshot.Summary { return m.summary }
+func (m *Machine) Summary() *core.Summary { return m.summary }
 
 // detectorActions adapts Machine to core.Actions. Methods are invoked by
 // the detector, which only runs inside the machine.
@@ -241,7 +241,6 @@ func (a *detectorActions) SendCDMs(det core.DetectionID, alongs []ids.RefID, alg
 func (a *detectorActions) DeleteOwnScion(ref ids.RefID) {
 	m := (*Machine)(a)
 	m.table.DeleteScion(ref.Src, ref.Dst.Obj)
-	m.selector.Forget(ref)
 	m.met.ScionsFreed.Inc()
 	m.emit(trace.KindScionDeleted, "ref=%s reason=cycle", ref)
 }

@@ -292,9 +292,7 @@ func (m *Machine) handleNewSetStubs(from ids.NodeID, msg *wire.NewSetStubs) {
 	}
 	m.met.ScionsDropped.Add(uint64(len(deleted)))
 	for _, sc := range deleted {
-		ref := sc.RefID(m.id)
-		m.selector.Forget(ref)
-		m.emit(trace.KindScionDeleted, "ref=%s reason=stub-set", ref)
+		m.emit(trace.KindScionDeleted, "ref=%s reason=stub-set", sc.RefID(m.id))
 	}
 	switch {
 	case m.cfg.LGCEvery == 0:

@@ -14,6 +14,15 @@ import (
 // objects, scions or stubs.
 func gcRounds(t *testing.T, tn *testNet, names []ids.NodeID, maxRounds int) {
 	t.Helper()
+	if left := collectRounds(t, tn, names, maxRounds); left != 0 {
+		t.Fatalf("%d objects+scions+stubs left after %d GC rounds", left, maxRounds)
+	}
+}
+
+// collectRounds runs gcRounds' rounds, at most maxRounds of them, and
+// returns how many objects, scions and stubs are left.
+func collectRounds(t *testing.T, tn *testNet, names []ids.NodeID, maxRounds int) int {
+	t.Helper()
 	left := func() int {
 		total := 0
 		for _, id := range names {
@@ -21,10 +30,7 @@ func gcRounds(t *testing.T, tn *testNet, names []ids.NodeID, maxRounds int) {
 		}
 		return total
 	}
-	for round := 0; left() != 0; round++ {
-		if round == maxRounds {
-			t.Fatalf("%d objects+scions+stubs left after %d GC rounds", left(), maxRounds)
-		}
+	for round := 0; round < maxRounds && left() != 0; round++ {
 		for _, id := range names {
 			tn.n(id).RunLGC()
 		}
@@ -37,6 +43,7 @@ func gcRounds(t *testing.T, tn *testNet, names []ids.NodeID, maxRounds int) {
 		}
 		tn.settle()
 	}
+	return left()
 }
 
 // TestInflightHoldsOnlyWhatIsInFlight: a stepped 3-node cluster detects and

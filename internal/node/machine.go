@@ -13,7 +13,6 @@ import (
 	"dgc/internal/membership"
 	"dgc/internal/obs"
 	"dgc/internal/refs"
-	"dgc/internal/snapshot"
 	"dgc/internal/trace"
 	"dgc/internal/transport"
 	"dgc/internal/wire"
@@ -38,8 +37,7 @@ type Machine struct {
 	table    *refs.Table
 	lgc      *lgc.Collector
 	detector *core.Detector
-	selector *core.Selector
-	summary  *snapshot.Summary
+	summary  *core.Summary
 
 	clock       uint64
 	snapVersion uint64
@@ -269,7 +267,6 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 	}
 	m.met = obs.NewNodeMetrics(cfg.Metrics.Node(string(id)))
 	m.lgc = lgc.New(m.heap, m.table)
-	m.selector = core.NewSelector(cfg.CandidateMinAge)
 	if cfg.Membership != nil {
 		mc := cfg.Membership.WithDefaults()
 		m.cfg.Membership = &mc
@@ -489,10 +486,9 @@ func (m *Machine) EnsureScionFor(holder ids.NodeID, obj ids.ObjID) error {
 	if !m.heap.Contains(obj) {
 		return m.errf("EnsureScionFor: no object %d", obj)
 	}
-	if m.table.EnsureScion(holder, obj) {
+	if m.table.EnsureScion(holder, obj, m.clock) {
 		m.met.ScionsCreated.Inc()
 	}
-	m.selector.Touch(ids.RefID{Src: holder, Dst: ids.GlobalRef{Node: m.id, Obj: obj}}, m.clock)
 	return nil
 }
 

@@ -436,7 +436,10 @@ func TestTwoCutsOfOneDetectionReturnOnce(t *testing.T) {
 	r1 := ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: o1}}
 	r2 := ids.RefID{Src: "A", Dst: ids.GlobalRef{Node: "B", Obj: o2}}
 	s := ids.RefID{Src: "B", Dst: stub}
-	if sum.Scion(r1) == nil || sum.Scion(r2) == nil || sum.Stub(stub) == nil {
+	sc1, ok1 := sum.Scion(r1)
+	sc2, ok2 := sum.Scion(r2)
+	st, ok3 := sum.Stub(stub)
+	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("summary lacks the scions or the stub")
 	}
 
@@ -445,13 +448,13 @@ func TestTwoCutsOfOneDetectionReturnOnce(t *testing.T) {
 	// ends with no new information and no verdict. alg2 is alg1 grown by
 	// one entry: it changes the accumulator and is cut again.
 	alg1 := core.NewAlg()
-	alg1.AddSource(r1, sum.Scion(r1).IC)
-	alg1.AddSource(r2, sum.Scion(r2).IC)
-	alg1.AddTarget(r1, sum.Scion(r1).IC)
-	alg1.AddTarget(s, sum.Stub(stub).IC)
+	alg1.AddSource(r1, sc1.IC)
+	alg1.AddSource(r2, sc2.IC)
+	alg1.AddTarget(r1, sc1.IC)
+	alg1.AddTarget(s, st.IC)
 	alg1.AddSource(ids.RefID{Src: "C", Dst: ids.GlobalRef{Node: "A", Obj: 1}}, 0)
 	alg2 := alg1.Clone()
-	alg2.AddTarget(r2, sum.Scion(r2).IC)
+	alg2.AddTarget(r2, sc2.IC)
 
 	det := core.DetectionID{Origin: "A", Seq: 1}
 	m.HandleMessage("A", wire.NewBatchCDM(2, false, []wire.BatchSection{

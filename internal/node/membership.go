@@ -151,13 +151,12 @@ func (m *Machine) processMemberTransitions(trs []membership.Transition) {
 	}
 }
 
-// reclaimScions finalizes scions deleted by lease expiry or custodial
-// release: selector cleanup and journal. The table deletion already
-// happened in the table's lease bookkeeping.
+// reclaimScions journals scions deleted by lease expiry or custodial
+// release. The table deletion already happened in the table's lease
+// bookkeeping.
 func (m *Machine) reclaimScions(scs []refs.Scion, holder ids.NodeID, reason string) {
 	for _, sc := range scs {
 		ref := ids.RefID{Src: sc.Src, Dst: ids.GlobalRef{Node: m.id, Obj: sc.Obj}}
-		m.selector.Forget(ref)
 		m.emit(trace.KindLeaseReclaim, "ref=%s holder=%s reason=%s", ref, holder, reason)
 		m.emit(trace.KindScionDeleted, "ref=%s reason=%s", ref, reason)
 	}

@@ -153,15 +153,15 @@ func TestSummaryCarriesInvocationCounters(t *testing.T) {
 	}
 	a.With(func(m Mutator) {
 		want, _ := m.n.table.StubIC(ref)
-		if got := m.n.Summary().Stub(ref).IC; got != want {
-			t.Errorf("A's summary stub IC = %d, table holds %d", got, want)
+		if got, _ := m.n.Summary().Stub(ref); got.IC != want {
+			t.Errorf("A's summary stub IC = %d, table holds %d", got.IC, want)
 		}
 	})
 	b.With(func(m Mutator) {
 		rid := ids.RefID{Src: "A", Dst: ref}
 		want, _ := m.n.table.ScionIC("A", target)
-		if got := m.n.Summary().Scion(rid).IC; got != want {
-			t.Errorf("B's summary scion IC = %d, table holds %d", got, want)
+		if got, _ := m.n.Summary().Scion(rid); got.IC != want {
+			t.Errorf("B's summary scion IC = %d, table holds %d", got.IC, want)
 		}
 	})
 }

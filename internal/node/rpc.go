@@ -122,10 +122,9 @@ func (m *Machine) exportRefs(refs []ids.GlobalRef, holder ids.NodeID, ready func
 		case m.id:
 			// We own the object: a brand-new reference, not a copy. Create
 			// the scion directly.
-			if m.table.EnsureScion(holder, r.Obj) {
+			if m.table.EnsureScion(holder, r.Obj, m.clock) {
 				m.met.ScionsCreated.Inc()
 			}
-			m.selector.Touch(ids.RefID{Src: holder, Dst: r}, m.clock)
 		case holder:
 			// The holder owns it; importing turns it into a local ref.
 			// Still a copy of OUR reference to it: bump the stub side (the
@@ -222,11 +221,10 @@ func (m *Machine) handleInvokeRequest(caller ids.NodeID, msg *wire.InvokeRequest
 		// The caller held a stub, so our scion exists (create it defensively
 		// if a mixed-configuration caller skipped the protocol), and the
 		// invocation bumps its counter (§3.2).
-		if m.table.EnsureScion(caller, msg.Obj) {
+		if m.table.EnsureScion(caller, msg.Obj, m.clock) {
 			m.met.ScionsCreated.Inc()
 		}
-		_, _ = m.table.BumpScionIC(caller, msg.Obj) // ensured above
-		m.selector.Touch(ids.RefID{Src: caller, Dst: ids.GlobalRef{Node: m.id, Obj: msg.Obj}}, m.clock)
+		_, _ = m.table.BumpScionIC(caller, msg.Obj, m.clock) // ensured above
 	}
 
 	if !m.heap.Contains(msg.Obj) {
@@ -252,9 +250,7 @@ func (m *Machine) handleInvokeRequest(caller ids.NodeID, msg *wire.InvokeRequest
 				m.table.EnsureStub(a)
 				continue
 			}
-			if _, err := m.table.BumpScionIC(caller, a.Obj); err == nil {
-				m.selector.Touch(ids.RefID{Src: caller, Dst: a}, m.clock)
-			}
+			_, _ = m.table.BumpScionIC(caller, a.Obj, m.clock) // no scion: no counter to keep
 		}
 	}
 
@@ -271,7 +267,7 @@ func (m *Machine) handleInvokeRequest(caller ids.NodeID, msg *wire.InvokeRequest
 		if !m.cfg.DisableDGC {
 			// The reply travels back through the same reference: bump the
 			// scion-side counter and piggy-back it.
-			if ic, err := m.table.BumpScionIC(caller, msg.Obj); err == nil {
+			if ic, err := m.table.BumpScionIC(caller, msg.Obj, m.clock); err == nil {
 				reply.ScionIC = ic
 			}
 		}
@@ -320,9 +316,7 @@ func (m *Machine) handleInvokeReply(callee ids.NodeID, msg *wire.InvokeReply) {
 				defer m.unpin(r)
 				continue
 			}
-			if _, err := m.table.BumpScionIC(callee, r.Obj); err == nil {
-				m.selector.Touch(ids.RefID{Src: callee, Dst: r}, m.clock)
-			}
+			_, _ = m.table.BumpScionIC(callee, r.Obj, m.clock) // no scion: no counter to keep
 		}
 	}
 	for _, r := range pc.pinned {
@@ -346,19 +340,15 @@ func (m *Machine) handleCreateScion(exporter ids.NodeID, msg *wire.CreateScion) 
 			errMsg = "no such object"
 			continue
 		}
-		ref := ids.GlobalRef{Node: m.id, Obj: obj}
-		if m.table.EnsureScion(msg.Holder, obj) {
+		if m.table.EnsureScion(msg.Holder, obj, m.clock) {
 			m.met.ScionsCreated.Inc()
 		}
-		m.selector.Touch(ids.RefID{Src: msg.Holder, Dst: ref}, m.clock)
 		// The exporter copied ITS reference to our object: bump the
 		// matching scion counter (it bumped the stub side). A bootstrap
 		// acquisition (the exporter is the holder) is a fresh grant, not a
 		// copy.
 		if msg.Holder != exporter {
-			if _, err := m.table.BumpScionIC(exporter, obj); err == nil {
-				m.selector.Touch(ids.RefID{Src: exporter, Dst: ref}, m.clock)
-			}
+			_, _ = m.table.BumpScionIC(exporter, obj, m.clock) // no scion: no counter to keep
 		}
 	}
 	m.ackExport(exporter, wire.ExportAck{ExportID: msg.ExportID, Err: errMsg})

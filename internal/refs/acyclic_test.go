@@ -58,9 +58,9 @@ func TestNotePeerForcesEmptySetAfterSilentStubDeath(t *testing.T) {
 
 func TestApplyStubSetDeletesUnlistedScions(t *testing.T) {
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
-	tb.EnsureScion("P1", 3)
-	tb.EnsureScion("P5", 6) // different source: must survive
+	tb.EnsureScion("P1", 6, 0)
+	tb.EnsureScion("P1", 3, 0)
+	tb.EnsureScion("P5", 6, 0) // different source: must survive
 
 	deleted := tb.ApplyStubSet("P1", 1, []ids.ObjID{6})
 	if len(deleted) != 1 || deleted[0].Obj != 3 || deleted[0].Src != "P1" {
@@ -77,7 +77,7 @@ func TestApplyStubSetDeletesUnlistedScions(t *testing.T) {
 func TestApplyStubSetToleratesUnsortedSets(t *testing.T) {
 	tb := NewTable("P2")
 	for _, o := range []ids.ObjID{1, 2, 3, 4} {
-		tb.EnsureScion("P1", o)
+		tb.EnsureScion("P1", o, 0)
 	}
 	objs := []ids.ObjID{4, 1, 4, 1}
 	deleted := tb.ApplyStubSet("P1", 1, objs)
@@ -91,7 +91,7 @@ func TestApplyStubSetToleratesUnsortedSets(t *testing.T) {
 
 func TestApplyStubSetIgnoresStaleAndDuplicate(t *testing.T) {
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 
 	if d := tb.ApplyStubSet("P1", 2, []ids.ObjID{6}); len(d) != 0 {
 		t.Fatalf("deleted = %+v", d)
@@ -127,7 +127,7 @@ func TestStubSetConvergenceProperty(t *testing.T) {
 
 		// Receiver starts with scions for objects 0..9 from P1.
 		for o := ids.ObjID(0); o < 10; o++ {
-			receiver.EnsureScion("P1", o)
+			receiver.EnsureScion("P1", o, 0)
 		}
 		var backlog []TargetedStubSet
 		for round := 0; round < 8; round++ {
@@ -186,7 +186,7 @@ func TestApplyStubSetNeverDeletesListed(t *testing.T) {
 	f := func(seqs []uint64, keep uint8) bool {
 		tb := NewTable("P2")
 		kept := ids.ObjID(keep % 4)
-		tb.EnsureScion("P1", kept)
+		tb.EnsureScion("P1", kept, 0)
 		for _, s := range seqs {
 			tb.ApplyStubSet("P1", s%16, []ids.ObjID{kept})
 		}
@@ -242,7 +242,7 @@ func TestGenerateChangedSkipsUnchangedSets(t *testing.T) {
 // messages, is owed no stub set: only a peer that has held a stub is.
 func TestGenerateSkipsPeersThatNeverHeldAStub(t *testing.T) {
 	tb := NewTable("P1")
-	tb.EnsureScion("P2", 1)
+	tb.EnsureScion("P2", 1, 0)
 	tb.Renew("P3", 0)
 	tb.ApplyStubSet("P4", 1, nil)
 	tb.EnsureStub(gref("P5", 2))
@@ -262,7 +262,7 @@ func newStubSetTable(others, perPeer int) (*Table, []ids.ObjID) {
 	for p := 0; p <= others; p++ {
 		src := ids.NodeID(fmt.Sprintf("Q%02d", p))
 		for _, o := range objs {
-			tb.EnsureScion(src, o)
+			tb.EnsureScion(src, o, 0)
 		}
 	}
 	return tb, objs

@@ -6,7 +6,7 @@ import "testing"
 
 func TestLeaseRenewalKeepsScionAlive(t *testing.T) {
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 	const lease = 3
 	tb.Renew("P1", 0)
 
@@ -27,7 +27,7 @@ func TestLeaseUnsafetyUnderSilence(t *testing.T) {
 	// object, but its renewals are lost for longer than the lease. Without
 	// the membership gate, expiry alone deletes the scion.
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 	const lease = 2
 	tb.Renew("P1", 0)
 	for now := uint64(1); now <= 5; now++ {
@@ -43,13 +43,13 @@ func TestLeaseRegrantAfterExpiryRestartsClock(t *testing.T) {
 	// new remote store arrives) is renewed afresh, not judged by the stale
 	// record.
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 	const lease = 2
 	tb.Renew("P1", 0)
 	if got := tb.ExpireHolder("P1", 3, lease); len(got) != 1 {
 		t.Fatalf("setup expiry failed: %v", got)
 	}
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 	tb.Renew("P1", 3)
 	if got := tb.ExpireHolder("P1", 5, lease); got != nil {
 		t.Fatalf("renewed holder expired on the old clock: %v", got)
@@ -61,9 +61,9 @@ func TestLeaseRegrantAfterExpiryRestartsClock(t *testing.T) {
 
 func TestHolderLeaseExpiryReclaimsScions(t *testing.T) {
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
-	tb.EnsureScion("P1", 3)
-	tb.EnsureScion("P3", 9) // different holder: must survive P1's expiry
+	tb.EnsureScion("P1", 6, 0)
+	tb.EnsureScion("P1", 3, 0)
+	tb.EnsureScion("P3", 9, 0) // different holder: must survive P1's expiry
 	const lease = 4
 	tb.Renew("P1", 0)
 	tb.Renew("P3", 0)
@@ -88,7 +88,7 @@ func TestHolderLeaseRenewalRacesExpiry(t *testing.T) {
 	// same silence without it reclaims. This is the churn race: traffic from
 	// a suspected-but-alive holder must always win over the expiry sweep.
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 	const lease = 4
 	tb.Renew("P1", 0)
 
@@ -128,7 +128,7 @@ func TestHolderLeaseNeverHeardIsDefensivelyGranted(t *testing.T) {
 	// Reclamation needs positive evidence of a full lease of silence; a
 	// holder with no bookkeeping at all starts its clock at first check.
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 	const lease = 4
 	if !tb.LeaseValid("P1", 100, lease) {
 		t.Fatal("never-heard holder treated as expired")
@@ -146,8 +146,8 @@ func TestHolderLeaseCustodialPinsSurviveExpiry(t *testing.T) {
 	// unpinned remainder, and ReleaseCustodial sweeps the pinned set when the
 	// departure is final.
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
-	tb.EnsureScion("P1", 3)
+	tb.EnsureScion("P1", 6, 0)
+	tb.EnsureScion("P1", 3, 0)
 	const lease = 4
 	tb.Renew("P1", 0)
 	tb.Pin("P1", 3)

@@ -39,7 +39,13 @@ type Scion struct {
 	Src ids.NodeID // process holding the reference
 	Obj ids.ObjID  // local object referenced
 	IC  uint64     // invocation counter (paper §3.2)
+	// Active is the tick of the last creation, re-grant or invocation:
+	// candidacy's quiescence stamp. Not persisted; a restored scion reads 0.
+	Active uint64
 }
+
+// scion is the stored part of a Scion: its peer and object are the key.
+type scion struct{ ic, active uint64 }
 
 // RefID returns the inter-process reference this scion is one end of.
 func (s Scion) RefID(owner ids.NodeID) ids.RefID {
@@ -48,10 +54,10 @@ func (s Scion) RefID(owner ids.NodeID) ids.RefID {
 
 // peer is everything this process keeps about one other process.
 type peer struct {
-	// Each reference is its invocation counter, keyed by the object at its
-	// owner. Only the Table writes them; Stubs and Scions hand out copies.
+	// Each reference is keyed by the object at its owner: a stub is its
+	// counter, a scion a scion record. Only the Table writes them.
 	stubs  map[ids.ObjID]uint64 // this process's references into the peer
-	scions map[ids.ObjID]uint64 // the peer's references into this process
+	scions map[ids.ObjID]scion  // the peer's references into this process
 
 	// The stub-set protocol (acyclic.go). owed is set once the peer has
 	// held a stub of ours: from then on it is sent a set every scheduled
@@ -81,7 +87,7 @@ type Table struct {
 	names []ids.NodeID // the keys of peers, ascending
 
 	// gen is the mutation epoch: it advances whenever a table entry is
-	// created, deleted, restored or has its invocation counter bumped.
+	// created, deleted, restored, re-stamped or has its counter bumped.
 	// Together with the heap's epoch it lets the summarization cache prove
 	// that a previously built summary is still exact. The table hands out
 	// copies only, so no counter changes without advancing gen.
@@ -98,7 +104,7 @@ func (t *Table) peer(n ids.NodeID) *peer {
 	if p := t.peers[n]; p != nil {
 		return p
 	}
-	p := &peer{stubs: make(map[ids.ObjID]uint64), scions: make(map[ids.ObjID]uint64)}
+	p := &peer{stubs: make(map[ids.ObjID]uint64), scions: make(map[ids.ObjID]scion)}
 	t.peers[n] = p
 	i, _ := slices.BinarySearch(t.names, n)
 	t.names = slices.Insert(t.names, i, n)
@@ -183,22 +189,30 @@ func (t *Table) NumStubs() int {
 }
 
 // EnsureScion creates the scion for (src, obj) (with IC zero) if there is
-// none, reporting whether it did.
-func (t *Table) EnsureScion(src ids.NodeID, obj ids.ObjID) (created bool) {
-	if t.HasScion(src, obj) {
+// none, reporting whether it did, and stamps it active at now: a grant of an
+// existing scion is activity on it too.
+func (t *Table) EnsureScion(src ids.NodeID, obj ids.ObjID, now uint64) (created bool) {
+	sc, ok := t.scion(src, obj)
+	if ok && sc.active == now {
 		return false
 	}
-	t.RestoreScion(src, obj, 0)
-	return true
+	t.setScion(src, obj, scion{ic: sc.ic, active: now})
+	return !ok
+}
+
+// scion returns the stored record of the scion for (src, obj).
+func (t *Table) scion(src ids.NodeID, obj ids.ObjID) (sc scion, ok bool) {
+	if p := t.peers[src]; p != nil {
+		sc, ok = p.scions[obj]
+	}
+	return sc, ok
 }
 
 // ScionIC returns the invocation counter of the scion for (src, obj), and
 // whether there is one.
 func (t *Table) ScionIC(src ids.NodeID, obj ids.ObjID) (ic uint64, ok bool) {
-	if p := t.peers[src]; p != nil {
-		ic, ok = p.scions[obj]
-	}
-	return ic, ok
+	sc, ok := t.scion(src, obj)
+	return sc.ic, ok
 }
 
 // HasScion reports whether there is a scion for (src, obj).
@@ -223,8 +237,8 @@ func (t *Table) Scions() []Scion {
 	out := make([]Scion, 0, t.NumScions())
 	for _, n := range t.names {
 		start := len(out)
-		for o, ic := range t.peers[n].scions {
-			out = append(out, Scion{Src: n, Obj: o, IC: ic})
+		for o, sc := range t.peers[n].scions {
+			out = append(out, Scion{Src: n, Obj: o, IC: sc.ic, Active: sc.active})
 		}
 		slices.SortFunc(out[start:], func(x, y Scion) int { return cmp.Compare(x.Obj, y.Obj) })
 	}
@@ -258,9 +272,9 @@ func (t *Table) ScionTargets() []ids.ObjID {
 func (t *Table) dropScions(src ids.NodeID, drop func(ids.ObjID) bool) []Scion {
 	var out []Scion
 	p := t.peers[src]
-	for obj, ic := range p.scions {
+	for obj, sc := range p.scions {
 		if drop(obj) {
-			out = append(out, Scion{Src: src, Obj: obj, IC: ic})
+			out = append(out, Scion{Src: src, Obj: obj, IC: sc.ic, Active: sc.active})
 			delete(p.scions, obj)
 			t.gen++
 		}
@@ -279,9 +293,15 @@ func (t *Table) RestoreStub(target ids.GlobalRef, ic uint64) {
 }
 
 // RestoreScion sets the scion for (src, obj) to an explicit invocation
-// counter, creating it if needed: the one writer of scions, as RestoreStub.
+// counter, creating it if needed: the state loader's writer. The activity
+// stamp is not persisted, so a restored scion reads as active at time zero.
 func (t *Table) RestoreScion(src ids.NodeID, obj ids.ObjID, ic uint64) {
-	t.peer(src).scions[obj] = ic
+	t.setScion(src, obj, scion{ic: ic})
+}
+
+// setScion is the one writer of scions, as RestoreStub is of stubs.
+func (t *Table) setScion(src ids.NodeID, obj ids.ObjID, sc scion) {
+	t.peer(src).scions[obj] = sc
 	t.gen++
 }
 
@@ -297,13 +317,13 @@ func (t *Table) BumpStubIC(target ids.GlobalRef) (uint64, error) {
 	return ic + 1, nil
 }
 
-// BumpScionIC increments the invocation counter of the scion for (src, obj)
-// and returns the new value.
-func (t *Table) BumpScionIC(src ids.NodeID, obj ids.ObjID) (uint64, error) {
-	ic, ok := t.ScionIC(src, obj)
+// BumpScionIC increments the invocation counter of the scion for (src, obj),
+// stamps it active at now and returns the new counter.
+func (t *Table) BumpScionIC(src ids.NodeID, obj ids.ObjID, now uint64) (uint64, error) {
+	sc, ok := t.scion(src, obj)
 	if !ok {
 		return 0, fmt.Errorf("refs %s: BumpScionIC: no scion for %s->%d", t.node, src, obj)
 	}
-	t.RestoreScion(src, obj, ic+1)
-	return ic + 1, nil
+	t.setScion(src, obj, scion{ic: sc.ic + 1, active: now})
+	return sc.ic + 1, nil
 }

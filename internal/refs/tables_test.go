@@ -59,17 +59,17 @@ func TestStubsSorted(t *testing.T) {
 
 func TestEnsureScionIdempotentPerSource(t *testing.T) {
 	tb := NewTable("P2")
-	if !tb.EnsureScion("P1", 6) {
+	if !tb.EnsureScion("P1", 6, 0) {
 		t.Fatal("first EnsureScion should create")
 	}
-	if tb.EnsureScion("P1", 6) {
+	if tb.EnsureScion("P1", 6, 0) {
 		t.Fatal("duplicate EnsureScion should not create")
 	}
 	// Same object, different source: a distinct scion (reference listing).
-	if !tb.EnsureScion("P5", 6) {
+	if !tb.EnsureScion("P5", 6, 0) {
 		t.Fatal("scion from another source must be distinct")
 	}
-	if _, err := tb.BumpScionIC("P5", 6); err != nil {
+	if _, err := tb.BumpScionIC("P5", 6, 0); err != nil {
 		t.Fatal(err)
 	}
 	if ic, _ := tb.ScionIC("P1", 6); ic != 0 {
@@ -82,7 +82,7 @@ func TestEnsureScionIdempotentPerSource(t *testing.T) {
 
 func TestDeleteScion(t *testing.T) {
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
+	tb.EnsureScion("P1", 6, 0)
 	if !tb.DeleteScion("P1", 6) {
 		t.Fatal("DeleteScion should report true")
 	}
@@ -96,9 +96,9 @@ func TestDeleteScion(t *testing.T) {
 
 func TestScionTargetsDeduplicated(t *testing.T) {
 	tb := NewTable("P2")
-	tb.EnsureScion("P1", 6)
-	tb.EnsureScion("P5", 6)
-	tb.EnsureScion("P1", 2)
+	tb.EnsureScion("P1", 6, 0)
+	tb.EnsureScion("P5", 6, 0)
+	tb.EnsureScion("P1", 2, 0)
 	targets := tb.ScionTargets()
 	if len(targets) != 2 || targets[0] != 2 || targets[1] != 6 {
 		t.Fatalf("ScionTargets = %v", targets)
@@ -128,20 +128,20 @@ func TestBumpICs(t *testing.T) {
 	}
 
 	tb2 := NewTable("P2")
-	tb2.EnsureScion("P1", 6)
-	if ic, err := tb2.BumpScionIC("P1", 6); err != nil || ic != 1 {
+	tb2.EnsureScion("P1", 6, 0)
+	if ic, err := tb2.BumpScionIC("P1", 6, 0); err != nil || ic != 1 {
 		t.Fatalf("BumpScionIC = %d, %v", ic, err)
 	}
-	if _, err := tb2.BumpScionIC("P9", 6); err == nil {
+	if _, err := tb2.BumpScionIC("P9", 6, 0); err == nil {
 		t.Fatal("BumpScionIC on missing scion should fail")
 	}
 }
 
 func TestScionsSorted(t *testing.T) {
 	tb := NewTable("P2")
-	tb.EnsureScion("P5", 1)
-	tb.EnsureScion("P1", 9)
-	tb.EnsureScion("P1", 3)
+	tb.EnsureScion("P5", 1, 0)
+	tb.EnsureScion("P1", 9, 0)
+	tb.EnsureScion("P1", 3, 0)
 	s := tb.Scions()
 	if s[0].Src != "P1" || s[0].Obj != 3 || s[1].Obj != 9 || s[2].Src != "P5" {
 		t.Fatalf("Scions order: %+v %+v %+v", s[0], s[1], s[2])
@@ -158,8 +158,8 @@ func TestEveryTableMutationAdvancesGen(t *testing.T) {
 	seeded := func() *Table {
 		tb := NewTable("P1")
 		tb.EnsureStub(stub)
-		tb.EnsureScion("P2", 6)
-		tb.EnsureScion("P2", 8)
+		tb.EnsureScion("P2", 6, 0)
+		tb.EnsureScion("P2", 8, 0)
 		tb.Pin("P2", 8)
 		tb.ApplyStubSet("P2", 1, []ids.ObjID{6, 8})
 		return tb
@@ -170,11 +170,12 @@ func TestEveryTableMutationAdvancesGen(t *testing.T) {
 		call    func(tb *Table)
 	}{
 		{"EnsureStub creates", true, func(tb *Table) { tb.EnsureStub(other) }},
-		{"EnsureScion creates", true, func(tb *Table) { tb.EnsureScion("P3", 6) }},
+		{"EnsureScion creates", true, func(tb *Table) { tb.EnsureScion("P3", 6, 0) }},
 		{"DeleteStub present", true, func(tb *Table) { tb.DeleteStub(stub) }},
 		{"DeleteScion present", true, func(tb *Table) { tb.DeleteScion("P2", 6) }},
 		{"BumpStubIC", true, func(tb *Table) { _, _ = tb.BumpStubIC(stub) }},
-		{"BumpScionIC", true, func(tb *Table) { _, _ = tb.BumpScionIC("P2", 6) }},
+		{"EnsureScion re-stamps", true, func(tb *Table) { tb.EnsureScion("P2", 6, 9) }},
+		{"BumpScionIC", true, func(tb *Table) { _, _ = tb.BumpScionIC("P2", 6, 0) }},
 		{"RestoreStub", true, func(tb *Table) { tb.RestoreStub(stub, 5) }},
 		{"RestoreScion", true, func(tb *Table) { tb.RestoreScion("P2", 6, 5) }},
 		{"ApplyStubSet drops", true, func(tb *Table) { tb.ApplyStubSet("P2", 2, []ids.ObjID{8}) }},
@@ -182,12 +183,12 @@ func TestEveryTableMutationAdvancesGen(t *testing.T) {
 		{"ReleaseCustodial drops", true, func(tb *Table) { tb.ReleaseCustodial("P2") }},
 
 		{"EnsureStub existing", false, func(tb *Table) { tb.EnsureStub(stub) }},
-		{"EnsureScion existing", false, func(tb *Table) { tb.EnsureScion("P2", 6) }},
+		{"EnsureScion existing", false, func(tb *Table) { tb.EnsureScion("P2", 6, 0) }},
 		{"DeleteStub absent", false, func(tb *Table) { tb.DeleteStub(other) }},
 		{"DeleteScion absent", false, func(tb *Table) { tb.DeleteScion("P3", 6) }},
 		{"ApplyStubSet stale", false, func(tb *Table) { tb.ApplyStubSet("P2", 1, nil) }},
 		{"BumpStubIC missing", false, func(tb *Table) { _, _ = tb.BumpStubIC(other) }}, // errors: TestBumpICs
-		{"BumpScionIC missing", false, func(tb *Table) { _, _ = tb.BumpScionIC("P3", 6) }},
+		{"BumpScionIC missing", false, func(tb *Table) { _, _ = tb.BumpScionIC("P3", 6, 0) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tb := seeded()
@@ -195,6 +196,38 @@ func TestEveryTableMutationAdvancesGen(t *testing.T) {
 			c.call(tb)
 			if moved := tb.Gen() != before; moved != c.mutates {
 				t.Errorf("Gen %d -> %d, want advanced = %v", before, tb.Gen(), c.mutates)
+			}
+		})
+	}
+}
+
+// TestRecreatedScionCarriesOnlyItsNewStamp: the activity stamp lives in the
+// scion record, so every deletion path takes it away with the scion, and a
+// scion created again later is stamped at its new creation alone — never
+// at the busier past of the reference it replaces.
+func TestRecreatedScionCarriesOnlyItsNewStamp(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		del  func(tb *Table)
+	}{
+		{"DeleteScion", func(tb *Table) { tb.DeleteScion("P2", 6) }},
+		{"ApplyStubSet", func(tb *Table) { tb.ApplyStubSet("P2", 1, nil) }},
+		{"ExpireHolder", func(tb *Table) { tb.Renew("P2", 0); tb.ExpireHolder("P2", 10, 3) }},
+		{"ReleaseCustodial", func(tb *Table) { tb.Pin("P2", 6); tb.ReleaseCustodial("P2") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tb := NewTable("P1")
+			tb.EnsureScion("P2", 6, 40)
+			if _, err := tb.BumpScionIC("P2", 6, 100); err != nil {
+				t.Fatal(err)
+			}
+			c.del(tb)
+			if tb.HasScion("P2", 6) {
+				t.Fatal("scion survived its deletion")
+			}
+			tb.EnsureScion("P2", 6, 7)
+			if got := tb.Scions(); len(got) != 1 || got[0].Active != 7 || got[0].IC != 0 {
+				t.Fatalf("re-created scion = %+v, want IC 0 stamped at 7", got)
 			}
 		})
 	}

@@ -34,7 +34,7 @@ func randomProcess(seed int64) (*heap.Heap, *refs.Table) {
 	// Scions.
 	for i := 0; i < n/3; i++ {
 		src := ids.NodeID([]string{"P3", "P4", "P5"}[rng.Intn(3)])
-		tb.EnsureScion(src, objs[rng.Intn(n)])
+		tb.EnsureScion(src, objs[rng.Intn(n)], 0)
 	}
 	// Roots.
 	for i := 0; i < n/4; i++ {
@@ -52,15 +52,15 @@ func TestSummaryInversionProperty(t *testing.T) {
 		h, tb := randomProcess(seed)
 		sum := Summarize(h, tb, 1)
 		// Forward direction.
-		for ref, sc := range sum.Scions {
+		for _, sc := range sum.Scions {
 			for _, tgt := range sc.StubsFrom {
-				st := sum.Stubs[tgt]
-				if st == nil {
+				st, ok := sum.Stub(tgt)
+				if !ok {
 					return false
 				}
 				found := false
 				for _, back := range st.ScionsTo {
-					if back == ref {
+					if back == sc.Ref {
 						found = true
 						break
 					}
@@ -71,15 +71,15 @@ func TestSummaryInversionProperty(t *testing.T) {
 			}
 		}
 		// Backward direction.
-		for tgt, st := range sum.Stubs {
+		for _, st := range sum.Stubs {
 			for _, ref := range st.ScionsTo {
-				sc := sum.Scions[ref]
-				if sc == nil {
+				sc, ok := sum.Scion(ref)
+				if !ok {
 					return false
 				}
 				found := false
 				for _, fwd := range sc.StubsFrom {
-					if fwd == tgt {
+					if fwd == st.Target {
 						found = true
 						break
 					}
@@ -107,8 +107,8 @@ func TestSummaryReachabilityConsistency(t *testing.T) {
 		rootReach := h.ReachableFromRoots()
 		for _, sc := range tb.Scions() {
 			ref := sc.RefID("P1")
-			ss := sum.Scions[ref]
-			if ss == nil {
+			ss, ok := sum.Scion(ref)
+			if !ok {
 				return false
 			}
 			reach := h.ReachableFrom(sc.Obj)
@@ -131,8 +131,8 @@ func TestSummaryReachabilityConsistency(t *testing.T) {
 			}
 		}
 		for _, st := range tb.Stubs() {
-			ss := sum.Stubs[st.Target]
-			if ss == nil {
+			ss, ok := sum.Stub(st.Target)
+			if !ok {
 				return false
 			}
 			wantLocal := false

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dgc/internal/core"
 	"dgc/internal/heap"
 	"dgc/internal/ids"
 	"dgc/internal/refs"
@@ -36,7 +37,7 @@ func buildSampleHeap(t *testing.T) (*heap.Heap, *refs.Table, map[string]ids.ObjI
 	must(h.AddLocalRef(names["G"], names["H"]))
 	must(h.AddLocalRef(names["H"], names["J"]))
 	must(h.AddRemoteRef(names["J"], gref("P4", 17)))
-	tb.EnsureScion("P1", names["F"])
+	tb.EnsureScion("P1", names["F"], 0)
 	tb.EnsureStub(gref("P4", 17))
 	return h, tb, names
 }
@@ -46,8 +47,8 @@ func TestSummarizeFigure3Fragment(t *testing.T) {
 	sum := Summarize(h, tb, 1)
 
 	scionRef := ids.RefID{Src: "P1", Dst: gref("P2", names["F"])}
-	sc := sum.Scion(scionRef)
-	if sc == nil {
+	sc, ok := sum.Scion(scionRef)
+	if !ok {
 		t.Fatal("scion summary missing")
 	}
 	// Paper: Scion(F_P2) => {StubsFrom == {Q_P4}}
@@ -55,8 +56,8 @@ func TestSummarizeFigure3Fragment(t *testing.T) {
 		t.Fatalf("StubsFrom = %v", sc.StubsFrom)
 	}
 	// Paper: Stub(Q_P4) => {ScionsTo == {F_P2}, Local.Reach == false}
-	st := sum.Stub(gref("P4", 17))
-	if st == nil {
+	st, ok := sum.Stub(gref("P4", 17))
+	if !ok {
 		t.Fatal("stub summary missing")
 	}
 	if len(st.ScionsTo) != 1 || st.ScionsTo[0] != scionRef {
@@ -75,7 +76,7 @@ func TestSummarizeLocalReach(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := Summarize(h, tb, 2)
-	if !sum.Stub(gref("P4", 17)).LocalReach {
+	if st, _ := sum.Stub(gref("P4", 17)); !st.LocalReach {
 		t.Fatal("Local.Reach should be true with G rooted")
 	}
 }
@@ -97,12 +98,12 @@ func TestSummarizeMultipleScionsToSameStub(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tb.EnsureScion("P2", v.ID)
-	tb.EnsureScion("P6", y.ID)
+	tb.EnsureScion("P2", v.ID, 0)
+	tb.EnsureScion("P6", y.ID, 0)
 	tb.EnsureStub(gref("P4", 20))
 
 	sum := Summarize(h, tb, 1)
-	st := sum.Stub(gref("P4", 20))
+	st, _ := sum.Stub(gref("P4", 20))
 	if len(st.ScionsTo) != 2 {
 		t.Fatalf("ScionsTo = %v, want two scions", st.ScionsTo)
 	}
@@ -110,7 +111,7 @@ func TestSummarizeMultipleScionsToSameStub(t *testing.T) {
 
 func TestSummarizeCapturesICs(t *testing.T) {
 	h, tb, names := buildSampleHeap(t)
-	if _, err := tb.BumpScionIC("P1", names["F"]); err != nil {
+	if _, err := tb.BumpScionIC("P1", names["F"], 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.BumpStubIC(gref("P4", 17)); err != nil {
@@ -120,11 +121,11 @@ func TestSummarizeCapturesICs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := Summarize(h, tb, 1)
-	if ic := sum.Scion(ids.RefID{Src: "P1", Dst: gref("P2", names["F"])}).IC; ic != 1 {
-		t.Fatalf("scion IC = %d", ic)
+	if sc, _ := sum.Scion(ids.RefID{Src: "P1", Dst: gref("P2", names["F"])}); sc.IC != 1 {
+		t.Fatalf("scion IC = %d", sc.IC)
 	}
-	if ic := sum.Stub(gref("P4", 17)).IC; ic != 2 {
-		t.Fatalf("stub IC = %d", ic)
+	if st, _ := sum.Stub(gref("P4", 17)); st.IC != 2 {
+		t.Fatalf("stub IC = %d", st.IC)
 	}
 }
 
@@ -137,15 +138,17 @@ func TestSummaryIsImmutableAgainstMutator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Summary still reflects snapshot state.
-	if got := sum.Scion(ids.RefID{Src: "P1", Dst: gref("P2", names["F"])}); len(got.StubsFrom) != 1 {
+	if got, _ := sum.Scion(ids.RefID{Src: "P1", Dst: gref("P2", names["F"])}); len(got.StubsFrom) != 1 {
 		t.Fatalf("summary changed under mutation: %v", got.StubsFrom)
 	}
 }
 
 func TestNilSummaryLookupsAreSafe(t *testing.T) {
-	var s *Summary
-	if s.Scion(ids.RefID{}) != nil || s.Stub(ids.GlobalRef{}) != nil {
-		t.Fatal("nil summary lookups must return nil")
+	var s *core.Summary
+	_, okSc := s.Scion(ids.RefID{})
+	_, okSt := s.Stub(ids.GlobalRef{})
+	if okSc || okSt {
+		t.Fatal("nil summary lookups must find nothing")
 	}
 }
 

@@ -14,65 +14,13 @@ package snapshot
 
 import (
 	"math/bits"
+	"slices"
 
+	"dgc/internal/core"
 	"dgc/internal/heap"
 	"dgc/internal/ids"
 	"dgc/internal/refs"
 )
-
-// ScionSummary is the summarized-graph record for one scion.
-type ScionSummary struct {
-	Ref ids.RefID // the incoming reference (Src node -> local object)
-	IC  uint64    // scion invocation counter at snapshot time
-	// StubsFrom lists the targets of stubs transitively reachable from the
-	// scion's object, in canonical order.
-	StubsFrom []ids.GlobalRef
-	// LocalReach is true when the scion's object is reachable from the
-	// local root set; such scions are never cycle candidates.
-	LocalReach bool
-}
-
-// StubSummary is the summarized-graph record for one stub.
-type StubSummary struct {
-	Target ids.GlobalRef // the outgoing reference target
-	IC     uint64        // stub invocation counter at snapshot time
-	// ScionsTo lists the scions (as RefIDs) from which this stub is
-	// transitively reachable, in canonical order.
-	ScionsTo []ids.RefID
-	// LocalReach is the Local.Reach flag: true when at least one object
-	// holding this outgoing reference is reachable from the local root set.
-	LocalReach bool
-}
-
-// Summary is the summarized graph description of one process snapshot. It is
-// immutable once built: detectors read it without synchronizing with the
-// mutator, which is the whole point of the paper's design.
-type Summary struct {
-	Node    ids.NodeID
-	Version uint64 // monotonically increasing snapshot version per node
-
-	Scions map[ids.RefID]*ScionSummary
-	Stubs  map[ids.GlobalRef]*StubSummary
-}
-
-// Scion returns the summary record for the given incoming reference, or nil
-// if the reference was not present in the snapshot (the condition behind the
-// paper's safety rule 1: "stub without corresponding scion -> ignore CDM").
-func (s *Summary) Scion(ref ids.RefID) *ScionSummary {
-	if s == nil {
-		return nil
-	}
-	return s.Scions[ref]
-}
-
-// Stub returns the summary record for the given outgoing reference target,
-// or nil.
-func (s *Summary) Stub(target ids.GlobalRef) *StubSummary {
-	if s == nil {
-		return nil
-	}
-	return s.Stubs[target]
-}
 
 // Summarize builds the summarized graph description from a heap and its
 // reference tables. The heap passed in should be a snapshot (heap.Clone) when
@@ -87,55 +35,53 @@ func (s *Summary) Stub(target ids.GlobalRef) *StubSummary {
 // for a total cost of O(V + E x S/64) instead of the former per-scion BFS's
 // O(S x (V + E)). References strictly internal to the process fold away;
 // output lists are emitted directly in canonical order.
-func Summarize(h *heap.Heap, table *refs.Table, version uint64) *Summary {
-	sum := &Summary{
-		Node:    h.Node(),
-		Version: version,
-		Scions:  make(map[ids.RefID]*ScionSummary),
-		Stubs:   make(map[ids.GlobalRef]*StubSummary),
-	}
-
+func Summarize(h *heap.Heap, table *refs.Table, version uint64) *core.Summary {
 	ix := h.BuildIndex()
 	rootReach := ix.RootFlags() // Local.Reach per dense index
+	self := h.Node()
 
-	// Stub records from the stub table. A remote ref held in the heap
-	// without a stub record (possible between LGC rounds) is skipped
-	// conservatively, exactly as the per-scion implementation did.
-	for _, st := range table.Stubs() {
-		sum.Stubs[st.Target] = &StubSummary{Target: st.Target, IC: st.IC}
+	// Stub records from the stub table, in canonical target order, each
+	// paired with its index target if a heap object holds it. A remote ref
+	// held in the heap without a stub record (possible between LGC rounds)
+	// is skipped conservatively, exactly as the per-scion implementation
+	// did.
+	stubs := table.Stubs()
+	sum := &core.Summary{Node: self, Version: version, Stubs: make([]core.StubSummary, len(stubs))}
+	type held struct{ t, s int32 }
+	helds := make([]held, 0, len(stubs))
+	for s, st := range stubs {
+		sum.Stubs[s] = core.StubSummary{Target: st.Target, IC: st.IC}
+		if t, ok := slices.BinarySearchFunc(ix.Targets(), st.Target, ids.GlobalRef.Compare); ok {
+			helds = append(helds, held{int32(t), int32(s)})
+		}
 	}
 
 	// Scion records in canonical (Src, Obj) order. Because every RefID
 	// shares this node as Dst.Node, canonical RefID order coincides with
 	// this order, so lists built by ascending scion index need no sort.
-	self := h.Node()
 	scions := table.Scions()
-	nscions := len(scions)
-	words := (nscions + 63) / 64
-	refIDs := make([]ids.RefID, nscions)
-	scSums := make([]*ScionSummary, nscions)
+	sum.Scions = make([]core.ScionSummary, len(scions))
 	for i, sc := range scions {
-		refIDs[i] = sc.RefID(self)
-		lr := false
-		if p, ok := ix.Pos(sc.Obj); ok {
-			lr = rootReach[p]
-		}
-		scSums[i] = &ScionSummary{Ref: refIDs[i], IC: sc.IC, LocalReach: lr}
-		sum.Scions[refIDs[i]] = scSums[i]
+		p, ok := ix.Pos(sc.Obj)
+		sum.Scions[i] = core.ScionSummary{Ref: sc.RefID(self), IC: sc.IC, Active: sc.Active, LocalReach: ok && rootReach[p]}
 	}
 
-	if nscions > 0 {
-		// Seed each scion's bit at its object's component, then push the
-		// bitsets through the condensation DAG. Component ids come out of
-		// Tarjan in completion order, so descending id is a topological
-		// order: processing a component pushes the union of everything
-		// that reaches it onto its successors exactly once.
-		comp, ncomp := ix.SCC()
-		rows := make([]uint64, int(ncomp)*words)
+	// Seed each scion's bit at its object's component, then push the
+	// bitsets through the condensation DAG. Component ids come out of
+	// Tarjan in completion order, so descending id is a topological order:
+	// processing a component pushes the union of everything that reaches it
+	// onto its successors exactly once. Without scions only the stubs'
+	// Local.Reach flags are needed.
+	words := (len(scions) + 63) / 64
+	var comp []int32
+	var rows []uint64
+	if words > 0 {
+		var ncomp int32
+		comp, ncomp = ix.SCC()
+		rows = make([]uint64, int(ncomp)*words)
 		for i, sc := range scions {
 			if p, ok := ix.Pos(sc.Obj); ok {
-				row := rows[int(comp[p])*words:]
-				row[i>>6] |= 1 << (uint(i) & 63)
+				rows[int(comp[p])*words+i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
 		compAdj := ix.Condense(comp, ncomp)
@@ -148,52 +94,62 @@ func Summarize(h *heap.Heap, table *refs.Table, version uint64) *Summary {
 				}
 			}
 		}
+	}
 
-		// Emit: for each stub target (canonical order), union the scion
-		// sets of its holders, then distribute the set bits into StubsFrom
-		// and ScionsTo. Both orders are canonical by construction.
-		union := make([]uint64, words)
-		for t, tgt := range ix.Targets() {
-			ss := sum.Stubs[tgt]
-			if ss == nil {
-				continue
+	// Count pass: for each held stub, union the scion sets of its holders
+	// and count the set bits per scion, so each list kind can be carved out
+	// of one backing array.
+	unions := make([]uint64, len(helds)*words)
+	fromN := make([]int, len(scions))
+	total := 0
+	for k, hd := range helds {
+		union := unions[k*words : (k+1)*words]
+		for _, hp := range ix.Holders(hd.t) {
+			if rootReach[hp] {
+				sum.Stubs[hd.s].LocalReach = true
 			}
-			for w := range union {
-				union[w] = 0
-			}
-			for _, hp := range ix.Holders(int32(t)) {
-				if rootReach[hp] {
-					ss.LocalReach = true
-				}
+			if words > 0 {
 				row := rows[int(comp[hp])*words:]
-				for w := 0; w < words; w++ {
+				for w := range union {
 					union[w] |= row[w]
 				}
 			}
-			for w := 0; w < words; w++ {
-				word := union[w]
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << uint(b)
-					si := w*64 + b
-					scSums[si].StubsFrom = append(scSums[si].StubsFrom, tgt)
-					ss.ScionsTo = append(ss.ScionsTo, refIDs[si])
-				}
+		}
+		for w, word := range union {
+			for ; word != 0; word &= word - 1 {
+				fromN[w*64+bits.TrailingZeros64(word)]++
+				total++
 			}
 		}
-	} else {
-		// No scions: only the stubs' Local.Reach flags are needed.
-		for t, tgt := range ix.Targets() {
-			ss := sum.Stubs[tgt]
-			if ss == nil {
-				continue
+	}
+	if total == 0 {
+		return sum
+	}
+	from := make([]ids.GlobalRef, total)
+	off := 0
+	for i, n := range fromN {
+		if n > 0 {
+			sum.Scions[i].StubsFrom = from[off : off : off+n]
+			off += n
+		}
+	}
+
+	// Fill pass: distribute the set bits into StubsFrom and ScionsTo. Held
+	// stubs go in canonical order and bits in ascending scion order, so both
+	// orders are canonical by construction.
+	to := make([]ids.RefID, 0, total)
+	for k, hd := range helds {
+		st := &sum.Stubs[hd.s]
+		start := len(to)
+		for w, word := range unions[k*words : (k+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				si := w*64 + bits.TrailingZeros64(word)
+				sum.Scions[si].StubsFrom = append(sum.Scions[si].StubsFrom, st.Target)
+				to = append(to, sum.Scions[si].Ref)
 			}
-			for _, hp := range ix.Holders(int32(t)) {
-				if rootReach[hp] {
-					ss.LocalReach = true
-					break
-				}
-			}
+		}
+		if len(to) > start {
+			st.ScionsTo = to[start:len(to):len(to)]
 		}
 	}
 	return sum

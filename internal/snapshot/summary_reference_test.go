@@ -7,22 +7,20 @@ import (
 	"sort"
 	"testing"
 
+	"dgc/internal/core"
 	"dgc/internal/heap"
 	"dgc/internal/ids"
 	"dgc/internal/refs"
 	"dgc/internal/workload"
 )
 
-// summarizeReference is the original per-scion BFS summarizer, kept verbatim
-// as the executable specification the single-pass engine is checked against.
-// Cost is O(scions x heap) worst case.
-func summarizeReference(h *heap.Heap, table *refs.Table, version uint64) *Summary {
-	sum := &Summary{
-		Node:    h.Node(),
-		Version: version,
-		Scions:  make(map[ids.RefID]*ScionSummary),
-		Stubs:   make(map[ids.GlobalRef]*StubSummary),
-	}
+// summarizeReference is the original per-scion BFS summarizer, kept as the
+// executable specification the single-pass engine is checked against. It
+// builds keyed records and sorts them into the summary's canonical slices at
+// the end. Cost is O(scions x heap) worst case.
+func summarizeReference(h *heap.Heap, table *refs.Table, version uint64) *core.Summary {
+	scions := make(map[ids.RefID]*core.ScionSummary)
+	stubs := make(map[ids.GlobalRef]*core.StubSummary)
 
 	// Local.Reach: objects reachable from real local roots.
 	fromRoots := h.ReachableFromRoots()
@@ -36,7 +34,7 @@ func summarizeReference(h *heap.Heap, table *refs.Table, version uint64) *Summar
 				break
 			}
 		}
-		sum.Stubs[st.Target] = &StubSummary{
+		stubs[st.Target] = &core.StubSummary{
 			Target:     st.Target,
 			IC:         st.IC,
 			LocalReach: localReach,
@@ -51,59 +49,60 @@ func summarizeReference(h *heap.Heap, table *refs.Table, version uint64) *Summar
 		stubTargets := h.RemoteRefsFrom(reach)
 		kept := stubTargets[:0]
 		for _, tgt := range stubTargets {
-			if _, ok := sum.Stubs[tgt]; ok {
+			if _, ok := stubs[tgt]; ok {
 				kept = append(kept, tgt)
 			}
 		}
 		_, localReach := fromRoots[sc.Obj]
-		sum.Scions[ref] = &ScionSummary{
+		scions[ref] = &core.ScionSummary{
 			Ref:        ref,
 			IC:         sc.IC,
+			Active:     sc.Active,
 			StubsFrom:  append([]ids.GlobalRef(nil), kept...),
 			LocalReach: localReach,
 		}
 		// Invert into ScionsTo.
 		for _, tgt := range kept {
-			ss := sum.Stubs[tgt]
+			ss := stubs[tgt]
 			ss.ScionsTo = append(ss.ScionsTo, ref)
 		}
 	}
-	// Canonical order for ScionsTo lists.
-	for _, ss := range sum.Stubs {
+
+	// Canonical order for ScionsTo lists and for both record lists.
+	sum := &core.Summary{Node: self, Version: version}
+	for _, ss := range stubs {
 		ids.SortRefIDs(ss.ScionsTo)
+		sum.Stubs = append(sum.Stubs, *ss)
 	}
+	for _, sc := range scions {
+		sum.Scions = append(sum.Scions, *sc)
+	}
+	sort.Slice(sum.Stubs, func(i, j int) bool { return sum.Stubs[i].Target.Less(sum.Stubs[j].Target) })
+	sort.Slice(sum.Scions, func(i, j int) bool { return sum.Scions[i].Ref.Less(sum.Scions[j].Ref) })
 	return sum
 }
 
 // diffSummaries reports the first difference between two summaries, down to
 // nil-versus-empty slices: the engines must agree byte for byte once encoded,
 // so the in-memory structures must be indistinguishable too.
-func diffSummaries(got, want *Summary) string {
+func diffSummaries(got, want *core.Summary) string {
 	if got.Node != want.Node || got.Version != want.Version {
 		return fmt.Sprintf("header: got (%s,%d) want (%s,%d)", got.Node, got.Version, want.Node, want.Version)
 	}
 	if len(got.Scions) != len(want.Scions) {
 		return fmt.Sprintf("scion count: got %d want %d", len(got.Scions), len(want.Scions))
 	}
-	for ref, w := range want.Scions {
-		g := got.Scions[ref]
-		if g == nil {
-			return fmt.Sprintf("scion %v missing", ref)
-		}
-		if !reflect.DeepEqual(g, w) {
-			return fmt.Sprintf("scion %v: got %+v want %+v", ref, g, w)
+	for i, w := range want.Scions {
+		if g := got.Scions[i]; !reflect.DeepEqual(g, w) {
+			return fmt.Sprintf("scion %d: got %+v want %+v", i, g, w)
 		}
 	}
 	if len(got.Stubs) != len(want.Stubs) {
 		return fmt.Sprintf("stub count: got %d want %d", len(got.Stubs), len(want.Stubs))
 	}
-	for tgt, w := range want.Stubs {
-		g := got.Stubs[tgt]
-		if g == nil {
-			return fmt.Sprintf("stub %v missing", tgt)
-		}
-		if !reflect.DeepEqual(g, w) {
-			return fmt.Sprintf("stub %v: got %+v want %+v", tgt, g, w)
+	for i, w := range want.Stubs {
+		if g := got.Stubs[i]; !reflect.DeepEqual(g, w) {
+			return fmt.Sprintf("stub %d: got %+v want %+v", i, g, w)
 		}
 	}
 	return ""
@@ -159,7 +158,7 @@ func materialize(t *testing.T, topo *workload.Topology) (map[ids.NodeID]*heap.He
 			t.Fatal(err)
 		}
 		tables[from.Node].EnsureStub(to)
-		tables[to.Node].EnsureScion(from.Node, to.Obj)
+		tables[to.Node].EnsureScion(from.Node, to.Obj, 0)
 	}
 	return heaps, tables
 }
