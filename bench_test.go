@@ -114,8 +114,8 @@ func BenchmarkSummarize(b *testing.B) {
 	// Summarization cost over the stress graph of
 	// experiments.BuildSummarizeHeap: a deep spine plus random edges, with
 	// the scion count swept so the per-scion component of the summarizer's
-	// complexity is visible. Calls snapshot.Summarize directly (the node
-	// layer's unchanged-heap cache would short-circuit repeat calls).
+	// complexity is visible. Calls snapshot.Summarize directly, without the
+	// node layer's snapshot encode.
 	for _, objects := range []int{1000, 10000, 100000} {
 		for _, scions := range []int{4, 64, 512} {
 			b.Run(fmt.Sprintf("objs=%d/scions=%d", objects, scions), func(b *testing.B) {

@@ -102,8 +102,9 @@ func TestEventsEndpointSinceAndFilters(t *testing.T) {
 		t.Errorf("kind filter got %+v", events)
 	}
 
-	// Unknown kind and malformed trace are 400s.
-	for _, q := range []string{"?kind=wibble", "?trace=zz", "?since=x", "?timeout=-1s"} {
+	// Unknown kind and malformed trace are 400s; scion-created names no kind
+	// (nothing emitted one).
+	for _, q := range []string{"?kind=wibble", "?kind=scion-created", "?trace=zz", "?since=x", "?timeout=-1s"} {
 		resp, err := http.Get(srv.URL + "/api/v1/events" + q)
 		if err != nil {
 			t.Fatal(err)

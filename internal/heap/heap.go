@@ -64,12 +64,6 @@ type Heap struct {
 	order []*entry
 	dead  int
 
-	// gen is the mutation epoch: it advances on every structural change
-	// (allocation, deletion, reference or root edit, payload replacement).
-	// Consumers such as the summarization cache compare generations to
-	// detect that a heap is unchanged since they last read it.
-	gen uint64
-
 	// Traversal state: markGen is the epoch of the newest traversal, stamped
 	// into each reached entry's mark, and queue is the BFS queue of slots,
 	// reused across calls so marking allocates nothing once warm.
@@ -124,11 +118,6 @@ func Restore(node ids.NodeID, objects []*Object, roots []ids.ObjID, nextID ids.O
 // Node returns the identifier of the owning process.
 func (h *Heap) Node() ids.NodeID { return h.node }
 
-// Gen returns the heap's mutation epoch. Two equal Gen values bracket a
-// window with no structural change, so any derived artifact (summary,
-// snapshot encoding) computed inside the window is still valid.
-func (h *Heap) Gen() uint64 { return h.gen }
-
 // NextID returns the id the next allocation will receive. Exposed for
 // snapshot codecs.
 func (h *Heap) NextID() ids.ObjID { return h.nextID }
@@ -143,7 +132,6 @@ func (h *Heap) Alloc(payload []byte) *Object {
 	h.nextID++
 	h.objects[e.ID] = e
 	h.order = append(h.order, e)
-	h.gen++
 	return &e.Object
 }
 
@@ -175,7 +163,6 @@ func (h *Heap) Delete(id ids.ObjID) {
 	delete(h.roots, id)
 	h.order[e.slot] = nil
 	h.dead++
-	h.gen++
 	if h.dead > len(h.objects) {
 		h.compact()
 	}
@@ -223,7 +210,6 @@ func (h *Heap) AddRoot(id ids.ObjID) error {
 		return fmt.Errorf("heap %s: AddRoot: no object %d", h.node, id)
 	}
 	h.roots[id] = struct{}{}
-	h.gen++
 	return nil
 }
 
@@ -233,7 +219,6 @@ func (h *Heap) RemoveRoot(id ids.ObjID) {
 		return
 	}
 	delete(h.roots, id)
-	h.gen++
 }
 
 // IsRoot reports whether the object is in the root set.
@@ -263,7 +248,6 @@ func (h *Heap) AddLocalRef(from, to ids.ObjID) error {
 		return fmt.Errorf("heap %s: AddLocalRef: no object %d", h.node, to)
 	}
 	f.Locals = append(f.Locals, to)
-	h.gen++
 	return nil
 }
 
@@ -277,7 +261,6 @@ func (h *Heap) RemoveLocalRef(from, to ids.ObjID) error {
 	for i, r := range f.Locals {
 		if r == to {
 			f.Locals = append(f.Locals[:i], f.Locals[i+1:]...)
-			h.gen++
 			return nil
 		}
 	}
@@ -295,7 +278,6 @@ func (h *Heap) AddRemoteRef(from ids.ObjID, target ids.GlobalRef) error {
 		return fmt.Errorf("heap %s: AddRemoteRef: target %v is local", h.node, target)
 	}
 	f.Remotes = append(f.Remotes, target)
-	h.gen++
 	return nil
 }
 
@@ -309,24 +291,19 @@ func (h *Heap) RemoveRemoteRef(from ids.ObjID, target ids.GlobalRef) error {
 	for i, r := range f.Remotes {
 		if r == target {
 			f.Remotes = append(f.Remotes[:i], f.Remotes[i+1:]...)
-			h.gen++
 			return nil
 		}
 	}
 	return fmt.Errorf("heap %s: RemoveRemoteRef: no reference %d->%v", h.node, from, target)
 }
 
-// SetPayload replaces the payload of an existing object. Routed through the
-// heap (rather than poking the Object) so the mutation epoch advances: a
-// payload change invalidates serialized snapshots even though it cannot
-// change reachability.
+// SetPayload replaces the payload of an existing object.
 func (h *Heap) SetPayload(id ids.ObjID, payload []byte) error {
 	o := h.Get(id)
 	if o == nil {
 		return fmt.Errorf("heap %s: SetPayload: no object %d", h.node, id)
 	}
 	o.Payload = payload
-	h.gen++
 	return nil
 }
 
@@ -356,7 +333,6 @@ func (h *Heap) Clone() *Heap {
 	c := &Heap{
 		node:    h.node,
 		nextID:  h.nextID,
-		gen:     h.gen,
 		objects: make(map[ids.ObjID]*entry, len(order)),
 		roots:   make(map[ids.ObjID]struct{}, len(h.roots)),
 		order:   make([]*entry, len(order)),

@@ -105,7 +105,6 @@ func (h *Heap) Sweep(m Mark) int {
 		}
 	}
 	h.setLen(n)
-	h.gen += uint64(swept)
 	return swept
 }
 

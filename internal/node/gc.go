@@ -109,21 +109,6 @@ func (m *Machine) collect(offSchedule bool) lgc.Result {
 // configured the snapshot is serialized first — the operation whose cost §4
 // measures — and optionally written to SnapshotDir.
 func (m *Machine) Summarize() error {
-	// Mutation-epoch cache: when neither the heap nor the reference tables
-	// changed since the last rebuild, the existing summary is still exact,
-	// so serialization and summarization are both skipped. The CDM
-	// accumulators are still reset — reprocessing re-delivered CDMs against
-	// the same summary is the loss-retry mechanism, and must not be
-	// suppressed by dedup state surviving a (cheap) summarization round.
-	if m.summary != nil && m.heap.Gen() == m.sumHeapGen && m.table.Gen() == m.sumTableGen {
-		m.met.Summarizations.Inc()
-		m.met.SummaryCacheHits.Inc()
-		m.lastSummarize = time.Now()
-		m.emit(trace.KindSummarize, "version=%d scions=%d stubs=%d cached",
-			m.summary.Version, len(m.summary.Scions), len(m.summary.Stubs))
-		m.resetAccumulators()
-		return nil
-	}
 	start := time.Now()
 	m.snapVersion++
 	if m.cfg.Codec != nil {
@@ -151,10 +136,9 @@ func (m *Machine) Summarize() error {
 	m.emit(trace.KindSummarize, "version=%d scions=%d stubs=%d",
 		m.snapVersion, len(m.summary.Scions), len(m.summary.Stubs))
 	// A new summary changes CDM processing results: reset the accumulators
-	// so stale drops cannot mask newly-useful deliveries.
+	// so stale drops cannot mask newly-useful deliveries, and so re-delivered
+	// CDMs are reprocessed (the loss-retry mechanism).
 	m.resetAccumulators()
-	m.sumHeapGen = m.heap.Gen()
-	m.sumTableGen = m.table.Gen()
 	m.syncGauges()
 	return nil
 }

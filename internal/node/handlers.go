@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"time"
 
 	"dgc/internal/core"
@@ -95,7 +96,7 @@ func (m *Machine) accumulatorFor(det core.DetectionID) *detAcc {
 		if len(m.cdmAcc) >= cdmAccCap {
 			m.resetAccumulators()
 		}
-		acc = &detAcc{alg: core.NewAlg(), alongs: make(map[ids.RefID]struct{}), first: time.Now()}
+		acc = &detAcc{alg: core.NewAlg(), first: time.Now()}
 		m.cdmAcc[det] = acc
 	}
 	return acc
@@ -131,11 +132,9 @@ func (m *Machine) processCDMSection(det core.DetectionID, along ids.RefID, hops 
 	if changed {
 		acc.ver++
 	}
-	_, knownAlong := acc.alongs[along]
+	i, knownAlong := slices.BinarySearchFunc(acc.alongs, along, ids.RefID.Compare)
 	if !knownAlong {
-		acc.alongs[along] = struct{}{}
-		acc.alongsSorted = append(acc.alongsSorted, along)
-		ids.SortRefIDs(acc.alongsSorted)
+		acc.alongs = slices.Insert(acc.alongs, i, along)
 	}
 	if !changed && knownAlong {
 		m.met.CDMsDeduped.Inc()
@@ -147,7 +146,7 @@ func (m *Machine) processCDMSection(det core.DetectionID, along ids.RefID, hops 
 	// through the stubs reachable from the others, or converging paths
 	// would starve each other of the closure they jointly build.
 	terminal, forwarded, cut := false, false, false
-	for _, a := range acc.alongsSorted {
+	for _, a := range acc.alongs {
 		out := m.detector.HandleCDM(m.summary, det, a, acc.alg, hops)
 		m.met.CDMsSent.Add(uint64(out.Forwarded))
 		switch out.Kind {

@@ -50,12 +50,6 @@ type Machine struct {
 	sweptOffSchedule bool
 	sweepDue         bool
 
-	// sumHeapGen/sumTableGen record the heap and table mutation epochs at
-	// the last summary rebuild; while both still match, Summarize is a
-	// cache hit and skips re-encoding and re-summarizing.
-	sumHeapGen  uint64
-	sumTableGen uint64
-
 	methods map[string]Method
 
 	nextCallID   uint64
@@ -126,11 +120,10 @@ type Machine struct {
 
 // detAcc is one detection's accumulated state at this node.
 type detAcc struct {
-	alg    core.Alg
-	alongs map[ids.RefID]struct{} // scions this detection arrived along
-	// alongsSorted caches the alongs set in canonical order; maintained
-	// incrementally so each delivery iterates without rebuilding it.
-	alongsSorted []ids.RefID
+	alg core.Alg
+	// alongs is the set of scions this detection arrived along, in
+	// canonical order.
+	alongs []ids.RefID
 	// first is when this accumulator was created, for the /debug/dgc
 	// per-detection age report. Wall clock: diagnostic only, never read by
 	// the protocol.
@@ -418,7 +411,6 @@ func (m *Machine) Stats() Stats {
 		LGCRuns:             met.LGCRuns.Value(),
 		ObjectsSwept:        met.ObjectsSwept.Value(),
 		Summarizations:      met.Summarizations.Value(),
-		SummaryCacheHits:    met.SummaryCacheHits.Value(),
 		SnapshotBytes:       m.snapshotBytes,
 		StubSetsSent:        met.StubSetsSent.Value(),
 		StubSetsApplied:     met.StubSetsApplied.Value(),

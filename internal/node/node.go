@@ -101,10 +101,6 @@ type Stats struct {
 	LGCRuns        uint64 // dgc_lgc_runs_total
 	ObjectsSwept   uint64 // dgc_lgc_objects_swept_total
 	Summarizations uint64 // dgc_summarizations_total
-	// SummaryCacheHits (dgc_summary_cache_hits_total) counts Summarize calls
-	// satisfied by the mutation-epoch cache (heap and tables unchanged since
-	// the last rebuild, so the existing summary is still exact).
-	SummaryCacheHits uint64
 	// SnapshotBytes counts the bytes Config.Codec encoded. It has no family
 	// and restarts from zero with the machine.
 	SnapshotBytes   uint64

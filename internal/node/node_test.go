@@ -120,10 +120,9 @@ func TestInvokeNoopBumpsBothCounters(t *testing.T) {
 	})
 }
 
-// Every counter bump advances the table's mutation epoch, so a summary taken
-// after an invocation carries the counters the invocation left behind rather
-// than a cached pre-invocation copy; a stale counter would abort every
-// detection through the reference.
+// A summary taken after an invocation carries the counters the invocation
+// left behind; a stale counter would abort every detection through the
+// reference.
 func TestSummaryCarriesInvocationCounters(t *testing.T) {
 	tn := newTestNet(t, Config{}, "A", "B")
 	a, b := tn.n("A"), tn.n("B")

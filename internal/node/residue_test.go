@@ -68,7 +68,7 @@ func TestICRingResidue(t *testing.T) {
 // TestReGrantPostponesCandidacy: a second grant of an existing scion at tick
 // T is activity on it, so the scion stays out of RunDetection until
 // T+CandidateMinAge. The re-grant changes no counter; it reaches candidacy
-// through the summary the cache would otherwise keep from before it.
+// through the next summary's copy of the scion record.
 func TestReGrantPostponesCandidacy(t *testing.T) {
 	const minAge, regrant = 5, 8
 	tn := newTestNet(t, Config{CandidateMinAge: minAge}, "A", "B")

@@ -59,7 +59,6 @@ type NodeMetrics struct {
 	StubSetsSent      *Counter
 	StubSetsApplied   *Counter
 	Summarizations    *Counter
-	SummaryCacheHits  *Counter
 	LGCDuration       *Histogram
 	SummarizeDuration *Histogram
 
@@ -107,10 +106,9 @@ func NewNodeMetrics(reg *Registry) *NodeMetrics {
 		ObjectsSwept:      reg.Counter("dgc_lgc_objects_swept_total", "Objects reclaimed by local collections."),
 		StubSetsSent:      reg.Counter("dgc_stub_sets_sent_total", "NewSetStubs messages sent after local collections."),
 		StubSetsApplied:   reg.Counter("dgc_stub_sets_applied_total", "NewSetStubs messages applied from peers."),
-		Summarizations:    reg.Counter("dgc_summarizations_total", "Graph summarization runs (including cache hits)."),
-		SummaryCacheHits:  reg.Counter("dgc_summary_cache_hits_total", "Summarizations satisfied by the mutation-epoch cache."),
+		Summarizations:    reg.Counter("dgc_summarizations_total", "Graph summarization runs."),
 		LGCDuration:       reg.Histogram("dgc_lgc_duration_seconds", "Wall-clock duration of local collections.", DurationBuckets),
-		SummarizeDuration: reg.Histogram("dgc_summarize_duration_seconds", "Wall-clock duration of full summary rebuilds (cache hits excluded).", DurationBuckets),
+		SummarizeDuration: reg.Histogram("dgc_summarize_duration_seconds", "Wall-clock duration of Summarize calls, snapshot encode included.", DurationBuckets),
 
 		InvokesSent:    reg.Counter("dgc_invokes_sent_total", "Remote invocations sent."),
 		InvokesHandled: reg.Counter("dgc_invokes_handled_total", "Remote invocations served."),

@@ -165,7 +165,7 @@ func TestNodeMetricsRegistersAll(t *testing.T) {
 		"dgc_scions_freed_total", "dgc_detection_latency_seconds", "dgc_cdm_hops",
 		"dgc_scions_created_total", "dgc_scions_dropped_total", "dgc_lgc_runs_total",
 		"dgc_lgc_objects_swept_total", "dgc_stub_sets_sent_total", "dgc_stub_sets_applied_total",
-		"dgc_summarizations_total", "dgc_summary_cache_hits_total",
+		"dgc_summarizations_total",
 		"dgc_lgc_duration_seconds", "dgc_summarize_duration_seconds",
 		"dgc_invokes_sent_total", "dgc_invokes_handled_total", "dgc_replies_handled_total",
 		"dgc_calls_failed_total", "dgc_heap_objects", "dgc_scions", "dgc_stubs",

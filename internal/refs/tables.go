@@ -85,13 +85,6 @@ type Table struct {
 	node  ids.NodeID
 	peers map[ids.NodeID]*peer
 	names []ids.NodeID // the keys of peers, ascending
-
-	// gen is the mutation epoch: it advances whenever a table entry is
-	// created, deleted, restored, re-stamped or has its counter bumped.
-	// Together with the heap's epoch it lets the summarization cache prove
-	// that a previously built summary is still exact. The table hands out
-	// copies only, so no counter changes without advancing gen.
-	gen uint64
 }
 
 // NewTable returns empty stub/scion tables for the given process.
@@ -113,9 +106,6 @@ func (t *Table) peer(n ids.NodeID) *peer {
 
 // Node returns the owning process identifier.
 func (t *Table) Node() ids.NodeID { return t.node }
-
-// Gen returns the table's mutation epoch.
-func (t *Table) Gen() uint64 { return t.gen }
 
 // EnsureStub creates the stub for target (with IC zero) if there is none,
 // reporting whether it did.
@@ -146,7 +136,6 @@ func (t *Table) HasStub(target ids.GlobalRef) bool {
 func (t *Table) DeleteStub(target ids.GlobalRef) {
 	if t.HasStub(target) {
 		delete(t.peers[target.Node].stubs, target.Obj)
-		t.gen++
 	}
 }
 
@@ -193,9 +182,6 @@ func (t *Table) NumStubs() int {
 // existing scion is activity on it too.
 func (t *Table) EnsureScion(src ids.NodeID, obj ids.ObjID, now uint64) (created bool) {
 	sc, ok := t.scion(src, obj)
-	if ok && sc.active == now {
-		return false
-	}
 	t.setScion(src, obj, scion{ic: sc.ic, active: now})
 	return !ok
 }
@@ -228,7 +214,6 @@ func (t *Table) DeleteScion(src ids.NodeID, obj ids.ObjID) bool {
 		return false
 	}
 	delete(t.peers[src].scions, obj)
-	t.gen++
 	return true
 }
 
@@ -276,7 +261,6 @@ func (t *Table) dropScions(src ids.NodeID, drop func(ids.ObjID) bool) []Scion {
 		if drop(obj) {
 			out = append(out, Scion{Src: src, Obj: obj, IC: sc.ic, Active: sc.active})
 			delete(p.scions, obj)
-			t.gen++
 		}
 	}
 	slices.SortFunc(out, func(x, y Scion) int { return cmp.Compare(x.Obj, y.Obj) })
@@ -289,7 +273,6 @@ func (t *Table) RestoreStub(target ids.GlobalRef, ic uint64) {
 	p := t.peer(target.Node)
 	p.stubs[target.Obj] = ic
 	p.owed = true
-	t.gen++
 }
 
 // RestoreScion sets the scion for (src, obj) to an explicit invocation
@@ -302,7 +285,6 @@ func (t *Table) RestoreScion(src ids.NodeID, obj ids.ObjID, ic uint64) {
 // setScion is the one writer of scions, as RestoreStub is of stubs.
 func (t *Table) setScion(src ids.NodeID, obj ids.ObjID, sc scion) {
 	t.peer(src).scions[obj] = sc
-	t.gen++
 }
 
 // BumpStubIC increments the invocation counter of the stub for target and

@@ -148,59 +148,6 @@ func TestScionsSorted(t *testing.T) {
 	}
 }
 
-// Gen is the summary cache's proof that the tables did not move: every
-// mutation of a record must advance it, and a call that changes nothing
-// must leave it alone (an idle table would otherwise never hit the cache).
-func TestEveryTableMutationAdvancesGen(t *testing.T) {
-	stub, other := gref("P2", 6), gref("P2", 7)
-	// seeded returns a table holding stub, scions (P2, 6) and (P2, 8), the
-	// latter in custody, and the stub set P2 sent with sequence number 1.
-	seeded := func() *Table {
-		tb := NewTable("P1")
-		tb.EnsureStub(stub)
-		tb.EnsureScion("P2", 6, 0)
-		tb.EnsureScion("P2", 8, 0)
-		tb.Pin("P2", 8)
-		tb.ApplyStubSet("P2", 1, []ids.ObjID{6, 8})
-		return tb
-	}
-	for _, c := range []struct {
-		name    string
-		mutates bool
-		call    func(tb *Table)
-	}{
-		{"EnsureStub creates", true, func(tb *Table) { tb.EnsureStub(other) }},
-		{"EnsureScion creates", true, func(tb *Table) { tb.EnsureScion("P3", 6, 0) }},
-		{"DeleteStub present", true, func(tb *Table) { tb.DeleteStub(stub) }},
-		{"DeleteScion present", true, func(tb *Table) { tb.DeleteScion("P2", 6) }},
-		{"BumpStubIC", true, func(tb *Table) { _, _ = tb.BumpStubIC(stub) }},
-		{"EnsureScion re-stamps", true, func(tb *Table) { tb.EnsureScion("P2", 6, 9) }},
-		{"BumpScionIC", true, func(tb *Table) { _, _ = tb.BumpScionIC("P2", 6, 0) }},
-		{"RestoreStub", true, func(tb *Table) { tb.RestoreStub(stub, 5) }},
-		{"RestoreScion", true, func(tb *Table) { tb.RestoreScion("P2", 6, 5) }},
-		{"ApplyStubSet drops", true, func(tb *Table) { tb.ApplyStubSet("P2", 2, []ids.ObjID{8}) }},
-		{"ExpireHolder drops", true, func(tb *Table) { tb.Renew("P2", 0); tb.ExpireHolder("P2", 10, 3) }},
-		{"ReleaseCustodial drops", true, func(tb *Table) { tb.ReleaseCustodial("P2") }},
-
-		{"EnsureStub existing", false, func(tb *Table) { tb.EnsureStub(stub) }},
-		{"EnsureScion existing", false, func(tb *Table) { tb.EnsureScion("P2", 6, 0) }},
-		{"DeleteStub absent", false, func(tb *Table) { tb.DeleteStub(other) }},
-		{"DeleteScion absent", false, func(tb *Table) { tb.DeleteScion("P3", 6) }},
-		{"ApplyStubSet stale", false, func(tb *Table) { tb.ApplyStubSet("P2", 1, nil) }},
-		{"BumpStubIC missing", false, func(tb *Table) { _, _ = tb.BumpStubIC(other) }}, // errors: TestBumpICs
-		{"BumpScionIC missing", false, func(tb *Table) { _, _ = tb.BumpScionIC("P3", 6, 0) }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			tb := seeded()
-			before := tb.Gen()
-			c.call(tb)
-			if moved := tb.Gen() != before; moved != c.mutates {
-				t.Errorf("Gen %d -> %d, want advanced = %v", before, tb.Gen(), c.mutates)
-			}
-		})
-	}
-}
-
 // TestRecreatedScionCarriesOnlyItsNewStamp: the activity stamp lives in the
 // scion record, so every deletion path takes it away with the scion, and a
 // scion created again later is stamped at its new creation alone — never

@@ -42,7 +42,6 @@ const (
 	KindDetectionStart
 	KindCDMHandled
 	KindCycleFound
-	KindScionCreated
 	KindScionDeleted
 	KindInvoke
 	KindCustom
@@ -95,7 +94,6 @@ var kindNames = map[Kind]string{
 	KindDetectionStart: "detection-start",
 	KindCDMHandled:     "cdm",
 	KindCycleFound:     "cycle-found",
-	KindScionCreated:   "scion-created",
 	KindScionDeleted:   "scion-deleted",
 	KindInvoke:         "invoke",
 	KindCustom:         "custom",
