@@ -78,7 +78,6 @@ func parseArgs(args []string) (admin.NodeSpec, options, error) {
 	fs.String(setting("codec"), "", "snapshot codec: binary or reflect")
 	fs.Int(setting("seed-objects"), def.SeedObjects, "allocate N rooted demo objects at startup")
 	fs.IntVar(&o.statsEvery, "stats-every", 10, "print stats every N ticks (0 = never)")
-	fs.Bool(setting("membership"), def.Config.Membership != nil, "gossip membership directory with lease-guarded dead-node reclamation (-membership=false for a static cluster)")
 	fs.Uint64(setting("call-timeout"), def.Config.CallTimeoutTicks, "RPC timeout in ticks")
 	fs.String(setting("state-file"), def.StateFile, "persist collector state here: loaded at startup if present, saved on shutdown")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve the admin API (Prometheus /metrics, /debug/dgc, /api/v1) on this address")

@@ -20,10 +20,10 @@ func TestFlagsResolveLikeClusterSpec(t *testing.T) {
 		{nil, ""},
 		{
 			[]string{"-tick", "50ms", "-lgc-every", "3", "-snapshot-every", "5", "-detect-every", "0",
-				"-candidate-age", "2", "-call-timeout", "9", "-membership=false", "-seed-objects", "4",
+				"-candidate-age", "2", "-call-timeout", "9", "-seed-objects", "4",
 				"-state-file", "/var/dgc/P1.state"},
 			"tick: 50ms\nlgc_every: 3\nsnapshot_every: 5\ndetect_every: 0\ncandidate_age: 2\n" +
-				"call_timeout: 9\nmembership: false\nseed_objects: 4\nstate_file: /var/dgc/P1.state\n",
+				"call_timeout: 9\nseed_objects: 4\nstate_file: /var/dgc/P1.state\n",
 		},
 		{[]string{"-snapshot-dir", "/var/dgc/snaps"}, "snapshot_dir: /var/dgc/snaps\n"},
 		{[]string{"-codec", "reflect", "-snapshot-dir", "/var/dgc/snaps"}, "codec: reflect\nsnapshot_dir: /var/dgc/snaps\n"},

@@ -36,20 +36,18 @@ type ClusterNode struct {
 }
 
 // nodeDraft is what the settings table writes into: the NodeSpec under
-// construction plus the values that only combine once every key has been
-// applied (membership is a switch over several fields).
+// construction plus the membership horizons, which finish points the
+// node's Config at.
 type nodeDraft struct {
 	NodeSpec
-	membership bool
-	memb       membership.Config
+	memb membership.Config
 }
 
-// defaultDraft holds the built-in dgc-node defaults. The membership
-// directory defaults ON for declarative clusters — `membership: false` is
-// the escape hatch; the membership horizons left at zero take the membership
+// defaultDraft holds the built-in dgc-node defaults. A live node always runs
+// the membership directory; the horizons left at zero take the membership
 // package defaults.
 func defaultDraft() nodeDraft {
-	d := nodeDraft{membership: true}
+	var d nodeDraft
 	d.Runtime.Tick = 250 * time.Millisecond
 	d.Config.LGCEvery = 2
 	d.Config.SnapshotEvery = 4
@@ -95,7 +93,6 @@ var settings = map[string]func(*nodeDraft, string) error{
 	"detect_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.DetectEvery }),
 	"candidate_age":  set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
 	"call_timeout":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
-	"membership":     set(strconv.ParseBool, func(d *nodeDraft) *bool { return &d.membership }),
 	"gossip_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.GossipEvery }),
 	"suspect_after":  set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.SuspectAfter }),
 	"dead_after":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.DeadAfter }),
@@ -135,9 +132,7 @@ func (d nodeDraft) finish() (NodeSpec, error) {
 	if d.Runtime.Tick <= 0 {
 		return NodeSpec{}, fmt.Errorf("node %s: tick must be positive", d.ID)
 	}
-	if d.membership {
-		d.Config.Membership = &d.memb
-	}
+	d.Config.Membership = &d.memb
 	if d.Config.SnapshotDir != "" && d.Config.Codec == nil {
 		d.Config.Codec = snapshot.BinaryCodec{}
 	}

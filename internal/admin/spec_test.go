@@ -141,7 +141,7 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		}
 	}
 	// A removed key is an unknown key like any other, named with its line.
-	for key, val := range map[string]string{"batch_detect": "true", "aggregate_detect": "true", "fault_seed": "1"} {
+	for key, val := range map[string]string{"batch_detect": "true", "aggregate_detect": "true", "fault_seed": "1", "membership": "false"} {
 		_, err := ParseClusterSpec([]byte("nodes:\n  - id: A\n    " + key + ": " + val + "\n"))
 		if err == nil || !strings.Contains(err.Error(), `line 3: unknown setting "`+key+`"`) {
 			t.Errorf("%s: error %v, want line 3: unknown setting", key, err)

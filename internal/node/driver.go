@@ -404,8 +404,8 @@ func (n *Node) effects() []transport.Envelope {
 }
 
 // send is the one way out: it hands effects to the endpoint in one SendAll,
-// in the order given, so the TCP endpoint ships a burst as one batch frame
-// per peer. Every protocol layer above tolerates message loss, and nothing
+// in the order given, so the TCP endpoint writes a burst with one flush per
+// peer. Every protocol layer above tolerates message loss, and nothing
 // is parked for a slow peer — overload is shed at the receiver's mailbox
 // (handleMessage).
 func (n *Node) send(outs []transport.Envelope) {

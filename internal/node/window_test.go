@@ -124,11 +124,11 @@ func (rig *windowRig) hold(t *testing.T) (release func()) {
 // and extra more inputs.
 func (rig *windowRig) queueCDMs(t *testing.T, extra func()) {
 	t.Helper()
-	for _, msg := range rig.cdms {
-		if err := rig.a.Send("B", msg); err != nil {
-			t.Fatal(err)
-		}
+	outs := make([]transport.Envelope, len(rig.cdms))
+	for i, msg := range rig.cdms {
+		outs[i] = transport.Envelope{To: "B", Msg: msg}
 	}
+	rig.a.SendAll(outs)
 	waitUntil(t, 5*time.Second, "the CDMs to queue", func() bool { return len(rig.b.mailbox) == len(rig.cdms) })
 	if extra != nil {
 		extra()

@@ -132,7 +132,6 @@ type TransportMetrics struct {
 	MsgsSent       *Counter
 	BytesSent      *Counter
 	SendErrors     *Counter
-	BatchesSent    *Counter
 	MsgsReceived   *Counter
 	BytesReceived  *Counter
 	FramesReceived *Counter
@@ -147,13 +146,12 @@ type TransportMetrics struct {
 // on reg.
 func NewTransportMetrics(reg *Registry) *TransportMetrics {
 	return &TransportMetrics{
-		MsgsSent:       reg.Counter("dgc_transport_msgs_sent_total", "Protocol messages sent (batch members counted individually)."),
-		BytesSent:      reg.Counter("dgc_transport_bytes_sent_total", "Encoded bytes sent, including framing."),
+		MsgsSent:       reg.Counter("dgc_transport_msgs_sent_total", "Protocol messages sent."),
+		BytesSent:      reg.Counter("dgc_transport_bytes_sent_total", "Encoded bytes sent, including framing and each connection's sender name."),
 		SendErrors:     reg.Counter("dgc_transport_send_errors_total", "Sends that failed after the reconnect retry."),
-		BatchesSent:    reg.Counter("dgc_transport_batches_sent_total", "Batch frames shipped."),
-		MsgsReceived:   reg.Counter("dgc_transport_msgs_received_total", "Protocol messages delivered to the handler (batch members counted individually)."),
+		MsgsReceived:   reg.Counter("dgc_transport_msgs_received_total", "Protocol messages delivered to the handler."),
 		BytesReceived:  reg.Counter("dgc_transport_bytes_received_total", "Frame bytes received, including framing."),
-		FramesReceived: reg.Counter("dgc_transport_frames_received_total", "Frames read off inbound connections."),
+		FramesReceived: reg.Counter("dgc_transport_frames_received_total", "Frames read off inbound connections, one per message sent."),
 		DecodeErrors:   reg.Counter("dgc_transport_decode_errors_total", "Inbound frames whose payload failed to decode."),
 		Dials:          reg.Counter("dgc_transport_dials_total", "Outbound connection attempts."),
 		DialFailures:   reg.Counter("dgc_transport_dial_failures_total", "Outbound connection attempts that failed."),

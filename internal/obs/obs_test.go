@@ -200,9 +200,9 @@ func TestTransportMetricsRegistersAll(t *testing.T) {
 	}
 	for _, name := range []string{
 		"dgc_transport_msgs_sent_total", "dgc_transport_bytes_sent_total",
-		"dgc_transport_send_errors_total", "dgc_transport_batches_sent_total",
-		"dgc_transport_msgs_received_total", "dgc_transport_bytes_received_total",
-		"dgc_transport_frames_received_total", "dgc_transport_decode_errors_total",
+		"dgc_transport_send_errors_total", "dgc_transport_msgs_received_total",
+		"dgc_transport_bytes_received_total", "dgc_transport_frames_received_total",
+		"dgc_transport_decode_errors_total",
 		"dgc_transport_dials_total", "dgc_transport_dial_failures_total",
 		"dgc_transport_conns_dropped_total", "dgc_transport_msgs_dropped_total",
 	} {

@@ -44,8 +44,8 @@ type envelope struct {
 }
 
 // Network is the deterministic in-memory fabric. Messages are queued on
-// Send and delivered when the owner pumps with Step or Drain; handlers run
-// inline in the pumping goroutine and may Send further messages.
+// SendAll and delivered when the owner pumps with Step or Drain; handlers run
+// inline in the pumping goroutine and return the messages they send.
 type Network struct {
 	mu        sync.Mutex
 	endpoints map[ids.NodeID]*InprocEndpoint
@@ -250,11 +250,6 @@ var _ Endpoint = (*InprocEndpoint)(nil)
 
 // Self implements Endpoint.
 func (e *InprocEndpoint) Self() ids.NodeID { return e.self }
-
-// Send puts one message straight on the shared queue.
-func (e *InprocEndpoint) Send(to ids.NodeID, msg wire.Message) error {
-	return e.net.send(e.self, to, msg)
-}
 
 // SendAll implements Endpoint: the messages go to the shared queue one by
 // one, in the order given, so the queue evolves exactly as the caller

@@ -28,9 +28,7 @@ func TestInprocDelivery(t *testing.T) {
 		return nil
 	})
 	for i := uint64(1); i <= 3; i++ {
-		if err := a.Send("B", ping(i)); err != nil {
-			t.Fatal(err)
-		}
+		a.SendAll([]Envelope{{To: "B", Msg: ping(i)}})
 	}
 	if net.Pending() != 3 {
 		t.Fatalf("Pending = %d", net.Pending())
@@ -76,9 +74,7 @@ func TestInprocHandlerMaySend(t *testing.T) {
 		final = pingSeq(m)
 		return nil
 	})
-	if err := net.Endpoint("A").Send("B", ping(10)); err != nil {
-		t.Fatal(err)
-	}
+	net.Endpoint("A").SendAll([]Envelope{{To: "B", Msg: ping(10)}})
 	net.Drain(0)
 	if final != 11 {
 		t.Fatalf("final = %d", final)
@@ -89,12 +85,8 @@ func TestInprocDropWithoutHandler(t *testing.T) {
 	net := NewNetwork(1)
 	a := net.Endpoint("A")
 	net.Endpoint("B") // no handler installed
-	if err := a.Send("B", ping(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("Z", ping(2)); err != nil { // no such endpoint at all
-		t.Fatal(err)
-	}
+	a.SendAll([]Envelope{{To: "B", Msg: ping(1)}})
+	a.SendAll([]Envelope{{To: "Z", Msg: ping(2)}}) // no such endpoint at all
 	net.Drain(0)
 	_, delivered, dropped := net.Counts()
 	if delivered[wire.KindCreateScionAck] != 0 {
@@ -112,9 +104,7 @@ func TestInprocLoss(t *testing.T) {
 	count := 0
 	b.SetHandler(func(ids.NodeID, wire.Message) []Envelope { count++; return nil })
 	for i := 0; i < 10; i++ {
-		if err := a.Send("B", ping(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
+		a.SendAll([]Envelope{{To: "B", Msg: ping(uint64(i))}})
 	}
 	net.Drain(0)
 	if count != 0 {
@@ -133,9 +123,7 @@ func TestInprocDuplication(t *testing.T) {
 	count := 0
 	b.SetHandler(func(ids.NodeID, wire.Message) []Envelope { count++; return nil })
 	for i := 0; i < 5; i++ {
-		if err := a.Send("B", ping(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
+		a.SendAll([]Envelope{{To: "B", Msg: ping(uint64(i))}})
 	}
 	net.Drain(0)
 	if count != 10 {
@@ -154,9 +142,7 @@ func TestInprocReorderIsPermutation(t *testing.T) {
 	})
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := a.Send("B", ping(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
+		a.SendAll([]Envelope{{To: "B", Msg: ping(uint64(i))}})
 	}
 	net.Drain(0)
 	if len(got) != n {
@@ -185,13 +171,9 @@ func TestInprocFaultsAffectsFilter(t *testing.T) {
 	count := 0
 	b.SetHandler(func(ids.NodeID, wire.Message) []Envelope { count++; return nil })
 	// Non-CDM traffic is unaffected by the fault plan.
-	if err := a.Send("B", ping(1)); err != nil {
-		t.Fatal(err)
-	}
+	a.SendAll([]Envelope{{To: "B", Msg: ping(1)}})
 	// CDM traffic is lost.
-	if err := a.Send("B", &wire.CDM{}); err != nil {
-		t.Fatal(err)
-	}
+	a.SendAll([]Envelope{{To: "B", Msg: &wire.CDM{}}})
 	net.Drain(0)
 	if count != 1 {
 		t.Fatalf("delivered %d, want only the non-CDM message", count)
@@ -209,7 +191,7 @@ func TestInprocDeterministicWithSeed(t *testing.T) {
 			return nil
 		})
 		for i := 0; i < 30; i++ {
-			_ = a.Send("B", ping(uint64(i)))
+			a.SendAll([]Envelope{{To: "B", Msg: ping(uint64(i))}})
 		}
 		net.Drain(0)
 		return got
@@ -230,7 +212,7 @@ func TestInprocDrainLimit(t *testing.T) {
 	a, b := net.Endpoint("A"), net.Endpoint("B")
 	b.SetHandler(func(ids.NodeID, wire.Message) []Envelope { return nil })
 	for i := 0; i < 10; i++ {
-		_ = a.Send("B", ping(uint64(i)))
+		a.SendAll([]Envelope{{To: "B", Msg: ping(uint64(i))}})
 	}
 	if n := net.Drain(4); n != 4 {
 		t.Fatalf("Drain(4) = %d", n)
@@ -245,9 +227,7 @@ func TestInprocBytesSentAccounting(t *testing.T) {
 	a := net.Endpoint("A")
 	net.Endpoint("B").SetHandler(func(ids.NodeID, wire.Message) []Envelope { return nil })
 	msg := ping(300)
-	if err := a.Send("B", msg); err != nil {
-		t.Fatal(err)
-	}
+	a.SendAll([]Envelope{{To: "B", Msg: msg}})
 	if got, want := net.BytesSent(), uint64(len(wire.Encode(msg))); got != want {
 		t.Fatalf("BytesSent = %d, want %d", got, want)
 	}
@@ -255,8 +235,9 @@ func TestInprocBytesSentAccounting(t *testing.T) {
 
 func TestInprocNilMessageRejected(t *testing.T) {
 	net := NewNetwork(1)
-	if err := net.Endpoint("A").Send("B", nil); err == nil {
-		t.Fatal("nil message accepted")
+	net.Endpoint("A").SendAll([]Envelope{{To: "B"}})
+	if sent, _, _ := net.Counts(); net.Pending() != 0 || len(sent) != 0 {
+		t.Fatalf("nil message queued: %d pending, sent %v", net.Pending(), sent)
 	}
 }
 
@@ -268,7 +249,7 @@ func TestInprocCloseStopsDelivery(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = a.Send("B", ping(1))
+	a.SendAll([]Envelope{{To: "B", Msg: ping(1)}})
 	net.Drain(0)
 	if count != 0 {
 		t.Fatal("closed endpoint received a message")
@@ -276,7 +257,7 @@ func TestInprocCloseStopsDelivery(t *testing.T) {
 }
 
 func TestInprocConcurrentSends(t *testing.T) {
-	// Send is safe from many goroutines (the TCP-backed node does this).
+	// SendAll is safe from many goroutines (the TCP-backed node does this).
 	net := NewNetwork(1)
 	a, b := net.Endpoint("A"), net.Endpoint("B")
 	var mu sync.Mutex
@@ -293,7 +274,7 @@ func TestInprocConcurrentSends(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = a.Send("B", ping(uint64(i)))
+				a.SendAll([]Envelope{{To: "B", Msg: ping(uint64(i))}})
 			}
 		}()
 	}

@@ -2,12 +2,15 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,15 +20,12 @@ import (
 	"dgc/internal/wire"
 )
 
-// maxFrame bounds a single TCP frame; snapshots are never shipped whole, so
+// maxFrame bounds one frame's message; snapshots are never shipped whole, so
 // protocol messages stay small.
 const maxFrame = 16 << 20
 
-// batchChunk bounds the encoded size of one batch frame: a burst of
-// traffic to one peer is split into frames of roughly this size, keeping
-// per-frame memory and receiver latency bounded while still amortizing the
-// syscall and framing cost over many messages.
-const batchChunk = 256 << 10
+// maxName bounds the sender name that opens a connection.
+const maxName = 255
 
 // Dial backoff tuning: after a failed dial the peer is quarantined for
 // dialBackoffBase doubling per consecutive failure up to dialBackoffMax,
@@ -39,8 +39,7 @@ const (
 )
 
 // peerConn is an established outbound connection with its buffered writer.
-// The bufio layer coalesces the 4-byte header, envelope and body writes of a
-// frame (and, for a burst, whole frame runs) into single syscalls.
+// The bufio layer coalesces a burst's frames into single syscalls.
 type peerConn struct {
 	c  net.Conn
 	bw *bufio.Writer
@@ -52,7 +51,7 @@ type dialState struct {
 	until    time.Time // quarantine deadline; zero when healthy
 }
 
-// framePool recycles frame build buffers across sends.
+// framePool recycles burst build buffers across sends.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 1024)
@@ -60,15 +59,16 @@ var framePool = sync.Pool{
 	},
 }
 
-// TCPEndpoint is a real-socket endpoint: it listens for inbound frames and
-// dials peers on demand. Frames are 4-byte big-endian length prefixed wire
-// envelopes: sender name followed by the encoded message.
+// TCPEndpoint is a real-socket endpoint: it listens for inbound connections
+// and dials peers on demand. A connection opens with the dialler's node name
+// (uvarint length, then the name); after it, each frame is one message:
+// uvarint(len) followed by the message's wire encoding.
 //
-// SendAll ships a burst as one wire.Batch frame per peer (chunked at
-// batchChunk), so a flush of effects costs one syscall per peer instead of
-// one per message.
+// SendAll writes each peer's messages with one flush, so a flush of effects
+// costs one syscall per peer instead of one per message.
 type TCPEndpoint struct {
 	self ids.NodeID
+	name []byte // the connection preamble: uvarint(len(self)), self
 
 	mu       sync.Mutex
 	h        Handler
@@ -93,14 +93,19 @@ var _ Endpoint = (*TCPEndpoint)(nil)
 
 // ListenTCP starts an endpoint for node self on addr ("host:port", use port
 // 0 for ephemeral). peers maps the other nodes' names to their dial
-// addresses; it may be extended later with AddPeer.
+// addresses; it may be extended later with AddPeer. self must be 1 to
+// maxName bytes long, the bound a receiver holds a connection's name to.
 func ListenTCP(self ids.NodeID, addr string, peers map[ids.NodeID]string) (*TCPEndpoint, error) {
+	if len(self) == 0 || len(self) > maxName {
+		return nil, fmt.Errorf("transport: node name of %d bytes (want 1 to %d)", len(self), maxName)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	e := &TCPEndpoint{
 		self:     self,
+		name:     append(binary.AppendUvarint(nil, uint64(len(self))), self...),
 		peers:    make(map[ids.NodeID]string, len(peers)),
 		conns:    make(map[ids.NodeID]*peerConn),
 		dialing:  make(map[ids.NodeID]*dialState),
@@ -146,117 +151,103 @@ func (e *TCPEndpoint) SetHandler(h Handler) {
 	e.h = h
 }
 
-// Send writes one message as one frame. A failed write tears down the
-// cached connection and retries once with a fresh dial; a second failure is
-// returned (and may be treated as message loss by callers).
+// Send writes one message as one frame, reporting the error that SendAll
+// counts and drops.
 func (e *TCPEndpoint) Send(to ids.NodeID, msg wire.Message) error {
 	if msg == nil {
 		return errors.New("transport: nil message")
 	}
+	return e.sendBurst(to, []Envelope{{To: to, Msg: msg}})
+}
+
+// SendAll implements Endpoint: the messages are grouped by destination,
+// destinations in sorted order and each peer's messages in the order given,
+// and each peer's group is written with one flush.
+func (e *TCPEndpoint) SendAll(outs []Envelope) {
+	slices.SortStableFunc(outs, func(a, b Envelope) int { return cmp.Compare(a.To, b.To) })
+	for i := 0; i < len(outs); {
+		j := i + 1
+		for j < len(outs) && outs[j].To == outs[i].To {
+			j++
+		}
+		_ = e.sendBurst(outs[i].To, outs[i:j])
+		i = j
+	}
+}
+
+// sendBurst writes the messages of outs to one peer as consecutive frames and
+// flushes once. A failed write tears down the cached connection and retries
+// the burst once on a fresh dial; a second failure is returned, and the
+// burst is lost (the protocol stack tolerates loss, and dial backoff curbs
+// retries). A nil or oversized message is skipped.
+func (e *TCPEndpoint) sendBurst(to ids.NodeID, outs []Envelope) error {
 	met := e.met.Load()
 	bp := framePool.Get().(*[]byte)
-	frame, err := e.buildFrame((*bp)[:0], msg)
-	if err != nil {
-		framePool.Put(bp)
-		met.SendErrors.Inc()
-		return err
+	buf, msgs := (*bp)[:0], 0
+	var err error
+	for _, o := range outs {
+		if o.Msg == nil {
+			continue
+		}
+		var ferr error
+		if buf, ferr = appendFrame(buf, o.Msg); ferr != nil {
+			met.SendErrors.Inc()
+			err = ferr
+			continue
+		}
+		msgs++
 	}
-	err = e.writeFrameRetry(to, frame)
-	if err != nil {
-		met.SendErrors.Inc()
-	} else {
-		met.BytesSent.Add(uint64(len(frame)))
-		if b, ok := msg.(*wire.Batch); ok {
-			met.BatchesSent.Inc()
-			met.MsgsSent.Add(uint64(len(b.Msgs)))
+	if msgs > 0 {
+		werr := e.writeFrames(to, buf)
+		if werr != nil {
+			e.dropConn(to)
+			werr = e.writeFrames(to, buf)
+		}
+		if werr != nil {
+			met.SendErrors.Inc()
+			err = werr
 		} else {
-			met.MsgsSent.Inc()
+			met.MsgsSent.Add(uint64(msgs))
+			met.BytesSent.Add(uint64(len(buf)))
 		}
 	}
-	*bp = frame[:0]
+	*bp = buf[:0]
 	framePool.Put(bp)
 	return err
 }
 
-func (e *TCPEndpoint) writeFrameRetry(to ids.NodeID, frame []byte) error {
-	if err := e.writeFrame(to, frame); err != nil {
-		e.dropConn(to)
-		return e.writeFrame(to, frame)
-	}
-	return nil
-}
-
-// buildFrame appends the framed encoding of msg to buf: 4-byte big-endian
-// payload length, sender name, encoded message.
-func (e *TCPEndpoint) buildFrame(buf []byte, msg wire.Message) ([]byte, error) {
+// appendFrame appends msg's frame to buf: uvarint(len), then the encoding.
+func appendFrame(buf []byte, msg wire.Message) ([]byte, error) {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = appendLenString(buf, string(e.self))
 	buf = wire.AppendEncode(buf, msg)
-	payload := len(buf) - start - 4
-	if payload > maxFrame {
-		return buf[:start], fmt.Errorf("transport: frame too large (%d bytes)", payload)
+	n := len(buf) - start
+	if n > maxFrame {
+		return buf[:start], fmt.Errorf("transport: %s of %d bytes exceeds the %d-byte frame bound", msg.Kind(), n, maxFrame)
 	}
-	binary.BigEndian.PutUint32(buf[start:], uint32(payload))
+	// The length is known only once the message is encoded: grow buf by the
+	// varint's width and move the encoding up behind it.
+	var hdr [binary.MaxVarintLen32]byte
+	h := binary.PutUvarint(hdr[:], uint64(n))
+	buf = append(buf, hdr[:h]...)
+	copy(buf[start+h:], buf[start:start+n])
+	copy(buf[start:], hdr[:h])
 	return buf, nil
 }
 
-// writeFrame writes one pre-built frame to the peer's buffered connection
-// and flushes. The flush error (not just the buffered-write error) is
-// returned so callers see connection failures synchronously and can redial.
-func (e *TCPEndpoint) writeFrame(to ids.NodeID, frame []byte) error {
+// writeFrames writes pre-built frames to the peer's buffered connection and
+// flushes. The flush error (not just the buffered-write error) is returned
+// so callers see connection failures synchronously and can redial.
+func (e *TCPEndpoint) writeFrames(to ids.NodeID, frames []byte) error {
 	pc, err := e.connTo(to)
 	if err != nil {
 		return err
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if _, err := pc.bw.Write(frame); err != nil {
+	if _, err := pc.bw.Write(frames); err != nil {
 		return err
 	}
 	return pc.bw.Flush()
-}
-
-// SendAll implements Endpoint: the messages are grouped by destination,
-// each peer's in the order given, and each peer's group ships as batch
-// frames of bounded size, destinations in sorted order. A lone message
-// skips the batch wrapper. Write failures follow Send: one redial retry,
-// then that frame is dropped (the protocol stack tolerates loss, and dial
-// backoff curbs retries).
-func (e *TCPEndpoint) SendAll(outs []Envelope) {
-	switch len(outs) {
-	case 0:
-		return
-	case 1:
-		_ = e.Send(outs[0].To, outs[0].Msg)
-		return
-	}
-	byPeer := make(map[ids.NodeID][]wire.Message)
-	for _, o := range outs {
-		if o.Msg != nil {
-			byPeer[o.To] = append(byPeer[o.To], o.Msg)
-		}
-	}
-	dests := make([]ids.NodeID, 0, len(byPeer))
-	for to := range byPeer {
-		dests = append(dests, to)
-	}
-	ids.SortNodeIDs(dests)
-	for _, to := range dests {
-		for msgs := byPeer[to]; len(msgs) > 0; {
-			n, size := 1, wire.EncodedSize(msgs[0])
-			for n < len(msgs) && size < batchChunk {
-				size += wire.EncodedSize(msgs[n])
-				n++
-			}
-			if n == 1 {
-				_ = e.Send(to, msgs[0])
-			} else {
-				_ = e.Send(to, &wire.Batch{Msgs: msgs[:n]})
-			}
-			msgs = msgs[n:]
-		}
-	}
 }
 
 // connTo returns the cached connection to the peer, dialing if needed.
@@ -312,7 +303,10 @@ func (e *TCPEndpoint) connTo(to ids.NodeID) (*peerConn, error) {
 		c.Close()
 		return prev, nil
 	}
+	// The name goes ahead of the first burst, in the same flush.
 	pc := &peerConn{c: c, bw: bufio.NewWriterSize(c, 64<<10)}
+	_, _ = pc.bw.Write(e.name) // the empty buffer takes it whole
+	e.met.Load().BytesSent.Add(uint64(len(e.name)))
 	e.conns[to] = pc
 	e.mu.Unlock()
 	return pc, nil
@@ -371,57 +365,59 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		delete(e.accepted, conn)
 		e.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	hdr := make([]byte, 4)
-	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr)
-		if n == 0 || n > maxFrame {
-			return // protocol violation; drop the connection
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return
-		}
+	readStream(conn, func(from ids.NodeID, frame []byte) {
 		met := e.met.Load()
 		met.FramesReceived.Inc()
-		met.BytesReceived.Add(uint64(4 + n))
-		from, rest, ok := readLenString(payload)
-		if !ok {
-			met.DecodeErrors.Inc()
-			return
-		}
-		msg, err := wire.Decode(rest)
+		met.BytesReceived.Add(uint64(uvarintLen(len(frame)) + len(frame)))
+		msg, err := wire.Decode(frame)
 		if err != nil {
 			met.DecodeErrors.Inc()
-			continue // malformed message: datagram semantics, skip it
+			return // a malformed message loses only itself
 		}
 		e.mu.Lock()
 		h := e.h
 		e.mu.Unlock()
 		if h == nil {
 			met.MsgsDropped.Inc()
-			continue
+			return
 		}
-		// Batches are a framing construct: unpack and deliver individually,
-		// preserving order. Nested batches are rejected by the decoder.
-		// The handler's responses to the whole batch go out in one SendAll,
-		// so one inbound batch costs at most one outbound batch per peer.
-		var outs []Envelope
-		if b, ok := msg.(*wire.Batch); ok {
-			met.MsgsReceived.Add(uint64(len(b.Msgs)))
-			for _, sub := range b.Msgs {
-				outs = append(outs, h(ids.NodeID(from), sub)...)
-			}
-		} else {
-			met.MsgsReceived.Inc()
-			outs = h(ids.NodeID(from), msg)
+		met.MsgsReceived.Inc()
+		e.SendAll(h(from, msg))
+	})
+}
+
+// readStream reads one inbound connection from r: the sender's name, then
+// frames, each uvarint(len) followed by that many bytes of one message's
+// encoding. It hands every frame to deliver, in order, and returns when r
+// fails or the stream breaks the framing (a name that is empty, over maxName
+// or cut short; a frame that is empty or over maxFrame), after which the
+// caller closes the connection.
+func readStream(r io.Reader, deliver func(from ids.NodeID, frame []byte)) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	n, err := binary.ReadUvarint(br)
+	if err != nil || n == 0 || n > maxName {
+		return
+	}
+	name := make([]byte, n)
+	if _, err := io.ReadFull(br, name); err != nil {
+		return
+	}
+	from := ids.NodeID(name)
+	for {
+		n, err := binary.ReadUvarint(br)
+		if err != nil || n == 0 || n > maxFrame {
+			return
 		}
-		e.SendAll(outs)
+		frame := make([]byte, n)
+		if _, err := io.ReadFull(br, frame); err != nil {
+			return
+		}
+		deliver(from, frame)
 	}
 }
+
+// uvarintLen is the width of n's uvarint encoding.
+func uvarintLen(n int) int { return (bits.Len(uint(n)) + 6) / 7 }
 
 // Close implements Endpoint: it stops the listener, closes every outbound
 // and inbound connection, and joins the accept and read goroutines so no
@@ -450,17 +446,4 @@ func (e *TCPEndpoint) Close() error {
 	}
 	e.wg.Wait()
 	return err
-}
-
-func appendLenString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readLenString(data []byte) (s string, rest []byte, ok bool) {
-	n, w := binary.Uvarint(data)
-	if w <= 0 || n > uint64(len(data)-w) {
-		return "", nil, false
-	}
-	return string(data[w : w+int(n)]), data[w+int(n):], true
 }

@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -246,8 +250,8 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	cb.waitFor(t, per*workers, 5*time.Second)
 }
 
-// TestTCPSendAllBatchDelivery: a burst to one peer arrives as one frame,
-// in the order given.
+// TestTCPSendAllBatchDelivery: a burst to one peer arrives in the order
+// given, one frame per message.
 func TestTCPSendAllBatchDelivery(t *testing.T) {
 	a, b, _, cb := newTCPPair(t)
 	b.SetMetrics(obs.NewTransportMetrics(obs.NewRegistry()))
@@ -263,15 +267,54 @@ func TestTCPSendAllBatchDelivery(t *testing.T) {
 			t.Fatalf("out of order at %d: %v", i, m)
 		}
 	}
-	if f := b.met.Load().FramesReceived.Value(); f != 1 {
-		t.Fatalf("%d frames for one burst, want 1", f)
+	if f := b.met.Load().FramesReceived.Value(); f != n {
+		t.Fatalf("%d frames for %d messages, want one each", f, n)
 	}
 }
 
-// TestTCPSendAllMixedPeers: a burst to two peers ships one frame per peer,
-// peers in sorted order, each peer's messages in the order given. Both
-// peers are one raw listener, so its accept queue shows the order in which
-// A dialled them: A dials C only once B's frame is written.
+// readName reads the sender name that opens a connection.
+func readName(t *testing.T, br *bufio.Reader) ids.NodeID {
+	t.Helper()
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := make([]byte, n)
+	if _, err := io.ReadFull(br, name); err != nil {
+		t.Fatal(err)
+	}
+	return ids.NodeID(name)
+}
+
+// readFrame reads one frame and decodes its message.
+func readFrame(t *testing.T, br *bufio.Reader) wire.Message {
+	t.Helper()
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, n)
+	if _, err := io.ReadFull(br, frame); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := wire.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
+// frameOf is msg's frame: uvarint(len), then the encoding.
+func frameOf(msg wire.Message) []byte {
+	enc := wire.Encode(msg)
+	return append(binary.AppendUvarint(nil, uint64(len(enc))), enc...)
+}
+
+// TestTCPSendAllMixedPeers: a burst to two peers reaches each peer's
+// connection as its name and then its messages, peers in sorted order, each
+// peer's messages in the order given. Both peers are one raw listener, so
+// its accept queue shows the order in which A dialled them: A dials C only
+// once B's frames are written.
 func TestTCPSendAllMixedPeers(t *testing.T) {
 	a, err := ListenTCP("A", "127.0.0.1:0", nil)
 	if err != nil {
@@ -291,36 +334,121 @@ func TestTCPSendAllMixedPeers(t *testing.T) {
 		outs = append(outs, Envelope{To: "C", Msg: ping(100 + i)}, Envelope{To: "B", Msg: ping(i)})
 	}
 	a.SendAll(outs)
-	for _, base := range []uint64{0, 100} { // B's frame, then C's
+	for _, base := range []uint64{0, 100} { // B's connection, then C's
 		conn, err := ln.Accept()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		hdr := make([]byte, 4)
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			t.Fatal(err)
+		br := bufio.NewReader(conn)
+		if from := readName(t, br); from != "A" {
+			t.Fatalf("connection %d opens with name %q, want A", base, from)
 		}
-		payload := make([]byte, binary.BigEndian.Uint32(hdr))
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			t.Fatal(err)
-		}
-		_, rest, _ := readLenString(payload)
-		msg, err := wire.Decode(rest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, ok := msg.(*wire.Batch)
-		if !ok || len(batch.Msgs) != 5 {
-			t.Fatalf("connection %d: got %v, want one batch of 5", base, msg)
-		}
-		for i, m := range batch.Msgs {
-			if pingSeq(m) != base+uint64(i) {
+		for i := uint64(0); i < 5; i++ {
+			if m := readFrame(t, br); pingSeq(m) != base+i {
 				t.Fatalf("connection %d out of order at %d: %v", base, i, m)
 			}
 		}
 	}
+}
+
+// TestTCPStreamSkipsUndecodableFrame: a frame that does not decode loses
+// only itself; the frames around it arrive in order, from the name the
+// connection opened with.
+func TestTCPStreamSkipsUndecodableFrame(t *testing.T) {
+	_, b, _, cb := newTCPPair(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stream := append(binary.AppendUvarint(nil, 1), 'X')
+	stream = append(stream, frameOf(ping(1))...)
+	stream = append(stream, 2, 0xEE, 0) // unknown kind
+	stream = append(stream, frameOf(ping(2))...)
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	msgs := cb.waitFor(t, 2, 5*time.Second)
+	if len(msgs) != 2 || pingSeq(msgs[0]) != 1 || pingSeq(msgs[1]) != 2 {
+		t.Fatalf("delivered %v, want pings 1 and 2", msgs)
+	}
+	cb.mu.Lock()
+	from := cb.from
+	cb.mu.Unlock()
+	if from[0] != "X" || from[1] != "X" {
+		t.Fatalf("senders %v, want X twice", from)
+	}
+	if d := b.met.Load().DecodeErrors.Value(); d != 1 {
+		t.Fatalf("DecodeErrors = %d, want 1", d)
+	}
+}
+
+// TestTCPStreamViolationsClose: a stream that breaks the framing — a name
+// that is empty or over maxName, a frame that is empty or over maxFrame — is
+// closed by the receiver, which delivers nothing from it.
+func TestTCPStreamViolationsClose(t *testing.T) {
+	_, b, _, cb := newTCPPair(t)
+	name := append(binary.AppendUvarint(nil, 1), 'X')
+	for what, stream := range map[string][]byte{
+		"empty name":     {0},
+		"long name":      append(binary.AppendUvarint(nil, maxName+1), make([]byte, maxName+1)...),
+		"empty frame":    append(name, 0),
+		"oversize frame": binary.AppendUvarint(append([]byte(nil), name...), maxFrame+1),
+	} {
+		conn, err := net.Dial("tcp", b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		// A close with bytes still unread reads as a reset, not EOF.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: read = %d, %v; want the receiver to close the connection", what, n, err)
+		}
+		conn.Close()
+	}
+	cb.mu.Lock()
+	defer cb.mu.Unlock()
+	if len(cb.msgs) != 0 {
+		t.Fatalf("delivered %v from broken streams", cb.msgs)
+	}
+}
+
+// FuzzTCPStream hardens the connection reader, the first parser a peer's
+// bytes reach: it must never panic, never deliver an empty frame or one
+// over maxFrame, and every frame that decodes must re-encode to exactly its
+// bytes.
+func FuzzTCPStream(f *testing.F) {
+	name := append(binary.AppendUvarint(nil, 2), "P1"...)
+	good := append(append([]byte(nil), name...), frameOf(ping(1))...)
+	good = append(good, frameOf(&wire.NewSetStubs{Seq: 3, Objs: []ids.ObjID{1, 4}})...)
+	f.Add(good)
+	f.Add(append(append([]byte(nil), good...), 2, 0xEE, 0))
+	f.Add(append(append([]byte(nil), name...), 0))
+	f.Add(binary.AppendUvarint(append([]byte(nil), name...), maxFrame+1))
+	f.Add([]byte{0})
+	f.Add(good[:len(good)-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readStream(bytes.NewReader(data), func(from ids.NodeID, frame []byte) {
+			if len(from) == 0 || len(from) > maxName {
+				t.Fatalf("delivered a frame from a %d-byte name", len(from))
+			}
+			if len(frame) == 0 || len(frame) > maxFrame {
+				t.Fatalf("delivered a %d-byte frame", len(frame))
+			}
+			msg, err := wire.Decode(frame)
+			if err != nil {
+				return
+			}
+			if re := wire.Encode(msg); !bytes.Equal(re, frame) {
+				t.Fatalf("frame %x decodes to %v, which encodes to %x", frame, msg, re)
+			}
+		})
+	})
 }
 
 func TestTCPDialBackoffFailsFast(t *testing.T) {
@@ -431,26 +559,29 @@ func TestTCPCDMIdentityCrossesSocket(t *testing.T) {
 
 // TestTCPMetrics exercises the transport instrument block over real sockets:
 // sends, receives, frames and byte counts all move, and SetMetrics rebinding
-// is observed by subsequent traffic.
+// is observed by subsequent traffic. BytesSent is exact: a fresh connection
+// carries the sender's name once, then each message costs its frame.
 func TestTCPMetrics(t *testing.T) {
 	a, b, _, cb := newTCPPair(t)
 	reg := obs.NewRegistry()
 	a.SetMetrics(obs.NewTransportMetrics(reg))
 	breg := obs.NewRegistry()
 	b.SetMetrics(obs.NewTransportMetrics(breg))
+	am, bm := a.met.Load(), b.met.Load()
+	const name = 2                         // uvarint(1), then "A"
+	frame := uint64(len(frameOf(ping(0)))) // uvarint(len), then the encoding
 	const n = 5
 	for i := 0; i < n; i++ {
 		if err := a.Send("B", ping(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
+		if got, want := am.BytesSent.Value(), name+uint64(i+1)*frame; got != want {
+			t.Fatalf("after %d sends BytesSent = %d, want %d", i+1, got, want)
+		}
 	}
 	cb.waitFor(t, n, 2*time.Second)
-	am, bm := a.met.Load(), b.met.Load()
 	if am.MsgsSent.Value() != n {
 		t.Fatalf("MsgsSent = %d, want %d", am.MsgsSent.Value(), n)
-	}
-	if am.BytesSent.Value() == 0 {
-		t.Fatal("BytesSent did not move")
 	}
 	if am.Dials.Value() == 0 {
 		t.Fatal("Dials did not move")

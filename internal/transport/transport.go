@@ -6,8 +6,10 @@
 //     for simulation, with seeded fault injection (loss, duplication,
 //     reordering, per-kind filters) and explicit pumping so tests are
 //     reproducible;
-//   - TCP endpoints: real sockets with length-prefixed frames, one process
-//     per node, for the distributed deployment (cmd/dgc-node).
+//   - TCP endpoints: real sockets, one process per node, for the
+//     distributed deployment (cmd/dgc-node). A connection opens with the
+//     dialler's node name, then carries one length-prefixed frame per
+//     message.
 //
 // Both deliver through the same Handler interface, so every layer above is
 // transport-agnostic.
@@ -50,8 +52,8 @@ type Endpoint interface {
 	// SendAll queues outs for delivery, each peer's messages in the order
 	// given. It never blocks on a destination; delivery is asynchronous and
 	// may fail silently (the whole protocol stack tolerates message loss).
-	// A burst to one peer may ship as one frame (the TCP endpoint packs it
-	// into batch frames). Ownership of outs passes to the endpoint.
+	// The TCP endpoint writes one peer's messages with one flush. Ownership
+	// of outs passes to the endpoint, which may reorder it across peers.
 	SendAll(outs []Envelope)
 	// SetHandler installs the delivery callback. Must be called before any
 	// message can be delivered to this endpoint.

@@ -35,12 +35,6 @@ func FuzzDecode(f *testing.F) {
 			r3: {InSource: true, InTarget: true},
 		}), 3, 0),
 		&Credit{Consumed: 300},
-		&Batch{Msgs: []Message{
-			&CreateScionAck{Acks: []ExportAck{{ExportID: 42}}},
-			NewCDMFromAlg(det, r1, testAlg(map[ids.RefID]core.Entry{r1: {InSource: true, SrcIC: 2}}), 2, 0),
-		}},
-		&Batch{},
-		&Batch{Msgs: []Message{testBatch(false)}},
 		testBatch(false), // sections along three references, one detection along two
 		testBatch(true),
 		&Gossip{Members: []MemberRecord{{Node: "P1", Addr: "h:1", Incarnation: 3, State: 2}}},
@@ -54,6 +48,10 @@ func FuzzDecode(f *testing.F) {
 	// A frame in the layout of the retired kind 7 (DeleteScion: detection
 	// id, then a RefID), which Decode must reject.
 	f.Add(putRefID(putUint(putNode([]byte{7}, det.Origin), det.Seq), r1))
+	// A frame in the layout of the retired kind 12 (Batch: a count, then
+	// length-prefixed messages), which Decode must reject too.
+	ack := Encode(&CreateScionAck{Acks: []ExportAck{{ExportID: 42}}})
+	f.Add(append(putUint([]byte{12, 1}, uint64(len(ack))), ack...))
 	// Export messages Decode must reject: a CreateScion with no objects, and
 	// acks with no entry or with one export named twice.
 	for _, m := range []Message{

@@ -21,7 +21,9 @@ type Kind uint8
 // shifting its successors, so no frame needs a version. 7 was DeleteScion, the
 // message of a second cycle-found action that lost to the paper's (a finder
 // deletes its own scions); 8–11 were the baseline collectors' messages, which
-// no node sent. TestKindNumbers holds the table.
+// no node sent; 12 was Batch, a frame of several messages, which the TCP
+// transport's own per-message framing replaced. TestKindNumbers holds the
+// table.
 const (
 	KindInvokeRequest  Kind = 1
 	KindInvokeReply    Kind = 2
@@ -29,7 +31,6 @@ const (
 	KindCreateScionAck Kind = 4
 	KindNewSetStubs    Kind = 5
 	KindCDM            Kind = 6
-	KindBatch          Kind = 12
 	KindCredit         Kind = 13
 	KindBatchCDM       Kind = 14
 	KindGossip         Kind = 15
@@ -61,8 +62,6 @@ func (k Kind) String() string {
 		return "NewSetStubs"
 	case KindCDM:
 		return "CDM"
-	case KindBatch:
-		return "Batch"
 	case KindCredit:
 		return "Credit"
 	case KindBatchCDM:
@@ -128,8 +127,8 @@ func Encode(m Message) []byte {
 	return out
 }
 
-// EncodedSize returns len(Encode(m)) without allocating: the transports use
-// it for traffic accounting and frame sizing.
+// EncodedSize returns len(Encode(m)) without allocating: the in-process
+// fabric uses it for traffic accounting.
 func EncodedSize(m Message) int {
 	// Hot message kinds answer analytically (the +1 is the kind byte);
 	// everything else pays one pooled encode walk.
@@ -162,8 +161,6 @@ func Decode(data []byte) (Message, error) {
 		m = decodeNewSetStubs(r)
 	case KindCDM:
 		m = decodeCDM(r)
-	case KindBatch:
-		m = decodeBatch(r)
 	case KindCredit:
 		m = decodeCredit(r)
 	case KindBatchCDM:

@@ -66,11 +66,6 @@ func TestRoundTripAllKinds(t *testing.T) {
 			r2: {InSource: true, SrcIC: 1, InTarget: true, TgtIC: 1},
 		}), 3, 0),
 		&Credit{Consumed: 300},
-		&Batch{Msgs: []Message{
-			&CreateScionAck{Acks: []ExportAck{{ExportID: 42}}},
-			&Credit{Consumed: 7},
-		}},
-		&Batch{},
 		&Gossip{Members: []MemberRecord{
 			{Node: "P1", Addr: "10.0.0.1:7001", Incarnation: 3, State: 2},
 			{Node: "P2", Incarnation: 0, State: 5},
@@ -91,9 +86,9 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Error("Decode(nil) should fail")
 	}
-	// 7 (DeleteScion) and 8–11 (the baseline collectors') are retired
-	// kinds: pinned gaps that no frame may use again.
-	for _, k := range []byte{0, 7, 8, 9, 10, 11, 17, 0xEE} {
+	// 7 (DeleteScion), 8–11 (the baseline collectors') and 12 (Batch) are
+	// retired kinds: pinned gaps that no frame may use again.
+	for _, k := range []byte{0, 7, 8, 9, 10, 11, 12, 17, 0xEE} {
 		if _, err := Decode([]byte{k}); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 			t.Errorf("Decode(kind %d) = %v, want unknown kind", k, err)
 		}
@@ -183,15 +178,6 @@ func refCDM(det core.DetectionID, along ids.RefID, hops uint64, keys []ids.RefID
 	return buf
 }
 
-// wrapBatch frames already-encoded messages as one Batch.
-func wrapBatch(msgs ...[]byte) []byte {
-	data := putUint([]byte{byte(KindBatch)}, uint64(len(msgs)))
-	for _, m := range msgs {
-		data = append(putUint(data, uint64(len(m))), m...)
-	}
-	return data
-}
-
 // nonCanonicalCDMs returns a canonical CDM encoding and, by name, the same
 // CDM with its entries out of order and with one entry repeated.
 func nonCanonicalCDMs() (valid []byte, bad map[string][]byte) {
@@ -207,40 +193,23 @@ func nonCanonicalCDMs() (valid []byte, bad map[string][]byte) {
 
 // TestCDMDecodeRejectsNonCanonicalEntries: a CDM's entries must arrive
 // strictly ascending in RefID.Less order, the order the encoder writes, so a
-// reordered or repeated entry is refused — alone or inside a Batch frame.
+// reordered or repeated entry is refused.
 func TestCDMDecodeRejectsNonCanonicalEntries(t *testing.T) {
 	valid, bad := nonCanonicalCDMs()
-	for _, data := range [][]byte{valid, wrapBatch(valid)} {
-		if _, err := Decode(data); err != nil {
-			t.Fatalf("canonical CDM rejected: %v", err)
-		}
+	if _, err := Decode(valid); err != nil {
+		t.Fatalf("canonical CDM rejected: %v", err)
 	}
 	for name, data := range bad {
-		for frame, data := range map[string][]byte{"bare": data, "batched": wrapBatch(valid, data)} {
-			_, err := Decode(data)
-			if err == nil || !strings.Contains(err.Error(), "canonical order") {
-				t.Errorf("%s, %s: err = %v, want a canonical-order rejection", name, frame, err)
-			}
+		_, err := Decode(data)
+		if err == nil || !strings.Contains(err.Error(), "canonical order") {
+			t.Errorf("%s: err = %v, want a canonical-order rejection", name, err)
 		}
-	}
-}
-
-func TestBatchRejectsNesting(t *testing.T) {
-	inner := Encode(&Batch{Msgs: []Message{&CreateScionAck{Acks: []ExportAck{{ExportID: 1}}}}})
-	if _, err := Decode(wrapBatch(inner)); err == nil {
-		t.Fatal("nested batch accepted")
-	}
-	// Empty sub-message must also be rejected.
-	data := []byte{byte(KindBatch), 1, 0}
-	if _, err := Decode(data); err == nil {
-		t.Fatal("empty batch element accepted")
 	}
 }
 
 // TestExportMessagesRejectMalformed: a CreateScion names at least one
-// object, and a CreateScionAck at least one export and none twice. One bad
-// message rejects the whole batch it travels in, so the owner never builds
-// such an ack (Machine.ackExport).
+// object, and a CreateScionAck at least one export and none twice. Decode
+// refuses any other, so the owner never builds one (Machine.ackExport).
 func TestExportMessagesRejectMalformed(t *testing.T) {
 	ack := func(exports ...uint64) *CreateScionAck {
 		m := &CreateScionAck{}
@@ -249,7 +218,6 @@ func TestExportMessagesRejectMalformed(t *testing.T) {
 		}
 		return m
 	}
-	valid := Encode(ack(1))
 	for name, c := range map[string]struct {
 		m    Message
 		want string
@@ -260,11 +228,8 @@ func TestExportMessagesRejectMalformed(t *testing.T) {
 		"unordered repeat":  {ack(5, 7, 5), "repeats an export"},
 		"repeat after drop": {ack(9, 2, 3, 2), "repeats an export"},
 	} {
-		data := Encode(c.m)
-		for frame, data := range map[string][]byte{"bare": data, "batched": wrapBatch(valid, data)} {
-			if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s, %s: err = %v, want %q", name, frame, err, c.want)
-			}
+		if _, err := Decode(Encode(c.m)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, c.want)
 		}
 	}
 	// Unordered but distinct ids, as a reordering link delivers them.
@@ -392,7 +357,7 @@ func TestEncodedSizeAndAppendEncode(t *testing.T) {
 		&CreateScionAck{Acks: []ExportAck{{ExportID: 42}, {ExportID: 300, Err: "no such object"}}},
 		&NewSetStubs{Seq: 300, Objs: []ids.ObjID{2, 700}},
 		&Credit{Consumed: 300},
-		&Batch{Msgs: []Message{&CreateScion{ExportID: 5, Holder: "P3", Objs: []ids.ObjID{r1.Dst.Obj}}}},
+		&CreateScion{ExportID: 5, Holder: "P3", Objs: []ids.ObjID{r1.Dst.Obj}},
 		&Gossip{Ack: true, Members: []MemberRecord{{Node: "P1", Addr: "h:1", Incarnation: 300, State: 2}}},
 		&LeaseHandoff{Objs: []ids.ObjID{2, 700}},
 	}
@@ -466,7 +431,8 @@ func knownKinds() []Kind {
 }
 
 // TestKindNumbers pins every kind's byte value: the numbers are the wire
-// format, so deleting a kind must leave a gap, never shift its successors.
+// format, so deleting a kind must leave a gap, never shift its successors
+// (7–12 are gaps: String and Decode know no kind there).
 func TestKindNumbers(t *testing.T) {
 	want := map[Kind]byte{
 		KindInvokeRequest:  1,
@@ -475,7 +441,6 @@ func TestKindNumbers(t *testing.T) {
 		KindCreateScionAck: 4,
 		KindNewSetStubs:    5,
 		KindCDM:            6,
-		KindBatch:          12,
 		KindCredit:         13,
 		KindBatchCDM:       14,
 		KindGossip:         15,
@@ -497,7 +462,7 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %q", k, s)
 		}
 	}
-	for _, k := range []Kind{7, 8, 11, 200} {
+	for _, k := range []Kind{7, 8, 11, 12, 200} {
 		if want := fmt.Sprintf("Kind(%d)", k); k.String() != want {
 			t.Errorf("unknown kind string = %q, want %q", k.String(), want)
 		}
@@ -520,7 +485,6 @@ func TestEveryKindIsClassified(t *testing.T) {
 		KindBatchCDM:       "collector",
 		KindGossip:         "membership",
 		KindLeaseHandoff:   "membership",
-		KindBatch:          "framing",
 		KindCredit:         "framing",
 	}
 	collector := make(map[Kind]bool)
