@@ -93,11 +93,9 @@ var settings = map[string]func(*nodeDraft, string) error{
 	"detect_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.DetectEvery }),
 	"candidate_age":  set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CandidateMinAge }),
 	"call_timeout":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.Config.CallTimeoutTicks }),
-	"gossip_every":   set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.GossipEvery }),
 	"suspect_after":  set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.SuspectAfter }),
 	"dead_after":     set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.DeadAfter }),
 	"lease_ticks":    set(parseU64, func(d *nodeDraft) *uint64 { return &d.memb.LeaseTicks }),
-	"mailbox":        set(strconv.Atoi, func(d *nodeDraft) *int { return &d.Runtime.Mailbox }),
 	"seed_objects":   set(strconv.Atoi, func(d *nodeDraft) *int { return &d.SeedObjects }),
 	"codec":          set(parseCodec, func(d *nodeDraft) *snapshot.Codec { return &d.Config.Codec }),
 	"snapshot_dir":   set(parseStr, func(d *nodeDraft) *string { return &d.Config.SnapshotDir }),

@@ -21,7 +21,7 @@ cluster:
   detect_every: 4
   state_dir: /tmp/dgc-states
   demo_ring: garbage
-  mailbox: 64
+  seed_objects: 64
 nodes:
   - id: A
     listen: 127.0.0.1:7001
@@ -60,8 +60,8 @@ func TestParseClusterSpecYAML(t *testing.T) {
 	if b.Config.DetectEvery != 0 {
 		t.Errorf("B detect every = %d, want 0 (override)", b.Config.DetectEvery)
 	}
-	if a.Runtime.Mailbox != 64 || b.Runtime.Mailbox != 64 {
-		t.Errorf("mailbox default did not propagate: A %d, B %d", a.Runtime.Mailbox, b.Runtime.Mailbox)
+	if a.SeedObjects != 64 || b.SeedObjects != 64 {
+		t.Errorf("seed_objects default did not propagate: A %d, B %d", a.SeedObjects, b.SeedObjects)
 	}
 	if a.StateFile != "/tmp/dgc-states/A.state" {
 		t.Errorf("A state file = %q", a.StateFile)
@@ -141,7 +141,8 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		}
 	}
 	// A removed key is an unknown key like any other, named with its line.
-	for key, val := range map[string]string{"batch_detect": "true", "aggregate_detect": "true", "fault_seed": "1", "membership": "false"} {
+	for key, val := range map[string]string{"batch_detect": "true", "aggregate_detect": "true", "fault_seed": "1", "membership": "false",
+		"gossip_every": "4", "mailbox": "64"} {
 		_, err := ParseClusterSpec([]byte("nodes:\n  - id: A\n    " + key + ": " + val + "\n"))
 		if err == nil || !strings.Contains(err.Error(), `line 3: unknown setting "`+key+`"`) {
 			t.Errorf("%s: error %v, want line 3: unknown setting", key, err)

@@ -13,7 +13,8 @@ import (
 // ---- summary-level multi-process simulator ----------------------------
 //
 // Drives Detectors on hand-built heaps through an in-memory CDM queue,
-// with no transport or node machinery: the algorithm in isolation.
+// with no transport or node machinery: the detection protocol the nodes run
+// (per-detection views, dedup, race-drop, partial returns), in isolation.
 
 type simProc struct {
 	h   *heap.Heap
@@ -22,52 +23,50 @@ type simProc struct {
 	sum *core.Summary
 
 	// The detector counts nothing; the fixture records what it did: sent
-	// counts the CDMs its SendCDMs calls handed over, outcomes the kinds
-	// its starts and deliveries returned.
+	// counts the CDMs its evaluations sent, outcomes the kinds its
+	// evaluations reached.
 	sent     int
 	outcomes map[core.OutcomeKind]int
 }
 
+// cdmEnv is one queued message: a CDM along a reference, or a partial
+// return to the detection's origin.
 type cdmEnv struct {
 	det   core.DetectionID
 	along ids.RefID
 	alg   core.Alg
 	hops  int
+	ret   bool
+}
+
+// to names the node the message is for.
+func (e cdmEnv) to() ids.NodeID {
+	if e.ret {
+		return e.det.Origin
+	}
+	return e.along.Dst.Node
 }
 
 type sim struct {
 	t       *testing.T
 	procs   map[ids.NodeID]*simProc
 	queue   []cdmEnv
-	deleted []ids.RefID    // DeleteOwnScion calls, in order
+	deleted []ids.RefID    // scions the detectors asked to delete, in order
 	found   []core.Outcome // OutcomeCycleFound outcomes
-}
-
-type simActions struct {
-	s    *sim
-	self ids.NodeID
-}
-
-func (a simActions) SendCDMs(det core.DetectionID, alongs []ids.RefID, alg core.Alg, hops int) {
-	a.s.procs[a.self].sent += len(alongs)
-	for _, along := range alongs {
-		a.s.queue = append(a.s.queue, cdmEnv{det: det, along: along, alg: alg.Clone(), hops: hops})
-	}
-}
-
-func (a simActions) DeleteOwnScion(ref ids.RefID) {
-	a.s.deleted = append(a.s.deleted, ref)
-	a.s.procs[a.self].tb.DeleteScion(ref.Src, ref.Dst.Obj)
+	returns int            // partial returns sent
 }
 
 func newSim(t *testing.T, names ...ids.NodeID) *sim {
 	s := &sim{t: t, procs: make(map[ids.NodeID]*simProc)}
 	for _, n := range names {
-		p := &simProc{h: heap.New(n), tb: refs.NewTable(n), outcomes: make(map[core.OutcomeKind]int)}
-		p.det = core.NewDetector(n, simActions{s: s, self: n})
-		s.procs[n] = p
+		s.procs[n] = newSimProc(n)
 	}
 	return s
+}
+
+func newSimProc(n ids.NodeID) *simProc {
+	return &simProc{h: heap.New(n), tb: refs.NewTable(n), det: core.NewDetector(n),
+		outcomes: make(map[core.OutcomeKind]int)}
 }
 
 func (s *sim) proc(n ids.NodeID) *simProc { return s.procs[n] }
@@ -83,8 +82,8 @@ func (s *sim) summarize(n ids.NodeID, version uint64) {
 	p.sum = snapshot.Summarize(p.h, p.tb, version)
 }
 
-// pump delivers queued CDMs until quiescence, recording cycle-found
-// outcomes. Returns the number of CDMs processed.
+// pump delivers queued messages until quiescence. Returns the number of
+// messages processed.
 func (s *sim) pump() int {
 	processed := 0
 	for len(s.queue) > 0 {
@@ -99,29 +98,52 @@ func (s *sim) pump() int {
 	return processed
 }
 
-// deliver hands one CDM to the node owning its along scion, recording the
-// outcome.
-func (s *sim) deliver(env cdmEnv) core.Outcome {
-	p := s.procs[env.along.Dst.Node]
+// deliver hands one message to the node it is for and carries out the step.
+func (s *sim) deliver(env cdmEnv) core.Step {
+	p := s.procs[env.to()]
 	if p == nil {
-		s.t.Fatalf("CDM to unknown node %s", env.along.Dst.Node)
+		s.t.Fatalf("message to unknown node %s", env.to())
 	}
-	return s.record(p, p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops))
+	step := p.det.Deliver(p.sum, core.Section{
+		Det: env.det, Along: env.along, Hops: env.hops, Return: env.ret, Carried: carried(env.alg),
+	}, 0)
+	for _, ev := range step.Evals {
+		s.apply(p, env.det, ev)
+	}
+	if r := step.Return; r != nil {
+		s.returns++
+		s.queue = append(s.queue, cdmEnv{det: env.det, alg: r.Alg, hops: r.Hops, ret: true})
+	}
+	return step
 }
+
+// carried is an algebra as a message carries it.
+type carried core.Alg
+
+func (c carried) MergeAlgInto(acc core.Alg) (bool, bool) { return acc.Merge(core.Alg(c)) }
 
 // start initiates a detection at the node owning candidate's scion.
-func (s *sim) start(candidate ids.RefID) core.Outcome {
+func (s *sim) start(candidate ids.RefID) core.Eval {
 	p := s.procs[candidate.Dst.Node]
-	_, out := p.det.StartDetection(p.sum, candidate)
-	return s.record(p, out)
+	det, ev := p.det.StartDetection(p.sum, candidate)
+	s.apply(p, det, ev)
+	return ev
 }
 
-func (s *sim) record(p *simProc, out core.Outcome) core.Outcome {
-	p.outcomes[out.Kind]++
-	if out.Kind == core.OutcomeCycleFound {
-		s.found = append(s.found, out)
+// apply queues an evaluation's sends, deletes its scions and records it.
+func (s *sim) apply(p *simProc, det core.DetectionID, ev core.Eval) {
+	p.outcomes[ev.Kind]++
+	p.sent += ev.Forwarded
+	for _, along := range ev.Send.Alongs {
+		s.queue = append(s.queue, cdmEnv{det: det, along: along, alg: ev.Send.Alg, hops: ev.Send.Hops})
 	}
-	return out
+	for _, ref := range ev.Delete {
+		s.deleted = append(s.deleted, ref)
+		p.tb.DeleteScion(ref.Src, ref.Dst.Obj)
+	}
+	if ev.Kind == core.OutcomeCycleFound {
+		s.found = append(s.found, ev.Outcome)
+	}
 }
 
 func mustNoErr(t *testing.T, errs ...error) {
@@ -272,42 +294,28 @@ func TestFig3LiveCycleStopsAtLocalReach(t *testing.T) {
 	}
 }
 
-// TestNoNewInfoMarksOnlyThatCut: Outcome.NoNewInfo, the cut after which a
-// node returns its view to the origin, marks the §3.1 step 15 end — P4
-// handed back its own derivation — and not the end at a locally reachable
-// stub (P1 on a live Figure 3 ring).
-func TestNoNewInfoMarksOnlyThatCut(t *testing.T) {
-	f := buildFig3(t)
-	f.start(f.refF)
-	env, p4 := f.queue[0], f.proc("P4")
-	out := p4.det.HandleCDM(p4.sum, env.det, env.along, env.alg, env.hops)
-	if out.Kind != core.OutcomeForwarded || out.NoNewInfo {
-		t.Fatalf("first delivery at P4 = %+v, want forwarded", out)
-	}
-	out = p4.det.HandleCDM(p4.sum, env.det, env.along, *out.Derived, env.hops)
-	if out.Kind != core.OutcomeBranchEnded || !out.NoNewInfo {
-		t.Fatalf("P4's own derivation delivered back = %+v, want the no-new-information cut", out)
-	}
-
+// TestLocallyReachableCutDrawsNoReturn: a node returns its view to the
+// origin only after a branch is cut for carrying no new information, not
+// after the end at a locally reachable stub (P1 on a live Figure 3 ring),
+// and a ring that closes returns nothing either.
+func TestLocallyReachableCutDrawsNoReturn(t *testing.T) {
 	live := buildFig3(t)
 	mustNoErr(t, live.proc("P1").h.AddRoot(2 /* C */))
 	live.summarizeAll(2)
 	live.start(live.refF)
-	reached := false
-	for len(live.queue) > 0 {
-		env := live.queue[0]
-		live.queue = live.queue[1:]
-		p := live.proc(env.along.Dst.Node)
-		out := p.det.HandleCDM(p.sum, env.det, env.along, env.alg, env.hops)
-		if env.along.Dst.Node == "P1" {
-			reached = true
-			if out.Kind != core.OutcomeBranchEnded || out.NoNewInfo {
-				t.Fatalf("P1 behind a locally reachable stub = %+v, want a plain branch end", out)
-			}
-		}
+	live.pump()
+	if got := live.proc("P1").outcomes[core.OutcomeBranchEnded]; got != 1 {
+		t.Fatalf("P1 branch ends = %d, want 1 behind its locally reachable stub", got)
 	}
-	if !reached {
-		t.Fatal("the live ring's detection never reached P1")
+	if live.returns != 0 {
+		t.Fatalf("live ring drew %d partial returns", live.returns)
+	}
+
+	dead := buildFig3(t)
+	dead.start(dead.refF)
+	dead.pump()
+	if len(dead.found) != 1 || dead.returns != 0 {
+		t.Fatalf("garbage ring: found %d, returns %d; want 1 and 0", len(dead.found), dead.returns)
 	}
 }
 
@@ -341,10 +349,10 @@ func TestCDMToUnknownScionDropped(t *testing.T) {
 	alg := core.NewAlg()
 	alg.AddTarget(ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}}, 0)
 	det := core.DetectionID{Origin: "P9", Seq: 1}
-	out := f.deliver(cdmEnv{det: det, along: ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}},
+	step := f.deliver(cdmEnv{det: det, along: ids.RefID{Src: "P9", Dst: ids.GlobalRef{Node: "P2", Obj: 42}},
 		alg: alg})
-	if out.Kind != core.OutcomeDropped {
-		t.Fatalf("outcome = %+v", out)
+	if len(step.Evals) != 1 || step.Evals[0].Kind != core.OutcomeDropped {
+		t.Fatalf("step = %+v", step)
 	}
 	if got := p2.outcomes[core.OutcomeDropped]; got != 1 {
 		t.Fatalf("dropped outcomes = %d", got)
@@ -441,8 +449,7 @@ func TestFig1ExtraDependencyPreventsDetection(t *testing.T) {
 	// A fifth process holds a (live) reference to F: the cycle has an extra
 	// dependency that is never resolved, so no cycle may be declared.
 	f := buildFig3(t)
-	p5 := &simProc{h: heap.New("P5"), tb: refs.NewTable("P5")}
-	p5.det = core.NewDetector("P5", simActions{s: f.sim, self: "P5"})
+	p5 := newSimProc("P5")
 	f.procs["P5"] = p5
 	w := p5.h.Alloc(nil)
 	mustNoErr(t,
@@ -574,14 +581,22 @@ func TestFig4SummaryShowsConvergingDependency(t *testing.T) {
 }
 
 func TestFig4BranchTerminationNoNewInformation(t *testing.T) {
-	// §3.1 step 15: when the CDM returns to P2, the derivation through the
-	// V stub equals the delivered algebra and must not be forwarded; the
-	// pump must terminate (this test would loop forever otherwise).
+	// §3.1 step 15: a derivation that equals the view is not forwarded, so
+	// the pump terminates (this test would loop forever otherwise). With
+	// per-detection views the right branch's CDM reaches P5 after the left
+	// one was expanded there: nothing new to forward, so P5 returns the
+	// union to P2 instead, where the left branch's last CDM closes it — 7
+	// CDMs and 1 partial return, against 9 CDMs and no return for a
+	// detector without views.
 	f := buildFig4(t)
 	f.start(f.refF)
 	processed := f.pump()
-	if processed == 0 || processed > 50 {
-		t.Fatalf("processed = %d, want a small finite number", processed)
+	sent := 0
+	for _, p := range f.procs {
+		sent += p.sent
+	}
+	if processed != 8 || sent != 7 || f.returns != 1 {
+		t.Fatalf("processed %d messages, %d CDMs sent, %d returns; want 8, 7, 1", processed, sent, f.returns)
 	}
 }
 

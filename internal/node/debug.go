@@ -1,9 +1,6 @@
 package node
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // DebugSnapshot is a point-in-time, JSON-friendly view of one node's
 // collector state, served by the admin API's /debug/dgc endpoint.
@@ -56,14 +53,13 @@ type MailboxStats struct {
 func (m *Machine) DebugSnapshot() DebugSnapshot {
 	now := time.Now()
 	snap := DebugSnapshot{
-		Node:            string(m.id),
-		Clock:           m.clock,
-		Objects:         m.heap.Len(),
-		Scions:          m.table.NumScions(),
-		Stubs:           m.table.NumStubs(),
-		PendingCalls:    len(m.pendingCalls),
-		PendingExports:  len(m.pendingExports),
-		CDMAccumulators: len(m.cdmAcc),
+		Node:           string(m.id),
+		Clock:          m.clock,
+		Objects:        m.heap.Len(),
+		Scions:         m.table.NumScions(),
+		Stubs:          m.table.NumStubs(),
+		PendingCalls:   len(m.pendingCalls),
+		PendingExports: len(m.pendingExports),
 	}
 	if m.summary != nil {
 		snap.SummaryVersion = m.summary.Version
@@ -74,23 +70,18 @@ func (m *Machine) DebugSnapshot() DebugSnapshot {
 	if !m.lastSummarize.IsZero() {
 		snap.LastSummarize = m.lastSummarize.Format(time.RFC3339Nano)
 	}
-	snap.Accumulators = make([]AccumulatorInfo, 0, len(m.cdmAcc))
-	for det, acc := range m.cdmAcc {
+	views := m.detector.Accumulators()
+	snap.CDMAccumulators = len(views)
+	snap.Accumulators = make([]AccumulatorInfo, 0, len(views))
+	for _, v := range views {
 		snap.Accumulators = append(snap.Accumulators, AccumulatorInfo{
-			Origin:  string(det.Origin),
-			Seq:     det.Seq,
-			Entries: acc.alg.Len(),
-			Alongs:  len(acc.alongs),
-			AgeMS:   now.Sub(acc.first).Milliseconds(),
+			Origin:  string(v.Det.Origin),
+			Seq:     v.Det.Seq,
+			Entries: v.Entries,
+			Alongs:  v.Alongs,
+			AgeMS:   now.Sub(time.Unix(0, v.Born)).Milliseconds(),
 		})
 	}
-	sort.Slice(snap.Accumulators, func(i, j int) bool {
-		a, b := snap.Accumulators[i], snap.Accumulators[j]
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
 	if m.cfg.Trace != nil {
 		snap.TraceEventsDropped = m.cfg.Trace.Dropped()
 	}

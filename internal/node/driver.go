@@ -301,10 +301,10 @@ func (n *Node) loop() {
 	// peers were silent. But every dropped tick would also move this node's
 	// daemon schedule one Tick against the wall, and against the peers
 	// started with it, and members of a cluster that summarize out of step
-	// lose a detection period per garbage ring (EXPERIMENTS.md "Schedule on
-	// the live cluster"). So after a drop the loop lets ticks pass, fewer
-	// than one schedule period of them, until the clock is whole periods
-	// behind the wall.
+	// lose a detection period per garbage ring (EXPERIMENTS.md history,
+	// "Schedule on the live cluster"). So after a drop the loop lets ticks
+	// pass, fewer than one schedule period of them, until the clock is whole
+	// periods behind the wall.
 	serve := func(at time.Time) {
 		k := uint64(at.Sub(start) / n.rcfg.Tick)
 		if next := n.mach.clock - base + 1; k%period != next%period {

@@ -135,10 +135,12 @@ func (m *Machine) Summarize() error {
 	m.met.SummarizeDuration.Observe(time.Since(start).Seconds())
 	m.emit(trace.KindSummarize, "version=%d scions=%d stubs=%d",
 		m.snapVersion, len(m.summary.Scions), len(m.summary.Stubs))
-	// A new summary changes CDM processing results: reset the accumulators
-	// so stale drops cannot mask newly-useful deliveries, and so re-delivered
-	// CDMs are reprocessed (the loss-retry mechanism).
-	m.resetAccumulators()
+	// A new summary changes CDM processing results: reset the detector's
+	// views so stale drops cannot mask newly-useful deliveries, and so
+	// re-delivered CDMs are reprocessed (the loss-retry mechanism). The parked
+	// traffic leaves first (cdmBatcher.add).
+	m.flushCDMBatch()
+	m.detector.Reset()
 	m.syncGauges()
 	return nil
 }
@@ -180,51 +182,25 @@ func (m *Machine) RunDetection() int {
 // place a launch is counted: a detection is started once it makes a first
 // hop. forced marks an operator-forced launch in the journal.
 func (m *Machine) launch(candidate ids.RefID, forced bool) (core.DetectionID, core.Outcome) {
-	det, out := m.detector.StartDetection(m.summary, candidate)
+	det, ev := m.detector.StartDetection(m.summary, candidate)
+	m.apply(det, &ev)
 	startFmt, foundFmt := "det=%s/%d candidate=%s", "det=%s/%d scions=%d"
 	if forced {
 		startFmt, foundFmt = startFmt+" forced", foundFmt+" forced"
 	}
-	m.met.CDMsSent.Add(uint64(out.Forwarded))
-	switch out.Kind {
+	switch ev.Kind {
 	case core.OutcomeForwarded:
 		m.met.DetectionsStarted.Inc()
 		m.trackDetection(det)
 		m.emitT(trace.KindDetectionStart, det, startFmt, det.Origin, det.Seq, candidate)
 	case core.OutcomeCycleFound:
 		// The first derivation already closed.
-		m.met.CyclesFound.Inc()
-		m.emitT(trace.KindCycleFound, det, foundFmt, det.Origin, det.Seq, len(out.GarbageScions))
-		m.emitT(trace.KindDetectionEnd, det, "det=%s/%d outcome=%s", det.Origin, det.Seq, out.Kind)
-	case core.OutcomeAborted:
-		m.met.DetectionsAborted.Inc()
+		m.emitT(trace.KindCycleFound, det, foundFmt, det.Origin, det.Seq, len(ev.GarbageScions))
+		m.emitT(trace.KindDetectionEnd, det, "det=%s/%d outcome=%s", det.Origin, det.Seq, ev.Kind)
 	}
-	return det, out
+	return det, ev.Outcome
 }
 
 // Summary returns the machine's current summarized snapshot (nil before
 // the first summarization). The summary is immutable.
 func (m *Machine) Summary() *core.Summary { return m.summary }
-
-// detectorActions adapts Machine to core.Actions. Methods are invoked by
-// the detector, which only runs inside the machine.
-type detectorActions Machine
-
-// SendCDMs implements core.Actions: it parks the fan-out per edge, and the
-// next flush groups every section bound for the same node into one message
-// (and strips peers that are dead members there). The derivation is
-// shared, unflattened, by every outgoing message of the fan-out: in-process
-// receivers merge it directly, and a BatchCDM builds its wire dictionary once
-// for the transport to size and encode.
-func (a *detectorActions) SendCDMs(det core.DetectionID, alongs []ids.RefID, alg core.Alg, hops int) {
-	(*Machine)(a).batch.add(det, alongs, alg, hops)
-}
-
-// DeleteOwnScion implements core.Actions: the detector proved the scion
-// belongs to a distributed garbage cycle.
-func (a *detectorActions) DeleteOwnScion(ref ids.RefID) {
-	m := (*Machine)(a)
-	m.table.DeleteScion(ref.Src, ref.Dst.Obj)
-	m.met.ScionsFreed.Inc()
-	m.emit(trace.KindScionDeleted, "ref=%s reason=cycle", ref)
-}

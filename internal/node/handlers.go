@@ -1,7 +1,6 @@
 package node
 
 import (
-	"slices"
 	"time"
 
 	"dgc/internal/core"
@@ -41,31 +40,15 @@ func (m *Machine) HandleMessage(from ids.NodeID, msg wire.Message) {
 	}
 }
 
-// handleCDM merges an arriving cycle detection message into the machine's
-// per-detection accumulated algebra and processes the union.
-//
-// Accumulation is the key to polynomial traffic on dense graphs: CDMs of
-// one detection reach a node over many converging paths, each carrying a
-// different partial closure; merging them makes every processed delivery
-// STRICTLY GROW the node's view, bounding processed deliveries per
-// detection by the number of references in the closure. A delivery that
-// adds nothing is dropped; a delivery whose counters conflict with the
-// accumulated view is a mutator race and terminates the detection here.
-// The accumulator is droppable cache (cleared on summarization and when
-// full): losing it repeats work but never affects safety, preserving the
-// paper's "no correctness-critical per-detection state at intermediate
-// processes" property.
+// handleCDM delivers an arriving cycle detection message to the detector.
 func (m *Machine) handleCDM(msg *wire.CDM) {
-	m.processCDMSection(msg.Det, msg.Along, int(msg.Hops), msg.MergeAlgInto)
+	m.deliver(core.Section{Det: msg.Det, Along: msg.Along, Hops: int(msg.Hops), Carried: msg})
 }
 
-// handleBatchCDM processes a multi-candidate detection message: every
-// section is matched against the local summary exactly as a standalone CDM
-// would be — per-detection accumulators, dedup, race-drop and journal events
-// all apply section by section, each along its own reference — and the
-// surviving forwards are re-grouped per peer by the machine's cdmBatcher. Return
-// messages instead merge each section into the origin's accumulated view
-// and re-launch only the unresolved residue.
+// handleBatchCDM delivers a multi-candidate detection message section by
+// section, each exactly as a standalone CDM along its own reference (or, for
+// a return message, as a partial return); the surviving forwards are
+// re-grouped per peer by the machine's cdmBatcher.
 func (m *Machine) handleBatchCDM(from ids.NodeID, msg *wire.BatchCDM) {
 	if len(msg.Sections) == 0 {
 		return // decoder rejects these; in-process senders never build them
@@ -80,191 +63,101 @@ func (m *Machine) handleBatchCDM(from ids.NodeID, msg *wire.BatchCDM) {
 	}
 	for i := range msg.Sections {
 		s := &msg.Sections[i]
-		if msg.Return {
-			m.handleReturnSection(s, int(msg.Hops))
-		} else {
-			m.processCDMSection(s.Det, s.Along, int(msg.Hops), s.MergeAlgInto)
-		}
+		m.deliver(core.Section{Det: s.Det, Along: s.Along, Hops: int(msg.Hops), Return: msg.Return, Carried: s})
 	}
 }
 
-// accumulatorFor returns (creating if needed) the detection's accumulated
-// state, flushing the cache when the cap is hit.
-func (m *Machine) accumulatorFor(det core.DetectionID) *detAcc {
-	acc, ok := m.cdmAcc[det]
-	if !ok {
-		if len(m.cdmAcc) >= cdmAccCap {
-			m.resetAccumulators()
+// deliver hands one section to the detector, which merges it into the
+// detection's view here and evaluates it (core.Detector.Deliver), and
+// carries out and records what came back, in the order the detector did it.
+func (m *Machine) deliver(sec core.Section) {
+	det := sec.Det
+	if sec.Return {
+		if det.Origin != m.id {
+			return // misrouted; returns only mean something at the coordinator
 		}
-		acc = &detAcc{alg: core.NewAlg(), first: time.Now()}
-		m.cdmAcc[det] = acc
+		m.met.PartialReturns.Inc()
+	} else {
+		m.met.CDMsHandled.Inc()
+		m.met.CDMHops.Observe(float64(sec.Hops))
 	}
-	return acc
-}
-
-// raceDropDetection records a counter conflict against the accumulated
-// view: the accumulator is discarded, further deliveries of the detection
-// are dropped, and the latency measurement closes.
-func (m *Machine) raceDropDetection(det core.DetectionID) {
-	m.met.CDMsRaceDropped.Inc()
-	delete(m.cdmAcc, det)
-	m.cdmAborted[det] = struct{}{}
-	m.detectionDone(det, "race-dropped")
-}
-
-// processCDMSection is the per-detection core of handleCDM/handleBatchCDM:
-// one delivered algebra (a standalone CDM or one batch section), arriving
-// along one scion, merged and processed against the accumulated view.
-func (m *Machine) processCDMSection(det core.DetectionID, along ids.RefID, hops int, merge func(core.Alg) (bool, bool)) {
-	m.met.CDMsHandled.Inc()
-	m.met.CDMHops.Observe(float64(hops))
-	if _, aborted := m.cdmAborted[det]; aborted {
+	step := m.detector.Deliver(m.summary, sec, time.Now().UnixNano())
+	if step.Kind != core.StepDropped && step.Kind != core.StepIgnored {
+		m.trackDetection(det)
+	}
+	if step.Reset {
+		// A later derivation supersedes a parked one only while the view
+		// both came from is alive (cdmBatcher.add).
+		m.flushCDMBatch()
+	}
+	switch step.Kind {
+	case core.StepDropped:
 		m.met.CDMsRaceDropped.Inc()
-		return
-	}
-	m.trackDetection(det)
-	acc := m.accumulatorFor(det)
-	changed, conflict := merge(acc.alg)
-	if conflict {
-		m.raceDropDetection(det)
-		return
-	}
-	if changed {
-		acc.ver++
-	}
-	i, knownAlong := slices.BinarySearchFunc(acc.alongs, along, ids.RefID.Compare)
-	if !knownAlong {
-		acc.alongs = slices.Insert(acc.alongs, i, along)
-	}
-	if !changed && knownAlong {
+	case core.StepRaceDropped:
+		m.met.CDMsRaceDropped.Inc()
+		m.detectionDone(det, "race-dropped")
+	case core.StepDeduped:
 		m.met.CDMsDeduped.Inc()
-		return
 	}
-
-	// Process the union through EVERY scion this detection has arrived
-	// along: information that arrived via one scion must also flow out
-	// through the stubs reachable from the others, or converging paths
-	// would starve each other of the closure they jointly build.
-	terminal, forwarded, cut := false, false, false
-	for _, a := range acc.alongs {
-		out := m.detector.HandleCDM(m.summary, det, a, acc.alg, hops)
-		m.met.CDMsSent.Add(uint64(out.Forwarded))
-		switch out.Kind {
-		case core.OutcomeDropped:
-			m.met.CDMsDropped.Inc()
-		case core.OutcomeAborted:
-			m.met.DetectionsAborted.Inc()
-		case core.OutcomeCycleFound:
-			m.met.CyclesFound.Inc()
-		case core.OutcomeForwarded:
-			forwarded = true
-		case core.OutcomeBranchEnded:
-			cut = cut || out.NoNewInfo
-		}
-		if m.cfg.Trace != nil {
-			m.emitT(trace.KindCDMHandled, det, "det=%s/%d along=%s outcome=%s entries=%d",
-				det.Origin, det.Seq, a, out.Kind, acc.alg.Len())
-			if out.Kind == core.OutcomeCycleFound {
-				m.emitT(trace.KindCycleFound, det, "det=%s/%d scions=%d",
-					det.Origin, det.Seq, len(out.GarbageScions))
+	for i := range step.Evals {
+		ev := &step.Evals[i]
+		m.apply(det, ev)
+		if !sec.Return {
+			if ev.Kind == core.OutcomeDropped {
+				m.met.CDMsDropped.Inc()
 			}
-		}
-		if out.Kind == core.OutcomeForwarded && out.Derived != nil {
-			// Fold the shipped derivation back into the union: later
-			// expansions then recognize it and stop re-forwarding
-			// information every downstream node already has.
-			ch, conflict := acc.alg.Merge(*out.Derived)
-			if conflict {
-				m.raceDropDetection(det)
-				return
-			}
-			if ch {
-				acc.ver++
-			}
-		}
-		if out.Kind == core.OutcomeCycleFound || out.Kind == core.OutcomeAborted {
-			// Terminal outcome observed at this node: close the latency
-			// measurement for the detection's causal trace.
-			m.detectionDone(det, out.Kind.String())
-			terminal = true
-			break
+			m.recordEval(det, ev.Along, ev.Outcome, ev.Entries)
 		}
 	}
-
-	// Partial return: a branch cut here for carrying no new information,
-	// with no along reaching a verdict or forwarding, may hold a fragment of
-	// a closure split across branches that never meet. Return the
-	// accumulated view to the origin (once per accumulator version) so it
-	// can merge the fragments of every branch and re-launch only what
-	// remains unresolved. A section that was only dropped (safety rule 1) or
-	// cut at locally reachable stubs carries nothing the origin can use and
-	// returns nothing.
-	if cut && !terminal && !forwarded &&
-		det.Origin != m.id && acc.ver > acc.retVer && acc.alg.Len() > 0 {
-		acc.retVer = acc.ver
+	if sec.Return && step.Kind == core.StepEvaluated {
+		// One return reports once, however many scions it relaunched through.
+		out := step.Outcome()
+		if out.Kind == core.OutcomeForwarded {
+			m.met.DetectionRelaunches.Inc()
+			m.emitT(trace.KindRelaunch, det, "det=%s/%d forwarded=%d entries=%d",
+				det.Origin, det.Seq, out.Forwarded, step.Entries)
+		}
+		m.recordEval(det, ids.RefID{}, out, step.Entries)
+	}
+	if r := step.Return; r != nil {
 		m.emitT(trace.KindPartialReturn, det, "det=%s/%d to=%s entries=%d hops=%d",
-			det.Origin, det.Seq, det.Origin, acc.alg.Len(), hops+1)
-		m.batch.addReturn(det, acc.alg.Clone(), hops+1)
+			det.Origin, det.Seq, det.Origin, r.Alg.Len(), r.Hops)
+		m.batch.addReturn(det, r.Alg, r.Hops)
 	}
 }
 
-// handleReturnSection merges one partial return into the origin's
-// accumulated view and evaluates it: a conflict aborts the detection, a
-// source-empty reduction proves the cycle, anything else re-launches the
-// unresolved residue through the origin's own scions.
-func (m *Machine) handleReturnSection(s *wire.BatchSection, hops int) {
-	det := s.Det
-	if det.Origin != m.id {
-		return // misrouted; returns only mean something at the coordinator
+// apply carries out what one evaluation asks of the node — park the
+// fan-out, delete the scions of a proven cycle — and counts it.
+func (m *Machine) apply(det core.DetectionID, ev *core.Eval) {
+	m.batch.add(det, ev.Send)
+	for _, ref := range ev.Delete {
+		m.table.DeleteScion(ref.Src, ref.Dst.Obj)
+		m.met.ScionsFreed.Inc()
+		m.emit(trace.KindScionDeleted, "ref=%s reason=cycle", ref)
 	}
-	m.met.PartialReturns.Inc()
-	if _, aborted := m.cdmAborted[det]; aborted {
-		m.met.CDMsRaceDropped.Inc()
-		return
-	}
-	if m.summary == nil {
-		return
-	}
-	m.trackDetection(det)
-	acc := m.accumulatorFor(det)
-	changed, conflict := s.MergeAlgInto(acc.alg)
-	if conflict {
-		m.raceDropDetection(det)
-		return
-	}
-	if !changed {
-		m.met.CDMsDeduped.Inc()
-		return
-	}
-	acc.ver++
-	out := m.detector.HandleReturn(m.summary, det, acc.alg, hops)
-	m.met.CDMsSent.Add(uint64(out.Forwarded))
-	switch out.Kind {
+	m.met.CDMsSent.Add(uint64(ev.Forwarded))
+	switch ev.Kind {
 	case core.OutcomeAborted:
 		m.met.DetectionsAborted.Inc()
 	case core.OutcomeCycleFound:
 		m.met.CyclesFound.Inc()
-	case core.OutcomeForwarded:
-		m.met.DetectionRelaunches.Inc()
-		m.emitT(trace.KindRelaunch, det, "det=%s/%d forwarded=%d entries=%d",
-			det.Origin, det.Seq, out.Forwarded, acc.alg.Len())
 	}
+}
+
+// recordEval journals one evaluation of a delivered section (a zero along
+// is a return's) and closes the detection's latency measurement here on a
+// verdict.
+func (m *Machine) recordEval(det core.DetectionID, along ids.RefID, out core.Outcome, entries int) {
 	if m.cfg.Trace != nil {
-		m.emitT(trace.KindCDMHandled, det, "det=%s/%d along=return outcome=%s entries=%d",
-			det.Origin, det.Seq, out.Kind, acc.alg.Len())
+		var a any = along
+		if along == (ids.RefID{}) {
+			a = "return"
+		}
+		m.emitT(trace.KindCDMHandled, det, "det=%s/%d along=%s outcome=%s entries=%d",
+			det.Origin, det.Seq, a, out.Kind, entries)
 		if out.Kind == core.OutcomeCycleFound {
 			m.emitT(trace.KindCycleFound, det, "det=%s/%d scions=%d",
 				det.Origin, det.Seq, len(out.GarbageScions))
-		}
-	}
-	if out.Kind == core.OutcomeForwarded && out.Derived != nil {
-		ch, conflict := acc.alg.Merge(*out.Derived)
-		if conflict {
-			m.raceDropDetection(det)
-			return
-		}
-		if ch {
-			acc.ver++
 		}
 	}
 	if out.Kind == core.OutcomeCycleFound || out.Kind == core.OutcomeAborted {

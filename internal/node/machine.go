@@ -62,16 +62,8 @@ type Machine struct {
 	// local collections (exported args, pending call targets).
 	pins map[ids.GlobalRef]int
 
-	// cdmAcc accumulates, per detection, the union of every CDM algebra
-	// delivered to this node together with the scions it arrived along
-	// (see handleCDM). cdmAborted marks detections whose accumulated view
-	// hit a counter conflict. Both are droppable cache state, cleared on
-	// each summarization and when the cap is hit.
-	cdmAcc     map[core.DetectionID]*detAcc
-	cdmAborted map[core.DetectionID]struct{}
-
-	// batch parks CDM traffic per destination node until the next flush; the
-	// detector's SendCDMs callback appends to it. It is open for the
+	// batch parks CDM traffic per destination node until the next flush;
+	// every Send the detector returns is appended to it. It is open for the
 	// machine's life and TakeEffects closes it, so one flush groups every
 	// input the driver fed in since the last one (DESIGN.md §11).
 	batch *cdmBatcher
@@ -118,22 +110,6 @@ type Machine struct {
 	acks map[ids.NodeID]*wire.CreateScionAck
 }
 
-// detAcc is one detection's accumulated state at this node.
-type detAcc struct {
-	alg core.Alg
-	// alongs is the set of scions this detection arrived along, in
-	// canonical order.
-	alongs []ids.RefID
-	// first is when this accumulator was created, for the /debug/dgc
-	// per-detection age report. Wall clock: diagnostic only, never read by
-	// the protocol.
-	first time.Time
-	// ver counts changes to alg; retVer is ver at the last partial return,
-	// so an unchanged accumulator never returns twice.
-	ver    uint64
-	retVer uint64
-}
-
 // cdmBatcher parks the CDM traffic of every input since the last flush
 // (detection rounds and delivered CDMs/BatchCDMs), grouped per destination
 // node with one section per (outgoing edge, detection), plus partial returns
@@ -169,12 +145,15 @@ type peerBatch struct {
 }
 
 // add buffers one detector fan-out. A later derivation of a detection
-// already buffered for an edge supersedes the earlier one: while the
-// accumulator both came from is alive its algebra only grows, so the newest
-// derivation subsumes what it replaces. Every accumulator reset flushes the
-// batcher first (resetAccumulators), so no section outlives its accumulator.
-func (b *cdmBatcher) add(det core.DetectionID, alongs []ids.RefID, alg core.Alg, hops int) {
-	for _, along := range alongs {
+// already buffered for an edge supersedes the earlier one: while the view
+// both came from is alive its algebra only grows, so the newest derivation
+// subsumes what it replaces. Every reset of the detector's views flushes the
+// batcher first (Summarize, Step.Reset), so no section outlives its view.
+// The derivation is shared, unflattened, by every outgoing message of the
+// fan-out: in-process receivers merge it directly, and a BatchCDM builds its
+// wire dictionary once for the transport to size and encode.
+func (b *cdmBatcher) add(det core.DetectionID, s core.Send) {
+	for _, along := range s.Alongs {
 		to := along.Dst.Node
 		pb := b.peers[to]
 		if pb == nil {
@@ -182,19 +161,19 @@ func (b *cdmBatcher) add(det core.DetectionID, alongs []ids.RefID, alg core.Alg,
 			b.peers[to] = pb
 			b.order = append(b.order, to)
 		}
-		s := outSection{det: det, along: along, alg: alg, hops: hops}
+		sec := outSection{det: det, along: along, alg: s.Alg, hops: s.Hops}
 		key := edgeDet{along, det}
 		if i, ok := pb.index[key]; ok {
-			pb.secs[i] = s
+			pb.secs[i] = sec
 			continue
 		}
 		pb.index[key] = len(pb.secs)
-		pb.secs = append(pb.secs, s)
+		pb.secs = append(pb.secs, sec)
 	}
 }
 
 // addReturn buffers one partial-match result bound for the detection's
-// origin. alg must be safe to share (the caller clones the accumulator). A
+// origin. alg must be safe to share (the detector returns a clone). A
 // detection that arrived along two references can be cut twice before a
 // flush; its later return supersedes the earlier, as in add, so the origin
 // gets one section per detection.
@@ -222,10 +201,6 @@ func newCDMBatcher() *cdmBatcher {
 	}
 }
 
-// cdmAccCap bounds the per-detection accumulator cache; overflowing flushes
-// it, which only costs repeated work.
-const cdmAccCap = 1 << 10
-
 type pendingCall struct {
 	target   ids.GlobalRef
 	pinned   []ids.GlobalRef
@@ -252,8 +227,6 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		pendingCalls:   make(map[uint64]*pendingCall),
 		pendingExports: make(map[uint64]*pendingExport),
 		pins:           make(map[ids.GlobalRef]int),
-		cdmAcc:         make(map[core.DetectionID]*detAcc),
-		cdmAborted:     make(map[core.DetectionID]struct{}),
 		inflight:       make(map[core.DetectionID]time.Time),
 		batch:          newCDMBatcher(),
 		acks:           make(map[ids.NodeID]*wire.CreateScionAck),
@@ -266,7 +239,7 @@ func NewMachine(id ids.NodeID, cfg Config) *Machine {
 		m.memb = membership.NewTracker(id, "", mc)
 		m.membGossiped = make(map[ids.NodeID]uint64)
 	}
-	m.detector = core.NewDetector(id, (*detectorActions)(m))
+	m.detector = core.NewDetector(id)
 	registerBuiltins(m)
 	return m
 }
@@ -334,15 +307,6 @@ func (m *Machine) flushCDMBatch() {
 		m.send(origin, wire.NewBatchCDM(b.retHops, true, b.rets[origin]))
 	}
 	m.batch = newCDMBatcher()
-}
-
-// resetAccumulators drops every detection's accumulated view. The parked
-// traffic leaves first: a later derivation supersedes a parked one only
-// while the accumulator both came from is alive (cdmBatcher.add).
-func (m *Machine) resetAccumulators() {
-	m.flushCDMBatch()
-	m.cdmAcc = make(map[core.DetectionID]*detAcc)
-	m.cdmAborted = make(map[core.DetectionID]struct{})
 }
 
 // trackDetection records a detection for causal tracing, stamping its first

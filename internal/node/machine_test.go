@@ -490,11 +490,11 @@ func TestTwoCutsOfOneDetectionReturnOnce(t *testing.T) {
 	}
 }
 
-// A parked section leaves before any accumulator reset, here the cdmAccCap
-// one: after the reset a later delivery of the same detection builds a fresh,
-// smaller view, and its derivation must not supersede the one parked from
-// the view that died. The machine is fed like a started node's window, with
-// no TakeEffects between the deliveries.
+// A parked section leaves before any reset of the detector's views, here the
+// core.MaxAccumulators one: after the reset a later delivery of the same
+// detection builds a fresh, smaller view, and its derivation must not
+// supersede the one parked from the view that died. The machine is fed like
+// a started node's window, with no TakeEffects between the deliveries.
 func TestParkedSectionSurvivesAccumulatorReset(t *testing.T) {
 	m := NewMachine("B", Config{})
 	stub := ids.GlobalRef{Node: "C", Obj: 9}
@@ -521,11 +521,11 @@ func TestParkedSectionSurvivesAccumulatorReset(t *testing.T) {
 		return wire.NewCDMFromAlg(det, along, alg, 1, core.TraceIDFor(det))
 	}
 
-	// det's accumulator and cdmAccCap-1 others fill the cache; the next
-	// detection resets it, and det then arrives again from elsewhere.
+	// det's view and core.MaxAccumulators-1 others fill the detector; the
+	// next detection resets it, and det then arrives again from elsewhere.
 	det := core.DetectionID{Origin: "A", Seq: 1}
 	m.HandleMessage("A", cdm(det.Seq, first))
-	for seq := uint64(2); seq <= cdmAccCap+1; seq++ {
+	for seq := uint64(2); seq <= core.MaxAccumulators+1; seq++ {
 		m.HandleMessage("A", cdm(seq, first))
 	}
 	m.HandleMessage("A", cdm(det.Seq, later))

@@ -42,7 +42,7 @@ func (m *Machine) Save() ([]byte, error) {
 
 	buf := make([]byte, 0, len(heapBlob)+1024)
 	buf = append(buf, persistMagic...)
-	buf = putPStr(buf, string(m.id))
+	buf = snapshot.AppendString(buf, string(m.id))
 	buf = binary.AppendUvarint(buf, m.clock)
 	buf = binary.AppendUvarint(buf, m.snapVersion)
 	buf = binary.AppendUvarint(buf, 0) // reserved: format 1 kept a detection-round cursor here
@@ -53,14 +53,14 @@ func (m *Machine) Save() ([]byte, error) {
 	stubs := m.table.Stubs()
 	buf = binary.AppendUvarint(buf, uint64(len(stubs)))
 	for _, s := range stubs {
-		buf = putPStr(buf, string(s.Target.Node))
+		buf = snapshot.AppendString(buf, string(s.Target.Node))
 		buf = binary.AppendUvarint(buf, uint64(s.Target.Obj))
 		buf = binary.AppendUvarint(buf, s.IC)
 	}
 	scions := m.table.Scions()
 	buf = binary.AppendUvarint(buf, uint64(len(scions)))
 	for _, s := range scions {
-		buf = putPStr(buf, string(s.Src))
+		buf = snapshot.AppendString(buf, string(s.Src))
 		buf = binary.AppendUvarint(buf, uint64(s.Obj))
 		buf = binary.AppendUvarint(buf, s.IC)
 	}
@@ -69,7 +69,7 @@ func (m *Machine) Save() ([]byte, error) {
 	for _, entries := range [][]refs.SeqEntry{out, in} {
 		buf = binary.AppendUvarint(buf, uint64(len(entries)))
 		for _, e := range entries {
-			buf = putPStr(buf, string(e.Node))
+			buf = snapshot.AppendString(buf, string(e.Node))
 			buf = binary.AppendUvarint(buf, e.Seq)
 		}
 	}
@@ -82,22 +82,18 @@ func (m *Machine) Save() ([]byte, error) {
 // abort safely and restart later. Restore and RestoreLiveRuntime wrap the
 // result in a stepped or a started Node.
 func RestoreMachine(cfg Config, data []byte) (*Machine, error) {
-	r := &pReader{data: data}
-	if string(r.bytes(len(persistMagic))) != persistMagic {
+	r := snapshot.NewReader(data)
+	if string(r.Bytes(len(persistMagic))) != persistMagic {
 		return nil, fmt.Errorf("node: Restore: bad magic")
 	}
-	id := ids.NodeID(r.str())
-	clock := r.uvarint()
-	snapVersion := r.uvarint()
-	_ = r.uvarint() // reserved
+	id := ids.NodeID(r.Str())
+	clock := r.Uvarint()
+	snapVersion := r.Uvarint()
+	_ = r.Uvarint() // reserved
 
-	heapLen := r.uvarint()
-	if heapLen > uint64(len(data)) {
-		return nil, fmt.Errorf("node: Restore: implausible heap size %d", heapLen)
-	}
-	heapBlob := r.bytes(int(heapLen))
-	if r.err != nil {
-		return nil, fmt.Errorf("node: Restore: %w", r.err)
+	heapBlob := r.Bytes(r.Count())
+	if r.Err() != nil {
+		return nil, fmt.Errorf("node: Restore: %w", r.Err())
 	}
 	h, err := (snapshot.BinaryCodec{}).Decode(heapBlob)
 	if err != nil {
@@ -113,84 +109,31 @@ func RestoreMachine(cfg Config, data []byte) (*Machine, error) {
 	m.heap = h
 	m.lgc = lgc.New(m.heap, m.table)
 
-	nStubs := r.count()
-	for i := 0; i < nStubs && r.err == nil; i++ {
-		tgt := ids.GlobalRef{Node: ids.NodeID(r.str()), Obj: ids.ObjID(r.uvarint())}
-		m.table.RestoreStub(tgt, r.uvarint())
+	nStubs := r.Count()
+	for i := 0; i < nStubs && r.Err() == nil; i++ {
+		tgt := ids.GlobalRef{Node: ids.NodeID(r.Str()), Obj: ids.ObjID(r.Uvarint())}
+		m.table.RestoreStub(tgt, r.Uvarint())
 	}
-	nScions := r.count()
-	for i := 0; i < nScions && r.err == nil; i++ {
-		src := ids.NodeID(r.str())
-		obj := ids.ObjID(r.uvarint())
-		m.table.RestoreScion(src, obj, r.uvarint())
+	nScions := r.Count()
+	for i := 0; i < nScions && r.Err() == nil; i++ {
+		src := ids.NodeID(r.Str())
+		obj := ids.ObjID(r.Uvarint())
+		m.table.RestoreScion(src, obj, r.Uvarint())
 	}
 
 	var seqs [2][]refs.SeqEntry
 	for s := 0; s < 2; s++ {
-		cnt := r.count()
-		for i := 0; i < cnt && r.err == nil; i++ {
-			seqs[s] = append(seqs[s], refs.SeqEntry{Node: ids.NodeID(r.str()), Seq: r.uvarint()})
+		cnt := r.Count()
+		for i := 0; i < cnt && r.Err() == nil; i++ {
+			seqs[s] = append(seqs[s], refs.SeqEntry{Node: ids.NodeID(r.Str()), Seq: r.Uvarint()})
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("node: Restore: %w", r.err)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("node: Restore: %w", r.Err())
 	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("node: Restore: %d trailing bytes", len(data)-r.pos)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("node: Restore: %d trailing bytes", r.Len())
 	}
 	m.table.RestoreSeqState(seqs[0], seqs[1])
 	return m, nil
-}
-
-// ---- tiny binary helpers (persist format only) ----
-
-func putPStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-type pReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *pReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, w := binary.Uvarint(r.data[r.pos:])
-	if w <= 0 {
-		r.err = fmt.Errorf("truncated varint at %d", r.pos)
-		return 0
-	}
-	r.pos += w
-	return v
-}
-
-func (r *pReader) count() int {
-	v := r.uvarint()
-	if v > uint64(len(r.data)) {
-		r.err = fmt.Errorf("implausible count %d", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *pReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.data) {
-		r.err = fmt.Errorf("truncated bytes at %d (+%d)", r.pos, n)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *pReader) str() string {
-	n := r.count()
-	return string(r.bytes(n))
 }

@@ -67,12 +67,12 @@ func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
 
 	buf := make([]byte, 0, size)
 	buf = append(buf, binaryMagic...)
-	buf = appendString(buf, string(h.Node()))
+	buf = AppendString(buf, string(h.Node()))
 	buf = binary.AppendUvarint(buf, uint64(h.NextID()))
 
 	buf = binary.AppendUvarint(buf, uint64(len(nodeNames)))
 	for _, n := range nodeNames {
-		buf = appendString(buf, string(n))
+		buf = AppendString(buf, string(n))
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(roots)))
@@ -100,65 +100,54 @@ func (BinaryCodec) Encode(h *heap.Heap) ([]byte, error) {
 
 // Decode implements Codec.
 func (BinaryCodec) Decode(data []byte) (*heap.Heap, error) {
-	r := &byteReader{data: data}
-	magic := r.bytes(len(binaryMagic))
+	r := NewReader(data)
+	magic := r.Bytes(len(binaryMagic))
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("binary codec: bad magic")
 	}
-	node := ids.NodeID(r.str())
-	nextID := ids.ObjID(r.uvarint())
+	node := ids.NodeID(r.Str())
+	nextID := ids.ObjID(r.Uvarint())
 
-	numNodes := r.uvarint()
-	if numNodes > uint64(len(data)) {
-		return nil, fmt.Errorf("binary codec: implausible node-name count %d", numNodes)
-	}
-	nodeNames := make([]ids.NodeID, numNodes)
+	nodeNames := make([]ids.NodeID, r.Count())
 	for i := range nodeNames {
-		nodeNames[i] = ids.NodeID(r.str())
+		nodeNames[i] = ids.NodeID(r.Str())
 	}
 
-	numRoots := r.uvarint()
-	if numRoots > uint64(len(data)) {
-		return nil, fmt.Errorf("binary codec: implausible root count %d", numRoots)
-	}
-	roots := make([]ids.ObjID, numRoots)
+	roots := make([]ids.ObjID, r.Count())
 	for i := range roots {
-		roots[i] = ids.ObjID(r.uvarint())
+		roots[i] = ids.ObjID(r.Uvarint())
 	}
 
-	numObjs := r.uvarint()
-	if numObjs > uint64(len(data)) {
-		return nil, fmt.Errorf("binary codec: implausible object count %d", numObjs)
-	}
+	numObjs := r.Count()
 	objects := make([]*heap.Object, 0, numObjs)
-	for i := uint64(0); i < numObjs && r.err == nil; i++ {
-		o := &heap.Object{ID: ids.ObjID(r.uvarint())}
-		nl := r.uvarint()
-		for j := uint64(0); j < nl && r.err == nil; j++ {
-			o.Locals = append(o.Locals, ids.ObjID(r.uvarint()))
+	for i := 0; i < numObjs && r.Err() == nil; i++ {
+		o := &heap.Object{ID: ids.ObjID(r.Uvarint())}
+		nl := r.Uvarint()
+		for j := uint64(0); j < nl && r.Err() == nil; j++ {
+			o.Locals = append(o.Locals, ids.ObjID(r.Uvarint()))
 		}
-		nr := r.uvarint()
-		for j := uint64(0); j < nr && r.err == nil; j++ {
-			ni := r.uvarint()
-			obj := ids.ObjID(r.uvarint())
+		nr := r.Uvarint()
+		for j := uint64(0); j < nr && r.Err() == nil; j++ {
+			ni := r.Uvarint()
+			obj := ids.ObjID(r.Uvarint())
 			if ni >= uint64(len(nodeNames)) {
 				return nil, fmt.Errorf("binary codec: node index %d out of range", ni)
 			}
 			o.Remotes = append(o.Remotes, ids.GlobalRef{Node: nodeNames[ni], Obj: obj})
 		}
-		np := r.uvarint()
-		if p := r.bytes(int(np)); p != nil {
+		if p := r.Bytes(r.Count()); p != nil {
 			o.Payload = append([]byte(nil), p...)
 		}
 		objects = append(objects, o)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("binary codec: %w", r.err)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("binary codec: %w", r.Err())
 	}
 	return heap.Restore(node, objects, roots, nextID)
 }
 
-func appendString(buf []byte, s string) []byte {
+// AppendString appends s length-prefixed, as Reader.Str reads it back.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
@@ -166,17 +155,29 @@ func appendString(buf []byte, s string) []byte {
 // uvarintLen is the number of bytes binary.AppendUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// stringLen is the number of bytes appendString writes for s.
+// stringLen is the number of bytes AppendString writes for s.
 func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-// byteReader is a tiny cursor with sticky error handling.
-type byteReader struct {
+// Reader is a cursor over a binary encoding — a snapshot, or a node's
+// state file — with a sticky error: after the first failure every read
+// returns a zero value and Err reports it.
+type Reader struct {
 	data []byte
 	pos  int
 	err  error
 }
 
-func (r *byteReader) uvarint() uint64 {
+// NewReader returns a Reader at the start of data.
+func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Err returns the first read failure.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of unread bytes.
+func (r *Reader) Len() int { return len(r.data) - r.pos }
+
+// Uvarint reads one varint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -189,7 +190,19 @@ func (r *byteReader) uvarint() uint64 {
 	return v
 }
 
-func (r *byteReader) bytes(n int) []byte {
+// Count reads a varint that sizes what follows, failing it when it exceeds
+// the input's length (every counted item takes at least a byte).
+func (r *Reader) Count() int {
+	v := r.Uvarint()
+	if v > uint64(len(r.data)) {
+		r.err = fmt.Errorf("implausible count %d", v)
+		return 0
+	}
+	return int(v)
+}
+
+// Bytes reads the next n bytes, aliasing the input.
+func (r *Reader) Bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -202,11 +215,5 @@ func (r *byteReader) bytes(n int) []byte {
 	return b
 }
 
-func (r *byteReader) str() string {
-	n := r.uvarint()
-	if n > uint64(len(r.data)) {
-		r.err = fmt.Errorf("implausible string length %d", n)
-		return ""
-	}
-	return string(r.bytes(int(n)))
-}
+// Str reads a string written by AppendString.
+func (r *Reader) Str() string { return string(r.Bytes(r.Count())) }
