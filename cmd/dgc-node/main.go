@@ -156,6 +156,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	// The runtime drives itself; this loop only reports.
+	met := sup.NodeMetrics()
 	var statsC <-chan time.Time
 	if o.statsEvery > 0 {
 		t := time.NewTicker(time.Duration(o.statsEvery) * spec.Runtime.Tick)
@@ -165,11 +166,10 @@ func main() {
 	for {
 		select {
 		case <-statsC:
-			s := sup.Stats()
 			snap := sup.DebugSnapshot()
 			fmt.Printf("[%s t=%d] objects=%d scions=%d stubs=%d swept=%d detections=%d cycles=%d aborted=%d\n",
-				id, s.Clock, snap.Objects, snap.Scions, snap.Stubs,
-				s.ObjectsSwept, s.Detector.Started, s.Detector.CyclesFound, s.Detector.Aborted)
+				id, snap.Clock, snap.Objects, snap.Scions, snap.Stubs,
+				met.ObjectsSwept.Value(), met.DetectionsStarted.Value(), met.CyclesFound.Value(), met.DetectionsAborted.Value())
 		case got := <-sig:
 			// Graceful: state flush + clean runtime/transport close. A second
 			// signal while that is in flight forces exit.
@@ -178,15 +178,14 @@ func main() {
 				fmt.Println("\nsecond signal, forcing exit")
 				os.Exit(1)
 			}()
-			s := sup.Stats()
-			objects := sup.DebugSnapshot().Objects
+			snap := sup.DebugSnapshot()
 			if err := sup.Stop(); err != nil {
 				log.Printf("dgc-node: shutdown: %v", err)
 			} else if spec.StateFile != "" {
 				fmt.Printf("\nstate saved to %s\n", spec.StateFile)
 			}
 			fmt.Printf("dgc-node %s shut down on %v: %d objects, %d swept over %d ticks\n",
-				id, got, objects, s.ObjectsSwept, s.Clock)
+				id, got, snap.Objects, met.ObjectsSwept.Value(), snap.Clock)
 			return
 		}
 	}

@@ -131,10 +131,10 @@ func run(args []string, out io.Writer) int {
 		w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "node\tswept\tdetections\tcycles\taborted\tCDMs sent\tstub sets")
 		for _, n := range c.Nodes() {
-			s := n.Stats()
+			met := n.Metrics()
 			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				n.ID(), s.ObjectsSwept, s.Detector.Started, s.Detector.CyclesFound,
-				s.Detector.Aborted, s.Detector.CDMsSent, s.StubSetsSent)
+				n.ID(), met.ObjectsSwept.Value(), met.DetectionsStarted.Value(), met.CyclesFound.Value(),
+				met.DetectionsAborted.Value(), met.CDMsSent.Value(), met.StubSetsSent.Value())
 		}
 		w.Flush()
 	}

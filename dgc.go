@@ -22,6 +22,10 @@
 // fabric with fault injection (NewCluster) for simulation and testing, or
 // real TCP sockets (ListenTCP + NewNode) for distributed deployment.
 //
+// What a node did (objects swept, scions created, CDMs sent, cycles found)
+// is counted once, in its NodeMetrics block: Node.Metrics returns it, and
+// the node's metric registry serves the same counters at /metrics.
+//
 // # Quick start
 //
 //	c := dgc.NewCluster(1, dgc.Config{})
@@ -75,8 +79,6 @@ type (
 	ReplyFunc = node.ReplyFunc
 	// Method implements a remotely invocable method.
 	Method = node.Method
-	// Stats are a node's activity counters.
-	Stats = node.Stats
 	// Machine is the pure protocol core a Node drives (see DESIGN.md §8).
 	Machine = node.Machine
 	// LiveRuntime is a started Node (the same type): a mailbox goroutine

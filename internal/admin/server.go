@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -97,19 +96,19 @@ func (s *Server) status() NodeStatus {
 	sup := s.sup
 	st := NodeStatus{Node: string(sup.ID()), State: sup.State(), Addr: sup.Addr()}
 	snap := sup.DebugSnapshot()
-	stats := sup.Stats()
+	met := sup.NodeMetrics()
 	st.Clock = snap.Clock
 	st.Objects = snap.Objects
 	st.Scions = snap.Scions
 	st.Stubs = snap.Stubs
-	st.ObjectsSwept = stats.ObjectsSwept
-	st.LGCRuns = stats.LGCRuns
+	st.ObjectsSwept = met.ObjectsSwept.Value()
+	st.LGCRuns = met.LGCRuns.Value()
 	st.Detections = DetectionStats{
-		Started:     stats.Detector.Started,
-		CyclesFound: stats.Detector.CyclesFound,
-		Aborted:     stats.Detector.Aborted,
-		CDMsSent:    stats.Detector.CDMsSent,
-		ScionsFreed: stats.Detector.ScionsFreed,
+		Started:     met.DetectionsStarted.Value(),
+		CyclesFound: met.CyclesFound.Value(),
+		Aborted:     met.DetectionsAborted.Value(),
+		CDMsSent:    met.CDMsSent.Value(),
+		ScionsFreed: met.ScionsFreed.Value(),
 	}
 	st.Mailbox = snap.Mailbox
 	if fs := sup.Faults().FaultStatus(); fs.Active() || fs.Dropped > 0 || fs.Delayed > 0 {
@@ -235,7 +234,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/v1/detect", s.post(func(w http.ResponseWriter, r *http.Request) {
 		reply := DetectReply{SchemaVersion: SchemaVersion, Node: id}
 		if scion := r.URL.Query().Get("scion"); scion != "" {
-			ref, err := ParseRefID(scion)
+			ref, err := ids.ParseRefID(scion)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, err)
 				return
@@ -449,25 +448,4 @@ func optionalDuration(s string) (time.Duration, error) {
 		return 0, fmt.Errorf("bad duration %q: %w", s, err)
 	}
 	return d, nil
-}
-
-// ParseRefID parses the canonical "SRC->OBJ@NODE" rendering (the Ref field
-// of table dumps) back into an ids.RefID.
-func ParseRefID(s string) (ids.RefID, error) {
-	src, rest, ok := strings.Cut(s, "->")
-	if !ok {
-		return ids.RefID{}, fmt.Errorf("bad ref %q: want SRC->OBJ@NODE", s)
-	}
-	objStr, nodeStr, ok := strings.Cut(rest, "@")
-	if !ok || src == "" || nodeStr == "" {
-		return ids.RefID{}, fmt.Errorf("bad ref %q: want SRC->OBJ@NODE", s)
-	}
-	obj, err := strconv.ParseUint(objStr, 10, 64)
-	if err != nil {
-		return ids.RefID{}, fmt.Errorf("bad ref %q: object id: %w", s, err)
-	}
-	return ids.RefID{
-		Src: ids.NodeID(src),
-		Dst: ids.GlobalRef{Node: ids.NodeID(nodeStr), Obj: ids.ObjID(obj)},
-	}, nil
 }

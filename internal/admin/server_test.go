@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"dgc/internal/ids"
+	"dgc/internal/node"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -169,6 +171,63 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
+// TestDownNodeStatusReadsItsRegistry: a killed node's status row reads the
+// same registry its /metrics serves, so its counts are the ones it made
+// before the kill, not zeros beside a /metrics that still has them.
+func TestDownNodeStatusReadsItsRegistry(t *testing.T) {
+	sup, srv := serveNode(t, NodeSpec{SeedObjects: 1})
+	if err := sup.Runtime().With(func(m node.Mutator) {
+		for i := 0; i < 4; i++ {
+			m.Alloc(nil)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if res := sup.Runtime().RunLGC(); res.Swept != 4 {
+		t.Fatalf("swept %d, want the four unrooted objects", res.Swept)
+	}
+	if err := sup.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+
+	var reply StatusReply
+	if code := getJSON(t, srv, "/api/v1/status", &reply); code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	p1 := reply.Nodes["P1"]
+	if p1.State != "down" || p1.ObjectsSwept != 4 {
+		t.Errorf("P1 status after kill = %+v, want down with 4 swept", p1)
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if k, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			samples[k] = v
+		}
+	}
+	for family, got := range map[string]uint64{
+		"dgc_lgc_objects_swept_total":  p1.ObjectsSwept,
+		"dgc_lgc_runs_total":           p1.LGCRuns,
+		"dgc_detections_started_total": p1.Detections.Started,
+		"dgc_cycles_found_total":       p1.Detections.CyclesFound,
+		"dgc_detections_aborted_total": p1.Detections.Aborted,
+		"dgc_cdms_sent_total":          p1.Detections.CDMsSent,
+		"dgc_scions_freed_total":       p1.Detections.ScionsFreed,
+	} {
+		if want := samples[family+`{node="P1"}`]; fmt.Sprint(got) != want {
+			t.Errorf("down node: status reads %s = %d, /metrics %q", family, got, want)
+		}
+	}
+}
+
 func TestDetectEndpoint(t *testing.T) {
 	sup, srv := serveNode(t, NodeSpec{})
 
@@ -240,22 +299,6 @@ func TestNodeSelector(t *testing.T) {
 	} {
 		if code := getJSON(t, srv, path, nil); code != want {
 			t.Errorf("GET %s = %d, want %d", path, code, want)
-		}
-	}
-}
-
-func TestParseRefID(t *testing.T) {
-	ref := ids.RefID{Src: "P1", Dst: ids.GlobalRef{Node: "P2", Obj: 3}}
-	got, err := ParseRefID(ref.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != ref {
-		t.Errorf("round trip: got %v, want %v", got, ref)
-	}
-	for _, bad := range []string{"", "P1", "P1->", "P1->x@P2", "P1->3", "->3@P2", "P1->3@"} {
-		if _, err := ParseRefID(bad); err == nil {
-			t.Errorf("ParseRefID(%q) accepted", bad)
 		}
 	}
 }

@@ -56,6 +56,7 @@ type NodeSpec struct {
 type Supervisor struct {
 	spec   NodeSpec
 	set    *obs.Set
+	met    *obs.NodeMetrics // the node's block in set; every restart rebinds it
 	faults *FaultEndpoint
 
 	mu        sync.Mutex
@@ -89,6 +90,7 @@ func StartNode(spec NodeSpec) (*Supervisor, error) {
 	s := &Supervisor{
 		spec:   spec,
 		set:    spec.Config.Metrics,
+		met:    obs.NewNodeMetrics(spec.Config.Metrics.Node(string(spec.ID))),
 		faults: NewFaultEndpoint(nil),
 	}
 	var state []byte
@@ -223,6 +225,10 @@ func (s *Supervisor) Runtime() *node.LiveRuntime {
 // Metrics returns the supervisor's metrics set.
 func (s *Supervisor) Metrics() *obs.Set { return s.set }
 
+// NodeMetrics returns the node's instrument block in that set: the record of
+// what the node did, read the same way while it runs and while it is down.
+func (s *Supervisor) NodeMetrics() *obs.NodeMetrics { return s.met }
+
 // Faults returns the node's fault injector (stable across restarts).
 func (s *Supervisor) Faults() *FaultEndpoint { return s.faults }
 
@@ -350,14 +356,6 @@ func writeStateFile(path string, data []byte) error {
 }
 
 // --- The admin API surface, delegating to the current runtime (down-aware). ---
-
-// Stats returns the node's counters (zero while down).
-func (s *Supervisor) Stats() node.Stats {
-	if rt := s.Runtime(); rt != nil {
-		return rt.Stats()
-	}
-	return node.Stats{}
-}
 
 // DebugSnapshot returns the node's diagnostic view (a stub naming the node
 // while down).

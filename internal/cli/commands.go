@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dgc/internal/admin"
+	"dgc/internal/ids"
 )
 
 // fail prints err and returns exit code 1.
@@ -149,7 +150,7 @@ func cmdDetect(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	switch {
 	case *scion != "":
 		// The scion names its owner: route there.
-		ref, err := admin.ParseRefID(*scion)
+		ref, err := ids.ParseRefID(*scion)
 		if err != nil {
 			return fail(stderr, err)
 		}

@@ -114,11 +114,12 @@ func measure(t *testing.T, c *Cluster, name string, live map[ids.GlobalRef]struc
 	}
 	sent, _, _ := c.Net.Counts()
 	out.msgs = sent[wire.KindCDM] + sent[wire.KindBatchCDM]
-	for _, s := range c.Stats() {
-		out.derived += s.Detector.CDMsSent
-		out.batch += s.BatchCDMsSent
-		out.sections += s.BatchSectionsSent
-		out.cycles += s.Detector.CyclesFound
+	for _, n := range c.Nodes() {
+		met := n.Metrics()
+		out.derived += met.CDMsSent.Value()
+		out.batch += met.BatchCDMsSent.Value()
+		out.sections += uint64(met.BatchSections.Sum())
+		out.cycles += met.CyclesFound.Value()
 	}
 	return out
 }

@@ -162,15 +162,6 @@ func (c *Cluster) TotalStubs() int {
 	return total
 }
 
-// Stats collects every node's counters in canonical order.
-func (c *Cluster) Stats() map[ids.NodeID]node.Stats {
-	out := make(map[ids.NodeID]node.Stats, len(c.order))
-	for _, id := range c.order {
-		out[id] = c.nodes[id].Stats()
-	}
-	return out
-}
-
 // Connect grants object fromObj on node from a reference to toObj on node
 // to, preserving scion-before-stub. The harness bootstrap primitive.
 func (c *Cluster) Connect(from ids.NodeID, fromObj ids.ObjID, to ids.NodeID, toObj ids.ObjID) error {

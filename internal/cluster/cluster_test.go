@@ -74,9 +74,9 @@ func TestAcyclicDistributedGarbageReclaimedWithoutDetector(t *testing.T) {
 		t.Fatalf("leftovers after %d rounds: objs=%d scions=%d stubs=%d",
 			rounds, c.TotalObjects(), c.TotalScions(), c.TotalStubs())
 	}
-	for id, s := range c.Stats() {
-		if s.Detector.CyclesFound != 0 {
-			t.Errorf("%s: detector fired on acyclic garbage", id)
+	for _, n := range c.Nodes() {
+		if n.Metrics().CyclesFound.Value() != 0 {
+			t.Errorf("%s: detector fired on acyclic garbage", n.ID())
 		}
 	}
 }
@@ -92,8 +92,8 @@ func TestFigure3EndToEnd(t *testing.T) {
 		t.Fatalf("tables not empty: scions=%d stubs=%d", c.TotalScions(), c.TotalStubs())
 	}
 	var cycles uint64
-	for _, s := range c.Stats() {
-		cycles += s.Detector.CyclesFound
+	for _, n := range c.Nodes() {
+		cycles += n.Metrics().CyclesFound.Value()
 	}
 	if cycles == 0 {
 		t.Fatal("no cycle detection reported")

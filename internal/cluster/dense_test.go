@@ -33,8 +33,8 @@ func TestDenseSCCTrafficBounded(t *testing.T) {
 			c.TotalObjects(), total, rounds)
 	}
 	var cdms uint64
-	for _, s := range c.Stats() {
-		cdms += s.Detector.CDMsSent
+	for _, n := range c.Nodes() {
+		cdms += n.Metrics().CDMsSent.Value()
 	}
 	// Generous bound: well below the per-path explosion regime.
 	if cdms > 100_000 {

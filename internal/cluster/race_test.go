@@ -90,15 +90,15 @@ func (rig *raceRig) dropOldRoot(t *testing.T) {
 // a counter-mismatch abort at P1, with no cycle declared anywhere.
 func (rig *raceRig) assertAbortedAtP1(t *testing.T) {
 	t.Helper()
-	for id, s := range rig.c.Stats() {
-		if s.Detector.CyclesFound != 0 {
-			t.Fatalf("false cycle detection at %s: live ring declared garbage", id)
+	for _, n := range rig.c.Nodes() {
+		if n.Metrics().CyclesFound.Value() != 0 {
+			t.Fatalf("false cycle detection at %s: live ring declared garbage", n.ID())
 		}
 	}
-	if got := rig.c.Node("P1").Stats().Detector.Aborted; got != 1 {
+	if got := rig.c.Node("P1").Metrics().DetectionsAborted.Value(); got != 1 {
 		t.Fatalf("P1 aborted = %d, want 1 (counter mismatch in its derivation)", got)
 	}
-	if got := rig.c.Node("P2").Stats().Detector.Aborted; got != 0 {
+	if got := rig.c.Node("P2").Metrics().DetectionsAborted.Value(); got != 0 {
 		t.Fatalf("P2 aborted = %d, want 0 (the doomed CDM is never sent)", got)
 	}
 }

@@ -159,7 +159,7 @@ func TestAsyncSoak(t *testing.T) {
 	if minChurn == 0 {
 		t.Fatal("mutators performed no work")
 	}
-	if nodes["B"].Stats().ObjectsSwept == 0 {
+	if nodes["B"].Metrics().ObjectsSwept.Value() == 0 {
 		t.Fatal("no garbage was collected during the soak")
 	}
 }

@@ -55,19 +55,9 @@ func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error
 			if err != nil {
 				return nil, err
 			}
-			c := cluster.New(1, node.Config{})
-			if _, err := c.Materialize(topo, node.Config{}); err != nil {
+			c, rounds, err := sweepCell(topo, maxRounds)
+			if err != nil {
 				return nil, err
-			}
-			rounds, stalled, prev := 0, 0, -1
-			for c.TotalObjects() > 0 && rounds < maxRounds && stalled < 5 {
-				c.GCRound()
-				rounds++
-				if cur := c.TotalObjects() + c.TotalScions(); cur == prev {
-					stalled++ // known-stalling cells exit early, honestly uncollected
-				} else {
-					stalled, prev = 0, cur
-				}
 			}
 			row := BatchRow{
 				Workload:   family,
@@ -77,13 +67,36 @@ func DetectBatchSweep(candCounts []int, procs, maxRounds int) ([]BatchRow, error
 			}
 			sent, _, _ := c.Net.Counts()
 			row.CDMMsgs = sent[wire.KindCDM] + sent[wire.KindBatchCDM]
-			for _, s := range c.Stats() {
-				row.BatchCDMs += s.BatchCDMsSent
-				row.Sections += s.BatchSectionsSent
-				row.Derived += s.Detector.CDMsSent
+			for _, n := range c.Nodes() {
+				met := n.Metrics()
+				row.BatchCDMs += met.BatchCDMsSent.Value()
+				row.Sections += uint64(met.BatchSections.Sum())
+				row.Derived += met.CDMsSent.Value()
 			}
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
+}
+
+// sweepCell collects one sweep cell on a fresh cluster until it is empty,
+// maxRounds have run, or 5 rounds in a row changed no object or scion count
+// (known-stalling cells exit early, honestly uncollected). It returns the
+// cluster as the last round left it and the rounds run.
+func sweepCell(topo *workload.Topology, maxRounds int) (*cluster.Cluster, int, error) {
+	c := cluster.New(1, node.Config{})
+	if _, err := c.Materialize(topo, node.Config{}); err != nil {
+		return nil, 0, err
+	}
+	rounds, stalled, prev := 0, 0, -1
+	for c.TotalObjects() > 0 && rounds < maxRounds && stalled < 5 {
+		c.GCRound()
+		rounds++
+		if cur := c.TotalObjects() + c.TotalScions(); cur == prev {
+			stalled++
+		} else {
+			stalled, prev = 0, cur
+		}
+	}
+	return c, rounds, nil
 }

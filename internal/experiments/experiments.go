@@ -346,8 +346,8 @@ func DetectionScale(procSizes []int, chain int) ([]ScaleRow, error) {
 			return nil, fmt.Errorf("experiments: ring %d not collected", procs)
 		}
 		var cdms uint64
-		for _, s := range c.Stats() {
-			cdms += s.Detector.CDMsSent
+		for _, n := range c.Nodes() {
+			cdms += n.Metrics().CDMsSent.Value()
 		}
 		rows = append(rows, ScaleRow{
 			Procs:          procs,
@@ -510,10 +510,11 @@ func RaceAbortRate(migrationsPerRound []int, rounds int) ([]RaceRow, error) {
 				c.Settle()
 			}
 		}
-		for _, s := range c.Stats() {
-			det += s.Detector.Started
-			aborted += s.Detector.Aborted
-			found += s.Detector.CyclesFound
+		for _, n := range c.Nodes() {
+			met := n.Metrics()
+			det += met.DetectionsStarted.Value()
+			aborted += met.DetectionsAborted.Value()
+			found += met.CyclesFound.Value()
 		}
 		rows = append(rows, RaceRow{
 			MigrationsPerRound: mu,

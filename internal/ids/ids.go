@@ -7,6 +7,7 @@ package ids
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -67,6 +68,26 @@ type RefID struct {
 // String renders the reference as "P1->F@P2".
 func (r RefID) String() string {
 	return string(r.Src) + "->" + r.Dst.String()
+}
+
+// ParseRefID parses String's "SRC->OBJ@NODE" rendering (the Ref field of
+// table dumps, the admin API's scion selector) back into a RefID. It splits
+// at the first "->" and the "@" after the object id, so it inverts String for
+// every source name without "->".
+func ParseRefID(s string) (RefID, error) {
+	src, rest, ok := strings.Cut(s, "->")
+	if !ok {
+		return RefID{}, fmt.Errorf("bad ref %q: want SRC->OBJ@NODE", s)
+	}
+	objStr, nodeStr, ok := strings.Cut(rest, "@")
+	if !ok || src == "" || nodeStr == "" {
+		return RefID{}, fmt.Errorf("bad ref %q: want SRC->OBJ@NODE", s)
+	}
+	obj, err := strconv.ParseUint(objStr, 10, 64)
+	if err != nil {
+		return RefID{}, fmt.Errorf("bad ref %q: object id: %w", s, err)
+	}
+	return RefID{Src: NodeID(src), Dst: GlobalRef{Node: NodeID(nodeStr), Obj: ObjID(obj)}}, nil
 }
 
 // Compare imposes a total order on reference identifiers (source, then

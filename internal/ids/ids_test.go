@@ -112,3 +112,27 @@ func TestFormatRefSet(t *testing.T) {
 		t.Errorf("FormatRefSet(nil) = %q, want %q", got, want)
 	}
 }
+
+func TestParseRefID(t *testing.T) {
+	nodes := []NodeID{"P1", "P2", "n", "127.0.0.1:7001", "node-a", "a@b", "x>y"}
+	objs := []ObjID{0, 1, 3, 42, 1 << 32, ^ObjID(0)}
+	for _, src := range nodes {
+		for _, dst := range nodes {
+			for _, obj := range objs {
+				ref := RefID{Src: src, Dst: GlobalRef{Node: dst, Obj: obj}}
+				got, err := ParseRefID(ref.String())
+				if err != nil {
+					t.Fatalf("ParseRefID(%q): %v", ref.String(), err)
+				}
+				if got != ref {
+					t.Errorf("round trip of %q: got %+v, want %+v", ref.String(), got, ref)
+				}
+			}
+		}
+	}
+	for _, bad := range []string{"", "P1", "P1->", "P1->x@P2", "P1->3", "->3@P2", "P1->3@", "P1->-1@P2", "P1->18446744073709551616@P2"} {
+		if _, err := ParseRefID(bad); err == nil {
+			t.Errorf("ParseRefID(%q) accepted", bad)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"dgc/internal/ids"
 	"dgc/internal/lgc"
 	"dgc/internal/membership"
+	"dgc/internal/obs"
 	"dgc/internal/trace"
 	"dgc/internal/transport"
 	"dgc/internal/wire"
@@ -445,18 +446,14 @@ func (n *Node) ID() ids.NodeID { return n.mach.ID() }
 // shared, concurrent-safe state, not machine-owned.
 func (n *Node) Journal() *trace.Log { return n.mach.Journal() }
 
-// DroppedInbound reports transport deliveries discarded on mailbox
-// overflow since the node started. It reads the
-// dgc_mailbox_dropped_total counter — the metric is the single source of
-// truth for drop accounting (a shadow field here once drifted from it).
-func (n *Node) DroppedInbound() uint64 { return n.mach.met.MailboxDropped.Value() }
+// Metrics returns the node's instrument block, the record of what it did
+// (the families its registry serves at /metrics). Instruments are atomic, so
+// this is safe from any goroutine, even after Close.
+func (n *Node) Metrics() *obs.NodeMetrics { return n.mach.met }
 
 // Every public method below is one machine input passed through do; after
 // Close a started node returns ErrRuntimeClosed where the signature has an
 // error and the zero value where it has not.
-
-// Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return call(n, (*Machine).Stats) }
 
 // NumObjects returns the current heap size.
 func (n *Node) NumObjects() int { return call(n, (*Machine).NumObjects) }
@@ -590,7 +587,7 @@ func (n *Node) DebugSnapshot() DebugSnapshot {
 		snap.Mailbox = &MailboxStats{
 			Depth:    len(n.mailbox),
 			Capacity: n.rcfg.Mailbox,
-			Dropped:  n.DroppedInbound(),
+			Dropped:  n.mach.met.MailboxDropped.Value(),
 		}
 	}
 	return snap

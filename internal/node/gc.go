@@ -116,7 +116,6 @@ func (m *Machine) Summarize() error {
 		if err != nil {
 			return m.errf("snapshot encode: %v", err)
 		}
-		m.snapshotBytes += uint64(len(data))
 		if m.cfg.SnapshotDir != "" {
 			path := filepath.Join(m.cfg.SnapshotDir,
 				fmt.Sprintf("%s-%06d.%s.snap", m.id, m.snapVersion, m.cfg.Codec.Name()))

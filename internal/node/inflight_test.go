@@ -129,7 +129,7 @@ func TestLiveRingDrawsNoPartialReturn(t *testing.T) {
 		t.Fatal("no detection launched on the live ring")
 	}
 	for _, id := range names {
-		if got := tn.n(id).Stats().PartialReturns; got != 0 {
+		if got := tn.n(id).Metrics().PartialReturns.Value(); got != 0 {
 			t.Errorf("%s: %d partial returns received from cuts at a locally reachable stub", id, got)
 		}
 		if got := tn.n(id).NumObjects(); got != 1 {

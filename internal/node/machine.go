@@ -80,14 +80,11 @@ type Machine struct {
 
 	// met is the node's observability instrument block (a private registry
 	// when Config.Metrics is nil, so no instrumentation site needs a guard)
-	// and the only record of what the node did: Stats reads it. Metric
+	// and the only record of what the node did: every reader reads it
+	// through Metrics. Metric
 	// observations may read the wall clock but never feed back into
 	// protocol decisions, keeping the machine's behaviour deterministic.
 	met *obs.NodeMetrics
-
-	// snapshotBytes counts encoded snapshot bytes (Config.Codec), the one
-	// counter with no metric family.
-	snapshotBytes uint64
 
 	// inflight tracks the detections the inputs since the last flush touch,
 	// for the per-detection latency histogram: keyed by detection, holding
@@ -357,43 +354,6 @@ func (m *Machine) TakeEffects() []transport.Envelope {
 func (m *Machine) send(to ids.NodeID, msg wire.Message) {
 	m.out = append(m.out, transport.Envelope{To: to, Msg: msg})
 	m.maybePiggybackGossip(to, msg)
-}
-
-// Stats reads the machine's counters off its metric registry, so they agree
-// with /metrics and continue across a restore into the same registry.
-func (m *Machine) Stats() Stats {
-	met := m.met
-	return Stats{
-		Clock:               m.clock,
-		InvokesSent:         met.InvokesSent.Value(),
-		InvokesHandled:      met.InvokesHandled.Value(),
-		RepliesHandled:      met.RepliesHandled.Value(),
-		CallsFailed:         met.CallsFailed.Value(),
-		ExportsPending:      uint64(len(m.pendingExports)),
-		ScionsCreated:       met.ScionsCreated.Value(),
-		ScionsDropped:       met.ScionsDropped.Value(),
-		LGCRuns:             met.LGCRuns.Value(),
-		ObjectsSwept:        met.ObjectsSwept.Value(),
-		Summarizations:      met.Summarizations.Value(),
-		SnapshotBytes:       m.snapshotBytes,
-		StubSetsSent:        met.StubSetsSent.Value(),
-		StubSetsApplied:     met.StubSetsApplied.Value(),
-		CDMsDeduped:         met.CDMsDeduped.Value(),
-		CDMsRaceDropped:     met.CDMsRaceDropped.Value(),
-		BatchCDMsSent:       met.BatchCDMsSent.Value(),
-		BatchSectionsSent:   uint64(met.BatchSections.Sum()),
-		PartialReturns:      met.PartialReturns.Value(),
-		DetectionRelaunches: met.DetectionRelaunches.Value(),
-		Detector: DetectorStats{
-			Started:     met.DetectionsStarted.Value(),
-			CDMsSent:    met.CDMsSent.Value(),
-			CDMsHandled: met.CDMsHandled.Value(),
-			Dropped:     met.CDMsDropped.Value(),
-			Aborted:     met.DetectionsAborted.Value(),
-			CyclesFound: met.CyclesFound.Value(),
-			ScionsFreed: met.ScionsFreed.Value(),
-		},
-	}
 }
 
 // Clock returns the machine's logical time.

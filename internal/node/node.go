@@ -21,8 +21,9 @@
 //     deterministic cluster simulator steps every node in its canonical
 //     schedule, which makes a simulated run a pure function of its seed.
 //
-// This file holds what both share with their callers: Config, Stats and the
-// callback types.
+// This file holds what both share with their callers: Config and the
+// callback types. What a node did is counted in its metric registry
+// (Node.Metrics, Machine.Metrics), the families /metrics serves.
 package node
 
 import (
@@ -54,9 +55,8 @@ type Config struct {
 	// releasing their pinned references; 0 means never expire.
 	CallTimeoutTicks uint64
 	// Codec, when non-nil, serializes each snapshot before summarization
-	// (the paper's disk snapshot); the bytes are counted in
-	// Stats.SnapshotBytes, which no metric family mirrors. When SnapshotDir
-	// is also set, the snapshot is written there.
+	// (the paper's disk snapshot). When SnapshotDir is also set, the
+	// snapshot is written there.
 	Codec       snapshot.Codec
 	SnapshotDir string
 	// DisableDGC turns off all stub/scion bookkeeping on the invocation
@@ -83,56 +83,6 @@ type Config struct {
 //
 // Deprecated: see Config.BatchDetection.
 func Bool(v bool) *bool { return &v }
-
-// Stats is a read of the node's metric registry (Machine.Stats): every
-// counter but SnapshotBytes is the value of the family its comment names, so
-// Stats, dgcctl status and /metrics give one answer, and a node restored
-// into the same registry (a supervisor restart) continues its counts.
-// Clock and ExportsPending are machine state, not counts.
-type Stats struct {
-	Clock          uint64
-	InvokesSent    uint64 // dgc_invokes_sent_total
-	InvokesHandled uint64 // dgc_invokes_handled_total
-	RepliesHandled uint64 // dgc_replies_handled_total
-	CallsFailed    uint64 // dgc_calls_failed_total
-	ExportsPending uint64
-	ScionsCreated  uint64 // dgc_scions_created_total
-	ScionsDropped  uint64 // dgc_scions_dropped_total: deleted by NewSetStubs application
-	LGCRuns        uint64 // dgc_lgc_runs_total
-	ObjectsSwept   uint64 // dgc_lgc_objects_swept_total
-	Summarizations uint64 // dgc_summarizations_total
-	// SnapshotBytes counts the bytes Config.Codec encoded. It has no family
-	// and restarts from zero with the machine.
-	SnapshotBytes   uint64
-	StubSetsSent    uint64 // dgc_stub_sets_sent_total
-	StubSetsApplied uint64 // dgc_stub_sets_applied_total
-	CDMsDeduped     uint64 // dgc_cdms_deduped_total: deliveries that added no new information
-	CDMsRaceDropped uint64 // dgc_cdms_race_dropped_total: deliveries conflicting with the merged view
-	// BatchCDMsSent (dgc_batch_cdms_sent_total) and BatchSectionsSent (the
-	// sum of dgc_batch_cdm_sections) count multi-section messages and the
-	// sections they carried (forward direction only, returns excluded).
-	BatchCDMsSent     uint64
-	BatchSectionsSent uint64
-	// PartialReturns (dgc_partial_returns_total) counts partial returns (a
-	// cut branch's accumulated view) merged at this node as the detection
-	// origin; DetectionRelaunches (dgc_detection_relaunches_total) counts the
-	// residue re-expansions those merges triggered.
-	PartialReturns      uint64
-	DetectionRelaunches uint64
-	Detector            DetectorStats
-}
-
-// DetectorStats counts the outcomes the node's cycle detector returned.
-type DetectorStats struct {
-	// Started counts detections launched here that made a first hop.
-	Started     uint64 // dgc_detections_started_total
-	CDMsSent    uint64 // dgc_cdms_sent_total: one per detection per edge
-	CDMsHandled uint64 // dgc_cdms_handled_total: one per delivered CDM or section
-	Dropped     uint64 // dgc_cdms_dropped_total
-	Aborted     uint64 // dgc_detections_aborted_total
-	CyclesFound uint64 // dgc_cycles_found_total
-	ScionsFreed uint64 // dgc_scions_freed_total
-}
 
 // Reply is the caller-side result of a remote invocation.
 type Reply struct {

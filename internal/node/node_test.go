@@ -103,9 +103,9 @@ func TestInvokeNoopBumpsBothCounters(t *testing.T) {
 	if !gotReply {
 		t.Fatal("no reply")
 	}
-	s := a.Stats()
-	if s.InvokesSent != 1 || s.RepliesHandled != 1 {
-		t.Fatalf("caller stats = %+v", s)
+	if met := a.Metrics(); met.InvokesSent.Value() != 1 || met.RepliesHandled.Value() != 1 {
+		t.Fatalf("caller: %d invokes sent, %d replies handled; want 1 and 1",
+			met.InvokesSent.Value(), met.RepliesHandled.Value())
 	}
 	// Request bumped both ends once, reply bumped both ends once: 2 == 2.
 	a.With(func(m Mutator) {
@@ -214,7 +214,7 @@ func TestInvokeNoSuchMethodAndObject(t *testing.T) {
 	if len(errs) != 2 || !strings.Contains(errs[0], "no such method") || !strings.Contains(errs[1], "no such object") {
 		t.Fatalf("errs = %v", errs)
 	}
-	if got := a.Stats().CallsFailed; got != 2 {
+	if got := a.Metrics().CallsFailed.Value(); got != 2 {
 		t.Fatalf("CallsFailed = %d", got)
 	}
 }
@@ -673,15 +673,15 @@ func TestTickRunsDaemons(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		a.Tick()
 	}
-	s := a.Stats()
-	if s.Clock != 6 {
-		t.Fatalf("clock = %d", s.Clock)
+	if a.Clock() != 6 {
+		t.Fatalf("clock = %d", a.Clock())
 	}
-	if s.LGCRuns != 3 {
-		t.Errorf("LGCRuns = %d, want 3", s.LGCRuns)
+	met := a.Metrics()
+	if got := met.LGCRuns.Value(); got != 3 {
+		t.Errorf("LGCRuns = %d, want 3", got)
 	}
-	if s.Summarizations != 2 {
-		t.Errorf("Summarizations = %d, want 2", s.Summarizations)
+	if got := met.Summarizations.Value(); got != 2 {
+		t.Errorf("Summarizations = %d, want 2", got)
 	}
 	if a.Summary() == nil {
 		t.Error("no summary after ticks")

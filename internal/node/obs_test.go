@@ -12,7 +12,8 @@ import (
 // TestLiveRuntimeMailboxOverflow pins the drop-on-full contract: with the
 // loop wedged and the mailbox at capacity, inbound transport deliveries are
 // discarded — counted once, in the dgc_mailbox_dropped_total metric, which
-// DroppedInbound reads back — and the runtime keeps serving once unwedged.
+// the debug snapshot reads back — and the runtime keeps serving once
+// unwedged.
 func TestLiveRuntimeMailboxOverflow(t *testing.T) {
 	const cap = 4
 	r := NewLiveRuntime("A", nil, Config{}, RuntimeConfig{Tick: time.Hour, Mailbox: cap})
@@ -37,10 +38,7 @@ func TestLiveRuntimeMailboxOverflow(t *testing.T) {
 	for i := 0; i < flood; i++ {
 		r.handleMessage("B", &wire.CreateScionAck{Acks: []wire.ExportAck{{ExportID: 999}}})
 	}
-	if got := r.DroppedInbound(); got != flood-cap {
-		t.Fatalf("DroppedInbound = %d, want %d", got, flood-cap)
-	}
-	if got := r.mach.Metrics().MailboxDropped.Value(); got != flood-cap {
+	if got := r.Metrics().MailboxDropped.Value(); got != flood-cap {
 		t.Fatalf("dgc_mailbox_dropped_total = %d, want %d", got, flood-cap)
 	}
 
@@ -117,8 +115,8 @@ func TestMachineMetricsDaemons(t *testing.T) {
 
 // TestForceDetectWithoutFirstHopNotStarted: a forced detection whose
 // candidate's object holds no remote reference ends without a first hop, so
-// it never started — in Stats as in dgc_detections_started_total, which
-// Stats reads.
+// it never started — in the block's counter as in the family
+// dgc_detections_started_total it serves.
 func TestForceDetectWithoutFirstHopNotStarted(t *testing.T) {
 	set := obs.NewSet()
 	m := NewMachine("A", Config{Metrics: set})
@@ -135,8 +133,8 @@ func TestForceDetectWithoutFirstHopNotStarted(t *testing.T) {
 		t.Fatalf("forced detection = %+v, want a branch end with nothing sent", res)
 	}
 	family := set.Dump()[`dgc_detections_started_total{node="A"}`]
-	if got := m.Stats().Detector.Started; float64(got) != family || got != 0 {
-		t.Fatalf("Stats().Detector.Started = %d, dgc_detections_started_total = %v; want both 0", got, family)
+	if got := m.Metrics().DetectionsStarted.Value(); float64(got) != family || got != 0 {
+		t.Fatalf("DetectionsStarted = %d, dgc_detections_started_total = %v; want both 0", got, family)
 	}
 }
 

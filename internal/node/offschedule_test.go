@@ -67,8 +67,8 @@ func TestStubSetCollectsWithoutOwnerTick(t *testing.T) {
 	if exists(a, x.Obj) {
 		t.Fatal("object still at A after the scion-deleting stub set was delivered")
 	}
-	if s := a.Stats(); s.LGCRuns != 1 || s.ScionsDropped != 1 {
-		t.Fatalf("A: LGCRuns=%d ScionsDropped=%d, want 1 and 1", s.LGCRuns, s.ScionsDropped)
+	if met := a.Metrics(); met.LGCRuns.Value() != 1 || met.ScionsDropped.Value() != 1 {
+		t.Fatalf("A: LGCRuns=%d ScionsDropped=%d, want 1 and 1", met.LGCRuns.Value(), met.ScionsDropped.Value())
 	}
 	// The journal tells the two apart: B's scheduled line is as it always
 	// was (the dgc-sim goldens carry it), A's names its trigger.
@@ -109,7 +109,7 @@ func TestAcyclicChainUnravelsWithinOnePeriod(t *testing.T) {
 			t.Errorf("%s still holds %d within the period of the head's collection", ref.Node, ref.Obj)
 		}
 		// One scheduled collection (tick 2) and the one its stub set caused.
-		if runs := tn.n(ref.Node).Stats().LGCRuns; runs != 2 {
+		if runs := tn.n(ref.Node).Metrics().LGCRuns.Value(); runs != 2 {
 			t.Errorf("%s ran %d collections, want 2", ref.Node, runs)
 		}
 	}
@@ -129,21 +129,21 @@ func TestSecondStubSetInIntervalWaitsForNextTick(t *testing.T) {
 	tn.n("C").RunLGC()
 	tn.settle() // both sets delivered inside A's first tick interval
 
-	if s := a.Stats(); s.LGCRuns != 1 || s.ScionsDropped != 2 {
-		t.Fatalf("after delivery: LGCRuns=%d ScionsDropped=%d, want 1 and 2", s.LGCRuns, s.ScionsDropped)
+	if met := a.Metrics(); met.LGCRuns.Value() != 1 || met.ScionsDropped.Value() != 2 {
+		t.Fatalf("after delivery: LGCRuns=%d ScionsDropped=%d, want 1 and 2", met.LGCRuns.Value(), met.ScionsDropped.Value())
 	}
 	if exists(a, xb.Obj) == exists(a, xc.Obj) {
 		t.Fatal("the one collection at delivery should have swept exactly the first set's object")
 	}
 	a.Tick() // clock 1 of LGCEvery 4: not a scheduled collection
-	if runs := a.Stats().LGCRuns; runs != 2 {
+	if runs := a.Metrics().LGCRuns.Value(); runs != 2 {
 		t.Fatalf("after the next tick: LGCRuns=%d, want 2", runs)
 	}
 	if exists(a, xb.Obj) || exists(a, xc.Obj) {
 		t.Fatal("overflow collection left an object behind")
 	}
 	tickTo(a, 3)
-	if runs := a.Stats().LGCRuns; runs != 2 {
+	if runs := a.Metrics().LGCRuns.Value(); runs != 2 {
 		t.Fatalf("ticks 2-3 collected (LGCRuns=%d): the overflow mark outlived its tick", runs)
 	}
 }
@@ -157,8 +157,8 @@ func TestStubSetNeverCollectsWithoutSchedule(t *testing.T) {
 	drop(t, b, holder, x)
 	b.RunLGC()
 	tn.settle()
-	if s := a.Stats(); s.ScionsDropped != 1 || s.LGCRuns != 0 {
-		t.Fatalf("A: ScionsDropped=%d LGCRuns=%d, want 1 and 0", s.ScionsDropped, s.LGCRuns)
+	if met := a.Metrics(); met.ScionsDropped.Value() != 1 || met.LGCRuns.Value() != 0 {
+		t.Fatalf("A: ScionsDropped=%d LGCRuns=%d, want 1 and 0", met.ScionsDropped.Value(), met.LGCRuns.Value())
 	}
 	if !exists(a, x.Obj) {
 		t.Fatal("object collected on delivery with LGCEvery 0")
@@ -166,7 +166,7 @@ func TestStubSetNeverCollectsWithoutSchedule(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.Tick()
 	}
-	if runs := a.Stats().LGCRuns; runs != 0 {
+	if runs := a.Metrics().LGCRuns.Value(); runs != 0 {
 		t.Fatalf("ticks collected with LGCEvery 0 (LGCRuns=%d)", runs)
 	}
 }
@@ -203,9 +203,9 @@ func TestOffScheduleRestatesOnlyChangedSets(t *testing.T) {
 	// Unchanged: y1 has no outgoing reference, so sweeping it changes no set.
 	drop(t, a, h1, y1)
 	tickTo(a, a.Clock()+2)
-	sent, seqs := b.Stats().StubSetsSent, outSeqs(b)
+	sent, seqs := b.Metrics().StubSetsSent.Value(), outSeqs(b)
 	tn.settle()
-	if got := b.Stats().StubSetsSent; got != sent {
+	if got := b.Metrics().StubSetsSent.Value(); got != sent {
 		t.Fatalf("delivery of a stub set that changes none of B's sets made B send %d", got-sent)
 	}
 	if got := outSeqs(b); !slices.Equal(got, seqs) {
@@ -220,11 +220,11 @@ func TestOffScheduleRestatesOnlyChangedSets(t *testing.T) {
 	// to C is the only one.
 	drop(t, a, h2, y2)
 	tickTo(a, a.Clock()+2)
-	sent = b.Stats().StubSetsSent
+	sent = b.Metrics().StubSetsSent.Value()
 	tn.net.SetFaults(transport.Faults{LossRate: 1, Affects: []wire.Kind{wire.KindNewSetStubs}})
 	tn.settle()
 	tn.net.SetFaults(transport.Faults{})
-	if got := b.Stats().StubSetsSent; got > sent+1 {
+	if got := b.Metrics().StubSetsSent.Value(); got > sent+1 {
 		t.Fatalf("delivery made B send %d stub sets, want at most the one changed set", got-sent)
 	}
 	if c.NumScions() != 2 {

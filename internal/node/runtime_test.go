@@ -74,8 +74,8 @@ func TestLiveRuntimeDaemonTickers(t *testing.T) {
 		RuntimeConfig{Tick: time.Millisecond})
 	defer r.Close()
 	waitUntil(t, 2*time.Second, "periodic daemons", func() bool {
-		s := r.Stats()
-		return s.LGCRuns > 1 && s.Summarizations > 1
+		met := r.Metrics()
+		return met.LGCRuns.Value() > 1 && met.Summarizations.Value() > 1
 	})
 	if r.Summary() == nil {
 		t.Fatal("no summary after periodic summarization")
@@ -182,7 +182,7 @@ func TestStartedNodeKeepsSchedulePhase(t *testing.T) {
 	r := NewLiveRuntime("A", nil, Config{LGCEvery: 4, Trace: journal}, RuntimeConfig{Tick: tick})
 	defer r.Close()
 	runs := func(n uint64) func() bool {
-		return func() bool { return r.Stats().LGCRuns >= n }
+		return func() bool { return r.Metrics().LGCRuns.Value() >= n }
 	}
 	waitUntil(t, 10*time.Second, "collections before the stall", runs(3))
 	// Two and a half ticks inside one input: the ticker buffers one tick and
@@ -192,7 +192,7 @@ func TestStartedNodeKeepsSchedulePhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := time.Now().Add(period) // the buffered tick, served late, is not judged
-	waitUntil(t, 10*time.Second, "collections after the stall", runs(r.Stats().LGCRuns+4))
+	waitUntil(t, 10*time.Second, "collections after the stall", runs(r.Metrics().LGCRuns.Value()+4))
 	r.Close()
 
 	events := eventsOf(t, journal, trace.KindLGC)
@@ -224,19 +224,23 @@ func TestSteppedAndStartedShareOneSchedule(t *testing.T) {
 	started := NewLiveRuntime("A", nil, cfg, RuntimeConfig{Tick: time.Millisecond})
 	defer started.Close()
 	waitUntil(t, 10*time.Second, "60 ticks", func() bool { return started.Clock() >= 60 })
-	got := started.Stats() // one input: clock and counters are of the same tick
+	type runs struct{ clock, lgc, summarize uint64 }
+	read := func(m *Machine) runs {
+		return runs{m.Clock(), m.met.LGCRuns.Value(), m.met.Summarizations.Value()}
+	}
+	got := call(started, read) // one input: clock and counters are of the same tick
 
 	stepped := New("A", nil, cfg)
-	for stepped.Clock() < got.Clock {
+	for stepped.Clock() < got.clock {
 		stepped.Tick()
 	}
-	want := stepped.Stats()
-	if got.LGCRuns != want.LGCRuns || got.Summarizations != want.Summarizations {
+	want := call(stepped, read)
+	if got.lgc != want.lgc || got.summarize != want.summarize {
 		t.Fatalf("at clock %d: started ran lgc=%d summarize=%d, stepped lgc=%d summarize=%d",
-			got.Clock, got.LGCRuns, got.Summarizations, want.LGCRuns, want.Summarizations)
+			got.clock, got.lgc, got.summarize, want.lgc, want.summarize)
 	}
-	if want.LGCRuns != got.Clock/2 || want.Summarizations != got.Clock/3 {
-		t.Fatalf("at clock %d: lgc=%d summarize=%d, want clock/2 and clock/3", got.Clock, want.LGCRuns, want.Summarizations)
+	if want.lgc != got.clock/2 || want.summarize != got.clock/3 {
+		t.Fatalf("at clock %d: lgc=%d summarize=%d, want clock/2 and clock/3", got.clock, want.lgc, want.summarize)
 	}
 }
 
@@ -307,10 +311,10 @@ func TestLiveRuntimeInvokeOverTCP(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("invoke timed out")
 	}
-	if got := b.Stats().InvokesHandled; got != 1 {
+	if got := b.Metrics().InvokesHandled.Value(); got != 1 {
 		t.Fatalf("B handled %d invokes", got)
 	}
-	if got := a.Stats().RepliesHandled; got != 1 {
+	if got := a.Metrics().RepliesHandled.Value(); got != 1 {
 		t.Fatalf("A handled %d replies", got)
 	}
 }

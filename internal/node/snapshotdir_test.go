@@ -50,8 +50,8 @@ func TestSnapshotDirWritesSerializedSnapshots(t *testing.T) {
 	if encodes != 3 {
 		t.Fatalf("Encode calls = %d for 3 snapshot files, want 1 each", encodes)
 	}
-	if s := a.Stats(); s.Summarizations != 3 {
-		t.Fatalf("Summarizations = %d, want 3", s.Summarizations)
+	if met := a.Metrics(); met.Summarizations.Value() != 3 {
+		t.Fatalf("Summarizations = %d, want 3", met.Summarizations.Value())
 	}
 	for _, e := range entries {
 		if !strings.HasPrefix(e.Name(), "A-") || !strings.HasSuffix(e.Name(), ".binary.snap") {
@@ -66,19 +66,24 @@ func TestSnapshotDirWritesSerializedSnapshots(t *testing.T) {
 	if h.Len() != 1 || h.Node() != "A" {
 		t.Fatalf("decoded snapshot: %d objects on %s", h.Len(), h.Node())
 	}
-	if s := a.Stats(); s.SnapshotBytes == 0 {
-		t.Error("SnapshotBytes not accounted")
-	}
 }
 
-func TestSnapshotCodecWithoutDirAccountsBytesOnly(t *testing.T) {
-	tn := newTestNet(t, Config{Codec: snapshot.ReflectCodec{}}, "A")
+// TestSnapshotCodecWithoutDirEncodesOncePerSummarize: with no directory the
+// codec still runs, once per summarization, and nothing is written.
+func TestSnapshotCodecWithoutDirEncodesOncePerSummarize(t *testing.T) {
+	encodes := 0
+	tn := newTestNet(t, Config{Codec: countingCodec{encodes: &encodes}}, "A")
 	a := tn.n("A")
 	allocRooted(t, a)
-	if err := a.Summarize(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := a.Summarize(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s := a.Stats(); s.SnapshotBytes == 0 {
-		t.Error("SnapshotBytes not accounted without dir")
+	if encodes != 2 {
+		t.Errorf("Encode calls = %d for 2 summarizations, want 1 each", encodes)
+	}
+	if got := a.Metrics().Summarizations.Value(); got != 2 {
+		t.Errorf("Summarizations = %d, want 2", got)
 	}
 }

@@ -156,7 +156,7 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 	}
 	e2eWait(t, "a detection to start", func() bool {
 		for _, n := range names {
-			if nodes[n].Stats().Detector.Started > 0 {
+			if nodes[n].Metrics().DetectionsStarted.Value() > 0 {
 				return true
 			}
 		}
@@ -209,7 +209,7 @@ func TestLiveE2ECycleCollectedAcrossRestart(t *testing.T) {
 
 	found := uint64(0)
 	for _, n := range names {
-		found += nodes[n].Stats().Detector.CyclesFound
+		found += nodes[n].Metrics().CyclesFound.Value()
 	}
 	if found == 0 {
 		t.Fatal("no completed cycle detection recorded")

@@ -94,7 +94,7 @@ func TestLiveOverloadShedsAndStillCollects(t *testing.T) {
 	// full mailbox, and C's transport keeps reading and shedding.
 	deadline := time.Now().Add(e2eDeadline)
 	sent := 0
-	for c.DroppedInbound() == 0 {
+	for c.Metrics().MailboxDropped.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("C shed nothing after %d invocations into a wedged 8-slot mailbox", sent)
 		}
